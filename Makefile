@@ -8,12 +8,12 @@ STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 BENCHSTAT_VERSION ?= v0.0.0-20240604174448-3b48cf0e4604
 
-.PHONY: all build vet test race cover bench experiments fuzz tools clean ci fmt-check lint staticcheck govulncheck vet-tool rsvet rsvet-spec rsvet-infer test-engine durability-matrix smoke-ops replay-regress
+.PHONY: all build vet test race cover bench experiments fuzz tools clean ci fmt-check lint staticcheck govulncheck vet-tool rsvet rsvet-spec rsvet-infer test-engine durability-matrix smoke-ops replay-regress bench-module loc
 
 all: build vet test
 
 # Everything CI runs (see .github/workflows/ci.yml).
-ci: fmt-check lint build race
+ci: fmt-check lint build race bench-module loc
 
 # Required lint: go vet, the repo's own rsvet analyzers, staticcheck
 # and govulncheck. CI installs the external tools pinned; a local tree
@@ -102,6 +102,18 @@ smoke-ops:
 # contract (0 identical, 3 divergence, 4 unreadable).
 replay-regress:
 	sh scripts/replay_regress.sh
+
+# The benchmark ladder is its own module (benchmark/go.mod), so
+# `go build ./... && go test ./...` from the root never compiles it: a
+# refactor of sched.Retirer or graph.Incremental could break its
+# decorators unseen. CI: test job.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Non-test Go lines per internal/* package and in total (CI summary;
+# put before/after in the PR description).
+loc:
+	@sh scripts/loc.sh
 
 cover:
 	$(GO) test -cover ./...

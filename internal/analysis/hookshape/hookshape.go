@@ -8,9 +8,9 @@
 //
 // Hook roots are gathered from every construction shape in the tree:
 // engine.Hooks composite literal fields, assignments to Hooks fields
-// (h.Commit = fn), arguments to engine.OnStages, and — because both
-// obs and record wrap the previous hook with a combinator — function-
-// valued arguments of any call assigned into a Hooks field.
+// (h.Commit = fn), and — because both obs and record wrap the previous
+// hook with a combinator — function-valued arguments of any call
+// assigned into a Hooks field.
 //
 // Two transitive facts over the call graph:
 //
@@ -104,7 +104,7 @@ type hookSite struct {
 	fn    callgraph.FuncID
 	pos   token.Pos
 	pkg   string // package to report in
-	field string // hook field name, or "OnStages"
+	field string // hook field name
 }
 
 func compute(g *callgraph.Graph) []finding {
@@ -189,12 +189,6 @@ func collectSites(g *callgraph.Graph) []hookSite {
 						continue
 					}
 					sites = append(sites, valueSites(g, n, e.Rhs[i], sel.Sel.Name)...)
-				}
-			case *ast.CallExpr:
-				if id, ok := g.CalleeOf(n.Pkg, e); ok && strings.HasSuffix(string(id), ".OnStages") {
-					for _, arg := range e.Args {
-						sites = append(sites, valueSites(g, n, arg, "OnStages")...)
-					}
 				}
 			}
 			return true

@@ -42,13 +42,6 @@ func installRecover(wg *sync.WaitGroup) engine.Hooks {
 	return h
 }
 
-// tap goes through OnStages; the argument is the hook.
-func tap(done chan struct{}) engine.Hooks {
-	return engine.OnStages(func(s engine.Stage, st *engine.Instance) { // want `hook OnStages may block`
-		done <- struct{}{}
-	})
-}
-
 // chain mirrors the obs/record combinator: function-valued arguments
 // of a call assigned into a hook field are themselves hook roots.
 func chain(first, then func(*engine.Instance)) func(*engine.Instance) {

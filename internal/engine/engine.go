@@ -96,18 +96,3 @@ type Hooks struct {
 	// instances each cross Abort afterwards.
 	Recover func()
 }
-
-// OnStages routes every stage transition through one function — the
-// shape tests use to observe the full stage sequence or cancel a run
-// at a precise lifecycle point.
-func OnStages(fn func(Stage, *Instance)) Hooks {
-	return Hooks{
-		Admit:   func(st *Instance) { fn(StageAdmit, st) },
-		Issue:   func(st *Instance) { fn(StageIssue, st) },
-		Decide:  func(st *Instance) { fn(StageDecide, st) },
-		Apply:   func(st *Instance) { fn(StageApply, st) },
-		Commit:  func(st *Instance) { fn(StageCommit, st) },
-		Abort:   func(st *Instance) { fn(StageAbort, st) },
-		Recover: func() { fn(StageRecover, nil) },
-	}
-}

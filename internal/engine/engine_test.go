@@ -72,10 +72,16 @@ func TestNewCoreValidation(t *testing.T) {
 func TestCorePipelineDirect(t *testing.T) {
 	p := prog(1, "r[x] w[y]")
 	var stages []engine.Stage
+	note := func(s engine.Stage) func(*engine.Instance) {
+		return func(*engine.Instance) { stages = append(stages, s) }
+	}
 	cfg := engine.Config{
 		Protocol: sched.NewNoCC(),
 		Programs: []*core.Transaction{p},
-		Hooks:    engine.OnStages(func(s engine.Stage, _ *engine.Instance) { stages = append(stages, s) }),
+		Hooks: engine.Hooks{
+			Admit: note(engine.StageAdmit), Issue: note(engine.StageIssue), Decide: note(engine.StageDecide),
+			Apply: note(engine.StageApply), Commit: note(engine.StageCommit), Abort: note(engine.StageAbort),
+		},
 	}
 	eng, err := engine.NewCore(cfg)
 	if err != nil {
@@ -129,11 +135,7 @@ func TestAbortAllFiresRecoverWhenIdle(t *testing.T) {
 	cfg := engine.Config{
 		Protocol: sched.NewNoCC(),
 		Programs: []*core.Transaction{prog(1, "r[x]")},
-		Hooks: engine.OnStages(func(s engine.Stage, _ *engine.Instance) {
-			if s == engine.StageRecover {
-				sawRecover = true
-			}
-		}),
+		Hooks:    engine.Hooks{Recover: func() { sawRecover = true }},
 	}
 	eng, err := engine.NewCore(cfg)
 	if err != nil {

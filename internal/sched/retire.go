@@ -1,10 +1,13 @@
 package sched
 
+import "relser/internal/graph"
+
 // Bounded-memory certification: the graph-based protocols (RSGT, SGT,
-// and RAL via its embedded certifier) retire the vertices of finished
-// transactions in count-based epoch batches and certify the common
-// no-suspected-cycle case with a conservative vector-clock test, so
-// scheduler memory tracks the live transaction set instead of history.
+// and RAL via its embedded RSGT) share one certifier. It retires the
+// vertices of finished transactions in count-based epoch batches and
+// certifies the common no-suspected-cycle case with a conservative
+// vector-clock test, so scheduler memory tracks the live transaction
+// set instead of history.
 //
 // Epoch pacing is strictly count-based (pending work vs. live size);
 // wall-clock epochs would make replays nondeterministic, which detlint
@@ -90,8 +93,8 @@ func (s *RetireStats) Add(other RetireStats) {
 // concurrently with Request.
 type Retirer interface {
 	// SetRetirement enables or disables retirement. It must be called
-	// before the first Begin; flipping it mid-run is unsupported (the
-	// vector-clock tables must observe every arc from graph birth).
+	// before the first Begin; changing the setting afterwards panics
+	// (the vector-clock tables must observe every arc from graph birth).
 	SetRetirement(enabled bool)
 	// SetLowWater feeds the engine's low-water mark: every instance ID
 	// below it has finished (committed or aborted) and can never receive
@@ -110,6 +113,215 @@ type Retirer interface {
 func SetRetirement(p Protocol, enabled bool) {
 	if r, ok := p.(Retirer); ok {
 		r.SetRetirement(enabled)
+	}
+}
+
+// certifier is the one place an arc batch is admitted into a
+// certification graph (§3 of the paper: insert the request's arcs,
+// refuse on a cycle). RSGT and SGT embed it and differ only in what a
+// vertex is and which arcs a request induces; the graph, the clock
+// table, the retirement queue and the epoch rule live here.
+//
+// A request is a batch: the protocol calls arc for every arc the
+// operation induces (all run from a source instance into the
+// requester), then admit. With retirement on, an arc src -> requester
+// can only close a cycle if the requester already reaches src, which
+// the requester's clock over-approximates; an unsuspected batch is
+// appended without any cycle sweep (O(1) amortized per arc), a
+// suspected one takes the complete batched Pearce–Kelly insert, which
+// rolls itself back atomically on a cycle. Which of the two runs never
+// depends on whether a tracer is attached: evidence for a refusal is
+// reconstructed afterwards by explainRefusal.
+type certifier struct {
+	g *graph.Incremental
+
+	retireOn bool
+	// begun freezes retireOn: once an instance has (or has not) been
+	// given a clock slot, every later instance must be treated alike,
+	// because the clocks have to observe every arc from graph birth.
+	begun    bool
+	lowWater int64
+	rt       *reachTable
+	// retireQ holds finished instances' vertices until a count-based
+	// epoch compacts the graph.
+	retireQ []int
+
+	graphEpochs int64
+	retiredVert int64
+	fastHits    int64
+	fastMisses  int64
+
+	// The current request's batch, reused across requests.
+	arcs     [][2]int
+	srcSlots []int
+	suspect  bool
+}
+
+func newCertifier() certifier {
+	return certifier{g: graph.NewIncremental(0), rt: newReachTable()}
+}
+
+// SetRetirement implements Retirer. Re-asserting the current setting
+// is always allowed (the engine does so on every run); changing it
+// once an instance has begun would leave instances without clock
+// slots, which only a caller bug can produce.
+func (c *certifier) SetRetirement(enabled bool) {
+	if c.begun && enabled != c.retireOn {
+		panic("sched: SetRetirement changed after the first Begin")
+	}
+	c.retireOn = enabled
+}
+
+// allocSlot gives a beginning instance its clock slot (also kept in
+// rt.slotOf); -1 with retirement off, where no clocks are kept.
+func (c *certifier) allocSlot(instance int64) int {
+	c.begun = true
+	if !c.retireOn {
+		return -1
+	}
+	return c.rt.alloc(instance)
+}
+
+// release drops a finished instance from the graph: its vertices lose
+// their arcs now, join the next retirement epoch, and its clock slot
+// returns to the free list.
+func (c *certifier) release(instance int64, vertices ...int) {
+	for _, v := range vertices {
+		c.g.IsolateVertex(v)
+	}
+	if !c.retireOn {
+		return
+	}
+	c.retireQ = append(c.retireQ, vertices...)
+	c.rt.release(instance)
+}
+
+// arc adds u -> w, running from the instance in srcSlot into the
+// requester in reqSlot, to the current batch (the slots are ignored
+// with retirement off). mayReach is the protocol's refinement of the
+// suspicion test: false when it knows no path from the requester can
+// arrive at or before u even if the requester's clock has the source.
+func (c *certifier) arc(u, w, srcSlot, reqSlot int, mayReach bool) {
+	c.arcs = append(c.arcs, [2]int{u, w})
+	if !c.retireOn {
+		return
+	}
+	if mayReach && c.rt.reaches(reqSlot, srcSlot) {
+		c.suspect = true
+	}
+	if !c.rt.seen.has(srcSlot) {
+		c.rt.seen.set(srcSlot)
+		c.srcSlots = append(c.srcSlots, srcSlot)
+	}
+}
+
+// admit inserts the current batch and starts the next one. It returns
+// nil when the batch went in; when the union would close a cycle
+// nothing is inserted and the refused batch is returned (valid until
+// the next arc call) so explainRefusal can reconstruct the evidence.
+func (c *certifier) admit(reqSlot int) (refused [][2]int) {
+	arcs, srcs, suspect := c.arcs, c.srcSlots, c.suspect
+	c.arcs, c.srcSlots, c.suspect = arcs[:0], srcs[:0], false
+	for _, s := range srcs {
+		c.rt.seen.clear(s)
+	}
+	if c.retireOn && !suspect {
+		c.fastHits++
+		c.g.AppendArcs(arcs)
+	} else {
+		// Suspected, or retirement off (no clocks, so never suspected
+		// and no sources recorded below).
+		if suspect {
+			c.fastMisses++
+		}
+		if c.g.AddArcBatch(arcs) != nil {
+			return arcs
+		}
+	}
+	c.rt.recordArcs(srcs, reqSlot)
+	return nil
+}
+
+// explainRefusal reconstructs the evidence for a batch admit refused.
+// Cold path, run only when a tracer wants the event: the arcs are
+// re-inserted one at a time in batch order, so the first arc AddArc
+// refuses — position i — is the arc a per-arc protocol would have
+// refused, and the live graph's path from its head back to its tail
+// (which must exist, or AddArc would have accepted) plus the arc itself
+// is a concrete cycle. emit runs while the arcs before i are still in
+// the graph, so snapshots show the state the cycle was found in; they
+// are removed again afterwards.
+func (c *certifier) explainRefusal(refused [][2]int, emit func(i int, path []int)) {
+	for i, a := range refused {
+		if c.g.AddArc(a[0], a[1]) == nil {
+			continue
+		}
+		emit(i, c.g.FindPath(a[1], a[0]))
+		for _, b := range refused[:i] {
+			c.g.RemoveArc(b[0], b[1])
+		}
+		return
+	}
+	panic("sched: refused batch re-inserted arc by arc without closing a cycle") // AddArcBatch and AddArc disagree
+}
+
+// advanceLowWater records the engine's low-water mark — the pacemaker
+// for epoch work — and reports whether it moved. Epoch decisions are
+// purely count-based so replays stay deterministic.
+//
+//rsvet:deterministic
+func (c *certifier) advanceLowWater(instance int64) bool {
+	if instance <= c.lowWater {
+		return false
+	}
+	c.lowWater = instance
+	c.maybeRetire()
+	return true
+}
+
+// maybeRetire runs a graph compaction epoch when the pending queue is
+// both big enough in absolute terms and at least half the graph, which
+// makes each epoch O(1) amortized per retired vertex.
+//
+//rsvet:deterministic
+func (c *certifier) maybeRetire() {
+	if len(c.retireQ) < retireEpochMinVerts || 2*len(c.retireQ) < c.g.Len() {
+		return
+	}
+	c.flushRetire()
+}
+
+func (c *certifier) flushRetire() {
+	if len(c.retireQ) == 0 {
+		return
+	}
+	res := c.g.Retire(c.retireQ)
+	c.retiredVert += int64(res.Retired)
+	c.graphEpochs++
+	c.retireQ = c.retireQ[:0]
+}
+
+// compactionDue is the pacing rule the protocols' own history
+// compactions share (RSGT's rebase and stranded sweep, SGT's history
+// sweep): at least floor items, and at least twice what the last
+// compaction kept, which amortizes each pass to O(1) per item.
+func (c *certifier) compactionDue(n, floor, lastKept int) bool {
+	return c.retireOn && n >= floor && n >= 2*lastKept
+}
+
+// stats reports RetireStats; the protocol supplies its own history
+// compaction count and current history length.
+func (c *certifier) stats(compactions int64, entries int) RetireStats {
+	return RetireStats{
+		Enabled:         c.retireOn,
+		GraphEpochs:     c.graphEpochs,
+		RetiredVertices: c.retiredVert,
+		LiveVertices:    c.g.Len(),
+		PendingRetire:   len(c.retireQ),
+		Rebases:         compactions,
+		ExecEntries:     entries,
+		FastPathHits:    c.fastHits,
+		FastPathMisses:  c.fastMisses,
 	}
 }
 

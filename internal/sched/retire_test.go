@@ -10,6 +10,8 @@ package sched_test
 
 import (
 	"math/rand"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -54,6 +56,63 @@ func TestPropertyRetiredRSGTMatchesTheorem1(t *testing.T) {
 		if offline != online {
 			t.Fatalf("trial %d: offline=%v retired-online=%v\nschedule: %s\nspec:\n%s",
 				trial, offline, online, s, sp)
+		}
+		if offline {
+			derivedLabelsMatchOffline(t, trial, s, sp)
+		}
+	}
+}
+
+var (
+	dotNode = regexp.MustCompile(`(?m)^  n(\d+) \[label="\S+ #(\d+)"\];$`)
+	dotEdge = regexp.MustCompile(`(?m)^  n(\d+) -> n(\d+) \[label="([IDFB,]+)"\];$`)
+)
+
+// derivedLabelsMatchOffline admits all of s without committing, so
+// every instance stays resident, and checks the I/D/F/B label RSGT
+// derives for each arc of its DOT snapshot against the offline RSG of
+// the same schedule — the labels are not stored with the arcs, so this
+// is the only thing pinning them.
+func derivedLabelsMatchOffline(t *testing.T, trial int, s *core.Schedule, sp *core.Spec) {
+	t.Helper()
+	p := sched.NewRSGT(sched.SpecOracle{Spec: sp})
+	p.SetRetirement(true)
+	ts := s.Set()
+	for _, tx := range ts.Txns() {
+		p.Begin(int64(tx.ID), tx)
+	}
+	executed := make(map[core.TxnID]int)
+	for pos := 0; pos < s.Len(); pos++ {
+		op := s.At(pos)
+		req := sched.OpRequest{Instance: int64(op.Txn), Program: ts.Txn(op.Txn), Seq: executed[op.Txn], Op: op}
+		if d := p.Request(req); d != sched.Grant {
+			t.Fatalf("trial %d: relatively serializable schedule refused at %s: %v", trial, op, d)
+		}
+		executed[op.Txn]++
+	}
+	dot := p.DotSnapshot()
+	// Nodes are listed per instance in program order.
+	opOf := make(map[string]core.Op)
+	next := make(map[core.TxnID]int)
+	for _, m := range dotNode.FindAllStringSubmatch(dot, -1) {
+		id, _ := strconv.Atoi(m[2])
+		tx := ts.Txn(core.TxnID(id))
+		opOf[m[1]] = tx.Op(next[tx.ID])
+		next[tx.ID]++
+	}
+	if len(opOf) != ts.NumOps() {
+		t.Fatalf("trial %d: snapshot names %d of %d operations:\n%s", trial, len(opOf), ts.NumOps(), dot)
+	}
+	offline := core.BuildRSG(s, sp)
+	edges := dotEdge.FindAllStringSubmatch(dot, -1)
+	if len(edges) != offline.NumArcs() {
+		t.Fatalf("trial %d: snapshot has %d labelled arcs, offline RSG %d:\n%s", trial, len(edges), offline.NumArcs(), dot)
+	}
+	for _, m := range edges {
+		u, v := opOf[m[1]], opOf[m[2]]
+		if want := offline.ArcKinds(u, v).String(); m[3] != want {
+			t.Fatalf("trial %d: arc %v -> %v derived as %q, offline RSG says %q\nschedule: %s\nspec:\n%s",
+				trial, u, v, m[3], want, s, sp)
 		}
 	}
 }
@@ -325,6 +384,27 @@ func TestRetiredRALDelegates(t *testing.T) {
 	r.SetRetirement(true)
 	if st := r.RetireStats(); !st.Enabled {
 		t.Fatal("retirement did not reach the embedded certifier")
+	}
+}
+
+// TestSetRetirementFrozenAfterBegin: the clocks must observe every arc
+// from graph birth, so the setting may be re-asserted at any time (the
+// engine does on every run) but not changed once an instance began.
+func TestSetRetirementFrozenAfterBegin(t *testing.T) {
+	for _, p := range []sched.Protocol{sched.NewRSGT(sched.AbsoluteOracle{}), sched.NewSGT(), sched.NewRAL(sched.AbsoluteOracle{})} {
+		r := p.(sched.Retirer)
+		r.SetRetirement(false)
+		r.SetRetirement(true)
+		p.Begin(1, core.T(1, core.W("x")))
+		r.SetRetirement(true)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: SetRetirement(false) after Begin did not panic", p.Name())
+				}
+			}()
+			r.SetRetirement(false)
+		}()
 	}
 }
 

@@ -35,8 +35,8 @@ import (
 // queried lazily per ordered pair of live instances and memoized.
 type RSGT struct {
 	traced
+	certifier
 	oracle AtomicityOracle
-	g      *graph.Incremental
 
 	insts map[int64]*rsgtInst
 	// committed retains instances whose vertices are still in the
@@ -52,46 +52,29 @@ type RSGT struct {
 	// pairCuts memoizes oracle answers per ordered instance pair.
 	pairCuts map[[2]int64][]int
 
-	// arcKinds mirrors the live graph's arc-kind masks, maintained only
-	// while tracing so rejections can name their cycle's I/D/F/B arcs.
-	// Entries for isolated vertices go stale harmlessly (vertices are
-	// never reused, so explanation paths cannot reach them).
-	arcKinds map[[2]int]core.ArcKind
-
-	// Bounded-memory state (see Retirer): finished instances' vertices
-	// queue here until a count-based epoch compacts the graph, and the
-	// dependency index is periodically rebased onto the reachable
-	// suffix. rt is the vector-clock table backing the fast path; it is
-	// only maintained (and only consulted) on the untraced hot path,
-	// which is fixed per run because tracer attachment precedes Begin.
-	retireOn       bool
-	lowWater       int64
-	rt             *reachTable
-	retireQ        []int
+	// Bounded-memory state beyond the shared certifier (see Retirer):
+	// the dependency index is periodically rebased onto the reachable
+	// suffix.
 	lastRebaseLive int
+	rebases        int64
 	// residentCommitted counts committed instances whose vertices are
 	// still in the graph; lastSweepResident is its value after the last
 	// stranded-cluster sweep (the doubling base for the next one).
 	residentCommitted int
 	lastSweepResident int
-
-	graphEpochs int64
-	retiredVert int64
-	rebases     int64
-	fastHits    int64
-	fastMisses  int64
 }
 
 type rsgtInst struct {
+	id       int64
 	program  *core.Transaction
 	vertices []int // seq -> graph vertex
 	lastExec int   // exec index of the instance's most recent op, -1 if none
 	executed int   // number of executed ops
 
-	// Fast-path clock state: the instance's reachTable slot (-1 when the
-	// fast path is inactive) and the minimum sequence of any arc head
-	// ever added into the instance (math.MaxInt until the first one). A
-	// path entering this instance from outside can only reach sequences
+	// Fast-path clock state: the instance's reachTable slot (-1 with
+	// retirement off) and the minimum sequence of any arc head ever
+	// added into the instance (math.MaxInt until the first one). A path
+	// entering this instance from outside can only reach sequences
 	// >= minEntry, because within an instance only I-arcs (sequence-
 	// forward) connect vertices.
 	slot     int
@@ -102,15 +85,14 @@ type execOp struct {
 	instance int64
 	seq      int
 	op       core.Op
-	vertex   int
 }
 
 // NewRSGT returns the paper's protocol under the given specification
 // oracle.
 func NewRSGT(oracle AtomicityOracle) *RSGT {
 	return &RSGT{
+		certifier:       newCertifier(),
 		oracle:          oracle,
-		g:               graph.NewIncremental(0),
 		insts:           make(map[int64]*rsgtInst),
 		committedStatus: make(map[int64]bool),
 		objHist:         make(map[string][]int),
@@ -127,13 +109,7 @@ func (p *RSGT) Begin(instance int64, program *core.Transaction) {
 	if _, ok := p.insts[instance]; ok {
 		return
 	}
-	inst := &rsgtInst{program: program, lastExec: -1, slot: -1, minEntry: math.MaxInt}
-	if p.retireOn && !p.tr.Enabled() {
-		if p.rt == nil {
-			p.rt = newReachTable()
-		}
-		inst.slot = p.rt.alloc(instance)
-	}
+	inst := &rsgtInst{id: instance, program: program, lastExec: -1, slot: p.allocSlot(instance), minEntry: math.MaxInt}
 	inst.vertices = make([]int, program.Len())
 	for seq := range inst.vertices {
 		inst.vertices[seq] = p.g.AddVertex()
@@ -142,19 +118,8 @@ func (p *RSGT) Begin(instance int64, program *core.Transaction) {
 		if err := p.g.AddArc(inst.vertices[seq], inst.vertices[seq+1]); err != nil {
 			panic(fmt.Sprintf("sched: I-arc on fresh vertices cycled: %v", err)) // unreachable
 		}
-		if p.tr.Enabled() {
-			p.noteKind(inst.vertices[seq], inst.vertices[seq+1], core.IArc)
-		}
 	}
 	p.insts[instance] = inst
-}
-
-// noteKind records an arc's kind mask for explanations; tracing only.
-func (p *RSGT) noteKind(u, v int, kind core.ArcKind) {
-	if p.arcKinds == nil {
-		p.arcKinds = make(map[[2]int]core.ArcKind)
-	}
-	p.arcKinds[[2]int{u, v}] |= kind
 }
 
 // Request implements Protocol.
@@ -196,256 +161,176 @@ func (p *RSGT) Request(req OpRequest) Decision {
 		}
 	}
 
-	// Tentatively add the D/F/B arcs for every cross-transaction
-	// dependency.
-	v := inst.vertices[req.Seq]
-	if !p.tr.Enabled() {
-		// Hot path: collect the request's D/F/B delta as one epoch batch.
-		// With the vector-clock fast path active, the unsuspected case
-		// appends the batch without any cycle sweep (O(1) amortized per
-		// arc); every new arc runs from a source instance into this
-		// requester, so a cycle needs an existing path back from the
-		// requester into a source A reaching a sequence <= the arc's
-		// source sequence. The clocks over-approximate exactly that: the
-		// path exists only if reach[requester] contains A (instance-level
-		// closure) and the arc's source sequence is >= minEntry[A] (the
-		// lowest sequence any outside path can reach in A). Suspected or
-		// slow requests use AddArcBatch, which agrees with the per-arc
-		// insertion below and rolls itself back atomically on a cycle.
-		fast := p.retireOn && p.rt != nil && inst.slot >= 0
-		var arcs [][2]int
-		var srcSlots []int
-		suspect := false
-		minHead := req.Seq
-		depSet.ForEach(func(e int) bool {
-			info := p.execInfo[e]
-			if info.instance == req.Instance {
-				return true
-			}
-			src := p.insts[info.instance]
-			if src == nil {
-				return true
-			}
-			u := src.vertices[info.seq]
-			if u != v {
-				arcs = append(arcs, [2]int{u, v}) // D-arc
-			}
-			fuSeq := p.pushForward(info.instance, src, req.Instance, info.seq)
-			if fu := src.vertices[fuSeq]; fu != v {
-				arcs = append(arcs, [2]int{fu, v}) // F-arc
-			}
-			bvSeq := p.pullBackward(req.Instance, inst, info.instance, req.Seq)
-			if bv := inst.vertices[bvSeq]; u != bv {
-				arcs = append(arcs, [2]int{u, bv}) // B-arc
-			}
-			if bvSeq < minHead {
-				minHead = bvSeq
-			}
-			if fast {
-				if src.slot < 0 {
-					// Unreachable while tracer attachment stays fixed per
-					// run; treated as a suspected cycle for safety.
-					suspect = true
-					return true
-				}
-				if p.rt.reaches(inst.slot, src.slot) && fuSeq >= src.minEntry {
-					suspect = true
-				}
-				if !p.rt.seen.has(src.slot) {
-					p.rt.seen.set(src.slot)
-					srcSlots = append(srcSlots, src.slot)
-				}
-			}
-			return true
-		})
-		admit := true
-		if len(arcs) > 0 {
-			if fast && !suspect {
-				p.g.AppendArcs(arcs)
-			} else {
-				if fast {
-					p.fastMisses++
-				}
-				if err := p.g.AddArcBatch(arcs); err != nil {
-					admit = false
-				}
-			}
+	// The request's D/F/B delta is one certifier batch. Every new arc
+	// runs from a source instance A into this requester, so a cycle
+	// needs an existing path back from the requester into A reaching a
+	// sequence <= the arc's tail. The clocks over-approximate exactly
+	// that: the path exists only if reach[requester] contains A
+	// (instance-level closure) and the tail is >= minEntry[A] (the
+	// lowest sequence any outside path can reach in A).
+	minHead := math.MaxInt
+	p.forEachSource(inst, depSet, func(src *rsgtInst, srcSeq int) {
+		for _, a := range p.induced(src, srcSeq, inst, req.Seq) {
+			p.arc(src.vertices[a.tail], inst.vertices[a.head], src.slot, inst.slot, a.tail >= src.minEntry)
+			minHead = min(minHead, a.head)
 		}
-		if fast {
-			if !suspect {
-				p.fastHits++
-			}
-			for _, s := range srcSlots {
-				p.rt.seen.clear(s)
-			}
-			if admit && len(arcs) > 0 {
-				if minHead < inst.minEntry {
-					inst.minEntry = minHead
-				}
-				p.rt.recordArcs(srcSlots, inst.slot)
-			}
-		}
-		if !admit {
-			return Abort
-		}
-		e := len(p.execInfo)
-		p.execInfo = append(p.execInfo, execOp{instance: req.Instance, seq: req.Seq, op: req.Op, vertex: v})
-		p.deps = append(p.deps, depSet)
-		p.objHist[req.Op.Object] = append(hist, e)
-		inst.lastExec = e
-		inst.executed++
-		p.maybeRebase()
-		return Grant
-	}
-	var added [][2]int
-	var kindUndo []arcKindUndo
-	var failArc [2]int
-	var failKind core.ArcKind
-	tryArc := func(u, w int, kind core.ArcKind) bool {
-		if u == w {
-			return true
-		}
-		if err := p.g.AddArc(u, w); err != nil {
-			failArc = [2]int{u, w}
-			failKind = kind
-			return false
-		}
-		added = append(added, [2]int{u, w})
-		if p.tr.Enabled() {
-			kindUndo = append(kindUndo, arcKindUndo{key: [2]int{u, w}, prev: p.arcKinds[[2]int{u, w}]})
-			p.noteKind(u, w, kind)
-		}
-		return true
-	}
-	rollback := func() {
-		for _, a := range added {
-			p.g.RemoveArc(a[0], a[1])
-		}
-		for i := len(kindUndo) - 1; i >= 0; i-- {
-			un := kindUndo[i]
-			if un.prev == 0 {
-				delete(p.arcKinds, un.key)
-			} else {
-				p.arcKinds[un.key] = un.prev
-			}
-		}
-	}
-	ok := true
-	depSet.ForEach(func(e int) bool {
-		info := p.execInfo[e]
-		if info.instance == req.Instance {
-			return true
-		}
-		src := p.insts[info.instance]
-		if src == nil {
-			// Committed-and-pruned source: its vertices are graph
-			// sources, so arcs from them can never close a cycle.
-			// Aborted sources can appear transitively (a live op that
-			// depended on a later-aborted op keeps the dependency —
-			// conservative: may cost an extra abort, never admits an
-			// incorrect schedule). Either way, no arc to add.
-			return true
-		}
-		u := src.vertices[info.seq]
-		// D-arc u -> v.
-		if !tryArc(u, v, core.DArc) {
-			ok = false
-			return false
-		}
-		// F-arc PushForward(u, txn(v)) -> v.
-		fu := src.vertices[p.pushForward(info.instance, src, req.Instance, info.seq)]
-		if !tryArc(fu, v, core.FArc) {
-			ok = false
-			return false
-		}
-		// B-arc u -> PullBackward(v, txn(u)).
-		bv := inst.vertices[p.pullBackward(req.Instance, inst, info.instance, req.Seq)]
-		if !tryArc(u, bv, core.BArc) {
-			ok = false
-			return false
-		}
-		return true
 	})
-	if !ok {
-		if p.tr.Enabled() {
-			p.explainReject(req, failArc[0], failArc[1], failKind)
+	if refused := p.admit(inst.slot); refused != nil {
+		if p.tr.Wants(trace.KindCycleReject) {
+			p.explainReject(req, refused)
 		}
-		rollback()
+		// Execution has already fixed the offending dependency order,
+		// so no amount of waiting can remove the cycle.
 		return Abort
 	}
+	inst.minEntry = min(inst.minEntry, minHead)
 
 	// Admission: record execution.
 	e := len(p.execInfo)
-	p.execInfo = append(p.execInfo, execOp{instance: req.Instance, seq: req.Seq, op: req.Op, vertex: v})
+	p.execInfo = append(p.execInfo, execOp{instance: req.Instance, seq: req.Seq, op: req.Op})
 	p.deps = append(p.deps, depSet)
 	p.objHist[req.Op.Object] = append(hist, e)
 	inst.lastExec = e
 	inst.executed++
+	p.maybeRebase()
 	return Grant
 }
 
-// arcKindUndo restores a traced arc-kind mask on rollback.
-type arcKindUndo struct {
-	key  [2]int
-	prev core.ArcKind
+// forEachSource calls fn for every executed operation in depSet of a
+// resident instance other than inst, in execution order. Sources that
+// are no longer resident induce no arc: a committed-and-pruned source's
+// vertices are graph sources, so arcs from them can never close a
+// cycle. Aborted sources can appear transitively (a live op that
+// depended on a later-aborted op keeps the dependency — conservative:
+// may cost an extra abort, never admits an incorrect schedule).
+func (p *RSGT) forEachSource(inst *rsgtInst, depSet graph.Bitset, fn func(src *rsgtInst, srcSeq int)) {
+	depSet.ForEach(func(e int) bool {
+		info := p.execInfo[e]
+		if src := p.insts[info.instance]; src != nil && src != inst {
+			fn(src, info.seq)
+		}
+		return true
+	})
+}
+
+// rsgArc is one arc between two instances, by sequence: tail in the
+// source instance, head in the dependent one.
+type rsgArc struct{ tail, head int }
+
+// dfb is the order in which induced generates a dependency's arcs, so
+// position i of a request's batch has kind dfb[i%len(dfb)].
+var dfb = [3]core.ArcKind{core.DArc, core.FArc, core.BArc}
+
+// induced returns the arcs Definition 3 adds for one cross-transaction
+// dependency — operation v = seq of inst depends on operation
+// u = srcSeq of src: the D-arc u -> v, the F-arc
+// PushForward(u, txn(v)) -> v from the last operation of u's atomic
+// unit relative to inst, and the B-arc u -> PullBackward(v, txn(u)) to
+// the first operation of v's atomic unit relative to src.
+func (p *RSGT) induced(src *rsgtInst, srcSeq int, inst *rsgtInst, seq int) [len(dfb)]rsgArc {
+	_, fu := unitBounds(p.cuts(src, inst), src.program.Len(), srcSeq)
+	bv, _ := unitBounds(p.cuts(inst, src), inst.program.Len(), seq)
+	return [len(dfb)]rsgArc{{srcSeq, seq}, {fu, seq}, {srcSeq, bv}}
+}
+
+// rsgtVertex names a resident graph vertex by owner and sequence.
+type rsgtVertex struct {
+	inst *rsgtInst
+	seq  int
+}
+
+func (p *RSGT) owners() map[int]rsgtVertex {
+	owners := make(map[int]rsgtVertex)
+	for _, in := range p.insts {
+		for seq, vert := range in.vertices {
+			owners[vert] = rsgtVertex{inst: in, seq: seq}
+		}
+	}
+	return owners
+}
+
+// deriveKinds derives the I/D/F/B label of the live arc u -> w when a
+// cycle or snapshot is rendered, instead of storing a label per arc in
+// lock-step with the graph. Within an instance only I-arcs exist;
+// across instances the arc was induced by the recorded dependencies of
+// w's instance on u's (rebase keeps both for resident instances), so
+// regenerating their arcs and keeping those that land on (u, w) gives
+// the same union of kinds the insertions carried.
+func (p *RSGT) deriveKinds(u, w rsgtVertex) core.ArcKind {
+	if u.inst == w.inst {
+		return core.IArc
+	}
+	var mask core.ArcKind
+	for e, info := range p.execInfo {
+		// F- and D-arcs end at the dependent operation, B-arcs at the
+		// start of its unit: never after it.
+		if info.instance != w.inst.id || info.seq < w.seq {
+			continue
+		}
+		p.forEachSource(w.inst, p.deps[e], func(src *rsgtInst, srcSeq int) {
+			if src != u.inst {
+				return
+			}
+			for k, a := range p.induced(src, srcSeq, w.inst, info.seq) {
+				if a.tail == u.seq && a.head == w.seq {
+					mask |= dfb[k]
+				}
+			}
+		})
+	}
+	return mask
 }
 
 // explainReject emits a cycle-reject event naming the concrete RSG
-// cycle the refused arc u -> v would have closed: the live graph's
-// path v -> ... -> u (which must exist, or AddArc would have accepted)
-// plus the refused arc itself. Called before rollback so the path's
-// arcs — including those added earlier in this same request — are
-// still present. Tracing-only cold path.
-func (p *RSGT) explainReject(req OpRequest, u, v int, kind core.ArcKind) {
-	ev := trace.Event{
-		Kind:     trace.KindCycleReject,
-		Protocol: p.Name(),
-		Instance: req.Instance,
-		Txn:      int(req.Op.Txn),
-		Seq:      req.Seq,
-		Op:       req.Op.String(),
-		Object:   req.Op.Object,
-		Reason:   fmt.Sprintf("admitting %s would add a %s-arc closing an RSG cycle", req.Op, kind),
-	}
-	path := p.g.FindPath(v, u)
-	if path != nil {
-		type vertexOwner struct {
-			instance int64
-			txn      int
-			seq      int
-			op       string
+// cycle the refused batch would have closed. The arcs this request
+// inserted before the refused one are in the graph while the event is
+// built but not in the recorded dependencies, so their kinds come from
+// their batch position.
+func (p *RSGT) explainReject(req OpRequest, refused [][2]int) {
+	p.explainRefusal(refused, func(i int, path []int) {
+		kind := dfb[i%len(dfb)]
+		ev := trace.Event{
+			Kind:     trace.KindCycleReject,
+			Protocol: p.Name(),
+			Instance: req.Instance,
+			Txn:      int(req.Op.Txn),
+			Seq:      req.Seq,
+			Op:       req.Op.String(),
+			Object:   req.Op.Object,
+			Reason:   fmt.Sprintf("admitting %s would add a %s-arc closing an RSG cycle", req.Op, kind),
 		}
-		owners := make(map[int]vertexOwner)
-		for id, in := range p.insts {
-			for seq, vert := range in.vertices {
-				owners[vert] = vertexOwner{instance: id, txn: int(in.program.ID), seq: seq, op: in.program.Op(seq).String()}
-			}
+		pending := make(map[[2]int]core.ArcKind, i)
+		for j, a := range refused[:i] {
+			pending[a] |= dfb[j%len(dfb)]
 		}
+		owners := p.owners()
 		cyc := &trace.Cycle{}
-		for _, vert := range path {
+		for k, vert := range path {
 			o := owners[vert]
-			cyc.Nodes = append(cyc.Nodes, trace.CycleNode{Instance: o.instance, Txn: o.txn, Seq: o.seq, Op: o.op})
-		}
-		for i := 0; i+1 < len(path); i++ {
-			label := "?"
-			if mask := p.arcKinds[[2]int{path[i], path[i+1]}]; mask != 0 {
-				label = mask.String()
+			cyc.Nodes = append(cyc.Nodes, trace.CycleNode{Instance: o.inst.id, Txn: int(o.inst.program.ID), Seq: o.seq, Op: o.inst.program.Op(o.seq).String()})
+			if k+1 < len(path) {
+				mask := p.deriveKinds(o, owners[path[k+1]]) | pending[[2]int{vert, path[k+1]}]
+				cyc.Arcs = append(cyc.Arcs, trace.CycleArc{From: k, To: k + 1, Kind: mask.String()})
 			}
-			cyc.Arcs = append(cyc.Arcs, trace.CycleArc{From: i, To: i + 1, Kind: label})
 		}
 		cyc.Arcs = append(cyc.Arcs, trace.CycleArc{From: len(path) - 1, To: 0, Kind: kind.String()})
 		ev.Cycle = cyc
-	}
-	p.tr.Emit(ev)
-	p.tr.EmitDot("cyclereject", p.DotSnapshot())
+		p.tr.Emit(ev)
+		if p.tr.DotSink != nil {
+			p.tr.EmitDot("cyclereject", p.dotSnapshot(pending))
+		}
+	})
 }
 
 // DotSnapshot renders the live relative serialization graph in
-// Graphviz DOT: vertices are the live instances' operations, arcs
-// carry their I/D/F/B kind masks (or no label for arcs that predate
-// tracer attachment). This is the on-demand snapshot emitted at every
-// rejection point.
-func (p *RSGT) DotSnapshot() string {
+// Graphviz DOT: vertices are the resident instances' operations, arcs
+// carry their I/D/F/B kind masks. This is the on-demand snapshot
+// emitted at every rejection point.
+func (p *RSGT) DotSnapshot() string { return p.dotSnapshot(nil) }
+
+// dotSnapshot additionally labels the arcs of a request that is being
+// refused (see explainReject).
+func (p *RSGT) dotSnapshot(pending map[[2]int]core.ArcKind) string {
 	var d graph.DotGraph
 	d.Name = "rsgt"
 	if n := p.g.RetiredCount(); n > 0 {
@@ -460,52 +345,27 @@ func (p *RSGT) DotSnapshot() string {
 			d.AddNode(vert, fmt.Sprintf("%s #%d", in.program.Op(seq), id), nil)
 		}
 	}
+	owners := p.owners()
 	for _, id := range ids {
-		in := p.insts[id]
-		for _, vert := range in.vertices {
+		for _, vert := range p.insts[id].vertices {
 			for _, s := range p.g.Successors(vert) {
-				label := ""
-				if mask := p.arcKinds[[2]int{vert, s}]; mask != 0 {
-					label = mask.String()
-				}
-				d.AddEdge(vert, s, label, nil)
+				mask := p.deriveKinds(owners[vert], owners[s]) | pending[[2]int{vert, s}]
+				d.AddEdge(vert, s, mask.String(), nil)
 			}
 		}
 	}
 	return d.String()
 }
 
-// pushForward returns the sequence of the last operation of the atomic
-// unit of src's program containing seq, relative to the observer
-// instance.
-func (p *RSGT) pushForward(srcInst int64, src *rsgtInst, obsInst int64, seq int) int {
-	cuts := p.cuts(srcInst, src, obsInst)
-	_, end := unitBounds(cuts, src.program.Len(), seq)
-	return end
-}
-
-// pullBackward returns the sequence of the first operation of the
-// atomic unit of dst's program containing seq, relative to the
-// observer instance.
-func (p *RSGT) pullBackward(dstInst int64, dst *rsgtInst, obsInst int64, seq int) int {
-	cuts := p.cuts(dstInst, dst, obsInst)
-	start, _ := unitBounds(cuts, dst.program.Len(), seq)
-	return start
-}
-
-// cuts memoizes oracle lookups. The observer is identified by its
-// program; pruned observers keep their memoized entry harmlessly.
-func (p *RSGT) cuts(aInst int64, a *rsgtInst, bInst int64) []int {
-	key := [2]int64{aInst, bInst}
-	if c, ok := p.pairCuts[key]; ok {
-		return c
+// cuts memoizes the oracle's unit boundaries of a's program relative
+// to observer b.
+func (p *RSGT) cuts(a, b *rsgtInst) []int {
+	key := [2]int64{a.id, b.id}
+	c, ok := p.pairCuts[key]
+	if !ok {
+		c = p.oracle.Cuts(a.program, b.program)
+		p.pairCuts[key] = c
 	}
-	b := p.insts[bInst]
-	if b == nil {
-		return nil
-	}
-	c := p.oracle.Cuts(a.program, b.program)
-	p.pairCuts[key] = c
 	return c
 }
 
@@ -514,10 +374,7 @@ func (p *RSGT) CanCommit(int64) bool { return true }
 
 // Commit implements Protocol.
 func (p *RSGT) Commit(instance int64) {
-	if _, ok := p.insts[instance]; !ok {
-		return
-	}
-	if p.committedStatus[instance] {
+	if p.insts[instance] == nil || p.committedStatus[instance] {
 		return
 	}
 	p.committedStatus[instance] = true
@@ -536,28 +393,18 @@ func (p *RSGT) Abort(instance int64) {
 	if inst == nil {
 		return
 	}
-	for _, v := range inst.vertices {
-		p.g.IsolateVertex(v)
-	}
-	p.release(instance, inst)
-	delete(p.insts, instance)
-	if p.committedStatus[instance] {
-		p.residentCommitted--
-	}
+	p.evict(inst)
 	p.prune()
 	p.maybeRetire()
 }
 
-// release hands a finished instance's resources to the retirement
-// machinery: its (already isolated) vertices join the next graph
-// epoch, and its clock slot returns to the free list.
-func (p *RSGT) release(instance int64, inst *rsgtInst) {
-	if !p.retireOn {
-		return
-	}
-	p.retireQ = append(p.retireQ, inst.vertices...)
-	if p.rt != nil {
-		p.rt.release(instance)
+// evict removes a finished instance from the resident set and hands
+// its vertices and clock slot to the certifier.
+func (p *RSGT) evict(inst *rsgtInst) {
+	p.release(inst.id, inst.vertices...)
+	delete(p.insts, inst.id)
+	if p.committedStatus[inst.id] {
+		p.residentCommitted--
 	}
 }
 
@@ -586,12 +433,7 @@ func (p *RSGT) prune() {
 				}
 			}
 			if clean {
-				for _, v := range inst.vertices {
-					p.g.IsolateVertex(v)
-				}
-				p.release(instID, inst)
-				delete(p.insts, instID)
-				p.residentCommitted--
+				p.evict(inst)
 				removed = true
 			}
 		}
@@ -601,72 +443,27 @@ func (p *RSGT) prune() {
 	}
 }
 
-// SetRetirement implements Retirer. Must precede the first Begin: the
-// clock table has to observe every arc from graph birth.
-func (p *RSGT) SetRetirement(enabled bool) { p.retireOn = enabled }
-
-// SetLowWater implements Retirer: the engine's pacemaker for epoch
-// work, and the safety belt for the committed-status sweep. Epoch
-// decisions are purely count-based so replays stay deterministic.
+// SetLowWater implements Retirer: besides pacing the certifier's
+// epochs, the mark is the safety belt for the committed-status sweep.
 //
 //rsvet:deterministic
 func (p *RSGT) SetLowWater(instance int64) {
-	if instance <= p.lowWater {
-		return
+	if p.advanceLowWater(instance) {
+		p.maybeRebase()
 	}
-	p.lowWater = instance
-	p.maybeRetire()
-	p.maybeRebase()
 }
 
 // FlushRetirement implements Retirer: drains the vertex queue and
 // rebases unconditionally, so Recover and Finalize leave no
 // retirement-pending state behind.
 func (p *RSGT) FlushRetirement() {
-	if !p.retireOn {
-		return
-	}
 	p.sweepStranded()
 	p.flushRetire()
 	p.rebase()
 }
 
 // RetireStats implements Retirer.
-func (p *RSGT) RetireStats() RetireStats {
-	return RetireStats{
-		Enabled:         p.retireOn,
-		GraphEpochs:     p.graphEpochs,
-		RetiredVertices: p.retiredVert,
-		LiveVertices:    p.g.Len(),
-		PendingRetire:   len(p.retireQ),
-		Rebases:         p.rebases,
-		ExecEntries:     len(p.execInfo),
-		FastPathHits:    p.fastHits,
-		FastPathMisses:  p.fastMisses,
-	}
-}
-
-// maybeRetire runs a graph compaction epoch when the pending queue is
-// both big enough in absolute terms and at least half the graph, which
-// makes each epoch O(1) amortized per retired vertex.
-//
-//rsvet:deterministic
-func (p *RSGT) maybeRetire() {
-	if !p.retireOn || len(p.retireQ) < retireEpochMinVerts || 2*len(p.retireQ) < p.g.Len() {
-		return
-	}
-	p.flushRetire()
-}
-
-func (p *RSGT) flushRetire() {
-	if len(p.retireQ) == 0 {
-		return
-	}
-	res := p.g.Retire(p.retireQ)
-	p.retiredVert += int64(res.Retired)
-	p.graphEpochs++
-	p.retireQ = p.retireQ[:0]
-}
+func (p *RSGT) RetireStats() RetireStats { return p.stats(p.rebases, len(p.execInfo)) }
 
 // maybeSweep runs a stranded-cluster sweep when enough committed
 // instances sit in the graph and their count has at least doubled
@@ -675,11 +472,10 @@ func (p *RSGT) flushRetire() {
 //
 //rsvet:deterministic
 func (p *RSGT) maybeSweep() {
-	if !p.retireOn || p.residentCommitted < strandedSweepMinInsts || p.residentCommitted < 2*p.lastSweepResident {
-		return
+	if p.compactionDue(p.residentCommitted, strandedSweepMinInsts, p.lastSweepResident) {
+		p.sweepStranded()
+		p.maybeRetire()
 	}
-	p.sweepStranded()
-	p.maybeRetire()
 }
 
 // sweepStranded releases committed instances none of whose vertices is
@@ -693,7 +489,7 @@ func (p *RSGT) maybeSweep() {
 // instance all predate its finish, so a path from any later
 // transaction into the cluster would have to run through a vertex that
 // is live right now — and none reaches it. Skipping future arcs out of
-// swept sources (the src == nil branch in Request) is sound for the
+// swept sources (forEachSource's residency test) is sound for the
 // same reason: a cycle through such an arc u -> v needs a path v -> u,
 // and v is always a live requester's vertex.
 func (p *RSGT) sweepStranded() {
@@ -738,12 +534,7 @@ func (p *RSGT) sweepStranded() {
 		if !stranded {
 			continue
 		}
-		for _, v := range inst.vertices {
-			p.g.IsolateVertex(v)
-		}
-		p.release(id, inst)
-		delete(p.insts, id)
-		p.residentCommitted--
+		p.evict(inst)
 	}
 	p.lastSweepResident = p.residentCommitted
 }
@@ -754,10 +545,9 @@ func (p *RSGT) sweepStranded() {
 //
 //rsvet:deterministic
 func (p *RSGT) maybeRebase() {
-	if !p.retireOn || len(p.execInfo) < rebaseMinEntries || len(p.execInfo) < 2*p.lastRebaseLive {
-		return
+	if p.compactionDue(len(p.execInfo), rebaseMinEntries, p.lastRebaseLive) {
+		p.rebase()
 	}
-	p.rebase()
 }
 
 // rebase drops the unreachable prefix of the dependency index. An exec

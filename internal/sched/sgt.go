@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"relser/internal/core"
-	"relser/internal/graph"
 	"relser/internal/trace"
 )
 
@@ -16,7 +15,7 @@ import (
 // then can they never rejoin a cycle).
 type SGT struct {
 	traced
-	g      *graph.Incremental
+	certifier
 	nodeOf map[int64]int
 	status map[int64]byte // live, committed
 	// objs tracks per-object access history at transaction granularity
@@ -27,25 +26,17 @@ type SGT struct {
 	// while tracing.
 	progs map[int64]*core.Transaction
 
-	// Bounded-memory state (see Retirer). SGT's clocks are exact
-	// transaction-granularity reachability (one vertex per instance), so
-	// the suspicion test is the reach bit alone — no sequence
-	// refinement. The history sweep is the rebase analog: per object,
-	// entries before the last non-aborted write are unreachable by the
-	// conflict-source scan and can be dropped, after which the
-	// committed-status map is swept down to referenced instances.
-	retireOn      bool
-	lowWater      int64
-	rt            *reachTable
-	retireQ       []int
+	// Bounded-memory state beyond the shared certifier (see Retirer).
+	// SGT's clocks are exact transaction-granularity reachability (one
+	// vertex per instance), so the suspicion test is the reach bit alone
+	// — no sequence refinement. The history sweep is the rebase analog:
+	// per object, entries before the last non-aborted write are
+	// unreachable by the conflict-source scan and can be dropped, after
+	// which the committed-status map is swept down to referenced
+	// instances.
 	entryCount    int
 	lastSweepLive int
-
-	graphEpochs int64
-	retiredVert int64
-	sweeps      int64
-	fastHits    int64
-	fastMisses  int64
+	sweeps        int64
 }
 
 const (
@@ -65,11 +56,11 @@ type objAccess struct {
 // NewSGT returns a serialization-graph-testing protocol.
 func NewSGT() *SGT {
 	return &SGT{
-		g:      graph.NewIncremental(0),
-		nodeOf: make(map[int64]int),
-		status: make(map[int64]byte),
-		objs:   make(map[string]*objHistory),
-		progs:  make(map[int64]*core.Transaction),
+		certifier: newCertifier(),
+		nodeOf:    make(map[int64]int),
+		status:    make(map[int64]byte),
+		objs:      make(map[string]*objHistory),
+		progs:     make(map[int64]*core.Transaction),
 	}
 }
 
@@ -81,12 +72,7 @@ func (p *SGT) Begin(instance int64, program *core.Transaction) {
 	if _, ok := p.nodeOf[instance]; !ok {
 		p.nodeOf[instance] = p.g.AddVertex()
 		p.status[instance] = instLive
-		if p.retireOn && !p.tr.Enabled() {
-			if p.rt == nil {
-				p.rt = newReachTable()
-			}
-			p.rt.alloc(instance)
-		}
+		p.allocSlot(instance)
 		if p.tr.Enabled() {
 			p.progs[instance] = program
 		}
@@ -97,99 +83,19 @@ func (p *SGT) Begin(instance int64, program *core.Transaction) {
 // induces; on a cycle, abort the requester (its conflict order is
 // fixed by execution, so blocking can never help).
 func (p *SGT) Request(req OpRequest) Decision {
-	sources := p.conflictSources(req)
 	me := p.nodeOf[req.Instance]
-	if p.tr.Enabled() {
-		// Traced cold path: insert arcs one at a time so a rejection can
-		// name the exact refused arc in its explanation.
-		var added [][2]int
-		for _, src := range sources {
-			n, ok := p.nodeOf[src]
-			if !ok {
-				continue // pruned committed source: cannot be on a cycle
-			}
-			if n == me {
-				continue
-			}
-			if err := p.g.AddArc(n, me); err != nil {
-				p.explainReject(req, n, me)
-				for _, a := range added {
-					p.g.RemoveArc(a[0], a[1])
-				}
-				return Abort
-			}
-			added = append(added, [2]int{n, me})
+	mySlot := p.rt.slotOf[req.Instance]
+	for _, src := range p.conflictSources(req) {
+		// A pruned committed source cannot be on a cycle.
+		if n, ok := p.nodeOf[src]; ok && n != me {
+			p.arc(n, me, p.rt.slotOf[src], mySlot, true)
 		}
-	} else {
-		// Hot path: the request's conflict arcs form one epoch batch.
-		// With the fast path active, an arc src -> me can only close a
-		// cycle if me already reaches src, which is exactly the clock
-		// bit (conservative only through stale bits of released slots);
-		// the unsuspected case appends without any cycle sweep.
-		// Suspected or slow requests use AddArcBatch, merged with a
-		// single sweep and rolled back atomically on rejection.
-		fast := p.retireOn && p.rt != nil
-		mySlot := -1
-		if fast {
-			if s, ok := p.rt.slotOf[req.Instance]; ok {
-				mySlot = s
-			} else {
-				fast = false
-			}
+	}
+	if refused := p.admit(mySlot); refused != nil {
+		if p.tr.Wants(trace.KindConflictCycle) {
+			p.explainRefusal(refused, func(_ int, path []int) { p.explainReject(req, path) })
 		}
-		var arcs [][2]int
-		var srcSlots []int
-		suspect := false
-		for _, src := range sources {
-			n, ok := p.nodeOf[src]
-			if !ok || n == me {
-				continue
-			}
-			arcs = append(arcs, [2]int{n, me})
-			if fast {
-				s, ok := p.rt.slotOf[src]
-				if !ok {
-					// Unreachable while tracer attachment stays fixed per
-					// run; treated as a suspected cycle for safety.
-					suspect = true
-					continue
-				}
-				if p.rt.reaches(mySlot, s) {
-					suspect = true
-				}
-				if !p.rt.seen.has(s) {
-					p.rt.seen.set(s)
-					srcSlots = append(srcSlots, s)
-				}
-			}
-		}
-		admit := true
-		if len(arcs) > 0 {
-			if fast && !suspect {
-				p.g.AppendArcs(arcs)
-			} else {
-				if fast {
-					p.fastMisses++
-				}
-				if err := p.g.AddArcBatch(arcs); err != nil {
-					admit = false
-				}
-			}
-		}
-		if fast {
-			if !suspect {
-				p.fastHits++
-			}
-			for _, s := range srcSlots {
-				p.rt.seen.clear(s)
-			}
-			if admit && len(arcs) > 0 {
-				p.rt.recordArcs(srcSlots, mySlot)
-			}
-		}
-		if !admit {
-			return Abort
-		}
+		return Abort
 	}
 	// Record the access only after admission.
 	h := p.history(req.Op.Object)
@@ -231,11 +137,11 @@ func (p *SGT) conflictSources(req OpRequest) []int64 {
 	return out
 }
 
-// explainReject emits a conflict-cycle event for the refused arc
-// src -> me: the serialization graph's existing path me -> ... -> src
-// plus the refused conflict arc is a transaction-granularity cycle.
-// Called before rollback; tracing-only cold path.
-func (p *SGT) explainReject(req OpRequest, src, me int) {
+// explainReject emits a conflict-cycle event: path is the
+// serialization graph's existing path me -> ... -> src, which the
+// refused conflict arc src -> me closes into a transaction-granularity
+// cycle. Tracing-only cold path.
+func (p *SGT) explainReject(req OpRequest, path []int) {
 	ev := trace.Event{
 		Kind:     trace.KindConflictCycle,
 		Protocol: p.Name(),
@@ -246,25 +152,21 @@ func (p *SGT) explainReject(req OpRequest, src, me int) {
 		Object:   req.Op.Object,
 		Reason:   fmt.Sprintf("conflict on %s would close a serialization-graph cycle", req.Op.Object),
 	}
-	if path := p.g.FindPath(me, src); path != nil {
-		instAt := make(map[int]int64, len(p.nodeOf))
-		for inst, v := range p.nodeOf {
-			instAt[v] = inst
-		}
-		cyc := &trace.Cycle{}
-		for _, v := range path {
-			inst := instAt[v]
-			txn := 0
-			if prog := p.progs[inst]; prog != nil {
-				txn = int(prog.ID)
-			}
-			cyc.Nodes = append(cyc.Nodes, trace.CycleNode{Instance: inst, Txn: txn, Seq: -1})
-		}
-		for i := range path {
-			cyc.Arcs = append(cyc.Arcs, trace.CycleArc{From: i, To: (i + 1) % len(path), Kind: "C"})
-		}
-		ev.Cycle = cyc
+	instAt := make(map[int]int64, len(p.nodeOf))
+	for inst, v := range p.nodeOf {
+		instAt[v] = inst
 	}
+	cyc := &trace.Cycle{}
+	for i, v := range path {
+		inst := instAt[v]
+		txn := 0
+		if prog := p.progs[inst]; prog != nil {
+			txn = int(prog.ID)
+		}
+		cyc.Nodes = append(cyc.Nodes, trace.CycleNode{Instance: inst, Txn: txn, Seq: -1})
+		cyc.Arcs = append(cyc.Arcs, trace.CycleArc{From: i, To: (i + 1) % len(path), Kind: "C"})
+	}
+	ev.Cycle = cyc
 	p.tr.Emit(ev)
 }
 
@@ -281,7 +183,6 @@ func (p *SGT) Commit(instance int64) {
 // Abort implements Protocol.
 func (p *SGT) Abort(instance int64) {
 	if v, ok := p.nodeOf[instance]; ok {
-		p.g.IsolateVertex(v)
 		p.release(instance, v)
 	}
 	delete(p.nodeOf, instance)
@@ -289,18 +190,6 @@ func (p *SGT) Abort(instance int64) {
 	delete(p.progs, instance)
 	p.prune()
 	p.maybeRetire()
-}
-
-// release hands a finished instance's resources to the retirement
-// machinery (see RSGT.release).
-func (p *SGT) release(instance int64, vertex int) {
-	if !p.retireOn {
-		return
-	}
-	p.retireQ = append(p.retireQ, vertex)
-	if p.rt != nil {
-		p.rt.release(instance)
-	}
 }
 
 // prune removes committed instances with no incoming arcs; such
@@ -315,7 +204,6 @@ func (p *SGT) prune() {
 			}
 			v := p.nodeOf[inst]
 			if p.g.InDegree(v) == 0 {
-				p.g.IsolateVertex(v)
 				p.release(inst, v)
 				delete(p.nodeOf, inst)
 				delete(p.progs, inst)
@@ -332,75 +220,32 @@ func (p *SGT) prune() {
 	}
 }
 
-// SetRetirement implements Retirer. Must precede the first Begin.
-func (p *SGT) SetRetirement(enabled bool) { p.retireOn = enabled }
-
 // SetLowWater implements Retirer; see RSGT.SetLowWater.
 //
 //rsvet:deterministic
 func (p *SGT) SetLowWater(instance int64) {
-	if instance <= p.lowWater {
-		return
+	if p.advanceLowWater(instance) {
+		p.maybeSweep()
 	}
-	p.lowWater = instance
-	p.maybeRetire()
-	p.maybeSweep()
 }
 
 // FlushRetirement implements Retirer.
 func (p *SGT) FlushRetirement() {
-	if !p.retireOn {
-		return
-	}
 	p.flushRetire()
 	p.sweep()
 }
 
 // RetireStats implements Retirer.
-func (p *SGT) RetireStats() RetireStats {
-	return RetireStats{
-		Enabled:         p.retireOn,
-		GraphEpochs:     p.graphEpochs,
-		RetiredVertices: p.retiredVert,
-		LiveVertices:    p.g.Len(),
-		PendingRetire:   len(p.retireQ),
-		Rebases:         p.sweeps,
-		ExecEntries:     p.entryCount,
-		FastPathHits:    p.fastHits,
-		FastPathMisses:  p.fastMisses,
-	}
-}
-
-// maybeRetire runs a graph compaction epoch once the pending queue is
-// big both absolutely and relative to the graph; see RSGT.maybeRetire.
-//
-//rsvet:deterministic
-func (p *SGT) maybeRetire() {
-	if !p.retireOn || len(p.retireQ) < retireEpochMinVerts || 2*len(p.retireQ) < p.g.Len() {
-		return
-	}
-	p.flushRetire()
-}
-
-func (p *SGT) flushRetire() {
-	if len(p.retireQ) == 0 {
-		return
-	}
-	res := p.g.Retire(p.retireQ)
-	p.retiredVert += int64(res.Retired)
-	p.graphEpochs++
-	p.retireQ = p.retireQ[:0]
-}
+func (p *SGT) RetireStats() RetireStats { return p.stats(p.sweeps, p.entryCount) }
 
 // maybeSweep sweeps the access histories when they have at least
 // doubled since the last sweep, amortizing to O(1) per access.
 //
 //rsvet:deterministic
 func (p *SGT) maybeSweep() {
-	if !p.retireOn || p.entryCount < rebaseMinEntries || p.entryCount < 2*p.lastSweepLive {
-		return
+	if p.compactionDue(p.entryCount, rebaseMinEntries, p.lastSweepLive) {
+		p.sweep()
 	}
-	p.sweep()
 }
 
 // sweep drops unreachable history: per object, the conflict-source

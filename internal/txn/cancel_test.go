@@ -46,6 +46,26 @@ func runCanceledAtStage(t *testing.T, stage txn.Stage, concurrent bool) {
 	defer cancel()
 	var fired atomic.Int32
 	var unwound atomic.Bool
+	hooks := txn.Hooks{Recover: func() { unwound.Store(true) }}
+	cancelOnThird := func(*engine.Instance) {
+		if fired.Add(1) == 3 {
+			cancel()
+		}
+	}
+	switch stage {
+	case txn.StageAdmit:
+		hooks.Admit = cancelOnThird
+	case txn.StageIssue:
+		hooks.Issue = cancelOnThird
+	case txn.StageDecide:
+		hooks.Decide = cancelOnThird
+	case txn.StageApply:
+		hooks.Apply = cancelOnThird
+	case txn.StageCommit:
+		hooks.Commit = cancelOnThird
+	case txn.StageAbort:
+		hooks.Abort = cancelOnThird
+	}
 	cfg := txn.Config{
 		Protocol:  sched.NewRSGT(w.Oracle),
 		Programs:  w.Programs,
@@ -59,15 +79,7 @@ func runCanceledAtStage(t *testing.T, stage txn.Stage, concurrent bool) {
 		// contention concurrent runs can finish before StageAbort ever
 		// fires three times.
 		Faults: fault.New(7, fault.MustParseSpec("txn.abort:0.2")),
-		Hooks: txn.OnStages(func(s txn.Stage, _ *engine.Instance) {
-			if s == txn.StageRecover {
-				unwound.Store(true)
-				return
-			}
-			if s == stage && fired.Add(1) == 3 {
-				cancel()
-			}
-		}),
+		Hooks:  hooks,
 	}
 	var (
 		res    *txn.Result

@@ -54,10 +54,6 @@ type (
 	Instance = engine.Instance
 )
 
-// OnStages routes every stage transition through one function (see
-// engine.OnStages).
-var OnStages = engine.OnStages
-
 // Lifecycle stages, re-exported for hook consumers.
 const (
 	StageAdmit   = engine.StageAdmit
