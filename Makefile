@@ -127,7 +127,7 @@ bench:
 # install the pinned tool with
 # `go install golang.org/x/perf/cmd/benchstat@$(BENCHSTAT_VERSION)`).
 bench-hot:
-	$(GO) test -run 'XXX' -bench . -benchmem -count=5 ./internal/txn ./internal/graph ./internal/storage
+	$(GO) test -run 'XXX' -bench . -benchmem -count=5 ./internal/txn ./internal/sched ./internal/graph ./internal/storage
 
 # Durability certification matrix (CI: durability job): shards
 # {1,4,16} x {legacy WAL, segmented group-commit log}, recovery

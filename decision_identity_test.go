@@ -1,0 +1,132 @@
+package relser_test
+
+// Decision identity across the frontier-clock change (issue 16): RSGT
+// now inserts one D/F/B triple per resident source transaction instead
+// of one per executed operation the request transitively depends on.
+// The reduced graph has the same vertex reachability (THEORY.md §4), so
+// every decision — and every counter that records which path took it —
+// must be exactly what the per-operation construction produced. The
+// golden values below were captured from the parent build (commit
+// 47c3841) with this same test body.
+
+import (
+	"fmt"
+	"hash/fnv"
+	"testing"
+
+	"relser/internal/sched"
+	"relser/internal/workload"
+)
+
+type identityCell struct {
+	name     string
+	protocol string
+	build    func(seed int64) (*workload.Workload, error)
+}
+
+func identityMix(granularity int) func(int64) (*workload.Workload, error) {
+	return func(seed int64) (*workload.Workload, error) {
+		return workload.Synthetic(workload.SyntheticConfig{
+			Objects: 128, Programs: 96, OpsPerTxn: 16, WriteRatio: 0.25, Granularity: granularity,
+		}, seed)
+	}
+}
+
+func identityBank(seed int64) (*workload.Workload, error) {
+	return workload.Banking(workload.BankingConfig{
+		Families: 16, AccountsPerFamily: 3, Customers: 96,
+		CreditAudits: 12, FamiliesPerAudit: 2, BankAudits: 1,
+		CrossingAudits: true, InitialBalance: 100,
+	}, seed)
+}
+
+var identityCells = []identityCell{
+	{"mix/rsgt-g1", "rsgt", identityMix(1)},
+	{"mix/rsgt-g4", "rsgt", identityMix(4)},
+	{"mix/ral-g4", "ral", identityMix(4)},
+	{"bank/rsgt", "rsgt", identityBank},
+	{"bank/ral", "ral", identityBank},
+}
+
+// identityGolden is one run's outcome: the result line, an FNV-1a
+// digest of the committed schedule, and the certification-path
+// counters.
+type identityGolden struct {
+	result   string
+	schedule uint64
+	retire   sched.RetireStats
+}
+
+func runIdentityCell(t *testing.T, c identityCell, seed int64) identityGolden {
+	t.Helper()
+	w, err := c.build(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := sched.NewProtocol(c.protocol, w.Oracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := w.RunWith(p, workload.RunOptions{Seed: seed, MPL: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := res.CommittedSchedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write([]byte(s.String()))
+	return identityGolden{res.String(), h.Sum64(), res.Retire}
+}
+
+func TestDecisionsIdenticalToPerOperationArcs(t *testing.T) {
+	for _, c := range identityCells {
+		for seed := int64(1); seed <= 5; seed++ {
+			key := fmt.Sprintf("%s/seed%d", c.name, seed)
+			t.Run(key, func(t *testing.T) {
+				got := runIdentityCell(t, c, seed)
+				want, ok := identityGoldens[key]
+				if !ok {
+					t.Fatalf("no golden; got:\n%q: {%q, %#x, %#v},", key, got.result, got.schedule, got.retire)
+				}
+				if got.result != want.result || got.schedule != want.schedule {
+					t.Errorf("decisions changed:\n got %s (schedule %#x)\nwant %s (schedule %#x)", got.result, got.schedule, want.result, want.schedule)
+				}
+				if got.retire != want.retire {
+					t.Errorf("certification path changed:\n got %+v\nwant %+v", got.retire, want.retire)
+				}
+			})
+		}
+	}
+}
+
+// identityGoldens: captured from the parent build (commit 47c3841, per-
+// operation D/F/B arcs and closure-bitset dependency index).
+var identityGoldens = map[string]identityGolden{
+	"mix/rsgt-g1/seed1": {"rsgt: committed=96 aborts=221 restarts=221 blocks=0 ticks=645 ops=4066 mpl=6.67", 0x62ffee0c9923a75d, sched.RetireStats{Enabled: true, GraphEpochs: 15, RetiredVertices: 5072, Rebases: 6, ExecEntries: 451, FastPathHits: 3652, FastPathMisses: 469}},
+	"mix/rsgt-g1/seed2": {"rsgt: committed=96 aborts=138 restarts=138 blocks=0 ticks=532 ops=3035 mpl=6.06", 0x28d01b2280538e8a, sched.RetireStats{Enabled: true, GraphEpochs: 18, RetiredVertices: 3744, Rebases: 5, ExecEntries: 485, FastPathHits: 2645, FastPathMisses: 429}},
+	"mix/rsgt-g1/seed3": {"rsgt: committed=96 aborts=162 restarts=162 blocks=0 ticks=595 ops=3413 mpl=5.98", 0xccdd197cf2b40dcc, sched.RetireStats{Enabled: true, GraphEpochs: 23, RetiredVertices: 4128, Rebases: 5, ExecEntries: 487, FastPathHits: 2980, FastPathMisses: 478}},
+	"mix/rsgt-g1/seed4": {"rsgt: committed=96 aborts=139 restarts=139 blocks=0 ticks=462 ops=2913 mpl=6.69", 0xb64fb36bc245745b, sched.RetireStats{Enabled: true, GraphEpochs: 17, RetiredVertices: 3760, Rebases: 4, ExecEntries: 462, FastPathHits: 2610, FastPathMisses: 340}},
+	"mix/rsgt-g1/seed5": {"rsgt: committed=96 aborts=127 restarts=127 blocks=0 ticks=598 ops=3074 mpl=5.35", 0x5f433960e081e808, sched.RetireStats{Enabled: true, GraphEpochs: 14, RetiredVertices: 3568, Rebases: 5, ExecEntries: 486, FastPathHits: 2862, FastPathMisses: 246}},
+	"mix/rsgt-g4/seed1": {"rsgt: committed=96 aborts=202 restarts=202 blocks=0 ticks=558 ops=3786 mpl=7.27", 0x3d7c44586eb85919, sched.RetireStats{Enabled: true, GraphEpochs: 16, RetiredVertices: 4768, Rebases: 5, ExecEntries: 434, FastPathHits: 3342, FastPathMisses: 490}},
+	"mix/rsgt-g4/seed2": {"rsgt: committed=96 aborts=147 restarts=147 blocks=0 ticks=507 ops=3025 mpl=6.34", 0x7db64046b1f56434, sched.RetireStats{Enabled: true, GraphEpochs: 11, RetiredVertices: 3888, Rebases: 5, ExecEntries: 503, FastPathHits: 2642, FastPathMisses: 424}},
+	"mix/rsgt-g4/seed3": {"rsgt: committed=96 aborts=149 restarts=149 blocks=0 ticks=642 ops=3303 mpl=5.38", 0x1757a3f287c95444, sched.RetireStats{Enabled: true, GraphEpochs: 10, RetiredVertices: 3920, Rebases: 5, ExecEntries: 469, FastPathHits: 2974, FastPathMisses: 371}},
+	"mix/rsgt-g4/seed4": {"rsgt: committed=96 aborts=139 restarts=139 blocks=0 ticks=462 ops=2913 mpl=6.69", 0xb64fb36bc245745b, sched.RetireStats{Enabled: true, GraphEpochs: 17, RetiredVertices: 3760, Rebases: 4, ExecEntries: 462, FastPathHits: 2577, FastPathMisses: 373}},
+	"mix/rsgt-g4/seed5": {"rsgt: committed=96 aborts=131 restarts=131 blocks=0 ticks=783 ops=3112 mpl=4.14", 0x72498f3c4ae13a64, sched.RetireStats{Enabled: true, GraphEpochs: 14, RetiredVertices: 3632, Rebases: 5, ExecEntries: 484, FastPathHits: 2843, FastPathMisses: 307}},
+	"mix/ral-g4/seed1":  {"ral: committed=96 aborts=175 restarts=175 blocks=3411 ticks=1224 ops=3599 mpl=7.58", 0x44d632f2d68d848b, sched.RetireStats{Enabled: true, GraphEpochs: 47, RetiredVertices: 4336, Rebases: 6, ExecEntries: 506, FastPathHits: 3517, FastPathMisses: 85}},
+	"mix/ral-g4/seed2":  {"ral: committed=96 aborts=145 restarts=145 blocks=2283 ticks=854 ops=3207 mpl=7.64", 0xc2b476f0aa97f2a, sched.RetireStats{Enabled: true, GraphEpochs: 42, RetiredVertices: 3856, Rebases: 5, ExecEntries: 492, FastPathHits: 3113, FastPathMisses: 99}},
+	"mix/ral-g4/seed3":  {"ral: committed=96 aborts=163 restarts=163 blocks=2109 ticks=1027 ops=3317 mpl=6.39", 0x2ef60abb9d6795f0, sched.RetireStats{Enabled: true, GraphEpochs: 17, RetiredVertices: 4144, Rebases: 5, ExecEntries: 506, FastPathHits: 3216, FastPathMisses: 110}},
+	"mix/ral-g4/seed4":  {"ral: committed=96 aborts=117 restarts=117 blocks=1820 ticks=761 ops=2755 mpl=6.71", 0x5c23325670efcc99, sched.RetireStats{Enabled: true, GraphEpochs: 14, RetiredVertices: 3408, Rebases: 4, ExecEntries: 468, FastPathHits: 2691, FastPathMisses: 70}},
+	"mix/ral-g4/seed5":  {"ral: committed=96 aborts=159 restarts=159 blocks=2154 ticks=891 ops=3322 mpl=7.14", 0xde14ffc5bace7a64, sched.RetireStats{Enabled: true, GraphEpochs: 45, RetiredVertices: 4080, Rebases: 5, ExecEntries: 487, FastPathHits: 3283, FastPathMisses: 48}},
+	"bank/rsgt/seed1":   {"rsgt: committed=109 aborts=30 restarts=30 blocks=0 ticks=114 ops=585 mpl=5.38", 0xdadc64a75c4d9121, sched.RetireStats{Enabled: true, GraphEpochs: 10, RetiredVertices: 668, Rebases: 1, ExecEntries: 127, FastPathHits: 585, FastPathMisses: 26}},
+	"bank/rsgt/seed2":   {"rsgt: committed=109 aborts=35 restarts=35 blocks=0 ticks=116 ops=590 mpl=5.37", 0xac6a7f8a030d9314, sched.RetireStats{Enabled: true, GraphEpochs: 10, RetiredVertices: 690, Rebases: 1, ExecEntries: 117, FastPathHits: 590, FastPathMisses: 32}},
+	"bank/rsgt/seed3":   {"rsgt: committed=109 aborts=33 restarts=33 blocks=0 ticks=117 ops=597 mpl=5.36", 0xd19cdc640bc3038e, sched.RetireStats{Enabled: true, GraphEpochs: 10, RetiredVertices: 680, Rebases: 1, ExecEntries: 120, FastPathHits: 597, FastPathMisses: 30}},
+	"bank/rsgt/seed4":   {"rsgt: committed=109 aborts=26 restarts=26 blocks=0 ticks=101 ops=562 mpl=5.82", 0x3fe48efb359fed0d, sched.RetireStats{Enabled: true, GraphEpochs: 9, RetiredVertices: 608, Rebases: 1, ExecEntries: 119, FastPathHits: 562, FastPathMisses: 24}},
+	"bank/rsgt/seed5":   {"rsgt: committed=109 aborts=23 restarts=23 blocks=0 ticks=121 ops=574 mpl=4.93", 0x308b170cb3bc3298, sched.RetireStats{Enabled: true, GraphEpochs: 10, RetiredVertices: 640, Rebases: 1, ExecEntries: 134, FastPathHits: 574, FastPathMisses: 22}},
+	"bank/ral/seed1":    {"ral: committed=109 aborts=24 restarts=24 blocks=106 ticks=109 ops=559 mpl=6.33", 0x688b54e570885aab, sched.RetireStats{Enabled: true, GraphEpochs: 10, RetiredVertices: 600, Rebases: 1, ExecEntries: 133, FastPathHits: 559, FastPathMisses: 0}},
+	"bank/ral/seed2":    {"ral: committed=109 aborts=35 restarts=35 blocks=261 ticks=168 ops=583 mpl=5.24", 0x476dab884b0887b8, sched.RetireStats{Enabled: true, GraphEpochs: 10, RetiredVertices: 644, Rebases: 1, ExecEntries: 109, FastPathHits: 583, FastPathMisses: 0}},
+	"bank/ral/seed3":    {"ral: committed=109 aborts=40 restarts=40 blocks=164 ticks=177 ops=616 mpl=4.64", 0x572b700c8006a634, sched.RetireStats{Enabled: true, GraphEpochs: 11, RetiredVertices: 710, Rebases: 1, ExecEntries: 129, FastPathHits: 616, FastPathMisses: 0}},
+	"bank/ral/seed4":    {"ral: committed=109 aborts=46 restarts=46 blocks=125 ticks=140 ops=625 mpl=5.69", 0xcfc8fb8d5906ba13, sched.RetireStats{Enabled: true, GraphEpochs: 12, RetiredVertices: 734, Rebases: 1, ExecEntries: 121, FastPathHits: 625, FastPathMisses: 0}},
+	"bank/ral/seed5":    {"ral: committed=109 aborts=18 restarts=18 blocks=82 ticks=107 ops=544 mpl=6.03", 0x9ad88284a58d0350, sched.RetireStats{Enabled: true, GraphEpochs: 9, RetiredVertices: 576, Rebases: 1, ExecEntries: 134, FastPathHits: 544, FastPathMisses: 0}},
+}

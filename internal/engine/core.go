@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -85,8 +86,10 @@ type Core struct {
 	Router shard.Router
 
 	// Active is the instance table, guarded by the driver's lifecycle
-	// discipline (see type comment).
+	// discipline (see type comment). activeIDs lists its keys ascending:
+	// IDs are issued in increasing order, so admission appends.
 	Active       map[int64]*Instance
+	activeIDs    []int64
 	nextInstance int64
 
 	// dirty stacks uncommitted writers per object (innermost last),
@@ -176,11 +179,8 @@ func (c *Core) feedLowWater() {
 		return
 	}
 	low := c.nextInstance + 1
-	//rsvet:allow detlint -- order-insensitive: commutative min over the live IDs
-	for id := range c.Active {
-		if id < low {
-			low = id
-		}
+	if len(c.activeIDs) > 0 {
+		low = c.activeIDs[0]
 	}
 	c.ret.SetLowWater(low)
 }
@@ -197,15 +197,17 @@ func (c *Core) AdmitLimit() int { return c.shed.limit() }
 // (lifecycle discipline).
 func (c *Core) Committed() int { return c.res.Committed }
 
-// ActiveIDs returns the live instance IDs, ascending.
+// ActiveIDs returns a snapshot of the live instance IDs, ascending.
 // Caller-synchronized.
-func (c *Core) ActiveIDs() []int64 {
-	ids := make([]int64, 0, len(c.Active))
-	for id := range c.Active {
-		ids = append(ids, id)
+func (c *Core) ActiveIDs() []int64 { return slices.Clone(c.activeIDs) }
+
+// deactivate drops a finished instance from the instance table.
+// Lifecycle-locked.
+func (c *Core) deactivate(id int64) {
+	delete(c.Active, id)
+	if i, ok := slices.BinarySearch(c.activeIDs, id); ok {
+		c.activeIDs = slices.Delete(c.activeIDs, i, i+1)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // Admit runs the Admit stage: a fresh instance enters the protocol,
@@ -224,6 +226,7 @@ func (c *Core) Admit(pp *Pending, clock int64) *Instance {
 		BlockedSince: -1,
 	}
 	c.Active[st.ID] = st
+	c.activeIDs = append(c.activeIDs, st.ID)
 	c.Cfg.Protocol.Begin(st.ID, st.Program)
 	c.feedLowWater()
 	c.LogWAL(storage.WALRecord{Kind: storage.WALBegin, Instance: st.ID})
@@ -328,7 +331,7 @@ func (c *Core) TryCommit(st *Instance, clock int64) bool {
 		}
 	}
 	delete(c.dependents, st.ID)
-	delete(c.Active, st.ID)
+	c.deactivate(st.ID)
 	c.feedLowWater()
 	if c.ret != nil {
 		c.rep.retire(c.ret.RetireStats())
@@ -415,7 +418,7 @@ func (c *Core) AbortCascade(id int64, reason string, clock int64, onVictim func(
 				delete(deps, v)
 			}
 		}
-		delete(c.Active, v)
+		c.deactivate(v)
 		c.res.Aborts++
 		prevLim := c.shed.limit()
 		if lim, changed := c.shed.observe(false); changed {
@@ -504,8 +507,39 @@ func (c *Core) Finalize(ticks int, avgConcurrency float64) *Result {
 		c.res.Retire = c.ret.RetireStats()
 		c.rep.retire(c.res.Retire)
 	}
-	sort.Slice(c.res.Trace, func(i, j int) bool { return c.res.Trace[i].Order < c.res.Trace[j].Order })
+	c.sortByExecOrder(c.res.Trace)
 	return &c.res
+}
+
+// sortByExecOrder sorts the events by Order in place. Orders are
+// distinct draws from ExecSeq, so one pass over the order space ranks
+// the events (the holes are operations of aborted instances) and the
+// permutation is applied cycle by cycle: no comparisons and no second
+// trace.
+func (c *Core) sortByExecOrder(trace []Event) {
+	src := make([]int32, c.ExecSeq.Load()+1) // order -> 1 + index in trace
+	for i := range trace {
+		src[trace[i].Order] = int32(i) + 1
+	}
+	n := 0 // compacted: the event that belongs at k is trace[src[k]]
+	for _, i := range src {
+		if i > 0 {
+			src[n] = i - 1
+			n++
+		}
+	}
+	for k := range trace {
+		if int(src[k]) == k {
+			continue
+		}
+		first, j := trace[k], k
+		for int(src[j]) != k {
+			next := int(src[j])
+			trace[j], src[j] = trace[next], int32(j)
+			j = next
+		}
+		trace[j], src[j] = first, int32(j)
+	}
 }
 
 // LogWAL appends a record, parking errors in walErr (surfaced by

@@ -148,3 +148,51 @@ func TestAbortAllFiresRecoverWhenIdle(t *testing.T) {
 		t.Error("Recover hook did not fire on an idle unwind")
 	}
 }
+
+// TestFinalizeRestoresExecutionOrder interleaves three instances,
+// aborts one (its orders become holes) and commits the others newest
+// first: the finalized trace must hold exactly the committed events in
+// ascending execution order, and the live-ID list must track the table.
+func TestFinalizeRestoresExecutionOrder(t *testing.T) {
+	progs := []*core.Transaction{prog(1, "r[a] w[a] r[b]"), prog(2, "w[c] r[d] w[d]"), prog(3, "r[e] r[f] w[g]")}
+	eng, err := engine.NewCore(engine.Config{Protocol: sched.NewNoCC(), Programs: progs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var insts []*engine.Instance
+	for _, p := range progs {
+		insts = append(insts, eng.Admit(&engine.Pending{Program: p}, 0))
+	}
+	for step := 0; step < 3; step++ {
+		for _, st := range insts {
+			op := st.Program.Op(st.Next)
+			eng.Decide(st, sched.OpRequest{Instance: st.ID, Program: st.Program, Seq: st.Next, Op: op, Ctx: ctx})
+			eng.Apply(ctx, st, op, eng.Router.Shard(op.Object))
+		}
+	}
+	if err := eng.AbortCascade(insts[1].ID, "test", 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if ids := eng.ActiveIDs(); len(ids) != 2 || ids[0] != insts[0].ID || ids[1] != insts[2].ID {
+		t.Fatalf("live IDs after the abort: %v", ids)
+	}
+	for _, st := range []*engine.Instance{insts[2], insts[0]} {
+		if !eng.TryCommit(st, 2) {
+			t.Fatalf("instance %d must commit", st.ID)
+		}
+	}
+	if ids := eng.ActiveIDs(); len(ids) != 0 {
+		t.Fatalf("live IDs after the commits: %v", ids)
+	}
+	res := eng.Finalize(2, 3)
+	want := []int64{1, 3, 4, 6, 7, 9} // instance 2 drew 2, 5 and 8
+	if len(res.Trace) != len(want) {
+		t.Fatalf("trace has %d events, want %d", len(res.Trace), len(want))
+	}
+	for i, ev := range res.Trace {
+		if ev.Order != want[i] || ev.Instance == insts[1].ID {
+			t.Fatalf("trace[%d] = instance %d order %d, want order %d", i, ev.Instance, ev.Order, want[i])
+		}
+	}
+}

@@ -115,7 +115,8 @@ func (inc *Incremental) mustInt(x int) int {
 }
 
 // AddVertex appends a fresh vertex (last in the current order) and
-// returns its stable external ID.
+// returns its stable external ID. IDs are consecutive: each call returns
+// one more than the previous call, retirements notwithstanding.
 func (inc *Incremental) AddVertex() int {
 	v := inc.g.AddVertex()
 	inc.ord = append(inc.ord, v)
@@ -272,6 +273,15 @@ func (inc *Incremental) Predecessors(u int) []int {
 		return nil
 	}
 	return inc.toExt(inc.g.Predecessors(iu))
+}
+
+// HasPredecessorOutside reports whether u has a predecessor whose ID
+// lies outside [lo, hi], without allocating; u, lo and hi must be live.
+// A scheduler that gives each transaction a consecutive block of
+// vertices asks it "does another transaction point into this one".
+func (inc *Incremental) HasPredecessorOutside(u, lo, hi int) bool {
+	// ext is monotone in the internal index, so the range carries over.
+	return inc.g.hasPredecessorOutside(inc.mustInt(u), inc.mustInt(lo), inc.mustInt(hi))
 }
 
 // toExt maps internal vertices to external IDs in place. ext is

@@ -44,17 +44,23 @@ func (g *Sparse) AddVertex() int {
 // different arc kinds in an RSG) add and remove the same arc without
 // coordinating.
 func (g *Sparse) AddArc(u, v int) {
-	if g.succ[u] == nil {
-		g.succ[u] = make(map[int]int)
+	succ := g.succ[u]
+	if succ == nil {
+		succ = make(map[int]int)
+		g.succ[u] = succ
 	}
-	if g.pred[v] == nil {
-		g.pred[v] = make(map[int]int)
+	pred := g.pred[v]
+	if pred == nil {
+		pred = make(map[int]int)
+		g.pred[v] = pred
 	}
-	if g.succ[u][v] == 0 {
+	// One read-modify-write per direction; a grown map is a new arc.
+	n := len(succ)
+	succ[v]++
+	pred[u]++
+	if len(succ) > n {
 		g.nArcs++
 	}
-	g.succ[u][v]++
-	g.pred[v][u]++
 }
 
 // RemoveArc decrements the multiplicity of u -> v, deleting the arc
@@ -142,6 +148,17 @@ func (g *Sparse) Successors(u int) []int { return sortedKeys(g.succ[u]) }
 // Predecessors returns the predecessors of u in ascending order.
 func (g *Sparse) Predecessors(u int) []int { return sortedKeys(g.pred[u]) }
 
+// hasPredecessorOutside reports whether u has a predecessor outside
+// [lo, hi], without allocating.
+func (g *Sparse) hasPredecessorOutside(u, lo, hi int) bool {
+	for p := range g.pred[u] {
+		if p < lo || p > hi {
+			return true
+		}
+	}
+	return false
+}
+
 // OutDegree returns the number of distinct successors of u.
 func (g *Sparse) OutDegree(u int) int { return len(g.succ[u]) }
 
@@ -227,7 +244,6 @@ func (g *Sparse) ReachableFrom(source, target int) bool {
 	n := len(g.succ)
 	seen := NewBitset(n)
 	stack := []int{source}
-	first := true
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -240,8 +256,6 @@ func (g *Sparse) ReachableFrom(source, target int) bool {
 				stack = append(stack, v)
 			}
 		}
-		_ = first
-		first = false
 	}
 	return false
 }

@@ -1,0 +1,71 @@
+package sched_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"relser/internal/core"
+	"relser/internal/sched"
+)
+
+// BenchmarkRSGTRequestRel is the ladder's mix-rel shape at protocol
+// level, on the CI benchstat gate: one op is a round of 8 concurrent
+// instances x 16 operations (atomic units of 4, a quarter writes) over
+// 64 shared objects, issued round-robin, then committed and retired. A
+// Request's cost here is the dependency-clock join plus one D/F/B
+// triple per resident source transaction.
+func BenchmarkRSGTRequestRel(b *testing.B) {
+	const (
+		live, ops, unit = 8, 16, 4
+		objects, pool   = 64, 64
+	)
+	rng := rand.New(rand.NewSource(16))
+	progs := make([]*core.Transaction, pool)
+	for i := range progs {
+		body := make([]core.Op, ops)
+		for k := range body {
+			obj := "o" + string(rune('A'+rng.Intn(objects)))
+			if rng.Intn(4) == 0 {
+				body[k] = core.W(obj)
+			} else {
+				body[k] = core.R(obj)
+			}
+		}
+		progs[i] = core.T(core.TxnID(i+1), body...)
+	}
+	cuts := []int{unit, 2 * unit, 3 * unit}
+	p := sched.NewRSGT(sched.OracleFunc(func(_, _ *core.Transaction) []int { return cuts }))
+	p.SetRetirement(true)
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	next := int64(1)
+	for i := 0; i < b.N; i++ {
+		var round [live]*core.Transaction
+		var aborted [live]bool
+		for k := range round {
+			round[k] = progs[(i*live+k)%pool]
+			p.Begin(next+int64(k), round[k])
+		}
+		for seq := 0; seq < ops; seq++ {
+			for k, tx := range round {
+				if aborted[k] {
+					continue
+				}
+				id := next + int64(k)
+				if p.Request(sched.OpRequest{Instance: id, Program: tx, Seq: seq, Op: tx.Op(seq)}) != sched.Grant {
+					p.Abort(id)
+					aborted[k] = true
+				}
+			}
+		}
+		for k := range round {
+			if !aborted[k] {
+				p.Commit(next + int64(k))
+			}
+		}
+		next += live
+		p.SetLowWater(next)
+		p.FlushRetirement()
+	}
+}

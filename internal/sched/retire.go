@@ -182,17 +182,19 @@ func (c *certifier) allocSlot(instance int64) int {
 	return c.rt.alloc(instance)
 }
 
-// release drops a finished instance from the graph: its vertices lose
-// their arcs now, join the next retirement epoch, and its clock slot
-// returns to the free list.
-func (c *certifier) release(instance int64, vertices ...int) {
-	for _, v := range vertices {
+// release drops a finished instance from the graph: its n vertices,
+// numbered consecutively from first, lose their arcs now and join the
+// next retirement epoch, and its clock slot returns to the free list.
+func (c *certifier) release(instance int64, first, n int) {
+	for v := first; v < first+n; v++ {
 		c.g.IsolateVertex(v)
 	}
 	if !c.retireOn {
 		return
 	}
-	c.retireQ = append(c.retireQ, vertices...)
+	for v := first; v < first+n; v++ {
+		c.retireQ = append(c.retireQ, v)
+	}
 	c.rt.release(instance)
 }
 

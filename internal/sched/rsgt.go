@@ -3,6 +3,8 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
 	"relser/internal/core"
 	"relser/internal/graph"
@@ -17,11 +19,16 @@ import (
 //   - at Begin, the instance's operations become vertices connected by
 //     I-arcs (the program, and hence every atomic-unit boundary, is
 //     declared up front);
-//   - at Request, the operation's depends-on predecessors are computed
-//     (same covering-set dynamic program as the offline checker), and
-//     for every cross-transaction dependency u -> v the D-arc plus its
-//     induced F-arc (PushForward(u, txn(v)) -> v) and B-arc
-//     (u -> PullBackward(v, txn(u))) are inserted;
+//   - at Request, the operation's dependency clock is computed — for
+//     every other resident instance, the latest operation the request
+//     transitively depends on (the join of the clocks of the same
+//     covering predecessors the offline checker uses) — and for each
+//     such frontier dependency u -> v the D-arc plus its induced F-arc
+//     (PushForward(u, txn(v)) -> v) and B-arc
+//     (u -> PullBackward(v, txn(u))) are inserted; the arcs of earlier
+//     operations of u's instance are implied by these and I-arcs
+//     (THEORY.md §4), so the graph has the reachability of Definition 3's
+//     at a cost per request bounded by the resident transactions;
 //   - if any insertion would close a cycle, the request is rejected
 //     with Abort: execution has already fixed the offending dependency
 //     order, so no amount of waiting can remove the cycle (arcs are
@@ -38,38 +45,50 @@ type RSGT struct {
 	certifier
 	oracle AtomicityOracle
 
-	insts map[int64]*rsgtInst
-	// committed retains instances whose vertices are still in the
-	// graph after commit (prune candidates).
-	committedStatus map[int64]bool
+	insts map[int64]*rsgtInst // resident instances: vertices in the graph
+	// committed lists the committed resident instances in ascending id
+	// order: the prune and stranded-sweep candidates.
+	committed []*rsgtInst
 
-	// Execution-order dependency tracking (exec indices are dense over
-	// executed operations).
-	execInfo []execOp
-	deps     []graph.Bitset // deps[e] = exec indices op e depends on
-	objHist  map[string][]int
+	// objHist is, per object, the executed operations on it in execution
+	// order (the depends-on sources of the next access).
+	objHist map[string][]*execOp
 
-	// pairCuts memoizes oracle answers per ordered instance pair.
-	pairCuts map[[2]int64][]int
+	// frontier is the dependency clock of the request being decided,
+	// reused across requests; stamp numbers the request so that each
+	// source instance's frontierAt is valid only for the current one.
+	frontier []dep
+	stamp    uint64
 
 	// Bounded-memory state beyond the shared certifier (see Retirer):
-	// the dependency index is periodically rebased onto the reachable
-	// suffix.
-	lastRebaseLive int
-	rebases        int64
-	// residentCommitted counts committed instances whose vertices are
-	// still in the graph; lastSweepResident is its value after the last
-	// stranded-cluster sweep (the doubling base for the next one).
-	residentCommitted int
+	// execEntries counts the executed operations the dependency index
+	// holds, lastRebaseLive is what the last rebase kept of them, and
+	// lastSweepResident is len(committed) after the last stranded-cluster
+	// sweep (the doubling bases for the next rebase and sweep).
+	execEntries       int
+	lastRebaseLive    int
+	rebases           int64
 	lastSweepResident int
 }
 
+// rsgtInst is one transaction instance. The dependency index refers to
+// it by pointer, so whether a recorded source still has vertices in the
+// graph is read off the instance itself: resident is cleared when the
+// instance leaves the graph (abort, prune, sweep) and never set again,
+// because instance numbers are never reused.
 type rsgtInst struct {
-	id       int64
-	program  *core.Transaction
-	vertices []int // seq -> graph vertex
-	lastExec int   // exec index of the instance's most recent op, -1 if none
-	executed int   // number of executed ops
+	id      int64
+	program *core.Transaction
+	first   int // graph vertex of sequence 0; the rest follow consecutively
+
+	resident  bool
+	committed bool // aborted is !resident && !committed
+
+	// ops[seq] is the executed operation at seq while resident.
+	ops []*execOp
+	// cuts memoizes the oracle's unit boundaries of this program relative
+	// to an observer instance.
+	cuts map[int64][]int
 
 	// Fast-path clock state: the instance's reachTable slot (-1 with
 	// retirement off) and the minimum sequence of any arc head ever
@@ -79,24 +98,50 @@ type rsgtInst struct {
 	// forward) connect vertices.
 	slot     int
 	minEntry int
+
+	// Scratch of the request whose stamp matches: this instance's
+	// position in RSGT.frontier.
+	stamp      uint64
+	frontierAt int
 }
 
+func (in *rsgtInst) vertex(seq int) int { return in.first + seq }
+
+// end is one past the instance's last vertex.
+func (in *rsgtInst) end() int { return in.first + in.program.Len() }
+
+// alive reports whether the instance's executed operations still count
+// as depends-on sources (it has not aborted).
+func (in *rsgtInst) alive() bool { return in.resident || in.committed }
+
+// dep is one entry of a dependency clock: the highest sequence of src
+// the clock's operation transitively depends on.
+type dep struct {
+	src *rsgtInst
+	seq int
+}
+
+// execOp is one executed operation together with its dependency clock:
+// for every other instance that was resident when it executed, the
+// latest operation it depends on (THEORY.md §4: earlier ones induce
+// only arcs the latest one's arcs imply). Clocks are transitively
+// closed when built, so a later request that depends on this operation
+// joins the clock in and never follows it further.
 type execOp struct {
-	instance int64
-	seq      int
-	op       core.Op
+	inst  *rsgtInst
+	seq   int
+	write bool
+	clock []dep
 }
 
 // NewRSGT returns the paper's protocol under the given specification
 // oracle.
 func NewRSGT(oracle AtomicityOracle) *RSGT {
 	return &RSGT{
-		certifier:       newCertifier(),
-		oracle:          oracle,
-		insts:           make(map[int64]*rsgtInst),
-		committedStatus: make(map[int64]bool),
-		objHist:         make(map[string][]int),
-		pairCuts:        make(map[[2]int64][]int),
+		certifier: newCertifier(),
+		oracle:    oracle,
+		insts:     make(map[int64]*rsgtInst),
+		objHist:   make(map[string][]*execOp),
 	}
 }
 
@@ -109,13 +154,18 @@ func (p *RSGT) Begin(instance int64, program *core.Transaction) {
 	if _, ok := p.insts[instance]; ok {
 		return
 	}
-	inst := &rsgtInst{id: instance, program: program, lastExec: -1, slot: p.allocSlot(instance), minEntry: math.MaxInt}
-	inst.vertices = make([]int, program.Len())
-	for seq := range inst.vertices {
-		inst.vertices[seq] = p.g.AddVertex()
+	n := program.Len()
+	inst := &rsgtInst{
+		id: instance, program: program, resident: true,
+		ops: make([]*execOp, 0, n), slot: p.allocSlot(instance), minEntry: math.MaxInt,
 	}
-	for seq := 0; seq+1 < program.Len(); seq++ {
-		if err := p.g.AddArc(inst.vertices[seq], inst.vertices[seq+1]); err != nil {
+	for seq := 0; seq < n; seq++ {
+		if v := p.g.AddVertex(); seq == 0 {
+			inst.first = v // the rest follow consecutively
+		}
+	}
+	for seq := 0; seq+1 < n; seq++ {
+		if err := p.g.AddArc(inst.vertex(seq), inst.vertex(seq+1)); err != nil {
 			panic(fmt.Sprintf("sched: I-arc on fresh vertices cycled: %v", err)) // unreachable
 		}
 	}
@@ -128,36 +178,29 @@ func (p *RSGT) Request(req OpRequest) Decision {
 	if inst == nil {
 		panic(fmt.Sprintf("sched: Request for unknown instance %d", req.Instance))
 	}
-	if req.Seq != inst.executed {
-		panic(fmt.Sprintf("sched: instance %d requested seq %d, expected %d", req.Instance, req.Seq, inst.executed))
+	if req.Seq != len(inst.ops) {
+		panic(fmt.Sprintf("sched: instance %d requested seq %d, expected %d", req.Instance, req.Seq, len(inst.ops)))
 	}
-	// Depends-on set of the new operation: covering predecessors are
-	// the instance's previous op, the last relevant write, and (for
-	// writes) the reads since it.
-	depSet := graph.NewBitset(len(p.execInfo))
-	absorb := func(e int) {
-		// Earlier dependency sets are shorter (capacities grow with the
-		// execution); union into the matching prefix.
-		src := p.deps[e]
-		depSet[:len(src)].UnionWith(src)
-		depSet.Set(e)
-	}
-	if inst.lastExec >= 0 {
-		absorb(inst.lastExec)
+	// Dependency clock of the new operation: the join of its covering
+	// predecessors — the instance's previous op, the last relevant write,
+	// and (for writes) the reads since it.
+	p.stamp++
+	p.frontier = p.frontier[:0]
+	write := req.Op.Kind == core.WriteOp
+	if req.Seq > 0 {
+		p.absorb(inst, inst.ops[req.Seq-1])
 	}
 	hist := p.objHist[req.Op.Object]
 	for i := len(hist) - 1; i >= 0; i-- {
 		e := hist[i]
-		info := p.execInfo[e]
-		if p.insts[info.instance] == nil && !p.committedStatus[info.instance] {
+		if !e.inst.alive() {
 			continue // aborted
 		}
-		if info.op.Kind == core.WriteOp {
-			absorb(e)
-			break
+		if e.write || write {
+			p.absorb(inst, e)
 		}
-		if req.Op.Kind == core.WriteOp {
-			absorb(e)
+		if e.write {
+			break
 		}
 	}
 
@@ -169,12 +212,12 @@ func (p *RSGT) Request(req OpRequest) Decision {
 	// (instance-level closure) and the tail is >= minEntry[A] (the
 	// lowest sequence any outside path can reach in A).
 	minHead := math.MaxInt
-	p.forEachSource(inst, depSet, func(src *rsgtInst, srcSeq int) {
-		for _, a := range p.induced(src, srcSeq, inst, req.Seq) {
-			p.arc(src.vertices[a.tail], inst.vertices[a.head], src.slot, inst.slot, a.tail >= src.minEntry)
+	for _, d := range p.frontier { // join kept only resident sources other than inst
+		for _, a := range p.induced(d.src, d.seq, inst, req.Seq) {
+			p.arc(d.src.vertex(a.tail), inst.vertex(a.head), d.src.slot, inst.slot, a.tail >= d.src.minEntry)
 			minHead = min(minHead, a.head)
 		}
-	})
+	}
 	if refused := p.admit(inst.slot); refused != nil {
 		if p.tr.Wants(trace.KindCycleReject) {
 			p.explainReject(req, refused)
@@ -186,31 +229,43 @@ func (p *RSGT) Request(req OpRequest) Decision {
 	inst.minEntry = min(inst.minEntry, minHead)
 
 	// Admission: record execution.
-	e := len(p.execInfo)
-	p.execInfo = append(p.execInfo, execOp{instance: req.Instance, seq: req.Seq, op: req.Op})
-	p.deps = append(p.deps, depSet)
+	e := &execOp{inst: inst, seq: req.Seq, write: write, clock: slices.Clone(p.frontier)}
+	inst.ops = append(inst.ops, e)
 	p.objHist[req.Op.Object] = append(hist, e)
-	inst.lastExec = e
-	inst.executed++
+	p.execEntries++
 	p.maybeRebase()
 	return Grant
 }
 
-// forEachSource calls fn for every executed operation in depSet of a
-// resident instance other than inst, in execution order. Sources that
-// are no longer resident induce no arc: a committed-and-pruned source's
-// vertices are graph sources, so arcs from them can never close a
-// cycle. Aborted sources can appear transitively (a live op that
-// depended on a later-aborted op keeps the dependency — conservative:
-// may cost an extra abort, never admits an incorrect schedule).
-func (p *RSGT) forEachSource(inst *rsgtInst, depSet graph.Bitset, fn func(src *rsgtInst, srcSeq int)) {
-	depSet.ForEach(func(e int) bool {
-		info := p.execInfo[e]
-		if src := p.insts[info.instance]; src != nil && src != inst {
-			fn(src, info.seq)
-		}
-		return true
-	})
+// absorb joins executed operation e, and everything it depends on, into
+// the frontier of inst's current request by pointwise maximum. Entries
+// of instances that have left the graph are dropped here: they induce
+// no arc (see join), and what they depended on is already in
+// e's clock, which was closed when e executed.
+func (p *RSGT) absorb(inst *rsgtInst, e *execOp) {
+	p.join(inst, e.inst, e.seq)
+	for _, d := range e.clock {
+		p.join(inst, d.src, d.seq)
+	}
+}
+
+// join raises the frontier's entry for src to seq. Sources that are no
+// longer resident are left out, for they induce no arc: a
+// committed-and-pruned source's vertices are graph sources, so arcs
+// from them can never close a cycle. Aborted sources can appear
+// transitively (a live op that depended on a later-aborted op keeps
+// what that op depended on — conservative: may cost an extra abort,
+// never admits an incorrect schedule).
+func (p *RSGT) join(inst, src *rsgtInst, seq int) {
+	if !src.resident || src == inst {
+		return
+	}
+	if src.stamp != p.stamp {
+		src.stamp, src.frontierAt = p.stamp, len(p.frontier)
+		p.frontier = append(p.frontier, dep{src, seq})
+	} else if f := &p.frontier[src.frontierAt]; seq > f.seq {
+		f.seq = seq
+	}
 }
 
 // rsgArc is one arc between two instances, by sequence: tail in the
@@ -242,8 +297,8 @@ type rsgtVertex struct {
 func (p *RSGT) owners() map[int]rsgtVertex {
 	owners := make(map[int]rsgtVertex)
 	for _, in := range p.insts {
-		for seq, vert := range in.vertices {
-			owners[vert] = rsgtVertex{inst: in, seq: seq}
+		for seq := range in.program.Len() {
+			owners[in.vertex(seq)] = rsgtVertex{inst: in, seq: seq}
 		}
 	}
 	return owners
@@ -252,31 +307,28 @@ func (p *RSGT) owners() map[int]rsgtVertex {
 // deriveKinds derives the I/D/F/B label of the live arc u -> w when a
 // cycle or snapshot is rendered, instead of storing a label per arc in
 // lock-step with the graph. Within an instance only I-arcs exist;
-// across instances the arc was induced by the recorded dependencies of
-// w's instance on u's (rebase keeps both for resident instances), so
-// regenerating their arcs and keeping those that land on (u, w) gives
-// the same union of kinds the insertions carried.
+// across instances the arc was induced by the clock entry for u's
+// instance of some operation of w's, so regenerating those arcs and
+// keeping the ones that land on (u, w) gives the same union of kinds
+// the insertions carried.
 func (p *RSGT) deriveKinds(u, w rsgtVertex) core.ArcKind {
 	if u.inst == w.inst {
 		return core.IArc
 	}
 	var mask core.ArcKind
-	for e, info := range p.execInfo {
-		// F- and D-arcs end at the dependent operation, B-arcs at the
-		// start of its unit: never after it.
-		if info.instance != w.inst.id || info.seq < w.seq {
-			continue
-		}
-		p.forEachSource(w.inst, p.deps[e], func(src *rsgtInst, srcSeq int) {
-			if src != u.inst {
-				return
+	// F- and D-arcs end at the dependent operation, B-arcs at the start
+	// of its unit: never after it.
+	for _, e := range w.inst.ops[min(w.seq, len(w.inst.ops)):] {
+		for _, d := range e.clock {
+			if d.src != u.inst {
+				continue
 			}
-			for k, a := range p.induced(src, srcSeq, w.inst, info.seq) {
+			for k, a := range p.induced(d.src, d.seq, w.inst, e.seq) {
 				if a.tail == u.seq && a.head == w.seq {
 					mask |= dfb[k]
 				}
 			}
-		})
+		}
 	}
 	return mask
 }
@@ -341,13 +393,14 @@ func (p *RSGT) dotSnapshot(pending map[[2]int]core.ArcKind) string {
 	ids := sortedInstances(p.insts)
 	for _, id := range ids {
 		in := p.insts[id]
-		for seq, vert := range in.vertices {
-			d.AddNode(vert, fmt.Sprintf("%s #%d", in.program.Op(seq), id), nil)
+		for seq := range in.program.Len() {
+			d.AddNode(in.vertex(seq), fmt.Sprintf("%s #%d", in.program.Op(seq), id), nil)
 		}
 	}
 	owners := p.owners()
 	for _, id := range ids {
-		for _, vert := range p.insts[id].vertices {
+		in := p.insts[id]
+		for vert := in.first; vert < in.end(); vert++ {
 			for _, s := range p.g.Successors(vert) {
 				mask := p.deriveKinds(owners[vert], owners[s]) | pending[[2]int{vert, s}]
 				d.AddEdge(vert, s, mask.String(), nil)
@@ -358,13 +411,15 @@ func (p *RSGT) dotSnapshot(pending map[[2]int]core.ArcKind) string {
 }
 
 // cuts memoizes the oracle's unit boundaries of a's program relative
-// to observer b.
+// to observer b; the memo lives and dies with a.
 func (p *RSGT) cuts(a, b *rsgtInst) []int {
-	key := [2]int64{a.id, b.id}
-	c, ok := p.pairCuts[key]
+	c, ok := a.cuts[b.id]
 	if !ok {
+		if a.cuts == nil {
+			a.cuts = make(map[int64][]int)
+		}
 		c = p.oracle.Cuts(a.program, b.program)
-		p.pairCuts[key] = c
+		a.cuts[b.id] = c
 	}
 	return c
 }
@@ -374,20 +429,22 @@ func (p *RSGT) CanCommit(int64) bool { return true }
 
 // Commit implements Protocol.
 func (p *RSGT) Commit(instance int64) {
-	if p.insts[instance] == nil || p.committedStatus[instance] {
+	inst := p.insts[instance]
+	if inst == nil || inst.committed {
 		return
 	}
-	p.committedStatus[instance] = true
-	p.residentCommitted++
+	inst.committed = true
+	at := sort.Search(len(p.committed), func(i int) bool { return p.committed[i].id > instance })
+	p.committed = slices.Insert(p.committed, at, inst)
 	p.prune()
 	p.maybeRetire()
 	p.maybeSweep()
 }
 
 // Abort implements Protocol: drop the instance's vertices from the
-// graph. Its executed operations remain in the dependency tracking as
-// dead entries (skipped during source discovery); the driver undoes
-// their store effects and cascades dependents.
+// graph. Its executed operations stay in the object histories as dead
+// entries (skipped during source discovery) until the next rebase; the
+// driver undoes their store effects and cascades dependents.
 func (p *RSGT) Abort(instance int64) {
 	inst := p.insts[instance]
 	if inst == nil {
@@ -399,52 +456,55 @@ func (p *RSGT) Abort(instance int64) {
 }
 
 // evict removes a finished instance from the resident set and hands
-// its vertices and clock slot to the certifier.
+// its vertices and clock slot to the certifier. What only a resident
+// instance needs is dropped with it, so an operation of it that stays
+// in an object history pins just the instance header.
 func (p *RSGT) evict(inst *rsgtInst) {
-	p.release(inst.id, inst.vertices...)
+	p.release(inst.id, inst.first, inst.program.Len())
 	delete(p.insts, inst.id)
-	if p.committedStatus[inst.id] {
-		p.residentCommitted--
+	inst.resident = false
+	inst.ops, inst.cuts = nil, nil
+}
+
+// evictCommitted evicts the committed resident instances, visited in
+// ascending id order, for which gone reports true, and reports whether
+// there was one.
+func (p *RSGT) evictCommitted(gone func(*rsgtInst) bool) bool {
+	kept := p.committed[:0]
+	for _, inst := range p.committed {
+		if gone(inst) {
+			p.evict(inst)
+		} else {
+			kept = append(kept, inst)
+		}
 	}
+	evicted := len(kept) < len(p.committed)
+	clear(p.committed[len(kept):])
+	p.committed = kept
+	return evicted
 }
 
 // prune removes committed instances none of whose vertices has an
 // incoming arc from another instance: new arcs always terminate at
 // live requesters (or their unit boundaries), so a committed source
-// can never rejoin a cycle.
+// can never rejoin a cycle. Evicting one can clean the next, hence the
+// fixed point.
 func (p *RSGT) prune() {
-	for {
-		removed := false
-		for _, instID := range sortedInstances(p.insts) {
-			if !p.committedStatus[instID] {
-				continue
-			}
-			inst := p.insts[instID]
-			clean := true
-			for _, v := range inst.vertices {
-				for _, u := range p.g.Predecessors(v) {
-					if !containsVertex(inst.vertices, u) {
-						clean = false
-						break
-					}
-				}
-				if !clean {
-					break
-				}
-			}
-			if clean {
-				p.evict(inst)
-				removed = true
-			}
-		}
-		if !removed {
-			return
-		}
+	for p.evictCommitted(p.noForeignInArc) {
 	}
 }
 
-// SetLowWater implements Retirer: besides pacing the certifier's
-// epochs, the mark is the safety belt for the committed-status sweep.
+func (p *RSGT) noForeignInArc(inst *rsgtInst) bool {
+	for v := inst.first; v < inst.end(); v++ {
+		if p.g.HasPredecessorOutside(v, inst.first, inst.end()-1) {
+			return false
+		}
+	}
+	return true
+}
+
+// SetLowWater implements Retirer: the mark paces the certifier's
+// epochs and, when it moves, the rebase.
 //
 //rsvet:deterministic
 func (p *RSGT) SetLowWater(instance int64) {
@@ -463,7 +523,7 @@ func (p *RSGT) FlushRetirement() {
 }
 
 // RetireStats implements Retirer.
-func (p *RSGT) RetireStats() RetireStats { return p.stats(p.rebases, len(p.execInfo)) }
+func (p *RSGT) RetireStats() RetireStats { return p.stats(p.rebases, p.execEntries) }
 
 // maybeSweep runs a stranded-cluster sweep when enough committed
 // instances sit in the graph and their count has at least doubled
@@ -472,7 +532,7 @@ func (p *RSGT) RetireStats() RetireStats { return p.stats(p.rebases, len(p.execI
 //
 //rsvet:deterministic
 func (p *RSGT) maybeSweep() {
-	if p.compactionDue(p.residentCommitted, strandedSweepMinInsts, p.lastSweepResident) {
+	if p.compactionDue(len(p.committed), strandedSweepMinInsts, p.lastSweepResident) {
 		p.sweepStranded()
 		p.maybeRetire()
 	}
@@ -489,11 +549,11 @@ func (p *RSGT) maybeSweep() {
 // instance all predate its finish, so a path from any later
 // transaction into the cluster would have to run through a vertex that
 // is live right now — and none reaches it. Skipping future arcs out of
-// swept sources (forEachSource's residency test) is sound for the
+// swept sources (join's residency test) is sound for the
 // same reason: a cycle through such an arc u -> v needs a path v -> u,
 // and v is always a live requester's vertex.
 func (p *RSGT) sweepStranded() {
-	if !p.retireOn || p.residentCommitted == 0 {
+	if !p.retireOn || len(p.committed) == 0 {
 		return
 	}
 	reached := make(map[int]bool)
@@ -504,11 +564,12 @@ func (p *RSGT) sweepStranded() {
 			stack = append(stack, v)
 		}
 	}
-	for _, id := range sortedInstances(p.insts) {
-		if p.committedStatus[id] {
+	//rsvet:allow detlint -- order-insensitive: the reachable set does not depend on the order of its roots
+	for _, inst := range p.insts {
+		if inst.committed {
 			continue
 		}
-		for _, v := range p.insts[id].vertices {
+		for v := inst.first; v < inst.end(); v++ {
 			visit(v)
 		}
 	}
@@ -519,167 +580,78 @@ func (p *RSGT) sweepStranded() {
 			visit(w)
 		}
 	}
-	for _, id := range sortedInstances(p.insts) {
-		if !p.committedStatus[id] {
-			continue
-		}
-		inst := p.insts[id]
-		stranded := true
-		for _, v := range inst.vertices {
+	p.evictCommitted(func(inst *rsgtInst) bool {
+		for v := inst.first; v < inst.end(); v++ {
 			if reached[v] {
-				stranded = false
-				break
+				return false
 			}
 		}
-		if !stranded {
-			continue
-		}
-		p.evict(inst)
-	}
-	p.lastSweepResident = p.residentCommitted
+		return true
+	})
+	p.lastSweepResident = len(p.committed)
 }
 
-// maybeRebase rebases the dependency index when the history has at
-// least doubled since the last rebase, amortizing to O(1) per
-// executed operation.
+// maybeRebase rebases the dependency index when it has at least
+// doubled since the last rebase, amortizing to O(1) per executed
+// operation.
 //
 //rsvet:deterministic
 func (p *RSGT) maybeRebase() {
-	if p.compactionDue(len(p.execInfo), rebaseMinEntries, p.lastRebaseLive) {
+	if p.compactionDue(p.execEntries, rebaseMinEntries, p.lastRebaseLive) {
 		p.rebase()
 	}
 }
 
-// rebase drops the unreachable prefix of the dependency index. An exec
-// entry survives iff its instance is still resident, or it sits in the
-// reachable suffix of some object history: per object, the backward
-// source scan stops at the last non-aborted write (the anchor), so
-// entries strictly before the anchor — and aborted entries anywhere —
-// can never be absorbed again. Dependency bitsets are transitively
-// closed when built (absorb unions full closures), so rewriting them
-// with only the surviving bits loses no arc generation: dropped
-// entries are aborted or pruned-committed, and neither ever generates
-// an arc (pruned instances cannot re-enter insts).
+// rebase drops the dead part of the dependency index. An executed
+// operation survives iff its instance is still resident (it is then in
+// the instance's ops), or it sits in the reachable suffix of its
+// object's history: the backward source scan stops at the last
+// non-aborted write (the anchor), so entries strictly before the
+// anchor — and aborted entries anywhere — can never be absorbed again.
+// Surviving clocks lose their entries for instances that have left the
+// graph, which no request would join in any more (see absorb).
 //
 //rsvet:deterministic
 func (p *RSGT) rebase() {
-	if !p.retireOn || len(p.execInfo) == 0 {
+	if !p.retireOn || p.execEntries == 0 {
 		return
 	}
-	n := len(p.execInfo)
-	keep := make([]bool, n)
-	for e := 0; e < n; e++ {
-		if p.insts[p.execInfo[e].instance] != nil {
-			keep[e] = true
-		}
-	}
-	alive := func(e int) bool {
-		id := p.execInfo[e].instance
-		return p.insts[id] != nil || p.committedStatus[id]
-	}
-	newHist := make(map[string][]int, len(p.objHist))
+	gone := func(d dep) bool { return !d.src.resident }
+	live := 0
 	//rsvet:allow detlint -- order-insensitive: each object's suffix is computed independently
 	for obj, hist := range p.objHist {
 		anchor := 0
 		for i := len(hist) - 1; i >= 0; i-- {
-			e := hist[i]
-			if alive(e) && p.execInfo[e].op.Kind == core.WriteOp {
+			if e := hist[i]; e.write && e.inst.alive() {
 				anchor = i
 				break
 			}
 		}
-		var kept []int
+		kept := hist[:0]
 		for _, e := range hist[anchor:] {
-			if alive(e) {
-				keep[e] = true
-				kept = append(kept, e)
+			if !e.inst.alive() {
+				continue
+			}
+			kept = append(kept, e)
+			if !e.inst.resident {
+				live++
+				e.clock = slices.DeleteFunc(e.clock, gone)
 			}
 		}
-		if kept != nil {
-			newHist[obj] = kept
-		}
-	}
-	remap := make([]int, n)
-	m := 0
-	for e := 0; e < n; e++ {
-		if keep[e] {
-			remap[e] = m
-			m++
-		} else {
-			remap[e] = -1
-		}
-	}
-	if m == n {
-		p.lastRebaseLive = m
-		p.rebases++
-		return
-	}
-	newInfo := make([]execOp, m)
-	newDeps := make([]graph.Bitset, m)
-	for e := 0; e < n; e++ {
-		ne := remap[e]
-		if ne < 0 {
+		if len(kept) == 0 {
+			delete(p.objHist, obj)
 			continue
 		}
-		newInfo[ne] = p.execInfo[e]
-		nd := graph.NewBitset(m)
-		p.deps[e].ForEach(func(d int) bool {
-			if remap[d] >= 0 {
-				nd.Set(remap[d])
-			}
-			return true
-		})
-		newDeps[ne] = nd
+		clear(hist[len(kept):])
+		p.objHist[obj] = kept
 	}
-	//rsvet:allow detlint -- order-insensitive: rewrites each object's indices in place
-	for _, hist := range newHist {
-		for i, e := range hist {
-			hist[i] = remap[e]
-		}
-	}
-	//rsvet:allow detlint -- order-insensitive: remaps each resident instance's cursor independently
+	//rsvet:allow detlint -- order-insensitive: filters each resident instance's clocks independently
 	for _, inst := range p.insts {
-		if inst.lastExec >= 0 {
-			inst.lastExec = remap[inst.lastExec]
+		live += len(inst.ops)
+		for _, e := range inst.ops {
+			e.clock = slices.DeleteFunc(e.clock, gone)
 		}
 	}
-	p.execInfo = newInfo
-	p.deps = newDeps
-	p.objHist = newHist
-	// Sweep committed-status entries no longer referenced by anything:
-	// resident instances, surviving exec entries, and (belt) instances
-	// at or above the engine's low-water mark all stay.
-	referenced := make(map[int64]bool, len(p.insts)+m)
-	for e := range newInfo {
-		referenced[newInfo[e].instance] = true
-	}
-	newStatus := make(map[int64]bool, len(p.insts))
-	//rsvet:allow detlint -- order-insensitive: per-key membership test into a fresh map
-	for id := range p.committedStatus {
-		if p.insts[id] != nil || referenced[id] || id >= p.lowWater {
-			newStatus[id] = true
-		}
-	}
-	p.committedStatus = newStatus
-	// Oracle memos for pairs with a finished side can never be asked
-	// for again (cuts is only consulted for resident instances).
-	newCuts := make(map[[2]int64][]int, len(p.pairCuts))
-	//rsvet:allow detlint -- order-insensitive: per-key residency filter into a fresh map
-	for key, c := range p.pairCuts {
-		if p.insts[key[0]] != nil && p.insts[key[1]] != nil {
-			newCuts[key] = c
-		}
-	}
-	p.pairCuts = newCuts
-	p.lastRebaseLive = m
+	p.execEntries, p.lastRebaseLive = live, live
 	p.rebases++
-}
-
-func containsVertex(vs []int, v int) bool {
-	for _, x := range vs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -183,7 +183,7 @@ func (p *SGT) Commit(instance int64) {
 // Abort implements Protocol.
 func (p *SGT) Abort(instance int64) {
 	if v, ok := p.nodeOf[instance]; ok {
-		p.release(instance, v)
+		p.release(instance, v, 1)
 	}
 	delete(p.nodeOf, instance)
 	delete(p.status, instance)
@@ -204,7 +204,7 @@ func (p *SGT) prune() {
 			}
 			v := p.nodeOf[inst]
 			if p.g.InDegree(v) == 0 {
-				p.release(inst, v)
+				p.release(inst, v, 1)
 				delete(p.nodeOf, inst)
 				delete(p.progs, inst)
 				// Keep the committed status so history entries still
