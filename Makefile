@@ -136,7 +136,8 @@ bench-hot:
 durability-matrix:
 	sh scripts/durability_matrix.sh
 
-# Regenerate every experiment report of EXPERIMENTS.md (E1-E19).
+# Regenerate every experiment report of EXPERIMENTS.md (E1-E14, E16,
+# E19; performance numbers come from the ladder: bash benchmark/run.sh).
 experiments:
 	$(GO) run ./cmd/rsbench
 

@@ -45,7 +45,6 @@ func main() {
 		faultSpec  = flag.String("faults", "", "E16: replace the built-in chaos specs with this fault spec (point:rate[:duration],...)")
 		timeout    = flag.Duration("timeout", 0, "bound each workload run inside an experiment with a context deadline (0 disables); an expired run errors the experiment instead of hanging")
 		opsAddr    = flag.String("ops", "", "serve the live ops endpoint (/metrics, /healthz, /debug/flight, /debug/trace, pprof) on this address while experiments run, e.g. :6060")
-		rsgRetire  = flag.Bool("rsg-retire", true, "bounded-memory certification (graph retirement + vector-clock fast path) in experiments that run the online drivers; E20 sweeps both settings itself")
 		recordDir  = flag.String("record", "", "E16: capture every deterministic chaos run as a .rsrec artifact in this directory (time-travel failures with rsreplay)")
 	)
 	flag.Parse()
@@ -76,7 +75,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	opts := experiments.Options{Quick: *quick, Seed: *seed, Shards: *shards, FaultSpec: *faultSpec, Timeout: *timeout, RecordDir: *recordDir, DisableRSGRetire: !*rsgRetire}
+	opts := experiments.Options{Quick: *quick, Seed: *seed, Shards: *shards, FaultSpec: *faultSpec, Timeout: *timeout, RecordDir: *recordDir}
 	if *recordDir != "" {
 		if err := os.MkdirAll(*recordDir, 0o755); err != nil {
 			fatal(err)

@@ -27,7 +27,7 @@ func writeRecording(t *testing.T, mutate func(*record.Manifest)) string {
 	if mutate != nil {
 		mutate(&m)
 	}
-	rr, err := record.Record(context.Background(), m)
+	rr, err := record.Record(context.Background(), m, record.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}

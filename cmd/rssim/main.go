@@ -65,8 +65,6 @@ func main() {
 		metricsOn  = flag.Bool("metrics", false, "print the runtime metrics registry after the run")
 		faultSpec  = flag.String("faults", "", "arm deterministic fault injection: point:rate[:duration],... (e.g. 'wal.torn:0.01,txn.abort:0.2'); same seed replays the same fault schedule")
 		timeout    = flag.Duration("timeout", 0, "bound the whole run's wall time via a context deadline (0 disables); on expiry in-flight transactions are rolled back and any WAL stays recoverable")
-		deadline   = flag.Int64("deadline", 0, "deprecated alias kept for old scripts: per-instance logical-age abort bound (0 disables); prefer -timeout for bounding runs")
-		watchdog   = flag.Duration("watchdog", 0, "deprecated alias kept for old scripts: concurrent-driver progress-free wedge bound (0 = default 10s, negative disables); prefer -timeout, which cancels the same run context")
 		opsAddr    = flag.String("ops", "", "serve the live ops endpoint on this address for the run's duration (e.g. ':6060'): /metrics, /healthz, /debug/flight, /debug/spans, /debug/trace and /debug/pprof")
 		linger     = flag.Duration("linger", 0, "keep the ops endpoint serving this long after the run completes, for post-run scraping (requires -ops)")
 		flightDir  = flag.String("flightdir", "", "write automatic flight-recorder dumps (watchdog wedge, abort storm, livelock escalation, cancellation) into this directory (requires -ops)")
@@ -210,8 +208,6 @@ func main() {
 			MPL:        *mpl,
 			Shards:     *shards,
 			Concurrent: *concurrent,
-			Deadline:   *deadline,
-			Watchdog:   *watchdog,
 			RSGRetire:  "off",
 		}
 		if *rsgRetire {
@@ -262,8 +258,6 @@ func main() {
 		Metrics:    registry,
 		Obs:        plane,
 		Faults:     injector,
-		Deadline:   *deadline,
-		Watchdog:   *watchdog,
 		Hooks:      hooks,
 
 		DisableRSGRetire: !*rsgRetire,

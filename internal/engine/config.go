@@ -61,8 +61,6 @@ type Config struct {
 	// MaxRestarts bounds restarts per program before the run fails
 	// (default 1000).
 	MaxRestarts int
-	// History, when set, records committed write effects.
-	History *storage.History
 	// WAL, when set, receives begin/write/commit/abort records; a store
 	// recovered from it (storage.Recover for the single-lane
 	// *storage.WAL, storage.RecoverSegmented for *storage.ShardedWAL)

@@ -350,9 +350,6 @@ func (c *Core) TryCommit(st *Instance, clock int64) bool {
 	})
 	c.res.Trace = append(c.res.Trace, st.Events...)
 	c.res.Programs = append(c.res.Programs, st.Program)
-	if c.Cfg.History != nil {
-		c.Cfg.History.Append(storage.Commit{Instance: st.ID, Writes: st.Writes})
-	}
 	if h := c.Cfg.Hooks.Commit; h != nil {
 		h(st)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,29 +12,12 @@ import (
 	"relser/internal/core"
 	"relser/internal/fault"
 	"relser/internal/metrics"
-	"relser/internal/obs"
 	"relser/internal/record"
 	"relser/internal/sched"
 	"relser/internal/storage"
 	"relser/internal/txn"
 	"relser/internal/workload"
 )
-
-// withObs wires the live observability plane into a driver config the
-// same way workload.RunOptions.Obs does: the plane becomes the tracer
-// (teeing any existing tracer downstream), its span hooks become the
-// stage hooks, and its registry backs the run when none is set.
-func withObs(cfg txn.Config, p *obs.Plane) txn.Config {
-	if p == nil {
-		return cfg
-	}
-	cfg.Tracer = p.Tracer(cfg.Tracer)
-	cfg.Hooks = p.Hooks(cfg.Hooks)
-	if cfg.Metrics == nil {
-		cfg.Metrics = p.Registry()
-	}
-	return cfg
-}
 
 // runE16 is the chaos certification: every built-in fault spec (or the
 // one passed via Options.FaultSpec / rsbench -faults) runs the banking
@@ -53,27 +37,39 @@ func withObs(cfg txn.Config, p *obs.Plane) txn.Config {
 //     WAL, and the same committed count — a chaos failure is replayable
 //     from its seed alone.
 //
+// The seg-* legs put the 4-lane group-commit log under the same
+// discipline, including the two fault points unique to it:
+// wal.rotate.crash (die between sealing segment k and publishing k+1)
+// and wal.group.partial (a group-commit batch torn mid-frame).
+//
+// Every deterministic cell is a record.Manifest executed by
+// record.Record — the executor rsreplay and E19 use — so the artifact
+// Options.RecordDir saves is the run that was certified, not a
+// description of it.
+//
 // Two more legs exercise the graceful-degradation machinery on real
 // goroutines: a latency-spike run that must complete certified, and a
 // rate-1 shard wedge that the stall watchdog must surface as a
 // *txn.WedgeError instead of hanging.
 func runE16(opts Options) (*Report, error) {
 	rep := &Report{}
+	//rsvet:allow ctxflow -- experiment entry point: runE16 is the lifecycle root for this run
+	ctx := context.Background()
 
-	type leg struct {
-		name string
-		spec string
-	}
-	legs := []leg{
-		{"wal-chaos", "wal.torn:0.004,wal.corrupt:0.003,wal.crash:0.002"},
-		{"abort-storm", "txn.abort:0.5,sched.grant.delay:0.05"},
-		{"latency", "store.read.delay:0.05:200us,store.write.delay:0.05:200us"},
+	const walChaos = "wal.torn:0.004,wal.corrupt:0.003,wal.crash:0.002"
+	legs := []chaosLeg{
+		{name: "wal-chaos", spec: walChaos},
+		{name: "abort-storm", spec: "txn.abort:0.5,sched.grant.delay:0.05"},
+		{name: "latency", spec: "store.read.delay:0.05:200us,store.write.delay:0.05:200us"},
+		{name: "seg-wal-chaos", spec: walChaos, segmented: true},
+		{name: "seg-rotate-crash", spec: "wal.rotate.crash:0.08", segmented: true},
+		{name: "seg-group-partial", spec: "wal.group.partial:0.01", segmented: true},
 	}
 	if opts.FaultSpec != "" {
 		if _, err := fault.ParseSpec(opts.FaultSpec); err != nil {
 			return nil, err
 		}
-		legs = []leg{{"custom", opts.FaultSpec}}
+		legs = []chaosLeg{{name: "custom", spec: opts.FaultSpec}}
 	}
 	protocols := []string{"s2pl", "rsgt"}
 	seeds := 3
@@ -85,27 +81,27 @@ func runE16(opts Options) (*Report, error) {
 	tb := metrics.NewTable("Deterministic chaos runs (banking workload)",
 		"spec", "protocol", "seed", "outcome", "committed", "aborts", "injected", "sheds", "deadline", "wal prefixes", "replay")
 	for _, lg := range legs {
-		spec := fault.MustParseSpec(lg.spec)
 		allCertified, allPrefixes, allReplay := true, true, true
 		sawShed, sawInjected := false, false
 		for _, proto := range protocols {
 			for s := 0; s < seeds; s++ {
 				seed := opts.Seed + int64(s)
-				first, err := chaosRun(lg.name, proto, seed, spec, opts)
+				m := lg.manifest(proto, seed)
+				saveAs := ""
+				if opts.RecordDir != "" {
+					saveAs = filepath.Join(opts.RecordDir, fmt.Sprintf("e16-%s-%s-seed%d.rsrec", lg.name, proto, seed))
+				}
+				first, err := chaosCell(ctx, m, saveAs, opts)
 				if err != nil {
 					return nil, fmt.Errorf("%s/%s seed %d: %v", lg.name, proto, seed, err)
 				}
-				if !first.certified {
-					allCertified = false
-				}
-				if !first.prefixesClean {
-					allPrefixes = false
-				}
+				allCertified = allCertified && first.certified
+				allPrefixes = allPrefixes && first.prefixesClean
 				sawShed = sawShed || first.sheds > 0
 				sawInjected = sawInjected || first.injected > 0
 				// Replay: the same seed must reproduce the identical fault
 				// schedule, WAL bytes and outcome.
-				second, err := chaosRun(lg.name, proto, seed, spec, opts)
+				second, err := chaosCell(ctx, m, "", opts)
 				if err != nil {
 					return nil, fmt.Errorf("%s/%s seed %d replay: %v", lg.name, proto, seed, err)
 				}
@@ -113,12 +109,19 @@ func runE16(opts Options) (*Report, error) {
 					bytes.Equal(first.wal, second.wal) &&
 					first.committed == second.committed &&
 					first.outcome == second.outcome
-				if !replayOK {
-					allReplay = false
-				}
+				allReplay = allReplay && replayOK
 				tb.AddRow(lg.name, proto, seed, first.outcome, first.committed, first.aborts,
 					first.injected, first.sheds, first.deadlineAborts, first.prefixes, boolMark(replayOK))
 			}
+		}
+		if lg.segmented {
+			rep.AddClaim(allCertified,
+				"%s: every 4-lane segmented run completes RSG-certified with the invariant intact, or crashes cleanly via fault.ErrCrash", lg.name)
+			rep.AddClaim(allPrefixes,
+				"%s: recovery from every per-shard WAL prefix is invariant-clean (cross-shard cut reconciliation)", lg.name)
+			rep.AddClaim(allReplay,
+				"%s: same seed reproduces identical fault schedule, segment bytes on every lane, and outcome", lg.name)
+			continue
 		}
 		rep.AddClaim(allCertified,
 			"%s: every run completes RSG-certified with the invariant intact, or crashes cleanly via fault.ErrCrash", lg.name)
@@ -129,14 +132,6 @@ func runE16(opts Options) (*Report, error) {
 		if lg.name == "abort-storm" {
 			rep.AddClaim(sawInjected, "abort-storm: injected txn.abort faults actually fired")
 			rep.AddClaim(sawShed, "abort-storm: the admission controller shed load (effective MPL degraded below configured MPL)")
-		}
-	}
-
-	// Segmented-WAL legs: the same chaos discipline through the 4-lane
-	// group-commit log, plus its two dedicated fault points.
-	if opts.FaultSpec == "" {
-		if err := chaosSegmented(rep, tb, opts); err != nil {
-			return nil, err
 		}
 	}
 
@@ -166,6 +161,41 @@ func runE16(opts Options) (*Report, error) {
 	return rep, nil
 }
 
+// chaosLeg is one row family of the deterministic chaos table: a fault
+// spec run over the single-lane WAL or, when segmented, over a 4-lane
+// group-commit log with 512-byte segments (so rotation and compaction
+// paths are exercised by the banking workload's modest log volume).
+type chaosLeg struct {
+	name      string
+	spec      string
+	segmented bool
+}
+
+// manifest is the leg's cell for one protocol and seed — the whole run
+// configuration, and exactly what a saved .rsrec replays.
+func (lg chaosLeg) manifest(proto string, seed int64) record.Manifest {
+	m := record.Manifest{
+		Workload:    workload.BuildParams{Name: "banking", Seed: seed},
+		Protocol:    proto,
+		Seed:        seed,
+		MPL:         8,
+		MaxRestarts: 100000,
+		FaultSpec:   fault.MustParseSpec(lg.spec).String(),
+		FaultSeed:   seed,
+		WALMode:     "single",
+		RSGRetire:   "on",
+	}
+	if lg.name == "abort-storm" {
+		// Short transactions only: long audits would spend hundreds of
+		// incarnations surviving a 0.5 per-tick abort rate.
+		m.Workload.Variant = "short"
+	}
+	if lg.segmented {
+		m.WALMode, m.WALShards, m.WALSegmentBytes = "segmented", 4, 512
+	}
+	return m
+}
+
 // chaosOutcome captures one deterministic chaos run for certification
 // and replay comparison.
 type chaosOutcome struct {
@@ -182,117 +212,63 @@ type chaosOutcome struct {
 	wal            []byte
 }
 
-// chaosRun executes one seeded banking run under the spec on the
-// deterministic driver, then certifies the outcome and sweeps WAL
-// prefix recovery.
-func chaosRun(leg, proto string, seed int64, spec fault.Spec, opts Options) (*chaosOutcome, error) {
-	params := workload.BuildParams{Name: "banking", Seed: seed}
-	if leg == "abort-storm" {
-		// Short transactions only: long audits would spend hundreds of
-		// incarnations surviving a 0.5 per-tick abort rate.
-		params.Variant = "short"
-	}
-	w, err := workload.Build(params)
+// chaosCell executes one manifest on the deterministic driver through
+// record.Record, saves the artifact when saveAs names a file, then
+// certifies the recorded outcome and sweeps WAL prefix recovery.
+func chaosCell(ctx context.Context, m record.Manifest, saveAs string, opts Options) (*chaosOutcome, error) {
+	w, err := workload.Build(m.Workload)
 	if err != nil {
 		return nil, err
 	}
-	p, err := sched.NewProtocol(proto, w.Oracle)
+	rr, err := record.Record(ctx, m, record.Observers{Tracer: opts.Tracer, Metrics: opts.Metrics, Obs: opts.Obs})
 	if err != nil {
 		return nil, err
 	}
-	store := storage.NewStore()
-	store.Load(w.Initial)
-	var walBuf bytes.Buffer
-	inj := fault.New(seed, spec)
-	cfg := txn.Config{
-		Protocol:    p,
-		Programs:    w.Programs,
-		Oracle:      w.Oracle,
-		Store:       store,
-		Semantics:   w.Semantics,
-		MPL:         8,
-		Seed:        seed,
-		MaxRestarts: 100000,
-		WAL:         storage.NewWAL(&walBuf),
-		Tracer:      opts.Tracer,
-		Metrics:     opts.Metrics,
-		Faults:      inj,
+	if saveAs != "" {
+		if err := rr.WriteFile(saveAs); err != nil {
+			return nil, fmt.Errorf("chaos recording %s: %v", saveAs, err)
+		}
 	}
-	recorder := chaosRecorder(proto, params, spec, "single", 0, 0, w, opts)
-	if recorder != nil {
-		cfg.Hooks = recorder.Hooks(cfg.Hooks)
-	}
-	r, err := txn.New(withObs(cfg, opts.Obs))
-	if err != nil {
-		return nil, err
-	}
-	out := &chaosOutcome{fingerprint: inj.Fingerprint()}
-	res, runErr := r.Run()
-	out.fingerprint = inj.Fingerprint()
-	out.wal = append([]byte(nil), walBuf.Bytes()...)
-	switch {
-	case runErr == nil:
-		out.outcome = "completed"
+	res, _ := rr.Outcome()
+	set := rr.Segments()
+	out := &chaosOutcome{outcome: res.Outcome, fingerprint: res.FaultFingerprint, wal: rr.WAL()}
+	switch res.Outcome {
+	case "completed":
 		out.committed = res.Committed
 		out.aborts = res.Aborts
 		out.injected = res.InjectedAborts + res.InjectedDelays
 		out.sheds = res.LoadSheds
 		out.deadlineAborts = res.DeadlineAborts
-		out.certified = res.Verify() == nil && w.Invariant(store.Snapshot()) == nil
-	case errors.Is(runErr, fault.ErrCrash):
+		out.certified = res.Verdict == "pass" && res.Invariant == "pass"
+	case "crashed":
 		// An injected WAL crash or torn write ended the run; durability
 		// is certified by the prefix sweep below.
-		out.outcome = "crashed"
 		out.certified = true
 	default:
-		return nil, runErr
+		return nil, fmt.Errorf("run %s: %s", res.Outcome, res.Error)
 	}
-	if recorder != nil {
-		if err := chaosSaveRecording(recorder, leg, proto, seed, out.wal, res, runErr, inj, store, w, opts); err != nil {
-			return nil, err
+	if set == nil {
+		out.prefixes, out.prefixesClean = sweepWALPrefixes(out.wal, w)
+		return out, nil
+	}
+	// A segmented log must also recover as it stands: a clean run's back
+	// to the live store, a crashed run's to an invariant-clean one.
+	rst, rrep, err := storage.RecoverSegmented(set, w.Initial)
+	switch {
+	case err != nil:
+		out.certified = false
+	case res.Outcome == "completed":
+		out.certified = out.certified && rrep.Clean()
+		for obj, v := range rst.Snapshot() {
+			if res.Final[obj] != v {
+				out.certified = false
+			}
 		}
+	default:
+		out.certified = w.Invariant(rst.Snapshot()) == nil
 	}
-	out.prefixes, out.prefixesClean = sweepWALPrefixes(out.wal, w)
+	out.prefixes, out.prefixesClean = sweepSegmentPrefixes(set, w, opts.Quick)
 	return out, nil
-}
-
-// chaosRecorder builds the recording tap for one chaos cell when
-// Options.RecordDir asks for artifacts; nil otherwise. The manifest
-// mirrors the cell's exact driver configuration so rsreplay re-runs it
-// byte-identically.
-func chaosRecorder(proto string, params workload.BuildParams, spec fault.Spec, walMode string, walShards int, walSegBytes int64, w *workload.Workload, opts Options) *record.Recorder {
-	if opts.RecordDir == "" {
-		return nil
-	}
-	rr := record.NewRecorder(record.Manifest{
-		Workload:        params,
-		Protocol:        proto,
-		Seed:            params.Seed,
-		MPL:             8,
-		MaxRestarts:     100000,
-		FaultSpec:       spec.String(),
-		FaultSeed:       params.Seed,
-		WALMode:         walMode,
-		WALShards:       walShards,
-		WALSegmentBytes: walSegBytes,
-	})
-	rr.SetInitial(w.Initial)
-	if opts.Metrics != nil {
-		rr.SetMetrics(opts.Metrics)
-	}
-	return rr
-}
-
-// chaosSaveRecording seals one chaos cell's recording and writes its
-// .rsrec artifact into Options.RecordDir.
-func chaosSaveRecording(rr *record.Recorder, leg, proto string, seed int64, wal []byte, res *txn.Result, runErr error, inj *fault.Injector, store *storage.Store, w *workload.Workload, opts Options) error {
-	rr.SetWALBytes(wal)
-	rr.Finish(res, runErr, inj, store, w)
-	path := filepath.Join(opts.RecordDir, fmt.Sprintf("e16-%s-%s-seed%d.rsrec", leg, proto, seed))
-	if err := rr.WriteFile(path); err != nil {
-		return fmt.Errorf("chaos recording %s: %v", path, err)
-	}
-	return nil
 }
 
 // sweepWALPrefixes recovers the workload's store from every record
@@ -337,7 +313,7 @@ func sweepWALPrefixes(wal []byte, w *workload.Workload) (int, bool) {
 func chaosDeadline(opts Options) (*txn.Result, error) {
 	t1 := core.T(1, core.W("x"), core.W("a1"), core.W("a2"), core.W("a3"), core.W("a4"), core.W("a5"))
 	t2 := core.T(2, core.R("x"), core.R("b1"), core.R("b2"), core.R("b3"), core.R("b4"), core.R("b5"))
-	r, err := txn.New(withObs(txn.Config{
+	r, err := txn.New(opts.Obs.Attach(txn.Config{
 		Protocol:    sched.NewS2PL(),
 		Programs:    []*core.Transaction{t1, t2},
 		MPL:         8,
@@ -346,7 +322,7 @@ func chaosDeadline(opts Options) (*txn.Result, error) {
 		MaxRestarts: 100,
 		Tracer:      opts.Tracer,
 		Metrics:     opts.Metrics,
-	}, opts.Obs))
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -368,7 +344,7 @@ func chaosConcurrentLatency(rep *Report, opts Options) error {
 	}
 	store := storage.NewStore()
 	store.Load(w.Initial)
-	r, err := txn.NewConcurrent(withObs(txn.Config{
+	r, err := txn.NewConcurrent(opts.Obs.Attach(txn.Config{
 		Protocol:  sched.NewS2PLSharded(opts.Shards),
 		Programs:  w.Programs,
 		Oracle:    w.Oracle,
@@ -381,7 +357,7 @@ func chaosConcurrentLatency(rep *Report, opts Options) error {
 		Faults:    fault.New(opts.Seed, spec),
 		Tracer:    opts.Tracer,
 		Metrics:   opts.Metrics,
-	}, opts.Obs))
+	}))
 	if err != nil {
 		return err
 	}
@@ -402,7 +378,7 @@ func chaosWedge(rep *Report, opts Options) error {
 	}
 	store := storage.NewStore()
 	store.Load(w.Initial)
-	r, err := txn.NewConcurrent(withObs(txn.Config{
+	r, err := txn.NewConcurrent(opts.Obs.Attach(txn.Config{
 		Protocol:  sched.NewNoCC(),
 		Programs:  w.Programs,
 		Oracle:    w.Oracle,
@@ -415,7 +391,7 @@ func chaosWedge(rep *Report, opts Options) error {
 		Faults:    fault.New(opts.Seed, fault.MustParseSpec("shard.wedge:1")),
 		Tracer:    opts.Tracer,
 		Metrics:   opts.Metrics,
-	}, opts.Obs))
+	}))
 	if err != nil {
 		return err
 	}
@@ -427,160 +403,6 @@ func chaosWedge(rep *Report, opts Options) error {
 		"wedge (concurrent): a rate-1 shard wedge is surfaced by the watchdog as *txn.WedgeError in %v, not a hang (err=%v)",
 		time.Since(start).Round(time.Millisecond), err)
 	return nil
-}
-
-// chaosSegmented certifies the per-shard segmented WAL under the same
-// deterministic chaos discipline as the single-lane legs, including
-// the two fault points unique to it: wal.rotate.crash (die between
-// sealing segment k and publishing k+1) and wal.group.partial (a
-// group-commit batch torn mid-frame). Each run is certified
-// completed-or-crashed, swept for per-shard prefix durability (every
-// lane's crash prefixes recover invariant-clean through the
-// cross-shard cut), and replayed byte-identically from its seed.
-func chaosSegmented(rep *Report, tb *metrics.Table, opts Options) error {
-	legs := []struct {
-		name string
-		spec string
-	}{
-		{"seg-wal-chaos", "wal.torn:0.004,wal.corrupt:0.003,wal.crash:0.002"},
-		{"seg-rotate-crash", "wal.rotate.crash:0.08"},
-		{"seg-group-partial", "wal.group.partial:0.01"},
-	}
-	protocols := []string{"s2pl", "rsgt"}
-	seeds := 3
-	if opts.Quick {
-		protocols = []string{"rsgt"}
-		seeds = 2
-	}
-	for _, lg := range legs {
-		spec := fault.MustParseSpec(lg.spec)
-		allCertified, allPrefixes, allReplay := true, true, true
-		for _, proto := range protocols {
-			for s := 0; s < seeds; s++ {
-				seed := opts.Seed + int64(s)
-				first, err := chaosSegmentedRun(lg.name, proto, seed, spec, opts)
-				if err != nil {
-					return fmt.Errorf("%s/%s seed %d: %v", lg.name, proto, seed, err)
-				}
-				if !first.certified {
-					allCertified = false
-				}
-				if !first.prefixesClean {
-					allPrefixes = false
-				}
-				second, err := chaosSegmentedRun(lg.name, proto, seed, spec, opts)
-				if err != nil {
-					return fmt.Errorf("%s/%s seed %d replay: %v", lg.name, proto, seed, err)
-				}
-				replayOK := first.fingerprint == second.fingerprint &&
-					bytes.Equal(first.wal, second.wal) &&
-					first.committed == second.committed &&
-					first.outcome == second.outcome
-				if !replayOK {
-					allReplay = false
-				}
-				tb.AddRow(lg.name, proto, seed, first.outcome, first.committed, first.aborts,
-					first.injected, first.sheds, first.deadlineAborts, first.prefixes, boolMark(replayOK))
-			}
-		}
-		rep.AddClaim(allCertified,
-			"%s: every 4-lane segmented run completes RSG-certified with the invariant intact, or crashes cleanly via fault.ErrCrash", lg.name)
-		rep.AddClaim(allPrefixes,
-			"%s: recovery from every per-shard WAL prefix is invariant-clean (cross-shard cut reconciliation)", lg.name)
-		rep.AddClaim(allReplay,
-			"%s: same seed reproduces identical fault schedule, segment bytes on every lane, and outcome", lg.name)
-	}
-	return nil
-}
-
-// chaosSegmentedRun is chaosRun over a 4-lane segmented WAL with
-// 512-byte segments (so rotation and compaction paths are exercised by
-// the banking workload's modest log volume).
-func chaosSegmentedRun(leg, proto string, seed int64, spec fault.Spec, opts Options) (*chaosOutcome, error) {
-	params := workload.BuildParams{Name: "banking", Seed: seed}
-	w, err := workload.Build(params)
-	if err != nil {
-		return nil, err
-	}
-	p, err := sched.NewProtocol(proto, w.Oracle)
-	if err != nil {
-		return nil, err
-	}
-	store := storage.NewStore()
-	store.Load(w.Initial)
-	mem := storage.NewMemBackend()
-	swal, err := storage.NewShardedWAL(mem, storage.SegmentedOptions{Shards: 4, SegmentBytes: 512})
-	if err != nil {
-		return nil, err
-	}
-	inj := fault.New(seed, spec)
-	cfg := txn.Config{
-		Protocol:    p,
-		Programs:    w.Programs,
-		Oracle:      w.Oracle,
-		Store:       store,
-		Semantics:   w.Semantics,
-		MPL:         8,
-		Seed:        seed,
-		MaxRestarts: 100000,
-		WAL:         swal,
-		Tracer:      opts.Tracer,
-		Metrics:     opts.Metrics,
-		Faults:      inj,
-	}
-	recorder := chaosRecorder(proto, params, spec, "segmented", 4, 512, w, opts)
-	if recorder != nil {
-		cfg.Hooks = recorder.Hooks(cfg.Hooks)
-	}
-	r, err := txn.New(withObs(cfg, opts.Obs))
-	if err != nil {
-		return nil, err
-	}
-	out := &chaosOutcome{}
-	res, runErr := r.Run()
-	swal.Close() //nolint:errcheck // a latched crash is the expected terminal state under injection
-	out.fingerprint = inj.Fingerprint()
-	set, err := mem.SegmentSet()
-	if err != nil {
-		return nil, err
-	}
-	out.wal = record.FlattenSegmentSet(set)
-	if recorder != nil && (runErr == nil || errors.Is(runErr, fault.ErrCrash)) {
-		if err := chaosSaveRecording(recorder, leg, proto, seed, out.wal, res, runErr, inj, store, w, opts); err != nil {
-			return nil, err
-		}
-	}
-	switch {
-	case runErr == nil:
-		out.outcome = "completed"
-		out.committed = res.Committed
-		out.aborts = res.Aborts
-		out.injected = res.InjectedAborts + res.InjectedDelays
-		out.sheds = res.LoadSheds
-		out.deadlineAborts = res.DeadlineAborts
-		certified := res.Verify() == nil && w.Invariant(store.Snapshot()) == nil
-		// Full recovery of a clean run must reproduce the live store.
-		rst, rrep, rerr := storage.RecoverSegmented(set, w.Initial)
-		if rerr != nil || !rrep.Clean() {
-			certified = false
-		} else {
-			live := store.Snapshot()
-			for obj, v := range rst.Snapshot() {
-				if live[obj] != v {
-					certified = false
-				}
-			}
-		}
-		out.certified = certified
-	case errors.Is(runErr, fault.ErrCrash):
-		out.outcome = "crashed"
-		rst, _, rerr := storage.RecoverSegmented(set, w.Initial)
-		out.certified = rerr == nil && w.Invariant(rst.Snapshot()) == nil
-	default:
-		return nil, runErr
-	}
-	out.prefixes, out.prefixesClean = sweepSegmentPrefixes(set, w, opts.Quick)
-	return out, nil
 }
 
 // sweepSegmentPrefixes truncates each lane's final segment at every

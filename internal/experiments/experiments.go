@@ -1,6 +1,10 @@
 // Package experiments regenerates every figure and claim of the paper
-// as a runnable experiment, plus the quantitative studies the paper
-// argues for but does not run (see DESIGN.md §4 for the index):
+// as a runnable experiment, plus the studies the paper argues for but
+// does not run and the two certifications of the engine against it (see
+// DESIGN.md §4 for the index). Performance is not measured here: every
+// throughput, latency and memory number lives on the benchmark ladder
+// (benchmark/, BENCHMARK.json), which is why the IDs skip E15, E17, E18
+// and E20 — those were the performance studies the ladder superseded.
 //
 //	E1  Figure 1 and the §2 schedules Sra/Srs/S2 — class membership
 //	E2  Figure 2 — transitive depends-on is required (ablation)
@@ -22,27 +26,15 @@
 //	E14 state semantics: conflict-equivalent schedules share final
 //	    states; admitted non-serializable interleavings do not match any
 //	    serial state — the declared trade of the model
-//	E15 sharded scheduler scaling: concurrent throughput over
-//	    shards x goroutines against the single-lock baseline
 //	E16 chaos certification: seeded fault injection (WAL damage,
 //	    crashes, abort storms, latency spikes, shard wedges) with
 //	    RSG-certified commits, invariant-clean recovery from every WAL
 //	    prefix, watchdog-bounded wedges and byte-identical replays
-//	E17 observability plane: flight-recorder + span overhead on the E15
-//	    hot path, and live /metrics scrape fidelity against the
-//	    end-of-run Result
-//	E18 segmented WAL durability: group commit, parallel recovery,
-//	    compaction
 //	E19 record/replay harness: every deterministic recorded run replays
 //	    byte-identically (verdicts, fault schedules, WAL bytes, final
 //	    state), a recorded watchdog wedge replays as the same incident
 //	    class, backfill under absolute atomicity yields a stable
 //	    divergence report, and the recording tap costs <5%
-//	E20 bounded-memory certification: epoch-based RSG retirement keeps
-//	    graph size and throughput flat over a long soak (vs monotone
-//	    growth with retirement off), the vector-clock fast path certifies
-//	    >=90% of requests without a cycle sweep, and retired online
-//	    verdicts stay equivalent to the offline Theorem 1 oracle
 //
 // Each experiment produces a Report of tables and checked claims; the
 // rsbench binary renders them, and EXPERIMENTS.md records one full
@@ -136,12 +128,11 @@ type Options struct {
 	// across the experiment's runs.
 	Metrics *metrics.Registry
 	// Obs, when set, attaches the live observability plane to every
-	// workload run the experiment performs (E15 and E17 run their own
-	// instrumented configurations and ignore it).
+	// workload run the experiment performs.
 	Obs *obs.Plane
 	// Shards stripes the concurrent driver's hot path in experiments
-	// that run the goroutine runtime (E13); zero means one shard. E15
-	// sweeps its own shard counts and ignores it.
+	// that run the goroutine runtime (E13, E16's concurrent legs, E19's wedge); zero
+	// means one shard.
 	Shards int
 	// FaultSpec, when non-empty, replaces E16's built-in chaos specs
 	// with one custom fault spec (internal/fault grammar, e.g.
@@ -151,12 +142,6 @@ type Options struct {
 	// experiment with a context deadline (workload.RunOptions.Timeout);
 	// an expired run surfaces as an experiment error, not a hang.
 	Timeout time.Duration
-	// DisableRSGRetire forces bounded-memory certification (graph
-	// retirement + the vector-clock fast path) off in every experiment
-	// that runs the online drivers; the zero value keeps it on, matching
-	// the runtime default. E20 ignores it — that experiment sweeps both
-	// sides of the comparison itself.
-	DisableRSGRetire bool
 	// RecordDir, when non-empty, makes E16 capture every deterministic
 	// chaos run as a .rsrec artifact (internal/record) in that
 	// directory, named e16-<leg>-<protocol>-seed<N>.rsrec. Any failed
@@ -229,12 +214,8 @@ var registry = map[string]struct {
 	"E12": {"Transaction chopping [SSV92] and its embedding (§4)", runE12},
 	"E13": {"Concurrent runtime certification (goroutine driver)", runE13},
 	"E14": {"State semantics of the relaxation (replay)", runE14},
-	"E15": {"Sharded scheduler scaling (shards x goroutines)", runE15},
 	"E16": {"Chaos certification under deterministic fault injection", runE16},
-	"E17": {"Observability plane overhead and live-scrape fidelity", runE17},
-	"E18": {"Segmented WAL durability: group commit, parallel recovery, compaction", runE18},
 	"E19": {"Record/replay determinism, incident time-travel and backfill", runE19},
-	"E20": {"Bounded-memory certification: retirement soak, fast-path hit rate, verdict equivalence", runE20},
 }
 
 // IDs returns the experiment identifiers in order.

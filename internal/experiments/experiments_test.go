@@ -9,7 +9,7 @@ import (
 
 func TestIDsOrdered(t *testing.T) {
 	ids := experiments.IDs()
-	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20"}
+	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E16", "E19"}
 	if len(ids) != len(want) {
 		t.Fatalf("IDs = %v", ids)
 	}

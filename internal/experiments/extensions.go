@@ -167,8 +167,6 @@ func runE13(opts Options) (*Report, error) {
 					Semantics: w.Semantics,
 					MPL:       6,
 					Shards:    opts.Shards,
-
-					DisableRSGRetire: opts.DisableRSGRetire,
 				})
 				if err != nil {
 					return nil, err

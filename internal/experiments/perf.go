@@ -77,7 +77,7 @@ func runE6(opts Options) (*Report, error) {
 	}
 	tb := metrics.NewTable("RSG build + acyclicity vs schedule length",
 		"ops", "arcs", "time", "ns/op^2", "acyclic")
-	var ratios []float64
+	var density []float64 // arcs per ops², deterministic in (sizes, seed)
 	for _, n := range sizes {
 		s, sp, err := syntheticInstance(n, 8, n/4, 2, opts.Seed)
 		if err != nil {
@@ -87,16 +87,20 @@ func runE6(opts Options) (*Report, error) {
 		rsg := core.BuildRSG(s, sp)
 		ac := rsg.Acyclic()
 		elapsed := time.Since(start)
-		perN2 := float64(elapsed.Nanoseconds()) / (float64(n) * float64(n))
-		ratios = append(ratios, perN2)
-		tb.AddRow(n, rsg.NumArcs(), elapsed, perN2, boolMark(ac))
+		n2 := float64(n) * float64(n)
+		density = append(density, float64(rsg.NumArcs())/n2)
+		tb.AddRow(n, rsg.NumArcs(), elapsed, float64(elapsed.Nanoseconds())/n2, boolMark(ac))
 	}
 	rep.Tables = append(rep.Tables, tb)
-	// Polynomial check: time per n^2 must not grow superlinearly in n;
-	// allow generous constant-factor noise.
-	last, first := ratios[len(ratios)-1], ratios[0]
-	rep.AddClaim(first <= 0 || last/first < 16,
-		"time grows no worse than ~quadratically in schedule length (graph is polynomial, §3)")
+	// Polynomial check on the graph itself, not the clock: the arc count
+	// per ops² must stay bounded across the sweep. The timing columns are
+	// data (the ladder's certify-offline workload measures the test).
+	bounded := true
+	for _, d := range density {
+		bounded = bounded && d <= 2*density[0]
+	}
+	rep.AddClaim(bounded,
+		"the RSG grows no worse than quadratically in schedule length: arcs/ops² stays within 2x of its smallest-size value across the sweep (the test is polynomial, §3)")
 	rep.AddNote("D-arcs are dense in the worst case, so the expected shape is Θ(n²) — polynomial, versus the NP-complete relatively-consistent test (E7)")
 	return rep, nil
 }

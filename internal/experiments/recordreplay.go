@@ -94,7 +94,7 @@ func replayMatrix(ctx context.Context, rep *Report, opts Options) error {
 					m.FaultSpec = mix.spec
 					m.FaultSeed = seed
 				}
-				rr, err := record.Record(ctx, m)
+				rr, err := record.Record(ctx, m, record.Observers{})
 				if err != nil {
 					return fmt.Errorf("record %s/%s seed %d: %v", mix.name, proto, seed, err)
 				}
@@ -136,7 +136,7 @@ func replayWedge(ctx context.Context, rep *Report, opts Options) error {
 		FaultSpec:  "shard.wedge:1",
 		FaultSeed:  opts.Seed,
 	}
-	rr, err := record.Record(ctx, m)
+	rr, err := record.Record(ctx, m, record.Observers{})
 	if err != nil {
 		return fmt.Errorf("record wedge: %v", err)
 	}
@@ -169,7 +169,7 @@ func replayBackfill(ctx context.Context, rep *Report, opts Options) error {
 		MaxRestarts: 100000,
 		WALMode:     "single",
 	}
-	rr, err := record.Record(ctx, m)
+	rr, err := record.Record(ctx, m, record.Observers{})
 	if err != nil {
 		return fmt.Errorf("record backfill base: %v", err)
 	}
@@ -201,8 +201,8 @@ func replayBackfill(ctx context.Context, rep *Report, opts Options) error {
 
 // replayOverhead times the identical deterministic run with and without
 // the recording tap (tap cost = stage log + snapshot anchor + WAL and
-// stage hashing + artifact encode) and bounds the overhead. Best-of-reps
-// on both sides, the same discipline E17 uses for its plane overhead.
+// stage hashing + artifact encode) and bounds the overhead, best-of-reps
+// on both sides.
 func replayOverhead(ctx context.Context, rep *Report, opts Options) error {
 	scale := 32
 	reps := 5
@@ -264,7 +264,7 @@ func replayOverhead(ctx context.Context, rep *Report, opts Options) error {
 		return res.Verify()
 	}
 	tapped, err := best(func() error {
-		r2, err := record.Record(ctx, m)
+		r2, err := record.Record(ctx, m, record.Observers{})
 		if err != nil {
 			return err
 		}

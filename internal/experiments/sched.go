@@ -68,7 +68,7 @@ func runE8(opts Options) (*Report, error) {
 			for _, pf := range protocolFactories(w) {
 				res, _, err := w.RunWith(pf.make(), workload.RunOptions{
 					Seed: seed, MPL: mpl, Tracer: opts.Tracer, Metrics: opts.Metrics,
-					Obs: opts.Obs, Timeout: opts.Timeout, DisableRSGRetire: opts.DisableRSGRetire,
+					Obs: opts.Obs, Timeout: opts.Timeout,
 				})
 				if err != nil {
 					return nil, fmt.Errorf("%s mpl=%d seed=%d: %v", pf.name, mpl, seed, err)
@@ -259,7 +259,7 @@ func runE9(opts Options) (*Report, error) {
 				}
 				res, _, err := w.RunWith(p, workload.RunOptions{
 					Seed: seed, MPL: 8, Tracer: opts.Tracer, Metrics: opts.Metrics,
-					Obs: opts.Obs, Timeout: opts.Timeout, DisableRSGRetire: opts.DisableRSGRetire,
+					Obs: opts.Obs, Timeout: opts.Timeout,
 				})
 				if err != nil {
 					return nil, fmt.Errorf("g=%d %s seed=%d: %v", g, proto, seed, err)

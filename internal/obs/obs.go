@@ -264,6 +264,22 @@ func (p *Plane) Hooks(next engine.Hooks) engine.Hooks {
 	return h
 }
 
+// Attach wires the plane into a driver config: the plane becomes the
+// tracer (teeing any tracer already set downstream), its span hooks go
+// in front of the stage hooks, and its registry backs the run when
+// none is set. A nil plane attaches nothing.
+func (p *Plane) Attach(cfg engine.Config) engine.Config {
+	if p == nil {
+		return cfg
+	}
+	cfg.Tracer = p.Tracer(cfg.Tracer)
+	cfg.Hooks = p.Hooks(cfg.Hooks)
+	if cfg.Metrics == nil {
+		cfg.Metrics = p.Registry()
+	}
+	return cfg
+}
+
 // chainHook runs first, then the caller's hook when one is installed.
 func chainHook(first, then func(*engine.Instance)) func(*engine.Instance) {
 	if then == nil {

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"relser/internal/fault"
 	"relser/internal/metrics"
 	"relser/internal/obs"
 	"relser/internal/sched"
@@ -278,6 +279,57 @@ func TestServerEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable || h.Status != "wedged" {
 		t.Errorf("wedged health = %d %+v, want 503/wedged", resp.StatusCode, h)
+	}
+
+	// Scrape fidelity under degradation: after an abort-storm banking run
+	// (injected aborts, grant delays, a logical deadline) on a plane of
+	// its own, the live scrape must match the end-of-run Result counter
+	// for counter — real sheds and timeouts, not zeros.
+	storm := obs.New(obs.Options{})
+	stormSrv, err := storm.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stormSrv.Close()
+	stormBase := "http://" + stormSrv.Addr().String()
+	bcfg := workload.DefaultBankingConfig()
+	bcfg.CreditAudits, bcfg.BankAudits = 0, 0
+	bank, err := workload.Banking(bcfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sres, _, err := bank.RunWith(sched.NewRSGT(bank.Oracle), workload.RunOptions{
+		Seed: 1, MPL: 8, Obs: storm, Deadline: 16,
+		Faults: fault.New(1, fault.MustParseSpec("txn.abort:0.5,sched.grant.delay:0.05")),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sres.LoadSheds == 0 {
+		t.Error("abort storm shed no load; the scrape would compare zeros")
+	}
+	var stormSnap metrics.Snapshot
+	getJSON(t, stormBase+"/metrics?format=json", &stormSnap)
+	for _, c := range []struct {
+		key  string
+		want int
+	}{
+		{"txn.committed", sres.Committed},
+		{"txn.aborts", sres.Aborts},
+		{"txn.load_sheds", sres.LoadSheds},
+		{"txn.deadline_aborts", sres.DeadlineAborts},
+		{"txn.injected_aborts", sres.InjectedAborts},
+		{"txn.livelock_escalations", sres.LivelockEscalations},
+		{"txn.cancel_aborts", sres.CancelAborts},
+	} {
+		if got := stormSnap.Counters[c.key]; got != int64(c.want) {
+			t.Errorf("after abort storm: scraped %s = %d, result %d", c.key, got, c.want)
+		}
+	}
+	var sh obs.Health
+	getJSON(t, stormBase+"/healthz", &sh)
+	if sh.Committed != int64(sres.Committed) || sh.Wedged {
+		t.Errorf("health after abort storm = %+v, result committed %d", sh, sres.Committed)
 	}
 }
 

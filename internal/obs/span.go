@@ -102,6 +102,7 @@ func newSpanTable(epoch time.Time, capacity int, reg *metrics.Registry) *spanTab
 	return t
 }
 
+//rsvet:allow detlint -- observational span timestamps; the plane is a sink, nothing it stamps feeds a decision
 func (t *spanTable) now() int64 { return time.Since(t.epoch).Nanoseconds() }
 
 // admit opens an instance's span; Plane.Hooks chains it into the

@@ -49,7 +49,7 @@ func TestOldCorpusReplaysByteIdentical(t *testing.T) {
 // TestVersionWindow: fresh artifacts carry version 2; both in-window
 // versions decode, versions outside the window are unreadable.
 func TestVersionWindow(t *testing.T) {
-	rr, err := record.Record(context.Background(), det("banking", 5))
+	rr, err := record.Record(context.Background(), det("banking", 5), record.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func sampleArtifact(f *testing.F) []byte {
 		FaultSpec:   "txn.abort:0.1",
 		FaultSeed:   1,
 	}
-	rr, err := record.Record(context.Background(), m)
+	rr, err := record.Record(context.Background(), m, record.Observers{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestArtifactPrefixSafety(t *testing.T) {
 			MaxRestarts: 100000,
 			FaultSpec:   "txn.abort:0.1",
 			FaultSeed:   1,
-		})
+		}, record.Observers{})
 		if err != nil {
 			t.Fatal(err)
 		}

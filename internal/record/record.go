@@ -44,7 +44,9 @@ import (
 	"relser/internal/engine"
 	"relser/internal/fault"
 	"relser/internal/metrics"
+	"relser/internal/obs"
 	"relser/internal/storage"
+	"relser/internal/trace"
 	"relser/internal/txn"
 	"relser/internal/workload"
 )
@@ -193,6 +195,16 @@ type Outcome struct {
 	Final map[string]storage.Value `json:"final,omitempty"`
 }
 
+// Observers are the sinks a caller may attach to an execution Record
+// drives: they watch the run and never steer it, so the recording is the
+// same with or without them. Obs wires in through obs.Plane.Attach, as
+// workload.RunOptions.Obs does.
+type Observers struct {
+	Tracer  *trace.Tracer
+	Metrics *metrics.Registry
+	Obs     *obs.Plane
+}
+
 // Recorder buffers one run's recording. Attach its Hooks to the run's
 // config (or workload.RunOptions.Hooks), call Finish when the run
 // returns, then WriteFile. The stage tap appends to a slice under a
@@ -206,6 +218,7 @@ type Recorder struct {
 	stages  []StageEvent
 	outcome *Outcome
 	wal     []byte
+	set     *storage.SegmentSet
 
 	framesC *metrics.Counter
 	bytesC  *metrics.Counter
@@ -259,6 +272,24 @@ func (r *Recorder) SetWALBytes(b []byte) {
 	r.mu.Lock()
 	r.wal = append([]byte(nil), b...)
 	r.mu.Unlock()
+}
+
+// WAL returns the run's emitted log bytes as given to SetWALBytes (what
+// WALHash fingerprints). Like Segments it is a read-only view for
+// post-run certification (the chaos experiment's prefix sweeps), not
+// part of the artifact.
+func (r *Recorder) WAL() []byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.wal
+}
+
+// Segments returns the segmented log's crash image that WAL was
+// flattened from; nil in any other WAL mode.
+func (r *Recorder) Segments() *storage.SegmentSet {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.set
 }
 
 // Hooks chains the recording tap in front of next on the rare

@@ -33,7 +33,7 @@ func det(name string, seed int64) record.Manifest {
 
 func mustRecord(t *testing.T, m record.Manifest) *record.Recording {
 	t.Helper()
-	rr, err := record.Record(context.Background(), m)
+	rr, err := record.Record(context.Background(), m, record.Observers{})
 	if err != nil {
 		t.Fatalf("record %+v: %v", m.Workload, err)
 	}
@@ -218,7 +218,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 	m := det("banking", 1)
 	m.FaultSpec = "txn.abort:0.1"
 	m.FaultSeed = 4
-	rr, err := record.Record(context.Background(), m)
+	rr, err := record.Record(context.Background(), m, record.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 // truncated mandatory frames all surface ErrUnreadable, never a
 // misparse.
 func TestDecodeRejectsDamage(t *testing.T) {
-	rr, err := record.Record(context.Background(), det("banking", 1))
+	rr, err := record.Record(context.Background(), det("banking", 1), record.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}

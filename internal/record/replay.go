@@ -91,12 +91,13 @@ type Report struct {
 }
 
 // Record executes the manifest's run fresh — same resolver, drivers and
-// durability shapes as Replay — recording it. The returned Recorder is
-// sealed (Finish already called); Encode or WriteFile it. Run failures
+// durability shapes as Replay — recording it, with sinks attached as
+// pure observers. The returned Recorder is sealed (Finish already
+// called); Encode or WriteFile it. Run failures
 // that the engine surfaces (crash, wedge, cancellation) are recorded
 // outcomes, not errors.
-func Record(ctx context.Context, m Manifest) (*Recorder, error) {
-	rr, _, err := execute(ctx, m, nil, ReplayOptions{})
+func Record(ctx context.Context, m Manifest, sinks Observers) (*Recorder, error) {
+	rr, _, err := execute(ctx, m, nil, ReplayOptions{}, sinks)
 	return rr, err
 }
 
@@ -111,7 +112,7 @@ func Replay(ctx context.Context, rec *Recording, opts ReplayOptions) (*Report, e
 	if opts.Initial != nil {
 		initial = opts.Initial
 	}
-	_, replayed, err := execute(ctx, rec.Manifest, initial, opts)
+	_, replayed, err := execute(ctx, rec.Manifest, initial, opts, Observers{})
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +133,7 @@ func Replay(ctx context.Context, rec *Recording, opts ReplayOptions) (*Report, e
 // execute runs one manifest-described execution (with opts overrides
 // applied) under a fresh recording tap. initial overrides the starting
 // state; nil starts from the workload's own initial values.
-func execute(ctx context.Context, m Manifest, initial map[string]storage.Value, opts ReplayOptions) (*Recorder, Outcome, error) {
+func execute(ctx context.Context, m Manifest, initial map[string]storage.Value, opts ReplayOptions, sinks Observers) (*Recorder, Outcome, error) {
 	w, err := workload.Build(m.Workload)
 	if err != nil {
 		return nil, Outcome{}, err
@@ -220,6 +221,7 @@ func execute(ctx context.Context, m Manifest, initial map[string]storage.Value, 
 
 	rr := NewRecorder(m)
 	rr.SetInitial(initial)
+	rr.SetMetrics(sinks.Metrics)
 	cfg := txn.Config{
 		Protocol:    p,
 		Programs:    w.Programs,
@@ -236,11 +238,14 @@ func execute(ctx context.Context, m Manifest, initial map[string]storage.Value, 
 		Deadline:    m.Deadline,
 		Watchdog:    watchdog,
 		Hooks:       rr.Hooks(txn.Hooks{}),
+		Tracer:      sinks.Tracer,
+		Metrics:     sinks.Metrics,
 		// Keyed off the field, not the format version: pre-retirement
 		// recordings (and backfilled manifests without the field)
 		// replay with retirement forced off.
 		DisableRSGRetire: m.RSGRetire != "on",
 	}
+	cfg = sinks.Obs.Attach(cfg)
 
 	var (
 		res    *txn.Result
@@ -274,6 +279,7 @@ func execute(ctx context.Context, m Manifest, initial map[string]storage.Value, 
 			return nil, Outcome{}, serr
 		}
 		wal = FlattenSegmentSet(set)
+		rr.set = set
 	case m.WALMode == "single":
 		wal = walBuf.Bytes()
 	}

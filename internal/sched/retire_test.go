@@ -50,6 +50,7 @@ func retiredAdmits(p sched.Protocol, s *core.Schedule) bool {
 
 func TestPropertyRetiredRSGTMatchesTheorem1(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
+	admissible := 0
 	for trial := 0; trial < 400; trial++ {
 		_, sp, s := genSchedInstance(rng)
 		offline := core.IsRelativelySerializable(s, sp)
@@ -59,8 +60,12 @@ func TestPropertyRetiredRSGTMatchesTheorem1(t *testing.T) {
 				trial, offline, online, s, sp)
 		}
 		if offline {
+			admissible++
 			derivedLabelsMatchOffline(t, trial, s, sp)
 		}
+	}
+	if admissible == 0 || admissible == 400 {
+		t.Fatalf("%d of 400 schedules admissible: the sample must exercise both verdicts", admissible)
 	}
 }
 
@@ -236,12 +241,40 @@ func streamWindow(t *testing.T, p sched.Protocol, n, window int) sched.RetireSta
 			live = live[1:]
 		}
 		r.SetLowWater(i - int64(window))
+		// Bounded at every step, not just after the final flush: the
+		// epoch thresholds cap the graph at the pending-queue trigger
+		// and the dependency index at the rebase trigger (2x its 1024
+		// floor) whatever the stream length.
+		if st := r.RetireStats(); st.LiveVertices+st.PendingRetire > 256 || st.ExecEntries > 4096 {
+			t.Fatalf("txn %d: %d graph vertices, %d index entries — over the epoch-threshold bounds (256, 4096)",
+				i, st.LiveVertices+st.PendingRetire, st.ExecEntries)
+		}
 	}
 	for _, id := range live {
 		p.Commit(id)
 	}
 	r.FlushRetirement()
 	return r.RetireStats()
+}
+
+// TestUnretiredRSGTKeepsEveryVertex is the contrast the bounded streams
+// are measured against: with retirement off the graph ends holding both
+// vertices of every transaction ever run, so memory grows with history.
+func TestUnretiredRSGTKeepsEveryVertex(t *testing.T) {
+	const n = 500
+	p := sched.NewRSGT(sched.AbsoluteOracle{})
+	p.SetRetirement(false)
+	for i := int64(1); i <= n; i++ {
+		tx := core.T(core.TxnID(i), core.R(obj(i-1)), core.W(obj(i)))
+		p.Begin(i, tx)
+		for seq := 0; seq < tx.Len(); seq++ {
+			p.Request(sched.OpRequest{Instance: i, Program: tx, Seq: seq, Op: tx.Op(seq)})
+		}
+		p.Commit(i)
+	}
+	if st := p.RetireStats(); st.Enabled || st.LiveVertices != 2*n {
+		t.Fatalf("retirement off: enabled=%v live=%d, want false/%d", st.Enabled, st.LiveVertices, 2*n)
+	}
 }
 
 func obj(i int64) string {

@@ -284,46 +284,6 @@ func RollbackSet(st *Store, logs []*UndoLog) {
 	}
 }
 
-// History is an append-only record of committed transactions' effects,
-// used by workload invariant auditors (e.g. balance conservation in
-// the banking scenario).
-type History struct {
-	mu      sync.Mutex
-	commits []Commit
-}
-
-// Commit describes one committed transaction's write effects.
-type Commit struct {
-	Instance int64
-	Writes   map[string]Value
-}
-
-// NewHistory returns an empty history.
-func NewHistory() *History { return &History{} }
-
-// Append records a committed transaction.
-func (h *History) Append(c Commit) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.commits = append(h.commits, c)
-}
-
-// Len returns the number of committed transactions recorded.
-func (h *History) Len() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.commits)
-}
-
-// Commits returns a copy of the records.
-func (h *History) Commits() []Commit {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]Commit, len(h.commits))
-	copy(out, h.commits)
-	return out
-}
-
 // String summarizes the store for debugging.
 func (st *Store) String() string {
 	snap := st.Snapshot()

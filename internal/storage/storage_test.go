@@ -125,19 +125,6 @@ func TestStoreStats(t *testing.T) {
 	}
 }
 
-func TestHistory(t *testing.T) {
-	h := NewHistory()
-	h.Append(Commit{Instance: 1, Writes: map[string]Value{"x": 1}})
-	h.Append(Commit{Instance: 2})
-	if h.Len() != 2 {
-		t.Fatalf("Len = %d", h.Len())
-	}
-	commits := h.Commits()
-	if commits[0].Instance != 1 || commits[1].Instance != 2 {
-		t.Errorf("Commits = %v", commits)
-	}
-}
-
 func TestStoreString(t *testing.T) {
 	st := NewStore()
 	st.Load(map[string]Value{"b": 2, "a": 1})

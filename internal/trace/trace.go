@@ -239,6 +239,7 @@ func New(sink Sink) *Tracer {
 // JSONLWriter are not). This removes the one point of global
 // serialization from the concurrent driver's instrumented hot path.
 func NewUnserialized(sink Sink) *Tracer {
+	//rsvet:allow detlint -- epoch for observational event timestamps; replay compares decisions, never TS
 	return &Tracer{sink: sink, epoch: time.Now()}
 }
 

@@ -139,8 +139,9 @@ func BenchmarkRSGTAdmission(b *testing.B) {
 // BenchmarkConcurrentRecorder pins the observability plane's hot-path
 // cost for the perf gate: the same low-conflict sharded workload bare,
 // with the default sampled plane, and with the full-trace plane. The
-// sampled/off ratio is the <5% overhead budget DESIGN.md §5.3 claims
-// (E17 measures it end to end; this keeps it in benchstat).
+// sampled/off ratio is the overhead budget of DESIGN.md §5.3 (the
+// ladder's obs.tps_ratio_sampled measures it end to end; this keeps it
+// in benchstat).
 func BenchmarkConcurrentRecorder(b *testing.B) {
 	w := benchPrograms(b, workload.SyntheticConfig{
 		Objects: 512, Programs: 128, OpsPerTxn: 8, WriteRatio: 0.25,

@@ -710,9 +710,9 @@ func (r *ConcurrentRunner) noteRestart(pp *engine.Pending, st *engine.Instance) 
 // executed operation, commit, abort and restart); if it does not move
 // for the configured interval the run is declared wedged and the
 // watchdog escalates through the run's cancellation mechanism: it
-// releases injected shard wedges and cancels the context with the
-// *WedgeError as the cause, which surfaces on every worker's next
-// pendingErr check and triggers the cancellation watcher's floods.
+// cancels the context with the *WedgeError as the cause, which
+// surfaces on every worker's next pendingErr check and triggers the
+// cancellation watcher's floods, then releases injected shard wedges.
 // The watchdog never takes the state lock — a wedged worker may hold
 // it transitively — so its diagnosis uses only atomics and TryLock
 // probes on the shard mutexes.
@@ -749,8 +749,12 @@ func (r *ConcurrentRunner) startWatchdog(limit time.Duration, cancel context.Can
 				Suspects: r.suspectShards(),
 			}
 			r.eng.ObserveWedge(we)
-			r.eng.Cfg.Faults.Release()
+			// Cancel before releasing: a worker let out of an injected
+			// wedge must find the context already canceled, or a
+			// descheduled watchdog lets the run finish as if nothing
+			// had wedged.
 			cancel(we)
+			r.eng.Cfg.Faults.Release()
 			return
 		}
 	}()

@@ -155,25 +155,6 @@ func TestRunnerEmitsCommittedScheduleOnly(t *testing.T) {
 	}
 }
 
-func TestRunnerHistory(t *testing.T) {
-	h := storage.NewHistory()
-	r, err := txn.New(txn.Config{
-		Protocol: sched.NewS2PL(),
-		Programs: twoWriters(),
-		Seed:     5,
-		History:  h,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if h.Len() != 2 {
-		t.Errorf("history recorded %d commits, want 2", h.Len())
-	}
-}
-
 func TestRunnerMPLBoundsConcurrency(t *testing.T) {
 	var progs []*core.Transaction
 	for i := 1; i <= 10; i++ {

@@ -116,7 +116,7 @@ func TestShardedDisjointObjectsStayQuiet(t *testing.T) {
 		t.Fatalf("result %s", res)
 	}
 	snap := reg.Snapshot()
-	for _, name := range []string{"txn.wakeups", "txn.cond.broadcast_shard", "txn.cond.broadcast_flood"} {
+	for _, name := range []string{"txn.wakeups", "txn.cond.broadcast_shard", "txn.cond.broadcast_global", "txn.cond.broadcast_flood"} {
 		if v := snap.Counters[name]; v != 0 {
 			t.Errorf("%s = %d on a conflict-free workload", name, v)
 		}

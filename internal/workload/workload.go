@@ -149,13 +149,7 @@ func (w *Workload) RunWithContext(ctx context.Context, protocol sched.Protocol, 
 
 		DisableRSGRetire: opts.DisableRSGRetire,
 	}
-	if opts.Obs != nil {
-		cfg.Tracer = opts.Obs.Tracer(opts.Tracer)
-		cfg.Hooks = opts.Obs.Hooks(cfg.Hooks)
-		if cfg.Metrics == nil {
-			cfg.Metrics = opts.Obs.Registry()
-		}
-	}
+	cfg = opts.Obs.Attach(cfg)
 	var (
 		res *txn.Result
 		err error
