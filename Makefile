@@ -129,10 +129,10 @@ bench:
 bench-hot:
 	$(GO) test -run 'XXX' -bench . -benchmem -count=5 ./internal/txn ./internal/sched ./internal/graph ./internal/storage
 
-# Durability certification matrix (CI: durability job): shards
-# {1,4,16} x {legacy WAL, segmented group-commit log}, recovery
-# certified with rsrecover -strict plus the deterministic
-# first-failing-shard damage leg. RACE=1 for the race detector.
+# Durability certification matrix (CI: durability job): the segmented
+# group-commit log at shards {1,4,16}, recovery certified with
+# rsrecover -strict plus the deterministic first-failing-shard damage
+# leg. RACE=1 for the race detector.
 durability-matrix:
 	sh scripts/durability_matrix.sh
 

@@ -1,13 +1,15 @@
 // rsrecover rebuilds a store from a write-ahead log produced by rssim
-// (or any storage.WAL user) and reports what survived: only fully
-// committed transactions' effects are applied; aborted, unfinished and
-// torn-tail records leave no trace.
+// (or any storage.ShardedWAL user) and reports what survived: only
+// fully committed transactions' effects are applied; aborted,
+// unfinished and torn-tail records leave no trace.
 //
-// Given a file, it recovers the legacy single-lane log. Given a
-// directory, it recovers a per-shard segmented log (rssim
-// -group-commit): every lane is scanned in parallel and a cross-shard
-// cut reconciles damage, so the output is a consistent prefix of the
-// committed history. -shard restricts a segmented recovery to one lane.
+// Given a directory, it recovers the log rssim -wal writes — the
+// per-shard segmented log: every lane is scanned in parallel and a
+// cross-shard cut reconciles damage, so the output is a consistent
+// prefix of the committed history. -shard restricts the recovery to
+// one lane. Given a file, it runs the read-only decoder of the
+// single-file format older builds wrote; nothing writes that format
+// any more.
 //
 // A log that ends mid-record (torn tail — the shape of a crash during
 // an append) is recovered up to the tear but reported as a structured
@@ -17,16 +19,15 @@
 // reported shard is deterministic: the lowest-indexed torn lane wins
 // exit 3; otherwise the lowest-indexed corrupt lane wins exit 4 — never
 // whichever recovery goroutine happened to finish first. The JSON error
-// carries the failing shard ("shard": -1 for single-lane logs).
+// carries the failing shard ("shard": -1 for single-file logs).
 //
 // Usage:
 //
-//	rssim -workload banking -protocol rsgt -wal run.wal
-//	rsrecover -wal run.wal
-//	rsrecover -wal run.wal -strict
-//	rssim -workload banking -concurrent -wal waldir -group-commit
+//	rssim -workload banking -concurrent -shards 4 -wal waldir
 //	rsrecover -wal waldir
+//	rsrecover -wal waldir -strict
 //	rsrecover -wal waldir -shard 2
+//	rsrecover -wal old-run.wal
 //
 // Exit status: 0 clean (or corrupt tail without -strict, after a
 // warning), 1 usage or I/O error, 3 torn tail, 4 -strict violation.
@@ -52,7 +53,7 @@ func main() {
 type tailError struct {
 	Error string `json:"error"` // "torn-tail" | "corrupt-tail"
 	// Shard is the deterministic first failing lane of a segmented log
-	// (-1 for single-lane logs); Segment is the damaged segment's
+	// (-1 for single-file logs); Segment is the damaged segment's
 	// position in that lane's scan order.
 	Shard   int    `json:"shard"`
 	Segment int    `json:"segment"`
@@ -65,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rsrecover", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		walPath  = fs.String("wal", "", "write-ahead log to recover from: a file (single-lane) or a directory (segmented; required)")
+		walPath  = fs.String("wal", "", "write-ahead log to recover from: a segmented log directory, or a single-file log an older build wrote (required)")
 		values   = fs.Bool("values", true, "print the recovered object values")
 		strict   = fs.Bool("strict", false, "fail (exit 4) on any damaged tail, including checksum mismatches")
 		shardSel = fs.Int("shard", -1, "segmented logs: recover only this lane (-1 = all lanes with cross-shard reconciliation)")

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,11 +15,15 @@ import (
 	"relser/internal/storage"
 )
 
-// writeLog builds a committed-transfer WAL and returns its raw bytes.
+// writeLog builds a committed-transfer log in the single-file format
+// older builds wrote — frames of [size u32][crc32c u32][kind][varint
+// instance][uvarint len][object][varint value] — and returns its raw
+// bytes. Nothing but this test writes that format any more; rsrecover
+// must keep reading it.
 func writeLog(t *testing.T) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	wal := storage.NewWAL(&buf)
+	var out []byte
+	table := crc32.MakeTable(crc32.Castagnoli)
 	recs := []storage.WALRecord{
 		{Kind: storage.WALBegin, Instance: 1},
 		{Kind: storage.WALWrite, Instance: 1, Object: "x", Value: 41},
@@ -27,11 +33,16 @@ func writeLog(t *testing.T) []byte {
 		{Kind: storage.WALWrite, Instance: 2, Object: "x", Value: 7},
 	}
 	for _, rec := range recs {
-		if err := wal.Append(rec); err != nil {
-			t.Fatal(err)
-		}
+		p := []byte{byte(rec.Kind)}
+		p = binary.AppendVarint(p, rec.Instance)
+		p = binary.AppendUvarint(p, uint64(len(rec.Object)))
+		p = append(p, rec.Object...)
+		p = binary.AppendVarint(p, int64(rec.Value))
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(p)))
+		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(p, table))
+		out = append(out, p...)
 	}
-	return buf.Bytes()
+	return out
 }
 
 func walFile(t *testing.T, data []byte) string {

@@ -11,15 +11,13 @@
 //	rssim -workload banking -protocol rsgt -trace run.jsonl -metrics
 //	rssim -workload banking -faults 'wal.torn:0.01,txn.abort:0.2' -seed 7
 //	rssim -workload synthetic -concurrent -ops :6060 -linger 30s
-//	rssim -workload banking -concurrent -shards 4 -wal waldir -group-commit
+//	rssim -workload banking -concurrent -shards 4 -wal waldir
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
@@ -49,10 +47,9 @@ func main() {
 		scale      = flag.Int("scale", 1, "workload size multiplier")
 		schedule   = flag.Bool("schedule", false, "print the committed schedule")
 		dump       = flag.Bool("dump", false, "emit the committed run as an instance file (consumable by rscheck)")
-		walPath    = flag.String("wal", "", "write a write-ahead log to this file (recover with rsrecover)")
-		groupWAL   = flag.Bool("group-commit", false, "use the per-shard segmented WAL with group commit; -wal names a directory instead of a file (recover with rsrecover <dir>)")
-		walShards  = flag.Int("wal-shards", 0, "durability lanes for -group-commit (0 = follow -shards; rounded to a power of two)")
-		walSegs    = flag.Int64("wal-segments", 1<<20, "segment rotation threshold in bytes for -group-commit")
+		walPath    = flag.String("wal", "", "write the segmented group-commit write-ahead log into this directory (recover with rsrecover -wal <dir>)")
+		walShards  = flag.Int("wal-shards", 0, "durability lanes for -wal (0 = follow -shards; rounded to a power of two)")
+		walSegs    = flag.Int64("wal-segments", 1<<20, "segment rotation threshold in bytes for -wal")
 		concurrent = flag.Bool("concurrent", false, "use the goroutine runtime instead of the deterministic tick driver")
 		shards     = flag.Int("shards", 1, "shard count for the concurrent driver's hot path (rounded up to a power of two; requires -concurrent)")
 		timeline   = flag.Bool("timeline", false, "render committed instances' lifetimes as an ASCII chart")
@@ -107,12 +104,10 @@ func main() {
 		lanes = *shards
 	}
 	var (
-		wal    storage.WALSink
-		swal   *storage.ShardedWAL
-		walTee bytes.Buffer
+		wal  storage.WALSink
+		swal *storage.ShardedWAL
 	)
-	switch {
-	case *walPath != "" && *groupWAL:
+	if *walPath != "" {
 		swal, err = storage.OpenShardedWAL(*walPath, storage.SegmentedOptions{
 			Shards:       lanes,
 			SegmentBytes: *walSegs,
@@ -121,21 +116,6 @@ func main() {
 			fatal(err)
 		}
 		wal = swal
-	case *walPath != "":
-		f, err := os.Create(*walPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		// When recording, tee the log bytes so the artifact's WAL hash
-		// matches what landed on disk.
-		var wtr io.Writer = f
-		if *recordPath != "" {
-			wtr = io.MultiWriter(f, &walTee)
-		}
-		wal = storage.NewWAL(wtr)
-	case *groupWAL:
-		fatal(fmt.Errorf("-group-commit requires -wal <directory>"))
 	}
 	// With -dump, stdout carries only the machine-readable instance
 	// file; status goes to stderr.
@@ -217,13 +197,10 @@ func main() {
 			m.FaultSpec = injector.Spec().String()
 			m.FaultSeed = *seed
 		}
-		switch {
-		case *walPath != "" && *groupWAL:
+		if swal != nil {
 			m.WALMode = "segmented"
 			m.WALShards = lanes
 			m.WALSegmentBytes = *walSegs
-		case *walPath != "":
-			m.WALMode = "single"
 		}
 		recorder = record.NewRecorder(m)
 		recorder.SetInitial(w.Initial)
@@ -275,15 +252,12 @@ func main() {
 			swal.Shards(), ws.Appends, ws.GroupCommits, ws.Fsyncs, ws.Rotations)
 	}
 	if recorder != nil {
-		switch {
-		case swal != nil:
+		if swal != nil {
 			if set, serr := storage.ReadWALDir(*walPath); serr == nil {
 				recorder.SetWALBytes(record.FlattenSegmentSet(set))
 			} else {
 				fmt.Fprintln(os.Stderr, "rssim: record: reading wal dir:", serr)
 			}
-		case *walPath != "":
-			recorder.SetWALBytes(walTee.Bytes())
 		}
 		// An invariant violation arrives as (res != nil, err != nil); let
 		// the recorder re-derive verdict and invariant from the result so

@@ -64,8 +64,6 @@ var coreMutators = map[string]bool{
 var reenterPrefixes = []string{
 	"relser/internal/txn.(*Runner).",
 	"relser/internal/txn.(*ConcurrentRunner).",
-	"relser/internal/storage.(*WAL).Append",
-	"relser/internal/storage.(*WAL).Sync",
 	"relser/internal/storage.(*ShardedWAL).Append",
 	"relser/internal/storage.(*ShardedWAL).Sync",
 }

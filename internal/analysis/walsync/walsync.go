@@ -28,9 +28,7 @@
 //
 // Returns of plain variables (`return err`) are not judged: the
 // group-commit implementation receives its ack into err first, and
-// the static check cannot track values. Deliberately weaker sinks —
-// the legacy write-through WAL whose crash model is process-level —
-// carry //rsvet:allow walsync with that argument.
+// the static check cannot track values.
 //
 // The second clause guards the lane-mutex protocol the fault schedule
 // depends on: a function carrying //rsvet:locks <expr> documents that
@@ -245,7 +243,7 @@ func checkTarget(g *callgraph.Graph, n *callgraph.Node, acked map[callgraph.Func
 			if e.Name == "nil" && !ackBefore(ret.Pos()) {
 				out = append(out, finding{
 					pkgPath: n.Pkg.PkgPath, pos: ret.Pos(),
-					message: fmt.Sprintf("%s returns success with no durability barrier on this path: an fsync or group-commit ack must precede it (or document the weaker crash model with //rsvet:allow walsync)", n.Name()),
+					message: fmt.Sprintf("%s returns success with no durability barrier on this path: an fsync or group-commit ack must precede it", n.Name()),
 				})
 			}
 		case *ast.CallExpr:

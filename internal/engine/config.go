@@ -62,11 +62,10 @@ type Config struct {
 	// (default 1000).
 	MaxRestarts int
 	// WAL, when set, receives begin/write/commit/abort records; a store
-	// recovered from it (storage.Recover for the single-lane
-	// *storage.WAL, storage.RecoverSegmented for *storage.ShardedWAL)
-	// reproduces exactly the committed effects. Commit records go
-	// through AppendSync — with a segmented log the commit stage parks
-	// on the lane's group commit — and WAL errors fail the run.
+	// recovered from it (storage.RecoverSegmented) reproduces exactly
+	// the committed effects. Commit records go through AppendSync — the
+	// commit stage parks on the lane's group commit — and WAL errors
+	// fail the run.
 	WAL storage.WALSink
 	// Tracer, when set, receives structured events for every scheduling
 	// decision and instance lifecycle transition; it is also attached to
@@ -149,18 +148,11 @@ func (cfg *Config) normalize() error {
 	if cfg.MaxRestarts <= 0 {
 		cfg.MaxRestarts = 1000
 	}
-	// A typed-nil *storage.WAL (or *storage.ShardedWAL) in the WALSink
-	// interface would pass every != nil check below and panic on first
-	// use; flatten it to a plain nil.
-	switch w := cfg.WAL.(type) {
-	case *storage.WAL:
-		if w == nil {
-			cfg.WAL = nil
-		}
-	case *storage.ShardedWAL:
-		if w == nil {
-			cfg.WAL = nil
-		}
+	// A typed-nil *storage.ShardedWAL in the WALSink interface would
+	// pass every != nil check below and panic on first use; flatten it
+	// to a plain nil.
+	if w, ok := cfg.WAL.(*storage.ShardedWAL); ok && w == nil {
+		cfg.WAL = nil
 	}
 	sched.SetRetirement(cfg.Protocol, !cfg.DisableRSGRetire)
 	if cfg.Tracer != nil {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"relser/internal/core"
@@ -28,19 +29,20 @@ import (
 //     committed schedule passing the offline RSG test and the balance
 //     invariant holding — or crashes cleanly (fault.ErrCrash from an
 //     injected WAL torn write or crash).
-//   - Durability: recovery from EVERY prefix of the emitted WAL (all
-//     record boundaries plus mid-record tears) yields a store whose
-//     balance invariant is intact — torn tails truncate, they never
-//     corrupt.
+//   - Durability: recovery from EVERY prefix of each lane's emitted
+//     log (all frame boundaries plus mid-frame tears, and lost trailing
+//     segments) yields a store whose balance invariant is intact — torn
+//     tails truncate, they never corrupt.
 //   - Reproducibility: rerunning with the same seed produces the
 //     identical fault schedule (injector fingerprint), byte-identical
-//     WAL, and the same committed count — a chaos failure is replayable
-//     from its seed alone.
+//     segments on every lane, and the same committed count — a chaos
+//     failure is replayable from its seed alone.
 //
-// The seg-* legs put the 4-lane group-commit log under the same
-// discipline, including the two fault points unique to it:
-// wal.rotate.crash (die between sealing segment k and publishing k+1)
-// and wal.group.partial (a group-commit batch torn mid-frame).
+// Every leg runs on the one log there is; the first three use a single
+// lane, the seg-* legs four lanes with 512-byte segments, adding the
+// two fault points rotation and batching bring: wal.rotate.crash (die
+// between sealing segment k and publishing k+1) and wal.group.partial
+// (a group-commit batch torn mid-frame).
 //
 // Every deterministic cell is a record.Manifest executed by
 // record.Record — the executor rsreplay and E19 use — so the artifact
@@ -61,9 +63,9 @@ func runE16(opts Options) (*Report, error) {
 		{name: "wal-chaos", spec: walChaos},
 		{name: "abort-storm", spec: "txn.abort:0.5,sched.grant.delay:0.05"},
 		{name: "latency", spec: "store.read.delay:0.05:200us,store.write.delay:0.05:200us"},
-		{name: "seg-wal-chaos", spec: walChaos, segmented: true},
-		{name: "seg-rotate-crash", spec: "wal.rotate.crash:0.08", segmented: true},
-		{name: "seg-group-partial", spec: "wal.group.partial:0.01", segmented: true},
+		{name: "seg-wal-chaos", spec: walChaos, lanes: 4, segBytes: 512},
+		{name: "seg-rotate-crash", spec: "wal.rotate.crash:0.08", lanes: 4, segBytes: 512},
+		{name: "seg-group-partial", spec: "wal.group.partial:0.01", lanes: 4, segBytes: 512},
 	}
 	if opts.FaultSpec != "" {
 		if _, err := fault.ParseSpec(opts.FaultSpec); err != nil {
@@ -114,21 +116,12 @@ func runE16(opts Options) (*Report, error) {
 					first.injected, first.sheds, first.deadlineAborts, first.prefixes, boolMark(replayOK))
 			}
 		}
-		if lg.segmented {
-			rep.AddClaim(allCertified,
-				"%s: every 4-lane segmented run completes RSG-certified with the invariant intact, or crashes cleanly via fault.ErrCrash", lg.name)
-			rep.AddClaim(allPrefixes,
-				"%s: recovery from every per-shard WAL prefix is invariant-clean (cross-shard cut reconciliation)", lg.name)
-			rep.AddClaim(allReplay,
-				"%s: same seed reproduces identical fault schedule, segment bytes on every lane, and outcome", lg.name)
-			continue
-		}
 		rep.AddClaim(allCertified,
 			"%s: every run completes RSG-certified with the invariant intact, or crashes cleanly via fault.ErrCrash", lg.name)
 		rep.AddClaim(allPrefixes,
-			"%s: recovery from every WAL prefix (record boundaries and mid-record tears) preserves balance conservation", lg.name)
+			"%s: recovery from every per-lane WAL prefix (frame boundaries, mid-frame tears, lost trailing segments) preserves balance conservation", lg.name)
 		rep.AddClaim(allReplay,
-			"%s: same seed reproduces the identical fault schedule (fingerprint), WAL bytes and outcome", lg.name)
+			"%s: same seed reproduces the identical fault schedule (fingerprint), segment bytes on every lane and outcome", lg.name)
 		if lg.name == "abort-storm" {
 			rep.AddClaim(sawInjected, "abort-storm: injected txn.abort faults actually fired")
 			rep.AddClaim(sawShed, "abort-storm: the admission controller shed load (effective MPL degraded below configured MPL)")
@@ -162,13 +155,14 @@ func runE16(opts Options) (*Report, error) {
 }
 
 // chaosLeg is one row family of the deterministic chaos table: a fault
-// spec run over the single-lane WAL or, when segmented, over a 4-lane
-// group-commit log with 512-byte segments (so rotation and compaction
-// paths are exercised by the banking workload's modest log volume).
+// spec run over a log of the given shape (zero values: one lane, the
+// default rotation threshold). The seg-* legs' 512-byte segments make
+// the banking workload's modest log volume exercise rotation.
 type chaosLeg struct {
-	name      string
-	spec      string
-	segmented bool
+	name     string
+	spec     string
+	lanes    int
+	segBytes int64
 }
 
 // manifest is the leg's cell for one protocol and seed — the whole run
@@ -182,16 +176,16 @@ func (lg chaosLeg) manifest(proto string, seed int64) record.Manifest {
 		MaxRestarts: 100000,
 		FaultSpec:   fault.MustParseSpec(lg.spec).String(),
 		FaultSeed:   seed,
-		WALMode:     "single",
 		RSGRetire:   "on",
+
+		WALMode:         "segmented",
+		WALShards:       lg.lanes,
+		WALSegmentBytes: lg.segBytes,
 	}
 	if lg.name == "abort-storm" {
 		// Short transactions only: long audits would spend hundreds of
 		// incarnations surviving a 0.5 per-tick abort rate.
 		m.Workload.Variant = "short"
-	}
-	if lg.segmented {
-		m.WALMode, m.WALShards, m.WALSegmentBytes = "segmented", 4, 512
 	}
 	return m
 }
@@ -247,17 +241,16 @@ func chaosCell(ctx context.Context, m record.Manifest, saveAs string, opts Optio
 	default:
 		return nil, fmt.Errorf("run %s: %s", res.Outcome, res.Error)
 	}
-	if set == nil {
-		out.prefixes, out.prefixesClean = sweepWALPrefixes(out.wal, w)
-		return out, nil
-	}
-	// A segmented log must also recover as it stands: a clean run's back
-	// to the live store, a crashed run's to an invariant-clean one.
+	// The log must also recover as it stands: a completed run's whole
+	// log back to the live store; a crashed run's to an invariant-clean
+	// prefix — as must a log wal.corrupt damaged under a run that
+	// completed (the one fault that lies while the log keeps running).
 	rst, rrep, err := storage.RecoverSegmented(set, w.Initial)
+	lied := err == nil && !rrep.Clean() && strings.Contains(m.FaultSpec, string(fault.WALCorrupt))
 	switch {
 	case err != nil:
 		out.certified = false
-	case res.Outcome == "completed":
+	case res.Outcome == "completed" && !lied:
 		out.certified = out.certified && rrep.Clean()
 		for obj, v := range rst.Snapshot() {
 			if res.Final[obj] != v {
@@ -265,44 +258,10 @@ func chaosCell(ctx context.Context, m record.Manifest, saveAs string, opts Optio
 			}
 		}
 	default:
-		out.certified = w.Invariant(rst.Snapshot()) == nil
+		out.certified = out.certified && w.Invariant(rst.Snapshot()) == nil
 	}
-	out.prefixes, out.prefixesClean = sweepSegmentPrefixes(set, w, opts.Quick)
+	out.prefixes, out.prefixesClean = sweepSegmentPrefixes(set, w)
 	return out, nil
-}
-
-// sweepWALPrefixes recovers the workload's store from every record
-// boundary of the log plus a mid-record tear inside each record, and
-// checks the workload invariant on each recovered snapshot. Returns the
-// number of prefixes checked and whether all were clean.
-func sweepWALPrefixes(wal []byte, w *workload.Workload) (int, bool) {
-	cuts := []int{0}
-	off := 0
-	for off+8 <= len(wal) {
-		size := int(binary.LittleEndian.Uint32(wal[off : off+4]))
-		if size <= 0 || off+8+size > len(wal) {
-			// Damaged or torn frame: add one cut inside it and stop.
-			cuts = append(cuts, off+min(len(wal)-off, 8+size/2))
-			break
-		}
-		if size > 2 {
-			cuts = append(cuts, off+8+size/2) // mid-record tear
-		}
-		off += 8 + size
-		cuts = append(cuts, off)
-	}
-	if off < len(wal) {
-		cuts = append(cuts, len(wal))
-	}
-	checked, clean := 0, true
-	for _, cut := range cuts {
-		st, _, err := storage.Recover(bytes.NewReader(wal[:cut]), w.Initial)
-		checked++
-		if err != nil || w.Invariant(st.Snapshot()) != nil {
-			clean = false
-		}
-	}
-	return checked, clean
 }
 
 // chaosDeadline builds the deterministic deadline-overrun scenario:
@@ -406,11 +365,11 @@ func chaosWedge(rep *Report, opts Options) error {
 }
 
 // sweepSegmentPrefixes truncates each lane's final segment at every
-// frame boundary and mid-frame tear (sampled in quick mode), recovers
+// frame boundary and mid-frame tear, recovers
 // the resulting crash image through the cross-shard cut, and checks
 // the workload invariant each time. Whole trailing segments are also
 // dropped one by one, modeling a crash before rotation's publish.
-func sweepSegmentPrefixes(set *storage.SegmentSet, w *workload.Workload, quick bool) (int, bool) {
+func sweepSegmentPrefixes(set *storage.SegmentSet, w *workload.Workload) (int, bool) {
 	checked, clean := 0, true
 	try := func(mod *storage.SegmentSet, lane int) {
 		checked++
@@ -422,9 +381,11 @@ func sweepSegmentPrefixes(set *storage.SegmentSet, w *workload.Workload, quick b
 		// A truncation at a clean frame boundary (or a cleanly dropped
 		// sealed segment) silently loses fsynced, acked commits — no
 		// physical crash produces that image (ack follows fsync), and
-		// recovery cannot detect it. The invariant is only owed when the
-		// damage is visible, engaging the cross-shard cut.
-		damaged := false
+		// recovery cannot detect it. Across lanes the invariant is only
+		// owed when the damage is visible, engaging the cross-shard cut;
+		// a lone lane's every prefix is a prefix of the commit order, and
+		// owes it always.
+		damaged := len(set.Shards) == 1
 		for _, sh := range rep.Shards {
 			if sh.Shard == lane && sh.Damaged {
 				damaged = true
@@ -443,14 +404,9 @@ func sweepSegmentPrefixes(set *storage.SegmentSet, w *workload.Workload, quick b
 		}
 		// Crash prefixes of the lane's last segment.
 		last := segs[len(segs)-1]
-		cuts := segmentCuts(last)
-		step := 1
-		if quick && len(cuts) > 24 {
-			step = len(cuts) / 24
-		}
-		for i := 0; i < len(cuts); i += step {
+		for _, cut := range segmentCuts(last) {
 			mod := cloneSet(set)
-			mod.Shards[lane] = append(append([][]byte(nil), segs[:len(segs)-1]...), last[:cuts[i]])
+			mod.Shards[lane] = append(append([][]byte(nil), segs[:len(segs)-1]...), last[:cut])
 			try(mod, lane)
 		}
 		// Lost trailing segments (crash before a later publish).

@@ -53,7 +53,7 @@ func runE19(opts Options) (*Report, error) {
 	if err := replayOverhead(ctx, rep, opts); err != nil {
 		return nil, err
 	}
-	rep.AddNote("reproduce any row from the shell: rssim -workload banking -protocol <p> -seed <s> [-faults '<spec>' -wal f.wal] -record run.rsrec, then rsreplay -in run.rsrec (exit 0 identical, 3 divergence, 4 unreadable)")
+	rep.AddNote("reproduce any row from the shell: rssim -workload banking -protocol <p> -seed <s> [-faults '<spec>' -wal waldir] -record run.rsrec, then rsreplay -in run.rsrec (exit 0 identical, 3 divergence, 4 unreadable)")
 	return rep, nil
 }
 
@@ -75,7 +75,7 @@ func replayMatrix(ctx context.Context, rep *Report, opts Options) error {
 		protocols = []string{"rsgt", "to"}
 		seeds = 2
 	}
-	tb := metrics.NewTable("Record -> replay byte identity (banking, deterministic driver, single-lane WAL)",
+	tb := metrics.NewTable("Record -> replay byte identity (banking, deterministic driver, one-lane WAL)",
 		"faults", "protocol", "seed", "outcome", "committed", "stages", "artifact bytes", "identical")
 	all := true
 	for _, mix := range mixes {
@@ -88,7 +88,7 @@ func replayMatrix(ctx context.Context, rep *Report, opts Options) error {
 					Seed:        seed,
 					MPL:         8,
 					MaxRestarts: 100000,
-					WALMode:     "single",
+					WALMode:     "segmented",
 				}
 				if mix.spec != "" {
 					m.FaultSpec = mix.spec
@@ -167,7 +167,7 @@ func replayBackfill(ctx context.Context, rep *Report, opts Options) error {
 		Seed:        7,
 		MPL:         16,
 		MaxRestarts: 100000,
-		WALMode:     "single",
+		WALMode:     "segmented",
 	}
 	rr, err := record.Record(ctx, m, record.Observers{})
 	if err != nil {

@@ -68,22 +68,16 @@ const (
 	// WALCorrupt silently flips a bit in the record's payload before
 	// writing; the log keeps running (a lying disk).
 	WALCorrupt Point = "wal.corrupt"
-	// WALShort silently writes only the frame header, dropping the
-	// payload; subsequent records are misframed (a short write the
-	// device never reported).
-	WALShort Point = "wal.short"
 	// WALCrash stops the log cleanly at a record boundary and reports
 	// an injected crash.
 	WALCrash Point = "wal.crash"
-	// WALRotateCrash (segmented log only) crashes a lane during segment
-	// rotation: after the next segment is created and header-synced but
-	// before it is published, leaving an unpublished file recovery must
-	// ignore.
+	// WALRotateCrash crashes a lane during segment rotation: after the
+	// next segment is created and header-synced but before it is
+	// published, leaving an unpublished file recovery must ignore.
 	WALRotateCrash Point = "wal.rotate.crash"
-	// WALGroupPartial (segmented log only) crashes a lane mid group
-	// commit: the batch's earlier frames reach the device, the firing
-	// frame is cut short at an arbitrary byte — the multi-record
-	// analogue of wal.torn.
+	// WALGroupPartial crashes a lane mid group commit: the batch's
+	// earlier frames reach the device, the firing frame is cut short at
+	// an arbitrary byte — the multi-record analogue of wal.torn.
 	WALGroupPartial Point = "wal.group.partial"
 	// StoreReadDelay stalls a store read under its stripe latch.
 	StoreReadDelay Point = "store.read.delay"
@@ -108,7 +102,7 @@ const (
 // Points returns every registered fault point, sorted.
 func Points() []Point {
 	pts := []Point{
-		WALTorn, WALCorrupt, WALShort, WALCrash,
+		WALTorn, WALCorrupt, WALCrash,
 		WALRotateCrash, WALGroupPartial,
 		StoreReadDelay, StoreWriteDelay,
 		ShardStall, ShardWedge,

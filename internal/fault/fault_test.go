@@ -37,6 +37,7 @@ func TestParseSpec(t *testing.T) {
 func TestParseSpecErrors(t *testing.T) {
 	for _, bad := range []string{
 		"nope:0.5",                  // unknown point
+		"wal.short:0.5",             // retired with the single-file writer
 		"wal.torn",                  // missing rate
 		"wal.torn:1.5",              // rate out of range
 		"wal.torn:x",                // malformed rate

@@ -106,9 +106,11 @@ type Manifest struct {
 	FaultSpec string `json:"fault_spec,omitempty"`
 	FaultSeed int64  `json:"fault_seed,omitempty"`
 	// WALMode records the durability shape so replay reproduces the
-	// same byte stream: "" (no WAL), "single" (one lane), "segmented"
-	// (per-shard group-commit log with WALShards lanes rotating at
-	// WALSegmentBytes).
+	// same byte stream: "" (no WAL) or "segmented" (the group-commit log
+	// with WALShards lanes rotating at WALSegmentBytes). Recordings made
+	// before the single-file writer was deleted name that writer's mode;
+	// execute replays them on one lane, with the WAL bytes left
+	// uncompared.
 	WALMode         string `json:"wal_mode,omitempty"`
 	WALShards       int    `json:"wal_shards,omitempty"`
 	WALSegmentBytes int64  `json:"wal_segment_bytes,omitempty"`
@@ -265,9 +267,9 @@ func (r *Recorder) SetInitial(snap map[string]storage.Value) {
 	r.mu.Unlock()
 }
 
-// SetWALBytes records the run's emitted log bytes (single-lane WAL
-// buffer, or a segmented log flattened with FlattenSegmentSet). Only
-// the hash and length are persisted.
+// SetWALBytes records the run's emitted log bytes (the segmented log
+// flattened with FlattenSegmentSet). Only the hash and length are
+// persisted.
 func (r *Recorder) SetWALBytes(b []byte) {
 	r.mu.Lock()
 	r.wal = append([]byte(nil), b...)
@@ -284,8 +286,8 @@ func (r *Recorder) WAL() []byte {
 	return r.wal
 }
 
-// Segments returns the segmented log's crash image that WAL was
-// flattened from; nil in any other WAL mode.
+// Segments returns the log's crash image that WAL was flattened from;
+// nil when the run carried no WAL.
 func (r *Recorder) Segments() *storage.SegmentSet {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -47,13 +47,13 @@ func mustRecord(t *testing.T, m record.Manifest) *record.Recording {
 // TestReplayByteIdentical: a recording with no overrides replays with
 // zero divergences — same verdict, counters, fault fingerprint, WAL
 // bytes, stage log and final store — including under fault injection
-// and both WAL shapes.
+// and on both a one-lane and a rotating four-lane log.
 func TestReplayByteIdentical(t *testing.T) {
 	cases := []record.Manifest{
 		det("banking", 1),
 		det("cadcam", 2),
 	}
-	cases[0].WALMode = "single"
+	cases[0].WALMode = "segmented"
 	cases[0].FaultSpec = "wal.torn:0.004,wal.corrupt:0.003,wal.crash:0.002"
 	cases[0].FaultSeed = 7
 	cases[1].WALMode = "segmented"
@@ -66,8 +66,8 @@ func TestReplayByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: replay: %v", m.Workload.Name, err)
 		}
-		if rep.Mode != "byte-identical" || !rep.Deterministic {
-			t.Fatalf("%s: mode=%s deterministic=%v, want byte-identical deterministic", m.Workload.Name, rep.Mode, rep.Deterministic)
+		if rep.Mode != "byte-identical" || !rep.Deterministic || !rep.WALCompared {
+			t.Fatalf("%s: mode=%s deterministic=%v wal_compared=%v, want byte-identical deterministic with WAL bytes", m.Workload.Name, rep.Mode, rep.Deterministic, rep.WALCompared)
 		}
 		if !rep.Identical {
 			t.Fatalf("%s: replay diverged: %+v", m.Workload.Name, rep.Divergences)

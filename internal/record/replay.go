@@ -1,7 +1,6 @@
 package record
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -84,10 +83,16 @@ type Report struct {
 	// schedule-independent facets (outcome class, verdict, invariant) —
 	// the goroutine schedule is not reproducible, so WAL bytes, stage
 	// logs and counters legitimately differ.
-	Deterministic bool         `json:"deterministic"`
-	Divergences   []Divergence `json:"divergences,omitempty"`
-	Recorded      Outcome      `json:"recorded"`
-	Replayed      Outcome      `json:"replayed"`
+	Deterministic bool `json:"deterministic"`
+	// WALCompared records whether WAL bytes (hash and length) were part
+	// of the comparison. False for concurrent recordings, and for
+	// deterministic ones made on the single-file WAL writer this tree no
+	// longer has: their appends replay on the segmented log, whose
+	// frames differ, so the bytes are not owed — every other facet is.
+	WALCompared bool         `json:"wal_compared"`
+	Divergences []Divergence `json:"divergences,omitempty"`
+	Recorded    Outcome      `json:"recorded"`
+	Replayed    Outcome      `json:"replayed"`
 }
 
 // Record executes the manifest's run fresh — same resolver, drivers and
@@ -112,7 +117,7 @@ func Replay(ctx context.Context, rec *Recording, opts ReplayOptions) (*Report, e
 	if opts.Initial != nil {
 		initial = opts.Initial
 	}
-	_, replayed, err := execute(ctx, rec.Manifest, initial, opts, Observers{})
+	rr, replayed, err := execute(ctx, rec.Manifest, initial, opts, Observers{})
 	if err != nil {
 		return nil, err
 	}
@@ -122,10 +127,13 @@ func Replay(ctx context.Context, rec *Recording, opts ReplayOptions) (*Report, e
 		Recorded:      rec.Outcome,
 		Replayed:      replayed,
 	}
+	// execute runs a WAL mode it can no longer write on the log it has;
+	// the bytes then differ by format, not by behaviour.
+	rep.WALCompared = rep.Deterministic && rr.Manifest().WALMode == rec.Manifest.WALMode
 	if opts.backfill(rec.Manifest) {
 		rep.Mode = "backfill"
 	}
-	rep.Divergences = compare(rec.Outcome, replayed, rep.Deterministic)
+	rep.Divergences = compare(rec.Outcome, replayed, rep.Deterministic, rep.WALCompared)
 	rep.Identical = len(rep.Divergences) == 0
 	return rep, nil
 }
@@ -191,15 +199,19 @@ func execute(ctx context.Context, m Manifest, initial map[string]storage.Value, 
 
 	// Reproduce the recorded durability shape so WAL bytes compare.
 	var (
-		sink   storage.WALSink
-		walBuf bytes.Buffer
-		mem    *storage.MemBackend
-		swal   *storage.ShardedWAL
+		sink storage.WALSink
+		mem  *storage.MemBackend
+		swal *storage.ShardedWAL
 	)
 	switch m.WALMode {
 	case "", "none":
 	case "single":
-		sink = storage.NewWAL(&walBuf)
+		// Recorded on the single-file writer older builds had. The same
+		// appends run on one lane of the log there is now, under frames
+		// that writer never produced: Replay sees the mode differ and
+		// leaves the WAL bytes out of the comparison.
+		m.WALMode, m.WALShards, m.WALSegmentBytes = "segmented", 1, 0
+		fallthrough
 	case "segmented":
 		mem = storage.NewMemBackend()
 		swal, err = storage.NewShardedWAL(mem, storage.SegmentedOptions{
@@ -209,6 +221,9 @@ func execute(ctx context.Context, m Manifest, initial map[string]storage.Value, 
 		if err != nil {
 			return nil, Outcome{}, err
 		}
+		// Every lane parks a committer goroutine; Close is idempotent, so
+		// this covers the early returns below too.
+		defer swal.Close() //nolint:errcheck // the path that reads the log closes it explicitly first
 		sink = swal
 	default:
 		return nil, Outcome{}, fmt.Errorf("record: unknown WAL mode %q in manifest", m.WALMode)
@@ -270,21 +285,14 @@ func execute(ctx context.Context, m Manifest, initial map[string]storage.Value, 
 		return nil, Outcome{}, runErr
 	}
 
-	var wal []byte
-	switch {
-	case swal != nil:
+	if swal != nil {
 		swal.Close() //nolint:errcheck // a latched injected crash is an expected terminal state
 		set, serr := mem.SegmentSet()
 		if serr != nil {
 			return nil, Outcome{}, serr
 		}
-		wal = FlattenSegmentSet(set)
+		rr.SetWALBytes(FlattenSegmentSet(set))
 		rr.set = set
-	case m.WALMode == "single":
-		wal = walBuf.Bytes()
-	}
-	if wal != nil {
-		rr.SetWALBytes(wal)
 	}
 	rr.Finish(res, runErr, inj, store, w)
 	out, _ := rr.Outcome()
@@ -302,8 +310,9 @@ func isRunFailure(err error) bool {
 // compare diffs a replayed outcome against the recorded baseline. For
 // deterministic recordings everything must match byte-for-byte; for
 // concurrent recordings only schedule-independent facets are owed
-// (outcome class, certification verdict, data invariant).
-func compare(rec, rep Outcome, deterministic bool) []Divergence {
+// (outcome class, certification verdict, data invariant). A false
+// walBytes drops the two wal rows and nothing else (Report.WALCompared).
+func compare(rec, rep Outcome, deterministic, walBytes bool) []Divergence {
 	var out []Divergence
 	add := func(kind, field, object, a, b string) {
 		if a != b {
@@ -333,8 +342,10 @@ func compare(rec, rep Outcome, deterministic bool) []Divergence {
 		add("counter", c.name, "", fmt.Sprint(c.rec), fmt.Sprint(c.rep))
 	}
 	add("fault", "fingerprint", "", rec.FaultFingerprint, rep.FaultFingerprint)
-	add("wal", "hash", "", rec.WALHash, rep.WALHash)
-	add("wal", "len", "", fmt.Sprint(rec.WALLen), fmt.Sprint(rep.WALLen))
+	if walBytes {
+		add("wal", "hash", "", rec.WALHash, rep.WALHash)
+		add("wal", "len", "", fmt.Sprint(rec.WALLen), fmt.Sprint(rep.WALLen))
+	}
 	add("stage-log", "hash", "", rec.StageHash, rep.StageHash)
 	out = append(out, diffState(rec.Final, rep.Final)...)
 	return out

@@ -13,9 +13,9 @@ import (
 	"relser/internal/trace"
 )
 
-// WALSink is the durability interface the engine logs through: the
-// single-lane WAL satisfies it trivially (write-through, no batching),
-// the ShardedWAL implements real group commit behind it.
+// WALSink is the durability interface the engine logs through.
+// ShardedWAL is the one log behind it; decorators (the benchmark
+// ladder's timed sink) wrap it.
 type WALSink interface {
 	// Append enqueues one record without waiting for durability.
 	Append(rec WALRecord) error
@@ -109,7 +109,7 @@ type walShard struct {
 // commit, snapshot compaction and parallel recovery (DESIGN.md §5.4).
 // Records are routed to lanes by transaction instance, so one
 // transaction's records always share a lane and per-lane recovery is
-// the legacy single-log algorithm; a global sequence number (GSN)
+// the single-log algorithm; a global sequence number (GSN)
 // drawn at enqueue orders commits across lanes for replay.
 type ShardedWAL struct {
 	backend SegmentBackend
@@ -163,7 +163,7 @@ func NewShardedWAL(backend SegmentBackend, opt SegmentedOptions) (*ShardedWAL, e
 }
 
 // OpenShardedWAL is NewShardedWAL over a DirBackend rooted at dir,
-// wiping any previous log there first (the way OpenWALFile truncates).
+// wiping any previous log there first.
 func OpenShardedWAL(dir string, opt SegmentedOptions) (*ShardedWAL, error) {
 	b := NewDirBackend(dir)
 	if err := b.Reset(); err != nil {
@@ -664,30 +664,4 @@ func (w *ShardedWAL) Stats() ShardedWALStats {
 		GroupCommits: w.groupCommits.Load(),
 		Compactions:  w.compactions.Load(),
 	}
-}
-
-// Single-lane WAL adapters: the legacy log satisfies WALSink by
-// writing through (its crash model is process-level, so Append already
-// implies "as durable as the log gets").
-
-// AppendSync appends one record; the single-lane WAL has no group
-// commit to wait for.
-//
-//rsvet:allow walsync -- write-through adapter: the single-lane WAL's crash model is process-level, Append is already as durable as the log gets
-func (l *WAL) AppendSync(rec WALRecord) error { return l.Append(rec) }
-
-// Sync reports the latched crash, if any; the single-lane WAL writes
-// through so there is nothing to flush.
-//
-//rsvet:allow walsync -- write-through adapter: nothing is buffered, so reporting the latched crash is the whole sync
-func (l *WAL) Sync() error { return l.Err() }
-
-// Err returns the latched crash error, if any.
-func (l *WAL) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.crashed {
-		return fault.ErrCrash
-	}
-	return nil
 }

@@ -188,6 +188,51 @@ func TestShardedWALInjectedTorn(t *testing.T) {
 	}
 }
 
+// TestShardedWALInjectedCorruptAndCrash covers the two remaining
+// per-append points. wal.corrupt lies: the append succeeds, and the
+// segment scan stops at the flipped frame with a corrupt tail.
+// wal.crash dies at the frame boundary: the caller sees the crash, the
+// lane latches it, nothing of the frame is written and the log
+// recovers clean and empty.
+func TestShardedWALInjectedCorruptAndCrash(t *testing.T) {
+	recoverAfter := func(spec string) (*SegmentedReport, error) {
+		t.Helper()
+		mem := NewMemBackend()
+		w, err := NewShardedWAL(mem, SegmentedOptions{Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.SetInjector(fault.New(1, fault.MustParseSpec(spec)))
+		appendErr := w.AppendSync(WALRecord{Kind: WALBegin, Instance: 1, Object: "x"})
+		w.Close() //nolint:errcheck // a latched crash is the expected terminal state
+		set, err := mem.SegmentSet()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, rep, err := RecoverSegmented(set, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, appendErr
+	}
+
+	rep, err := recoverAfter("wal.corrupt:1")
+	if err != nil {
+		t.Fatalf("corrupted append returned %v: the disk lies, the log keeps running", err)
+	}
+	if sh, ok := rep.FirstDamagedKind(TailCorrupt); !ok || sh.Shard != 0 || rep.Records != 0 {
+		t.Fatalf("want a corrupt tail on shard 0 and no records, got %s", rep)
+	}
+
+	rep, err = recoverAfter("wal.crash:1")
+	if !errors.Is(err, fault.ErrCrash) {
+		t.Fatalf("crash append returned %v, want ErrCrash", err)
+	}
+	if !rep.Clean() || rep.Records != 0 {
+		t.Fatalf("clean crash left something behind: %s", rep)
+	}
+}
+
 // TestShardedWALGroupPartial arms wal.group.partial after one durable
 // transaction: the second transaction's frame is cut mid-batch, the
 // run crashes, and recovery keeps exactly the first transaction.

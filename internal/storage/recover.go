@@ -205,7 +205,7 @@ func RecoverSegmented(set *SegmentSet, initial map[string]Value) (*Store, *Segme
 // scanShardLog replays one lane's segments in order, stopping at the
 // first damaged tail or cross-segment inconsistency (wrong shard,
 // non-increasing index, BaseGSN below the records already seen — all
-// classified corrupt). Transaction accounting matches the single-lane
+// classified corrupt). Transaction accounting matches the single-file
 // Recover: writes buffer from begin, apply at commit; instance routing
 // guarantees a transaction's records never span lanes.
 func scanShardLog(shardIdx int, segs [][]byte, snapGSN uint64) shardScan {

@@ -204,8 +204,8 @@ func (b *DirBackend) DropSegment(shard, index int) error {
 }
 
 // Reset wipes the backend's own namespace (shard-* directories and
-// snapshot files) so a fresh log can be written, mirroring how
-// OpenWALFile truncates. Foreign files in dir are left alone.
+// snapshot files) so a fresh log can be written. Foreign files in dir
+// are left alone.
 func (b *DirBackend) Reset() error {
 	entries, err := os.ReadDir(b.dir)
 	if os.IsNotExist(err) {

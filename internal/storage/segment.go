@@ -12,10 +12,10 @@ import (
 // Segment format (per-shard segmented WAL, DESIGN.md §5.4):
 //
 //	header  [magic "RSEG"][version u8][pad u8][shard u16][index u32][baseGSN u64][crc u32]
-//	frame*  [size u32][crc u32][gsn u64][legacy record encoding]
+//	frame*  [size u32][crc u32][gsn u64][record encoding, wal.go]
 //
 // All integers little-endian; both CRCs are CRC32-Castagnoli (the same
-// table as the single-lane WAL). The frame checksum covers the whole
+// table as the single-file format). The frame checksum covers the whole
 // payload — GSN included — so a flipped sequence-number bit is damage,
 // not a different record. GSNs are strictly increasing within a shard's
 // log and every record's GSN exceeds its segment's BaseGSN; a scan
@@ -89,7 +89,7 @@ type SegmentRecord struct {
 }
 
 // appendSegFrame appends one framed record to buf: the 8-byte frame
-// header followed by the payload (GSN + legacy record encoding).
+// header followed by the payload (GSN + record encoding).
 func appendSegFrame(buf []byte, gsn uint64, rec WALRecord) []byte {
 	base := len(buf)
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)

@@ -7,22 +7,20 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"sync"
-
-	"relser/internal/fault"
-	"relser/internal/trace"
 )
 
-// This file adds durability to the storage substrate: a write-ahead
-// log with checksummed records and redo recovery. The paper's theory
-// does not require durability, but the execution side of the
+// This file holds the write-ahead log's record model and the read-only
+// decoder of the single-file log format older builds wrote. The paper's
+// theory does not require durability, but the execution side of the
 // reproduction is meant to be adoptable as a small transactional
 // engine, and recovery interacts with the runtime's abort machinery
 // (only committed transactions' effects survive a crash).
 //
-// Log format: length-prefixed binary records, each trailed by a CRC32
-// (Castagnoli) over the payload. Recovery replays the log in order,
+// The one log writer is ShardedWAL (groupcommit.go), whose segment
+// frames wrap the record encoding below. ScanWAL and Recover read the
+// older format — frames of [size u32][crc u32][record], CRC32
+// (Castagnoli) over the record — so rsrecover can still recover a file
+// such a build left behind. Recovery replays the log in order,
 // buffering each transaction's writes until its commit record; torn or
 // corrupt tails are detected by the checksum and cleanly ignored, as
 // are transactions with no commit record.
@@ -70,111 +68,6 @@ type WALRecord struct {
 var ErrCorrupt = errors.New("storage: corrupt WAL record")
 
 var walTable = crc32.MakeTable(crc32.Castagnoli)
-
-// WAL is an append-only write-ahead log. It is safe for concurrent
-// use; Append is atomic per record.
-type WAL struct {
-	mu  sync.Mutex
-	w   io.Writer
-	buf []byte
-	// appended counts records written through this handle.
-	appended int
-	tr       *trace.Tracer
-	inj      *fault.Injector
-	// crashed latches an injected crash: every later append fails with
-	// the same fault.ErrCrash, modeling a dead device.
-	crashed bool
-}
-
-// SetTracer installs a structured-event sink: every appended record
-// also emits a wal-append event. Pass nil to disable.
-func (l *WAL) SetTracer(tr *trace.Tracer) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.tr = tr
-}
-
-// SetInjector arms the log's fault points (wal.torn, wal.corrupt,
-// wal.short, wal.crash). Pass nil to disarm.
-func (l *WAL) SetInjector(in *fault.Injector) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.inj = in
-}
-
-// NewWAL returns a log writing to w. Callers owning files should pass
-// a buffered or direct handle and arrange syncing themselves; the
-// simulator's crash model is process-level, not media-level.
-func NewWAL(w io.Writer) *WAL { return &WAL{w: w} }
-
-// OpenWALFile creates (or truncates) a log file.
-func OpenWALFile(path string) (*WAL, *os.File, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return NewWAL(f), f, nil
-}
-
-// Append writes one record. With an injector armed, the append may
-// deterministically crash the log (wal.crash stops at a record
-// boundary, wal.torn leaves a partial frame behind — both latch
-// fault.ErrCrash for every later append) or silently damage the
-// record (wal.corrupt flips a payload bit, wal.short drops the
-// payload) while the log keeps running.
-func (l *WAL) Append(rec WALRecord) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.crashed {
-		return fault.ErrCrash
-	}
-	payload := encodeWALRecord(rec, l.buf[:0])
-	l.buf = payload // reuse the arena next time
-	var frame [8]byte
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, walTable))
-	if l.inj.Fire(fault.WALCrash) {
-		l.crashed = true
-		return fault.ErrCrash
-	}
-	if fired, cut := l.inj.FireCut(fault.WALTorn, len(frame)+len(payload)-1); fired {
-		// Write a strict prefix of the record, then die: the torn tail
-		// recovery must cleanly ignore.
-		torn := append(append([]byte(nil), frame[:]...), payload...)[:cut+1]
-		l.w.Write(torn) //nolint:errcheck // already crashing
-		l.crashed = true
-		return fault.ErrCrash
-	}
-	if fired, cut := l.inj.FireCut(fault.WALCorrupt, len(payload)*8); fired {
-		// Flip one payload bit after the checksum was computed: a lying
-		// disk the reader must catch.
-		payload[cut/8] ^= 1 << (cut % 8)
-	}
-	short := l.inj.Fire(fault.WALShort)
-	if _, err := l.w.Write(frame[:]); err != nil {
-		return err
-	}
-	if !short {
-		if _, err := l.w.Write(payload); err != nil {
-			return err
-		}
-	}
-	l.appended++
-	if l.tr.Wants(trace.KindWALAppend) {
-		l.tr.Emit(trace.Event{
-			Kind: trace.KindWALAppend, Instance: rec.Instance,
-			Object: rec.Object, Op: rec.Kind.String(), Value: int64(rec.Value),
-		})
-	}
-	return nil
-}
-
-// Appended returns the number of records written.
-func (l *WAL) Appended() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appended
-}
 
 func encodeWALRecord(rec WALRecord, buf []byte) []byte {
 	buf = append(buf, byte(rec.Kind))
@@ -257,8 +150,8 @@ type ScanReport struct {
 	Detail string
 }
 
-// ScanWAL decodes records until EOF or the first damaged record,
-// returning the valid prefix plus a report classifying the tail. Torn
+// ScanWAL decodes a single-file log until EOF or the first damaged
+// record, returning the valid prefix plus a report classifying the tail. Torn
 // and corrupt tails are not errors — they are what crash recovery
 // exists for — so err is only a real read failure.
 func ScanWAL(r io.Reader) ([]WALRecord, ScanReport, error) {
@@ -315,15 +208,7 @@ func ScanWAL(r io.Reader) ([]WALRecord, ScanReport, error) {
 	}
 }
 
-// ReadWAL decodes records until EOF or the first corrupt/torn record,
-// returning the valid prefix. A torn tail is not an error: it is the
-// expected shape of a crash. Use ScanWAL to learn how the log ended.
-func ReadWAL(r io.Reader) ([]WALRecord, error) {
-	recs, _, err := ScanWAL(r)
-	return recs, err
-}
-
-// Recover rebuilds a store from a log: writes of an instance are
+// Recover rebuilds a store from a single-file log: writes of an instance are
 // buffered from its begin record and applied in log order at its
 // commit record; aborted or unfinished instances leave no trace. The
 // initial snapshot supplies pre-log object values.
@@ -335,10 +220,6 @@ func Recover(r io.Reader, initial map[string]Value) (*Store, *RecoveryReport, er
 	st := NewStore()
 	st.Load(initial)
 	report := &RecoveryReport{Tail: scan}
-	type pendingWrite struct {
-		object string
-		value  Value
-	}
 	pending := make(map[int64][]pendingWrite)
 	for _, rec := range records {
 		report.Records++

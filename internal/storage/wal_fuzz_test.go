@@ -2,19 +2,14 @@ package storage
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"testing"
-
-	"relser/internal/fault"
 )
 
 // sampleWAL builds a small multi-transaction log and returns its bytes
 // and decoded records.
 func sampleWAL(t testing.TB) ([]byte, []WALRecord) {
 	t.Helper()
-	var buf bytes.Buffer
-	w := NewWAL(&buf)
 	recs := []WALRecord{
 		{Kind: WALBegin, Instance: 1},
 		{Kind: WALWrite, Instance: 1, Object: "x", Value: 10},
@@ -24,12 +19,7 @@ func sampleWAL(t testing.TB) ([]byte, []WALRecord) {
 		{Kind: WALCommit, Instance: 1},
 		{Kind: WALAbort, Instance: 2},
 	}
-	for _, rec := range recs {
-		if err := w.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return buf.Bytes(), recs
+	return singleFileLog(recs...), recs
 }
 
 func recordsEqual(a, b WALRecord) bool {
@@ -139,77 +129,6 @@ func FuzzWALDecode(f *testing.F) {
 			t.Fatalf("recover: %v", err)
 		}
 	})
-}
-
-// TestWALInjectedTorn arms wal.torn at rate 1: the first append tears,
-// the log latches fault.ErrCrash, and the bytes on disk scan as a torn
-// tail with no phantom records.
-func TestWALInjectedTorn(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWAL(&buf)
-	w.SetInjector(fault.New(1, fault.MustParseSpec("wal.torn:1")))
-	err := w.Append(WALRecord{Kind: WALBegin, Instance: 1})
-	if !errors.Is(err, fault.ErrCrash) {
-		t.Fatalf("torn append returned %v, want ErrCrash", err)
-	}
-	if err := w.Append(WALRecord{Kind: WALCommit, Instance: 1}); !errors.Is(err, fault.ErrCrash) {
-		t.Fatalf("post-crash append returned %v, want sticky ErrCrash", err)
-	}
-	if buf.Len() == 0 {
-		t.Fatal("torn write left no partial bytes")
-	}
-	recs, rep, err := ScanWAL(bytes.NewReader(buf.Bytes()))
-	if err != nil || len(recs) != 0 || rep.Tail != TailTorn {
-		t.Fatalf("torn log scanned to %d records, tail %s, err %v", len(recs), rep.Tail, err)
-	}
-}
-
-// TestWALInjectedCorrupt arms wal.corrupt at rate 1: appends succeed
-// (the disk lies) but the scan stops at the first record with a
-// checksum mismatch.
-func TestWALInjectedCorrupt(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWAL(&buf)
-	w.SetInjector(fault.New(1, fault.MustParseSpec("wal.corrupt:1")))
-	if err := w.Append(WALRecord{Kind: WALBegin, Instance: 1, Object: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	recs, rep, err := ScanWAL(bytes.NewReader(buf.Bytes()))
-	if err != nil || len(recs) != 0 || rep.Tail != TailCorrupt {
-		t.Fatalf("corrupt log scanned to %d records, tail %s, err %v", len(recs), rep.Tail, err)
-	}
-}
-
-// TestWALInjectedShortAndCrash covers the remaining WAL points: short
-// writes silently drop the payload (scanned as damage, not a record),
-// and wal.crash stops the log with nothing written.
-func TestWALInjectedShortAndCrash(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWAL(&buf)
-	w.SetInjector(fault.New(1, fault.MustParseSpec("wal.short:1")))
-	if err := w.Append(WALRecord{Kind: WALBegin, Instance: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != 8 {
-		t.Fatalf("short write wrote %d bytes, want frame-only 8", buf.Len())
-	}
-	recs, rep, err := ScanWAL(bytes.NewReader(buf.Bytes()))
-	if err != nil || len(recs) != 0 || rep.Tail == TailClean {
-		t.Fatalf("short log scanned to %d records, tail %s, err %v", len(recs), rep.Tail, err)
-	}
-
-	var buf2 bytes.Buffer
-	w2 := NewWAL(&buf2)
-	w2.SetInjector(fault.New(1, fault.MustParseSpec("wal.crash:1")))
-	if err := w2.Append(WALRecord{Kind: WALBegin, Instance: 1}); !errors.Is(err, fault.ErrCrash) {
-		t.Fatalf("crash append returned %v", err)
-	}
-	if buf2.Len() != 0 {
-		t.Fatalf("clean crash wrote %d bytes", buf2.Len())
-	}
-	if _, rep, err := ScanWAL(bytes.NewReader(buf2.Bytes())); err != nil || rep.Tail != TailClean {
-		t.Fatalf("empty log tail %s, err %v", rep.Tail, err)
-	}
 }
 
 // TestScanWALCorruptLength: a complete frame with an implausible

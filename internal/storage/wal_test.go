@@ -2,14 +2,27 @@ package storage
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 )
 
+// singleFileLog frames records the way the single-file writer older
+// builds had did: [size u32][crc u32] around the record encoding the
+// segment frames still use. Nothing outside tests writes this format;
+// the decoder tests here and in wal_fuzz_test.go are fed by it.
+func singleFileLog(recs ...WALRecord) []byte {
+	var out []byte
+	for _, rec := range recs {
+		payload := encodeWALRecord(rec, nil)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
+		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, walTable))
+		out = append(out, payload...)
+	}
+	return out
+}
+
 func TestWALAppendReadRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewWAL(&buf)
 	records := []WALRecord{
 		{Kind: WALBegin, Instance: 1},
 		{Kind: WALWrite, Instance: 1, Object: "x", Value: 42},
@@ -18,17 +31,12 @@ func TestWALAppendReadRoundTrip(t *testing.T) {
 		{Kind: WALBegin, Instance: 2},
 		{Kind: WALAbort, Instance: 2},
 	}
-	for _, rec := range records {
-		if err := l.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if l.Appended() != len(records) {
-		t.Fatalf("Appended = %d", l.Appended())
-	}
-	got, err := ReadWAL(bytes.NewReader(buf.Bytes()))
+	got, rep, err := ScanWAL(bytes.NewReader(singleFileLog(records...)))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rep.Tail != TailClean {
+		t.Fatalf("whole log scanned to a %s tail: %s", rep.Tail, rep.Detail)
 	}
 	if len(got) != len(records) {
 		t.Fatalf("read %d records, want %d", len(got), len(records))
@@ -41,8 +49,6 @@ func TestWALAppendReadRoundTrip(t *testing.T) {
 }
 
 func TestWALRecoverAppliesOnlyCommitted(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewWAL(&buf)
 	seq := []WALRecord{
 		{Kind: WALBegin, Instance: 1},
 		{Kind: WALBegin, Instance: 2},
@@ -54,12 +60,7 @@ func TestWALRecoverAppliesOnlyCommitted(t *testing.T) {
 		{Kind: WALWrite, Instance: 3, Object: "z", Value: 30},
 		// instance 3 never commits: crash before commit record
 	}
-	for _, rec := range seq {
-		if err := l.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, report, err := Recover(bytes.NewReader(buf.Bytes()), map[string]Value{"x": 1, "y": 2, "z": 3})
+	st, report, err := Recover(bytes.NewReader(singleFileLog(seq...)), map[string]Value{"x": 1, "y": 2, "z": 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,21 +79,14 @@ func TestWALRecoverAppliesOnlyCommitted(t *testing.T) {
 }
 
 func TestWALTornTail(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewWAL(&buf)
-	for _, rec := range []WALRecord{
-		{Kind: WALBegin, Instance: 1},
-		{Kind: WALWrite, Instance: 1, Object: "x", Value: 5},
-		{Kind: WALCommit, Instance: 1},
-		{Kind: WALBegin, Instance: 2},
-		{Kind: WALWrite, Instance: 2, Object: "x", Value: 99},
-		{Kind: WALCommit, Instance: 2},
-	} {
-		if err := l.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	full := buf.Bytes()
+	full := singleFileLog(
+		WALRecord{Kind: WALBegin, Instance: 1},
+		WALRecord{Kind: WALWrite, Instance: 1, Object: "x", Value: 5},
+		WALRecord{Kind: WALCommit, Instance: 1},
+		WALRecord{Kind: WALBegin, Instance: 2},
+		WALRecord{Kind: WALWrite, Instance: 2, Object: "x", Value: 99},
+		WALRecord{Kind: WALCommit, Instance: 2},
+	)
 	// Truncate mid-way through the last record: recovery must keep the
 	// valid prefix and drop instance 2's commit (or more).
 	for cut := len(full) - 1; cut > len(full)-12; cut-- {
@@ -107,21 +101,14 @@ func TestWALTornTail(t *testing.T) {
 }
 
 func TestWALCorruptRecordEndsPrefix(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewWAL(&buf)
-	for _, rec := range []WALRecord{
-		{Kind: WALBegin, Instance: 1},
-		{Kind: WALWrite, Instance: 1, Object: "x", Value: 5},
-		{Kind: WALCommit, Instance: 1},
-	} {
-		if err := l.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data := buf.Bytes()
+	data := singleFileLog(
+		WALRecord{Kind: WALBegin, Instance: 1},
+		WALRecord{Kind: WALWrite, Instance: 1, Object: "x", Value: 5},
+		WALRecord{Kind: WALCommit, Instance: 1},
+	)
 	// Flip a payload byte of the middle record.
 	data[15] ^= 0xff
-	records, err := ReadWAL(bytes.NewReader(data))
+	records, _, err := ScanWAL(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,17 +118,11 @@ func TestWALCorruptRecordEndsPrefix(t *testing.T) {
 }
 
 func TestWALOrphanWrites(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewWAL(&buf)
-	for _, rec := range []WALRecord{
-		{Kind: WALWrite, Instance: 9, Object: "x", Value: 1}, // no begin
-		{Kind: WALCommit, Instance: 9},
-	} {
-		if err := l.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, report, err := Recover(bytes.NewReader(buf.Bytes()), nil)
+	log := singleFileLog(
+		WALRecord{Kind: WALWrite, Instance: 9, Object: "x", Value: 1}, // no begin
+		WALRecord{Kind: WALCommit, Instance: 9},
+	)
+	st, report, err := Recover(bytes.NewReader(log), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,35 +142,6 @@ func TestWALRecordKindString(t *testing.T) {
 		if k.String() != want {
 			t.Errorf("%d.String() = %q", k, k.String())
 		}
-	}
-}
-
-func TestOpenWALFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "test.wal")
-	l, f, err := OpenWALFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(WALRecord{Kind: WALBegin, Instance: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(WALRecord{Kind: WALCommit, Instance: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	g, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	records, err := ReadWAL(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != 2 {
-		t.Errorf("read %d records", len(records))
 	}
 }
 

@@ -9,7 +9,6 @@ package txn_test
 // turn, on both drivers.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -41,7 +40,7 @@ func runCanceledAtStage(t *testing.T, stage txn.Stage, concurrent bool) {
 	}
 	store := storage.NewStore()
 	store.Load(w.Initial)
-	var logBuf bytes.Buffer
+	log := newTestLog(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var fired atomic.Int32
@@ -74,7 +73,7 @@ func runCanceledAtStage(t *testing.T, stage txn.Stage, concurrent bool) {
 		Semantics: w.Semantics,
 		MPL:       8,
 		Seed:      7,
-		WAL:       storage.NewWAL(&logBuf),
+		WAL:       log,
 		// A mild abort storm keeps every stage busy — without it, low-
 		// contention concurrent runs can finish before StageAbort ever
 		// fires three times.
@@ -121,9 +120,9 @@ func runCanceledAtStage(t *testing.T, stage txn.Stage, concurrent bool) {
 	}
 	// The WAL is recoverable: every in-flight instance got its abort
 	// record, and replay reproduces the live store.
-	recovered, report, err := storage.Recover(bytes.NewReader(logBuf.Bytes()), w.Initial)
-	if err != nil {
-		t.Fatalf("WAL unrecoverable after cancellation: %v", err)
+	recovered, report := recoverLog(t, log.bytes(t), w.Initial)
+	if !report.Clean() {
+		t.Fatalf("WAL damaged after cancellation: %s", report)
 	}
 	if report.Unfinished != 0 || report.Orphans != 0 {
 		t.Errorf("canceled run left a ragged log: %s", report)
@@ -182,10 +181,9 @@ func TestCancelBeforeRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, concurrent := range []bool{false, true} {
-		var logBuf bytes.Buffer
 		_, _, err := w.RunWithContext(ctx, sched.NewRSGT(w.Oracle), workload.RunOptions{
 			Seed: 5, MPL: 8, Concurrent: concurrent,
-			WAL: storage.NewWAL(&logBuf),
+			WAL: newTestLog(t),
 		})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("concurrent=%v: want canceled, got %v", concurrent, err)

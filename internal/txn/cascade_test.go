@@ -98,7 +98,7 @@ func TestConcurrentCascadingAbortDepth3(t *testing.T) {
 			core.T(3, t3Ops...),
 		}
 		proto := &recordingProto{Protocol: sched.NewNoCC(), prog: map[int64]core.TxnID{}}
-		var walBuf bytes.Buffer
+		log := newTestLog(t)
 		r, err := txn.NewConcurrent(txn.Config{
 			Protocol:    proto,
 			Programs:    progs,
@@ -107,7 +107,7 @@ func TestConcurrentCascadingAbortDepth3(t *testing.T) {
 			Seed:        int64(attempt + 1),
 			Deadline:    45,
 			MaxRestarts: 500,
-			WAL:         storage.NewWAL(&walBuf),
+			WAL:         log,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -122,9 +122,13 @@ func TestConcurrentCascadingAbortDepth3(t *testing.T) {
 		if res.DeadlineAborts == 0 {
 			t.Fatalf("attempt %d: T1 never overran its deadline", attempt)
 		}
-		recs, err := storage.ReadWAL(bytes.NewReader(walBuf.Bytes()))
-		if err != nil {
-			t.Fatalf("attempt %d: WAL: %v", attempt, err)
+		_, framed, tail, err := storage.ScanSegment(bytes.NewReader(log.bytes(t)))
+		if err != nil || tail.Tail != storage.TailClean {
+			t.Fatalf("attempt %d: WAL: %v (%s tail)", attempt, err, tail.Tail)
+		}
+		recs := make([]storage.WALRecord, len(framed))
+		for i, fr := range framed {
+			recs[i] = fr.Rec
 		}
 
 		committed := map[int64]bool{}

@@ -16,7 +16,8 @@ import (
 
 // chaosBankingRun executes one seeded deterministic banking run under
 // the given fault spec and returns the result (nil if the run crashed),
-// the run error, the WAL bytes and the injector fingerprint.
+// the run error, the WAL bytes (testLog.bytes) and the injector
+// fingerprint.
 func chaosBankingRun(t *testing.T, seed int64, spec string, cfg workload.BankingConfig) (*txn.Result, error, []byte, string) {
 	t.Helper()
 	w, err := workload.Banking(cfg, seed)
@@ -29,7 +30,7 @@ func chaosBankingRun(t *testing.T, seed int64, spec string, cfg workload.Banking
 	}
 	store := storage.NewStore()
 	store.Load(w.Initial)
-	var walBuf bytes.Buffer
+	log := newTestLog(t)
 	inj := fault.New(seed, fault.MustParseSpec(spec))
 	r, err := txn.New(txn.Config{
 		Protocol:    p,
@@ -40,14 +41,14 @@ func chaosBankingRun(t *testing.T, seed int64, spec string, cfg workload.Banking
 		MPL:         8,
 		Seed:        seed,
 		MaxRestarts: 100000,
-		WAL:         storage.NewWAL(&walBuf),
+		WAL:         log,
 		Faults:      inj,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, runErr := r.Run()
-	return res, runErr, append([]byte(nil), walBuf.Bytes()...), inj.Fingerprint()
+	return res, runErr, log.bytes(t), inj.Fingerprint()
 }
 
 // TestFaultReplayByteIdentical is the reproducibility contract: two
@@ -131,10 +132,7 @@ func TestShedUnderAbortStorm(t *testing.T) {
 	if res.LoadSheds == 0 || res.MinEffectiveMPL >= 8 {
 		t.Fatalf("admission controller never shed: sheds=%d minEffectiveMPL=%d", res.LoadSheds, res.MinEffectiveMPL)
 	}
-	st, _, err := storage.Recover(bytes.NewReader(wal), w.Initial)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, _ := recoverLog(t, wal, w.Initial)
 	if err := w.Invariant(st.Snapshot()); err != nil {
 		t.Fatalf("invariant after storm recovery: %v", err)
 	}
@@ -159,10 +157,7 @@ func TestInjectedCrashRecoversClean(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, _, err := storage.Recover(bytes.NewReader(wal), w.Initial)
-		if err != nil {
-			t.Fatalf("seed %d: recovery: %v", seed, err)
-		}
+		st, _ := recoverLog(t, wal, w.Initial)
 		if err := w.Invariant(st.Snapshot()); err != nil {
 			t.Fatalf("seed %d: invariant after crash recovery: %v", seed, err)
 		}

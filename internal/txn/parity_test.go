@@ -10,7 +10,6 @@ package txn_test
 // (the drivers interleave differently); the verdicts must not.
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -64,17 +63,17 @@ func parityCorpus() []parityScenario {
 // parityRun executes one driver over the scenario and returns its
 // verdicts: the run result, the recovery report of its WAL, and the
 // recovered snapshot (which must match the live store).
-func parityRun(t *testing.T, sc parityScenario, seed int64, concurrent bool) (*txn.Result, *storage.RecoveryReport) {
+func parityRun(t *testing.T, sc parityScenario, seed int64, concurrent bool) (*txn.Result, *storage.SegmentedReport) {
 	t.Helper()
 	w, err := sc.build(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var logBuf bytes.Buffer
+	log := newTestLog(t)
 	res, store, err := w.RunWith(sc.proto(w), workload.RunOptions{
 		Seed:       seed,
 		MPL:        8,
-		WAL:        storage.NewWAL(&logBuf),
+		WAL:        log,
 		Concurrent: concurrent,
 		Shards:     4,
 	})
@@ -87,9 +86,9 @@ func parityRun(t *testing.T, sc parityScenario, seed int64, concurrent bool) (*t
 	if err := res.Verify(); err != nil {
 		t.Fatalf("concurrent=%v: certification verdict: %v", concurrent, err)
 	}
-	recovered, report, err := storage.Recover(bytes.NewReader(logBuf.Bytes()), w.Initial)
-	if err != nil {
-		t.Fatalf("concurrent=%v: recovery: %v", concurrent, err)
+	recovered, report := recoverLog(t, log.bytes(t), w.Initial)
+	if !report.Clean() {
+		t.Fatalf("concurrent=%v: recovery not clean: %s", concurrent, report)
 	}
 	live := store.Snapshot()
 	for obj, v := range recovered.Snapshot() {
@@ -123,7 +122,7 @@ func TestSerialConcurrentParity(t *testing.T) {
 				if serialRep.Committed != concRep.Committed {
 					t.Errorf("recovered commits diverge: serial %d, concurrent %d", serialRep.Committed, concRep.Committed)
 				}
-				for _, rep := range []*storage.RecoveryReport{serialRep, concRep} {
+				for _, rep := range []*storage.SegmentedReport{serialRep, concRep} {
 					if rep.Committed != serialRes.Committed {
 						t.Errorf("recovery found %d commits, run reported %d", rep.Committed, serialRes.Committed)
 					}

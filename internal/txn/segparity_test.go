@@ -1,10 +1,10 @@
 package txn_test
 
-// Segmented-durability parity: both drivers, run over a 4-lane
-// group-commit WAL instead of the single log, must still certify, and
-// parallel recovery of the segmented image must reproduce the live
-// store and the workload invariant — the tick driver and the
-// goroutine driver agree through the new durability path too.
+// Multi-lane durability parity: both drivers, run over a 4-lane log
+// rotating every 512 bytes instead of the one-lane test log, must
+// still certify, and parallel recovery of the image must reproduce the
+// live store and the workload invariant — the tick driver and the
+// goroutine driver agree across lanes and rotations too.
 
 import (
 	"fmt"
@@ -15,7 +15,7 @@ import (
 	"relser/internal/workload"
 )
 
-// segParityRun is parityRun over a segmented WAL: run the driver,
+// segParityRun is parityRun over four rotating lanes: run the driver,
 // close the log, recover the crash image, and cross-check.
 func segParityRun(t *testing.T, sc parityScenario, seed int64, concurrent bool) (*txn.Result, *storage.SegmentedReport) {
 	t.Helper()

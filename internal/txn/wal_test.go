@@ -1,7 +1,6 @@
 package txn_test
 
 import (
-	"bytes"
 	"testing"
 
 	"relser/internal/sched"
@@ -29,7 +28,7 @@ func TestWALRecoveryMatchesLiveStore(t *testing.T) {
 			} else {
 				p = sched.NewRSGT(w.Oracle)
 			}
-			var logBuf bytes.Buffer
+			log := newTestLog(t)
 			store := storage.NewStore()
 			store.Load(w.Initial)
 			r, err := txn.New(txn.Config{
@@ -39,7 +38,7 @@ func TestWALRecoveryMatchesLiveStore(t *testing.T) {
 				Store:     store,
 				Semantics: w.Semantics,
 				Seed:      seed,
-				WAL:       storage.NewWAL(&logBuf),
+				WAL:       log,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -48,10 +47,7 @@ func TestWALRecoveryMatchesLiveStore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			recovered, report, err := storage.Recover(bytes.NewReader(logBuf.Bytes()), w.Initial)
-			if err != nil {
-				t.Fatal(err)
-			}
+			recovered, report := recoverLog(t, log.bytes(t), w.Initial)
 			if report.Committed != res.Committed {
 				t.Errorf("%s/seed %d: recovery saw %d commits, runtime %d", proto, seed, report.Committed, res.Committed)
 			}
@@ -79,7 +75,7 @@ func TestWALCrashMidRunKeepsPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var logBuf bytes.Buffer
+	log := newTestLog(t)
 	store := storage.NewStore()
 	store.Load(w.Initial)
 	r, err := txn.New(txn.Config{
@@ -89,7 +85,7 @@ func TestWALCrashMidRunKeepsPrefix(t *testing.T) {
 		Store:     store,
 		Semantics: w.Semantics,
 		Seed:      2,
-		WAL:       storage.NewWAL(&logBuf),
+		WAL:       log,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,12 +93,8 @@ func TestWALCrashMidRunKeepsPrefix(t *testing.T) {
 	if _, err := r.Run(); err != nil {
 		t.Fatal(err)
 	}
-	full := logBuf.Bytes()
-	fullStore, fullReport, err := storage.Recover(bytes.NewReader(full), w.Initial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = fullStore
+	full := log.bytes(t)
+	_, fullReport := recoverLog(t, full, w.Initial)
 	cuts := make([]int, 0, len(full)/13+2)
 	for cut := 0; cut < len(full); cut += 13 { // prime stride over the log
 		cuts = append(cuts, cut)
@@ -110,10 +102,7 @@ func TestWALCrashMidRunKeepsPrefix(t *testing.T) {
 	cuts = append(cuts, len(full)) // always test the intact log too
 	prevCommitted := -1
 	for _, cut := range cuts {
-		st, report, err := storage.Recover(bytes.NewReader(full[:cut]), w.Initial)
-		if err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
+		_, report := recoverLog(t, full[:cut], w.Initial)
 		if report.Committed < prevCommitted {
 			t.Fatalf("cut %d: commits went backward (%d < %d)", cut, report.Committed, prevCommitted)
 		}
@@ -123,7 +112,6 @@ func TestWALCrashMidRunKeepsPrefix(t *testing.T) {
 		if report.Committed > fullReport.Committed {
 			t.Fatalf("cut %d: more commits than the full log", cut)
 		}
-		_ = st
 	}
 	if prevCommitted != fullReport.Committed {
 		t.Errorf("final prefix recovered %d commits, full log %d", prevCommitted, fullReport.Committed)
@@ -135,7 +123,7 @@ func TestConcurrentRunnerWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var logBuf bytes.Buffer
+	log := newTestLog(t)
 	store := storage.NewStore()
 	store.Load(w.Initial)
 	r, err := txn.NewConcurrent(txn.Config{
@@ -145,7 +133,7 @@ func TestConcurrentRunnerWAL(t *testing.T) {
 		Store:     store,
 		Semantics: w.Semantics,
 		MPL:       6,
-		WAL:       storage.NewWAL(&logBuf),
+		WAL:       log,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,10 +142,7 @@ func TestConcurrentRunnerWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recovered, report, err := storage.Recover(bytes.NewReader(logBuf.Bytes()), w.Initial)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recovered, report := recoverLog(t, log.bytes(t), w.Initial)
 	if report.Committed != res.Committed {
 		t.Errorf("recovery commits %d != runtime %d", report.Committed, res.Committed)
 	}

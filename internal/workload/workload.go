@@ -62,8 +62,8 @@ func (w *Workload) Run(protocol sched.Protocol, seed int64, mpl int) (*txn.Resul
 type RunOptions struct {
 	Seed int64
 	MPL  int
-	// WAL is any durability sink: a single-lane *storage.WAL or a
-	// per-shard segmented *storage.ShardedWAL (group commit).
+	// WAL is the durability sink: a *storage.ShardedWAL, or a decorator
+	// around one.
 	WAL        storage.WALSink
 	Store      *storage.Store
 	Concurrent bool

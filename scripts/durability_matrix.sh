@@ -1,9 +1,8 @@
 #!/usr/bin/env sh
 # Durability certification matrix: every cell runs a concurrent banking
-# workload through a write-ahead log, then certifies recovery of that
-# log with rsrecover — shards in {1, 4, 16} crossed with the legacy
-# single-file WAL and the per-shard segmented log (-group-commit).
-# A damage leg then tears two segmented lanes' tails and asserts
+# workload through the segmented write-ahead log, then certifies
+# recovery of that log with rsrecover — shards (= lanes) in {1, 4, 16}.
+# A damage leg then tears two lanes' tails and asserts
 # rsrecover diagnoses the *first failing shard* deterministically in
 # its structured JSON error (exit 3, "shard": lowest torn lane), and
 # that -shard filters a recovery to one lane.
@@ -35,40 +34,33 @@ RSSIM="$OUT/bin/rssim"
 RSRECOVER="$OUT/bin/rsrecover"
 
 for shards in 1 4 16; do
-	for mode in legacy segmented; do
-		cell="shards=$shards/$mode"
-		dir="$OUT/$mode-$shards"
-		mkdir -p "$dir"
-		case "$mode" in
-		legacy) walpath="$dir/run.wal" walflags="-wal $dir/run.wal" ;;
-		segmented) walpath="$dir/waldir" walflags="-wal $dir/waldir -group-commit" ;;
-		esac
-		# shellcheck disable=SC2086
-		if ! "$RSSIM" -workload banking -concurrent -shards "$shards" \
-			-seed 7 $walflags >"$dir/rssim.log" 2>&1; then
-			fail "$cell: rssim failed (see $dir/rssim.log)"
-			cat "$dir/rssim.log" >&2
-			continue
-		fi
-		if ! "$RSRECOVER" -wal "$walpath" -strict \
-			>"$dir/recover.log" 2>"$dir/recover.err"; then
-			fail "$cell: rsrecover -strict nonzero (see $dir/recover.err)"
-			cat "$dir/recover.err" >&2
-			continue
-		fi
-		if ! grep -q ' 0 unfinished, 0 orphans' "$dir/recover.log"; then
-			fail "$cell: recovery report not clean: $(head -1 "$dir/recover.log")"
-			continue
-		fi
-		note "$cell ok"
-	done
+	cell="shards=$shards"
+	dir="$OUT/shards-$shards"
+	mkdir -p "$dir"
+	if ! "$RSSIM" -workload banking -concurrent -shards "$shards" \
+		-seed 7 -wal "$dir/waldir" >"$dir/rssim.log" 2>&1; then
+		fail "$cell: rssim failed (see $dir/rssim.log)"
+		cat "$dir/rssim.log" >&2
+		continue
+	fi
+	if ! "$RSRECOVER" -wal "$dir/waldir" -strict \
+		>"$dir/recover.log" 2>"$dir/recover.err"; then
+		fail "$cell: rsrecover -strict nonzero (see $dir/recover.err)"
+		cat "$dir/recover.err" >&2
+		continue
+	fi
+	if ! grep -q ' 0 unfinished, 0 orphans' "$dir/recover.log"; then
+		fail "$cell: recovery report not clean: $(head -1 "$dir/recover.log")"
+		continue
+	fi
+	note "$cell ok"
 done
 
 # ---- damage leg: deterministic first-failing-shard diagnosis --------
 dmg="$OUT/damage"
 mkdir -p "$dmg"
 if ! "$RSSIM" -workload banking -concurrent -shards 4 -seed 7 \
-	-wal "$dmg/waldir" -group-commit >"$dmg/rssim.log" 2>&1; then
+	-wal "$dmg/waldir" >"$dmg/rssim.log" 2>&1; then
 	fail "damage: rssim failed"
 	cat "$dmg/rssim.log" >&2
 else
