@@ -122,12 +122,12 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# The scheduler/graph/storage hot-path benchmarks the CI perf gate
+# The scheduler/graph/storage/offline-test hot-path benchmarks the CI perf gate
 # compares with benchstat (see .github/workflows/ci.yml, job: bench;
 # install the pinned tool with
 # `go install golang.org/x/perf/cmd/benchstat@$(BENCHSTAT_VERSION)`).
 bench-hot:
-	$(GO) test -run 'XXX' -bench . -benchmem -count=5 ./internal/txn ./internal/sched ./internal/graph ./internal/storage
+	$(GO) test -run 'XXX' -bench . -benchmem -count=5 ./internal/txn ./internal/sched ./internal/graph ./internal/storage ./internal/core
 
 # Durability certification matrix (CI: durability job): the segmented
 # group-commit log at shards {1,4,16}, recovery certified with
@@ -141,11 +141,12 @@ durability-matrix:
 experiments:
 	$(GO) run ./cmd/rsbench
 
-# Short fuzzing pass over the parsers.
+# Short fuzzing pass over the parsers and the certification graph.
 fuzz:
 	$(GO) test -fuzz=FuzzParseOp -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzParseSchedule -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzParseInstance -fuzztime=10s ./internal/core/
+	$(GO) test -fuzz=FuzzCertGraphMatchesDefinition3 -fuzztime=10s ./internal/core/
 
 tools: vet-tool
 	$(GO) build -o bin/rscheck ./cmd/rscheck

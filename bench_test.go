@@ -139,18 +139,9 @@ func syntheticSchedule(b *testing.B, totalOps int) (*core.Schedule, *core.Spec) 
 		}
 	}
 	s := core.MustSchedule(ts, ops)
-	sp := core.NewSpec(ts)
-	for _, a := range txns {
-		for _, bb := range txns {
-			if a.ID == bb.ID {
-				continue
-			}
-			for _, cut := range w.Oracle.Cuts(a, bb) {
-				if err := sp.CutAfter(a.ID, bb.ID, cut-1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
+	sp, err := core.SpecFromCuts(ts, w.Oracle.Cuts)
+	if err != nil {
+		b.Fatal(err)
 	}
 	return s, sp
 }

@@ -6,6 +6,7 @@ package core_test
 // further.
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -84,6 +85,38 @@ func FuzzParseInstance(f *testing.F) {
 			s := inst.Schedules[name]
 			core.IsRelativelySerializable(s, inst.Spec)
 			core.IsRelativelyAtomic(s, inst.Spec)
+		}
+	})
+}
+
+// FuzzCertGraphMatchesDefinition3: on every accepted instance the
+// dominance-reduced graph and Definition 3's graph (rebuilt from
+// RSG.Arcs) agree on acyclicity, under transitive and under direct
+// depends-on.
+func FuzzCertGraphMatchesDefinition3(f *testing.F) {
+	for _, file := range corpusFiles(f) {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(raw))
+	}
+	// A schedule naming a transaction more often than it has operations:
+	// NewSchedule must reject it rather than index past the program.
+	f.Add("txn 1:r[x] w[0]\ntxn 2:r[x] w[0]\nschedule 0:r1[x] r2[x] w1[0] w1[0]")
+	f.Fuzz(func(t *testing.T, raw string) {
+		inst, err := core.ParseInstance(strings.NewReader(raw))
+		if err != nil {
+			return
+		}
+		for _, name := range inst.Names {
+			s := inst.Schedules[name]
+			for _, dep := range []*core.Depends{core.ComputeDepends(s), core.ComputeDirectDepends(s)} {
+				rsg := core.BuildRSGUnder(s, inst.Spec, dep)
+				if want := !definition3Graph(rsg).HasCycle(); rsg.Acyclic() != want {
+					t.Fatalf("%s (direct=%v): Acyclic() = %v, Definition 3's graph acyclic = %v", name, dep.IsDirect(), rsg.Acyclic(), want)
+				}
+			}
 		}
 	})
 }

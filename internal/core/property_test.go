@@ -14,15 +14,22 @@ import (
 	"relser/internal/core"
 )
 
-// genInstance derives a random transaction set, specification and
-// schedule from a seed.
+// genInstance derives a random transaction set (2-4 transactions of
+// 1-4 operations over 4 objects), specification and schedule from a
+// seed.
 func genInstance(seed int64) (*core.TxnSet, *core.Spec, *core.Schedule) {
+	return genInstanceSized(seed, 4, 4, 4)
+}
+
+// genInstanceSized is genInstance with 2..maxTxn transactions of
+// 1..maxOps operations over the first nObj objects.
+func genInstanceSized(seed int64, maxTxn, maxOps, nObj int) (*core.TxnSet, *core.Spec, *core.Schedule) {
 	rng := rand.New(rand.NewSource(seed))
-	objects := []string{"x", "y", "z", "u"}
-	nTxn := 2 + rng.Intn(3)
+	objects := []string{"x", "y", "z", "u", "v", "w"}[:nObj]
+	nTxn := 2 + rng.Intn(maxTxn-1)
 	txns := make([]*core.Transaction, nTxn)
 	for i := range txns {
-		nOps := 1 + rng.Intn(4)
+		nOps := 1 + rng.Intn(maxOps)
 		ops := make([]core.Op, nOps)
 		for k := range ops {
 			obj := objects[rng.Intn(len(objects))]

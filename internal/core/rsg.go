@@ -2,8 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 
 	"relser/internal/graph"
 )
@@ -53,14 +54,21 @@ func (k ArcKind) String() string {
 // RSG is the relative serialization graph of a schedule under a
 // relative atomicity specification (Definition 3). Vertices are the
 // operations of the transaction set, addressed by their TxnSet global
-// index; arcs carry a kind mask. Theorem 1: the schedule is relatively
-// serializable iff the graph is acyclic.
+// index. Theorem 1: the schedule is relatively serializable iff the
+// graph is acyclic.
+//
+// Acyclic, Cycle and Witness run on the dominance-reduced graph g
+// (THEORY §4): a subgraph of Definition 3's with the same reachability.
+// Arc kinds are derived from dep and sp on demand; Definition 3's full
+// arc set is enumerated only for Arcs, NumArcs and Dot.
 type RSG struct {
-	s     *Schedule
-	sp    *Spec
-	dep   *Depends
-	g     *graph.Dense
-	kinds map[[2]int]ArcKind
+	s   *Schedule
+	sp  *Spec
+	dep *Depends
+	g   *graph.Dense
+
+	def3Once sync.Once
+	def3     *graph.Dense
 }
 
 // BuildRSG constructs RSG(S) for the schedule under the specification.
@@ -80,56 +88,92 @@ func BuildRSGUnder(s *Schedule, sp *Spec, d *Depends) *RSG {
 	return buildRSG(s, sp, d)
 }
 
+// buildRSG fills the tested graph in one forward scan: all I-arcs, and
+// the F- and B-arc of a dependent pair u ∈ Ti, v ∈ Tk only where u is
+// later in Ti than anything an operation of Tk up to v depended on
+// before. By the dominance lemma (THEORY §4) every arc Definition 3
+// adds for any other pair is a path through those, whatever the
+// depends-on relation, so no D-arc is stored.
 func buildRSG(s *Schedule, sp *Spec, dep *Depends) *RSG {
 	ts := s.Set()
-	n := ts.NumOps()
-	r := &RSG{
-		s:     s,
-		sp:    sp,
-		dep:   dep,
-		g:     graph.NewDense(n),
-		kinds: make(map[[2]int]ArcKind),
-	}
-	// I-arcs: consecutive operations of each transaction.
-	for _, t := range ts.Txns() {
-		for seq := 0; seq+1 < t.Len(); seq++ {
-			r.addArc(ts.GlobalIndex(t.ID, seq), ts.GlobalIndex(t.ID, seq+1), IArc)
+	n, nt := ts.NumOps(), ts.NumTxns()
+	r := &RSG{s: s, sp: sp, dep: dep, g: graph.NewDense(n)}
+	addProgramOrder(r.g, ts)
+	owner := make([]int, 0, n) // global op index -> index of its transaction
+	for i, t := range ts.Txns() {
+		for range t.Ops {
+			owner = append(owner, i)
 		}
 	}
-	// D-arcs with their induced F- and B-arcs. For each D-arc u -> v
-	// with u ∈ Ti, v ∈ Tk (i ≠ k): F-arc PushForward(u, Tk) -> v
-	// (rule 3) and B-arc u -> PullBackward(v, Ti) (rule 4; there the
-	// D-arc is written okl -> oij with okl ∈ Tk, oij ∈ Ti, and the
-	// added arc is okl -> PullBackward(oij, Tk) — i.e. source ->
-	// first operation of the target's unit relative to the source's
-	// transaction).
-	for posV := 0; posV < s.Len(); posV++ {
-		v := s.At(posV)
-		gv := ts.GlobalIndexOf(v)
-		r.dep.Predecessors(posV).ForEach(func(posU int) bool {
-			u := s.At(posU)
-			if u.Txn == v.Txn {
-				return true
+	// latest[k*nt+i] is 1 + the global index (which grows with program
+	// order) of the latest operation of Ti that an operation of Tk
+	// scheduled so far depends on; 0 for none.
+	latest := make([]int, nt*nt)
+	stamp := make([]int, nt) // stamp[i] == pos+1: entry i advanced at pos
+	var advanced []int
+	for pos := 0; pos < s.Len(); pos++ {
+		gv := s.GlobalAt(pos)
+		k := owner[gv]
+		row := latest[k*nt : (k+1)*nt]
+		advanced = advanced[:0]
+		dep.Predecessors(pos).ForEach(func(q int) bool {
+			gu := s.GlobalAt(q)
+			if i := owner[gu]; i != k && gu >= row[i] {
+				row[i] = gu + 1
+				if stamp[i] != pos+1 {
+					stamp[i] = pos + 1
+					advanced = append(advanced, i)
+				}
 			}
-			gu := ts.GlobalIndexOf(u)
-			r.addArc(gu, gv, DArc)
-			pf := sp.PushForward(u, v.Txn)
-			r.addArc(ts.GlobalIndexOf(pf), gv, FArc)
-			pb := sp.PullBackward(v, u.Txn)
-			r.addArc(gu, ts.GlobalIndexOf(pb), BArc)
 			return true
 		})
+		v := ts.OpAt(gv)
+		for _, i := range advanced {
+			gu := row[i] - 1
+			u := ts.OpAt(gu)
+			_, end := sp.UnitOf(u.Txn, u.Seq, v.Txn)
+			r.g.AddArc(gu+end-u.Seq, gv) // F: PushForward(u, Tk) -> v
+			start, _ := sp.UnitOf(v.Txn, v.Seq, u.Txn)
+			r.g.AddArc(gu, gv+start-v.Seq) // B: u -> PullBackward(v, Ti)
+		}
 	}
 	return r
 }
 
-func (r *RSG) addArc(u, v int, kind ArcKind) {
-	// Definition 3 never produces self-arcs: every rule connects
-	// operations of two distinct transactions, or consecutive distinct
-	// operations of one transaction.
-	r.g.AddArc(u, v)
-	key := [2]int{u, v}
-	r.kinds[key] |= kind
+// addProgramOrder adds the I-arcs; consecutive operations of one
+// transaction have consecutive global indices.
+func addProgramOrder(g *graph.Dense, ts *TxnSet) {
+	for i := 1; i < ts.NumOps(); i++ {
+		if ts.OpAt(i).Seq > 0 {
+			g.AddArc(i-1, i)
+		}
+	}
+}
+
+// definition3 returns Definition 3's graph, built on first use: the
+// I-arcs plus, for each D-arc u -> v with u ∈ Ti, v ∈ Tk (i ≠ k), the
+// F-arc PushForward(u, Tk) -> v (rule 3) and the B-arc
+// u -> PullBackward(v, Ti) (rule 4, which names the pair the other way
+// round: source -> first operation of the target's unit relative to the
+// source's transaction). No rule produces a self-arc.
+func (r *RSG) definition3() *graph.Dense {
+	r.def3Once.Do(func() {
+		s, sp, ts := r.s, r.sp, r.s.Set()
+		r.def3 = graph.NewDense(ts.NumOps())
+		addProgramOrder(r.def3, ts)
+		for posV := 0; posV < s.Len(); posV++ {
+			v, gv := s.At(posV), s.GlobalAt(posV)
+			r.dep.Predecessors(posV).ForEach(func(posU int) bool {
+				if u, gu := s.At(posU), s.GlobalAt(posU); u.Txn != v.Txn {
+					r.def3.AddArc(gu, gv)
+					r.def3.AddArc(ts.GlobalIndexOf(sp.PushForward(u, v.Txn)), gv)
+					r.def3.AddArc(gu, ts.GlobalIndexOf(sp.PullBackward(v, u.Txn)))
+				}
+				return true
+			})
+		}
+	})
+	return r.def3
 }
 
 // Schedule returns the underlying schedule.
@@ -141,23 +185,52 @@ func (r *RSG) Spec() *Spec { return r.sp }
 // NumVertices returns the number of vertices (operations).
 func (r *RSG) NumVertices() int { return r.g.Len() }
 
-// NumArcs returns the number of distinct arcs.
-func (r *RSG) NumArcs() int { return r.g.ArcCount() }
+// NumArcs returns the number of distinct arcs of Definition 3's graph.
+func (r *RSG) NumArcs() int { return r.definition3().ArcCount() }
 
-// ArcKinds returns the kind mask of the arc u -> v, or 0 if absent.
+// TestedArcs returns the number of arcs of the dominance-reduced graph
+// that Acyclic, Cycle and Witness actually test.
+func (r *RSG) TestedArcs() int { return r.g.ArcCount() }
+
+// ArcKinds returns the kind mask Definition 3 gives the arc u -> v, or
+// 0 if it has no such arc. Across transactions, u -> v is a D-arc if v
+// depends on u, an F-arc if u closes its atomic unit relative to v's
+// transaction and v depends on an operation of that unit, and a B-arc
+// if v opens its atomic unit relative to u's transaction and an
+// operation of that unit depends on u.
 func (r *RSG) ArcKinds(u, v Op) ArcKind {
-	ts := r.s.Set()
-	return r.kinds[[2]int{ts.GlobalIndexOf(u), ts.GlobalIndexOf(v)}]
+	if u.Txn == v.Txn {
+		if v.Seq == u.Seq+1 {
+			return IArc
+		}
+		return 0
+	}
+	ts, dep := r.s.Set(), r.dep
+	var kind ArcKind
+	if dep.DependsOn(v, u) {
+		kind |= DArc
+	}
+	if start, end := r.sp.UnitOf(u.Txn, u.Seq, v.Txn); end == u.Seq &&
+		slices.ContainsFunc(ts.Txn(u.Txn).Ops[start:end+1], func(o Op) bool { return dep.DependsOn(v, o) }) {
+		kind |= FArc
+	}
+	if start, end := r.sp.UnitOf(v.Txn, v.Seq, u.Txn); start == v.Seq &&
+		slices.ContainsFunc(ts.Txn(v.Txn).Ops[start:end+1], func(o Op) bool { return dep.DependsOn(o, u) }) {
+		kind |= BArc
+	}
+	return kind
 }
 
-// HasArc reports whether any arc u -> v is present.
+// HasArc reports whether Definition 3's graph has any arc u -> v.
 func (r *RSG) HasArc(u, v Op) bool { return r.ArcKinds(u, v) != 0 }
 
-// Arcs calls fn for every arc in deterministic order with its kinds.
+// Arcs calls fn for every arc of Definition 3's graph in deterministic
+// order with its kinds.
 func (r *RSG) Arcs(fn func(u, v Op, kind ArcKind) bool) {
 	ts := r.s.Set()
-	r.g.Arcs(func(gu, gv int) bool {
-		return fn(ts.OpAt(gu), ts.OpAt(gv), r.kinds[[2]int{gu, gv}])
+	r.definition3().Arcs(func(gu, gv int) bool {
+		u, v := ts.OpAt(gu), ts.OpAt(gv)
+		return fn(u, v, r.ArcKinds(u, v))
 	})
 }
 
@@ -214,19 +287,7 @@ func (r *RSG) Dot(name string) string {
 	for g := 0; g < ts.NumOps(); g++ {
 		d.AddNode(g, ts.OpAt(g).String(), nil)
 	}
-	type arc struct{ u, v int }
-	arcs := make([]arc, 0, len(r.kinds))
-	for key := range r.kinds {
-		arcs = append(arcs, arc{key[0], key[1]})
-	}
-	sort.Slice(arcs, func(i, j int) bool {
-		if arcs[i].u != arcs[j].u {
-			return arcs[i].u < arcs[j].u
-		}
-		return arcs[i].v < arcs[j].v
-	})
-	for _, a := range arcs {
-		kind := r.kinds[[2]int{a.u, a.v}]
+	r.Arcs(func(u, v Op, kind ArcKind) bool {
 		attrs := map[string]string{}
 		switch {
 		case kind&IArc != 0:
@@ -238,8 +299,9 @@ func (r *RSG) Dot(name string) string {
 		default:
 			attrs["style"] = "dotted"
 		}
-		d.AddEdge(a.u, a.v, kind.String(), attrs)
-	}
+		d.AddEdge(ts.GlobalIndexOf(u), ts.GlobalIndexOf(v), kind.String(), attrs)
+		return true
+	})
 	return d.String()
 }
 

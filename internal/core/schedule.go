@@ -31,6 +31,9 @@ func NewSchedule(ts *TxnSet, ops []Op) (*Schedule, error) {
 		if !ts.Has(o.Txn) {
 			return nil, fmt.Errorf("core: schedule position %d: unknown transaction T%d", pos, o.Txn)
 		}
+		if nextSeq[o.Txn] >= ts.Txn(o.Txn).Len() {
+			return nil, fmt.Errorf("core: schedule position %d: T%d has only %d operations", pos, o.Txn, nextSeq[o.Txn])
+		}
 		want := ts.Txn(o.Txn).Op(nextSeq[o.Txn])
 		// Operations may be identified fully (Txn, Seq) or by shape only
 		// (Seq zero, as produced by the schedule parser); either way the

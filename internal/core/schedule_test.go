@@ -43,6 +43,7 @@ func TestScheduleValidationErrors(t *testing.T) {
 		{"unknown txn", "r9[x] r1[x] w1[x] w1[z] r1[y] r2[y] w2[y] r2[x] w3[x] w3[y]", "unknown transaction"},
 		{"wrong op shape", "w1[x] r1[x] w1[z] r1[y] r2[y] w2[y] r2[x] w3[x] w3[y] w3[z]", "program order expects"},
 		{"duplicate op", "r1[x] r1[x] w1[x] w1[z] r2[y] w2[y] r2[x] w3[x] w3[y] w3[z]", "program order expects"},
+		{"overlong txn", "r1[x] w1[x] w1[z] r1[y] r1[y] r2[y] w2[y] w3[x] w3[y] w3[z]", "has only 4 operations"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -44,6 +44,40 @@ func (sp *Spec) Clone() *Spec {
 	return c
 }
 
+// SpecFromCuts builds the specification an atomicity oracle describes:
+// cuts(a, b) lists, in ascending order, the unit boundaries of a
+// relative to b, a boundary p separating operations p-1 and p (the
+// convention of the online protocols' oracles; a boundary at len(a) is
+// a no-op). Pairs with no boundaries stay absolute.
+func SpecFromCuts(ts *TxnSet, cuts func(a, b *Transaction) []int) (*Spec, error) {
+	sp := NewSpec(ts)
+	var lens []int
+	for _, a := range ts.Txns() {
+		for _, b := range ts.Txns() {
+			if a == b {
+				continue
+			}
+			cs := cuts(a, b)
+			if len(cs) == 0 {
+				continue
+			}
+			lens = lens[:0]
+			prev := 0
+			for _, p := range cs {
+				lens = append(lens, p-prev)
+				prev = p
+			}
+			if rest := a.Len() - prev; rest > 0 {
+				lens = append(lens, rest)
+			}
+			if err := sp.SetUnits(a.ID, b.ID, lens...); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return sp, nil
+}
+
 // SetUnits declares Atomicity(Ti, Tj) as consecutive units of the given
 // lengths, which must be positive and sum to len(Ti). For the paper's
 // Figure 1, Atomicity(T1, T2) = <r1[x] w1[x] | w1[z] r1[y]> is

@@ -107,22 +107,13 @@ func (res *Result) CommittedSchedule() (*core.Schedule, *core.Spec, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("txn: committed trace is not a schedule: %v", err)
 	}
-	sp := core.NewSpec(ts)
 	oracle := res.oracle
 	if oracle == nil {
 		oracle = sched.AbsoluteOracle{}
 	}
-	for _, a := range res.Programs {
-		for _, b := range res.Programs {
-			if a.ID == b.ID {
-				continue
-			}
-			for _, cut := range oracle.Cuts(a, b) {
-				if err := sp.CutAfter(a.ID, b.ID, cut-1); err != nil {
-					return nil, nil, fmt.Errorf("txn: oracle cut invalid: %v", err)
-				}
-			}
-		}
+	sp, err := core.SpecFromCuts(ts, oracle.Cuts)
+	if err != nil {
+		return nil, nil, fmt.Errorf("txn: oracle cut invalid: %v", err)
 	}
 	return s, sp, nil
 }

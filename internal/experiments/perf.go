@@ -51,18 +51,9 @@ func syntheticInstance(totalOps, opsPerTxn, objects, granularity int, seed int64
 	}
 	rng := rand.New(rand.NewSource(seed + 1))
 	s := randomInterleaving(rng, ts)
-	sp := core.NewSpec(ts)
-	for _, a := range w.Programs {
-		for _, b := range w.Programs {
-			if a.ID == b.ID {
-				continue
-			}
-			for _, cut := range w.Oracle.Cuts(a, b) {
-				if err := sp.CutAfter(a.ID, b.ID, cut-1); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
+	sp, err := core.SpecFromCuts(ts, w.Oracle.Cuts)
+	if err != nil {
+		return nil, nil, err
 	}
 	return s, sp, nil
 }
@@ -76,8 +67,9 @@ func runE6(opts Options) (*Report, error) {
 		sizes = []int{128, 256, 512}
 	}
 	tb := metrics.NewTable("RSG build + acyclicity vs schedule length",
-		"ops", "arcs", "time", "ns/op^2", "acyclic")
+		"ops", "arcs", "tested arcs", "tested/arcs", "time", "ns/op^2", "acyclic")
 	var density []float64 // arcs per ops², deterministic in (sizes, seed)
+	reduced := true       // tested arcs <= Definition 3 arcs at every size
 	for _, n := range sizes {
 		s, sp, err := syntheticInstance(n, 8, n/4, 2, opts.Seed)
 		if err != nil {
@@ -88,8 +80,10 @@ func runE6(opts Options) (*Report, error) {
 		ac := rsg.Acyclic()
 		elapsed := time.Since(start)
 		n2 := float64(n) * float64(n)
-		density = append(density, float64(rsg.NumArcs())/n2)
-		tb.AddRow(n, rsg.NumArcs(), elapsed, float64(elapsed.Nanoseconds())/n2, boolMark(ac))
+		arcs, tested := rsg.NumArcs(), rsg.TestedArcs() // Definition 3's graph is built here, outside the timed test
+		density = append(density, float64(arcs)/n2)
+		reduced = reduced && tested <= arcs
+		tb.AddRow(n, arcs, tested, float64(tested)/float64(arcs), elapsed, float64(elapsed.Nanoseconds())/n2, boolMark(ac))
 	}
 	rep.Tables = append(rep.Tables, tb)
 	// Polynomial check on the graph itself, not the clock: the arc count
@@ -101,6 +95,8 @@ func runE6(opts Options) (*Report, error) {
 	}
 	rep.AddClaim(bounded,
 		"the RSG grows no worse than quadratically in schedule length: arcs/ops² stays within 2x of its smallest-size value across the sweep (the test is polynomial, §3)")
+	rep.AddClaim(reduced,
+		"the graph the test runs on (I-arcs plus the staircase F/B-arcs, THEORY §4) has no more arcs than Definition 3's at every size")
 	rep.AddNote("D-arcs are dense in the worst case, so the expected shape is Θ(n²) — polynomial, versus the NP-complete relatively-consistent test (E7)")
 	return rep, nil
 }

@@ -155,18 +155,9 @@ func verifyOne(ev Event, progs map[int64]*core.Transaction, aborted map[int64]bo
 		return fmt.Errorf("rebuilding schedule: %v", err)
 	}
 
-	sp := core.NewSpec(ts)
-	for _, a := range ts.Txns() {
-		for _, b := range ts.Txns() {
-			if a.ID == b.ID {
-				continue
-			}
-			for _, p := range cuts(a, b) {
-				if err := sp.CutAfter(a.ID, b.ID, p-1); err != nil {
-					return fmt.Errorf("replaying oracle cuts: %v", err)
-				}
-			}
-		}
+	sp, err := core.SpecFromCuts(ts, cuts)
+	if err != nil {
+		return fmt.Errorf("replaying oracle cuts: %v", err)
 	}
 
 	rsg := core.BuildRSG(s, sp)

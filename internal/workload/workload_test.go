@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"relser/internal/core"
 	"relser/internal/sched"
 	"relser/internal/workload"
 )
@@ -199,4 +200,33 @@ func TestSyntheticZipfSkew(t *testing.T) {
 	if counts["o_0"]*4 < total/cfg.Objects {
 		t.Errorf("hottest object suspiciously cold: %d of %d", counts["o_0"], total)
 	}
+}
+
+// TestCertGraphSizeMixRel is the growth guard on the offline Theorem 1
+// test that needs no wall clock: the 192-program committed schedule of
+// the ladder's mix-rel shape is certified on a graph of at most 60 000
+// arcs (Definition 3's has 2.8 million).
+func TestCertGraphSizeMixRel(t *testing.T) {
+	w, err := workload.Synthetic(workload.SyntheticConfig{
+		Objects: 512, Programs: 192, OpsPerTxn: 16, WriteRatio: 0.25, Granularity: 4,
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := w.RunWith(sched.NewRSGT(w.Oracle), workload.RunOptions{Seed: 1, MPL: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, sp, err := res.CommittedSchedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsg := core.BuildRSG(s, sp)
+	if !rsg.Acyclic() {
+		t.Fatalf("RSGT committed a schedule the Theorem 1 test rejects: cycle %v", rsg.Cycle())
+	}
+	if res.Committed != 192 || rsg.TestedArcs() > 60000 {
+		t.Errorf("%d programs certified on %d arcs, want 192 on at most 60000", res.Committed, rsg.TestedArcs())
+	}
+	t.Logf("tested arcs: %d over %d operations", rsg.TestedArcs(), s.Len())
 }
