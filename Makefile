@@ -44,9 +44,10 @@ vet-tool:
 	$(GO) build -o bin/rsvet ./cmd/rsvet
 
 # Run the custom analyzers over the whole tree — internal/, cmd/ and
-# examples/ alike (blocking CI gate). The four interprocedural
-# contract analyzers (detlint, walsync, ctxflow, hookshape) run here
-# with the registry and lock checks.
+# examples/ alike (blocking CI gate): ctxflow, detlint, hookshape,
+# registrydrift, specbuild and stripelock, the six that survived the
+# PR 25 mutation audit (each catches a planted bug tier-1 misses; the
+# table is in CHANGES.md).
 rsvet:
 	$(GO) run ./cmd/rsvet ./...
 
@@ -147,6 +148,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseSchedule -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzParseInstance -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzCertGraphMatchesDefinition3 -fuzztime=10s ./internal/core/
+	$(GO) test -fuzz=FuzzParseSpec -fuzztime=10s ./internal/fault/
 
 tools: vet-tool
 	$(GO) build -o bin/rscheck ./cmd/rscheck

@@ -39,7 +39,7 @@ func main() {
 	)
 	flag.Parse()
 
-	inst, err := loadInstance(*inPath, *figNum)
+	inst, err := paperfig.LoadInstance(*inPath, *figNum)
 	if err != nil {
 		fatal(err)
 	}
@@ -101,26 +101,6 @@ func main() {
 	for _, e := range explains {
 		fmt.Printf("\n%s: %s\n", e.name, e.text)
 	}
-}
-
-func loadInstance(path string, fig int) (*core.Instance, error) {
-	if fig != 0 {
-		all := paperfig.All()
-		if fig < 1 || fig > len(all) {
-			return nil, fmt.Errorf("figure %d out of range 1-%d", fig, len(all))
-		}
-		return all[fig-1].Instance, nil
-	}
-	in := os.Stdin
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		in = f
-	}
-	return core.ParseInstance(in)
 }
 
 func yn(b bool) string {

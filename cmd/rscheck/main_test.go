@@ -5,24 +5,6 @@ import (
 	"testing"
 )
 
-func TestLoadInstanceFigures(t *testing.T) {
-	for fig := 1; fig <= 4; fig++ {
-		inst, err := loadInstance("", fig)
-		if err != nil {
-			t.Fatalf("fig %d: %v", fig, err)
-		}
-		if inst.Set.NumTxns() == 0 || len(inst.Schedules) == 0 {
-			t.Errorf("fig %d: empty instance", fig)
-		}
-	}
-	if _, err := loadInstance("", 9); err == nil {
-		t.Error("out-of-range figure accepted")
-	}
-	if _, err := loadInstance("/nonexistent/path", 0); err == nil {
-		t.Error("missing file accepted")
-	}
-}
-
 func TestYesNo(t *testing.T) {
 	if yn(true) != "yes" || yn(false) != "no" {
 		t.Error("yn wrong")

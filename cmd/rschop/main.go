@@ -32,7 +32,7 @@ func main() {
 	)
 	flag.Parse()
 
-	inst, err := loadInstance(*inPath, *figNum)
+	inst, err := paperfig.LoadInstance(*inPath, *figNum)
 	if err != nil {
 		fatal(err)
 	}
@@ -70,26 +70,6 @@ func main() {
 	}
 	fmt.Println("verdict: correct chopping — piece-atomic executions under strict 2PL stay serializable [SSV92]")
 	fmt.Println("(use -spec to emit the equivalent relative atomicity specification)")
-}
-
-func loadInstance(path string, fig int) (*core.Instance, error) {
-	if fig != 0 {
-		all := paperfig.All()
-		if fig < 1 || fig > len(all) {
-			return nil, fmt.Errorf("figure %d out of range 1-%d", fig, len(all))
-		}
-		return all[fig-1].Instance, nil
-	}
-	in := os.Stdin
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		in = f
-	}
-	return core.ParseInstance(in)
 }
 
 func fatal(err error) {

@@ -35,7 +35,7 @@ func main() {
 	)
 	flag.Parse()
 
-	inst, err := loadInstance(*inPath, *figNum)
+	inst, err := paperfig.LoadInstance(*inPath, *figNum)
 	if err != nil {
 		fatal(err)
 	}
@@ -84,26 +84,6 @@ func main() {
 			fmt.Printf("  %-28s %s\n", name+":", c.Witnesses[name])
 		}
 	}
-}
-
-func loadInstance(path string, fig int) (*core.Instance, error) {
-	if fig != 0 {
-		all := paperfig.All()
-		if fig < 1 || fig > len(all) {
-			return nil, fmt.Errorf("figure %d out of range 1-%d", fig, len(all))
-		}
-		return all[fig-1].Instance, nil
-	}
-	in := os.Stdin
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		in = f
-	}
-	return core.ParseInstance(in)
 }
 
 func fatal(err error) {

@@ -23,16 +23,13 @@
 // with the named stripe mutex held, extending the intraprocedural lock
 // tracking of the stripelock analyzer across that call boundary.
 //
-// Three more doc-comment directives feed the interprocedural contract
-// analyzers (see internal/analysis/callgraph):
+// One more doc-comment directive feeds the interprocedural detlint
+// analyzer (see internal/analysis/callgraph):
 //
-//	//rsvet:deterministic  — the function is a detlint root: no wall
-//	                         clock, unseeded randomness or map-order
-//	                         dependence may be reachable from it;
-//	//rsvet:durable        — the function is a walsync root: success
-//	                         returns require an fsync/group-commit ack;
-//	//rsvet:ack            — the function counts as a durability ack
-//	                         (it blocks until the write is durable).
+//	//rsvet:deterministic
+//
+// makes the function a detlint root: no wall clock, unseeded
+// randomness or map-order dependence may be reachable from it.
 package analysis
 
 import (

@@ -14,7 +14,7 @@
 // identity (for interface methods) but has no body to follow. Calls in
 // `go` statements are deliberately not edges: the spawned goroutine's
 // behavior is not part of the caller's synchronous contract, which is
-// what the contract analyzers (detlint, walsync, hookshape) reason
+// what the contract analyzers (detlint, hookshape) reason
 // about.
 //
 // Identity is name-based, not object-based: the loader type-checks
@@ -227,15 +227,6 @@ func IDOf(fn *types.Func) FuncID {
 		return FuncID(fn.Pkg().Path() + ".(" + ptr + name + ")." + fn.Name())
 	}
 	return FuncID(fn.Pkg().Path() + "." + fn.Name())
-}
-
-// Lookup returns the node for a function object, if its body was
-// loaded from source.
-func (g *Graph) Lookup(fn *types.Func) *Node {
-	if fn == nil {
-		return nil
-	}
-	return g.Nodes[IDOf(fn)]
 }
 
 // LitNode returns the node materialized for a function literal.

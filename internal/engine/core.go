@@ -314,7 +314,7 @@ func (c *Core) Apply(ctx context.Context, st *Instance, op core.Op, shardIdx int
 func (c *Core) TryCommit(st *Instance, clock int64) bool {
 	if len(st.DepsOn) > 0 || !c.Cfg.Protocol.CanCommit(st.ID) {
 		c.res.CommitWaits++
-		c.rep.commitWait()
+		c.rep.commitWaits.Inc()
 		return false
 	}
 	c.Cfg.Protocol.Commit(st.ID)
@@ -466,7 +466,7 @@ func (c *Core) AbortAll(cause string, clock int64) int {
 		_ = c.AbortCascade(id, "canceled", clock, func(*Instance) error {
 			n++
 			c.cancelAborts.Add(1)
-			c.rep.cancelAbort()
+			c.rep.cancelAborts.Inc()
 			return nil
 		})
 	}
@@ -602,20 +602,20 @@ func (c *Core) FlushWAL() error {
 // in its loop restarts are charged). Lifecycle-locked.
 func (c *Core) CountRestart() {
 	c.res.Restarts++
-	c.rep.restart()
+	c.rep.restarts.Inc()
 }
 
 // CountRecoverabilityAbort records one driver-issued recoverability
 // abort.
 func (c *Core) CountRecoverabilityAbort() {
 	c.recovAborts.Add(1)
-	c.rep.recoverabilityAbort()
+	c.rep.recovAborts.Inc()
 }
 
 // CountDeadlineAbort records one per-instance deadline overrun.
 func (c *Core) CountDeadlineAbort() {
 	c.deadlineAborts.Add(1)
-	c.rep.deadlineAbort()
+	c.rep.deadlines.Inc()
 }
 
 // CountFault records a driver-level fault-point firing (txn.abort or
@@ -656,16 +656,16 @@ func (c *Core) ObserveWedge(we *WedgeError) { c.rep.wedge(we) }
 
 // ObserveWakeup / ObserveBroadcast* record the concurrent driver's
 // cond-variable traffic.
-func (c *Core) ObserveWakeup() { c.rep.wakeup() }
+func (c *Core) ObserveWakeup() { c.rep.wakeups.Inc() }
 
 // ObserveBroadcastShard records a targeted per-shard broadcast.
-func (c *Core) ObserveBroadcastShard() { c.rep.broadcastShard() }
+func (c *Core) ObserveBroadcastShard() { c.rep.bcastShard.Inc() }
 
 // ObserveBroadcastGlobal records a global-cond broadcast.
-func (c *Core) ObserveBroadcastGlobal() { c.rep.broadcastGlobal() }
+func (c *Core) ObserveBroadcastGlobal() { c.rep.bcastGlobal.Inc() }
 
 // ObserveBroadcastFlood records a flood (everything) broadcast.
-func (c *Core) ObserveBroadcastFlood() { c.rep.broadcastFlood() }
+func (c *Core) ObserveBroadcastFlood() { c.rep.bcastFlood.Inc() }
 
 // InitShardInstruments resolves the sharded driver's per-shard
 // contention instruments (no-op without a metrics registry).

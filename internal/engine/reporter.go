@@ -13,8 +13,10 @@ import (
 // reporter bundles a run's tracer and metrics instruments so both
 // drivers share one emission discipline — it is the engine-owned
 // counterpart of the Result construction, resolved once per run.
-// Counters are resolved at construction; every method is safe — and
-// free of allocations — when tracing and metrics are disabled.
+// Counters are resolved at construction; without a registry they stay
+// nil, and nil instruments and a nil tracer are no-ops, so every
+// method is safe — and free of allocations — when tracing and metrics
+// are disabled.
 type reporter struct {
 	tr    *trace.Tracer
 	proto string
@@ -100,9 +102,6 @@ func newReporter(cfg *Config) reporter {
 // retire refreshes the bounded-memory gauges from the protocol's
 // current retirement state.
 func (o *reporter) retire(st sched.RetireStats) {
-	if o.rsgLive == nil {
-		return
-	}
 	o.rsgLive.Set(float64(st.LiveVertices))
 	o.rsgRetired.Set(float64(st.RetiredVertices))
 	o.rsgEpochs.Set(float64(st.GraphEpochs))
@@ -112,9 +111,7 @@ func (o *reporter) retire(st sched.RetireStats) {
 
 // begin records an instance's admission.
 func (o *reporter) begin(st *Instance, clock int64) {
-	if o.active != nil {
-		o.active.Add(1)
-	}
+	o.active.Add(1)
 	if o.tr.Wants(trace.KindBegin) {
 		o.tr.Emit(trace.Event{
 			Kind: trace.KindBegin, Protocol: o.proto,
@@ -127,13 +124,9 @@ func (o *reporter) begin(st *Instance, clock int64) {
 // grant records an executed operation; order is its global execution
 // sequence number. Ends any open block interval.
 func (o *reporter) grant(st *Instance, op core.Op, order, clock int64) {
-	if o.ops != nil {
-		o.ops.Inc()
-	}
+	o.ops.Inc()
 	if st.BlockedSince >= 0 {
-		if o.blockWait != nil {
-			o.blockWait.Observe(float64(clock - st.BlockedSince))
-		}
+		o.blockWait.Observe(float64(clock - st.BlockedSince))
 		st.BlockedSince = -1
 	}
 	if o.tr.Wants(trace.KindGrant) {
@@ -152,9 +145,7 @@ func (o *reporter) grant(st *Instance, op core.Op, order, clock int64) {
 // block records a protocol Block decision; the block interval closes
 // at the next grant (or disappears with the instance on abort).
 func (o *reporter) block(st *Instance, op core.Op, clock int64) {
-	if o.blocks != nil {
-		o.blocks.Inc()
-	}
+	o.blocks.Inc()
 	if st.BlockedSince < 0 {
 		st.BlockedSince = clock
 	}
@@ -181,15 +172,9 @@ func (o *reporter) abortDecision(st *Instance, op core.Op, clock int64) {
 
 // commit records a committed instance.
 func (o *reporter) commit(st *Instance, clock int64) {
-	if o.committed != nil {
-		o.committed.Inc()
-	}
-	if o.active != nil {
-		o.active.Add(-1)
-	}
-	if o.latency != nil {
-		o.latency.Observe(float64(clock - st.StartClock))
-	}
+	o.committed.Inc()
+	o.active.Add(-1)
+	o.latency.Observe(float64(clock - st.StartClock))
 	if o.tr.Wants(trace.KindCommit) {
 		o.tr.Emit(trace.Event{
 			Kind: trace.KindCommit, Protocol: o.proto,
@@ -201,12 +186,8 @@ func (o *reporter) commit(st *Instance, clock int64) {
 // txnAbort records one aborted instance (direct victim or cascade
 // co-victim) with the driver's reason.
 func (o *reporter) txnAbort(st *Instance, reason string, clock int64) {
-	if o.aborts != nil {
-		o.aborts.Inc()
-	}
-	if o.active != nil {
-		o.active.Add(-1)
-	}
+	o.aborts.Inc()
+	o.active.Add(-1)
 	if o.tr.Enabled() {
 		o.tr.Emit(trace.Event{
 			Kind: trace.KindTxnAbort, Protocol: o.proto,
@@ -225,13 +206,6 @@ func (o *reporter) cancel(cause string, clock int64) {
 			Kind: trace.KindCancel, Protocol: o.proto,
 			Reason: cause, Tick: clock,
 		})
-	}
-}
-
-// cancelAbort counts one instance aborted by the Recover unwind.
-func (o *reporter) cancelAbort() {
-	if o.cancelAborts != nil {
-		o.cancelAborts.Inc()
 	}
 }
 
@@ -256,66 +230,14 @@ func (o *reporter) initShardInstruments(reg *metrics.Registry, shards int) {
 	}
 }
 
-func (o *reporter) wakeup() {
-	if o.wakeups != nil {
-		o.wakeups.Inc()
-	}
-}
-
-func (o *reporter) broadcastShard() {
-	if o.bcastShard != nil {
-		o.bcastShard.Inc()
-	}
-}
-
-func (o *reporter) broadcastGlobal() {
-	if o.bcastGlobal != nil {
-		o.bcastGlobal.Inc()
-	}
-}
-
-func (o *reporter) broadcastFlood() {
-	if o.bcastFlood != nil {
-		o.bcastFlood.Inc()
-	}
-}
-
-func (o *reporter) restart() {
-	if o.restarts != nil {
-		o.restarts.Inc()
-	}
-}
-
-func (o *reporter) commitWait() {
-	if o.commitWaits != nil {
-		o.commitWaits.Inc()
-	}
-}
-
-func (o *reporter) recoverabilityAbort() {
-	if o.recovAborts != nil {
-		o.recovAborts.Inc()
-	}
-}
-
-func (o *reporter) deadlineAbort() {
-	if o.deadlines != nil {
-		o.deadlines.Inc()
-	}
-}
-
 // fault records a driver-level fault-point firing (injected abort or
 // grant delay) against the instance it hit.
 func (o *reporter) fault(point fault.Point, inst int64, clock int64) {
 	switch point {
 	case fault.TxnForcedAbort:
-		if o.injAborts != nil {
-			o.injAborts.Inc()
-		}
+		o.injAborts.Inc()
 	case fault.SchedGrantDelay:
-		if o.injDelays != nil {
-			o.injDelays.Inc()
-		}
+		o.injDelays.Inc()
 	}
 	if o.tr.Enabled() {
 		o.tr.Emit(trace.Event{
@@ -329,18 +251,14 @@ func (o *reporter) fault(point fault.Point, inst int64, clock int64) {
 // multiprogramming level; dropped distinguishes a shed (halving) from
 // a recovery step.
 func (o *reporter) shed(effective, mpl int, dropped bool, clock int64) {
-	if o.loadSheds != nil && dropped {
+	if dropped {
 		o.loadSheds.Inc()
 	}
-	if o.effMPL != nil {
-		o.effMPL.Set(float64(effective))
-	}
-	if o.degraded != nil {
-		if effective < mpl {
-			o.degraded.Set(1)
-		} else {
-			o.degraded.Set(0)
-		}
+	o.effMPL.Set(float64(effective))
+	if effective < mpl {
+		o.degraded.Set(1)
+	} else {
+		o.degraded.Set(0)
 	}
 	if o.tr.Enabled() {
 		o.tr.Emit(trace.Event{
@@ -352,9 +270,7 @@ func (o *reporter) shed(effective, mpl int, dropped bool, clock int64) {
 
 // livelockEscalation records the detector widening restart backoff.
 func (o *reporter) livelockEscalation(level int, clock int64) {
-	if o.livelockEsc != nil {
-		o.livelockEsc.Inc()
-	}
+	o.livelockEsc.Inc()
 	if o.tr.Enabled() {
 		o.tr.Emit(trace.Event{
 			Kind: trace.KindFault, Protocol: o.proto,
@@ -365,9 +281,7 @@ func (o *reporter) livelockEscalation(level int, clock int64) {
 
 // wedge records the watchdog declaring the run wedged.
 func (o *reporter) wedge(we *WedgeError) {
-	if o.wedges != nil {
-		o.wedges.Inc()
-	}
+	o.wedges.Inc()
 	if o.tr.Enabled() {
 		o.tr.Emit(trace.Event{Kind: trace.KindWedge, Protocol: o.proto, Reason: we.Error()})
 	}

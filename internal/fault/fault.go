@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -167,7 +168,9 @@ func ParseSpec(s string) (Spec, error) {
 		}
 		seen[p] = true
 		rate, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-		if err != nil || rate < 0 || rate > 1 {
+		// NaN passes both range tests and then fires on every
+		// consultation; reject it explicitly.
+		if err != nil || math.IsNaN(rate) || rate < 0 || rate > 1 {
 			return Spec{}, fmt.Errorf("fault: rate %q for point %q is not a probability in [0,1]", parts[1], p)
 		}
 		rule := Rule{Point: p, Rate: rate}

@@ -40,6 +40,8 @@ func TestParseSpecErrors(t *testing.T) {
 		"wal.short:0.5",             // retired with the single-file writer
 		"wal.torn",                  // missing rate
 		"wal.torn:1.5",              // rate out of range
+		"wal.torn:NaN",              // not a probability, yet passes both range tests
+		"wal.torn:-Inf",             // not finite
 		"wal.torn:x",                // malformed rate
 		"wal.torn:0.1:zzz",          // malformed duration
 		"wal.torn:0.1:1s:junk",      // too many fields

@@ -7,17 +7,29 @@ import (
 	"time"
 )
 
-// Counter is a monotone event count, safe for concurrent use.
+// Counter is a monotone event count, safe for concurrent use. A nil
+// *Counter (no registry attached) ignores updates and reads zero, so
+// instrumented code needs no nil guard; the same holds for *Gauge and
+// *Histogram.
 type Counter struct{ v atomic.Int64 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+func (c *Counter) Add(n int64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+func (c *Counter) Value() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
 
 // Gauge is an instantaneous level (e.g. active transactions), safe for
 // concurrent use.
@@ -28,6 +40,9 @@ type Gauge struct {
 
 // Set stores the level.
 func (g *Gauge) Set(v float64) {
+	if g == nil {
+		return
+	}
 	g.mu.Lock()
 	g.v = v
 	g.mu.Unlock()
@@ -35,6 +50,9 @@ func (g *Gauge) Set(v float64) {
 
 // Add moves the level by delta.
 func (g *Gauge) Add(delta float64) {
+	if g == nil {
+		return
+	}
 	g.mu.Lock()
 	g.v += delta
 	g.mu.Unlock()
@@ -42,6 +60,9 @@ func (g *Gauge) Add(delta float64) {
 
 // Value returns the current level.
 func (g *Gauge) Value() float64 {
+	if g == nil {
+		return 0
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.v
@@ -57,6 +78,9 @@ type Histogram struct {
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	h.mu.Lock()
 	h.s.Add(v)
 	h.mu.Unlock()
@@ -67,6 +91,9 @@ func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
 // Summary returns the distribution's summary statistics.
 func (h *Histogram) Summary() HistSummary {
+	if h == nil {
+		return HistSummary{}
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return HistSummary{

@@ -73,6 +73,23 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	}
 }
 
+// TestNilInstruments: instruments resolved without a registry are nil
+// and every method on them is a no-op reading zero.
+func TestNilInstruments(t *testing.T) {
+	var c *Counter
+	c.Inc()
+	c.Add(2)
+	var g *Gauge
+	g.Set(4)
+	g.Add(-1)
+	var h *Histogram
+	h.Observe(1)
+	h.ObserveDuration(time.Second)
+	if c.Value() != 0 || g.Value() != 0 || h.Summary() != (HistSummary{}) {
+		t.Errorf("nil instruments read %d / %v / %+v, want zero", c.Value(), g.Value(), h.Summary())
+	}
+}
+
 func TestRegistryConcurrentUse(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup

@@ -56,13 +56,9 @@ func (r *Recorder) Emit(ev trace.Event) {
 	seq := r.cursor.Add(1) - 1
 	e := &ringEntry{seq: seq, ev: ev}
 	if old := r.slots[seq%uint64(len(r.slots))].Swap(e); old != nil {
-		if r.drops != nil {
-			r.drops.Inc()
-		}
+		r.drops.Inc()
 	}
-	if r.recorded != nil {
-		r.recorded.Inc()
-	}
+	r.recorded.Inc()
 }
 
 // Cap returns the ring capacity.

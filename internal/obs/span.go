@@ -116,9 +116,7 @@ func (t *spanTable) admit(st *engine.Instance) {
 	st.Obs = sp
 	t.mu.Lock()
 	t.live[st.ID] = sp
-	if t.liveG != nil {
-		t.liveG.Add(1)
-	}
+	t.liveG.Add(1)
 	t.mu.Unlock()
 }
 
@@ -141,12 +139,8 @@ func (t *spanTable) finish(st *engine.Instance, status SpanStatus) {
 	sp.Status = status
 	sp.Ops = st.Next
 	t.push(*sp)
-	if t.liveG != nil {
-		t.liveG.Add(-1)
-	}
-	if t.doneC != nil {
-		t.doneC.Inc()
-	}
+	t.liveG.Add(-1)
+	t.doneC.Inc()
 }
 
 // push appends a completed span, overwriting the oldest once the

@@ -44,9 +44,7 @@ func (b *broadcaster) broadcast(ev trace.Event) {
 		select {
 		case ch <- ev:
 		default:
-			if b.dropped != nil {
-				b.dropped.Inc()
-			}
+			b.dropped.Inc()
 		}
 	}
 	b.mu.RUnlock()
@@ -62,9 +60,7 @@ func (b *broadcaster) subscribe() (int, <-chan trace.Event) {
 	b.subs[id] = ch
 	b.mu.Unlock()
 	b.active.Add(1)
-	if b.subsG != nil {
-		b.subsG.Add(1)
-	}
+	b.subsG.Add(1)
 	return id, ch
 }
 
@@ -75,8 +71,6 @@ func (b *broadcaster) unsubscribe(id int) {
 	b.mu.Unlock()
 	if ok {
 		b.active.Add(-1)
-		if b.subsG != nil {
-			b.subsG.Add(-1)
-		}
+		b.subsG.Add(-1)
 	}
 }

@@ -12,6 +12,7 @@ package paperfig
 
 import (
 	"fmt"
+	"os"
 
 	"relser/internal/core"
 )
@@ -129,6 +130,28 @@ func All() []*NamedInstance {
 		{Name: "fig3", Title: "Figure 3: a relative serialization graph", Instance: Figure3()},
 		{Name: "fig4", Title: "Figure 4: relatively serial but not relatively consistent", Instance: Figure4()},
 	}
+}
+
+// LoadInstance is the CLIs' instance source: figure fig (1-4) when fig
+// is non-zero, else the instance file at path, else standard input.
+func LoadInstance(path string, fig int) (*core.Instance, error) {
+	if fig != 0 {
+		all := All()
+		if fig < 1 || fig > len(all) {
+			return nil, fmt.Errorf("figure %d out of range 1-%d", fig, len(all))
+		}
+		return all[fig-1].Instance, nil
+	}
+	in := os.Stdin
+	if path != "" {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		in = f
+	}
+	return core.ParseInstance(in)
 }
 
 // NamedInstance pairs a figure instance with its identifier and title.

@@ -1,6 +1,7 @@
 package paperfig_test
 
 import (
+	"strings"
 	"testing"
 
 	"relser/internal/core"
@@ -38,6 +39,33 @@ func TestAllFixturesWellFormed(t *testing.T) {
 				t.Errorf("%s/%s: %v", n.Name, name, err)
 			}
 		}
+	}
+}
+
+func TestLoadInstanceFigures(t *testing.T) {
+	for fig := 1; fig <= 4; fig++ {
+		inst, err := paperfig.LoadInstance("", fig)
+		if err != nil {
+			t.Fatalf("fig %d: %v", fig, err)
+		}
+		if inst.Set.NumTxns() == 0 || len(inst.Schedules) == 0 {
+			t.Errorf("fig %d: empty instance", fig)
+		}
+	}
+	for _, fig := range []int{-1, 5, 9} {
+		if _, err := paperfig.LoadInstance("", fig); err == nil || !strings.Contains(err.Error(), "out of range 1-4") {
+			t.Errorf("figure %d: err = %v, want out of range 1-4", fig, err)
+		}
+	}
+	inst, err := paperfig.LoadInstance("../../examples/specs/fig1.txt", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := inst.Spec.String(), paperfig.Figure1().Spec.String(); got != want {
+		t.Errorf("fig1.txt spec = %q, want Figure 1's %q", got, want)
+	}
+	if _, err := paperfig.LoadInstance("/nonexistent/path", 0); err == nil {
+		t.Error("missing file accepted")
 	}
 }
 

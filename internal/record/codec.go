@@ -28,12 +28,8 @@ func (r *Recorder) Encode() []byte {
 	if r.outcome != nil {
 		out = appendFrame(out, frameOutcome, mustJSON(*r.outcome))
 	}
-	if r.framesC != nil {
-		r.framesC.Add(int64(2 + len(r.stages) + btoi(r.outcome != nil)))
-	}
-	if r.bytesC != nil {
-		r.bytesC.Add(int64(len(out)))
-	}
+	r.framesC.Add(int64(2 + len(r.stages) + btoi(r.outcome != nil)))
+	r.bytesC.Add(int64(len(out)))
 	return out
 }
 

@@ -292,17 +292,13 @@ func (w *ShardedWAL) enqueue(rec WALRecord, wait bool) (chan error, error) {
 	sh.enqSeq++
 	if fr.rotate {
 		w.rotations.Add(1)
-		if w.mRotations != nil {
-			w.mRotations.Inc()
-		}
+		w.mRotations.Inc()
 		if tr := w.tr.Load(); tr.Wants(trace.KindWALRotate) {
 			tr.Emit(trace.Event{Kind: trace.KindWALRotate, Instance: rec.Instance, Value: int64(gsn)})
 		}
 	}
 	w.appends.Add(1)
-	if w.mAppends != nil {
-		w.mAppends.Inc()
-	}
+	w.mAppends.Inc()
 	if tr := w.tr.Load(); tr.Wants(trace.KindWALAppend) {
 		tr.Emit(trace.Event{
 			Kind: trace.KindWALAppend, Instance: rec.Instance,
@@ -476,18 +472,10 @@ func (w *ShardedWAL) flushBatch(sh *walShard, batch []walFrame) ([]int, error) {
 	elapsed := time.Since(start)
 	w.fsyncs.Add(1)
 	w.groupCommits.Add(1)
-	if w.mFsyncs != nil {
-		w.mFsyncs.Inc()
-	}
-	if w.mGroups != nil {
-		w.mGroups.Inc()
-	}
-	if sh.fsyncHist != nil {
-		sh.fsyncHist.Observe(elapsed.Seconds())
-	}
-	if sh.batchHist != nil {
-		sh.batchHist.Observe(float64(records))
-	}
+	w.mFsyncs.Inc()
+	w.mGroups.Inc()
+	sh.fsyncHist.Observe(elapsed.Seconds())
+	sh.batchHist.Observe(float64(records))
 	if tr := w.tr.Load(); tr.Wants(trace.KindWALGroupCommit) {
 		tr.Emit(trace.Event{Kind: trace.KindWALGroupCommit, Instance: int64(sh.idx), Value: int64(records)})
 	}
@@ -511,9 +499,7 @@ func (w *ShardedWAL) rotate(sh *walShard, fr *walFrame, sealed *[]int) error {
 		return err
 	}
 	w.fsyncs.Add(1)
-	if w.mFsyncs != nil {
-		w.mFsyncs.Inc()
-	}
+	w.mFsyncs.Inc()
 	next := sh.curIdx + 1
 	f, err := w.backend.Create(sh.idx, next)
 	if err != nil {

@@ -547,9 +547,7 @@ func (r *ConcurrentRunner) sleepShard(sh *driverShard) bool {
 	sh.cond.Wait()
 	sh.waiters--
 	r.sleepers.Add(-1)
-	if sh.waitHist != nil {
-		sh.waitHist.Observe(time.Since(start).Seconds())
-	}
+	sh.waitHist.Observe(time.Since(start).Seconds())
 	sh.mu.Unlock()
 	r.eng.ObserveWakeup()
 	return true
