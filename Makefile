@@ -142,13 +142,19 @@ durability-matrix:
 experiments:
 	$(GO) run ./cmd/rsbench
 
-# Short fuzzing pass over the parsers and the certification graph.
+# Short fuzzing pass over the parsers, the certification graph and the
+# decoders that read files from outside the program (WAL segments and
+# records, snapshots, .rsrec artifacts).
 fuzz:
 	$(GO) test -fuzz=FuzzParseOp -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzParseSchedule -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzParseInstance -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzCertGraphMatchesDefinition3 -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=10s ./internal/fault/
+	$(GO) test -fuzz=FuzzSegmentDecode -fuzztime=10s ./internal/storage/
+	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s ./internal/storage/
+	$(GO) test -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/storage/
+	$(GO) test -fuzz=FuzzRecordDecode -fuzztime=10s ./internal/record/
 
 tools: vet-tool
 	$(GO) build -o bin/rscheck ./cmd/rscheck
@@ -157,6 +163,7 @@ tools: vet-tool
 	$(GO) build -o bin/rsbench ./cmd/rsbench
 	$(GO) build -o bin/rschop ./cmd/rschop
 	$(GO) build -o bin/rsrecover ./cmd/rsrecover
+	$(GO) build -o bin/rsreplay ./cmd/rsreplay
 
 clean:
 	rm -rf bin

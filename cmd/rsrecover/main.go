@@ -1,15 +1,12 @@
-// rsrecover rebuilds a store from a write-ahead log produced by rssim
-// (or any storage.ShardedWAL user) and reports what survived: only
-// fully committed transactions' effects are applied; aborted,
-// unfinished and torn-tail records leave no trace.
+// rsrecover rebuilds a store from the write-ahead log directory rssim
+// -wal (or any storage.ShardedWAL user) writes and reports what
+// survived: only fully committed transactions' effects are applied;
+// aborted, unfinished and torn-tail records leave no trace.
 //
-// Given a directory, it recovers the log rssim -wal writes — the
-// per-shard segmented log: every lane is scanned in parallel and a
-// cross-shard cut reconciles damage, so the output is a consistent
+// Every lane of the per-shard segmented log is scanned in parallel and
+// a cross-shard cut reconciles damage, so the output is a consistent
 // prefix of the committed history. -shard restricts the recovery to
-// one lane. Given a file, it runs the read-only decoder of the
-// single-file format older builds wrote; nothing writes that format
-// any more.
+// one lane. Any -wal that is not a directory is a usage error.
 //
 // A log that ends mid-record (torn tail — the shape of a crash during
 // an append) is recovered up to the tear but reported as a structured
@@ -19,7 +16,7 @@
 // reported shard is deterministic: the lowest-indexed torn lane wins
 // exit 3; otherwise the lowest-indexed corrupt lane wins exit 4 — never
 // whichever recovery goroutine happened to finish first. The JSON error
-// carries the failing shard ("shard": -1 for single-file logs).
+// carries the failing shard.
 //
 // Usage:
 //
@@ -27,7 +24,6 @@
 //	rsrecover -wal waldir
 //	rsrecover -wal waldir -strict
 //	rsrecover -wal waldir -shard 2
-//	rsrecover -wal old-run.wal
 //
 // Exit status: 0 clean (or corrupt tail without -strict, after a
 // warning), 1 usage or I/O error, 3 torn tail, 4 -strict violation.
@@ -52,9 +48,8 @@ func main() {
 // emitted as a single JSON line on stderr for machine consumption.
 type tailError struct {
 	Error string `json:"error"` // "torn-tail" | "corrupt-tail"
-	// Shard is the deterministic first failing lane of a segmented log
-	// (-1 for single-file logs); Segment is the damaged segment's
-	// position in that lane's scan order.
+	// Shard is the deterministic first failing lane; Segment is the
+	// damaged segment's position in that lane's scan order.
 	Shard   int    `json:"shard"`
 	Segment int    `json:"segment"`
 	Offset  int64  `json:"offset"`
@@ -66,10 +61,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rsrecover", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		walPath  = fs.String("wal", "", "write-ahead log to recover from: a segmented log directory, or a single-file log an older build wrote (required)")
+		walPath  = fs.String("wal", "", "segmented write-ahead log directory to recover from (required)")
 		values   = fs.Bool("values", true, "print the recovered object values")
 		strict   = fs.Bool("strict", false, "fail (exit 4) on any damaged tail, including checksum mismatches")
-		shardSel = fs.Int("shard", -1, "segmented logs: recover only this lane (-1 = all lanes with cross-shard reconciliation)")
+		shardSel = fs.Int("shard", -1, "recover only this lane (-1 = all lanes with cross-shard reconciliation)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 1
@@ -83,44 +78,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "rsrecover:", err)
 		return 1
 	}
-	if info.IsDir() {
-		return runSegmented(*walPath, *shardSel, *values, *strict, stdout, stderr)
-	}
-	if *shardSel >= 0 {
-		fmt.Fprintln(stderr, "rsrecover: -shard applies only to segmented log directories")
+	if !info.IsDir() {
+		fmt.Fprintf(stderr, "rsrecover: %s: not a segmented log directory\n", *walPath)
 		return 1
 	}
-	f, err := os.Open(*walPath)
-	if err != nil {
-		fmt.Fprintln(stderr, "rsrecover:", err)
-		return 1
-	}
-	defer f.Close()
-	store, report, err := storage.Recover(f, nil)
-	if err != nil {
-		fmt.Fprintln(stderr, "rsrecover:", err)
-		return 1
-	}
-	fmt.Fprintln(stdout, report)
-	printValues(stdout, store, *values)
-	switch report.Tail.Tail {
-	case storage.TailTorn:
-		emitTailError(stderr, "torn-tail", -1, 0, report.Tail, report.Records)
-		return 3
-	case storage.TailCorrupt:
-		if *strict {
-			emitTailError(stderr, "corrupt-tail", -1, 0, report.Tail, report.Records)
-			return 4
-		}
-		fmt.Fprintf(stderr, "rsrecover: warning: corrupt tail at offset %d: %s (recovery kept the valid prefix; rerun with -strict to fail on this)\n",
-			report.Tail.Offset, report.Tail.Detail)
-	}
-	return 0
-}
-
-// runSegmented recovers a per-shard segmented log directory.
-func runSegmented(dir string, shardSel int, values, strict bool, stdout, stderr io.Writer) int {
-	set, err := storage.ReadWALDir(dir)
+	set, err := storage.ReadWALDir(*walPath)
 	if err != nil {
 		fmt.Fprintln(stderr, "rsrecover:", err)
 		return 1
@@ -128,13 +90,13 @@ func runSegmented(dir string, shardSel int, values, strict bool, stdout, stderr 
 	for _, derr := range set.DamagedSnapshots {
 		fmt.Fprintf(stderr, "rsrecover: warning: skipping damaged snapshot: %v\n", derr)
 	}
-	if shardSel >= 0 {
-		segs, ok := set.Shards[shardSel]
+	if *shardSel >= 0 {
+		segs, ok := set.Shards[*shardSel]
 		if !ok {
-			fmt.Fprintf(stderr, "rsrecover: no shard %d in %s\n", shardSel, dir)
+			fmt.Fprintf(stderr, "rsrecover: no shard %d in %s\n", *shardSel, *walPath)
 			return 1
 		}
-		set.Shards = map[int][][]byte{shardSel: segs}
+		set.Shards = map[int][][]byte{*shardSel: segs}
 	}
 	store, report, err := storage.RecoverSegmented(set, nil)
 	if err != nil {
@@ -142,7 +104,7 @@ func runSegmented(dir string, shardSel int, values, strict bool, stdout, stderr 
 		return 1
 	}
 	fmt.Fprintln(stdout, report)
-	printValues(stdout, store, values)
+	printValues(stdout, store, *values)
 	// Deterministic damage policy: the lowest-indexed torn lane decides
 	// exit 3; failing that, the lowest-indexed corrupt lane decides
 	// exit 4 under -strict (warning otherwise).
@@ -151,7 +113,7 @@ func runSegmented(dir string, shardSel int, values, strict bool, stdout, stderr 
 		return 3
 	}
 	if sh, ok := report.FirstDamagedKind(storage.TailCorrupt); ok {
-		if strict {
+		if *strict {
 			emitTailError(stderr, "corrupt-tail", sh.Shard, sh.TailSegment, sh.Tail, report.Records)
 			return 4
 		}

@@ -2,10 +2,8 @@ package main
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,114 +13,11 @@ import (
 	"relser/internal/storage"
 )
 
-// writeLog builds a committed-transfer log in the single-file format
-// older builds wrote — frames of [size u32][crc32c u32][kind][varint
-// instance][uvarint len][object][varint value] — and returns its raw
-// bytes. Nothing but this test writes that format any more; rsrecover
-// must keep reading it.
-func writeLog(t *testing.T) []byte {
-	t.Helper()
-	var out []byte
-	table := crc32.MakeTable(crc32.Castagnoli)
-	recs := []storage.WALRecord{
-		{Kind: storage.WALBegin, Instance: 1},
-		{Kind: storage.WALWrite, Instance: 1, Object: "x", Value: 41},
-		{Kind: storage.WALWrite, Instance: 1, Object: "y", Value: 59},
-		{Kind: storage.WALCommit, Instance: 1},
-		{Kind: storage.WALBegin, Instance: 2},
-		{Kind: storage.WALWrite, Instance: 2, Object: "x", Value: 7},
-	}
-	for _, rec := range recs {
-		p := []byte{byte(rec.Kind)}
-		p = binary.AppendVarint(p, rec.Instance)
-		p = binary.AppendUvarint(p, uint64(len(rec.Object)))
-		p = append(p, rec.Object...)
-		p = binary.AppendVarint(p, int64(rec.Value))
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(p)))
-		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(p, table))
-		out = append(out, p...)
-	}
-	return out
-}
-
-func walFile(t *testing.T, data []byte) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "run.wal")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
 func runRecover(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
 	var out, errOut bytes.Buffer
 	code = run(args, &out, &errOut)
 	return code, out.String(), errOut.String()
-}
-
-func TestCleanLogExitsZero(t *testing.T) {
-	path := walFile(t, writeLog(t))
-	code, stdout, stderr := runRecover(t, "-wal", path)
-	if code != 0 {
-		t.Fatalf("clean log: exit %d, stderr %q", code, stderr)
-	}
-	if !strings.Contains(stdout, "x = 41") || !strings.Contains(stdout, "y = 59") {
-		t.Fatalf("committed values missing from output:\n%s", stdout)
-	}
-	if strings.Contains(stdout, "x = 7") {
-		t.Fatalf("unfinished instance's write leaked into recovery:\n%s", stdout)
-	}
-}
-
-func TestTornTailExitsThreeWithStructuredError(t *testing.T) {
-	data := writeLog(t)
-	path := walFile(t, data[:len(data)-3]) // tear inside the last record
-	code, stdout, stderr := runRecover(t, "-wal", path)
-	if code != 3 {
-		t.Fatalf("torn tail: exit %d, want 3 (stderr %q)", code, stderr)
-	}
-	var te struct {
-		Error   string `json:"error"`
-		Offset  int64  `json:"offset"`
-		Detail  string `json:"detail"`
-		Records int    `json:"records"`
-	}
-	if err := json.Unmarshal([]byte(strings.TrimSpace(stderr)), &te); err != nil {
-		t.Fatalf("stderr is not one JSON line: %v\n%q", err, stderr)
-	}
-	if te.Error != "torn-tail" || te.Detail == "" || te.Offset <= 0 {
-		t.Fatalf("unexpected structured error: %+v", te)
-	}
-	// The committed prefix must still recover.
-	if !strings.Contains(stdout, "x = 41") {
-		t.Fatalf("valid prefix not recovered:\n%s", stdout)
-	}
-}
-
-func TestCorruptTailWarnsByDefaultAndFailsStrict(t *testing.T) {
-	data := writeLog(t)
-	data[len(data)-1] ^= 0x40 // flip a payload bit in the final record
-	path := walFile(t, data)
-
-	code, _, stderr := runRecover(t, "-wal", path)
-	if code != 0 {
-		t.Fatalf("corrupt tail without -strict: exit %d, want 0 (stderr %q)", code, stderr)
-	}
-	if !strings.Contains(stderr, "warning") || !strings.Contains(stderr, "corrupt") {
-		t.Fatalf("expected a corrupt-tail warning, got %q", stderr)
-	}
-
-	code, _, stderr = runRecover(t, "-wal", path, "-strict")
-	if code != 4 {
-		t.Fatalf("corrupt tail with -strict: exit %d, want 4 (stderr %q)", code, stderr)
-	}
-	var te struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal([]byte(strings.TrimSpace(stderr)), &te); err != nil || te.Error != "corrupt-tail" {
-		t.Fatalf("want structured corrupt-tail error, got %q (err %v)", stderr, err)
-	}
 }
 
 func TestMissingFlagExitsOne(t *testing.T) {
@@ -183,6 +78,90 @@ func damageShard(t *testing.T, dir string, lane int, corrupt bool) {
 	}
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// writeOneLaneLog writes a one-lane log in dir: instance 1 commits
+// x=41 and y=59, then instance 2 writes x=7 and never finishes.
+func writeOneLaneLog(t *testing.T, dir string) {
+	t.Helper()
+	w, err := storage.OpenShardedWAL(dir, storage.SegmentedOptions{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []storage.WALRecord{
+		{Kind: storage.WALBegin, Instance: 1},
+		{Kind: storage.WALWrite, Instance: 1, Object: "x", Value: 41},
+		{Kind: storage.WALWrite, Instance: 1, Object: "y", Value: 59},
+		{Kind: storage.WALCommit, Instance: 1},
+		{Kind: storage.WALBegin, Instance: 2},
+		{Kind: storage.WALWrite, Instance: 2, Object: "x", Value: 7},
+	} {
+		if err := w.AppendSync(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestCleanLogExitsZero(t *testing.T) {
+	dir := t.TempDir()
+	writeOneLaneLog(t, dir)
+	code, stdout, stderr := runRecover(t, "-wal", dir)
+	if code != 0 {
+		t.Fatalf("clean log: exit %d, stderr %q", code, stderr)
+	}
+	if !strings.Contains(stdout, "x = 41") || !strings.Contains(stdout, "y = 59") {
+		t.Fatalf("committed values missing from output:\n%s", stdout)
+	}
+	if strings.Contains(stdout, "x = 7") {
+		t.Fatalf("unfinished instance's write leaked into recovery:\n%s", stdout)
+	}
+}
+
+func TestTornTailExitsThreeWithStructuredError(t *testing.T) {
+	dir := t.TempDir()
+	writeOneLaneLog(t, dir)
+	damageShard(t, dir, 0, false)
+	code, stdout, stderr := runRecover(t, "-wal", dir)
+	if code != 3 {
+		t.Fatalf("torn tail: exit %d, want 3 (stderr %q)", code, stderr)
+	}
+	var te tailError
+	if err := json.Unmarshal([]byte(strings.TrimSpace(stderr)), &te); err != nil {
+		t.Fatalf("stderr is not one JSON line: %v\n%q", err, stderr)
+	}
+	if te.Error != "torn-tail" || te.Shard != 0 || te.Detail == "" || te.Offset <= 0 || te.Records != 5 {
+		t.Fatalf("unexpected structured error: %+v", te)
+	}
+	// The committed prefix must still recover.
+	if !strings.Contains(stdout, "x = 41") {
+		t.Fatalf("valid prefix not recovered:\n%s", stdout)
+	}
+}
+
+func TestCorruptTailWarnsByDefaultAndFailsStrict(t *testing.T) {
+	dir := t.TempDir()
+	writeOneLaneLog(t, dir)
+	damageShard(t, dir, 0, true)
+
+	code, _, stderr := runRecover(t, "-wal", dir)
+	if code != 0 {
+		t.Fatalf("corrupt tail without -strict: exit %d, want 0 (stderr %q)", code, stderr)
+	}
+	if !strings.Contains(stderr, "warning") || !strings.Contains(stderr, "corrupt") {
+		t.Fatalf("expected a corrupt-tail warning, got %q", stderr)
+	}
+
+	code, _, stderr = runRecover(t, "-wal", dir, "-strict")
+	if code != 4 {
+		t.Fatalf("corrupt tail with -strict: exit %d, want 4 (stderr %q)", code, stderr)
+	}
+	var te tailError
+	if err := json.Unmarshal([]byte(strings.TrimSpace(stderr)), &te); err != nil || te.Error != "corrupt-tail" {
+		t.Fatalf("want structured corrupt-tail error, got %q (err %v)", stderr, err)
 	}
 }
 
@@ -279,9 +258,17 @@ func TestSegmentedShardFilter(t *testing.T) {
 	}
 }
 
+// TestShardFlagRejectedForFiles: -wal names a segmented log directory;
+// a regular file is a usage error (exit 1) with or without -shard.
 func TestShardFlagRejectedForFiles(t *testing.T) {
-	path := walFile(t, writeLog(t))
-	if code, _, _ := runRecover(t, "-wal", path, "-shard", "0"); code != 1 {
-		t.Fatal("-shard on a file log should be a usage error")
+	path := filepath.Join(t.TempDir(), "run.wal")
+	if err := os.WriteFile(path, []byte("not a log"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-wal", path}, {"-wal", path, "-shard", "0"}} {
+		code, _, stderr := runRecover(t, args...)
+		if code != 1 || !strings.Contains(stderr, "not a segmented log directory") {
+			t.Fatalf("%v: exit %d, stderr %q; want exit 1 naming the input", args, code, stderr)
+		}
 	}
 }

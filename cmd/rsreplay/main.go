@@ -7,10 +7,8 @@
 // fault fingerprint, WAL bytes, stage log and final store, and any
 // divergence is a bug (exit 3). Concurrent-driver recordings compare
 // schedule-independent facets only (outcome class, verdict,
-// invariant) — the goroutine schedule is not reproducible. A
-// recording made on the single-file WAL writer older builds had
-// replays on one lane of the segmented log and owes every facet but
-// WAL bytes ("wal_compared": false in the report).
+// invariant) — the goroutine schedule is not reproducible. Only
+// artifacts of the format this build writes decode.
 //
 // Any override (-protocol, -shards, -spec absolute, -faults, ...)
 // switches to backfill mode: the same recorded traffic re-runs under

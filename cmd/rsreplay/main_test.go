@@ -73,29 +73,36 @@ func TestIdenticalReplayExitsZero(t *testing.T) {
 	}
 }
 
-// TestCommittedCorpusWALFacet pins what each banking artifact in
-// examples/recordings owes. The one recorded on the single-file WAL
-// writer this tree no longer has replays identically on every facet
-// but WAL bytes — the report says they were not compared, and they do
-// differ — while any other recorded facet still diverges with exit 3.
-// Its re-recording on the one-lane segmented log owes the bytes too.
+// TestCommittedCorpusWALFacet pins what the committed banking artifact
+// owes through the CLI: replay exits 0, identical, with the recorded
+// and replayed WAL bytes equal and non-empty, on every attempt; while
+// editing one other recorded facet (re-sealing the frames) diverges
+// with exit 3 on that facet alone. Every artifact's replay is pinned by
+// record.TestOldCorpusReplaysByteIdentical.
 func TestCommittedCorpusWALFacet(t *testing.T) {
-	corpus := filepath.Join("..", "..", "examples", "recordings")
+	bank := filepath.Join("..", "..", "examples", "recordings", "banking-wal-chaos.rsrec")
+	for i := 0; i < 2; i++ {
+		code, stdout, stderr := runReplay(t, "-in", bank)
+		rep := decodeReport(t, stdout)
+		if code != 0 || !rep.Identical || !rep.Deterministic {
+			t.Fatalf("%s attempt %d: exit %d, stderr %q, report %+v", bank, i, code, stderr, rep)
+		}
+		if rep.Recorded.WALHash == "" || rep.Recorded.WALLen == 0 ||
+			rep.Recorded.WALHash != rep.Replayed.WALHash || rep.Recorded.WALLen != rep.Replayed.WALLen {
+			t.Fatalf("%s attempt %d: WAL bytes recorded %s/%d, replayed %s/%d", bank, i,
+				rep.Recorded.WALHash, rep.Recorded.WALLen, rep.Replayed.WALHash, rep.Replayed.WALLen)
+		}
+	}
 
-	old := filepath.Join(corpus, "banking-wal-chaos.rsrec")
-	code, stdout, stderr := runReplay(t, "-in", old)
-	rep := decodeReport(t, stdout)
-	if code != 0 || !rep.Identical || !rep.Deterministic || rep.WALCompared {
-		t.Fatalf("%s: exit %d, stderr %q, report %+v", old, code, stderr, rep)
-	}
-	if rep.Recorded.WALHash == rep.Replayed.WALHash {
-		t.Fatalf("%s: replay reproduced the single-file writer's bytes (%s); the facet should be owed again", old, rep.Recorded.WALHash)
-	}
-	raw, err := os.ReadFile(old)
+	raw, err := os.ReadFile(bank)
 	if err != nil {
 		t.Fatal(err)
 	}
-	edited := bytes.Replace(raw, []byte(rep.Recorded.StageHash), []byte("0000000000000000"), 1)
+	rec, err := record.Decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := bytes.Replace(raw, []byte(rec.Outcome.StageHash), []byte("0000000000000000"), 1)
 	table := crc32.MakeTable(crc32.Castagnoli)
 	for off := 8; off+8 <= len(edited); { // re-seal every frame over the edit
 		size := int(binary.LittleEndian.Uint32(edited[off:]))
@@ -106,23 +113,10 @@ func TestCommittedCorpusWALFacet(t *testing.T) {
 	if err := os.WriteFile(flipped, edited, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, stdout, stderr = runReplay(t, "-in", flipped)
-	rep = decodeReport(t, stdout)
+	code, stdout, stderr := runReplay(t, "-in", flipped)
+	rep := decodeReport(t, stdout)
 	if code != 3 || len(rep.Divergences) != 1 || rep.Divergences[0].Kind != "stage-log" {
 		t.Fatalf("flipped stage hash: exit %d, stderr %q, divergences %+v; want exit 3 on stage-log alone", code, stderr, rep.Divergences)
-	}
-
-	fresh := filepath.Join(corpus, "banking-wal-chaos-segmented.rsrec")
-	for i := 0; i < 2; i++ {
-		code, stdout, stderr := runReplay(t, "-in", fresh)
-		rep := decodeReport(t, stdout)
-		if code != 0 || !rep.Identical || !rep.WALCompared {
-			t.Fatalf("%s attempt %d: exit %d, stderr %q, report %+v", fresh, i, code, stderr, rep)
-		}
-		if rep.Recorded.WALHash == "" || rep.Recorded.WALHash != rep.Replayed.WALHash || rep.Recorded.WALLen != rep.Replayed.WALLen {
-			t.Fatalf("%s attempt %d: WAL bytes recorded %s/%d, replayed %s/%d", fresh, i,
-				rep.Recorded.WALHash, rep.Recorded.WALLen, rep.Replayed.WALHash, rep.Replayed.WALLen)
-		}
 	}
 }
 

@@ -68,7 +68,6 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (alias kept for old scripts; -ops also serves live profiles at /debug/pprof)")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file (alias kept for old scripts; -ops also serves live profiles at /debug/pprof)")
 		recordPath = flag.String("record", "", "capture the run into a .rsrec recording at this path (replay or backfill it with rsreplay)")
-		rsgRetire  = flag.Bool("rsg-retire", true, "bounded-memory certification: retire finished transactions' graph state in epochs and certify with the vector-clock fast path (disable for history-proportional memory, e.g. to compare)")
 	)
 	flag.Parse()
 
@@ -188,10 +187,6 @@ func main() {
 			MPL:        *mpl,
 			Shards:     *shards,
 			Concurrent: *concurrent,
-			RSGRetire:  "off",
-		}
-		if *rsgRetire {
-			m.RSGRetire = "on"
 		}
 		if injector != nil {
 			m.FaultSpec = injector.Spec().String()
@@ -236,8 +231,6 @@ func main() {
 		Obs:        plane,
 		Faults:     injector,
 		Hooks:      hooks,
-
-		DisableRSGRetire: !*rsgRetire,
 	})
 	if injector != nil {
 		reportFaults(status, injector)

@@ -103,13 +103,6 @@ type Config struct {
 	// Hooks observes lifecycle stage transitions (tests use it to
 	// cancel runs at precise stages). Nil is free.
 	Hooks Hooks
-	// DisableRSGRetire turns off bounded-memory certification for
-	// protocols that support it (sched.Retirer): graph retirement,
-	// dependency-index rebasing and the vector-clock fast path. The
-	// zero value keeps retirement ON — disabling it restores the
-	// history-proportional memory profile and exists for comparison
-	// runs and for replaying recordings that predate retirement.
-	DisableRSGRetire bool
 }
 
 // normalize validates the configuration and fills defaults, attaching
@@ -154,7 +147,7 @@ func (cfg *Config) normalize() error {
 	if w, ok := cfg.WAL.(*storage.ShardedWAL); ok && w == nil {
 		cfg.WAL = nil
 	}
-	sched.SetRetirement(cfg.Protocol, !cfg.DisableRSGRetire)
+	sched.SetRetirement(cfg.Protocol, true)
 	if cfg.Tracer != nil {
 		sched.Attach(cfg.Protocol, cfg.Tracer)
 		cfg.Store.SetTracer(cfg.Tracer)

@@ -176,7 +176,6 @@ func (lg chaosLeg) manifest(proto string, seed int64) record.Manifest {
 		MaxRestarts: 100000,
 		FaultSpec:   fault.MustParseSpec(lg.spec).String(),
 		FaultSeed:   seed,
-		RSGRetire:   "on",
 
 		WALMode:         "segmented",
 		WALShards:       lg.lanes,

@@ -331,9 +331,10 @@ func (p *Plane) admit(k trace.Kind) bool {
 	return true
 }
 
-// planeSink fans one event to the plane's consumers: span enrichment
-// and health for the rare kinds that need them, then the ring, the SSE
-// broadcast and the optional downstream tee. Safe for concurrent use.
+// planeSink fans one event to the plane's consumers: the ring first,
+// so a flight dump the event triggers contains it, then span enrichment
+// and health for the rare kinds that need them, the SSE broadcast and
+// the optional downstream tee. Safe for concurrent use.
 type planeSink struct {
 	p          *Plane
 	downstream trace.Sink
@@ -342,6 +343,7 @@ type planeSink struct {
 // Emit implements trace.Sink.
 func (s *planeSink) Emit(ev trace.Event) {
 	p := s.p
+	p.rec.Emit(ev)
 	switch ev.Kind {
 	case trace.KindTxnAbort, trace.KindCycleReject, trace.KindConflictCycle, trace.KindDeadlock:
 		p.spans.observe(ev)
@@ -354,7 +356,6 @@ func (s *planeSink) Emit(ev trace.Event) {
 			p.maybeDump(ev)
 		}
 	}
-	p.rec.Emit(ev)
 	p.sse.broadcast(ev)
 	if s.downstream != nil {
 		s.downstream.Emit(ev)

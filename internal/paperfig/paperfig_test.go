@@ -99,3 +99,34 @@ func TestFigureSchedulesMatchPaperText(t *testing.T) {
 		t.Errorf("Figure 4 S = %q", got)
 	}
 }
+
+// TestFigureSpecsMatchPaperText pins every figure's non-absolute unit
+// boxes as the paper draws them, so a SetUnits call that stops cutting
+// (e.g. a cut after a transaction's last operation) fails here.
+func TestFigureSpecsMatchPaperText(t *testing.T) {
+	want := map[string]string{
+		"fig1": `Atomicity(T1, T2): [r1[x] w1[x]] [w1[z] r1[y]]
+Atomicity(T1, T3): [r1[x] w1[x]] [w1[z]] [r1[y]]
+Atomicity(T2, T1): [r2[y]] [w2[y] r2[x]]
+Atomicity(T2, T3): [r2[y] w2[y]] [r2[x]]
+Atomicity(T3, T1): [w3[x] w3[y]] [w3[z]]
+Atomicity(T3, T2): [w3[x] w3[y]] [w3[z]]`,
+		"fig2": `Atomicity(T1, T3): [w1[x]] [r1[z]]
+Atomicity(T3, T1): [r3[y]] [w3[z]]
+Atomicity(T3, T2): [r3[y]] [w3[z]]`,
+		"fig3": `Atomicity(T1, T3): [w1[x]] [r1[z]]
+Atomicity(T2, T1): [r2[x]] [w2[y]]
+Atomicity(T2, T3): [r2[x]] [w2[y]]
+Atomicity(T3, T1): [r3[z]] [r3[y]]`,
+		"fig4": `Atomicity(T2, T4): [w2[z]] [w2[y]]
+Atomicity(T3, T2): [w3[t]] [w3[z]]
+Atomicity(T3, T4): [w3[t]] [w3[z]]
+Atomicity(T4, T2): [w4[x]] [w4[t]]
+Atomicity(T4, T3): [w4[x]] [w4[t]]`,
+	}
+	for _, n := range paperfig.All() {
+		if got := n.Instance.Spec.String(); got != want[n.Name] {
+			t.Errorf("%s spec:\n%s\nwant the paper's\n%s", n.Name, got, want[n.Name])
+		}
+	}
+}

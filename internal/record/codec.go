@@ -101,8 +101,8 @@ func Decode(b []byte) (*Recording, error) {
 	if len(b) < headerSize || string(b[:4]) != recMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrUnreadable)
 	}
-	if b[4] < recVersionMin || b[4] > recVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d (have %d..%d)", ErrUnreadable, b[4], recVersionMin, recVersion)
+	if b[4] != recVersion {
+		return nil, fmt.Errorf("%w: unsupported version %d (have %d)", ErrUnreadable, b[4], recVersion)
 	}
 	rec := &Recording{}
 	var sawManifest, sawSnapshot, sawOutcome bool
@@ -160,7 +160,7 @@ func Decode(b []byte) (*Recording, error) {
 // returned must be a strict prefix of the original's, and clean must
 // hold only at true boundaries.
 func ScanFrames(b []byte) (frames int, clean bool) {
-	if len(b) < headerSize || string(b[:4]) != recMagic || b[4] < recVersionMin || b[4] > recVersion {
+	if len(b) < headerSize || string(b[:4]) != recMagic || b[4] != recVersion {
 		return 0, false
 	}
 	off := headerSize

@@ -91,8 +91,8 @@ func FuzzRecordDecode(f *testing.F) {
 	f.Add(full[:len(full)-3])
 	f.Add(full[:8])
 	f.Add([]byte{})
-	f.Add([]byte("RSRC\x01\x00\x00\x00"))
-	f.Add([]byte("RSRC\x01\x00\x00\x00\xff\xff\xff\x7f\x00\x00\x00\x00"))
+	f.Add([]byte("RSRC\x02\x00\x00\x00"))
+	f.Add([]byte("RSRC\x02\x00\x00\x00\xff\xff\xff\x7f\x00\x00\x00\x00"))
 	mut := append([]byte(nil), full...)
 	mut[12] ^= 0x40
 	f.Add(mut)

@@ -51,15 +51,11 @@ import (
 	"relser/internal/workload"
 )
 
-// Artifact header. Version 2 added the manifest's rsg_retire field;
-// the frame format is unchanged, so both versions decode. Version-1
-// recordings predate bounded-memory certification and replay with
-// retirement forced off (see Manifest.RSGRetire).
+// Artifact header. Only the version this build writes decodes.
 const (
-	recMagic      = "RSRC"
-	recVersion    = 2
-	recVersionMin = 1
-	headerSize    = 8
+	recMagic   = "RSRC"
+	recVersion = 2
+	headerSize = 8
 )
 
 // Frame types.
@@ -107,21 +103,10 @@ type Manifest struct {
 	FaultSeed int64  `json:"fault_seed,omitempty"`
 	// WALMode records the durability shape so replay reproduces the
 	// same byte stream: "" (no WAL) or "segmented" (the group-commit log
-	// with WALShards lanes rotating at WALSegmentBytes). Recordings made
-	// before the single-file writer was deleted name that writer's mode;
-	// execute replays them on one lane, with the WAL bytes left
-	// uncompared.
+	// with WALShards lanes rotating at WALSegmentBytes).
 	WALMode         string `json:"wal_mode,omitempty"`
 	WALShards       int    `json:"wal_shards,omitempty"`
 	WALSegmentBytes int64  `json:"wal_segment_bytes,omitempty"`
-	// RSGRetire records whether bounded-memory certification was on
-	// ("on") or off ("off") during the recorded run. Replay keys off
-	// the field's value, not the format version: recordings that
-	// predate the field (format 1, or a backfilled manifest without
-	// it) replay with retirement forced off, matching the semantics
-	// they were recorded under. Retirement is verdict-equivalent by
-	// construction, so this is defense in depth for byte-identity.
-	RSGRetire string `json:"rsg_retire,omitempty"`
 }
 
 // Stage names one recorded engine lifecycle crossing. The recorded

@@ -66,12 +66,27 @@ func TestReplayByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: replay: %v", m.Workload.Name, err)
 		}
-		if rep.Mode != "byte-identical" || !rep.Deterministic || !rep.WALCompared {
-			t.Fatalf("%s: mode=%s deterministic=%v wal_compared=%v, want byte-identical deterministic with WAL bytes", m.Workload.Name, rep.Mode, rep.Deterministic, rep.WALCompared)
+		if rep.Mode != "byte-identical" || !rep.Deterministic || rep.Recorded.WALHash == "" {
+			t.Fatalf("%s: mode=%s deterministic=%v wal_hash=%q, want byte-identical deterministic with WAL bytes", m.Workload.Name, rep.Mode, rep.Deterministic, rep.Recorded.WALHash)
 		}
 		if !rep.Identical {
 			t.Fatalf("%s: replay diverged: %+v", m.Workload.Name, rep.Divergences)
 		}
+	}
+}
+
+// TestRetireOnRecordingRoundTrips: an RSGT recording (retirement and
+// the vector-clock fast path always on) replays byte-identically — the
+// epoch machinery is verdict- and schedule-invisible.
+func TestRetireOnRecordingRoundTrips(t *testing.T) {
+	m := det("banking", 11)
+	m.Protocol = "rsgt"
+	rep, err := record.Replay(context.Background(), mustRecord(t, m), record.ReplayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Identical {
+		t.Fatalf("retirement-on recording diverged: %+v", rep.Divergences)
 	}
 }
 

@@ -83,16 +83,10 @@ type Report struct {
 	// schedule-independent facets (outcome class, verdict, invariant) —
 	// the goroutine schedule is not reproducible, so WAL bytes, stage
 	// logs and counters legitimately differ.
-	Deterministic bool `json:"deterministic"`
-	// WALCompared records whether WAL bytes (hash and length) were part
-	// of the comparison. False for concurrent recordings, and for
-	// deterministic ones made on the single-file WAL writer this tree no
-	// longer has: their appends replay on the segmented log, whose
-	// frames differ, so the bytes are not owed — every other facet is.
-	WALCompared bool         `json:"wal_compared"`
-	Divergences []Divergence `json:"divergences,omitempty"`
-	Recorded    Outcome      `json:"recorded"`
-	Replayed    Outcome      `json:"replayed"`
+	Deterministic bool         `json:"deterministic"`
+	Divergences   []Divergence `json:"divergences,omitempty"`
+	Recorded      Outcome      `json:"recorded"`
+	Replayed      Outcome      `json:"replayed"`
 }
 
 // Record executes the manifest's run fresh — same resolver, drivers and
@@ -117,7 +111,7 @@ func Replay(ctx context.Context, rec *Recording, opts ReplayOptions) (*Report, e
 	if opts.Initial != nil {
 		initial = opts.Initial
 	}
-	rr, replayed, err := execute(ctx, rec.Manifest, initial, opts, Observers{})
+	_, replayed, err := execute(ctx, rec.Manifest, initial, opts, Observers{})
 	if err != nil {
 		return nil, err
 	}
@@ -127,13 +121,10 @@ func Replay(ctx context.Context, rec *Recording, opts ReplayOptions) (*Report, e
 		Recorded:      rec.Outcome,
 		Replayed:      replayed,
 	}
-	// execute runs a WAL mode it can no longer write on the log it has;
-	// the bytes then differ by format, not by behaviour.
-	rep.WALCompared = rep.Deterministic && rr.Manifest().WALMode == rec.Manifest.WALMode
 	if opts.backfill(rec.Manifest) {
 		rep.Mode = "backfill"
 	}
-	rep.Divergences = compare(rec.Outcome, replayed, rep.Deterministic, rep.WALCompared)
+	rep.Divergences = compare(rec.Outcome, replayed, rep.Deterministic)
 	rep.Identical = len(rep.Divergences) == 0
 	return rep, nil
 }
@@ -205,13 +196,6 @@ func execute(ctx context.Context, m Manifest, initial map[string]storage.Value, 
 	)
 	switch m.WALMode {
 	case "", "none":
-	case "single":
-		// Recorded on the single-file writer older builds had. The same
-		// appends run on one lane of the log there is now, under frames
-		// that writer never produced: Replay sees the mode differ and
-		// leaves the WAL bytes out of the comparison.
-		m.WALMode, m.WALShards, m.WALSegmentBytes = "segmented", 1, 0
-		fallthrough
 	case "segmented":
 		mem = storage.NewMemBackend()
 		swal, err = storage.NewShardedWAL(mem, storage.SegmentedOptions{
@@ -255,10 +239,6 @@ func execute(ctx context.Context, m Manifest, initial map[string]storage.Value, 
 		Hooks:       rr.Hooks(txn.Hooks{}),
 		Tracer:      sinks.Tracer,
 		Metrics:     sinks.Metrics,
-		// Keyed off the field, not the format version: pre-retirement
-		// recordings (and backfilled manifests without the field)
-		// replay with retirement forced off.
-		DisableRSGRetire: m.RSGRetire != "on",
 	}
 	cfg = sinks.Obs.Attach(cfg)
 
@@ -310,9 +290,8 @@ func isRunFailure(err error) bool {
 // compare diffs a replayed outcome against the recorded baseline. For
 // deterministic recordings everything must match byte-for-byte; for
 // concurrent recordings only schedule-independent facets are owed
-// (outcome class, certification verdict, data invariant). A false
-// walBytes drops the two wal rows and nothing else (Report.WALCompared).
-func compare(rec, rep Outcome, deterministic, walBytes bool) []Divergence {
+// (outcome class, certification verdict, data invariant).
+func compare(rec, rep Outcome, deterministic bool) []Divergence {
 	var out []Divergence
 	add := func(kind, field, object, a, b string) {
 		if a != b {
@@ -342,10 +321,8 @@ func compare(rec, rep Outcome, deterministic, walBytes bool) []Divergence {
 		add("counter", c.name, "", fmt.Sprint(c.rec), fmt.Sprint(c.rep))
 	}
 	add("fault", "fingerprint", "", rec.FaultFingerprint, rep.FaultFingerprint)
-	if walBytes {
-		add("wal", "hash", "", rec.WALHash, rep.WALHash)
-		add("wal", "len", "", fmt.Sprint(rec.WALLen), fmt.Sprint(rep.WALLen))
-	}
+	add("wal", "hash", "", rec.WALHash, rep.WALHash)
+	add("wal", "len", "", fmt.Sprint(rec.WALLen), fmt.Sprint(rep.WALLen))
 	add("stage-log", "hash", "", rec.StageHash, rep.StageHash)
 	out = append(out, diffState(rec.Final, rep.Final)...)
 	return out

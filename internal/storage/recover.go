@@ -205,9 +205,10 @@ func RecoverSegmented(set *SegmentSet, initial map[string]Value) (*Store, *Segme
 // scanShardLog replays one lane's segments in order, stopping at the
 // first damaged tail or cross-segment inconsistency (wrong shard,
 // non-increasing index, BaseGSN below the records already seen — all
-// classified corrupt). Transaction accounting matches the single-file
-// Recover: writes buffer from begin, apply at commit; instance routing
-// guarantees a transaction's records never span lanes.
+// classified corrupt). Writes buffer from begin and apply at commit;
+// aborted and unfinished instances leave no trace, and a write whose
+// instance never began is an orphan. Instance routing guarantees a
+// transaction's records never span lanes.
 func scanShardLog(shardIdx int, segs [][]byte, snapGSN uint64) shardScan {
 	sc := shardScan{rec: ShardRecovery{Shard: shardIdx, Horizon: snapGSN}}
 	pending := make(map[int64][]pendingWrite)

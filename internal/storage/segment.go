@@ -14,12 +14,12 @@ import (
 //	header  [magic "RSEG"][version u8][pad u8][shard u16][index u32][baseGSN u64][crc u32]
 //	frame*  [size u32][crc u32][gsn u64][record encoding, wal.go]
 //
-// All integers little-endian; both CRCs are CRC32-Castagnoli (the same
-// table as the single-file format). The frame checksum covers the whole
-// payload — GSN included — so a flipped sequence-number bit is damage,
-// not a different record. GSNs are strictly increasing within a shard's
-// log and every record's GSN exceeds its segment's BaseGSN; a scan
-// treats a violation as corruption (duplicated or replayed frames).
+// All integers little-endian; both CRCs are CRC32-Castagnoli. The
+// frame checksum covers the whole payload — GSN included — so a
+// flipped sequence-number bit is damage, not a different record. GSNs
+// are strictly increasing within a shard's log and every record's GSN
+// exceeds its segment's BaseGSN; a scan treats a violation as
+// corruption (duplicated or replayed frames).
 
 const (
 	segMagic = "RSEG"
@@ -102,11 +102,12 @@ func appendSegFrame(buf []byte, gsn uint64, rec WALRecord) []byte {
 }
 
 // ScanSegment decodes one segment: the header, then framed records
-// until EOF or the first damaged frame. Like ScanWAL, torn and corrupt
-// tails are reported, not returned as errors; err is only a real read
-// failure. A segment whose header is incomplete scans as zero records
-// with a torn tail (the crash hit before the first frame); a header
-// that fails its checksum scans corrupt.
+// until EOF or the first damaged frame. Torn and corrupt tails are
+// what crash recovery exists for, so they are reported, not returned
+// as errors; err is only a real read failure. A segment whose header
+// is incomplete scans as zero records with a torn tail (the crash hit
+// before the first frame); a header that fails its checksum scans
+// corrupt.
 func ScanSegment(r io.Reader) (SegmentHeader, []SegmentRecord, ScanReport, error) {
 	br := bufio.NewReader(r)
 	var hdr SegmentHeader

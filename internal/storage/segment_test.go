@@ -32,6 +32,15 @@ func TestSegmentHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+// segmentOf encodes lane 0's first segment holding recs at GSNs 1, 2, ...
+func segmentOf(recs ...WALRecord) []byte {
+	buf := encodeSegmentHeader(SegmentHeader{Shard: 0, Index: 0, BaseGSN: 0})
+	for i, rec := range recs {
+		buf = appendSegFrame(buf, uint64(i+1), rec)
+	}
+	return buf
+}
+
 // sampleSegment builds one lane's single segment with a known record
 // mix and returns its bytes plus the records.
 func sampleSegment(t testing.TB) ([]byte, []WALRecord) {
@@ -45,11 +54,7 @@ func sampleSegment(t testing.TB) ([]byte, []WALRecord) {
 		{Kind: WALCommit, Instance: 1},
 		{Kind: WALAbort, Instance: 2},
 	}
-	buf := encodeSegmentHeader(SegmentHeader{Shard: 0, Index: 0, BaseGSN: 0})
-	for i, rec := range recs {
-		buf = appendSegFrame(buf, uint64(i+1), rec)
-	}
-	return buf, recs
+	return segmentOf(recs...), recs
 }
 
 // segFrameBoundaries returns every byte offset in seg that ends a
@@ -88,7 +93,7 @@ func TestScanSegmentTruncationNeverPhantom(t *testing.T) {
 			t.Fatalf("cut %d: decoded %d records from a log of %d", cut, len(got), len(recs))
 		}
 		for i := range got {
-			if !recordsEqual(got[i].Rec, recs[i]) {
+			if got[i].Rec != recs[i] {
 				t.Fatalf("cut %d: phantom record at %d: %+v", cut, i, got[i].Rec)
 			}
 			if got[i].GSN != uint64(i+1) {
@@ -175,7 +180,7 @@ func TestScanSegmentBitflipNeverPhantom(t *testing.T) {
 			t.Fatalf("bit %d: decoded %d records from a log of %d", i, len(got), len(recs))
 		}
 		for j := range got {
-			if !recordsEqual(got[j].Rec, recs[j]) {
+			if got[j].Rec != recs[j] {
 				t.Fatalf("bit %d: phantom record at %d", i, j)
 			}
 		}

@@ -2,26 +2,18 @@ package storage
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
+	"maps"
 	"testing"
 )
 
-// singleFileLog frames records the way the single-file writer older
-// builds had did: [size u32][crc u32] around the record encoding the
-// segment frames still use. Nothing outside tests writes this format;
-// the decoder tests here and in wal_fuzz_test.go are fed by it.
-func singleFileLog(recs ...WALRecord) []byte {
-	var out []byte
-	for _, rec := range recs {
-		payload := encodeWALRecord(rec, nil)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, walTable))
-		out = append(out, payload...)
-	}
-	return out
+// oneLane wraps one lane's single segment as a crash image.
+func oneLane(seg []byte) *SegmentSet {
+	return &SegmentSet{Shards: map[int][][]byte{0: {seg}}}
 }
 
+// TestWALAppendReadRoundTrip: every record kind framed into a segment
+// reads back unchanged, in order, at consecutive GSNs, with a clean
+// tail.
 func TestWALAppendReadRoundTrip(t *testing.T) {
 	records := []WALRecord{
 		{Kind: WALBegin, Instance: 1},
@@ -31,36 +23,36 @@ func TestWALAppendReadRoundTrip(t *testing.T) {
 		{Kind: WALBegin, Instance: 2},
 		{Kind: WALAbort, Instance: 2},
 	}
-	got, rep, err := ScanWAL(bytes.NewReader(singleFileLog(records...)))
+	_, got, rep, err := ScanSegment(bytes.NewReader(segmentOf(records...)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Tail != TailClean {
-		t.Fatalf("whole log scanned to a %s tail: %s", rep.Tail, rep.Detail)
+	if rep.Tail != TailClean || rep.Records != len(records) {
+		t.Fatalf("whole segment scanned to a %s tail after %d records: %s", rep.Tail, rep.Records, rep.Detail)
 	}
 	if len(got) != len(records) {
 		t.Fatalf("read %d records, want %d", len(got), len(records))
 	}
 	for i := range records {
-		if got[i] != records[i] {
-			t.Errorf("record %d = %+v, want %+v", i, got[i], records[i])
+		if got[i].Rec != records[i] || got[i].GSN != uint64(i+1) {
+			t.Errorf("record %d = %+v, want %+v at GSN %d", i, got[i], records[i], i+1)
 		}
 	}
 }
 
 func TestWALRecoverAppliesOnlyCommitted(t *testing.T) {
-	seq := []WALRecord{
-		{Kind: WALBegin, Instance: 1},
-		{Kind: WALBegin, Instance: 2},
-		{Kind: WALWrite, Instance: 1, Object: "x", Value: 10},
-		{Kind: WALWrite, Instance: 2, Object: "y", Value: 20},
-		{Kind: WALCommit, Instance: 1},
-		{Kind: WALAbort, Instance: 2},
-		{Kind: WALBegin, Instance: 3},
-		{Kind: WALWrite, Instance: 3, Object: "z", Value: 30},
+	seg := segmentOf(
+		WALRecord{Kind: WALBegin, Instance: 1},
+		WALRecord{Kind: WALBegin, Instance: 2},
+		WALRecord{Kind: WALWrite, Instance: 1, Object: "x", Value: 10},
+		WALRecord{Kind: WALWrite, Instance: 2, Object: "y", Value: 20},
+		WALRecord{Kind: WALCommit, Instance: 1},
+		WALRecord{Kind: WALAbort, Instance: 2},
+		WALRecord{Kind: WALBegin, Instance: 3},
+		WALRecord{Kind: WALWrite, Instance: 3, Object: "z", Value: 30},
 		// instance 3 never commits: crash before commit record
-	}
-	st, report, err := Recover(bytes.NewReader(singleFileLog(seq...)), map[string]Value{"x": 1, "y": 2, "z": 3})
+	)
+	st, report, err := RecoverSegmented(oneLane(seg), map[string]Value{"x": 1, "y": 2, "z": 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +65,16 @@ func TestWALRecoverAppliesOnlyCommitted(t *testing.T) {
 	if st.Read("z").Value != 3 {
 		t.Error("unfinished write applied")
 	}
-	if report.Committed != 1 || report.Aborted != 1 || report.Unfinished != 1 {
+	if report.Committed != 1 || report.Aborted != 1 || report.Unfinished != 1 || report.Records != 8 {
 		t.Errorf("report = %s", report)
 	}
 }
 
+// TestWALTornTail tears the last commit frame at several offsets:
+// recovery keeps the valid prefix, drops only instance 2's commit, and
+// classifies the lane torn.
 func TestWALTornTail(t *testing.T) {
-	full := singleFileLog(
+	full := segmentOf(
 		WALRecord{Kind: WALBegin, Instance: 1},
 		WALRecord{Kind: WALWrite, Instance: 1, Object: "x", Value: 5},
 		WALRecord{Kind: WALCommit, Instance: 1},
@@ -87,42 +82,51 @@ func TestWALTornTail(t *testing.T) {
 		WALRecord{Kind: WALWrite, Instance: 2, Object: "x", Value: 99},
 		WALRecord{Kind: WALCommit, Instance: 2},
 	)
-	// Truncate mid-way through the last record: recovery must keep the
-	// valid prefix and drop instance 2's commit (or more).
-	for cut := len(full) - 1; cut > len(full)-12; cut-- {
-		st, _, err := Recover(bytes.NewReader(full[:cut]), map[string]Value{"x": 1})
+	bounds := sortedBoundaries(full)
+	for cut := bounds[len(bounds)-2] + 1; cut < len(full); cut++ {
+		st, rep, err := RecoverSegmented(oneLane(full[:cut]), map[string]Value{"x": 1})
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
 		if got := st.Read("x").Value; got != 5 {
 			t.Errorf("cut %d: x = %d, want instance 1's committed 5", cut, got)
 		}
+		if sh, ok := rep.FirstDamagedKind(TailTorn); !ok || sh.Tail.Offset != int64(bounds[len(bounds)-2]) {
+			t.Errorf("cut %d: want a torn tail at the last frame, got %s", cut, rep)
+		}
+		if rep.Committed != 1 || rep.Unfinished != 1 {
+			t.Errorf("cut %d: report = %s", cut, rep)
+		}
 	}
 }
 
+// TestWALCorruptRecordEndsPrefix flips a payload byte of the middle
+// record: the scan keeps exactly the record before it, classifies the
+// tail corrupt (not torn) and points at the damaged frame.
 func TestWALCorruptRecordEndsPrefix(t *testing.T) {
-	data := singleFileLog(
+	data := segmentOf(
 		WALRecord{Kind: WALBegin, Instance: 1},
 		WALRecord{Kind: WALWrite, Instance: 1, Object: "x", Value: 5},
 		WALRecord{Kind: WALCommit, Instance: 1},
 	)
-	// Flip a payload byte of the middle record.
-	data[15] ^= 0xff
-	records, _, err := ScanWAL(bytes.NewReader(data))
+	bounds := sortedBoundaries(data) // 0, header, then one end per frame
+	data[bounds[3]-1] ^= 0xff
+	_, records, rep, err := ScanSegment(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(records) >= 3 {
-		t.Errorf("corrupt record accepted: %d records", len(records))
+	if len(records) != 1 || rep.Tail != TailCorrupt || rep.Offset != int64(bounds[2]) {
+		t.Errorf("corrupt middle record: %d records, tail %s at %d (want 1, corrupt at %d)",
+			len(records), rep.Tail, rep.Offset, bounds[2])
 	}
 }
 
 func TestWALOrphanWrites(t *testing.T) {
-	log := singleFileLog(
+	seg := segmentOf(
 		WALRecord{Kind: WALWrite, Instance: 9, Object: "x", Value: 1}, // no begin
 		WALRecord{Kind: WALCommit, Instance: 9},
 	)
-	st, report, err := Recover(bytes.NewReader(log), nil)
+	st, report, err := RecoverSegmented(oneLane(seg), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,12 +149,70 @@ func TestWALRecordKindString(t *testing.T) {
 	}
 }
 
+// TestWALEmptyLog: a log with no lanes and a lane holding only its
+// segment header both recover cleanly to exactly the initial values.
 func TestWALEmptyLog(t *testing.T) {
-	st, report, err := Recover(bytes.NewReader(nil), map[string]Value{"a": 7})
-	if err != nil {
-		t.Fatal(err)
+	for name, set := range map[string]*SegmentSet{"no lanes": {}, "header only": oneLane(segmentOf())} {
+		st, report, err := RecoverSegmented(set, map[string]Value{"a": 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !report.Clean() || report.Records != 0 {
+			t.Errorf("%s: %s", name, report)
+		}
+		if snap := st.Snapshot(); !maps.Equal(snap, map[string]Value{"a": 7}) {
+			t.Errorf("%s: recovered %v, want the initial values", name, snap)
+		}
 	}
-	if st.Read("a").Value != 7 || report.Records != 0 {
-		t.Error("empty log should yield the initial snapshot")
+}
+
+// sampleStates returns what recovering sampleSegment over x=1, y=2
+// may yield: the initial values, or those plus instance 1's commit.
+// Instance 2 aborts, so y=1<<40 is never a legal outcome.
+func sampleStates() (before, after map[string]Value) {
+	before = map[string]Value{"x": 1, "y": 2}
+	after = map[string]Value{"x": 10, "y": 2, "a_longer_object_name": -7}
+	return before, after
+}
+
+// TestWALTruncationNeverPhantom recovers every byte-prefix of a
+// segment: the store holds instance 1's writes exactly when its commit
+// frame is whole, and never anything else.
+func TestWALTruncationNeverPhantom(t *testing.T) {
+	full, _ := sampleSegment(t)
+	commitEnd := sortedBoundaries(full)[7] // 0, header, then 7 frames; commit is the 6th
+	before, after := sampleStates()
+	for cut := 0; cut <= len(full); cut++ {
+		st, rep, err := RecoverSegmented(oneLane(full[:cut]), before)
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		want := before
+		if cut >= commitEnd {
+			want = after
+		}
+		if snap := st.Snapshot(); !maps.Equal(snap, want) {
+			t.Fatalf("cut %d: recovered %v, want %v (%s)", cut, snap, want, rep)
+		}
+	}
+}
+
+// TestWALBitflipNeverPhantom recovers the segment with every bit
+// flipped in turn: the store is always one of the two legal states,
+// and instance 1's writes survive only with its commit.
+func TestWALBitflipNeverPhantom(t *testing.T) {
+	full, _ := sampleSegment(t)
+	before, after := sampleStates()
+	for i := 0; i < len(full)*8; i++ {
+		mut := append([]byte(nil), full...)
+		mut[i/8] ^= 1 << (i % 8)
+		st, rep, err := RecoverSegmented(oneLane(mut), before)
+		if err != nil {
+			t.Fatalf("bit %d: %v", i, err)
+		}
+		snap := st.Snapshot()
+		if rep.Committed == 1 && !maps.Equal(snap, after) || rep.Committed == 0 && !maps.Equal(snap, before) || rep.Committed > 1 {
+			t.Fatalf("bit %d: recovered %v (%s)", i, snap, rep)
+		}
 	}
 }

@@ -240,3 +240,23 @@ func TestVerifyCyclesRejectsMissingBegin(t *testing.T) {
 		t.Errorf("want missing-begin error, got %v", err)
 	}
 }
+
+// TestKindWireNames pins the string of every registered kind: JSONL
+// files, the SSE stream and VerifyCycles read these names, so a typo at
+// a definition is a format break, not a rename.
+func TestKindWireNames(t *testing.T) {
+	want := []string{"begin", "grant", "block", "abort", "cycle-reject",
+		"conflict-cycle", "deadlock", "lock-wait", "ts-reject", "donate",
+		"wake", "commit", "txn-abort", "fault", "shed", "wedge", "cancel",
+		"wal-append", "wal-rotate", "wal-group-commit", "store-read",
+		"store-write"}
+	got := Kinds()
+	if len(got) != len(want) {
+		t.Fatalf("%d registered kinds, want %d: %v", len(got), len(want), got)
+	}
+	for i, k := range got {
+		if string(k) != want[i] {
+			t.Errorf("kind %d is %q on the wire, want %q", i, k, want[i])
+		}
+	}
+}

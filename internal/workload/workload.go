@@ -102,10 +102,6 @@ type RunOptions struct {
 	// in-flight instances through the engine's Recover stage and fails
 	// with context.DeadlineExceeded as the cause.
 	Timeout time.Duration
-	// DisableRSGRetire turns off bounded-memory certification (graph
-	// retirement + vector-clock fast path) for protocols that support
-	// it; the zero value keeps it on (see txn.Config.DisableRSGRetire).
-	DisableRSGRetire bool
 }
 
 // RunWith executes the workload with full options and returns the
@@ -146,8 +142,6 @@ func (w *Workload) RunWithContext(ctx context.Context, protocol sched.Protocol, 
 		Deadline:  opts.Deadline,
 		Watchdog:  opts.Watchdog,
 		Hooks:     opts.Hooks,
-
-		DisableRSGRetire: opts.DisableRSGRetire,
 	}
 	cfg = opts.Obs.Attach(cfg)
 	var (
