@@ -85,11 +85,13 @@ race:
 	$(GO) test -race ./...
 
 # Focused engine-pipeline gate (CI: test job): the serial/concurrent
-# parity corpus and per-stage cancellation unwind, race-checked and
-# repeated to shake out scheduling-dependent flakes.
+# parity corpus, per-stage cancellation unwind and the split commit
+# stage's durability contract (acked => durable, no ack wait under the
+# lifecycle lock), race-checked and repeated to shake out
+# scheduling-dependent flakes.
 test-engine:
 	$(GO) test -race -count=2 ./internal/engine ./internal/txn \
-		-run 'TestSerialConcurrentParity|TestSerialReplayDeterminism|TestCancel|TestRunOptionsTimeout|TestCorePipeline|TestAbortAll|TestStageNames|TestNewCoreValidation'
+		-run 'TestSerialConcurrentParity|TestSerialReplayDeterminism|TestCancel|TestRunOptionsTimeout|TestCorePipeline|TestAbortAll|TestStageNames|TestNewCoreValidation|TestAckImpliesDurableConcurrent|TestAckWaitHoldsNoLock'
 
 # Live ops-endpoint smoke (CI: test job): a run with -ops serving,
 # scraped for the canonical /metrics, /healthz and /debug keys while

@@ -9,7 +9,10 @@
 // Deterministic roots are
 //
 //   - the engine's decision-stage methods (engine.Core's Admit,
-//     Decide, Unrecoverable, TryCommit, AbortCascade and AbortAll);
+//     Decide, Unrecoverable, Publish, Acknowledge, AbortCascade and
+//     AbortAll — the Commit stage is Publish and Acknowledge, and the
+//     ack wait between them, AwaitAck, decides nothing: it only
+//     receives the log's verdict);
 //   - every function of internal/record and internal/replay (the
 //     capture and re-execution halves of the harness);
 //   - any function whose doc comment carries //rsvet:deterministic.
@@ -62,7 +65,7 @@ const (
 // run seed.
 var decisionStages = map[string]bool{
 	"Admit": true, "Decide": true, "Unrecoverable": true,
-	"TryCommit": true, "AbortCascade": true, "AbortAll": true,
+	"Publish": true, "Acknowledge": true, "AbortCascade": true, "AbortAll": true,
 }
 
 // wallClock lists time-package functions whose results depend on when

@@ -56,7 +56,8 @@ const enginePath = "relser/internal/engine"
 // Observe*) are fine from a hook.
 var coreMutators = map[string]bool{
 	"Admit": true, "Decide": true, "Unrecoverable": true, "Apply": true,
-	"TryCommit": true, "AbortCascade": true, "AbortAll": true,
+	"Publish": true, "AwaitAck": true, "Acknowledge": true,
+	"AbortCascade": true, "AbortAll": true,
 	"Finalize": true, "LogWAL": true, "FlushWAL": true, "JitterSleep": true,
 }
 

@@ -63,9 +63,10 @@ type Config struct {
 	MaxRestarts int
 	// WAL, when set, receives begin/write/commit/abort records; a store
 	// recovered from it (storage.RecoverSegmented) reproduces exactly
-	// the committed effects. Commit records go through AppendSync — the
-	// commit stage parks on the lane's group commit — and WAL errors
-	// fail the run.
+	// the committed effects. Commit records go through AppendAck: the
+	// commit stage publishes the record under the lifecycle lock and
+	// waits for the lane's group commit outside it, before the instance
+	// counts as committed. WAL errors fail the run.
 	WAL storage.WALSink
 	// Tracer, when set, receives structured events for every scheduling
 	// decision and instance lifecycle transition; it is also attached to

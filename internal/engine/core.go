@@ -55,6 +55,11 @@ type Instance struct {
 	// it; access follows the same driver synchronization as the rest of
 	// the instance.
 	Obs any
+
+	// Set by Publish: the lane's ack for the commit record (nil without
+	// a WAL) and the commit moment on the execution-order clock.
+	ack       <-chan error
+	commitSeq int64
 }
 
 // Pending is a program queued for (re-)admission.
@@ -73,14 +78,16 @@ type Pending struct {
 // goroutine with a tick clock, or a worker pool with the execution
 // sequence as the clock) and the synchronization discipline:
 //
-//   - The deterministic driver calls everything single-threaded.
-//   - The concurrent driver calls Admit, TryCommit, AbortCascade and
-//     AbortAll under its exclusive state lock; Decide, Unrecoverable
-//     and Apply on the operation path under the shared state lock plus
-//     the target object's shard lock (so the shard's dirty stacks are
-//     stable). The dependency graph has its own leaf mutex for
-//     operation-path mutations; lifecycle holders are excluded from
-//     those by the state lock and access it directly.
+//   - The deterministic driver calls everything single-threaded, the
+//     Commit stage's Publish, AwaitAck and Acknowledge back to back.
+//   - The concurrent driver calls Admit, Publish, Acknowledge,
+//     AbortCascade and AbortAll under its exclusive state lock, and
+//     AwaitAck between Publish and Acknowledge with no lock held;
+//     Decide, Unrecoverable and Apply on the operation path under the
+//     shared state lock plus the target object's shard lock (so the
+//     shard's dirty stacks are stable). The dependency graph has its own
+//     leaf mutex for operation-path mutations; lifecycle holders are
+//     excluded from those by the state lock and access it directly.
 type Core struct {
 	Cfg    Config
 	Router shard.Router
@@ -103,8 +110,8 @@ type Core struct {
 	depMu      sync.Mutex
 	dependents map[int64]map[int64]bool
 
-	// walMu serializes WAL appends; append errors park in walErr until
-	// a driver folds them into its run error. Leaf mutex.
+	// walMu guards walErr, where append and ack errors park until a
+	// driver folds them into its run error. Leaf mutex.
 	walMu  sync.Mutex
 	walErr error
 
@@ -133,7 +140,7 @@ type Core struct {
 
 	// ret is the protocol's bounded-memory interface, resolved once
 	// (nil when the protocol keeps no retirable state). The Admit and
-	// TryCommit stages feed it the low-water mark, AbortAll unwinds
+	// Publish stages feed it the low-water mark, AbortAll unwinds
 	// retirement-pending state, Finalize folds its stats into the
 	// Result. All call sites are lifecycle-locked, so the retirement
 	// calls never race Request.
@@ -307,18 +314,23 @@ func (c *Core) Apply(ctx context.Context, st *Instance, op core.Op, shardIdx int
 	return order
 }
 
-// TryCommit runs the Commit stage for a finished instance if its
-// dirty-data dependencies have drained and the protocol agrees; a veto
-// is counted as a commit wait and the driver retries.
-// Lifecycle-locked.
-func (c *Core) TryCommit(st *Instance, clock int64) bool {
+// Publish runs the first half of the Commit stage for a finished
+// instance, if its dirty-data dependencies have drained and the
+// protocol agrees (a veto is counted as a commit wait and the driver
+// retries). It commits the instance in the protocol, enqueues its
+// commit record and releases everything the instance held in the
+// engine, so waiters can proceed while the record is on its way to the
+// device. The instance is not committed for its client until
+// Acknowledge. Lifecycle-locked.
+func (c *Core) Publish(st *Instance) bool {
 	if len(st.DepsOn) > 0 || !c.Cfg.Protocol.CanCommit(st.ID) {
 		c.res.CommitWaits++
 		c.rep.commitWaits.Inc()
 		return false
 	}
 	c.Cfg.Protocol.Commit(st.ID)
-	c.LogWAL(storage.WALRecord{Kind: storage.WALCommit, Instance: st.ID})
+	st.commitSeq = c.ExecSeq.Load()
+	st.ack = c.LogWAL(storage.WALRecord{Kind: storage.WALCommit, Instance: st.ID})
 	st.Undo.Discard()
 	//rsvet:allow detlint -- order-insensitive: each object's dirty entry is removed independently
 	for obj := range st.Writes {
@@ -336,6 +348,34 @@ func (c *Core) TryCommit(st *Instance, clock int64) bool {
 	if c.ret != nil {
 		c.rep.retire(c.ret.RetireStats())
 	}
+	return true
+}
+
+// AwaitAck waits for the lane to acknowledge a published instance's
+// commit record, parking a failure like any WAL error. It takes no
+// lock: the concurrent driver calls it with the lifecycle lock
+// released, so other instances publish meanwhile and one lane fsync
+// covers all their commit records.
+func (c *Core) AwaitAck(st *Instance) {
+	if st.ack == nil {
+		return
+	}
+	if err := <-st.ack; err != nil {
+		c.parkWALErr(fmt.Errorf("txn: WAL append failed: %w", err))
+	}
+	st.ack = nil
+}
+
+// Acknowledge runs the second half of the Commit stage once AwaitAck
+// has returned: the instance counts as committed, the degradation
+// controllers and reporter observe it, the Result records it and the
+// Commit hook fires — so in a run that completes, every hook observer
+// sees a durable commit. A failed ack is the exception: its error is
+// parked and fails the run, but the drivers still acknowledge the
+// instance, so the stage log of a crashed serial run, which recordings
+// pin, still ends with that instance's Commit hook.
+// Lifecycle-locked.
+func (c *Core) Acknowledge(st *Instance, clock int64) {
 	c.res.Committed++
 	c.lv.noteCommit()
 	prevLim := c.shed.limit()
@@ -346,14 +386,13 @@ func (c *Core) TryCommit(st *Instance, clock int64) bool {
 	c.latencies.Add(float64(clock - st.StartClock))
 	c.res.Spans = append(c.res.Spans, Span{
 		Instance: st.ID, Program: int(st.Program.ID),
-		Start: st.StartClock, End: clock, CommitSeq: c.ExecSeq.Load(),
+		Start: st.StartClock, End: clock, CommitSeq: st.commitSeq,
 	})
 	c.res.Trace = append(c.res.Trace, st.Events...)
 	c.res.Programs = append(c.res.Programs, st.Program)
 	if h := c.Cfg.Hooks.Commit; h != nil {
 		h(st)
 	}
-	return true
 }
 
 // AbortCascade runs the Abort stage: the instance and, transitively,
@@ -541,27 +580,34 @@ func (c *Core) sortByExecOrder(trace []Event) {
 
 // LogWAL appends a record, parking errors in walErr (surfaced by
 // WALErr at the drivers' fold points) so the hot path never needs a
-// lifecycle lock. Commit records go through AppendSync — the
-// durability point where a segmented log's group commit parks the
-// caller until the lane's fsync — everything else is enqueued async.
-// The sink serializes internally; walMu only guards the error latch.
-func (c *Core) LogWAL(rec storage.WALRecord) {
+// lifecycle lock. Commit records go through AppendAck and the lane's
+// ack channel is returned for AwaitAck; everything else is enqueued
+// async. The sink serializes internally; walMu only guards the error
+// latch.
+func (c *Core) LogWAL(rec storage.WALRecord) <-chan error {
 	if c.Cfg.WAL == nil {
-		return
+		return nil
 	}
+	var ack <-chan error
 	var err error
 	if rec.Kind == storage.WALCommit {
-		err = c.Cfg.WAL.AppendSync(rec)
+		ack, err = c.Cfg.WAL.AppendAck(rec)
 	} else {
 		err = c.Cfg.WAL.Append(rec)
 	}
 	if err != nil {
-		c.walMu.Lock()
-		if c.walErr == nil {
-			c.walErr = fmt.Errorf("txn: WAL append failed: %w", err)
-		}
-		c.walMu.Unlock()
+		c.parkWALErr(fmt.Errorf("txn: WAL append failed: %w", err))
 	}
+	return ack
+}
+
+// parkWALErr keeps the first WAL error for the drivers' fold points.
+func (c *Core) parkWALErr(err error) {
+	c.walMu.Lock()
+	if c.walErr == nil {
+		c.walErr = err
+	}
+	c.walMu.Unlock()
 }
 
 // WALErr returns the parked WAL append error, if any, folding in the
@@ -588,11 +634,7 @@ func (c *Core) WALErr() error {
 func (c *Core) FlushWAL() error {
 	if c.Cfg.WAL != nil {
 		if err := c.Cfg.WAL.Sync(); err != nil {
-			c.walMu.Lock()
-			if c.walErr == nil {
-				c.walErr = fmt.Errorf("txn: WAL flush failed: %w", err)
-			}
-			c.walMu.Unlock()
+			c.parkWALErr(fmt.Errorf("txn: WAL flush failed: %w", err))
 		}
 	}
 	return c.WALErr()

@@ -42,7 +42,10 @@ const (
 	StageDecide
 	// StageApply is a granted operation executing against the store.
 	StageApply
-	// StageCommit is commit bookkeeping for a finished instance.
+	// StageCommit is a finished instance committing, in two halves:
+	// Publish releases its scheduler and engine state, Acknowledge
+	// counts it once the commit record is durable. The Commit hook
+	// fires at Acknowledge.
 	StageCommit
 	// StageAbort is an abort cascade rolling an instance (and its
 	// dirty-read dependents) back.

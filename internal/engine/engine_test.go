@@ -102,9 +102,11 @@ func TestCorePipelineDirect(t *testing.T) {
 		order := eng.Apply(ctx, st, op, shardIdx)
 		eng.ObserveGrant(st, op, order, 0)
 	}
-	if !eng.TryCommit(st, 1) {
+	if !eng.Publish(st) {
 		t.Fatal("lone finished instance must commit")
 	}
+	eng.AwaitAck(st)
+	eng.Acknowledge(st, 1)
 	res := eng.Finalize(1, 1)
 	if res.Committed != 1 || res.OpsExecuted != 2 {
 		t.Fatalf("unexpected result: %v", res)
@@ -178,9 +180,11 @@ func TestFinalizeRestoresExecutionOrder(t *testing.T) {
 		t.Fatalf("live IDs after the abort: %v", ids)
 	}
 	for _, st := range []*engine.Instance{insts[2], insts[0]} {
-		if !eng.TryCommit(st, 2) {
+		if !eng.Publish(st) {
 			t.Fatalf("instance %d must commit", st.ID)
 		}
+		eng.AwaitAck(st)
+		eng.Acknowledge(st, 2)
 	}
 	if ids := eng.ActiveIDs(); len(ids) != 0 {
 		t.Fatalf("live IDs after the commits: %v", ids)

@@ -19,9 +19,14 @@ import (
 type WALSink interface {
 	// Append enqueues one record without waiting for durability.
 	Append(rec WALRecord) error
-	// AppendSync returns once the record is durable — the commit
-	// stage's group-commit wait.
-	AppendSync(rec WALRecord) error
+	// AppendAck enqueues one record and returns the channel its lane
+	// acknowledges it on: nil once the record is durable, the failure
+	// otherwise. The engine's publish stage enqueues a commit record
+	// under the lifecycle lock and its acknowledge stage receives the
+	// ack with no lock held, so one lane fsync can cover the commit
+	// records of many transactions. The channel may be non-nil even
+	// when the error is (an injected crash on this very record).
+	AppendAck(rec WALRecord) (<-chan error, error)
 	// Sync blocks until everything appended before the call is durable
 	// (or failed) and returns the first latched error.
 	Sync() error
@@ -63,8 +68,16 @@ func (o SegmentedOptions) withDefaults() SegmentedOptions {
 // committer timing; the committer only executes the instructions.
 type walFrame struct {
 	bytes   []byte
-	done    chan error // non-nil for AppendSync waiters
+	done    chan error // non-nil for AppendAck callers: the record's ack
 	records int        // 0 for rotation barriers
+
+	// Commit frames reach the device in GSN order across lanes. mark is
+	// this commit frame's place in that order; prev is the previous
+	// commit frame when it was on another lane and not yet durable at
+	// enqueue. The committer writes this frame only once prev is durable
+	// and fails it when prev failed, so a failure travels down the chain.
+	mark *commitMark
+	prev *commitMark
 
 	rotate      bool   // open a new segment before writing this frame
 	rotateBase  uint64 // BaseGSN for the new segment
@@ -72,6 +85,44 @@ type walFrame struct {
 	crash       bool   // wal.crash: die at the frame boundary
 	tornCut     int    // wal.torn: write bytes[:tornCut+1], then die (-1 off)
 	partialCut  int    // wal.group.partial: write bytes[:partialCut], then die (-1 off)
+}
+
+// commitMark is one commit frame's fate: done closes once the frame is
+// durable (err nil) or doomed (err set first).
+type commitMark struct {
+	lane int
+	err  error
+	done chan struct{}
+}
+
+func (m *commitMark) resolve(err error) {
+	m.err = err
+	close(m.done)
+}
+
+// settled reports whether the frame's fate is already known.
+func (m *commitMark) settled() bool {
+	select {
+	case <-m.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// durable reports whether the frame is settled without error.
+func (m *commitMark) durable() bool { return m.settled() && m.err == nil }
+
+// finish delivers a frame's outcome: the commit mark settles before the
+// ack is sent, so a caller that saw its ack enqueues its next commit
+// behind a settled predecessor.
+func (fr *walFrame) finish(err error) {
+	if fr.mark != nil {
+		fr.mark.resolve(err)
+	}
+	if fr.done != nil {
+		fr.done <- err
+	}
 }
 
 // walShard is one durability lane: a bounded queue of encoded frames
@@ -111,6 +162,14 @@ type walShard struct {
 // transaction's records always share a lane and per-lane recovery is
 // the single-log algorithm; a global sequence number (GSN)
 // drawn at enqueue orders commits across lanes for replay.
+//
+// Commit frames reach the device in GSN order: a lane's committer
+// writes a commit frame only after the previous commit frame, on
+// whichever lane, is durable, and fails it when that one failed. Before
+// holding a frame it writes, fsyncs and acks the batch prefix ahead of
+// it, so the lowest pending commit always progresses. On one lane this
+// is plain FIFO. An ack therefore means every lower-GSN commit is
+// durable too, the sources the transaction read from included.
 type ShardedWAL struct {
 	backend SegmentBackend
 	opt     SegmentedOptions
@@ -121,6 +180,15 @@ type ShardedWAL struct {
 	inj     atomic.Pointer[fault.Injector]
 	wg      sync.WaitGroup
 	closed  atomic.Bool
+
+	// cmu orders commit frames: their GSN draw and the lastCommit swap
+	// happen together under it. Leaf lock, taken under a lane mutex.
+	cmu        sync.Mutex
+	lastCommit *commitMark
+	// failed closes when any lane latches an error: a held commit frame
+	// fails with it instead of waiting on a lane that may never sync.
+	failed   chan struct{}
+	failOnce sync.Once
 
 	appends      atomic.Int64
 	fsyncs       atomic.Int64
@@ -142,7 +210,7 @@ func NewShardedWAL(backend SegmentBackend, opt SegmentedOptions) (*ShardedWAL, e
 		return nil, errors.New("storage: nil segment backend")
 	}
 	opt = opt.withDefaults()
-	w := &ShardedWAL{backend: backend, opt: opt, router: shard.NewRouter(opt.Shards)}
+	w := &ShardedWAL{backend: backend, opt: opt, router: shard.NewRouter(opt.Shards), failed: make(chan struct{})}
 	for i := 0; i < opt.Shards; i++ {
 		sh := &walShard{idx: i, open: map[int64]bool{}, logBytes: SegmentHeaderSize}
 		sh.notEmpty.L = &sh.mu
@@ -232,18 +300,30 @@ func (w *ShardedWAL) Append(rec WALRecord) error {
 	return err
 }
 
-// AppendSync enqueues one record and parks until the lane's committer
-// has flushed and fsynced the batch containing it — the group-commit
-// wait the engine's commit stage sits on.
+// AppendAck enqueues one record and returns the channel the lane's
+// committer acks it on once the batch holding it is fsynced.
+func (w *ShardedWAL) AppendAck(rec WALRecord) (<-chan error, error) {
+	return w.enqueue(rec, true)
+}
+
+// AppendSync is AppendAck followed by the wait for the ack.
 func (w *ShardedWAL) AppendSync(rec WALRecord) error {
-	done, err := w.enqueue(rec, true)
+	done, err := w.AppendAck(rec)
 	if done != nil {
-		derr := <-done
-		if err == nil {
+		if derr := <-done; err == nil {
 			err = derr
 		}
 	}
 	return err
+}
+
+// latchLocked records a lane's sticky error and tells held commit
+// frames on every other lane. Called with sh.mu held.
+func (w *ShardedWAL) latchLocked(sh *walShard, err error) {
+	if sh.err == nil {
+		sh.err = err
+		w.failOnce.Do(func() { close(w.failed) })
+	}
 }
 
 // enqueue assigns the record a GSN, decides rotation and injected
@@ -264,8 +344,28 @@ func (w *ShardedWAL) enqueue(rec WALRecord, wait bool) (chan error, error) {
 		sh.mu.Unlock()
 		return nil, errWALClosed
 	}
-	gsn := w.gsn.Add(1)
 	fr := walFrame{records: 1, tornCut: -1, partialCut: -1}
+	var gsn uint64
+	if rec.Kind == WALCommit {
+		fr.mark = &commitMark{lane: sh.idx, done: make(chan struct{})}
+		//rsvet:allow stripelock -- cmu is a leaf taken under one lane mutex, never the reverse: a commit frame's GSN, chain position and queue slot must agree
+		w.cmu.Lock()
+		gsn = w.gsn.Add(1)
+		prev := w.lastCommit
+		w.lastCommit = fr.mark
+		w.cmu.Unlock()
+		// A predecessor on this lane is ahead of this frame in the
+		// queue, and the committer fails everything behind a failure. One
+		// on another lane is kept unless already durable: the committer
+		// waits for it and fails this frame if it failed, even before
+		// this enqueue. The deterministic driver waits for every ack, so
+		// its frames never wait.
+		if prev != nil && prev.lane != sh.idx && !prev.durable() {
+			fr.prev = prev
+		}
+	} else {
+		gsn = w.gsn.Add(1)
+	}
 	fr.bytes = appendSegFrame(nil, gsn, rec)
 	if sh.logBytes+int64(len(fr.bytes)) > w.opt.SegmentBytes && sh.logBytes > SegmentHeaderSize {
 		// This frame opens a new segment. BaseGSN is gsn-1: every
@@ -277,7 +377,7 @@ func (w *ShardedWAL) enqueue(rec WALRecord, wait bool) (chan error, error) {
 	sh.logBytes += int64(len(fr.bytes))
 	crash := decideFaults(w.inj.Load(), sh, &fr)
 	if crash {
-		sh.err = fault.ErrCrash
+		w.latchLocked(sh, fault.ErrCrash)
 	}
 	switch rec.Kind {
 	case WALBegin:
@@ -362,9 +462,11 @@ func decideFaults(in *fault.Injector, sh *walShard, fr *walFrame) bool {
 }
 
 // committer drains one lane: swap the queue out under the mutex, do
-// all I/O outside it, then advance doneSeq and wake Sync waiters.
+// all I/O outside it, then advance doneSeq and wake Sync waiters. Once
+// a batch fails, every frame queued behind it fails with the same error.
 func (w *ShardedWAL) committer(sh *walShard) {
 	defer w.wg.Done()
+	var dead error
 	for {
 		sh.mu.Lock()
 		for len(sh.queue) == 0 && !sh.closed {
@@ -379,12 +481,13 @@ func (w *ShardedWAL) committer(sh *walShard) {
 		sh.notFull.Broadcast()
 		sh.mu.Unlock()
 
-		sealed, ioErr := w.flushBatch(sh, batch)
+		sealed, err := w.flushBatch(sh, batch, dead)
 
 		sh.mu.Lock()
 		sh.doneSeq += uint64(len(batch))
-		if ioErr != nil && sh.err == nil {
-			sh.err = ioErr
+		if err != nil {
+			dead = err
+			w.latchLocked(sh, err)
 		}
 		sh.sealed = append(sh.sealed, sealed...)
 		sh.synced.Broadcast()
@@ -392,19 +495,21 @@ func (w *ShardedWAL) committer(sh *walShard) {
 	}
 }
 
-// flushBatch writes a drained batch into the lane's segment chain and
-// issues one fsync for the lot. Injected faults attached to frames are
-// executed here: a torn or partial frame's prefix bytes still reach
-// the device (that is the point), every later frame in the batch fails
-// with the same crash. Returns a real I/O error to latch (injected
-// crashes were latched at enqueue) plus segment indices sealed by
-// rotations in this batch.
-func (w *ShardedWAL) flushBatch(sh *walShard, batch []walFrame) ([]int, error) {
-	var failed error   // first injected crash or I/O error in the batch
-	var ioErr error    // real I/O failure to latch
-	var sealed []int   // segment indices sealed by rotation
-	var pending []byte // frame bytes accumulated for one write
-	var acked []chan error
+// flushBatch writes a drained batch into the lane's segment chain with
+// one fsync for the lot — or, when a commit frame must wait for its
+// predecessor on another lane, one fsync for the prefix ahead of it and
+// one for the rest. Injected faults attached to frames are executed
+// here: a torn or partial frame's prefix bytes still reach the device
+// (that is the point), every later frame in the batch fails with the
+// same crash. failed is an earlier batch's failure, which every frame
+// of this one inherits. Returns the batch's failure for the lane to
+// latch (a no-op for injected crashes, latched at enqueue) plus segment
+// indices sealed by rotations in this batch.
+func (w *ShardedWAL) flushBatch(sh *walShard, batch []walFrame, failed error) ([]int, error) {
+	var ioErr error       // real I/O failure: clean frames are acked with it
+	var sealed []int      // segment indices sealed by rotation
+	var pending []byte    // frame bytes accumulated for one write
+	var clean []*walFrame // written frames awaiting the fsync
 	records := 0
 	flush := func() error {
 		if len(pending) == 0 {
@@ -420,26 +525,53 @@ func (w *ShardedWAL) flushBatch(sh *walShard, batch []walFrame) ([]int, error) {
 			ioErr = err
 		}
 	}
+	groupCommit := func() {
+		if err := flush(); err != nil {
+			fail(err)
+		}
+		start := time.Now()
+		if err := sh.cur.Sync(); err != nil {
+			fail(err)
+		}
+		elapsed := time.Since(start)
+		w.fsyncs.Add(1)
+		w.groupCommits.Add(1)
+		w.mFsyncs.Inc()
+		w.mGroups.Inc()
+		sh.fsyncHist.Observe(elapsed.Seconds())
+		sh.batchHist.Observe(float64(records))
+		if tr := w.tr.Load(); tr.Wants(trace.KindWALGroupCommit) {
+			tr.Emit(trace.Event{Kind: trace.KindWALGroupCommit, Instance: int64(sh.idx), Value: int64(records)})
+		}
+		// Frames are durable (or doomed) now: ack the clean ones with
+		// whatever the write+fsync concluded.
+		for _, fr := range clean {
+			fr.finish(ioErr)
+		}
+		clean, records = clean[:0], 0
+	}
 	for i := range batch {
 		fr := &batch[i]
-		if failed != nil {
-			if fr.done != nil {
-				fr.done <- failed
+		if failed == nil && fr.prev != nil {
+			if !fr.prev.settled() && len(clean) > 0 {
+				groupCommit() // the lowest pending commit may be in this prefix
 			}
-			continue
+			if failed == nil {
+				if err := w.awaitCommit(fr.prev); err != nil {
+					fail(err)
+				}
+			}
 		}
-		if fr.rotate {
+		if failed == nil && fr.rotate {
 			if err := flush(); err != nil {
 				fail(err)
 			} else if err := w.rotate(sh, fr, &sealed); err != nil {
 				fail(err)
 			}
-			if failed != nil {
-				if fr.done != nil {
-					fr.done <- failed
-				}
-				continue
-			}
+		}
+		if failed != nil {
+			fr.finish(failed)
+			continue
 		}
 		switch {
 		case fr.crash:
@@ -453,38 +585,27 @@ func (w *ShardedWAL) flushBatch(sh *walShard, batch []walFrame) ([]int, error) {
 		default:
 			pending = append(pending, fr.bytes...)
 			records += fr.records
-			if fr.done != nil {
-				acked = append(acked, fr.done)
-			}
+			clean = append(clean, fr)
 			continue
 		}
-		if fr.done != nil {
-			fr.done <- failed
+		fr.finish(failed)
+	}
+	groupCommit()
+	return sealed, failed
+}
+
+// awaitCommit parks the committer until a held frame's predecessor is
+// settled and returns its failure. A crash latched on any lane fails the
+// held frame instead: the predecessor's lane may never sync again.
+func (w *ShardedWAL) awaitCommit(prev *commitMark) error {
+	if !prev.settled() {
+		select {
+		case <-prev.done:
+		case <-w.failed:
+			return w.Err()
 		}
 	}
-	if err := flush(); err != nil {
-		fail(err)
-	}
-	start := time.Now()
-	if err := sh.cur.Sync(); err != nil {
-		fail(err)
-	}
-	elapsed := time.Since(start)
-	w.fsyncs.Add(1)
-	w.groupCommits.Add(1)
-	w.mFsyncs.Inc()
-	w.mGroups.Inc()
-	sh.fsyncHist.Observe(elapsed.Seconds())
-	sh.batchHist.Observe(float64(records))
-	if tr := w.tr.Load(); tr.Wants(trace.KindWALGroupCommit) {
-		tr.Emit(trace.Event{Kind: trace.KindWALGroupCommit, Instance: int64(sh.idx), Value: int64(records)})
-	}
-	// Frames are durable (or doomed) now: ack the clean waiters with
-	// whatever the write+fsync concluded.
-	for _, done := range acked {
-		done <- ioErr
-	}
-	return sealed, ioErr
+	return prev.err
 }
 
 // rotate seals the lane's current segment and opens the next one:
@@ -603,7 +724,7 @@ func (w *ShardedWAL) Checkpoint(snap map[string]Value) error {
 		fr := walFrame{rotate: true, rotateBase: cut, tornCut: -1, partialCut: -1}
 		if in.Fire(fault.WALRotateCrash) { //rsvet:allow stripelock -- deterministic fault decision must happen in append order under the lane mutex
 			fr.rotateCrash = true
-			sh.err = fault.ErrCrash
+			w.latchLocked(sh, fault.ErrCrash)
 		}
 		sh.queue = append(sh.queue, fr)
 		sh.enqSeq++

@@ -241,6 +241,212 @@ func TestShardedWALAckImpliesDurable(t *testing.T) {
 	}
 }
 
+// gatedBackend is a syncedBackend whose lane-0 segments park in Sync
+// while the gate is shut: a device that has stopped acknowledging.
+type gatedBackend struct {
+	*syncedBackend
+	mu   sync.Mutex
+	gate chan struct{} // non-nil while shut
+}
+
+type gatedSegment struct {
+	SegmentFile
+	b *gatedBackend
+}
+
+func (b *gatedBackend) Create(lane, index int) (SegmentFile, error) {
+	f, err := b.syncedBackend.Create(lane, index)
+	if err != nil || lane != 0 {
+		return f, err
+	}
+	return gatedSegment{SegmentFile: f, b: b}, nil
+}
+
+func (s gatedSegment) Sync() error {
+	s.b.mu.Lock()
+	gate := s.b.gate
+	s.b.mu.Unlock()
+	if gate != nil {
+		<-gate
+	}
+	return s.SegmentFile.Sync()
+}
+
+func (b *gatedBackend) shut() {
+	b.mu.Lock()
+	b.gate = make(chan struct{})
+	b.mu.Unlock()
+}
+
+func (b *gatedBackend) open() {
+	b.mu.Lock()
+	if b.gate != nil {
+		close(b.gate)
+		b.gate = nil
+	}
+	b.mu.Unlock()
+}
+
+// written reports whether the lane's written bytes — what SegmentSet
+// would hand recovery — hold instance's commit record.
+func written(t *testing.T, mem *MemBackend, lane int, instance int64) bool {
+	t.Helper()
+	set, err := mem.SegmentSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range set.Shards[lane] {
+		_, recs, _, err := ScanSegment(bytes.NewReader(seg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if r.Rec.Kind == WALCommit && r.Rec.Instance == instance {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestCommitFramesDurableInGSNOrder pins the cross-lane ordering rule:
+// a commit frame reaches the device only after the previous commit
+// frame, on whichever lane, is durable. c1 goes to lane 0, whose fsync
+// is gated shut; c2 goes to lane 1 afterwards. Without the rule lane 1
+// writes and acks c2 at once, and a crash then recovers c2 without c1.
+// A failed commit frame fails every later one, queued on its own lane
+// or enqueued after it failed.
+func TestCommitFramesDurableInGSNOrder(t *testing.T) {
+	setup := func(t *testing.T) (*ShardedWAL, *gatedBackend, int64, int64, <-chan error, <-chan error) {
+		mem := NewMemBackend()
+		b := &gatedBackend{syncedBackend: &syncedBackend{MemBackend: mem, segs: map[[2]int]*syncedSegment{}}}
+		w, err := NewShardedWAL(b, SegmentedOptions{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id1, id2 := laneInstance(w, 0, 1), laneInstance(w, 1, 1)
+		b.shut()
+		ack1, err := w.AppendAck(WALRecord{Kind: WALCommit, Instance: id1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ack2, err := w.AppendAck(WALRecord{Kind: WALCommit, Instance: id2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Give lane 1's committer ample time to (wrongly) write c2.
+		for deadline := time.Now().Add(50 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if written(t, mem, 1, id2) {
+				t.Fatal("c2's commit frame was written while c1's lane had not synced")
+			}
+		}
+		select {
+		case err := <-ack2:
+			t.Fatalf("c2 acked (%v) while c1 was not durable", err)
+		default:
+		}
+		return w, b, id1, id2, ack1, ack2
+	}
+
+	t.Run("release", func(t *testing.T) {
+		w, b, id1, id2, ack1, ack2 := setup(t)
+		b.open()
+		select {
+		case err := <-ack2:
+			if err != nil {
+				t.Fatalf("c2 ack: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("c2 never acked after lane 0 synced")
+		}
+		select {
+		case err := <-ack1:
+			if err != nil {
+				t.Fatalf("c1 ack: %v", err)
+			}
+		default:
+			t.Fatal("c2 acked before c1")
+		}
+		if !b.durable(0, id1) || !b.durable(1, id2) {
+			t.Fatal("acked commits missing from their lanes' synced prefixes")
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("crash", func(t *testing.T) {
+		w, b, id1, id2, ack1, ack2 := setup(t)
+		defer w.Close() //nolint:errcheck // crash latched, error expected
+		defer b.open()  // a failing check must not leave Close parked on lane 0
+		// c3 queues on lane 1 behind held c2, with a same-lane
+		// predecessor: c2's failure must reach it too.
+		id3 := laneInstance(w, 1, id2+1)
+		ack3, err := w.AppendAck(WALRecord{Kind: WALCommit, Instance: id3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.SetInjector(fault.New(1, fault.MustParseSpec("wal.crash:1")))
+		if err := w.Append(WALRecord{Kind: WALBegin, Instance: laneInstance(w, 0, id1+1)}); !errors.Is(err, fault.ErrCrash) {
+			t.Fatalf("crash append returned %v, want ErrCrash", err)
+		}
+		select {
+		case err := <-ack2:
+			if !errors.Is(err, fault.ErrCrash) {
+				t.Fatalf("held c2 acked %v, want ErrCrash", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("held c2 still waits on lane 0 after it latched a crash")
+		}
+		select {
+		case err := <-ack3:
+			if err == nil {
+				t.Fatal("c3 acked nil behind failed c2")
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("c3 never acked after c2 failed")
+		}
+		if written(t, b.MemBackend, 1, id3) {
+			t.Fatal("c3's commit frame was written behind failed c2")
+		}
+		b.open()
+		if err := <-ack1; err != nil {
+			t.Fatalf("c1, enqueued before the crash, acked %v", err)
+		}
+	})
+
+	// A predecessor that failed before the next commit frame is enqueued
+	// fails that frame too, whichever lane it is on.
+	t.Run("failed-predecessor", func(t *testing.T) {
+		mem := NewMemBackend()
+		w, err := NewShardedWAL(mem, SegmentedOptions{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close() //nolint:errcheck // crash latched, error expected
+		id1, id2 := laneInstance(w, 0, 1), laneInstance(w, 1, 1)
+		w.SetInjector(fault.New(1, fault.MustParseSpec("wal.crash:1")))
+		ack1, err := w.AppendAck(WALRecord{Kind: WALCommit, Instance: id1})
+		if !errors.Is(err, fault.ErrCrash) {
+			t.Fatalf("c1 append returned %v, want ErrCrash", err)
+		}
+		if err := <-ack1; !errors.Is(err, fault.ErrCrash) {
+			t.Fatalf("c1 acked %v, want ErrCrash", err)
+		}
+		w.SetInjector(nil)
+		ack2, err := w.AppendAck(WALRecord{Kind: WALCommit, Instance: id2})
+		if err != nil {
+			t.Fatalf("c2 append on a clean lane: %v", err)
+		}
+		if err := <-ack2; !errors.Is(err, fault.ErrCrash) {
+			t.Fatalf("c2 acked %v behind failed c1, want ErrCrash", err)
+		}
+		if written(t, mem, 1, id2) {
+			t.Fatal("c2's commit frame was written behind failed c1")
+		}
+	})
+}
+
 func logAsync(t testing.TB, w *ShardedWAL, id int64) {
 	t.Helper()
 	for _, rec := range []WALRecord{

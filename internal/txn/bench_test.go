@@ -9,10 +9,12 @@ package txn_test
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"relser/internal/core"
 	"relser/internal/obs"
 	"relser/internal/sched"
+	"relser/internal/storage"
 	"relser/internal/txn"
 	"relser/internal/workload"
 )
@@ -204,4 +206,48 @@ func BenchmarkDeterministicRunner(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkConcurrentCommitWAL is the group-commit shape of the whole
+// stack: banking under RSGT on the goroutine driver at MPL 8 over one
+// log lane with a 1 ms simulated fsync. Commits/s is bound by how many
+// commit records one fsync covers, which fsyncs/commit reports.
+func BenchmarkConcurrentCommitWAL(b *testing.B) {
+	w, err := workload.Banking(workload.BankingConfig{
+		Families: 16, AccountsPerFamily: 3, Customers: 64,
+		CreditAudits: 8, FamiliesPerAudit: 2, BankAudits: 1,
+		CrossingAudits: true, InitialBalance: 100,
+	}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	commits, fsyncs := 0, int64(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		mem := storage.NewMemBackend()
+		mem.SyncDelay = time.Millisecond
+		wal, err := storage.NewShardedWAL(mem, storage.SegmentedOptions{Shards: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res, _, err := w.RunWith(sched.NewRSGT(w.Oracle), workload.RunOptions{
+			Seed: 1, MPL: 8, Concurrent: true, WAL: wal,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := wal.Close(); err != nil {
+			b.Fatal(err)
+		}
+		commits += res.Committed
+		fsyncs += wal.Stats().Fsyncs
+		b.StartTimer()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(commits)/b.Elapsed().Seconds(), "commits/s")
+	b.ReportMetric(float64(fsyncs)/float64(commits), "fsyncs/commit")
 }

@@ -42,7 +42,11 @@ import (
 // the operation path holds it shared. That makes every Begin /
 // CanCommit / Commit / Abort protocol call globally serialized (the
 // ShardSafe contract) and lets cascades roll back effects without
-// interference.
+// interference. A commit takes it twice: once to publish (protocol
+// commit, commit record enqueued, engine state released, waiters woken)
+// and once to acknowledge (counters, result, Commit hook). The wait for
+// the commit record's ack in between holds no lock, so the log's group
+// commit sees the records of every worker that published meanwhile.
 //
 // Waiting and waking are targeted to avoid a thundering herd: workers
 // blocked by a shard-safe protocol sleep on their object's shard cond
@@ -69,7 +73,8 @@ import (
 // Lock order: state.RLock -> pmu -> shard.mu -> {depMu, walMu};
 // pmu -> commitMu; state.Lock -> {shard.mu, commitMu, walMu}. The
 // leaf mutexes (depMu and walMu live in the engine; commitMu and
-// shard.mu here) are never nested with one another.
+// shard.mu here) are never nested with one another. The ack wait, between
+// Publish and Acknowledge, holds no lock.
 //
 // Concurrent runs are not reproducible (goroutine interleaving is the
 // scheduler's); tests assert outcomes — everything commits, committed
@@ -82,8 +87,8 @@ type ConcurrentRunner struct {
 
 	// state is the world lock: the operation path holds it shared,
 	// lifecycle transitions hold it exclusively. Engine lifecycle calls
-	// (Admit, TryCommit, AbortCascade, AbortAll) and runErr are
-	// guarded by the exclusive lock.
+	// (Admit, Publish, Acknowledge, AbortCascade, AbortAll) and runErr
+	// are guarded by the exclusive lock.
 	state sync.RWMutex
 	// pmu serializes Decide+Apply for protocols that are not
 	// shard-safe.
@@ -485,9 +490,11 @@ func (r *ConcurrentRunner) applySharded(ctx context.Context, st *engine.Instance
 	return order, true
 }
 
-// tryFinish attempts to commit a finished instance under the exclusive
-// state lock; if dependencies or the protocol veto, the worker parks on
-// the global cond until a commit or abort changes that state.
+// tryFinish attempts to commit a finished instance: it publishes under
+// the exclusive state lock, wakes whoever the commit unblocks, waits for
+// the commit record's ack with no lock held and re-locks to acknowledge.
+// If dependencies or the protocol veto, the worker parks on the global
+// cond until a commit or abort changes that state.
 func (r *ConcurrentRunner) tryFinish(ctx context.Context, st *engine.Instance) (committed, aborted bool, err error) {
 	r.state.Lock()
 	r.foldErrLocked(ctx)
@@ -501,10 +508,14 @@ func (r *ConcurrentRunner) tryFinish(ctx context.Context, st *engine.Instance) (
 		r.state.Unlock()
 		return false, true, nil
 	}
-	if r.eng.TryCommit(st, r.eng.Clock()) {
+	if r.eng.Publish(st) {
 		r.activeCount.Add(-1)
 		r.progress.Add(1)
 		r.wakeAfterCommitLocked(st)
+		r.state.Unlock()
+		r.eng.AwaitAck(st)
+		r.state.Lock()
+		r.eng.Acknowledge(st, r.eng.Clock())
 		r.state.Unlock()
 		return true, false, nil
 	}

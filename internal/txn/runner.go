@@ -193,6 +193,7 @@ func (r *Runner) tick(ctx context.Context) (bool, error) {
 	}
 	// Commit wave: committing one instance can release another's
 	// dirty-data dependency, so iterate to a fixpoint within the tick.
+	// Each commit waits for its own ack before the next one publishes.
 	for {
 		committed := false
 		for _, id := range r.eng.ActiveIDs() {
@@ -200,7 +201,9 @@ func (r *Runner) tick(ctx context.Context) (bool, error) {
 			if !ok || !st.Done {
 				continue
 			}
-			if r.eng.TryCommit(st, clock) {
+			if r.eng.Publish(st) {
+				r.eng.AwaitAck(st)
+				r.eng.Acknowledge(st, clock)
 				committed = true
 				progress = true
 			}
