@@ -146,7 +146,7 @@ experiments:
 
 # Short fuzzing pass over the parsers, the certification graph and the
 # decoders that read files from outside the program (WAL segments and
-# records, snapshots, .rsrec artifacts).
+# records, .rsrec artifacts and their snapshot anchor frame).
 fuzz:
 	$(GO) test -fuzz=FuzzParseOp -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzParseSchedule -fuzztime=10s ./internal/core/

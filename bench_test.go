@@ -11,6 +11,7 @@ package relser_test
 // every reported quantity.
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"testing"
@@ -288,10 +289,16 @@ func benchRSGTRequestPath(b *testing.B, tr *trace.Tracer) {
 	}
 }
 
+// jsonDiscard encodes every event and drops the bytes: the per-event
+// cost of writing a JSONL trace, without the file.
+type jsonDiscard struct{ enc *json.Encoder }
+
+func (s jsonDiscard) Emit(ev trace.Event) { _ = s.enc.Encode(ev) }
+
 func BenchmarkRSGTRequestTracerOff(b *testing.B) { benchRSGTRequestPath(b, nil) }
 
 func BenchmarkRSGTRequestTracerOn(b *testing.B) {
-	benchRSGTRequestPath(b, trace.New(trace.NewJSONLWriter(io.Discard)))
+	benchRSGTRequestPath(b, trace.New(jsonDiscard{json.NewEncoder(io.Discard)}))
 }
 
 // BenchmarkRuntimeTracedBanking measures whole-run overhead of full
@@ -307,7 +314,7 @@ func BenchmarkRuntimeTracedBanking(b *testing.B) {
 		res, _, err := w.RunWith(sched.NewRSGT(w.Oracle), workload.RunOptions{
 			Seed:    1,
 			MPL:     8,
-			Tracer:  trace.New(trace.NewJSONLWriter(io.Discard)),
+			Tracer:  trace.New(jsonDiscard{json.NewEncoder(io.Discard)}),
 			Metrics: metrics.NewRegistry(),
 		})
 		if err != nil {

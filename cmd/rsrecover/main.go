@@ -6,7 +6,9 @@
 // Every lane of the per-shard segmented log is scanned in parallel and
 // a cross-shard cut reconciles damage, so the output is a consistent
 // prefix of the committed history. -shard restricts the recovery to
-// one lane. Any -wal that is not a directory is a usage error.
+// one lane. Any -wal that is not a directory is a usage error, and a
+// directory holding a snapshot-*.snap file is refused (exit 1): the
+// segments such a file covered may be gone.
 //
 // A log that ends mid-record (torn tail — the shape of a crash during
 // an append) is recovered up to the tear but reported as a structured
@@ -86,9 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, "rsrecover:", err)
 		return 1
-	}
-	for _, derr := range set.DamagedSnapshots {
-		fmt.Fprintf(stderr, "rsrecover: warning: skipping damaged snapshot: %v\n", derr)
 	}
 	if *shardSel >= 0 {
 		segs, ok := set.Shards[*shardSel]

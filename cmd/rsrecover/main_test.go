@@ -272,3 +272,20 @@ func TestShardFlagRejectedForFiles(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotFileRefused: a snapshot-*.snap file in the log directory
+// may stand in for segments that are gone, so recovery refuses the
+// directory (exit 1, the file named) instead of returning an older
+// state.
+func TestSnapshotFileRefused(t *testing.T) {
+	dir := t.TempDir()
+	writeSegmentedLog(t, dir)
+	snap := filepath.Join(dir, "snapshot-0000000000000004.snap")
+	if err := os.WriteFile(snap, storage.EncodeSnapshot(4, map[string]storage.Value{"o1": 1}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := runRecover(t, "-wal", dir)
+	if code != 1 || !strings.Contains(stderr, snap) || stdout != "" {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 1 naming %s", code, stdout, stderr, snap)
+	}
+}

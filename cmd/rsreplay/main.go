@@ -32,28 +32,24 @@
 //	rsreplay -in run.rsrec -shards 16          # yesterday's wedge at 16 shards
 //	rsreplay -in run.rsrec -spec absolute      # backfill under serializability
 //	rsreplay -in run.rsrec -faults off
-//	rsreplay -in run.rsrec -from-snapshot dir/ # replay against a restored checkpoint
 //
 // The comparison report is one JSON document on stdout. Errors are a
-// single JSON line on stderr carrying the failing file (and shard for
-// snapshot errors), matching rsrecover's convention.
+// single JSON line on stderr carrying the failing file, matching
+// rsrecover's convention.
 //
 // Exit status: 0 identical, 1 usage or configuration error, 3
-// divergence, 4 unreadable artifact or snapshot.
+// divergence, 4 unreadable artifact.
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"relser/internal/record"
-	"relser/internal/storage"
 )
 
 func main() {
@@ -64,14 +60,14 @@ func main() {
 // single JSON line on stderr for machine consumption (rsrecover's
 // tailError shape).
 type replayError struct {
-	Error  string `json:"error"` // "unreadable-artifact" | "unreadable-snapshot" | "replay-failed"
+	Error  string `json:"error"` // "unreadable-artifact" | "replay-failed"
 	Path   string `json:"path,omitempty"`
-	Shard  int    `json:"shard"`
+	Shard  int    `json:"shard"` // always -1: a recording belongs to no lane
 	Detail string `json:"detail"`
 }
 
-func emitError(stderr io.Writer, kind, path string, shard int, detail string) {
-	line, _ := json.Marshal(replayError{Error: kind, Path: path, Shard: shard, Detail: detail})
+func emitError(stderr io.Writer, kind, path, detail string) {
+	line, _ := json.Marshal(replayError{Error: kind, Path: path, Shard: -1, Detail: detail})
 	fmt.Fprintln(stderr, string(line))
 }
 
@@ -86,7 +82,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		faults    = fs.String("faults", "", "fault override: recorded (default), off, or a point:rate[:duration] spec")
 		fromRec   = fs.Bool("faults-from-recording", false, "re-inject the recorded fault schedule (the default; conflicts with -faults)")
 		faultSeed = fs.Int64("fault-seed", 0, "override the injector seed (0 = recorded)")
-		snapPath  = fs.String("from-snapshot", "", "replace the recording's anchor: a .snap file or a segmented WAL directory (newest snapshot wins)")
 		watchdog  = fs.Duration("watchdog", 0, "override the concurrent driver's stall watchdog (0 = recorded)")
 		timeout   = fs.Duration("timeout", 0, "bound the replay's wall time (0 = none)")
 		compact   = fs.Bool("compact", false, "emit the report as one JSON line instead of indented")
@@ -108,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	rec, err := record.ReadFile(*in)
 	if err != nil {
-		emitError(stderr, "unreadable-artifact", *in, -1, err.Error())
+		emitError(stderr, "unreadable-artifact", *in, err.Error())
 		return 4
 	}
 
@@ -120,13 +115,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		FaultSeed: *faultSeed,
 		Watchdog:  *watchdog,
 	}
-	if *snapPath != "" {
-		snap, code := loadSnapshot(*snapPath, stderr)
-		if code != 0 {
-			return code
-		}
-		opts.Initial = snap
-	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -136,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	rep, err := record.Replay(ctx, rec, opts)
 	if err != nil {
-		emitError(stderr, "replay-failed", *in, -1, err.Error())
+		emitError(stderr, "replay-failed", *in, err.Error())
 		return 1
 	}
 
@@ -152,45 +140,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 3
 	}
 	return 0
-}
-
-// loadSnapshot resolves -from-snapshot: a .snap file decodes directly;
-// a directory is treated as a segmented WAL dir whose newest decodable
-// snapshot wins. Failures report the file and shard (snapshot errors
-// are whole-store, shard -1) and exit 4 — the artifact-unreadable
-// class, since the anchor is part of the replay input.
-func loadSnapshot(path string, stderr io.Writer) (map[string]storage.Value, int) {
-	info, err := os.Stat(path)
-	if err != nil {
-		emitError(stderr, "unreadable-snapshot", path, -1, err.Error())
-		return nil, 4
-	}
-	if !info.IsDir() {
-		_, snap, err := storage.ReadSnapshotFile(path)
-		if err != nil {
-			emitError(stderr, "unreadable-snapshot", path, snapShard(err), err.Error())
-			return nil, 4
-		}
-		return snap, 0
-	}
-	_, _, snap, err := storage.LatestSnapshot(path)
-	if err != nil {
-		detail := err.Error()
-		if errors.Is(err, os.ErrNotExist) && !strings.Contains(detail, path) {
-			detail = path + ": " + detail
-		}
-		emitError(stderr, "unreadable-snapshot", path, snapShard(err), detail)
-		return nil, 4
-	}
-	return snap, 0
-}
-
-// snapShard extracts the shard a *storage.SnapshotError names (-1 for
-// whole-store snapshots and non-snapshot errors).
-func snapShard(err error) int {
-	var se *storage.SnapshotError
-	if errors.As(err, &se) {
-		return se.Shard
-	}
-	return -1
 }

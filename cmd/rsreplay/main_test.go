@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"relser/internal/record"
-	"relser/internal/storage"
 	"relser/internal/workload"
 )
 
@@ -205,72 +204,6 @@ func TestUnreadableArtifactExitsFour(t *testing.T) {
 				t.Fatalf("%s: error %+v", in, re)
 			}
 		}
-	}
-}
-
-// TestFromSnapshot: a valid .snap anchor replaces the recording's
-// initial state (backfill; state diverges), and a corrupt one is exit 4
-// with the snapshot's path in the JSON error.
-func TestFromSnapshot(t *testing.T) {
-	path := writeRecording(t, nil)
-	rec, err := record.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Perturb one object so the replay starts from visibly different
-	// state.
-	snap := map[string]storage.Value{}
-	for k, v := range rec.Initial {
-		snap[k] = v + 1
-	}
-	dir := t.TempDir()
-	snapPath := filepath.Join(dir, "alt.snap")
-	if err := os.WriteFile(snapPath, storage.EncodeSnapshot(1, snap), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, stdout, stderr := runReplay(t, "-in", path, "-from-snapshot", snapPath)
-	if code != 3 {
-		t.Fatalf("exit %d (want 3: shifted anchor must diverge), stderr %q", code, stderr)
-	}
-	rep := decodeReport(t, stdout)
-	if rep.Mode != "backfill" {
-		t.Fatalf("mode %q", rep.Mode)
-	}
-	hasState := false
-	for _, d := range rep.Divergences {
-		if d.Kind == "state" {
-			hasState = true
-		}
-	}
-	if !hasState {
-		t.Fatalf("no state divergence from shifted anchor: %+v", rep.Divergences)
-	}
-
-	bad := filepath.Join(dir, "bad.snap")
-	os.WriteFile(bad, []byte("RSNPgarbage"), 0o644)
-	code, _, stderr = runReplay(t, "-in", path, "-from-snapshot", bad)
-	if code != 4 {
-		t.Fatalf("corrupt snapshot: exit %d (want 4)", code)
-	}
-	var re replayError
-	if err := json.Unmarshal([]byte(stderr), &re); err != nil {
-		t.Fatalf("stderr not JSON: %v\n%s", err, stderr)
-	}
-	if re.Error != "unreadable-snapshot" || re.Shard != -1 {
-		t.Fatalf("error %+v", re)
-	}
-
-	// Directory form: the newest decodable snapshot in a WAL dir wins.
-	wdir := t.TempDir()
-	os.WriteFile(filepath.Join(wdir, "snapshot-0000000000000001.snap"), storage.EncodeSnapshot(1, snap), 0o644)
-	code, _, stderr = runReplay(t, "-in", path, "-from-snapshot", wdir)
-	if code != 3 {
-		t.Fatalf("snapshot dir: exit %d (want 3), stderr %q", code, stderr)
-	}
-	// An empty dir has no anchor: exit 4.
-	code, _, _ = runReplay(t, "-in", path, "-from-snapshot", t.TempDir())
-	if code != 4 {
-		t.Fatalf("empty snapshot dir: exit %d (want 4)", code)
 	}
 }
 

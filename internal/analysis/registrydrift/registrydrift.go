@@ -7,7 +7,7 @@
 //   - trace.Kind literals must name a registered event kind
 //     (trace.Kinds());
 //   - metric keys passed literally to Registry.Counter / Gauge /
-//     Histogram must be canonical (metrics.Keys()) or carry a
+//     Histogram must be canonical (metrics.IsKnownKey) or carry a
 //     registered dynamic prefix;
 //   - record.Stage literals must name a registered recording stage
 //     (record.Stages());

@@ -10,7 +10,7 @@
 //  2. While a stripe mutex is held, the critical section must stay
 //     local: no channel send, no Broadcast/Signal on a condition
 //     variable that does not belong to the held stripe, and no
-//     fault-injector consultation (Fire/FireCut/Wedge) — each of
+//     fault-injector consultation (Fire/FireCut/WedgeCtx) — each of
 //     those hands control to another goroutine or to the seeded
 //     injector while same-shard neighbors are blocked.
 //
@@ -291,7 +291,7 @@ func (w *walker) checkFaultCall(call *ast.CallExpr, locks []held) {
 		return
 	}
 	switch sel.Sel.Name {
-	case "Fire", "FireCut", "Wedge":
+	case "Fire", "FireCut", "WedgeCtx":
 	default:
 		return
 	}

@@ -2,6 +2,7 @@
 package fixture
 
 import (
+	"context"
 	"sync"
 
 	"relser/internal/fault"
@@ -87,7 +88,7 @@ func (t *table) faultUnderStripe(sh *fooStripe) {
 func (t *table) suppressed(sh *fooStripe) {
 	sh.mu.Lock()
 	//rsvet:allow stripelock -- deliberate, fixture proves suppression works
-	t.in.Wedge()
+	t.in.WedgeCtx(context.Background())
 	sh.mu.Unlock()
 }
 
@@ -96,9 +97,9 @@ func (t *table) suppressed(sh *fooStripe) {
 //
 //rsvet:locks sh.mu
 func (t *table) calledWithLockHeld(sh *fooStripe) {
-	t.in.Wedge() // want `fault injector Wedge`
+	t.in.WedgeCtx(context.Background()) // want `fault injector WedgeCtx`
 	sh.mu.Unlock()
-	t.in.Wedge() // fine: directive lock released above
+	t.in.WedgeCtx(context.Background()) // fine: directive lock released above
 }
 
 // plainMutexIgnored is not a stripe type: no findings.

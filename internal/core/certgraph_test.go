@@ -57,8 +57,12 @@ func definition3Witness(rsg *core.RSG, def3 *graph.Dense) string {
 func closure(g *graph.Dense) []graph.Bitset {
 	rows := make([]graph.Bitset, g.Len())
 	for u := range rows {
-		rows[u] = g.Succ(u).Clone()
+		rows[u] = graph.NewBitset(g.Len())
 	}
+	g.Arcs(func(u, v int) bool {
+		rows[u].Set(v)
+		return true
+	})
 	for k := range rows {
 		for u := range rows {
 			if rows[u].Has(k) {

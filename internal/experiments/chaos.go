@@ -446,8 +446,6 @@ func segmentCuts(seg []byte) []int {
 func cloneSet(set *storage.SegmentSet) *storage.SegmentSet {
 	mod := &storage.SegmentSet{
 		Shards:      make(map[int][][]byte, len(set.Shards)),
-		SnapshotGSN: set.SnapshotGSN,
-		Snapshot:    set.Snapshot,
 		Unpublished: set.Unpublished,
 	}
 	for s, segs := range set.Shards {

@@ -250,19 +250,6 @@ func Run(id string, opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// RunAll executes every experiment in order.
-func RunAll(opts Options) ([]*Report, error) {
-	var out []*Report
-	for _, id := range IDs() {
-		rep, err := Run(id, opts)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rep)
-	}
-	return out, nil
-}
-
 func boolMark(b bool) string {
 	if b {
 		return "yes"

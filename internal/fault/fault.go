@@ -348,20 +348,12 @@ func (in *Injector) Latency(p Point) time.Duration {
 	return defaultDelay
 }
 
-// Wedge blocks until Release is called. The concurrent driver's
-// shard-wedge fault point parks here, modeling a worker wedged inside
-// the execution path; the stall watchdog calls Release when it fires.
-func (in *Injector) Wedge() {
-	if in == nil {
-		return
-	}
-	<-in.released
-}
-
-// WedgeCtx is Wedge bounded by a context: it returns when Release is
-// called or when ctx is canceled, whichever comes first. Run
-// cancellation (a -timeout deadline, a watchdog escalation) thereby
-// unwedges workers without needing a separate release channel per run.
+// WedgeCtx blocks until Release is called or ctx is canceled,
+// whichever comes first. The concurrent driver's shard-wedge fault
+// point parks here, modeling a worker wedged inside the execution
+// path; the stall watchdog calls Release when it fires, and run
+// cancellation (a -timeout deadline, a watchdog escalation) unwedges
+// workers without a separate release channel per run.
 func (in *Injector) WedgeCtx(ctx context.Context) {
 	if in == nil {
 		return
@@ -372,7 +364,7 @@ func (in *Injector) WedgeCtx(ctx context.Context) {
 	}
 }
 
-// Release unwedges every current and future Wedge call. Idempotent.
+// Release unwedges every current and future WedgeCtx call. Idempotent.
 func (in *Injector) Release() {
 	if in == nil {
 		return

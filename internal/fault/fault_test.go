@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -128,8 +129,8 @@ func TestNilInjectorSafe(t *testing.T) {
 	if in.Schedule() != nil || in.Fingerprint() != "none" {
 		t.Fatal("nil injector schedule not empty")
 	}
-	in.Wedge()   // must not block
-	in.Release() // must not panic
+	in.WedgeCtx(context.Background()) // must not block
+	in.Release()                      // must not panic
 }
 
 func TestUnarmedPointNeverFires(t *testing.T) {
@@ -165,13 +166,13 @@ func TestWedgeRelease(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		go func() {
 			defer wg.Done()
-			in.Wedge()
+			in.WedgeCtx(context.Background())
 		}()
 	}
 	go func() { wg.Wait(); close(done) }()
 	select {
 	case <-done:
-		t.Fatal("Wedge returned before Release")
+		t.Fatal("WedgeCtx returned before Release")
 	case <-time.After(20 * time.Millisecond):
 	}
 	in.Release()
@@ -179,9 +180,9 @@ func TestWedgeRelease(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
-		t.Fatal("Wedge did not return after Release")
+		t.Fatal("WedgeCtx did not return after Release")
 	}
-	in.Wedge() // post-release wedges pass straight through
+	in.WedgeCtx(context.Background()) // post-release wedges pass straight through
 }
 
 func TestLatencyDefaults(t *testing.T) {

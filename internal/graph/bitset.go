@@ -56,30 +56,6 @@ func (b Bitset) UnionWith(other Bitset) {
 	}
 }
 
-// IntersectWith removes from b every element not in other.
-func (b Bitset) IntersectWith(other Bitset) {
-	if len(b) != len(other) {
-		panic(fmt.Sprintf("graph: IntersectWith capacity mismatch %d != %d", len(b)*wordBits, len(other)*wordBits))
-	}
-	for i, w := range other {
-		b[i] &= w
-	}
-}
-
-// Intersects reports whether b and other share at least one element.
-func (b Bitset) Intersects(other Bitset) bool {
-	n := len(b)
-	if len(other) < n {
-		n = len(other)
-	}
-	for i := 0; i < n; i++ {
-		if b[i]&other[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Count returns the number of elements in the set.
 func (b Bitset) Count() int {
 	c := 0
@@ -87,16 +63,6 @@ func (b Bitset) Count() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// Empty reports whether the set has no elements.
-func (b Bitset) Empty() bool {
-	for _, w := range b {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Reset removes all elements, keeping capacity.

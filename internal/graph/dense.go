@@ -33,9 +33,6 @@ func (g *Dense) AddArc(u, v int) { g.adj[u].Set(v) }
 // HasArc reports whether the arc u -> v is present.
 func (g *Dense) HasArc(u, v int) bool { return g.adj[u].Has(v) }
 
-// Succ returns the successor bitset of u. The caller must not mutate it.
-func (g *Dense) Succ(u int) Bitset { return g.adj[u] }
-
 // ArcCount returns the total number of arcs.
 func (g *Dense) ArcCount() int {
 	c := 0

@@ -163,26 +163,6 @@ func (inc *Incremental) Order(v int) int {
 	return inc.ord[iv]
 }
 
-// WouldCycle reports whether inserting u -> v would create a cycle,
-// without inserting it. Retired endpoints cannot cycle.
-func (inc *Incremental) WouldCycle(u, v int) bool {
-	if u == v {
-		return true
-	}
-	iu, okU := inc.intOf(u)
-	iv, okV := inc.intOf(v)
-	if !okU || !okV {
-		return false
-	}
-	inc.mustSettle()
-	if inc.ord[iu] < inc.ord[iv] || inc.g.HasArc(iu, iv) {
-		return false
-	}
-	found, _ := inc.forwardSearch(iv, inc.ord[iu], iu)
-	inc.clearMarks()
-	return found
-}
-
 // AddArc inserts u -> v, restoring a valid topological order. If the
 // arc would create a cycle (including u == v) it returns ErrCycle and
 // leaves the structure unchanged. Inserting an arc that is already
@@ -443,10 +423,6 @@ func (inc *Incremental) AppendArcs(arcs [][2]int) {
 		}
 	}
 }
-
-// NeedsSettle reports whether appended arcs are awaiting order
-// maintenance.
-func (inc *Incremental) NeedsSettle() bool { return inc.dirtyLb >= 0 }
 
 // Settle restores the maintained topological order over the deferred
 // window accumulated by AppendArcs. The window argument to the region

@@ -47,24 +47,6 @@ func TestIncrementalSelfLoopRejected(t *testing.T) {
 	}
 }
 
-func TestIncrementalWouldCycle(t *testing.T) {
-	inc := NewIncremental(3)
-	mustAdd(t, inc, 0, 1)
-	mustAdd(t, inc, 1, 2)
-	if !inc.WouldCycle(2, 0) {
-		t.Error("WouldCycle(2,0) = false, want true")
-	}
-	if inc.WouldCycle(0, 2) {
-		t.Error("WouldCycle(0,2) = true, want false")
-	}
-	if inc.HasArc(2, 0) {
-		t.Error("WouldCycle must not insert")
-	}
-	if err := inc.Verify(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestIncrementalDuplicateArcMultiplicity(t *testing.T) {
 	inc := NewIncremental(2)
 	mustAdd(t, inc, 0, 1)

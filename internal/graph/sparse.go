@@ -259,76 +259,3 @@ func (g *Sparse) ReachableFrom(source, target int) bool {
 	}
 	return false
 }
-
-// SCCs returns the strongly connected components in reverse topological
-// order (Tarjan, iterative). Vertices inside each component are sorted
-// ascending for determinism.
-func (g *Sparse) SCCs() [][]int {
-	n := len(g.succ)
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var (
-		comps   [][]int
-		tstack  []int
-		counter int
-	)
-	type frame struct {
-		u    int
-		next []int
-		i    int
-	}
-	for s := 0; s < n; s++ {
-		if index[s] != -1 {
-			continue
-		}
-		stack := []frame{{u: s, next: g.Successors(s)}}
-		index[s], low[s] = counter, counter
-		counter++
-		tstack = append(tstack, s)
-		onStack[s] = true
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.i < len(f.next) {
-				v := f.next[f.i]
-				f.i++
-				if index[v] == -1 {
-					index[v], low[v] = counter, counter
-					counter++
-					tstack = append(tstack, v)
-					onStack[v] = true
-					stack = append(stack, frame{u: v, next: g.Successors(v)})
-				} else if onStack[v] && index[v] < low[f.u] {
-					low[f.u] = index[v]
-				}
-			} else {
-				u := f.u
-				stack = stack[:len(stack)-1]
-				if len(stack) > 0 {
-					p := &stack[len(stack)-1]
-					if low[u] < low[p.u] {
-						low[p.u] = low[u]
-					}
-				}
-				if low[u] == index[u] {
-					var comp []int
-					for {
-						w := tstack[len(tstack)-1]
-						tstack = tstack[:len(tstack)-1]
-						onStack[w] = false
-						comp = append(comp, w)
-						if w == u {
-							break
-						}
-					}
-					sort.Ints(comp)
-					comps = append(comps, comp)
-				}
-			}
-		}
-	}
-	return comps
-}

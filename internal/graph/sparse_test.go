@@ -140,40 +140,6 @@ func TestSparseReachableFrom(t *testing.T) {
 	}
 }
 
-func TestSparseSCCs(t *testing.T) {
-	g := NewSparse(7)
-	// Component {0,1,2}, component {3,4}, singletons {5}, {6}.
-	g.AddArc(0, 1)
-	g.AddArc(1, 2)
-	g.AddArc(2, 0)
-	g.AddArc(2, 3)
-	g.AddArc(3, 4)
-	g.AddArc(4, 3)
-	g.AddArc(4, 5)
-	comps := g.SCCs()
-	if len(comps) != 4 {
-		t.Fatalf("got %d SCCs, want 4: %v", len(comps), comps)
-	}
-	sizes := map[int]int{}
-	for _, c := range comps {
-		sizes[len(c)]++
-	}
-	if sizes[3] != 1 || sizes[2] != 1 || sizes[1] != 2 {
-		t.Fatalf("SCC size histogram wrong: %v", comps)
-	}
-	// Tarjan emits components in reverse topological order: {5} before
-	// {3,4} before {0,1,2}.
-	idx := map[int]int{}
-	for i, c := range comps {
-		for _, v := range c {
-			idx[v] = i
-		}
-	}
-	if !(idx[5] < idx[3] && idx[3] < idx[0]) {
-		t.Errorf("components not in reverse topological order: %v", comps)
-	}
-}
-
 func TestSparseGrowAndAddVertex(t *testing.T) {
 	g := NewSparse(0)
 	v0 := g.AddVertex()

@@ -72,11 +72,6 @@ var canonicalKeys = []string{
 // above stay under the registrydrift literal check.
 var DynamicKeyPrefixes = []string{"txn.shard", "obs.http.", "wal.shard"}
 
-// Keys returns the canonical metric key set (a copy).
-func Keys() []string {
-	return append([]string(nil), canonicalKeys...)
-}
-
 // IsKnownKey reports whether name is a canonical key or carries a
 // registered dynamic prefix.
 func IsKnownKey(name string) bool {

@@ -55,9 +55,6 @@ func formatFloat(x float64) string {
 	}
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Rows returns a copy of the rendered data rows, for machine-readable
 // exports (rsbench JSON artifacts).
 func (t *Table) Rows() [][]string {
@@ -118,17 +115,6 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-// Markdown renders the table as a GitHub-flavoured markdown table.
-func (t *Table) Markdown() string {
-	var sb strings.Builder
-	sb.WriteString("| " + strings.Join(t.Columns, " | ") + " |\n")
-	sb.WriteString("|" + strings.Repeat("---|", len(t.Columns)) + "\n")
-	for _, row := range t.rows {
-		sb.WriteString("| " + strings.Join(row, " | ") + " |\n")
-	}
-	return sb.String()
-}
-
 // Stats summarizes a sample of float64 observations.
 type Stats struct {
 	values []float64
@@ -150,35 +136,6 @@ func (s *Stats) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(s.values))
-}
-
-// Stddev returns the sample standard deviation.
-func (s *Stats) Stddev() float64 {
-	n := len(s.values)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	sum := 0.0
-	for _, v := range s.values {
-		d := v - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(n-1))
-}
-
-// Min returns the smallest observation (0 for empty samples).
-func (s *Stats) Min() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	m := s.values[0]
-	for _, v := range s.values[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
 }
 
 // Max returns the largest observation (0 for empty samples).
@@ -215,12 +172,3 @@ func (s *Stats) Percentile(p float64) float64 {
 	}
 	return sorted[rank]
 }
-
-// Timer measures wall-clock durations for experiment rows.
-type Timer struct{ start time.Time }
-
-// StartTimer begins timing.
-func StartTimer() *Timer { return &Timer{start: time.Now()} }
-
-// Elapsed returns the duration since start.
-func (t *Timer) Elapsed() time.Duration { return time.Since(t.start) }

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotone event count, safe for concurrent use. A nil
@@ -85,9 +84,6 @@ func (h *Histogram) Observe(v float64) {
 	h.s.Add(v)
 	h.mu.Unlock()
 }
-
-// ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
 // Summary returns the distribution's summary statistics.
 func (h *Histogram) Summary() HistSummary {
@@ -195,27 +191,11 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // Snapshot is a point-in-time view of a registry, suitable for JSON
-// export and interval accounting via Diff.
+// export.
 type Snapshot struct {
 	Counters   map[string]int64       `json:"counters,omitempty"`
 	Gauges     map[string]float64     `json:"gauges,omitempty"`
 	Histograms map[string]HistSummary `json:"histograms,omitempty"`
-}
-
-// Diff returns the snapshot relative to an earlier base: counters are
-// subtracted (counting only the interval's events); gauges and
-// histogram summaries are levels/distributions, so the later value is
-// kept as-is.
-func (s Snapshot) Diff(base Snapshot) Snapshot {
-	out := Snapshot{
-		Counters:   make(map[string]int64, len(s.Counters)),
-		Gauges:     s.Gauges,
-		Histograms: s.Histograms,
-	}
-	for name, v := range s.Counters {
-		out.Counters[name] = v - base.Counters[name]
-	}
-	return out
 }
 
 // Table renders the snapshot as a fixed-width table with one row per

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestFormatFloatNearZero(t *testing.T) {
@@ -58,7 +57,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	for _, v := range []float64{1, 2, 3, 4, 100} {
 		h.Observe(v)
 	}
-	h.ObserveDuration(2 * time.Second)
+	h.Observe(2)
 	sum := r.Histogram("latency").Summary()
 	if sum.Count != 6 || sum.Max != 100 {
 		t.Errorf("histogram summary = %+v", sum)
@@ -84,7 +83,6 @@ func TestNilInstruments(t *testing.T) {
 	g.Add(-1)
 	var h *Histogram
 	h.Observe(1)
-	h.ObserveDuration(time.Second)
 	if c.Value() != 0 || g.Value() != 0 || h.Summary() != (HistSummary{}) {
 		t.Errorf("nil instruments read %d / %v / %+v, want zero", c.Value(), g.Value(), h.Summary())
 	}
@@ -186,50 +184,12 @@ func TestHistogramSummaryConcurrentObserve(t *testing.T) {
 	}
 }
 
-// TestSnapshotDiffIntervalSemantics pins Diff's interval accounting:
-// counters subtract (a counter born after the base counts from zero),
-// gauges and histogram summaries keep the later level — they are
-// levels and distributions, not interval events.
-func TestSnapshotDiffIntervalSemantics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a").Add(5)
-	r.Gauge("g").Set(3)
-	r.Histogram("h").Observe(1)
-	base := r.Snapshot()
-	r.Counter("a").Add(2)
-	r.Counter("b").Inc()
-	r.Gauge("g").Set(9)
-	r.Histogram("h").Observe(2)
-	d := r.Snapshot().Diff(base)
-	if d.Counters["a"] != 2 {
-		t.Errorf("diff a = %d, want 2", d.Counters["a"])
-	}
-	if d.Counters["b"] != 1 {
-		t.Errorf("diff b = %d, want 1 (missing base key counts from zero)", d.Counters["b"])
-	}
-	if d.Gauges["g"] != 9 {
-		t.Errorf("diff gauge = %v, want the later level 9", d.Gauges["g"])
-	}
-	if h := d.Histograms["h"]; h.Count != 2 || h.Max != 2 {
-		t.Errorf("diff histogram = %+v, want the later summary", h)
-	}
-}
-
-func TestSnapshotDiffAndTable(t *testing.T) {
+func TestSnapshotTable(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("txn.committed").Add(10)
 	r.Gauge("txn.active").Set(2)
 	r.Histogram("txn.latency").Observe(5)
-	base := r.Snapshot()
-	r.Counter("txn.committed").Add(7)
 	r.Counter("txn.aborts").Add(1)
-	diff := r.Snapshot().Diff(base)
-	if diff.Counters["txn.committed"] != 7 {
-		t.Errorf("diff committed = %d, want 7", diff.Counters["txn.committed"])
-	}
-	if diff.Counters["txn.aborts"] != 1 {
-		t.Errorf("diff aborts = %d, want 1", diff.Counters["txn.aborts"])
-	}
 	out := r.Snapshot().Table("run metrics").String()
 	for _, want := range []string{"run metrics", "txn.committed", "counter", "txn.active", "gauge", "txn.latency", "histogram"} {
 		if !strings.Contains(out, want) {

@@ -363,8 +363,8 @@ func (s *planeSink) Emit(ev trace.Event) {
 }
 
 // syncSink serializes Emit calls onto a sink that is not safe for
-// concurrent use (trace.JSONLWriter; trace.Buffer locks internally but
-// the wrapper is cheap and uniform).
+// concurrent use (trace.Buffer locks internally, but the wrapper is
+// cheap and uniform).
 type syncSink struct {
 	mu sync.Mutex
 	s  trace.Sink

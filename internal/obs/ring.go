@@ -61,9 +61,6 @@ func (r *Recorder) Emit(ev trace.Event) {
 	r.recorded.Inc()
 }
 
-// Cap returns the ring capacity.
-func (r *Recorder) Cap() int { return len(r.slots) }
-
 // Recorded returns the total number of events ever recorded (including
 // those since overwritten).
 func (r *Recorder) Recorded() uint64 { return r.cursor.Load() }

@@ -13,14 +13,11 @@ import (
 )
 
 // TestRecorderWraparoundOrdering overfills a small ring and checks the
-// survivors are exactly the newest Cap events, still in emission
+// survivors are exactly the newest 8 events, still in emission
 // order, with the overwrites counted as drops.
 func TestRecorderWraparoundOrdering(t *testing.T) {
 	reg := metrics.NewRegistry()
 	r := obs.NewRecorder(8, reg)
-	if r.Cap() != 8 {
-		t.Fatalf("Cap = %d, want 8", r.Cap())
-	}
 	const total = 20
 	for i := 0; i < total; i++ {
 		r.Emit(trace.Event{Kind: trace.KindGrant, Order: int64(i)})
@@ -46,10 +43,15 @@ func TestRecorderWraparoundOrdering(t *testing.T) {
 	}
 }
 
-// TestRecorderDefaultCap pins the zero-capacity default.
+// TestRecorderDefaultCap pins the zero-capacity default: an overfilled
+// ring retains exactly DefaultRingCap events.
 func TestRecorderDefaultCap(t *testing.T) {
-	if got := obs.NewRecorder(0, nil).Cap(); got != obs.DefaultRingCap {
-		t.Fatalf("default cap = %d, want %d", got, obs.DefaultRingCap)
+	r := obs.NewRecorder(0, nil)
+	for i := 0; i <= obs.DefaultRingCap; i++ {
+		r.Emit(trace.Event{Kind: trace.KindGrant, Order: int64(i)})
+	}
+	if got := len(r.Snapshot()); got != obs.DefaultRingCap {
+		t.Fatalf("default ring retains %d events, want %d", got, obs.DefaultRingCap)
 	}
 }
 
@@ -72,8 +74,8 @@ func TestRecorderConcurrentEmit(t *testing.T) {
 				return
 			default:
 			}
-			if n := len(r.Snapshot()); n > r.Cap() {
-				t.Errorf("mid-race snapshot holds %d events, cap %d", n, r.Cap())
+			if n := len(r.Snapshot()); n > 64 {
+				t.Errorf("mid-race snapshot holds %d events, cap 64", n)
 				return
 			}
 		}

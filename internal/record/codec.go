@@ -153,28 +153,6 @@ func Decode(b []byte) (*Recording, error) {
 	return rec, nil
 }
 
-// ScanFrames walks the frame stream, returning how many frames decode
-// cleanly before damage and whether the artifact ends exactly at a
-// frame boundary. It is the prefix-safety surface the fuzz test
-// exercises: for every byte-prefix of a valid artifact, the frames
-// returned must be a strict prefix of the original's, and clean must
-// hold only at true boundaries.
-func ScanFrames(b []byte) (frames int, clean bool) {
-	if len(b) < headerSize || string(b[:4]) != recMagic || b[4] != recVersion {
-		return 0, false
-	}
-	off := headerSize
-	for off < len(b) {
-		_, next, err := scanFrame(b, off)
-		if err != nil {
-			return frames, false
-		}
-		frames++
-		off = next
-	}
-	return frames, true
-}
-
 // scanFrame decodes one [size][crc][payload] frame at off, returning
 // the payload and the next offset. A frame whose declared size runs
 // past the buffer, or whose checksum disagrees, is damage — never

@@ -2,6 +2,7 @@ package record_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"relser/internal/record"
@@ -27,11 +28,9 @@ func sampleArtifact(f *testing.F) []byte {
 }
 
 // TestArtifactPrefixSafety is the torn-tail guarantee, exhaustively:
-// cutting a valid artifact at EVERY byte offset yields a frame stream
-// that is a strict prefix of the original's, and scans as clean only
-// at true frame boundaries. A torn .rsrec truncates, it never invents
-// or alters a frame — the same property the WAL and segment formats
-// hold.
+// cutting a valid artifact at EVERY byte offset, frame boundaries
+// included, yields an artifact Decode refuses as unreadable. A torn
+// .rsrec is never mistaken for a shorter recording.
 func TestArtifactPrefixSafety(t *testing.T) {
 	var full []byte
 	{
@@ -50,41 +49,20 @@ func TestArtifactPrefixSafety(t *testing.T) {
 		}
 		full = rr.Encode()
 	}
-	totalFrames, clean := record.ScanFrames(full)
-	if !clean || totalFrames < 3 {
-		t.Fatalf("full artifact: frames=%d clean=%v", totalFrames, clean)
+	if _, err := record.Decode(full); err != nil {
+		t.Fatalf("full artifact: %v", err)
 	}
-	boundaries := map[int]bool{}
-	prev := 0
-	for cut := 0; cut <= len(full); cut++ {
-		frames, ok := record.ScanFrames(full[:cut])
-		if frames > totalFrames {
-			t.Fatalf("cut %d: %d frames exceeds original %d", cut, frames, totalFrames)
+	for cut := 0; cut < len(full); cut++ {
+		rec, err := record.Decode(full[:cut])
+		if !errors.Is(err, record.ErrUnreadable) || rec != nil {
+			t.Fatalf("cut %d of %d: Decode = %v, %v; want unreadable", cut, len(full), rec != nil, err)
 		}
-		if frames < prev {
-			t.Fatalf("cut %d: frame count regressed %d -> %d", cut, prev, frames)
-		}
-		prev = frames
-		if ok {
-			boundaries[cut] = true
-			if frames == totalFrames && cut != len(full) {
-				t.Fatalf("cut %d scans clean with all %d frames before the end", cut, frames)
-			}
-		}
-	}
-	if !boundaries[len(full)] {
-		t.Fatal("full length does not scan clean")
-	}
-	// Clean points are exactly the frame boundaries: one per frame plus
-	// the header.
-	if len(boundaries) != totalFrames+1 {
-		t.Fatalf("%d clean cut points for %d frames (want frames+1)", len(boundaries), totalFrames)
 	}
 }
 
-// FuzzRecordDecode: arbitrary bytes never panic the decoder; whatever
-// Decode accepts must re-encode losslessly through a fresh scan; and
-// ScanFrames stays internally consistent (mirrors FuzzSegmentDecode).
+// FuzzRecordDecode: arbitrary bytes never panic the decoder, and
+// whatever Decode accepts has no decodable strict prefix (mirrors
+// FuzzSegmentDecode).
 func FuzzRecordDecode(f *testing.F) {
 	full := sampleArtifact(f)
 	f.Add(full)
@@ -97,10 +75,6 @@ func FuzzRecordDecode(f *testing.F) {
 	mut[12] ^= 0x40
 	f.Add(mut)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		frames, clean := record.ScanFrames(data)
-		if frames < 0 {
-			t.Fatalf("negative frame count %d", frames)
-		}
 		rec, err := record.Decode(data)
 		if err != nil {
 			if rec != nil {
@@ -108,14 +82,8 @@ func FuzzRecordDecode(f *testing.F) {
 			}
 			return
 		}
-		// A decodable artifact must scan clean, with one frame per
-		// section.
-		if !clean {
-			t.Fatal("Decode accepted an artifact ScanFrames calls damaged")
-		}
-		want := 2 + len(rec.Stages) + 1
-		if frames != want {
-			t.Fatalf("decoded %d stages but scanned %d frames (want %d)", len(rec.Stages), frames, want)
+		if _, err := record.Decode(data[:len(data)-1]); err == nil {
+			t.Fatal("Decode accepted an artifact and its one-byte-shorter prefix")
 		}
 	})
 }

@@ -39,10 +39,6 @@ type ReplayOptions struct {
 	Faults string
 	// FaultSeed overrides the injector seed; 0 keeps the recorded one.
 	FaultSeed int64
-	// Initial replaces the recording's snapshot anchor (rsreplay
-	// -from-snapshot: replay the window against state restored from a
-	// different checkpoint).
-	Initial map[string]storage.Value
 	// Watchdog overrides the concurrent driver's stall watchdog; 0
 	// keeps the recorded value.
 	Watchdog time.Duration
@@ -55,8 +51,7 @@ func (o ReplayOptions) backfill(m Manifest) bool {
 		(o.Shards != 0 && o.Shards != m.Shards) ||
 		(o.Spec != "" && o.Spec != "recorded" && o.Spec != "relative") ||
 		(o.Faults != "" && o.Faults != "recorded") ||
-		(o.FaultSeed != 0 && o.FaultSeed != m.FaultSeed) ||
-		o.Initial != nil
+		(o.FaultSeed != 0 && o.FaultSeed != m.FaultSeed)
 }
 
 // Divergence is one recorded-vs-replayed difference.
@@ -107,11 +102,7 @@ func Record(ctx context.Context, m Manifest, sinks Observers) (*Recorder, error)
 // (unknown workload or protocol, bad fault spec); a run that ends in a
 // crash, wedge or verdict failure is a comparison input, not an error.
 func Replay(ctx context.Context, rec *Recording, opts ReplayOptions) (*Report, error) {
-	initial := rec.Initial
-	if opts.Initial != nil {
-		initial = opts.Initial
-	}
-	_, replayed, err := execute(ctx, rec.Manifest, initial, opts, Observers{})
+	_, replayed, err := execute(ctx, rec.Manifest, rec.Initial, opts, Observers{})
 	if err != nil {
 		return nil, err
 	}

@@ -15,9 +15,6 @@
 package replay
 
 import (
-	"fmt"
-	"sort"
-
 	"relser/internal/core"
 	"relser/internal/storage"
 	"relser/internal/txn"
@@ -57,63 +54,4 @@ func Run(s *core.Schedule, sem txn.Semantics, initial map[string]storage.Value) 
 		events = append(events, Event{Op: op, Value: v})
 	}
 	return store, events
-}
-
-// FinalState replays the schedule and returns the snapshot.
-func FinalState(s *core.Schedule, sem txn.Semantics, initial map[string]storage.Value) map[string]storage.Value {
-	store, _ := Run(s, sem, initial)
-	return store.Snapshot()
-}
-
-// StateKey renders a snapshot canonically so states can be compared
-// and used as map keys.
-func StateKey(snapshot map[string]storage.Value) string {
-	names := make([]string, 0, len(snapshot))
-	//rsvet:allow detlint -- order-insensitive: keys are collected then sorted below
-	for name := range snapshot {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := ""
-	for i, name := range names {
-		if i > 0 {
-			out += " "
-		}
-		out += fmt.Sprintf("%s=%d", name, snapshot[name])
-	}
-	return out
-}
-
-// SerialStates replays every serial order of the set and returns the
-// distinct final states keyed by StateKey, with one witnessing order
-// each. The enumeration is factorial; intended for paper-sized sets.
-func SerialStates(ts *core.TxnSet, sem txn.Semantics, initial map[string]storage.Value) map[string][]core.TxnID {
-	ids := make([]core.TxnID, 0, ts.NumTxns())
-	for _, t := range ts.Txns() {
-		ids = append(ids, t.ID)
-	}
-	out := make(map[string][]core.TxnID)
-	var rec func(prefix []core.TxnID, remaining []core.TxnID)
-	rec = func(prefix, remaining []core.TxnID) {
-		if len(remaining) == 0 {
-			s, err := core.SerialSchedule(ts, prefix...)
-			if err != nil {
-				panic(err) // unreachable: permutation of valid IDs
-			}
-			key := StateKey(FinalState(s, sem, initial))
-			if _, seen := out[key]; !seen {
-				out[key] = append([]core.TxnID(nil), prefix...)
-			}
-			return
-		}
-		for i := range remaining {
-			next := append(prefix, remaining[i])
-			rest := make([]core.TxnID, 0, len(remaining)-1)
-			rest = append(rest, remaining[:i]...)
-			rest = append(rest, remaining[i+1:]...)
-			rec(next, rest)
-		}
-	}
-	rec(nil, ids)
-	return out
 }

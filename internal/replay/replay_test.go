@@ -1,6 +1,7 @@
 package replay_test
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -21,6 +22,12 @@ func (sumSemantics) WriteValue(prog *core.Transaction, _ int, reads map[int]stor
 		sum += v
 	}
 	return sum + storage.Value(10*int(prog.ID))
+}
+
+// finalState replays the schedule and returns the store's contents.
+func finalState(s *core.Schedule, sem txn.Semantics, initial map[string]storage.Value) map[string]storage.Value {
+	store, _ := replay.Run(s, sem, initial)
+	return store.Snapshot()
 }
 
 func TestReplayBasics(t *testing.T) {
@@ -48,38 +55,9 @@ func TestReplayDefaultSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := replay.FinalState(s, nil, nil)
+	snap := finalState(s, nil, nil)
 	if snap["x"] != 1000 { // DefaultSemantics: txnID*1000 + seq
 		t.Errorf("x = %d", snap["x"])
-	}
-}
-
-func TestStateKeyCanonical(t *testing.T) {
-	a := map[string]storage.Value{"b": 2, "a": 1}
-	b := map[string]storage.Value{"a": 1, "b": 2}
-	if replay.StateKey(a) != replay.StateKey(b) {
-		t.Error("StateKey must be order independent")
-	}
-	if replay.StateKey(a) != "a=1 b=2" {
-		t.Errorf("StateKey = %q", replay.StateKey(a))
-	}
-}
-
-func TestSerialStatesCount(t *testing.T) {
-	inst := paperfig.Figure1()
-	initial := map[string]storage.Value{"x": 1, "y": 2, "z": 3}
-	states := replay.SerialStates(inst.Set, sumSemantics{}, initial)
-	if len(states) == 0 || len(states) > 6 {
-		t.Fatalf("3 transactions have between 1 and 3! serial states, got %d", len(states))
-	}
-	for key, order := range states {
-		s, err := core.SerialSchedule(inst.Set, order...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if replay.StateKey(replay.FinalState(s, sumSemantics{}, initial)) != key {
-			t.Errorf("witness order %v does not reproduce its state", order)
-		}
 	}
 }
 
@@ -93,10 +71,10 @@ func TestConflictEquivalentSchedulesSameState(t *testing.T) {
 	if !core.ConflictEquivalent(srs, s2) {
 		t.Fatal("fixture assumption broken")
 	}
-	a := replay.StateKey(replay.FinalState(srs, sumSemantics{}, initial))
-	b := replay.StateKey(replay.FinalState(s2, sumSemantics{}, initial))
-	if a != b {
-		t.Errorf("conflict-equivalent schedules diverged:\n%s\n%s", a, b)
+	a := finalState(srs, sumSemantics{}, initial)
+	b := finalState(s2, sumSemantics{}, initial)
+	if !maps.Equal(a, b) {
+		t.Errorf("conflict-equivalent schedules diverged:\n%v\n%v", a, b)
 	}
 }
 
@@ -143,8 +121,7 @@ func TestConflictSerializableMatchesWitnessState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if replay.StateKey(replay.FinalState(s, sumSemantics{}, initial)) !=
-			replay.StateKey(replay.FinalState(w, sumSemantics{}, initial)) {
+		if !maps.Equal(finalState(s, sumSemantics{}, initial), finalState(w, sumSemantics{}, initial)) {
 			t.Fatalf("trial %d: serializable schedule diverged from its witness\n%s", trial, s)
 		}
 	}

@@ -374,14 +374,11 @@ func (p *RSGT) explainReject(req OpRequest, refused [][2]int) {
 	})
 }
 
-// DotSnapshot renders the live relative serialization graph in
+// dotSnapshot renders the live relative serialization graph in
 // Graphviz DOT: vertices are the resident instances' operations, arcs
-// carry their I/D/F/B kind masks. This is the on-demand snapshot
+// carry their I/D/F/B kind masks. pending labels the arcs of a request
+// that is being refused (see explainReject); this is the snapshot
 // emitted at every rejection point.
-func (p *RSGT) DotSnapshot() string { return p.dotSnapshot(nil) }
-
-// dotSnapshot additionally labels the arcs of a request that is being
-// refused (see explainReject).
 func (p *RSGT) dotSnapshot(pending map[[2]int]core.ArcKind) string {
 	var d graph.DotGraph
 	d.Name = "rsgt"

@@ -10,8 +10,9 @@
 //     are the leaves of a hierarchy; a transaction's atomic units
 //     relative to another are determined by their lowest common
 //     ancestor, with finer units for closer relatives.
-//   - Farrag and Özsu's breakpoints [FÖ89]: per-observer cut positions,
-//     a thin convenience over core.Spec.CutAfter.
+//
+// Farrag and Özsu's breakpoints [FÖ89], per-observer cut positions,
+// need no front-end: they are core.Spec.CutAfter.
 //
 // The package also decides *expressibility*: MultilevelExpressible
 // reports whether a general relative atomicity specification can be
@@ -65,30 +66,4 @@ func CompatibilitySets(ts *core.TxnSet, groups [][]core.TxnID) (*core.Spec, erro
 		}
 	}
 	return sp, nil
-}
-
-// Breakpoints applies Farrag-Özsu style breakpoints: Ti gains a unit
-// boundary after each listed operation index, as observed by Tj.
-func Breakpoints(sp *core.Spec, i, j core.TxnID, after ...int) error {
-	for _, seq := range after {
-		if err := sp.CutAfter(i, j, seq); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// UniformBreakpoints gives Ti the same unit boundaries relative to
-// every other transaction in the set — the common case where a
-// transaction type's breakpoints do not depend on the observer.
-func UniformBreakpoints(sp *core.Spec, i core.TxnID, after ...int) error {
-	for _, t := range sp.Set().Txns() {
-		if t.ID == i {
-			continue
-		}
-		if err := Breakpoints(sp, i, t.ID, after...); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -84,31 +84,19 @@ func TestCompatibilitySetsSemantics(t *testing.T) {
 	}
 }
 
+// TestBreakpoints: a Farrag-Özsu breakpoint is core.Spec.CutAfter, and
+// affects only the named observer pair.
 func TestBreakpoints(t *testing.T) {
 	ts := threeTxns(t)
 	sp := core.NewSpec(ts)
-	if err := spec.Breakpoints(sp, 1, 2, 0); err != nil {
+	if err := sp.CutAfter(1, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	if sp.NumUnits(1, 2) != 2 || sp.NumUnits(1, 3) != 1 {
 		t.Error("breakpoint should affect only the named pair")
 	}
-	if err := spec.Breakpoints(sp, 1, 2, 99); err == nil {
+	if err := sp.CutAfter(1, 2, 99); err == nil {
 		t.Error("out-of-range breakpoint accepted")
-	}
-}
-
-func TestUniformBreakpoints(t *testing.T) {
-	ts := threeTxns(t)
-	sp := core.NewSpec(ts)
-	if err := spec.UniformBreakpoints(sp, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if sp.NumUnits(1, 2) != 2 || sp.NumUnits(1, 3) != 2 {
-		t.Error("uniform breakpoints should affect all observers")
-	}
-	if sp.NumUnits(2, 1) != 1 {
-		t.Error("uniform breakpoints must not affect other transactions")
 	}
 }
 

@@ -145,9 +145,7 @@ type walShard struct {
 	doneSeq  uint64 // frames fully processed by the committer
 	err      error  // sticky: injected crash or real I/O failure
 	closed   bool
-	open     map[int64]bool // txns begun but not yet committed/aborted here
-	logBytes int64          // logical size of the current segment
-	sealed   []int          // indices sealed by rotation since last checkpoint
+	logBytes int64 // logical size of the current segment
 
 	cur    SegmentFile
 	curIdx int
@@ -157,7 +155,7 @@ type walShard struct {
 }
 
 // ShardedWAL is a per-shard segmented write-ahead log with group
-// commit, snapshot compaction and parallel recovery (DESIGN.md §5.4).
+// commit and parallel recovery (DESIGN.md §5.4).
 // Records are routed to lanes by transaction instance, so one
 // transaction's records always share a lane and per-lane recovery is
 // the single-log algorithm; a global sequence number (GSN)
@@ -194,7 +192,6 @@ type ShardedWAL struct {
 	fsyncs       atomic.Int64
 	rotations    atomic.Int64
 	groupCommits atomic.Int64
-	compactions  atomic.Int64
 
 	mAppends   *metrics.Counter
 	mFsyncs    *metrics.Counter
@@ -212,7 +209,7 @@ func NewShardedWAL(backend SegmentBackend, opt SegmentedOptions) (*ShardedWAL, e
 	opt = opt.withDefaults()
 	w := &ShardedWAL{backend: backend, opt: opt, router: shard.NewRouter(opt.Shards), failed: make(chan struct{})}
 	for i := 0; i < opt.Shards; i++ {
-		sh := &walShard{idx: i, open: map[int64]bool{}, logBytes: SegmentHeaderSize}
+		sh := &walShard{idx: i, logBytes: SegmentHeaderSize}
 		sh.notEmpty.L = &sh.mu
 		sh.notFull.L = &sh.mu
 		sh.synced.L = &sh.mu
@@ -379,12 +376,6 @@ func (w *ShardedWAL) enqueue(rec WALRecord, wait bool) (chan error, error) {
 	if crash {
 		w.latchLocked(sh, fault.ErrCrash)
 	}
-	switch rec.Kind {
-	case WALBegin:
-		sh.open[rec.Instance] = true
-	case WALCommit, WALAbort:
-		delete(sh.open, rec.Instance)
-	}
 	if wait {
 		fr.done = make(chan error, 1)
 	}
@@ -481,7 +472,7 @@ func (w *ShardedWAL) committer(sh *walShard) {
 		sh.notFull.Broadcast()
 		sh.mu.Unlock()
 
-		sealed, err := w.flushBatch(sh, batch, dead)
+		err := w.flushBatch(sh, batch, dead)
 
 		sh.mu.Lock()
 		sh.doneSeq += uint64(len(batch))
@@ -489,7 +480,6 @@ func (w *ShardedWAL) committer(sh *walShard) {
 			dead = err
 			w.latchLocked(sh, err)
 		}
-		sh.sealed = append(sh.sealed, sealed...)
 		sh.synced.Broadcast()
 		sh.mu.Unlock()
 	}
@@ -503,11 +493,9 @@ func (w *ShardedWAL) committer(sh *walShard) {
 // (that is the point), every later frame in the batch fails with the
 // same crash. failed is an earlier batch's failure, which every frame
 // of this one inherits. Returns the batch's failure for the lane to
-// latch (a no-op for injected crashes, latched at enqueue) plus segment
-// indices sealed by rotations in this batch.
-func (w *ShardedWAL) flushBatch(sh *walShard, batch []walFrame, failed error) ([]int, error) {
+// latch (a no-op for injected crashes, latched at enqueue).
+func (w *ShardedWAL) flushBatch(sh *walShard, batch []walFrame, failed error) error {
 	var ioErr error       // real I/O failure: clean frames are acked with it
-	var sealed []int      // segment indices sealed by rotation
 	var pending []byte    // frame bytes accumulated for one write
 	var clean []*walFrame // written frames awaiting the fsync
 	records := 0
@@ -565,7 +553,7 @@ func (w *ShardedWAL) flushBatch(sh *walShard, batch []walFrame, failed error) ([
 		if failed == nil && fr.rotate {
 			if err := flush(); err != nil {
 				fail(err)
-			} else if err := w.rotate(sh, fr, &sealed); err != nil {
+			} else if err := w.rotate(sh, fr); err != nil {
 				fail(err)
 			}
 		}
@@ -591,7 +579,7 @@ func (w *ShardedWAL) flushBatch(sh *walShard, batch []walFrame, failed error) ([
 		fr.finish(failed)
 	}
 	groupCommit()
-	return sealed, failed
+	return failed
 }
 
 // awaitCommit parks the committer until a held frame's predecessor is
@@ -612,7 +600,7 @@ func (w *ShardedWAL) awaitCommit(prev *commitMark) error {
 // sync, close, create k+1, write+sync its header, publish, swap. An
 // injected wal.rotate.crash dies after the header sync but before
 // publish, leaving an unpublished segment recovery must ignore.
-func (w *ShardedWAL) rotate(sh *walShard, fr *walFrame, sealed *[]int) error {
+func (w *ShardedWAL) rotate(sh *walShard, fr *walFrame) error {
 	if err := sh.cur.Sync(); err != nil {
 		return err
 	}
@@ -642,7 +630,6 @@ func (w *ShardedWAL) rotate(sh *walShard, fr *walFrame, sealed *[]int) error {
 		f.Close()
 		return err
 	}
-	*sealed = append(*sealed, sh.curIdx)
 	sh.cur = f
 	sh.curIdx = next
 	return nil
@@ -696,70 +683,12 @@ func (w *ShardedWAL) Close() error {
 	return w.Err()
 }
 
-// Checkpoint compacts the log behind a snapshot. snap must reflect
-// every record logged so far, which requires quiescence: with any
-// transaction still open on a lane the call refuses. The protocol is
-// crash-safe in order: seal the current segments (rotation barriers +
-// full sync), write the snapshot durably, only then drop the sealed
-// segments — a crash anywhere leaves either the old segments or a
-// covering snapshot on disk.
-func (w *ShardedWAL) Checkpoint(snap map[string]Value) error {
-	for _, sh := range w.lanes {
-		sh.mu.Lock()
-		n := len(sh.open)
-		sh.mu.Unlock()
-		if n > 0 {
-			return fmt.Errorf("storage: checkpoint with %d open transactions on lane %d", n, sh.idx)
-		}
-	}
-	cut := w.gsn.Load()
-	in := w.inj.Load()
-	for _, sh := range w.lanes {
-		sh.mu.Lock()
-		if sh.err != nil {
-			err := sh.err
-			sh.mu.Unlock()
-			return err
-		}
-		fr := walFrame{rotate: true, rotateBase: cut, tornCut: -1, partialCut: -1}
-		if in.Fire(fault.WALRotateCrash) { //rsvet:allow stripelock -- deterministic fault decision must happen in append order under the lane mutex
-			fr.rotateCrash = true
-			w.latchLocked(sh, fault.ErrCrash)
-		}
-		sh.queue = append(sh.queue, fr)
-		sh.enqSeq++
-		sh.logBytes = SegmentHeaderSize
-		sh.notEmpty.Signal()
-		sh.mu.Unlock()
-	}
-	if err := w.Sync(); err != nil {
-		return err
-	}
-	if err := w.backend.WriteSnapshot(cut, EncodeSnapshot(cut, snap)); err != nil {
-		return err
-	}
-	for _, sh := range w.lanes {
-		sh.mu.Lock()
-		sealed := sh.sealed
-		sh.sealed = nil
-		sh.mu.Unlock()
-		for _, idx := range sealed {
-			if err := w.backend.DropSegment(sh.idx, idx); err != nil {
-				return err
-			}
-		}
-	}
-	w.compactions.Add(1)
-	return nil
-}
-
 // ShardedWALStats is a point-in-time counter snapshot.
 type ShardedWALStats struct {
 	Appends      int64
 	Fsyncs       int64
 	Rotations    int64
 	GroupCommits int64
-	Compactions  int64
 }
 
 // Stats snapshots the log's counters.
@@ -769,6 +698,5 @@ func (w *ShardedWAL) Stats() ShardedWALStats {
 		Fsyncs:       w.fsyncs.Load(),
 		Rotations:    w.rotations.Load(),
 		GroupCommits: w.groupCommits.Load(),
-		Compactions:  w.compactions.Load(),
 	}
 }

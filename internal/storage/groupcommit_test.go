@@ -73,6 +73,15 @@ func TestShardedWALConcurrentRecoveryEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Each rotation seals one segment and publishes its successor; the
+	// sealed ones stay published, and recovery reads them all.
+	published := 0
+	for _, segs := range set.Shards {
+		published += len(segs)
+	}
+	if want := 4 + int(stats.Rotations); published != want || set.Unpublished != 0 {
+		t.Fatalf("%d published segments (%d unpublished), want %d: 4 lanes + %d rotations", published, set.Unpublished, want, stats.Rotations)
+	}
 	st, rep, err := RecoverSegmented(set, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -651,81 +660,6 @@ func TestShardedWALRotateCrash(t *testing.T) {
 	}
 	if rep.Committed != 1 {
 		t.Fatalf("recovered %d commits, want 1 (txn 2 never committed): %s", rep.Committed, rep)
-	}
-}
-
-// TestShardedWALCheckpoint: compaction snapshots the store, seals and
-// drops the old segments, and recovery equals the live history.
-func TestShardedWALCheckpoint(t *testing.T) {
-	mem := NewMemBackend()
-	w, err := NewShardedWAL(mem, SegmentedOptions{Shards: 2, SegmentBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	expected := map[string]Value{}
-	for i := 1; i <= 20; i++ {
-		obj := fmt.Sprintf("t%d", i)
-		logTxn(t, w, int64(i), obj, Value(i))
-		expected[obj] = Value(i)
-	}
-
-	// Refused while a transaction is open.
-	if err := w.Append(WALRecord{Kind: WALBegin, Instance: 100}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Checkpoint(expected); err == nil {
-		t.Fatal("checkpoint with an open transaction succeeded")
-	}
-	if err := w.AppendSync(WALRecord{Kind: WALAbort, Instance: 100}); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := w.Checkpoint(expected); err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	if got := w.Stats().Compactions; got != 1 {
-		t.Fatalf("compactions = %d, want 1", got)
-	}
-	for i := 21; i <= 30; i++ {
-		obj := fmt.Sprintf("t%d", i)
-		logTxn(t, w, int64(i), obj, Value(i))
-		expected[obj] = Value(i)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	set, err := mem.SegmentSet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.Snapshot == nil || set.SnapshotGSN == 0 {
-		t.Fatal("no snapshot after checkpoint")
-	}
-	for s, segs := range set.Shards {
-		// Only post-checkpoint segments remain (a handful for 10 txns).
-		if len(segs) > 5 {
-			t.Fatalf("shard %d still holds %d segments after compaction", s, len(segs))
-		}
-	}
-	st, rep, err := RecoverSegmented(set, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() {
-		t.Fatalf("recovery not clean: %s", rep)
-	}
-	if rep.Committed != 10 {
-		t.Fatalf("replayed %d commits, want 10 (20 compacted away): %s", rep.Committed, rep)
-	}
-	if rep.InSnapshot != 0 {
-		t.Fatalf("%d snapshot-covered commits still in segments after compaction", rep.InSnapshot)
-	}
-	snap := st.Snapshot()
-	for obj, want := range expected {
-		if snap[obj] != want {
-			t.Fatalf("%s = %d after recovery, want %d", obj, snap[obj], want)
-		}
 	}
 }
 

@@ -43,11 +43,6 @@ type SegmentedReport struct {
 	CutApplied bool
 	Cut        uint64
 	CutShard   int
-	// SnapshotGSN is the compaction snapshot's cover point (0 if none);
-	// InSnapshot counts commit records skipped because the snapshot
-	// already holds their effects.
-	SnapshotGSN uint64
-	InSnapshot  int
 	// Unpublished counts segment files ignored because a crash hit
 	// between rotation and publish.
 	Unpublished int
@@ -70,18 +65,6 @@ func (r *SegmentedReport) Clean() bool {
 	return true
 }
 
-// FirstDamaged returns the damaged lane with the lowest shard index —
-// the deterministic answer tools report regardless of which recovery
-// goroutine finished first — and false if the log is clean.
-func (r *SegmentedReport) FirstDamaged() (ShardRecovery, bool) {
-	for _, sh := range r.Shards {
-		if sh.Damaged {
-			return sh, true
-		}
-	}
-	return ShardRecovery{}, false
-}
-
 // FirstDamagedKind returns the lowest-indexed lane whose tail matches
 // kind, and false if none does.
 func (r *SegmentedReport) FirstDamagedKind(kind TailState) (ShardRecovery, bool) {
@@ -97,9 +80,6 @@ func (r *SegmentedReport) FirstDamagedKind(kind TailState) (ShardRecovery, bool)
 func (r *SegmentedReport) String() string {
 	s := fmt.Sprintf("recovered %d lanes, %d records: %d committed, %d aborted, %d unfinished, %d orphans",
 		len(r.Shards), r.Records, r.Committed, r.Aborted, r.Unfinished, r.Orphans)
-	if r.SnapshotGSN > 0 {
-		s += fmt.Sprintf(", %d in snapshot@%d", r.InSnapshot, r.SnapshotGSN)
-	}
 	if r.CutApplied {
 		s += fmt.Sprintf(" (cut@%d by shard %d: %d commits discarded)", r.Cut, r.CutShard, r.BeyondCut)
 	}
@@ -132,8 +112,6 @@ type pendingWrite struct {
 // points at lower GSNs, discarding all commits with GSN above the
 // minimum damaged horizon yields a consistent prefix of the committed
 // history — so recovery from ANY per-lane prefix is invariant-clean.
-// Commits covered by the compaction snapshot are skipped; the snapshot
-// supplies their effects.
 func RecoverSegmented(set *SegmentSet, initial map[string]Value) (*Store, *SegmentedReport, error) {
 	if set == nil {
 		set = &SegmentSet{}
@@ -149,12 +127,12 @@ func RecoverSegmented(set *SegmentSet, initial map[string]Value) (*Store, *Segme
 		wg.Add(1)
 		go func(i, s int) {
 			defer wg.Done()
-			scans[i] = scanShardLog(s, set.Shards[s], set.SnapshotGSN)
+			scans[i] = scanShardLog(s, set.Shards[s])
 		}(i, s)
 	}
 	wg.Wait()
 
-	report := &SegmentedReport{SnapshotGSN: set.SnapshotGSN, Unpublished: set.Unpublished, CutShard: -1}
+	report := &SegmentedReport{Unpublished: set.Unpublished, CutShard: -1}
 
 	// Cross-shard cut: the minimum horizon over damaged lanes bounds
 	// which commits (from ANY lane) survive.
@@ -168,21 +146,17 @@ func RecoverSegmented(set *SegmentSet, initial map[string]Value) (*Store, *Segme
 
 	st := NewStore()
 	st.Load(initial)
-	st.Load(set.Snapshot)
 	var surviving []laneCommit
 	for i := range scans {
 		sc := &scans[i]
 		kept := sc.commits[:0]
 		for _, c := range sc.commits {
-			switch {
-			case set.Snapshot != nil && c.gsn <= set.SnapshotGSN:
-				report.InSnapshot++
-			case report.CutApplied && c.gsn > report.Cut:
+			if report.CutApplied && c.gsn > report.Cut {
 				sc.rec.BeyondCut++
-			default:
-				sc.rec.Committed++
-				kept = append(kept, c)
+				continue
 			}
+			sc.rec.Committed++
+			kept = append(kept, c)
 		}
 		surviving = append(surviving, kept...)
 		report.Shards = append(report.Shards, sc.rec)
@@ -209,8 +183,8 @@ func RecoverSegmented(set *SegmentSet, initial map[string]Value) (*Store, *Segme
 // aborted and unfinished instances leave no trace, and a write whose
 // instance never began is an orphan. Instance routing guarantees a
 // transaction's records never span lanes.
-func scanShardLog(shardIdx int, segs [][]byte, snapGSN uint64) shardScan {
-	sc := shardScan{rec: ShardRecovery{Shard: shardIdx, Horizon: snapGSN}}
+func scanShardLog(shardIdx int, segs [][]byte) shardScan {
+	sc := shardScan{rec: ShardRecovery{Shard: shardIdx}}
 	pending := make(map[int64][]pendingWrite)
 	damage := func(segNo int, tail ScanReport) {
 		sc.rec.Damaged = true

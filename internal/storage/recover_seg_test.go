@@ -126,9 +126,6 @@ func TestRecoverSegmentedFirstDamagedDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sh, ok := rep.FirstDamaged(); !ok || sh.Shard != 1 {
-			t.Fatalf("run %d: first damaged = %+v (ok=%v), want shard 1", i, sh, ok)
-		}
 		if sh, ok := rep.FirstDamagedKind(TailTorn); !ok || sh.Shard != 1 {
 			t.Fatalf("run %d: first torn = %+v (ok=%v), want shard 1", i, sh, ok)
 		}

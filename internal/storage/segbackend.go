@@ -21,7 +21,7 @@ type SegmentFile interface {
 	Close() error
 }
 
-// SegmentBackend stores the segments and snapshots of a segmented WAL.
+// SegmentBackend stores the segments of a segmented WAL.
 // Implementations must keep a created segment invisible to recovery
 // until Publish: the rotation protocol writes and syncs the header of
 // segment k+1 before publishing it, so a crash in between leaves an
@@ -31,34 +31,20 @@ type SegmentBackend interface {
 	Create(shard, index int) (SegmentFile, error)
 	// Publish makes a created segment visible under its final name.
 	Publish(shard, index int) error
-	// WriteSnapshot durably stores an encoded snapshot covering every
-	// commit with GSN <= gsn. Must be atomic: recovery either sees the
-	// whole snapshot (checksummed) or none of it.
-	WriteSnapshot(gsn uint64, data []byte) error
-	// DropSegment removes a sealed segment the snapshot now covers.
-	DropSegment(shard, index int) error
 }
 
 // SegmentSet is a segmented log spread out for recovery: per-shard
-// published segment bytes in index order, plus the newest valid
-// snapshot if any. Crash sweeps build these directly from truncated
-// byte slices; ReadWALDir builds one from a DirBackend directory.
+// published segment bytes in index order. Crash sweeps build these
+// directly from truncated byte slices; ReadWALDir builds one from a
+// DirBackend directory.
 type SegmentSet struct {
 	Shards map[int][][]byte
-	// SnapshotGSN / Snapshot carry the compaction snapshot; Snapshot is
-	// nil when the log has never been checkpointed.
-	SnapshotGSN uint64
-	Snapshot    map[string]Value
 	// Unpublished counts segment files ignored because a crash hit
 	// between rotation and publish (.tmp leftovers).
 	Unpublished int
-	// DamagedSnapshots lists snapshot files that failed to decode and
-	// were skipped (recovery falls back to an older snapshot or full
-	// replay); each entry is a *SnapshotError naming the file.
-	DamagedSnapshots []error
 }
 
-// Snapshot encoding:
+// Snapshot encoding (the .rsrec anchor frame, record/codec.go):
 //
 //	[magic "RSNP"][version u8][pad3][gsn u64][count u32]
 //	count * { [olen uvarint][object][value varint] }   (sorted by object)
@@ -131,7 +117,6 @@ func DecodeSnapshot(b []byte) (uint64, map[string]Value, error) {
 //
 //	dir/shard-NN/seg-NNNNNN.wal       published segments
 //	dir/shard-NN/seg-NNNNNN.wal.tmp   created, not yet published
-//	dir/snapshot-<gsn>.snap           compaction snapshots
 type DirBackend struct {
 	dir string
 }
@@ -144,8 +129,6 @@ func (b *DirBackend) shardDir(s int) string {
 }
 
 func segFileName(index int) string { return fmt.Sprintf("seg-%06d.wal", index) }
-
-func snapFileName(gsn uint64) string { return fmt.Sprintf("snapshot-%016x.snap", gsn) }
 
 // Create opens shard's segment under a .tmp name.
 func (b *DirBackend) Create(shard, index int) (SegmentFile, error) {
@@ -162,50 +145,8 @@ func (b *DirBackend) Publish(shard, index int) error {
 	return os.Rename(name+".tmp", name)
 }
 
-// WriteSnapshot writes the snapshot through a tmp+rename so recovery
-// only ever sees whole files; older snapshots are pruned best-effort.
-func (b *DirBackend) WriteSnapshot(gsn uint64, data []byte) error {
-	if err := os.MkdirAll(b.dir, 0o755); err != nil {
-		return err
-	}
-	final := filepath.Join(b.dir, snapFileName(gsn))
-	tmp := final + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return err
-	}
-	if old, err := filepath.Glob(filepath.Join(b.dir, "snapshot-*.snap")); err == nil {
-		for _, p := range old {
-			if p != final {
-				os.Remove(p) //nolint:errcheck // pruning is best-effort
-			}
-		}
-	}
-	return nil
-}
-
-// DropSegment removes a published segment file.
-func (b *DirBackend) DropSegment(shard, index int) error {
-	return os.Remove(filepath.Join(b.shardDir(shard), segFileName(index)))
-}
-
-// Reset wipes the backend's own namespace (shard-* directories and
-// snapshot files) so a fresh log can be written. Foreign files in dir
-// are left alone.
+// Reset wipes the backend's own namespace (shard-* directories) so a
+// fresh log can be written. Foreign files in dir are left alone.
 func (b *DirBackend) Reset() error {
 	entries, err := os.ReadDir(b.dir)
 	if os.IsNotExist(err) {
@@ -215,14 +156,8 @@ func (b *DirBackend) Reset() error {
 		return err
 	}
 	for _, e := range entries {
-		name := e.Name()
-		switch {
-		case e.IsDir() && strings.HasPrefix(name, "shard-"):
+		if name := e.Name(); e.IsDir() && strings.HasPrefix(name, "shard-") {
 			if err := os.RemoveAll(filepath.Join(b.dir, name)); err != nil {
-				return err
-			}
-		case !e.IsDir() && strings.HasPrefix(name, "snapshot-"):
-			if err := os.Remove(filepath.Join(b.dir, name)); err != nil {
 				return err
 			}
 		}
@@ -232,7 +167,10 @@ func (b *DirBackend) Reset() error {
 
 // ReadWALDir loads a DirBackend directory into a SegmentSet. Segment
 // files are read whole (in index order per shard); .tmp files are
-// counted unpublished and skipped; the newest decodable snapshot wins.
+// counted unpublished and skipped. A snapshot-*.snap file (the
+// checkpoint format this package does not write) is refused: the
+// segments it covered may be gone, so recovering without it would
+// silently return an older state.
 func ReadWALDir(dir string) (*SegmentSet, error) {
 	set := &SegmentSet{Shards: map[int][][]byte{}}
 	entries, err := os.ReadDir(dir)
@@ -271,84 +209,10 @@ func ReadWALDir(dir string) (*SegmentSet, error) {
 				set.Shards[shard] = append(set.Shards[shard], b)
 			}
 		case !e.IsDir() && strings.HasPrefix(name, "snapshot-") && strings.HasSuffix(name, ".snap"):
-			gsn, snap, err := ReadSnapshotFile(filepath.Join(dir, name))
-			if err != nil {
-				// Damaged snapshot: fall back to an older one or full
-				// replay, but surface which file was skipped so the
-				// degradation is diagnosable.
-				set.DamagedSnapshots = append(set.DamagedSnapshots, err)
-				continue
-			}
-			if set.Snapshot == nil || gsn > set.SnapshotGSN {
-				set.SnapshotGSN, set.Snapshot = gsn, snap
-			}
+			return nil, fmt.Errorf("storage: %s: checkpoint snapshots are not supported; the log may be missing the segments it covered", filepath.Join(dir, name))
 		}
 	}
 	return set, nil
-}
-
-// SnapshotError wraps a snapshot read/decode failure with the file it
-// came from (and the lane for shard-scoped callers; -1 means the
-// whole-store snapshot), so callers like rsreplay -from-snapshot can
-// report which artifact broke — matching rsrecover's JSON "shard"
-// convention.
-type SnapshotError struct {
-	Path  string
-	Shard int
-	Err   error
-}
-
-func (e *SnapshotError) Error() string {
-	if e.Shard >= 0 {
-		return fmt.Sprintf("storage: snapshot %s (shard %d): %v", e.Path, e.Shard, e.Err)
-	}
-	return fmt.Sprintf("storage: snapshot %s: %v", e.Path, e.Err)
-}
-
-func (e *SnapshotError) Unwrap() error { return e.Err }
-
-// ReadSnapshotFile reads and decodes one snapshot file. Failures carry
-// the path (with ErrCorrupt still reachable via errors.Is) instead of
-// the bare DecodeSnapshot diagnosis.
-func ReadSnapshotFile(path string) (uint64, map[string]Value, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return 0, nil, &SnapshotError{Path: path, Shard: -1, Err: err}
-	}
-	gsn, snap, err := DecodeSnapshot(b)
-	if err != nil {
-		return 0, nil, &SnapshotError{Path: path, Shard: -1, Err: err}
-	}
-	return gsn, snap, nil
-}
-
-// LatestSnapshot locates the newest decodable snapshot in a segmented
-// WAL directory and returns its path alongside its contents. When the
-// directory holds snapshot files but none decode, the error is the
-// newest candidate's *SnapshotError; a directory with no snapshot
-// files at all returns os.ErrNotExist wrapped with the directory name.
-func LatestSnapshot(dir string) (string, uint64, map[string]Value, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "snapshot-*.snap"))
-	if err != nil {
-		return "", 0, nil, err
-	}
-	// snapshot-%016x names sort by GSN; walk newest-first.
-	sort.Sort(sort.Reverse(sort.StringSlice(paths)))
-	var firstErr error
-	for _, p := range paths {
-		gsn, snap, err := ReadSnapshotFile(p)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		return p, gsn, snap, nil
-	}
-	if firstErr != nil {
-		return "", 0, nil, firstErr
-	}
-	return "", 0, nil, fmt.Errorf("storage: no snapshot in %s: %w", dir, os.ErrNotExist)
 }
 
 // MemBackend keeps segments in memory: the tests' and experiments'
@@ -358,11 +222,9 @@ func LatestSnapshot(dir string) (string, uint64, map[string]Value, error) {
 type MemBackend struct {
 	mu     sync.Mutex
 	shards map[int]map[int]*memSegment
-	snap   []byte
 	// SyncDelay, if set, is slept on every segment Sync — a simulated
 	// fsync cost for group-commit benchmarks.
 	SyncDelay time.Duration
-	syncs     int64
 }
 
 // NewMemBackend returns an empty in-memory backend.
@@ -385,7 +247,6 @@ func (s *memSegment) Write(p []byte) (int, error) {
 
 func (s *memSegment) Sync() error {
 	s.b.mu.Lock()
-	s.b.syncs++
 	d := s.b.SyncDelay
 	s.b.mu.Unlock()
 	if d > 0 {
@@ -420,31 +281,8 @@ func (b *MemBackend) Publish(shard, index int) error {
 	return nil
 }
 
-// WriteSnapshot stores the encoded snapshot.
-func (b *MemBackend) WriteSnapshot(gsn uint64, data []byte) error {
-	b.mu.Lock()
-	b.snap = append([]byte(nil), data...)
-	b.mu.Unlock()
-	return nil
-}
-
-// DropSegment forgets a sealed segment.
-func (b *MemBackend) DropSegment(shard, index int) error {
-	b.mu.Lock()
-	delete(b.shards[shard], index)
-	b.mu.Unlock()
-	return nil
-}
-
-// Syncs returns the number of segment fsyncs issued so far.
-func (b *MemBackend) Syncs() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.syncs
-}
-
-// SegmentSet snapshots the published segments (deep-copied) plus the
-// stored compaction snapshot, exactly what a crash would leave.
+// SegmentSet copies out the published segments (deep-copied), exactly
+// what a crash would leave.
 func (b *MemBackend) SegmentSet() (*SegmentSet, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -462,13 +300,6 @@ func (b *MemBackend) SegmentSet() (*SegmentSet, error) {
 		for _, i := range idxs {
 			set.Shards[shard] = append(set.Shards[shard], append([]byte(nil), segs[i].buf...))
 		}
-	}
-	if b.snap != nil {
-		gsn, snap, err := DecodeSnapshot(b.snap)
-		if err != nil {
-			return nil, err
-		}
-		set.SnapshotGSN, set.Snapshot = gsn, snap
 	}
 	return set, nil
 }

@@ -44,7 +44,7 @@ const (
 type SegmentHeader struct {
 	Shard int
 	// Index orders a shard's segments; rotation publishes index k+1
-	// after sealing index k, and compaction drops a prefix of indices.
+	// after sealing index k.
 	Index int
 	// BaseGSN is the global sequence number the log had reached when
 	// the segment was opened: every record inside carries a GSN

@@ -156,12 +156,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	for i := 0; i < len(enc)*8; i++ {
 		mut := append([]byte(nil), enc...)
 		mut[i/8] ^= 1 << (i % 8)
-		if _, _, err := DecodeSnapshot(mut); err == nil {
-			t.Fatalf("bit flip %d went undetected", i)
+		if _, _, err := DecodeSnapshot(mut); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("bit flip %d: err %v, want ErrCorrupt", i, err)
 		}
 	}
-	if _, _, err := DecodeSnapshot(nil); err == nil {
-		t.Fatal("nil snapshot decoded")
+	if _, _, err := DecodeSnapshot(nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("nil snapshot: err %v, want ErrCorrupt", err)
 	}
 }
 
@@ -194,77 +194,32 @@ func TestSegFileNames(t *testing.T) {
 	if got := segFileName(7); got != "seg-000007.wal" {
 		t.Fatalf("segFileName(7) = %q", got)
 	}
-	if got := snapFileName(255); got != "snapshot-00000000000000ff.snap" {
-		t.Fatalf("snapFileName(255) = %q", got)
-	}
 }
 
-// TestSnapshotErrorsNameTheFile: snapshot read/decode failures carry
-// the path (rsreplay -from-snapshot diagnosability), ErrCorrupt stays
-// reachable through errors.Is, and ReadWALDir records which damaged
-// snapshot files it skipped instead of dropping them silently.
+// TestSnapshotErrorsNameTheFile: ReadWALDir refuses a log directory
+// holding a checkpoint snapshot file, valid or damaged, and names the
+// file. The segments it covered may be gone, so recovering without it
+// would silently return an older state.
 func TestSnapshotErrorsNameTheFile(t *testing.T) {
-	dir := t.TempDir()
-	good := EncodeSnapshot(7, map[string]Value{"x": 1})
-
-	// Missing file.
-	_, _, err := ReadSnapshotFile(filepath.Join(dir, "missing.snap"))
-	var se *SnapshotError
-	if !errors.As(err, &se) || !strings.Contains(err.Error(), "missing.snap") || se.Shard != -1 {
-		t.Fatalf("missing file: %v", err)
-	}
-
-	// Corrupt file: path in the message, ErrCorrupt underneath.
-	bad := filepath.Join(dir, "snapshot-0000000000000001.snap")
-	corrupt := append([]byte(nil), good...)
-	corrupt[len(corrupt)-1] ^= 0xff
-	if err := os.WriteFile(bad, corrupt, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = ReadSnapshotFile(bad)
-	if !errors.As(err, &se) || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), bad) {
-		t.Fatalf("corrupt file: %v", err)
-	}
-
-	// A valid file round-trips.
-	ok := filepath.Join(dir, "snapshot-0000000000000007.snap")
-	if err := os.WriteFile(ok, good, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	gsn, snap, err := ReadSnapshotFile(ok)
-	if err != nil || gsn != 7 || snap["x"] != 1 {
-		t.Fatalf("valid file: gsn=%d snap=%v err=%v", gsn, snap, err)
-	}
-
-	// LatestSnapshot skips the damaged newer-looking candidate... here
-	// the corrupt file has the LOWER gsn, so the valid one wins; then
-	// remove it and the corrupt one's error surfaces.
-	path, gsn, _, err := LatestSnapshot(dir)
-	if err != nil || path != ok || gsn != 7 {
-		t.Fatalf("latest: path=%s gsn=%d err=%v", path, gsn, err)
-	}
-	if err := os.Remove(ok); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := LatestSnapshot(dir); !errors.As(err, &se) || !strings.Contains(err.Error(), bad) {
-		t.Fatalf("all-damaged latest: %v", err)
-	}
-
-	// Empty dir: os.ErrNotExist class.
-	if _, _, _, err := LatestSnapshot(t.TempDir()); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("empty dir: %v", err)
-	}
-
-	// ReadWALDir still falls back past the damaged snapshot but records
-	// it with its path.
-	set, err := ReadWALDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.Snapshot != nil {
-		t.Fatal("damaged snapshot decoded")
-	}
-	if len(set.DamagedSnapshots) != 1 || !strings.Contains(set.DamagedSnapshots[0].Error(), bad) {
-		t.Fatalf("damaged snapshots: %v", set.DamagedSnapshots)
+	for _, data := range [][]byte{EncodeSnapshot(7, map[string]Value{"x": 1}), []byte("RSNPgarbage")} {
+		dir := t.TempDir()
+		w, err := OpenShardedWAL(dir, SegmentedOptions{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		logTxn(t, w, 1, "x", 2)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadWALDir(dir); err != nil {
+			t.Fatalf("log without a snapshot file: %v", err)
+		}
+		snap := filepath.Join(dir, "snapshot-0000000000000007.snap")
+		if err := os.WriteFile(snap, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if set, err := ReadWALDir(dir); err == nil || set != nil || !strings.Contains(err.Error(), snap) {
+			t.Fatalf("ReadWALDir with %s: set %v, err %v; want an error naming the file", snap, set, err)
+		}
 	}
 }

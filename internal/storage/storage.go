@@ -96,17 +96,6 @@ func (st *Store) stripe(name string) *storeStripe {
 	return &st.stripes[st.router.Shard(name)]
 }
 
-// Ensure creates the object with an initial value if it does not
-// exist; existing objects are left untouched.
-func (st *Store) Ensure(name string, initial Value) {
-	sp := st.stripe(name)
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if _, ok := sp.objects[name]; !ok {
-		sp.objects[name] = &Versioned{Value: initial}
-	}
-}
-
 // Load bulk-initializes objects (overwriting existing ones); intended
 // for workload setup.
 func (st *Store) Load(values map[string]Value) {
@@ -253,16 +242,6 @@ func (log *UndoLog) WriteLoggedCtx(ctx context.Context, st *Store, name string, 
 
 // Len returns the number of logged writes.
 func (log *UndoLog) Len() int { return len(log.entries) }
-
-// Rollback undoes all logged writes in reverse order and clears the
-// log.
-func (log *UndoLog) Rollback(st *Store) {
-	for i := len(log.entries) - 1; i >= 0; i-- {
-		e := log.entries[i]
-		st.restore(e.object, e.prev)
-	}
-	log.entries = nil
-}
 
 // Discard forgets the log without undoing (commit path).
 func (log *UndoLog) Discard() { log.entries = nil }

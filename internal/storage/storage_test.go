@@ -8,7 +8,7 @@ import (
 
 func TestStoreReadWrite(t *testing.T) {
 	st := NewStore()
-	st.Ensure("x", 5)
+	st.Load(map[string]Value{"x": 5})
 	if got := st.Read("x"); got.Value != 5 || got.Version != 0 {
 		t.Fatalf("Read = %+v", got)
 	}
@@ -18,11 +18,6 @@ func TestStoreReadWrite(t *testing.T) {
 	}
 	if got := st.Read("x"); got.Value != 9 || got.Version != 1 {
 		t.Fatalf("after write Read = %+v", got)
-	}
-	// Ensure on existing object is a no-op.
-	st.Ensure("x", 42)
-	if got := st.Read("x"); got.Value != 9 {
-		t.Error("Ensure overwrote existing object")
 	}
 }
 
@@ -61,7 +56,7 @@ func TestUndoLogRollback(t *testing.T) {
 	if log.Len() != 3 {
 		t.Fatalf("Len = %d", log.Len())
 	}
-	log.Rollback(st)
+	RollbackSet(st, []*UndoLog{&log})
 	if st.Read("x").Value != 1 || st.Read("y").Value != 2 {
 		t.Errorf("rollback failed: %s", st)
 	}
@@ -79,7 +74,7 @@ func TestUndoLogDiscard(t *testing.T) {
 	var log UndoLog
 	log.WriteLogged(st, "x", 7)
 	log.Discard()
-	log.Rollback(st) // no-op
+	RollbackSet(st, []*UndoLog{&log}) // no-op
 	if st.Read("x").Value != 7 {
 		t.Error("Discard should keep effects")
 	}

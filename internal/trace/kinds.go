@@ -33,13 +33,3 @@ var allKinds = []Kind{
 func Kinds() []Kind {
 	return append([]Kind(nil), allKinds...)
 }
-
-// IsKnownKind reports whether k is a registered event kind.
-func IsKnownKind(k Kind) bool {
-	for _, known := range allKinds {
-		if k == known {
-			return true
-		}
-	}
-	return false
-}

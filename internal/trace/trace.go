@@ -235,8 +235,8 @@ func New(sink Sink) *Tracer {
 
 // NewUnserialized returns a tracer that forwards events to the sink
 // without holding the tracer's mutex. The sink must be safe for
-// concurrent Emit calls (the flight recorder's ring is; Buffer and
-// JSONLWriter are not). This removes the one point of global
+// concurrent Emit calls (the flight recorder's ring is; a Buffer
+// behind the tracer's mutex is the serialized alternative). This removes the one point of global
 // serialization from the concurrent driver's instrumented hot path.
 func NewUnserialized(sink Sink) *Tracer {
 	//rsvet:allow detlint -- epoch for observational event timestamps; replay compares decisions, never TS
@@ -299,15 +299,6 @@ func (t *Tracer) Sink() Sink {
 	return t.sink
 }
 
-// Epoch returns the tracer's timestamp epoch (its construction time);
-// event TS fields are nanoseconds since it.
-func (t *Tracer) Epoch() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.epoch
-}
-
 // EmitDot forwards a named Graphviz snapshot to the DotSink, if one is
 // installed. The name is suffixed with a monotone sequence number.
 func (t *Tracer) EmitDot(name, dot string) {
@@ -357,22 +348,6 @@ func (b *Buffer) Len() int {
 	return len(b.events)
 }
 
-// JSONLWriter is a sink encoding one JSON object per line.
-type JSONLWriter struct {
-	enc *json.Encoder
-}
-
-// NewJSONLWriter returns a sink writing JSONL to w.
-func NewJSONLWriter(w io.Writer) *JSONLWriter {
-	return &JSONLWriter{enc: json.NewEncoder(w)}
-}
-
-// Emit implements Sink; encoding errors are silently dropped (tracing
-// must never fail the traced run).
-func (j *JSONLWriter) Emit(ev Event) {
-	_ = j.enc.Encode(ev)
-}
-
 // WriteJSONL encodes events as JSONL, one event per line.
 func WriteJSONL(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
@@ -383,31 +358,6 @@ func WriteJSONL(w io.Writer, events []Event) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadJSONL decodes a JSONL event stream (the inverse of WriteJSONL
-// and JSONLWriter); blank lines are skipped.
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var out []Event
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal([]byte(text), &ev); err != nil {
-			return out, fmt.Errorf("trace: line %d: %v", line, err)
-		}
-		out = append(out, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return out, err
-	}
-	return out, nil
 }
 
 // CountKinds tallies events by kind, for run summaries.

@@ -37,42 +37,16 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if got := strings.Count(buf.String(), "\n"); got != len(events) {
 		t.Errorf("JSONL has %d lines, want %d", got, len(events))
 	}
-	back, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatalf("ReadJSONL: %v", err)
+	var back []Event
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var ev Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		back = append(back, ev)
 	}
 	if !reflect.DeepEqual(events, back) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", back, events)
-	}
-}
-
-func TestJSONLWriterSinkMatchesWriteJSONL(t *testing.T) {
-	events := sampleEvents()
-	var direct, viaSink bytes.Buffer
-	if err := WriteJSONL(&direct, events); err != nil {
-		t.Fatal(err)
-	}
-	sink := NewJSONLWriter(&viaSink)
-	for _, ev := range events {
-		sink.Emit(ev)
-	}
-	if direct.String() != viaSink.String() {
-		t.Errorf("sink output differs from WriteJSONL")
-	}
-}
-
-func TestReadJSONLSkipsBlanksAndReportsLine(t *testing.T) {
-	in := "\n{\"ts\":1,\"kind\":\"grant\"}\n\n{\"ts\":2,\"kind\":\"commit\"}\n"
-	events, err := ReadJSONL(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 2 || events[0].Kind != KindGrant || events[1].Kind != KindCommit {
-		t.Errorf("got %+v", events)
-	}
-	_, err = ReadJSONL(strings.NewReader("{\"ts\":1}\nnot json\n"))
-	if err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Errorf("want line-numbered error, got %v", err)
 	}
 }
 

@@ -481,7 +481,7 @@ func (r *ConcurrentRunner) applySharded(ctx context.Context, st *engine.Instance
 		}
 		//rsvet:allow stripelock -- wedge parks under sh.mu so the watchdog has something to detect
 		if in.Fire(fault.ShardWedge) {
-			//rsvet:allow stripelock
+			//rsvet:allow stripelock -- the wedged worker parks under sh.mu by design
 			in.WedgeCtx(ctx)
 		}
 	}
