@@ -194,3 +194,24 @@ func BenchmarkDenseTransitiveClosure(b *testing.B) {
 		g.TransitiveClosure()
 	}
 }
+
+func BenchmarkSparseHighFanIn(b *testing.B) {
+	// The worst case of sorted-slice adjacency: inserting into or
+	// deleting from a row moves its tail, so a vertex with ~1 000
+	// in-arcs pays O(degree) per arc. Each op removes one of the hub's
+	// in-arcs and adds it back, visiting the sources in shuffled order.
+	const fanIn = 1000
+	rng := rand.New(rand.NewSource(5))
+	g := NewSparse(fanIn + 1)
+	srcs := rng.Perm(fanIn)
+	for _, s := range srcs {
+		g.AddArc(s+1, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := srcs[i%fanIn] + 1
+		g.RemoveArc(s, 0)
+		g.AddArc(s, 0)
+	}
+}

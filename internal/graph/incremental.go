@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -50,6 +51,9 @@ type Incremental struct {
 	// Deferred-settle window: positions [dirtyLb, dirtyUb] may hold
 	// order-violating arcs appended by AppendArcs; -1 when settled.
 	dirtyLb, dirtyUb int
+
+	// resortRegion's scratch, reused across calls.
+	indeg, ready, order []int
 }
 
 // NewIncremental returns an incremental DAG with n vertices and no
@@ -177,7 +181,7 @@ func (inc *Incremental) AddArc(u, v int) error {
 	// before the appended arcs, which is exactly the state the window
 	// bounds were computed against: a forward arc can be inserted
 	// directly (settling later covers it), anything else settles first.
-	if inc.g.HasArc(iu, iv) || inc.ord[iu] < inc.ord[iv] {
+	if inc.ord[iu] < inc.ord[iv] || inc.g.HasArc(iu, iv) {
 		inc.g.AddArc(iu, iv)
 		return nil
 	}
@@ -286,7 +290,8 @@ func (inc *Incremental) forwardSearch(start, ub, target int) (bool, []int) {
 	for len(stack) > 0 {
 		w := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range inc.g.Successors(w) {
+		for _, e := range inc.g.succ[w] {
+			s := e.v
 			if s == target {
 				return true, visited
 			}
@@ -310,8 +315,8 @@ func (inc *Incremental) backwardSearch(start, lb int) []int {
 	for len(stack) > 0 {
 		w := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, p := range inc.g.Predecessors(w) {
-			if inc.ord[p] >= lb && !inc.mark.Has(p) {
+		for _, e := range inc.g.pred[w] {
+			if p := e.v; inc.ord[p] >= lb && !inc.mark.Has(p) {
 				inc.mark.Set(p)
 				visited = append(visited, p)
 				stack = append(stack, p)
@@ -523,6 +528,7 @@ func (inc *Incremental) Retire(vs []int) RetireResult {
 	inc.g.Compact(remap, m)
 	inc.ord, inc.pos, inc.ext = newOrd, newPos, newExt
 	inc.mark = NewBitset(m)
+	inc.indeg, inc.ready, inc.order = nil, nil, nil // sized for the graph before compaction
 	for i := range inc.intIdx {
 		inc.intIdx[i] = -1
 	}
@@ -549,30 +555,29 @@ func (inc *Incremental) Retire(vs []int) RetireResult {
 // left untouched and ErrCycle is returned. Ties break toward the
 // vertex with the smallest previous position, keeping the result
 // deterministic and close to the old order. Internal indices.
+//
+// A vertex s lies in the region iff its region index ord[s]-lb is in
+// [0, n), and that index is also its previous position relative to lb,
+// so the ready heap orders region indices directly.
 func (inc *Incremental) resortRegion(lb, ub int) error {
 	n := ub - lb + 1
-	verts := make([]int, n)
-	copy(verts, inc.pos[lb:ub+1])
-	idx := make(map[int]int, n) // vertex -> region index
-	for i, v := range verts {
-		idx[v] = i
-	}
-	indeg := make([]int, n)
+	verts := inc.pos[lb : ub+1] // read-only until the final write-back
+	indeg := slices.Grow(inc.indeg[:0], n)[:n]
+	clear(indeg)
+	heap, order := inc.ready[:0], inc.order[:0]
 	for _, u := range verts {
-		for _, s := range inc.g.Successors(u) {
-			if j, ok := idx[s]; ok {
+		for _, e := range inc.g.succ[u] {
+			if j := inc.ord[e.v] - lb; j >= 0 && j < n {
 				indeg[j]++
 			}
 		}
 	}
-	// Min-heap of ready vertices keyed by previous position.
-	heap := make([]int, 0, n) // holds region indices
-	less := func(a, b int) bool { return inc.ord[verts[a]] < inc.ord[verts[b]] }
+	// Min-heap of ready region indices.
 	push := func(j int) {
 		heap = append(heap, j)
 		for c := len(heap) - 1; c > 0; {
 			p := (c - 1) / 2
-			if !less(heap[c], heap[p]) {
+			if heap[c] >= heap[p] {
 				break
 			}
 			heap[c], heap[p] = heap[p], heap[c]
@@ -589,10 +594,10 @@ func (inc *Incremental) resortRegion(lb, ub int) error {
 			if c >= len(heap) {
 				break
 			}
-			if c+1 < len(heap) && less(heap[c+1], heap[c]) {
+			if c+1 < len(heap) && heap[c+1] < heap[c] {
 				c++
 			}
-			if !less(heap[c], heap[p]) {
+			if heap[c] >= heap[p] {
 				break
 			}
 			heap[p], heap[c] = heap[c], heap[p]
@@ -605,12 +610,11 @@ func (inc *Incremental) resortRegion(lb, ub int) error {
 			push(j)
 		}
 	}
-	order := make([]int, 0, n)
 	for len(heap) > 0 {
-		j := pop()
-		order = append(order, verts[j])
-		for _, s := range inc.g.Successors(verts[j]) {
-			if k, ok := idx[s]; ok {
+		u := verts[pop()]
+		order = append(order, u)
+		for _, e := range inc.g.succ[u] {
+			if k := inc.ord[e.v] - lb; k >= 0 && k < n {
 				indeg[k]--
 				if indeg[k] == 0 {
 					push(k)
@@ -618,13 +622,14 @@ func (inc *Incremental) resortRegion(lb, ub int) error {
 			}
 		}
 	}
+	inc.indeg, inc.ready, inc.order = indeg, heap, order
 	if len(order) < n {
 		return ErrCycle
 	}
 	for i, v := range order {
 		inc.ord[v] = lb + i
-		inc.pos[lb+i] = v
 	}
+	copy(verts, order)
 	return nil
 }
 
@@ -658,7 +663,8 @@ func (inc *Incremental) FindPath(from, to int) []int {
 	for len(stack) > 0 {
 		w := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range inc.g.Successors(w) {
+		for _, e := range inc.g.succ[w] {
+			s := e.v
 			if inc.ord[s] > inc.ord[iTo] {
 				continue
 			}
@@ -706,8 +712,8 @@ func (inc *Incremental) Verify() error {
 	}
 	n := inc.g.Len()
 	for u := 0; u < n; u++ {
-		for _, v := range inc.g.Successors(u) {
-			if inc.ord[u] >= inc.ord[v] {
+		for _, e := range inc.g.succ[u] {
+			if inc.ord[u] >= inc.ord[e.v] {
 				return errors.New("graph: arc violates maintained topological order")
 			}
 		}

@@ -2,17 +2,26 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// Sparse is a directed graph with adjacency lists and O(1) arc
-// multiplicity tracking. It supports vertex growth and arc removal,
-// which the online schedulers need (transactions come and go).
+// Sparse is a directed graph with adjacency lists and arc multiplicity
+// tracking. It supports vertex growth and arc removal, which the online
+// schedulers need (transactions come and go).
+//
+// Each vertex keeps its successors and its predecessors as slices
+// sorted by vertex, so a lookup is a binary search, a row walk is in
+// ascending order without sorting, and the lowest and highest neighbour
+// are the row's ends.
 type Sparse struct {
-	succ  []map[int]int // succ[u][v] = multiplicity of arc u -> v
-	pred  []map[int]int
-	nArcs int // distinct arcs
+	succ  [][]arcEnd // succ[u]: the arcs u -> v, sorted by v
+	pred  [][]arcEnd // pred[v]: the arcs u -> v, sorted by u
+	nArcs int        // distinct arcs
 }
+
+// arcEnd is one neighbour in an adjacency row and the multiplicity of
+// the arc to (or from) it.
+type arcEnd struct{ v, mult int }
 
 // NewSparse returns an empty sparse digraph with n vertices.
 func NewSparse(n int) *Sparse {
@@ -27,8 +36,7 @@ func (g *Sparse) Len() int { return len(g.succ) }
 // Grow extends the vertex set to at least n vertices.
 func (g *Sparse) Grow(n int) {
 	for len(g.succ) < n {
-		g.succ = append(g.succ, nil)
-		g.pred = append(g.pred, nil)
+		g.AddVertex()
 	}
 }
 
@@ -39,75 +47,99 @@ func (g *Sparse) AddVertex() int {
 	return len(g.succ) - 1
 }
 
+// find returns the index of v in row, or where it would be inserted,
+// and whether it is present.
+func find(row []arcEnd, v int) (int, bool) {
+	lo, hi := 0, len(row)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if row[m].v < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(row) && row[lo].v == v
+}
+
 // AddArc inserts the arc u -> v, incrementing its multiplicity if it
 // already exists. Multiplicity lets independent arc producers (e.g.
 // different arc kinds in an RSG) add and remove the same arc without
 // coordinating.
 func (g *Sparse) AddArc(u, v int) {
-	succ := g.succ[u]
-	if succ == nil {
-		succ = make(map[int]int)
-		g.succ[u] = succ
+	i, ok := find(g.succ[u], v)
+	j, _ := find(g.pred[v], u)
+	if ok {
+		g.succ[u][i].mult++
+		g.pred[v][j].mult++
+		return
 	}
-	pred := g.pred[v]
-	if pred == nil {
-		pred = make(map[int]int)
-		g.pred[v] = pred
-	}
-	// One read-modify-write per direction; a grown map is a new arc.
-	n := len(succ)
-	succ[v]++
-	pred[u]++
-	if len(succ) > n {
-		g.nArcs++
-	}
+	g.succ[u] = slices.Insert(g.succ[u], i, arcEnd{v, 1})
+	g.pred[v] = slices.Insert(g.pred[v], j, arcEnd{u, 1})
+	g.nArcs++
 }
 
 // RemoveArc decrements the multiplicity of u -> v, deleting the arc
 // when it reaches zero. Removing an absent arc panics: it always
 // indicates a bookkeeping bug in the caller.
 func (g *Sparse) RemoveArc(u, v int) {
-	m, ok := g.succ[u][v]
+	i, ok := find(g.succ[u], v)
 	if !ok {
 		panic(fmt.Sprintf("graph: RemoveArc(%d, %d): arc not present", u, v))
 	}
-	if m == 1 {
-		delete(g.succ[u], v)
-		delete(g.pred[v], u)
-		g.nArcs--
-	} else {
-		g.succ[u][v] = m - 1
-		g.pred[v][u] = m - 1
+	j, _ := find(g.pred[v], u)
+	if g.succ[u][i].mult > 1 {
+		g.succ[u][i].mult--
+		g.pred[v][j].mult--
+		return
 	}
+	g.succ[u] = slices.Delete(g.succ[u], i, i+1)
+	g.pred[v] = slices.Delete(g.pred[v], j, j+1)
+	g.nArcs--
 }
 
 // HasArc reports whether the arc u -> v is present.
-func (g *Sparse) HasArc(u, v int) bool { return g.succ[u][v] > 0 }
+func (g *Sparse) HasArc(u, v int) bool {
+	_, ok := find(g.succ[u], v)
+	return ok
+}
 
 // ArcCount returns the number of distinct arcs.
 func (g *Sparse) ArcCount() int { return g.nArcs }
 
 // IsolateVertex removes every arc incident to u, leaving the vertex in
-// place (vertex indices are stable handles for callers).
+// place (vertex indices are stable handles for callers). u's own rows
+// are released, not kept for reuse: a vertex that is isolated is
+// usually finished, and its rows would otherwise stay allocated for as
+// long as the vertex exists.
 func (g *Sparse) IsolateVertex(u int) {
-	for v := range g.succ[u] {
-		delete(g.pred[v], u)
-		g.nArcs--
+	for _, e := range g.succ[u] {
+		g.pred[e.v] = dropFrom(g.pred[e.v], u)
 	}
+	g.nArcs -= len(g.succ[u])
 	g.succ[u] = nil
-	for p := range g.pred[u] {
-		delete(g.succ[p], u)
-		g.nArcs--
+	for _, e := range g.pred[u] {
+		g.succ[e.v] = dropFrom(g.succ[e.v], u)
 	}
+	g.nArcs -= len(g.pred[u])
 	g.pred[u] = nil
+}
+
+// dropFrom removes the entry for v, which must be present, from row.
+func dropFrom(row []arcEnd, v int) []arcEnd {
+	i, _ := find(row, v)
+	return slices.Delete(row, i, i+1)
 }
 
 // Compact renumbers the vertex set according to remap (remap[old] =
 // new index, or -1 for a dropped vertex), shrinking it to m vertices.
-// Dropped vertices must already be isolated: a dangling arc touching
-// one always indicates a bookkeeping bug in the caller, so Compact
-// panics rather than silently dropping it. Retirement epochs use this
-// to reclaim the adjacency slots of pruned transactions.
+// remap must keep the kept vertices in their relative order (old < old'
+// implies new < new'), which is what lets every row be renumbered in
+// place and stay sorted. Dropped vertices must already be isolated: a
+// dangling arc touching one always indicates a bookkeeping bug in the
+// caller, so Compact panics rather than silently dropping it, as it
+// does on a remap that reorders. Retirement epochs use this to reclaim
+// the adjacency slots of pruned transactions.
 func (g *Sparse) Compact(remap []int, m int) {
 	if len(remap) != len(g.succ) {
 		panic(fmt.Sprintf("graph: Compact remap has %d entries for %d vertices", len(remap), len(g.succ)))
@@ -116,8 +148,12 @@ func (g *Sparse) Compact(remap []int, m int) {
 	g.pred = compactAdj(g.pred, remap, m)
 }
 
-func compactAdj(adj []map[int]int, remap []int, m int) []map[int]int {
-	out := make([]map[int]int, m)
+// compactAdj moves each kept row, renumbered in place, into a fresh
+// outer slice of m rows, so the slots of dropped vertices are released
+// with the old one.
+func compactAdj(adj [][]arcEnd, remap []int, m int) [][]arcEnd {
+	out := make([][]arcEnd, m)
+	last := -1
 	for u, row := range adj {
 		nu := remap[u]
 		if nu < 0 {
@@ -126,37 +162,41 @@ func compactAdj(adj []map[int]int, remap []int, m int) []map[int]int {
 			}
 			continue
 		}
-		if len(row) == 0 {
-			continue
+		if nu <= last {
+			panic(fmt.Sprintf("graph: Compact remap moves vertex %d to %d, not after %d", u, nu, last))
 		}
-		nr := make(map[int]int, len(row))
-		for v, mult := range row {
-			nv := remap[v]
-			if nv < 0 {
-				panic(fmt.Sprintf("graph: Compact dropped vertex %d still has an arc with %d", v, u))
+		last = nu
+		for i, e := range row {
+			if row[i].v = remap[e.v]; row[i].v < 0 {
+				panic(fmt.Sprintf("graph: Compact dropped vertex %d still has an arc with %d", e.v, u))
 			}
-			nr[nv] = mult
 		}
-		out[nu] = nr
+		out[nu] = row
 	}
 	return out
 }
 
-// Successors returns the successors of u in ascending order.
-func (g *Sparse) Successors(u int) []int { return sortedKeys(g.succ[u]) }
+// Successors returns the successors of u in ascending order, in a
+// fresh slice the caller may modify.
+func (g *Sparse) Successors(u int) []int { return vertices(g.succ[u]) }
 
-// Predecessors returns the predecessors of u in ascending order.
-func (g *Sparse) Predecessors(u int) []int { return sortedKeys(g.pred[u]) }
+// Predecessors returns the predecessors of u in ascending order, in a
+// fresh slice the caller may modify.
+func (g *Sparse) Predecessors(u int) []int { return vertices(g.pred[u]) }
+
+func vertices(row []arcEnd) []int {
+	out := make([]int, len(row))
+	for i, e := range row {
+		out[i] = e.v
+	}
+	return out
+}
 
 // hasPredecessorOutside reports whether u has a predecessor outside
-// [lo, hi], without allocating.
+// [lo, hi]: the row is sorted, so only its ends need looking at.
 func (g *Sparse) hasPredecessorOutside(u, lo, hi int) bool {
-	for p := range g.pred[u] {
-		if p < lo || p > hi {
-			return true
-		}
-	}
-	return false
+	row := g.pred[u]
+	return len(row) > 0 && (row[0].v < lo || row[len(row)-1].v > hi)
 }
 
 // OutDegree returns the number of distinct successors of u.
@@ -164,15 +204,6 @@ func (g *Sparse) OutDegree(u int) int { return len(g.succ[u]) }
 
 // InDegree returns the number of distinct predecessors of u.
 func (g *Sparse) InDegree(u int) int { return len(g.pred[u]) }
-
-func sortedKeys(m map[int]int) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
 
 // HasCycle reports whether the graph contains a directed cycle.
 func (g *Sparse) HasCycle() bool {
@@ -200,7 +231,7 @@ func (g *Sparse) FindCycleFrom(start int) []int {
 	}
 	type frame struct {
 		u    int
-		next []int
+		next []arcEnd
 		i    int
 	}
 	for _, s := range roots {
@@ -208,17 +239,17 @@ func (g *Sparse) FindCycleFrom(start int) []int {
 			continue
 		}
 		color[s] = colorGray
-		stack := []frame{{u: s, next: g.Successors(s)}}
+		stack := []frame{{u: s, next: g.succ[s]}}
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			if f.i < len(f.next) {
-				v := f.next[f.i]
+				v := f.next[f.i].v
 				f.i++
 				switch color[v] {
 				case colorWhite:
 					color[v] = colorGray
 					parent[v] = f.u
-					stack = append(stack, frame{u: v, next: g.Successors(v)})
+					stack = append(stack, frame{u: v, next: g.succ[v]})
 				case colorGray:
 					cyc := []int{v}
 					for w := f.u; w != v; w = parent[w] {
@@ -247,13 +278,13 @@ func (g *Sparse) ReachableFrom(source, target int) bool {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for v := range g.succ[u] {
-			if v == target {
+		for _, e := range g.succ[u] {
+			if e.v == target {
 				return true
 			}
-			if !seen.Has(v) {
-				seen.Set(v)
-				stack = append(stack, v)
+			if !seen.Has(e.v) {
+				seen.Set(e.v)
+				stack = append(stack, e.v)
 			}
 		}
 	}

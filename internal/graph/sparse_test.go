@@ -2,6 +2,9 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -174,5 +177,173 @@ func TestSparseCycleAgreesWithDense(t *testing.T) {
 		if s.HasCycle() != d.HasCycle() {
 			t.Fatalf("trial %d: sparse=%v dense=%v disagree", trial, s.HasCycle(), d.HasCycle())
 		}
+	}
+}
+
+// sparseModel is the reference Sparse is checked against: a plain map
+// from arc to multiplicity over n vertices.
+type sparseModel struct {
+	n    int
+	mult map[[2]int]int
+}
+
+func (m *sparseModel) neighbours(u int, out bool) []int {
+	var vs []int
+	for a := range m.mult {
+		if out && a[0] == u {
+			vs = append(vs, a[1])
+		} else if !out && a[1] == u {
+			vs = append(vs, a[0])
+		}
+	}
+	sort.Ints(vs)
+	return vs
+}
+
+func (m *sparseModel) isolate(u int) {
+	for a := range m.mult {
+		if a[0] == u || a[1] == u {
+			delete(m.mult, a)
+		}
+	}
+}
+
+// checkAgainstModel compares every observable of g with the model:
+// rows and multiplicities in both directions, the public neighbour
+// lists (sorted, and fresh slices a caller may overwrite), degrees,
+// HasArc, ArcCount and hasPredecessorOutside.
+func checkAgainstModel(t *testing.T, step int, g *Sparse, m *sparseModel, rng *rand.Rand) {
+	t.Helper()
+	if g.Len() != m.n || g.ArcCount() != len(m.mult) {
+		t.Fatalf("step %d: Len=%d ArcCount=%d, model has %d vertices and %d arcs", step, g.Len(), g.ArcCount(), m.n, len(m.mult))
+	}
+	for u := 0; u < m.n; u++ {
+		for _, e := range g.succ[u] {
+			if want := m.mult[[2]int{u, e.v}]; e.mult != want {
+				t.Fatalf("step %d: succ %d -> %d multiplicity %d, model %d", step, u, e.v, e.mult, want)
+			}
+		}
+		for _, e := range g.pred[u] {
+			if want := m.mult[[2]int{e.v, u}]; e.mult != want {
+				t.Fatalf("step %d: pred %d -> %d multiplicity %d, model %d", step, e.v, u, e.mult, want)
+			}
+		}
+		for _, out := range []bool{true, false} {
+			list, degree := g.Predecessors, g.InDegree
+			if out {
+				list, degree = g.Successors, g.OutDegree
+			}
+			want := m.neighbours(u, out)
+			got := list(u)
+			if !slices.Equal(got, want) || degree(u) != len(want) {
+				t.Fatalf("step %d: vertex %d neighbours (out=%v) %v degree %d, model %v", step, u, out, got, degree(u), want)
+			}
+			for i := range got {
+				got[i] = -1 // the caller owns the slice
+			}
+			if again := list(u); !slices.Equal(again, want) {
+				t.Fatalf("step %d: overwriting a returned neighbour list changed the graph: %v, model %v", step, again, want)
+			}
+		}
+		for v := 0; v < m.n; v++ {
+			if g.HasArc(u, v) != (m.mult[[2]int{u, v}] > 0) {
+				t.Fatalf("step %d: HasArc(%d, %d) = %v", step, u, v, g.HasArc(u, v))
+			}
+		}
+		lo := rng.Intn(m.n)
+		hi := lo + rng.Intn(m.n-lo)
+		want := false
+		for _, p := range m.neighbours(u, false) {
+			want = want || p < lo || p > hi
+		}
+		if got := g.hasPredecessorOutside(u, lo, hi); got != want {
+			t.Fatalf("step %d: hasPredecessorOutside(%d, %d, %d) = %v, model %v", step, u, lo, hi, got, want)
+		}
+	}
+}
+
+func TestSparseMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(6)
+		g, m := NewSparse(n), &sparseModel{n: n, mult: make(map[[2]int]int)}
+		for step := 0; step < 120; step++ {
+			switch r := rng.Intn(20); {
+			case r < 9: // AddArc, self-loops included
+				u, v := rng.Intn(m.n), rng.Intn(m.n)
+				g.AddArc(u, v)
+				m.mult[[2]int{u, v}]++
+			case r < 14: // RemoveArc of a present arc
+				arcs := make([][2]int, 0, len(m.mult))
+				for a := range m.mult {
+					arcs = append(arcs, a)
+				}
+				if len(arcs) == 0 {
+					continue
+				}
+				slices.SortFunc(arcs, func(a, b [2]int) int { return a[0]*m.n + a[1] - b[0]*m.n - b[1] })
+				a := arcs[rng.Intn(len(arcs))]
+				g.RemoveArc(a[0], a[1])
+				if m.mult[a]--; m.mult[a] == 0 {
+					delete(m.mult, a)
+				}
+			case r < 16:
+				u := rng.Intn(m.n)
+				g.IsolateVertex(u)
+				m.isolate(u)
+				if g.succ[u] != nil || g.pred[u] != nil {
+					t.Fatalf("trial %d step %d: IsolateVertex(%d) kept its rows", trial, step, u)
+				}
+			case r < 18: // Compact away an isolated random subset
+				remap := make([]int, m.n)
+				kept := 0
+				for u := range remap {
+					if u < m.n-1 && rng.Intn(3) == 0 { // the last vertex always stays
+						g.IsolateVertex(u)
+						m.isolate(u)
+						remap[u] = -1
+					} else {
+						remap[u] = kept
+						kept++
+					}
+				}
+				mult := make(map[[2]int]int, len(m.mult))
+				for a, k := range m.mult {
+					mult[[2]int{remap[a[0]], remap[a[1]]}] = k
+				}
+				g.Compact(remap, kept)
+				m.n, m.mult = kept, mult
+			default:
+				k := m.n + 1 + rng.Intn(3)
+				g.Grow(k)
+				m.n = k
+			}
+			checkAgainstModel(t, step, g, m, rng)
+		}
+	}
+}
+
+func TestSparseCompactPanics(t *testing.T) {
+	for _, c := range []struct {
+		remap []int
+		m     int
+		want  string
+	}{
+		{[]int{0, 1}, 2, "remap has 2 entries for 3 vertices"},
+		{[]int{-1, 0, 1}, 2, "dropping vertex 0 with 1 arcs"},
+		{[]int{0, 1, -1}, 2, "dropped vertex 2 still has an arc with 0"},
+		{[]int{1, 0, 2}, 3, "remap moves vertex 1 to 0"},
+	} {
+		t.Run(c.want, func(t *testing.T) {
+			g := NewSparse(3)
+			g.AddArc(0, 2)
+			g.AddArc(1, 2)
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, c.want) {
+					t.Errorf("Compact(%v, %d) panicked with %q, want %q", c.remap, c.m, msg, c.want)
+				}
+			}()
+			g.Compact(c.remap, c.m)
+		})
 	}
 }

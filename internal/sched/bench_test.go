@@ -12,8 +12,8 @@ import (
 // level, on the CI benchstat gate: one op is a round of 8 concurrent
 // instances x 16 operations (atomic units of 4, a quarter writes) over
 // 64 shared objects, issued round-robin, then committed and retired. A
-// Request's cost here is the dependency-clock join plus one D/F/B
-// triple per resident source transaction.
+// Request's cost here is the dependency-clock join plus one F/B pair
+// per clock entry the request advances.
 func BenchmarkRSGTRequestRel(b *testing.B) {
 	const (
 		live, ops, unit = 8, 16, 4

@@ -2,7 +2,7 @@ package sched_test
 
 // Cross-shard conflict tests: transaction sets whose atomic-unit
 // boundaries straddle shard boundaries of the runtime's key-space
-// partition. The RSGT hot path inserts each request's D/F/B delta as
+// partition. The RSGT hot path inserts each request's F/B delta as
 // one batch (graph.AddArcBatch) and relies on the batch rolling itself
 // back atomically on a cycle; these tests pin down that the batched
 // path accepts and rejects exactly the interleavings the offline

@@ -71,20 +71,22 @@ func TestPropertyRetiredRSGTMatchesTheorem1(t *testing.T) {
 
 var (
 	dotNode = regexp.MustCompile(`(?m)^  n(\d+) \[label="\S+ #(\d+)"\];$`)
-	dotEdge = regexp.MustCompile(`(?m)^  n(\d+) -> n(\d+) \[label="([IDFB,]+)"\];$`)
+	dotEdge = regexp.MustCompile(`(?m)^  n(\d+) -> n(\d+) \[label="([^"]*)"\];$`)
 
 	kindOfLetter = map[string]core.ArcKind{"I": core.IArc, "D": core.DArc, "F": core.FArc, "B": core.BArc}
 )
 
 // derivedLabelsMatchOffline admits all of s without committing, so
 // every instance stays resident, and checks RSGT's DOT snapshot against
-// the offline RSG of the same schedule. RSGT inserts only the frontier
-// arcs (per request and source transaction, the D/F/B triple of the
-// latest source operation), so the online graph is a subgraph: every
-// rendered arc must be an offline arc whose derived I/D/F/B label — not
+// the offline RSG of the same schedule. RSGT inserts only G″ (THEORY.md
+// §4): I-arcs, and per request the F- and B-arc of each clock entry it
+// advanced. So the online graph is a subgraph of Definition 3's: every
+// rendered arc must be an offline arc whose derived I/F/B label — not
 // stored with the arc, so pinned only here — is a subset of the offline
-// kinds. The frontier-reduction lemma (THEORY.md §4) is what makes the
-// subgraph enough: both graphs must have the same transitive closure.
+// kinds, no cross-transaction arc may be a D-arc alone, and the online
+// graph has no more arcs than the offline G″. The dominance lemma is
+// what makes the subgraph enough: both graphs must have the same
+// transitive closure.
 func derivedLabelsMatchOffline(t *testing.T, trial int, s *core.Schedule, sp *core.Spec) {
 	t.Helper()
 	p := sched.NewRSGT(sched.SpecOracle{Spec: sp})
@@ -127,7 +129,15 @@ func derivedLabelsMatchOffline(t *testing.T, trial int, s *core.Schedule, sp *co
 			t.Fatalf("trial %d: arc %v -> %v derived as %q, offline RSG says %q\nschedule: %s\nspec:\n%s",
 				trial, u, v, m[3], want, s, sp)
 		}
+		if u.Txn != v.Txn && got&(core.FArc|core.BArc) == 0 {
+			t.Fatalf("trial %d: cross-transaction arc %v -> %v derived as %q: RSGT inserts only staircase F/B arcs\nschedule: %s\nspec:\n%s",
+				trial, u, v, m[3], s, sp)
+		}
 		online.AddArc(ts.GlobalIndexOf(u), ts.GlobalIndexOf(v))
+	}
+	if online.ArcCount() > offline.TestedArcs() {
+		t.Fatalf("trial %d: online graph has %d arcs, offline G″ %d\nschedule: %s\nspec:\n%s\n%s",
+			trial, online.ArcCount(), offline.TestedArcs(), s, sp, dot)
 	}
 	full := graph.NewDense(ts.NumOps())
 	offline.Arcs(func(u, v core.Op, _ core.ArcKind) bool {
@@ -215,7 +225,7 @@ func TestPropertyRetiredSGTDecisionsMatchBaseline(t *testing.T) {
 // predecessor's object, then writes its own) through p with a sliding
 // window of live instances, committing the oldest as the window
 // fills. Every request's dependency source is still live, so real
-// D/F/B arcs stress the clocks, while steady-state commit keeps the
+// F/B arcs stress the clocks, while steady-state commit keeps the
 // retirement pipeline fed. Returns the final stats after a flush.
 func streamWindow(t *testing.T, p sched.Protocol, n, window int) sched.RetireStats {
 	t.Helper()

@@ -22,13 +22,14 @@ import (
 //   - at Request, the operation's dependency clock is computed — for
 //     every other resident instance, the latest operation the request
 //     transitively depends on (the join of the clocks of the same
-//     covering predecessors the offline checker uses) — and for each
-//     such frontier dependency u -> v the D-arc plus its induced F-arc
-//     (PushForward(u, txn(v)) -> v) and B-arc
-//     (u -> PullBackward(v, txn(u))) are inserted; the arcs of earlier
-//     operations of u's instance are implied by these and I-arcs
-//     (THEORY.md §4), so the graph has the reachability of Definition 3's
-//     at a cost per request bounded by the resident transactions;
+//     covering predecessors the offline checker uses). A clock entry the
+//     requester's previous operation already held induces nothing new;
+//     for each entry u -> v the object history added or raised (a
+//     staircase pair) the F-arc PushForward(u, txn(v)) -> v and the
+//     B-arc u -> PullBackward(v, txn(u)) are inserted, and no D-arc.
+//     That graph is THEORY.md §4's G″: every other arc of Definition 3
+//     is a path through it and I-arcs, so it has the same reachability
+//     with at most two arcs per clock entry a request advances;
 //   - if any insertion would close a cycle, the request is rejected
 //     with Abort: execution has already fixed the offending dependency
 //     order, so no amount of waiting can remove the cycle (arcs are
@@ -59,6 +60,10 @@ type RSGT struct {
 	// source instance's frontierAt is valid only for the current one.
 	frontier []dep
 	stamp    uint64
+	// prior is the frontier's seqs once the requester's previous
+	// operation is joined in: entries still equal to it afterwards were
+	// not advanced by the request and induce no arc.
+	prior []int
 
 	// Bounded-memory state beyond the shared certifier (see Retirer):
 	// execEntries counts the executed operations the dependency index
@@ -190,6 +195,10 @@ func (p *RSGT) Request(req OpRequest) Decision {
 	if req.Seq > 0 {
 		p.absorb(inst, inst.ops[req.Seq-1])
 	}
+	p.prior = p.prior[:0]
+	for _, d := range p.frontier {
+		p.prior = append(p.prior, d.seq)
+	}
 	hist := p.objHist[req.Op.Object]
 	for i := len(hist) - 1; i >= 0; i-- {
 		e := hist[i]
@@ -204,7 +213,7 @@ func (p *RSGT) Request(req OpRequest) Decision {
 		}
 	}
 
-	// The request's D/F/B delta is one certifier batch. Every new arc
+	// The request's F/B delta is one certifier batch. Every new arc
 	// runs from a source instance A into this requester, so a cycle
 	// needs an existing path back from the requester into A reaching a
 	// sequence <= the arc's tail. The clocks over-approximate exactly
@@ -212,7 +221,10 @@ func (p *RSGT) Request(req OpRequest) Decision {
 	// (instance-level closure) and the tail is >= minEntry[A] (the
 	// lowest sequence any outside path can reach in A).
 	minHead := math.MaxInt
-	for _, d := range p.frontier { // join kept only resident sources other than inst
+	for i, d := range p.frontier { // join kept only resident sources other than inst
+		if i < len(p.prior) && d.seq == p.prior[i] {
+			continue // implied through the requester's previous operation
+		}
 		for _, a := range p.induced(d.src, d.seq, inst, req.Seq) {
 			p.arc(d.src.vertex(a.tail), inst.vertex(a.head), d.src.slot, inst.slot, a.tail >= d.src.minEntry)
 			minHead = min(minHead, a.head)
@@ -272,20 +284,21 @@ func (p *RSGT) join(inst, src *rsgtInst, seq int) {
 // source instance, head in the dependent one.
 type rsgArc struct{ tail, head int }
 
-// dfb is the order in which induced generates a dependency's arcs, so
-// position i of a request's batch has kind dfb[i%len(dfb)].
-var dfb = [3]core.ArcKind{core.DArc, core.FArc, core.BArc}
+// fb is the order in which induced generates a staircase pair's arcs,
+// so position i of a request's batch has kind fb[i%len(fb)].
+var fb = [2]core.ArcKind{core.FArc, core.BArc}
 
-// induced returns the arcs Definition 3 adds for one cross-transaction
-// dependency — operation v = seq of inst depends on operation
-// u = srcSeq of src: the D-arc u -> v, the F-arc
-// PushForward(u, txn(v)) -> v from the last operation of u's atomic
-// unit relative to inst, and the B-arc u -> PullBackward(v, txn(u)) to
-// the first operation of v's atomic unit relative to src.
-func (p *RSGT) induced(src *rsgtInst, srcSeq int, inst *rsgtInst, seq int) [len(dfb)]rsgArc {
+// induced returns the arcs RSGT inserts for one staircase pair —
+// operation v = seq of inst depends on operation u = srcSeq of src,
+// later in src than anything an earlier operation of inst depends on:
+// the F-arc PushForward(u, txn(v)) -> v from the last operation of u's
+// atomic unit relative to inst, and the B-arc u -> PullBackward(v,
+// txn(u)) to the first operation of v's atomic unit relative to src.
+// The pair's D-arc u -> v is the path u ->I* PushForward(u, txn(v)) -> v.
+func (p *RSGT) induced(src *rsgtInst, srcSeq int, inst *rsgtInst, seq int) [len(fb)]rsgArc {
 	_, fu := unitBounds(p.cuts(src, inst), src.program.Len(), srcSeq)
 	bv, _ := unitBounds(p.cuts(inst, src), inst.program.Len(), seq)
-	return [len(dfb)]rsgArc{{srcSeq, seq}, {fu, seq}, {srcSeq, bv}}
+	return [len(fb)]rsgArc{{fu, seq}, {srcSeq, bv}}
 }
 
 // rsgtVertex names a resident graph vertex by owner and sequence.
@@ -304,33 +317,42 @@ func (p *RSGT) owners() map[int]rsgtVertex {
 	return owners
 }
 
-// deriveKinds derives the I/D/F/B label of the live arc u -> w when a
+// deriveKinds derives the I/F/B label of the live arc u -> w when a
 // cycle or snapshot is rendered, instead of storing a label per arc in
 // lock-step with the graph. Within an instance only I-arcs exist;
-// across instances the arc was induced by the clock entry for u's
-// instance of some operation of w's, so regenerating those arcs and
-// keeping the ones that land on (u, w) gives the same union of kinds
-// the insertions carried.
+// across instances the arc was induced by a clock entry for u's
+// instance that some operation of w's advanced over its previous
+// operation's, so regenerating those arcs and keeping the ones that
+// land on (u, w) gives the same union of kinds the insertions carried.
 func (p *RSGT) deriveKinds(u, w rsgtVertex) core.ArcKind {
 	if u.inst == w.inst {
 		return core.IArc
 	}
 	var mask core.ArcKind
-	// F- and D-arcs end at the dependent operation, B-arcs at the start
-	// of its unit: never after it.
+	// F-arcs end at the dependent operation, B-arcs at the start of its
+	// unit: never after it.
 	for _, e := range w.inst.ops[min(w.seq, len(w.inst.ops)):] {
-		for _, d := range e.clock {
-			if d.src != u.inst {
-				continue
-			}
-			for k, a := range p.induced(d.src, d.seq, w.inst, e.seq) {
-				if a.tail == u.seq && a.head == w.seq {
-					mask |= dfb[k]
-				}
+		seq := clockSeq(e.clock, u.inst)
+		if seq < 0 || e.seq > 0 && seq == clockSeq(w.inst.ops[e.seq-1].clock, u.inst) {
+			continue
+		}
+		for k, a := range p.induced(u.inst, seq, w.inst, e.seq) {
+			if a.tail == u.seq && a.head == w.seq {
+				mask |= fb[k]
 			}
 		}
 	}
 	return mask
+}
+
+// clockSeq returns clock's entry for src, or -1 when it has none.
+func clockSeq(clock []dep, src *rsgtInst) int {
+	for _, d := range clock {
+		if d.src == src {
+			return d.seq
+		}
+	}
+	return -1
 }
 
 // explainReject emits a cycle-reject event naming the concrete RSG
@@ -340,7 +362,7 @@ func (p *RSGT) deriveKinds(u, w rsgtVertex) core.ArcKind {
 // their batch position.
 func (p *RSGT) explainReject(req OpRequest, refused [][2]int) {
 	p.explainRefusal(refused, func(i int, path []int) {
-		kind := dfb[i%len(dfb)]
+		kind := fb[i%len(fb)]
 		ev := trace.Event{
 			Kind:     trace.KindCycleReject,
 			Protocol: p.Name(),
@@ -349,11 +371,11 @@ func (p *RSGT) explainReject(req OpRequest, refused [][2]int) {
 			Seq:      req.Seq,
 			Op:       req.Op.String(),
 			Object:   req.Op.Object,
-			Reason:   fmt.Sprintf("admitting %s would add a %s-arc closing an RSG cycle", req.Op, kind),
+			Reason:   fmt.Sprintf("admitting %s would add an RSG %s-arc closing a cycle", req.Op, kind),
 		}
 		pending := make(map[[2]int]core.ArcKind, i)
 		for j, a := range refused[:i] {
-			pending[a] |= dfb[j%len(dfb)]
+			pending[a] |= fb[j%len(fb)]
 		}
 		owners := p.owners()
 		cyc := &trace.Cycle{}
@@ -376,7 +398,7 @@ func (p *RSGT) explainReject(req OpRequest, refused [][2]int) {
 
 // dotSnapshot renders the live relative serialization graph in
 // Graphviz DOT: vertices are the resident instances' operations, arcs
-// carry their I/D/F/B kind masks. pending labels the arcs of a request
+// carry their I/F/B kind masks. pending labels the arcs of a request
 // that is being refused (see explainReject); this is the snapshot
 // emitted at every rejection point.
 func (p *RSGT) dotSnapshot(pending map[[2]int]core.ArcKind) string {

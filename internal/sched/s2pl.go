@@ -34,6 +34,10 @@ type S2PL struct {
 	insts     []int64 // vertex -> instance
 	waits     *graph.Sparse
 	waitingOn map[int64][]int64
+	// freeNodes holds the isolated vertices of released instances for
+	// reuse, so the waits-for graph is as large as the most instances
+	// ever live at once rather than every instance ever begun.
+	freeNodes []int
 
 	// entries holds per-instance state: created at Begin, dropped at
 	// release, mutated only by the owning worker in between.
@@ -99,8 +103,14 @@ func (p *S2PL) Begin(instance int64, program *core.Transaction) {
 	}
 	p.entries[instance] = &s2plInst{}
 	p.wmu.Lock()
-	p.nodeOf[instance] = p.waits.AddVertex()
-	p.insts = append(p.insts, instance)
+	if n := len(p.freeNodes); n > 0 {
+		v := p.freeNodes[n-1]
+		p.freeNodes = p.freeNodes[:n-1]
+		p.nodeOf[instance], p.insts[v] = v, instance
+	} else {
+		p.nodeOf[instance] = p.waits.AddVertex()
+		p.insts = append(p.insts, instance)
+	}
 	p.wmu.Unlock()
 	if p.tr.Enabled() {
 		p.progs[instance] = program
@@ -266,6 +276,7 @@ func (p *S2PL) release(instance int64) {
 	p.clearWaitsLocked(instance)
 	if v, ok := p.nodeOf[instance]; ok {
 		p.waits.IsolateVertex(v)
+		p.freeNodes = append(p.freeNodes, v)
 	}
 	delete(p.nodeOf, instance)
 	p.wmu.Unlock()

@@ -7,8 +7,9 @@
 //   - SGT      — serialization graph testing at transaction granularity
 //     [Bad79, Cas81];
 //   - RSGT     — relative serialization graph testing: the protocol §3
-//     of the paper proposes, maintaining the paper's RSG (I/D/F/B arcs)
-//     incrementally over operations and admitting exactly the
+//     of the paper proposes, maintaining a graph with the paper's RSG's
+//     reachability (I-arcs and staircase F/B arcs) incrementally over
+//     operations and admitting exactly the
 //     relatively serializable executions (Theorem 1);
 //   - Altruistic — altruistic locking for long-lived transactions
 //     [SGMA87], which §5 presents as the special case relative
