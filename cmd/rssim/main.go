@@ -270,7 +270,8 @@ func main() {
 		fatal(err)
 	}
 	fmt.Fprintln(status, res)
-	if rs := res.Retire; rs.Enabled {
+	if _, ok := p.(sched.Retirer); ok {
+		rs := res.Retire
 		fmt.Fprintf(status, "rsg-retire: live=%d retired=%d epochs=%d rebases=%d fastpath=%.1f%% (%d/%d)\n",
 			rs.LiveVertices, rs.RetiredVertices, rs.GraphEpochs, rs.Rebases,
 			100*rs.HitRate(), rs.FastPathHits, rs.FastPathHits+rs.FastPathMisses)

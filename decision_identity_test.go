@@ -109,29 +109,29 @@ func TestDecisionsIdenticalToPerOperationArcs(t *testing.T) {
 // arcs and closure-bitset dependency index); fast-path split re-pinned
 // for staircase F/B arcs.
 var identityGoldens = map[string]identityGolden{
-	"mix/rsgt-g1/seed1": {"rsgt: committed=96 aborts=221 restarts=221 blocks=0 ticks=645 ops=4066 mpl=6.67", 0x62ffee0c9923a75d, sched.RetireStats{Enabled: true, GraphEpochs: 15, RetiredVertices: 5072, Rebases: 6, ExecEntries: 451, FastPathHits: 3985, FastPathMisses: 136}},
-	"mix/rsgt-g1/seed2": {"rsgt: committed=96 aborts=138 restarts=138 blocks=0 ticks=532 ops=3035 mpl=6.06", 0x28d01b2280538e8a, sched.RetireStats{Enabled: true, GraphEpochs: 18, RetiredVertices: 3744, Rebases: 5, ExecEntries: 485, FastPathHits: 2941, FastPathMisses: 133}},
-	"mix/rsgt-g1/seed3": {"rsgt: committed=96 aborts=162 restarts=162 blocks=0 ticks=595 ops=3413 mpl=5.98", 0xccdd197cf2b40dcc, sched.RetireStats{Enabled: true, GraphEpochs: 23, RetiredVertices: 4128, Rebases: 5, ExecEntries: 487, FastPathHits: 3327, FastPathMisses: 131}},
-	"mix/rsgt-g1/seed4": {"rsgt: committed=96 aborts=139 restarts=139 blocks=0 ticks=462 ops=2913 mpl=6.69", 0xb64fb36bc245745b, sched.RetireStats{Enabled: true, GraphEpochs: 17, RetiredVertices: 3760, Rebases: 4, ExecEntries: 462, FastPathHits: 2851, FastPathMisses: 99}},
-	"mix/rsgt-g1/seed5": {"rsgt: committed=96 aborts=127 restarts=127 blocks=0 ticks=598 ops=3074 mpl=5.35", 0x5f433960e081e808, sched.RetireStats{Enabled: true, GraphEpochs: 14, RetiredVertices: 3568, Rebases: 5, ExecEntries: 486, FastPathHits: 3038, FastPathMisses: 70}},
-	"mix/rsgt-g4/seed1": {"rsgt: committed=96 aborts=202 restarts=202 blocks=0 ticks=558 ops=3786 mpl=7.27", 0x3d7c44586eb85919, sched.RetireStats{Enabled: true, GraphEpochs: 16, RetiredVertices: 4768, Rebases: 5, ExecEntries: 434, FastPathHits: 3693, FastPathMisses: 139}},
-	"mix/rsgt-g4/seed2": {"rsgt: committed=96 aborts=147 restarts=147 blocks=0 ticks=507 ops=3025 mpl=6.34", 0x7db64046b1f56434, sched.RetireStats{Enabled: true, GraphEpochs: 11, RetiredVertices: 3888, Rebases: 5, ExecEntries: 503, FastPathHits: 2943, FastPathMisses: 123}},
-	"mix/rsgt-g4/seed3": {"rsgt: committed=96 aborts=149 restarts=149 blocks=0 ticks=642 ops=3303 mpl=5.38", 0x1757a3f287c95444, sched.RetireStats{Enabled: true, GraphEpochs: 10, RetiredVertices: 3920, Rebases: 5, ExecEntries: 469, FastPathHits: 3235, FastPathMisses: 110}},
-	"mix/rsgt-g4/seed4": {"rsgt: committed=96 aborts=139 restarts=139 blocks=0 ticks=462 ops=2913 mpl=6.69", 0xb64fb36bc245745b, sched.RetireStats{Enabled: true, GraphEpochs: 17, RetiredVertices: 3760, Rebases: 4, ExecEntries: 462, FastPathHits: 2840, FastPathMisses: 110}},
-	"mix/rsgt-g4/seed5": {"rsgt: committed=96 aborts=131 restarts=131 blocks=0 ticks=783 ops=3112 mpl=4.14", 0x72498f3c4ae13a64, sched.RetireStats{Enabled: true, GraphEpochs: 14, RetiredVertices: 3632, Rebases: 5, ExecEntries: 484, FastPathHits: 3064, FastPathMisses: 86}},
-	"mix/ral-g4/seed1":  {"ral: committed=96 aborts=175 restarts=175 blocks=3411 ticks=1224 ops=3599 mpl=7.58", 0x44d632f2d68d848b, sched.RetireStats{Enabled: true, GraphEpochs: 47, RetiredVertices: 4336, Rebases: 6, ExecEntries: 506, FastPathHits: 3579, FastPathMisses: 23}},
-	"mix/ral-g4/seed2":  {"ral: committed=96 aborts=145 restarts=145 blocks=2283 ticks=854 ops=3207 mpl=7.64", 0xc2b476f0aa97f2a, sched.RetireStats{Enabled: true, GraphEpochs: 42, RetiredVertices: 3856, Rebases: 5, ExecEntries: 492, FastPathHits: 3188, FastPathMisses: 24}},
-	"mix/ral-g4/seed3":  {"ral: committed=96 aborts=163 restarts=163 blocks=2109 ticks=1027 ops=3317 mpl=6.39", 0x2ef60abb9d6795f0, sched.RetireStats{Enabled: true, GraphEpochs: 17, RetiredVertices: 4144, Rebases: 5, ExecEntries: 506, FastPathHits: 3301, FastPathMisses: 25}},
-	"mix/ral-g4/seed4":  {"ral: committed=96 aborts=117 restarts=117 blocks=1820 ticks=761 ops=2755 mpl=6.71", 0x5c23325670efcc99, sched.RetireStats{Enabled: true, GraphEpochs: 14, RetiredVertices: 3408, Rebases: 4, ExecEntries: 468, FastPathHits: 2743, FastPathMisses: 18}},
-	"mix/ral-g4/seed5":  {"ral: committed=96 aborts=159 restarts=159 blocks=2154 ticks=891 ops=3322 mpl=7.14", 0xde14ffc5bace7a64, sched.RetireStats{Enabled: true, GraphEpochs: 45, RetiredVertices: 4080, Rebases: 5, ExecEntries: 487, FastPathHits: 3314, FastPathMisses: 17}},
-	"bank/rsgt/seed1":   {"rsgt: committed=109 aborts=30 restarts=30 blocks=0 ticks=114 ops=585 mpl=5.38", 0xdadc64a75c4d9121, sched.RetireStats{Enabled: true, GraphEpochs: 10, RetiredVertices: 668, Rebases: 1, ExecEntries: 127, FastPathHits: 585, FastPathMisses: 26}},
-	"bank/rsgt/seed2":   {"rsgt: committed=109 aborts=35 restarts=35 blocks=0 ticks=116 ops=590 mpl=5.37", 0xac6a7f8a030d9314, sched.RetireStats{Enabled: true, GraphEpochs: 10, RetiredVertices: 690, Rebases: 1, ExecEntries: 117, FastPathHits: 590, FastPathMisses: 32}},
-	"bank/rsgt/seed3":   {"rsgt: committed=109 aborts=33 restarts=33 blocks=0 ticks=117 ops=597 mpl=5.36", 0xd19cdc640bc3038e, sched.RetireStats{Enabled: true, GraphEpochs: 10, RetiredVertices: 680, Rebases: 1, ExecEntries: 120, FastPathHits: 597, FastPathMisses: 30}},
-	"bank/rsgt/seed4":   {"rsgt: committed=109 aborts=26 restarts=26 blocks=0 ticks=101 ops=562 mpl=5.82", 0x3fe48efb359fed0d, sched.RetireStats{Enabled: true, GraphEpochs: 9, RetiredVertices: 608, Rebases: 1, ExecEntries: 119, FastPathHits: 562, FastPathMisses: 24}},
-	"bank/rsgt/seed5":   {"rsgt: committed=109 aborts=23 restarts=23 blocks=0 ticks=121 ops=574 mpl=4.93", 0x308b170cb3bc3298, sched.RetireStats{Enabled: true, GraphEpochs: 10, RetiredVertices: 640, Rebases: 1, ExecEntries: 134, FastPathHits: 574, FastPathMisses: 22}},
-	"bank/ral/seed1":    {"ral: committed=109 aborts=24 restarts=24 blocks=106 ticks=109 ops=559 mpl=6.33", 0x688b54e570885aab, sched.RetireStats{Enabled: true, GraphEpochs: 10, RetiredVertices: 600, Rebases: 1, ExecEntries: 133, FastPathHits: 559, FastPathMisses: 0}},
-	"bank/ral/seed2":    {"ral: committed=109 aborts=35 restarts=35 blocks=261 ticks=168 ops=583 mpl=5.24", 0x476dab884b0887b8, sched.RetireStats{Enabled: true, GraphEpochs: 10, RetiredVertices: 644, Rebases: 1, ExecEntries: 109, FastPathHits: 583, FastPathMisses: 0}},
-	"bank/ral/seed3":    {"ral: committed=109 aborts=40 restarts=40 blocks=164 ticks=177 ops=616 mpl=4.64", 0x572b700c8006a634, sched.RetireStats{Enabled: true, GraphEpochs: 11, RetiredVertices: 710, Rebases: 1, ExecEntries: 129, FastPathHits: 616, FastPathMisses: 0}},
-	"bank/ral/seed4":    {"ral: committed=109 aborts=46 restarts=46 blocks=125 ticks=140 ops=625 mpl=5.69", 0xcfc8fb8d5906ba13, sched.RetireStats{Enabled: true, GraphEpochs: 12, RetiredVertices: 734, Rebases: 1, ExecEntries: 121, FastPathHits: 625, FastPathMisses: 0}},
-	"bank/ral/seed5":    {"ral: committed=109 aborts=18 restarts=18 blocks=82 ticks=107 ops=544 mpl=6.03", 0x9ad88284a58d0350, sched.RetireStats{Enabled: true, GraphEpochs: 9, RetiredVertices: 576, Rebases: 1, ExecEntries: 134, FastPathHits: 544, FastPathMisses: 0}},
+	"mix/rsgt-g1/seed1": {"rsgt: committed=96 aborts=221 restarts=221 blocks=0 ticks=645 ops=4066 mpl=6.67", 0x62ffee0c9923a75d, sched.RetireStats{GraphEpochs: 15, RetiredVertices: 5072, Rebases: 6, ExecEntries: 451, FastPathHits: 3985, FastPathMisses: 136}},
+	"mix/rsgt-g1/seed2": {"rsgt: committed=96 aborts=138 restarts=138 blocks=0 ticks=532 ops=3035 mpl=6.06", 0x28d01b2280538e8a, sched.RetireStats{GraphEpochs: 18, RetiredVertices: 3744, Rebases: 5, ExecEntries: 485, FastPathHits: 2941, FastPathMisses: 133}},
+	"mix/rsgt-g1/seed3": {"rsgt: committed=96 aborts=162 restarts=162 blocks=0 ticks=595 ops=3413 mpl=5.98", 0xccdd197cf2b40dcc, sched.RetireStats{GraphEpochs: 23, RetiredVertices: 4128, Rebases: 5, ExecEntries: 487, FastPathHits: 3327, FastPathMisses: 131}},
+	"mix/rsgt-g1/seed4": {"rsgt: committed=96 aborts=139 restarts=139 blocks=0 ticks=462 ops=2913 mpl=6.69", 0xb64fb36bc245745b, sched.RetireStats{GraphEpochs: 17, RetiredVertices: 3760, Rebases: 4, ExecEntries: 462, FastPathHits: 2851, FastPathMisses: 99}},
+	"mix/rsgt-g1/seed5": {"rsgt: committed=96 aborts=127 restarts=127 blocks=0 ticks=598 ops=3074 mpl=5.35", 0x5f433960e081e808, sched.RetireStats{GraphEpochs: 14, RetiredVertices: 3568, Rebases: 5, ExecEntries: 486, FastPathHits: 3038, FastPathMisses: 70}},
+	"mix/rsgt-g4/seed1": {"rsgt: committed=96 aborts=202 restarts=202 blocks=0 ticks=558 ops=3786 mpl=7.27", 0x3d7c44586eb85919, sched.RetireStats{GraphEpochs: 16, RetiredVertices: 4768, Rebases: 5, ExecEntries: 434, FastPathHits: 3693, FastPathMisses: 139}},
+	"mix/rsgt-g4/seed2": {"rsgt: committed=96 aborts=147 restarts=147 blocks=0 ticks=507 ops=3025 mpl=6.34", 0x7db64046b1f56434, sched.RetireStats{GraphEpochs: 11, RetiredVertices: 3888, Rebases: 5, ExecEntries: 503, FastPathHits: 2943, FastPathMisses: 123}},
+	"mix/rsgt-g4/seed3": {"rsgt: committed=96 aborts=149 restarts=149 blocks=0 ticks=642 ops=3303 mpl=5.38", 0x1757a3f287c95444, sched.RetireStats{GraphEpochs: 10, RetiredVertices: 3920, Rebases: 5, ExecEntries: 469, FastPathHits: 3235, FastPathMisses: 110}},
+	"mix/rsgt-g4/seed4": {"rsgt: committed=96 aborts=139 restarts=139 blocks=0 ticks=462 ops=2913 mpl=6.69", 0xb64fb36bc245745b, sched.RetireStats{GraphEpochs: 17, RetiredVertices: 3760, Rebases: 4, ExecEntries: 462, FastPathHits: 2840, FastPathMisses: 110}},
+	"mix/rsgt-g4/seed5": {"rsgt: committed=96 aborts=131 restarts=131 blocks=0 ticks=783 ops=3112 mpl=4.14", 0x72498f3c4ae13a64, sched.RetireStats{GraphEpochs: 14, RetiredVertices: 3632, Rebases: 5, ExecEntries: 484, FastPathHits: 3064, FastPathMisses: 86}},
+	"mix/ral-g4/seed1":  {"ral: committed=96 aborts=175 restarts=175 blocks=3411 ticks=1224 ops=3599 mpl=7.58", 0x44d632f2d68d848b, sched.RetireStats{GraphEpochs: 47, RetiredVertices: 4336, Rebases: 6, ExecEntries: 506, FastPathHits: 3579, FastPathMisses: 23}},
+	"mix/ral-g4/seed2":  {"ral: committed=96 aborts=145 restarts=145 blocks=2283 ticks=854 ops=3207 mpl=7.64", 0xc2b476f0aa97f2a, sched.RetireStats{GraphEpochs: 42, RetiredVertices: 3856, Rebases: 5, ExecEntries: 492, FastPathHits: 3188, FastPathMisses: 24}},
+	"mix/ral-g4/seed3":  {"ral: committed=96 aborts=163 restarts=163 blocks=2109 ticks=1027 ops=3317 mpl=6.39", 0x2ef60abb9d6795f0, sched.RetireStats{GraphEpochs: 17, RetiredVertices: 4144, Rebases: 5, ExecEntries: 506, FastPathHits: 3301, FastPathMisses: 25}},
+	"mix/ral-g4/seed4":  {"ral: committed=96 aborts=117 restarts=117 blocks=1820 ticks=761 ops=2755 mpl=6.71", 0x5c23325670efcc99, sched.RetireStats{GraphEpochs: 14, RetiredVertices: 3408, Rebases: 4, ExecEntries: 468, FastPathHits: 2743, FastPathMisses: 18}},
+	"mix/ral-g4/seed5":  {"ral: committed=96 aborts=159 restarts=159 blocks=2154 ticks=891 ops=3322 mpl=7.14", 0xde14ffc5bace7a64, sched.RetireStats{GraphEpochs: 45, RetiredVertices: 4080, Rebases: 5, ExecEntries: 487, FastPathHits: 3314, FastPathMisses: 17}},
+	"bank/rsgt/seed1":   {"rsgt: committed=109 aborts=30 restarts=30 blocks=0 ticks=114 ops=585 mpl=5.38", 0xdadc64a75c4d9121, sched.RetireStats{GraphEpochs: 10, RetiredVertices: 668, Rebases: 1, ExecEntries: 127, FastPathHits: 585, FastPathMisses: 26}},
+	"bank/rsgt/seed2":   {"rsgt: committed=109 aborts=35 restarts=35 blocks=0 ticks=116 ops=590 mpl=5.37", 0xac6a7f8a030d9314, sched.RetireStats{GraphEpochs: 10, RetiredVertices: 690, Rebases: 1, ExecEntries: 117, FastPathHits: 590, FastPathMisses: 32}},
+	"bank/rsgt/seed3":   {"rsgt: committed=109 aborts=33 restarts=33 blocks=0 ticks=117 ops=597 mpl=5.36", 0xd19cdc640bc3038e, sched.RetireStats{GraphEpochs: 10, RetiredVertices: 680, Rebases: 1, ExecEntries: 120, FastPathHits: 597, FastPathMisses: 30}},
+	"bank/rsgt/seed4":   {"rsgt: committed=109 aborts=26 restarts=26 blocks=0 ticks=101 ops=562 mpl=5.82", 0x3fe48efb359fed0d, sched.RetireStats{GraphEpochs: 9, RetiredVertices: 608, Rebases: 1, ExecEntries: 119, FastPathHits: 562, FastPathMisses: 24}},
+	"bank/rsgt/seed5":   {"rsgt: committed=109 aborts=23 restarts=23 blocks=0 ticks=121 ops=574 mpl=4.93", 0x308b170cb3bc3298, sched.RetireStats{GraphEpochs: 10, RetiredVertices: 640, Rebases: 1, ExecEntries: 134, FastPathHits: 574, FastPathMisses: 22}},
+	"bank/ral/seed1":    {"ral: committed=109 aborts=24 restarts=24 blocks=106 ticks=109 ops=559 mpl=6.33", 0x688b54e570885aab, sched.RetireStats{GraphEpochs: 10, RetiredVertices: 600, Rebases: 1, ExecEntries: 133, FastPathHits: 559, FastPathMisses: 0}},
+	"bank/ral/seed2":    {"ral: committed=109 aborts=35 restarts=35 blocks=261 ticks=168 ops=583 mpl=5.24", 0x476dab884b0887b8, sched.RetireStats{GraphEpochs: 10, RetiredVertices: 644, Rebases: 1, ExecEntries: 109, FastPathHits: 583, FastPathMisses: 0}},
+	"bank/ral/seed3":    {"ral: committed=109 aborts=40 restarts=40 blocks=164 ticks=177 ops=616 mpl=4.64", 0x572b700c8006a634, sched.RetireStats{GraphEpochs: 11, RetiredVertices: 710, Rebases: 1, ExecEntries: 129, FastPathHits: 616, FastPathMisses: 0}},
+	"bank/ral/seed4":    {"ral: committed=109 aborts=46 restarts=46 blocks=125 ticks=140 ops=625 mpl=5.69", 0xcfc8fb8d5906ba13, sched.RetireStats{GraphEpochs: 12, RetiredVertices: 734, Rebases: 1, ExecEntries: 121, FastPathHits: 625, FastPathMisses: 0}},
+	"bank/ral/seed5":    {"ral: committed=109 aborts=18 restarts=18 blocks=82 ticks=107 ops=544 mpl=6.03", 0x9ad88284a58d0350, sched.RetireStats{GraphEpochs: 9, RetiredVertices: 576, Rebases: 1, ExecEntries: 134, FastPathHits: 544, FastPathMisses: 0}},
 }

@@ -148,7 +148,6 @@ func (cfg *Config) normalize() error {
 	if w, ok := cfg.WAL.(*storage.ShardedWAL); ok && w == nil {
 		cfg.WAL = nil
 	}
-	sched.SetRetirement(cfg.Protocol, true)
 	if cfg.Tracer != nil {
 		sched.Attach(cfg.Protocol, cfg.Tracer)
 		cfg.Store.SetTracer(cfg.Tracer)

@@ -15,9 +15,28 @@ import (
 // Request's cost here is the dependency-clock join plus one F/B pair
 // per clock entry the request advances.
 func BenchmarkRSGTRequestRel(b *testing.B) {
+	cuts := []int{4, 8, 12}
+	benchRounds(b, sched.NewRSGT(sched.OracleFunc(func(_, _ *core.Transaction) []int { return cuts })))
+}
+
+// BenchmarkSGTRequest is the same round under SGT — RSGT's
+// AbsoluteOracle special case, one vertex per instance — whose traffic
+// (E8, E13, examples/longlived, rssim -protocol sgt) no ladder workload
+// runs. A Request's cost here is the covering scan plus one arc per
+// distinct resident source.
+func BenchmarkSGTRequest(b *testing.B) { benchRounds(b, sched.NewSGT()) }
+
+// benchRounds drives p through b.N rounds of live instances drawn from
+// a fixed pool of programs: every instance issues its ops round-robin,
+// aborts on refusal, and the survivors commit before the low-water mark
+// moves past the round and retirement is flushed.
+func benchRounds(b *testing.B, p interface {
+	sched.Protocol
+	sched.Retirer
+}) {
 	const (
-		live, ops, unit = 8, 16, 4
-		objects, pool   = 64, 64
+		live, ops     = 8, 16
+		objects, pool = 64, 64
 	)
 	rng := rand.New(rand.NewSource(16))
 	progs := make([]*core.Transaction, pool)
@@ -33,9 +52,6 @@ func BenchmarkRSGTRequestRel(b *testing.B) {
 		}
 		progs[i] = core.T(core.TxnID(i+1), body...)
 	}
-	cuts := []int{unit, 2 * unit, 3 * unit}
-	p := sched.NewRSGT(sched.OracleFunc(func(_, _ *core.Transaction) []int { return cuts }))
-	p.SetRetirement(true)
 
 	b.ReportAllocs()
 	b.ResetTimer()

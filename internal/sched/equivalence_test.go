@@ -10,13 +10,20 @@ package sched_test
 //
 // Both directions hold because the graphs the protocols build online
 // are exactly the offline graphs restricted to executed prefixes, and
-// committed-source pruning can never remove a cycle participant.
+// committed-source pruning can never remove a cycle participant. So
+// the property is checked operation by operation: the first refusal
+// must land on the first executed prefix the offline test rejects,
+// whether retirement only prunes or flushes after every commit.
 
 import (
 	"math/rand"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"relser/internal/core"
+	"relser/internal/graph"
 	"relser/internal/sched"
 )
 
@@ -68,9 +75,13 @@ func genSchedInstance(rng *rand.Rand) (*core.TxnSet, *core.Spec, *core.Schedule)
 	return ts, sp, core.MustSchedule(ts, ops)
 }
 
-// admits replays s through p, committing each transaction after its
-// final operation, and reports whether every operation was granted.
-func admits(p sched.Protocol, s *core.Schedule) bool {
+// firstRefusal feeds s through p one operation at a time, committing each
+// transaction after its final operation. With flush every commit is
+// followed by a retirement flush, so the graph compacts while the
+// schedule is still in flight (small corpora never reach the
+// count-based epoch thresholds on their own). It returns the position
+// of the first operation not granted, or s.Len() when all were.
+func firstRefusal(p sched.Protocol, s *core.Schedule, flush bool) int {
 	ts := s.Set()
 	for _, tx := range ts.Txns() {
 		p.Begin(int64(tx.ID), tx)
@@ -81,38 +92,178 @@ func admits(p sched.Protocol, s *core.Schedule) bool {
 		tx := ts.Txn(op.Txn)
 		req := sched.OpRequest{Instance: int64(op.Txn), Program: tx, Seq: executed[op.Txn], Op: op}
 		if p.Request(req) != sched.Grant {
-			return false
+			return pos
 		}
 		executed[op.Txn]++
 		if executed[op.Txn] == tx.Len() {
 			p.Commit(int64(op.Txn))
+			if flush {
+				p.(sched.Retirer).FlushRetirement()
+			}
 		}
 	}
-	return true
+	return s.Len()
 }
+
+// admits reports whether p grants every operation of s.
+func admits(p sched.Protocol, s *core.Schedule) bool { return firstRefusal(p, s, false) == s.Len() }
+
+// prefix returns the first n operations of s as a schedule of their
+// own: each transaction truncated to its operations among them (and
+// dropped if it has none), and sp restricted to the truncated programs.
+func prefix(s *core.Schedule, sp *core.Spec, n int) (*core.Schedule, *core.Spec) {
+	ops := make([]core.Op, n)
+	executed := make(map[core.TxnID]int)
+	for pos := range ops {
+		ops[pos] = s.At(pos)
+		executed[ops[pos].Txn]++
+	}
+	var txns []*core.Transaction
+	for _, tx := range s.Set().Txns() {
+		if k := executed[tx.ID]; k > 0 {
+			txns = append(txns, core.T(tx.ID, tx.Ops[:k]...))
+		}
+	}
+	ts := core.MustTxnSet(txns...)
+	full := sched.SpecOracle{Spec: sp}
+	restricted, err := core.SpecFromCuts(ts, func(a, b *core.Transaction) []int {
+		var cuts []int
+		for _, c := range full.Cuts(s.Set().Txn(a.ID), s.Set().Txn(b.ID)) {
+			if c < a.Len() {
+				cuts = append(cuts, c)
+			}
+		}
+		return cuts
+	})
+	if err != nil {
+		panic(err)
+	}
+	return core.MustSchedule(ts, ops), restricted
+}
+
+// firstRejected returns the position whose execution first makes the
+// executed prefix of s unacceptable to the offline oracle — the
+// operation an exact online protocol must refuse — or s.Len() when the
+// whole schedule is acceptable.
+func firstRejected(s *core.Schedule, sp *core.Spec, oracle func(*core.Schedule, *core.Spec) bool) int {
+	for n := 1; n <= s.Len(); n++ {
+		if !oracle(prefix(s, sp, n)) {
+			return n - 1
+		}
+	}
+	return s.Len()
+}
+
+// matchesOracle replays s through p — with a retirement flush after
+// every commit when flush is set, otherwise pruning only — and fails
+// unless p refuses first exactly where the offline oracle first
+// rejects the executed prefix (or, on an acceptable schedule, grants
+// everything). It returns the oracle's position.
+func matchesOracle(t *testing.T, trial int, s *core.Schedule, sp *core.Spec, p sched.Protocol, flush bool, oracle func(*core.Schedule, *core.Spec) bool) int {
+	t.Helper()
+	want := firstRejected(s, sp, oracle)
+	if got := firstRefusal(p, s, flush); got != want {
+		t.Fatalf("trial %d (flush=%v): first refusal at position %d, offline oracle first rejects the prefix ending at %d (%d = none)\nschedule: %s\nspec:\n%s",
+			trial, flush, got, want, s.Len(), s, sp)
+	}
+	return want
+}
+
+func conflictSerializable(s *core.Schedule, _ *core.Spec) bool { return core.IsConflictSerializable(s) }
 
 func TestPropertyRSGTMatchesTheorem1(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
 	for trial := 0; trial < 400; trial++ {
 		_, sp, s := genSchedInstance(rng)
-		offline := core.IsRelativelySerializable(s, sp)
-		online := admits(sched.NewRSGT(sched.SpecOracle{Spec: sp}), s)
-		if offline != online {
-			t.Fatalf("trial %d: offline=%v online=%v\nschedule: %s\nspec:\n%s",
-				trial, offline, online, s, sp)
+		matchesOracle(t, trial, s, sp, sched.NewRSGT(sched.SpecOracle{Spec: sp}), false, core.IsRelativelySerializable)
+	}
+}
+
+// TestPropertyRetiredRSGTMatchesTheorem1 replays the same corpus with
+// a retirement flush after every commit, and checks the online graph
+// of every admissible schedule against the offline RSG.
+func TestPropertyRetiredRSGTMatchesTheorem1(t *testing.T) {
+	rng := rand.New(rand.NewSource(404))
+	admissible := 0
+	for trial := 0; trial < 400; trial++ {
+		_, sp, s := genSchedInstance(rng)
+		if matchesOracle(t, trial, s, sp, sched.NewRSGT(sched.SpecOracle{Spec: sp}), true, core.IsRelativelySerializable) == s.Len() {
+			admissible++
+			derivedLabelsMatchOffline(t, trial, s, sp)
 		}
+	}
+	if admissible == 0 || admissible == 400 {
+		t.Fatalf("%d of 400 schedules admissible: the sample must exercise both verdicts", admissible)
 	}
 }
 
 func TestPropertySGTMatchesConflictSerializability(t *testing.T) {
 	rng := rand.New(rand.NewSource(505))
 	for trial := 0; trial < 400; trial++ {
-		_, _, s := genSchedInstance(rng)
-		offline := core.IsConflictSerializable(s)
-		online := admits(sched.NewSGT(), s)
-		if offline != online {
-			t.Fatalf("trial %d: offline=%v online=%v\nschedule: %s", trial, offline, online, s)
+		_, sp, s := genSchedInstance(rng)
+		matchesOracle(t, trial, s, sp, sched.NewSGT(), false, conflictSerializable)
+	}
+}
+
+func TestPropertyRetiredSGTMatchesConflictSerializability(t *testing.T) {
+	rng := rand.New(rand.NewSource(505))
+	for trial := 0; trial < 400; trial++ {
+		_, sp, s := genSchedInstance(rng)
+		matchesOracle(t, trial, s, sp, sched.NewSGT(), true, conflictSerializable)
+	}
+}
+
+// lockstep replays s through two protocols simultaneously and fails on
+// the first operation where their decisions differ. Commit follows
+// each transaction's final granted operation on both sides; only the
+// retired side flushes retirement after it, while the baseline keeps
+// every committed vertex that pruning leaves (small corpora never
+// reach the epoch thresholds). The replay stops at the first
+// non-Grant, like firstRefusal.
+func lockstep(t *testing.T, trial int, s *core.Schedule, base, retired sched.Protocol) {
+	t.Helper()
+	ts := s.Set()
+	for _, tx := range ts.Txns() {
+		base.Begin(int64(tx.ID), tx)
+		retired.Begin(int64(tx.ID), tx)
+	}
+	executed := make(map[core.TxnID]int)
+	for pos := 0; pos < s.Len(); pos++ {
+		op := s.At(pos)
+		tx := ts.Txn(op.Txn)
+		req := sched.OpRequest{Instance: int64(op.Txn), Program: tx, Seq: executed[op.Txn], Op: op}
+		db := base.Request(req)
+		dr := retired.Request(req)
+		if db != dr {
+			t.Fatalf("trial %d pos %d (%s): baseline=%v retired=%v\nschedule: %s", trial, pos, op, db, dr, s)
 		}
+		if db != sched.Grant {
+			return
+		}
+		executed[op.Txn]++
+		if executed[op.Txn] == tx.Len() {
+			base.Commit(int64(op.Txn))
+			retired.Commit(int64(op.Txn))
+			retired.(sched.Retirer).FlushRetirement()
+		}
+	}
+}
+
+func TestPropertyRetiredRSGTDecisionsMatchBaseline(t *testing.T) {
+	rng := rand.New(rand.NewSource(1010))
+	for trial := 0; trial < 300; trial++ {
+		_, sp, s := genSchedInstance(rng)
+		lockstep(t, trial, s,
+			sched.NewRSGT(sched.SpecOracle{Spec: sp}),
+			sched.NewRSGT(sched.SpecOracle{Spec: sp}))
+	}
+}
+
+func TestPropertyRetiredSGTDecisionsMatchBaseline(t *testing.T) {
+	rng := rand.New(rand.NewSource(1111))
+	for trial := 0; trial < 300; trial++ {
+		_, _, s := genSchedInstance(rng)
+		lockstep(t, trial, s, sched.NewSGT(), sched.NewSGT())
 	}
 }
 
@@ -147,22 +298,122 @@ func TestPropertyRSGTMonotoneInSpec(t *testing.T) {
 	}
 }
 
-func TestRSGTPruningBoundsGraph(t *testing.T) {
-	// Sequential (non-overlapping) transactions must be pruned as they
-	// commit: the incremental graph's live vertex count stays bounded
-	// while hundreds of transactions stream through. We observe this
-	// indirectly: the replay stays fast and admits everything.
-	p := sched.NewRSGT(sched.AbsoluteOracle{})
-	for i := 1; i <= 500; i++ {
-		tx := core.T(core.TxnID(i), core.R("x"), core.W("x"))
-		p.Begin(int64(i), tx)
-		for seq := 0; seq < 2; seq++ {
-			req := sched.OpRequest{Instance: int64(i), Program: tx, Seq: seq, Op: tx.Op(seq)}
-			if d := p.Request(req); d != sched.Grant {
-				t.Fatalf("sequential txn %d op %d: %v", i, seq, d)
+var (
+	dotNode = regexp.MustCompile(`(?m)^  n(\d+) \[label="\S+ #(\d+)"\];$`)
+	dotEdge = regexp.MustCompile(`(?m)^  n(\d+) -> n(\d+) \[label="([^"]*)"\];$`)
+
+	kindOfLetter = map[string]core.ArcKind{"I": core.IArc, "D": core.DArc, "F": core.FArc, "B": core.BArc}
+)
+
+// derivedLabelsMatchOffline admits all of s without committing, so
+// every instance stays resident, and checks RSGT's DOT snapshot against
+// the offline RSG of the same schedule. RSGT inserts only G″ (THEORY.md
+// §4): I-arcs, and per request the F- and B-arc of each clock entry it
+// advanced. So the online graph is a subgraph of Definition 3's: every
+// rendered arc must be an offline arc whose derived I/F/B label — not
+// stored with the arc, so pinned only here — is a subset of the offline
+// kinds, no cross-transaction arc may be a D-arc alone, and the online
+// graph has no more arcs than the offline G″. The dominance lemma is
+// what makes the subgraph enough: both graphs must have the same
+// transitive closure.
+func derivedLabelsMatchOffline(t *testing.T, trial int, s *core.Schedule, sp *core.Spec) {
+	t.Helper()
+	p := sched.NewRSGT(sched.SpecOracle{Spec: sp})
+	ts := s.Set()
+	for _, tx := range ts.Txns() {
+		p.Begin(int64(tx.ID), tx)
+	}
+	executed := make(map[core.TxnID]int)
+	for pos := 0; pos < s.Len(); pos++ {
+		op := s.At(pos)
+		req := sched.OpRequest{Instance: int64(op.Txn), Program: ts.Txn(op.Txn), Seq: executed[op.Txn], Op: op}
+		if d := p.Request(req); d != sched.Grant {
+			t.Fatalf("trial %d: relatively serializable schedule refused at %s: %v", trial, op, d)
+		}
+		executed[op.Txn]++
+	}
+	dot := p.DotSnapshot()
+	// Nodes are listed per instance in program order.
+	opOf := make(map[string]core.Op)
+	next := make(map[core.TxnID]int)
+	for _, m := range dotNode.FindAllStringSubmatch(dot, -1) {
+		id, _ := strconv.Atoi(m[2])
+		tx := ts.Txn(core.TxnID(id))
+		opOf[m[1]] = tx.Op(next[tx.ID])
+		next[tx.ID]++
+	}
+	if len(opOf) != ts.NumOps() {
+		t.Fatalf("trial %d: snapshot names %d of %d operations:\n%s", trial, len(opOf), ts.NumOps(), dot)
+	}
+	offline := core.BuildRSG(s, sp)
+	online := graph.NewDense(ts.NumOps())
+	for _, m := range dotEdge.FindAllStringSubmatch(dot, -1) {
+		u, v := opOf[m[1]], opOf[m[2]]
+		var got core.ArcKind
+		for _, letter := range strings.Split(m[3], ",") {
+			got |= kindOfLetter[letter]
+		}
+		if want := offline.ArcKinds(u, v); got == 0 || got&^want != 0 {
+			t.Fatalf("trial %d: arc %v -> %v derived as %q, offline RSG says %q\nschedule: %s\nspec:\n%s",
+				trial, u, v, m[3], want, s, sp)
+		}
+		if u.Txn != v.Txn && got&(core.FArc|core.BArc) == 0 {
+			t.Fatalf("trial %d: cross-transaction arc %v -> %v derived as %q: RSGT inserts only staircase F/B arcs\nschedule: %s\nspec:\n%s",
+				trial, u, v, m[3], s, sp)
+		}
+		online.AddArc(ts.GlobalIndexOf(u), ts.GlobalIndexOf(v))
+	}
+	if online.ArcCount() > offline.TestedArcs() {
+		t.Fatalf("trial %d: online graph has %d arcs, offline G″ %d\nschedule: %s\nspec:\n%s\n%s",
+			trial, online.ArcCount(), offline.TestedArcs(), s, sp, dot)
+	}
+	full := graph.NewDense(ts.NumOps())
+	offline.Arcs(func(u, v core.Op, _ core.ArcKind) bool {
+		full.AddArc(ts.GlobalIndexOf(u), ts.GlobalIndexOf(v))
+		return true
+	})
+	reach, want := online.TransitiveClosure(), full.TransitiveClosure()
+	for u := 0; u < ts.NumOps(); u++ {
+		for v := 0; v < ts.NumOps(); v++ {
+			if reach.HasArc(u, v) != want.HasArc(u, v) {
+				t.Fatalf("trial %d: %v reaches %v online=%v offline=%v (%d of %d arcs kept)\nschedule: %s\nspec:\n%s\n%s",
+					trial, ts.OpAt(u), ts.OpAt(v), reach.HasArc(u, v), want.HasArc(u, v), online.ArcCount(), offline.NumArcs(), s, sp, dot)
 			}
 		}
-		p.Commit(int64(i))
+	}
+}
+
+// TestRSGTPruningBoundsGraph: sequential (non-overlapping)
+// transactions are pruned as they commit, so while hundreds of them
+// stream through — with no low-water mark and no flush — the graph
+// holds at most what the epoch rule lets the retirement queue reach.
+// SGT, RSGT's absolute special case, shares the certifier and the
+// bound.
+func TestRSGTPruningBoundsGraph(t *testing.T) {
+	for _, p := range []sched.Protocol{sched.NewRSGT(sched.AbsoluteOracle{}), sched.NewSGT()} {
+		t.Run(p.Name(), func(t *testing.T) {
+			r := p.(sched.Retirer)
+			for i := 1; i <= 500; i++ {
+				tx := core.T(core.TxnID(i), core.R("x"), core.W("x"))
+				p.Begin(int64(i), tx)
+				for seq := 0; seq < 2; seq++ {
+					req := sched.OpRequest{Instance: int64(i), Program: tx, Seq: seq, Op: tx.Op(seq)}
+					if d := p.Request(req); d != sched.Grant {
+						t.Fatalf("sequential txn %d op %d: %v", i, seq, d)
+					}
+				}
+				p.Commit(int64(i))
+				// The epoch fires once 64 vertices are queued and they are
+				// half the graph; queued vertices count in both fields.
+				if st := r.RetireStats(); st.LiveVertices+st.PendingRetire > 256 {
+					t.Fatalf("txn %d: live=%d pending=%d — pruning or the epoch rule not bounding the graph",
+						i, st.LiveVertices, st.PendingRetire)
+				}
+			}
+			if st := r.RetireStats(); st.GraphEpochs == 0 {
+				t.Fatal("500 pruned transactions never triggered a graph epoch")
+			}
+		})
 	}
 }
 

@@ -75,11 +75,8 @@ func (p *RAL) SetTracer(tr *trace.Tracer) {
 	p.rsgt.SetTracer(tr)
 }
 
-// SetRetirement implements Retirer: the embedded certifier owns all
+// SetLowWater implements Retirer: the embedded certifier owns all
 // graph state, so retirement delegates wholesale (like SetTracer).
-func (p *RAL) SetRetirement(enabled bool) { p.rsgt.SetRetirement(enabled) }
-
-// SetLowWater implements Retirer.
 func (p *RAL) SetLowWater(instance int64) { p.rsgt.SetLowWater(instance) }
 
 // FlushRetirement implements Retirer.

@@ -1,225 +1,18 @@
 package sched_test
 
-// Bounded-memory certification properties. The two load-bearing ones
-// are exhaustive verdict equivalence — with retirement and the
-// vector-clock fast path on, the protocols reach exactly the offline
-// Theorem 1 / conflict-serializability verdicts over the random
-// small-interleaving corpus — and per-operation decision identity
-// against the retirement-off baseline (stronger: the machinery is
-// invisible decision by decision, not just in the final verdict).
+// Bounded-memory certification: retirement, the stranded sweep and the
+// history rebase keep the graph and the executed-operation index
+// proportional to the live window over long streams, and leave nothing
+// behind after a flush. That they never change a decision is
+// equivalence_test.go's first-refusal property.
 
 import (
-	"math/rand"
-	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
 	"relser/internal/core"
-	"relser/internal/graph"
 	"relser/internal/sched"
 )
-
-// retiredAdmits replays s through p with retirement enabled, pruning
-// aggressively: every commit is followed by a retirement flush, so the
-// graph compacts while the schedule is still in flight (small corpora
-// never reach the count-based epoch thresholds on their own).
-func retiredAdmits(p sched.Protocol, s *core.Schedule) bool {
-	r := p.(sched.Retirer)
-	r.SetRetirement(true)
-	ts := s.Set()
-	for _, tx := range ts.Txns() {
-		p.Begin(int64(tx.ID), tx)
-	}
-	executed := make(map[core.TxnID]int)
-	for pos := 0; pos < s.Len(); pos++ {
-		op := s.At(pos)
-		tx := ts.Txn(op.Txn)
-		req := sched.OpRequest{Instance: int64(op.Txn), Program: tx, Seq: executed[op.Txn], Op: op}
-		if p.Request(req) != sched.Grant {
-			return false
-		}
-		executed[op.Txn]++
-		if executed[op.Txn] == tx.Len() {
-			p.Commit(int64(op.Txn))
-			r.FlushRetirement()
-		}
-	}
-	return true
-}
-
-func TestPropertyRetiredRSGTMatchesTheorem1(t *testing.T) {
-	rng := rand.New(rand.NewSource(404))
-	admissible := 0
-	for trial := 0; trial < 400; trial++ {
-		_, sp, s := genSchedInstance(rng)
-		offline := core.IsRelativelySerializable(s, sp)
-		online := retiredAdmits(sched.NewRSGT(sched.SpecOracle{Spec: sp}), s)
-		if offline != online {
-			t.Fatalf("trial %d: offline=%v retired-online=%v\nschedule: %s\nspec:\n%s",
-				trial, offline, online, s, sp)
-		}
-		if offline {
-			admissible++
-			derivedLabelsMatchOffline(t, trial, s, sp)
-		}
-	}
-	if admissible == 0 || admissible == 400 {
-		t.Fatalf("%d of 400 schedules admissible: the sample must exercise both verdicts", admissible)
-	}
-}
-
-var (
-	dotNode = regexp.MustCompile(`(?m)^  n(\d+) \[label="\S+ #(\d+)"\];$`)
-	dotEdge = regexp.MustCompile(`(?m)^  n(\d+) -> n(\d+) \[label="([^"]*)"\];$`)
-
-	kindOfLetter = map[string]core.ArcKind{"I": core.IArc, "D": core.DArc, "F": core.FArc, "B": core.BArc}
-)
-
-// derivedLabelsMatchOffline admits all of s without committing, so
-// every instance stays resident, and checks RSGT's DOT snapshot against
-// the offline RSG of the same schedule. RSGT inserts only G″ (THEORY.md
-// §4): I-arcs, and per request the F- and B-arc of each clock entry it
-// advanced. So the online graph is a subgraph of Definition 3's: every
-// rendered arc must be an offline arc whose derived I/F/B label — not
-// stored with the arc, so pinned only here — is a subset of the offline
-// kinds, no cross-transaction arc may be a D-arc alone, and the online
-// graph has no more arcs than the offline G″. The dominance lemma is
-// what makes the subgraph enough: both graphs must have the same
-// transitive closure.
-func derivedLabelsMatchOffline(t *testing.T, trial int, s *core.Schedule, sp *core.Spec) {
-	t.Helper()
-	p := sched.NewRSGT(sched.SpecOracle{Spec: sp})
-	p.SetRetirement(true)
-	ts := s.Set()
-	for _, tx := range ts.Txns() {
-		p.Begin(int64(tx.ID), tx)
-	}
-	executed := make(map[core.TxnID]int)
-	for pos := 0; pos < s.Len(); pos++ {
-		op := s.At(pos)
-		req := sched.OpRequest{Instance: int64(op.Txn), Program: ts.Txn(op.Txn), Seq: executed[op.Txn], Op: op}
-		if d := p.Request(req); d != sched.Grant {
-			t.Fatalf("trial %d: relatively serializable schedule refused at %s: %v", trial, op, d)
-		}
-		executed[op.Txn]++
-	}
-	dot := p.DotSnapshot()
-	// Nodes are listed per instance in program order.
-	opOf := make(map[string]core.Op)
-	next := make(map[core.TxnID]int)
-	for _, m := range dotNode.FindAllStringSubmatch(dot, -1) {
-		id, _ := strconv.Atoi(m[2])
-		tx := ts.Txn(core.TxnID(id))
-		opOf[m[1]] = tx.Op(next[tx.ID])
-		next[tx.ID]++
-	}
-	if len(opOf) != ts.NumOps() {
-		t.Fatalf("trial %d: snapshot names %d of %d operations:\n%s", trial, len(opOf), ts.NumOps(), dot)
-	}
-	offline := core.BuildRSG(s, sp)
-	online := graph.NewDense(ts.NumOps())
-	for _, m := range dotEdge.FindAllStringSubmatch(dot, -1) {
-		u, v := opOf[m[1]], opOf[m[2]]
-		var got core.ArcKind
-		for _, letter := range strings.Split(m[3], ",") {
-			got |= kindOfLetter[letter]
-		}
-		if want := offline.ArcKinds(u, v); got == 0 || got&^want != 0 {
-			t.Fatalf("trial %d: arc %v -> %v derived as %q, offline RSG says %q\nschedule: %s\nspec:\n%s",
-				trial, u, v, m[3], want, s, sp)
-		}
-		if u.Txn != v.Txn && got&(core.FArc|core.BArc) == 0 {
-			t.Fatalf("trial %d: cross-transaction arc %v -> %v derived as %q: RSGT inserts only staircase F/B arcs\nschedule: %s\nspec:\n%s",
-				trial, u, v, m[3], s, sp)
-		}
-		online.AddArc(ts.GlobalIndexOf(u), ts.GlobalIndexOf(v))
-	}
-	if online.ArcCount() > offline.TestedArcs() {
-		t.Fatalf("trial %d: online graph has %d arcs, offline G″ %d\nschedule: %s\nspec:\n%s\n%s",
-			trial, online.ArcCount(), offline.TestedArcs(), s, sp, dot)
-	}
-	full := graph.NewDense(ts.NumOps())
-	offline.Arcs(func(u, v core.Op, _ core.ArcKind) bool {
-		full.AddArc(ts.GlobalIndexOf(u), ts.GlobalIndexOf(v))
-		return true
-	})
-	reach, want := online.TransitiveClosure(), full.TransitiveClosure()
-	for u := 0; u < ts.NumOps(); u++ {
-		for v := 0; v < ts.NumOps(); v++ {
-			if reach.HasArc(u, v) != want.HasArc(u, v) {
-				t.Fatalf("trial %d: %v reaches %v online=%v offline=%v (%d of %d arcs kept)\nschedule: %s\nspec:\n%s\n%s",
-					trial, ts.OpAt(u), ts.OpAt(v), reach.HasArc(u, v), want.HasArc(u, v), online.ArcCount(), offline.NumArcs(), s, sp, dot)
-			}
-		}
-	}
-}
-
-func TestPropertyRetiredSGTMatchesConflictSerializability(t *testing.T) {
-	rng := rand.New(rand.NewSource(505))
-	for trial := 0; trial < 400; trial++ {
-		_, _, s := genSchedInstance(rng)
-		offline := core.IsConflictSerializable(s)
-		online := retiredAdmits(sched.NewSGT(), s)
-		if offline != online {
-			t.Fatalf("trial %d: offline=%v retired-online=%v\nschedule: %s", trial, offline, online, s)
-		}
-	}
-}
-
-// lockstep replays s through both protocols simultaneously and fails
-// on the first operation where their decisions differ. Commit (and a
-// retirement flush on the retired side) follows each transaction's
-// final granted operation; the replay stops at the first non-Grant,
-// like admits.
-func lockstep(t *testing.T, trial int, s *core.Schedule, base, retired sched.Protocol) {
-	t.Helper()
-	r := retired.(sched.Retirer)
-	r.SetRetirement(true)
-	ts := s.Set()
-	for _, tx := range ts.Txns() {
-		base.Begin(int64(tx.ID), tx)
-		retired.Begin(int64(tx.ID), tx)
-	}
-	executed := make(map[core.TxnID]int)
-	for pos := 0; pos < s.Len(); pos++ {
-		op := s.At(pos)
-		tx := ts.Txn(op.Txn)
-		req := sched.OpRequest{Instance: int64(op.Txn), Program: tx, Seq: executed[op.Txn], Op: op}
-		db := base.Request(req)
-		dr := retired.Request(req)
-		if db != dr {
-			t.Fatalf("trial %d pos %d (%s): baseline=%v retired=%v\nschedule: %s", trial, pos, op, db, dr, s)
-		}
-		if db != sched.Grant {
-			return
-		}
-		executed[op.Txn]++
-		if executed[op.Txn] == tx.Len() {
-			base.Commit(int64(op.Txn))
-			retired.Commit(int64(op.Txn))
-			r.FlushRetirement()
-		}
-	}
-}
-
-func TestPropertyRetiredRSGTDecisionsMatchBaseline(t *testing.T) {
-	rng := rand.New(rand.NewSource(1010))
-	for trial := 0; trial < 300; trial++ {
-		_, sp, s := genSchedInstance(rng)
-		lockstep(t, trial, s,
-			sched.NewRSGT(sched.SpecOracle{Spec: sp}),
-			sched.NewRSGT(sched.SpecOracle{Spec: sp}))
-	}
-}
-
-func TestPropertyRetiredSGTDecisionsMatchBaseline(t *testing.T) {
-	rng := rand.New(rand.NewSource(1111))
-	for trial := 0; trial < 300; trial++ {
-		_, _, s := genSchedInstance(rng)
-		lockstep(t, trial, s, sched.NewSGT(), sched.NewSGT())
-	}
-}
 
 // streamWindow drives n chained transactions (each reads its
 // predecessor's object, then writes its own) through p with a sliding
@@ -230,7 +23,6 @@ func TestPropertyRetiredSGTDecisionsMatchBaseline(t *testing.T) {
 func streamWindow(t *testing.T, p sched.Protocol, n, window int) sched.RetireStats {
 	t.Helper()
 	r := p.(sched.Retirer)
-	r.SetRetirement(true)
 	var live []int64
 	begin := func(i int64) *core.Transaction {
 		tx := core.T(core.TxnID(i), core.R(obj(i-1)), core.W(obj(i)))
@@ -265,26 +57,6 @@ func streamWindow(t *testing.T, p sched.Protocol, n, window int) sched.RetireSta
 	}
 	r.FlushRetirement()
 	return r.RetireStats()
-}
-
-// TestUnretiredRSGTKeepsEveryVertex is the contrast the bounded streams
-// are measured against: with retirement off the graph ends holding both
-// vertices of every transaction ever run, so memory grows with history.
-func TestUnretiredRSGTKeepsEveryVertex(t *testing.T) {
-	const n = 500
-	p := sched.NewRSGT(sched.AbsoluteOracle{})
-	p.SetRetirement(false)
-	for i := int64(1); i <= n; i++ {
-		tx := core.T(core.TxnID(i), core.R(obj(i-1)), core.W(obj(i)))
-		p.Begin(i, tx)
-		for seq := 0; seq < tx.Len(); seq++ {
-			p.Request(sched.OpRequest{Instance: i, Program: tx, Seq: seq, Op: tx.Op(seq)})
-		}
-		p.Commit(i)
-	}
-	if st := p.RetireStats(); st.Enabled || st.LiveVertices != 2*n {
-		t.Fatalf("retirement off: enabled=%v live=%d, want false/%d", st.Enabled, st.LiveVertices, 2*n)
-	}
 }
 
 func obj(i int64) string {
@@ -395,7 +167,6 @@ func cutBothWays(t *testing.T, n int) (*core.Spec, []*core.Transaction) {
 func TestRetiredRSGTReclaimsInterleavedCommits(t *testing.T) {
 	sp, txns := cutBothWays(t, 1)
 	p := sched.NewRSGT(sched.SpecOracle{Spec: sp})
-	p.SetRetirement(true)
 	interleavedPair(t, p, txns[0], txns[1])
 	p.FlushRetirement()
 	st := p.RetireStats()
@@ -414,7 +185,6 @@ func TestRetiredRSGTStreamWithCutsStaysBounded(t *testing.T) {
 	const pairs = 400
 	sp, txns := cutBothWays(t, pairs)
 	p := sched.NewRSGT(sched.SpecOracle{Spec: sp})
-	p.SetRetirement(true)
 	maxLive := 0
 	for i := 0; i < pairs; i++ {
 		interleavedPair(t, p, txns[2*i], txns[2*i+1])
@@ -440,37 +210,20 @@ func TestRetiredRSGTStreamWithCutsStaysBounded(t *testing.T) {
 }
 
 // TestRetiredRALDelegates: RAL exposes the Retirer face of its
-// embedded certifier.
+// embedded certifier, so what the certifier counts is what RAL reports.
 func TestRetiredRALDelegates(t *testing.T) {
 	p := sched.NewRAL(sched.AbsoluteOracle{})
 	r, ok := sched.Protocol(p).(sched.Retirer)
 	if !ok {
 		t.Fatal("RAL does not implement Retirer")
 	}
-	r.SetRetirement(true)
-	if st := r.RetireStats(); !st.Enabled {
-		t.Fatal("retirement did not reach the embedded certifier")
+	tx := core.T(1, core.W("x"))
+	p.Begin(1, tx)
+	if d := p.Request(sched.OpRequest{Instance: 1, Program: tx, Op: tx.Op(0)}); d != sched.Grant {
+		t.Fatalf("lone write: %v", d)
 	}
-}
-
-// TestSetRetirementFrozenAfterBegin: the clocks must observe every arc
-// from graph birth, so the setting may be re-asserted at any time (the
-// engine does on every run) but not changed once an instance began.
-func TestSetRetirementFrozenAfterBegin(t *testing.T) {
-	for _, p := range []sched.Protocol{sched.NewRSGT(sched.AbsoluteOracle{}), sched.NewSGT(), sched.NewRAL(sched.AbsoluteOracle{})} {
-		r := p.(sched.Retirer)
-		r.SetRetirement(false)
-		r.SetRetirement(true)
-		p.Begin(1, core.T(1, core.W("x")))
-		r.SetRetirement(true)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: SetRetirement(false) after Begin did not panic", p.Name())
-				}
-			}()
-			r.SetRetirement(false)
-		}()
+	if st := r.RetireStats(); st.FastPathHits != 1 || st.LiveVertices != 1 {
+		t.Fatalf("stats %+v, want the embedded RSGT's one fast-path grant over one vertex", st)
 	}
 }
 
@@ -489,7 +242,6 @@ func TestDotSnapshotCollapsesStablePrefix(t *testing.T) {
 			}
 		}
 	}
-	p.SetRetirement(true)
 	for i := int64(1); i <= 5; i++ {
 		streamOK(i)
 		p.Commit(i)
@@ -505,9 +257,9 @@ func TestDotSnapshotCollapsesStablePrefix(t *testing.T) {
 // TestRetireStatsAccumulate covers the sharded-aggregation helper.
 func TestRetireStatsAccumulate(t *testing.T) {
 	var agg sched.RetireStats
-	agg.Add(sched.RetireStats{Enabled: true, FastPathHits: 3, FastPathMisses: 1, LiveVertices: 2})
+	agg.Add(sched.RetireStats{FastPathHits: 3, FastPathMisses: 1, LiveVertices: 2})
 	agg.Add(sched.RetireStats{FastPathHits: 5, RetiredVertices: 7})
-	if !agg.Enabled || agg.FastPathHits != 8 || agg.FastPathMisses != 1 || agg.LiveVertices != 2 || agg.RetiredVertices != 7 {
+	if agg.FastPathHits != 8 || agg.FastPathMisses != 1 || agg.LiveVertices != 2 || agg.RetiredVertices != 7 {
 		t.Fatalf("aggregate wrong: %+v", agg)
 	}
 	if hr := agg.HitRate(); hr < 0.88 || hr > 0.9 {

@@ -50,6 +50,10 @@ func retireRun(t *testing.T, m record.Manifest, concurrent bool) sched.RetireSta
 			t.Fatal(err)
 		}
 	}
+	r, ok := p.(sched.Retirer)
+	if !ok {
+		t.Fatalf("%s: protocol %q is not a sched.Retirer", m.Workload.Name, p.Name())
+	}
 	res, _, err := w.RunWith(p, workload.RunOptions{
 		Seed:       m.Seed,
 		MPL:        m.MPL,
@@ -57,6 +61,11 @@ func retireRun(t *testing.T, m record.Manifest, concurrent bool) sched.RetireSta
 	})
 	if err != nil {
 		t.Fatalf("%s (concurrent=%v): run: %v", m.Workload.Name, concurrent, err)
+	}
+	// Retirement is not a mode: the engine reports exactly the stats the
+	// protocol's certifier keeps.
+	if got := r.RetireStats(); res.Retire != got {
+		t.Fatalf("%s (concurrent=%v): engine reported %+v, protocol holds %+v", m.Workload.Name, concurrent, res.Retire, got)
 	}
 	return res.Retire
 }
@@ -66,9 +75,6 @@ func TestRetireParityAcrossDrivers(t *testing.T) {
 		m := m
 		t.Run(m.Workload.Name, func(t *testing.T) {
 			serial := retireRun(t, m, false)
-			if !serial.Enabled {
-				t.Fatalf("retirement off by default on protocol %q", m.Protocol)
-			}
 			if serial.LiveVertices != 0 || serial.PendingRetire != 0 {
 				t.Fatalf("serial run finished with live=%d pending=%d, want 0/0",
 					serial.LiveVertices, serial.PendingRetire)
@@ -85,9 +91,6 @@ func TestRetireParityAcrossDrivers(t *testing.T) {
 			// differ), but it must satisfy the same contract: everything it
 			// created is retired by Finalize.
 			conc := retireRun(t, m, true)
-			if !conc.Enabled {
-				t.Fatal("concurrent run lost the retirement setting")
-			}
 			if conc.LiveVertices != 0 || conc.PendingRetire != 0 {
 				t.Fatalf("concurrent run finished with live=%d pending=%d, want 0/0",
 					conc.LiveVertices, conc.PendingRetire)
