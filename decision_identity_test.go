@@ -50,6 +50,8 @@ var identityCells = []identityCell{
 	{"mix/ral-g4", "ral", identityMix(4)},
 	{"bank/rsgt", "rsgt", identityBank},
 	{"bank/ral", "ral", identityBank},
+	{"mix/altruistic-g4", "altruistic", identityMix(4)},
+	{"bank/altruistic", "altruistic", identityBank},
 }
 
 // identityGolden is one run's outcome: the result line, an FNV-1a
@@ -134,4 +136,19 @@ var identityGoldens = map[string]identityGolden{
 	"bank/ral/seed3":    {"ral: committed=109 aborts=40 restarts=40 blocks=164 ticks=177 ops=616 mpl=4.64", 0x572b700c8006a634, sched.RetireStats{GraphEpochs: 11, RetiredVertices: 710, Rebases: 1, ExecEntries: 129, FastPathHits: 616, FastPathMisses: 0}},
 	"bank/ral/seed4":    {"ral: committed=109 aborts=46 restarts=46 blocks=125 ticks=140 ops=625 mpl=5.69", 0xcfc8fb8d5906ba13, sched.RetireStats{GraphEpochs: 12, RetiredVertices: 734, Rebases: 1, ExecEntries: 121, FastPathHits: 625, FastPathMisses: 0}},
 	"bank/ral/seed5":    {"ral: committed=109 aborts=18 restarts=18 blocks=82 ticks=107 ops=544 mpl=6.03", 0x9ad88284a58d0350, sched.RetireStats{GraphEpochs: 9, RetiredVertices: 576, Rebases: 1, ExecEntries: 134, FastPathHits: 544, FastPathMisses: 0}},
+
+	// The altruistic cells were captured at commit 16373ac, where
+	// Altruistic and RAL still kept separate copies of the wake
+	// discipline and Altruistic a donated set. Altruistic is not a
+	// Retirer, so its RetireStats are zero.
+	"mix/altruistic-g4/seed1": {"altruistic: committed=96 aborts=175 restarts=175 blocks=3411 ticks=1224 ops=3599 mpl=7.58", 0x44d632f2d68d848b, sched.RetireStats{}},
+	"mix/altruistic-g4/seed2": {"altruistic: committed=96 aborts=145 restarts=145 blocks=2283 ticks=854 ops=3207 mpl=7.64", 0xc2b476f0aa97f2a, sched.RetireStats{}},
+	"mix/altruistic-g4/seed3": {"altruistic: committed=96 aborts=163 restarts=163 blocks=2109 ticks=1027 ops=3317 mpl=6.39", 0x2ef60abb9d6795f0, sched.RetireStats{}},
+	"mix/altruistic-g4/seed4": {"altruistic: committed=96 aborts=117 restarts=117 blocks=1820 ticks=761 ops=2755 mpl=6.71", 0x5c23325670efcc99, sched.RetireStats{}},
+	"mix/altruistic-g4/seed5": {"altruistic: committed=96 aborts=159 restarts=159 blocks=2154 ticks=891 ops=3322 mpl=7.14", 0xde14ffc5bace7a64, sched.RetireStats{}},
+	"bank/altruistic/seed1":   {"altruistic: committed=109 aborts=24 restarts=24 blocks=106 ticks=109 ops=559 mpl=6.33", 0x688b54e570885aab, sched.RetireStats{}},
+	"bank/altruistic/seed2":   {"altruistic: committed=109 aborts=35 restarts=35 blocks=261 ticks=168 ops=583 mpl=5.24", 0x476dab884b0887b8, sched.RetireStats{}},
+	"bank/altruistic/seed3":   {"altruistic: committed=109 aborts=40 restarts=40 blocks=164 ticks=177 ops=616 mpl=4.64", 0x572b700c8006a634, sched.RetireStats{}},
+	"bank/altruistic/seed4":   {"altruistic: committed=109 aborts=46 restarts=46 blocks=125 ticks=140 ops=625 mpl=5.69", 0xcfc8fb8d5906ba13, sched.RetireStats{}},
+	"bank/altruistic/seed5":   {"altruistic: committed=109 aborts=18 restarts=18 blocks=82 ticks=107 ops=544 mpl=6.03", 0x9ad88284a58d0350, sched.RetireStats{}},
 }
