@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"relser/internal/core"
 	"relser/internal/trace"
@@ -10,227 +11,50 @@ import (
 // Altruistic implements altruistic locking [SGMA87], the long-lived
 // transaction technique §5 of the paper presents relative atomicity as
 // generalizing. It extends strict two-phase locking with *donation*:
-// when a transaction completes an atomic unit (per the oracle's
-// uniform boundaries) it donates the locks on objects it will not
-// access again; other transactions may then lock donated objects
-// before the donor commits, subject to the wake discipline:
-//
-//   - a transaction that acquires an object donated by D enters D's
-//     wake;
-//   - while in D's wake it may only lock objects that are donated by D
-//     or that D's remaining program will never touch (enforceable here
-//     because programs are declared at Begin);
-//   - it cannot commit before D commits (the driver retries CanCommit),
-//     and if D aborts the driver's dirty-data cascade aborts it.
-//
-// These rules keep executions serializable with the donor ordered
-// first, exactly the guarantee of [SGMA87].
-type Altruistic struct {
-	traced
-	base   *S2PL
-	oracle AtomicityOracle
-
-	progs map[int64]*core.Transaction
-	// donated[d] is the set of objects instance d has donated.
-	donated map[int64]map[string]bool
-	// remaining[d] is the multiset of objects d's unexecuted suffix
-	// still accesses.
-	remaining map[int64]map[string]int
-	// wakes[b] is the set of donors b is in the wake of.
-	wakes map[int64]map[int64]bool
-	// executedOf tracks per-instance progress to drive donation.
-	executedOf map[int64]int
-	committed  map[int64]bool
-}
+// when a transaction completes an atomic unit it donates the locks on
+// objects it will not access again; other transactions may then lock
+// those objects before the donor commits, subject to the wake
+// discipline of the shared donation core. The discipline keeps
+// executions serializable with the donor ordered first, exactly the
+// guarantee of [SGMA87].
+type Altruistic struct{ donation }
 
 // NewAltruistic returns an altruistic-locking protocol whose donation
-// points come from the oracle's atomic-unit boundaries (cuts of a
-// transaction relative to itself are not defined, so the protocol uses
-// the cuts relative to an arbitrary observer — donation semantics are
-// per-transaction, and the workloads give transactions uniform cuts).
+// points are the oracle's cuts of each transaction relative to itself:
+// donation is per transaction, not per observer. Under a SpecOracle
+// those cuts are empty, so the protocol never donates and behaves as
+// strict two-phase locking.
 func NewAltruistic(oracle AtomicityOracle) *Altruistic {
-	return &Altruistic{
-		base:       NewS2PL(),
-		oracle:     oracle,
-		progs:      make(map[int64]*core.Transaction),
-		donated:    make(map[int64]map[string]bool),
-		remaining:  make(map[int64]map[string]int),
-		wakes:      make(map[int64]map[int64]bool),
-		executedOf: make(map[int64]int),
-		committed:  make(map[int64]bool),
-	}
-}
-
-// Name implements Protocol.
-func (p *Altruistic) Name() string { return "altruistic" }
-
-// SetTracer installs the tracer on the protocol and its embedded lock
-// manager (whose program map feeds explanation events).
-func (p *Altruistic) SetTracer(tr *trace.Tracer) {
-	p.traced.SetTracer(tr)
-	p.base.SetTracer(tr)
-}
-
-// Begin implements Protocol.
-func (p *Altruistic) Begin(instance int64, program *core.Transaction) {
-	p.base.Begin(instance, program)
-	p.progs[instance] = program
-	rem := make(map[string]int)
-	for _, o := range program.Ops {
-		rem[o.Object]++
-	}
-	p.remaining[instance] = rem
-	p.donated[instance] = make(map[string]bool)
-	p.wakes[instance] = make(map[int64]bool)
-	p.executedOf[instance] = 0
+	return &Altruistic{newDonation("altruistic", "acquired donated %s; entering wake of instance %d",
+		func(holder, _ *core.Transaction) []int { return oracle.Cuts(holder, holder) })}
 }
 
 // Request implements Protocol.
 func (p *Altruistic) Request(req OpRequest) Decision {
-	// Wake discipline: while in a donor's wake, only donated or
-	// donor-disjoint objects may be locked.
-	for donor := range p.wakes[req.Instance] {
-		if p.committed[donor] || p.progs[donor] == nil {
-			continue // donor finished; wake constraint dissolved
-		}
-		if p.donated[donor][req.Op.Object] {
-			continue
-		}
-		if p.remaining[donor][req.Op.Object] > 0 {
-			return Block // object still ahead of the donor; stay out
-		}
+	d := p.donation.Request(req)
+	if d == Grant && p.tr.Enabled() {
+		p.traceDonations(req)
 	}
-
-	st := p.base.lock(req.Op.Object)
-	blockers := p.base.conflictingHolders(st, req)
-	// Donated locks do not block; they instead put the requester in
-	// the donor's wake — but only if the requester is not already
-	// holding locks the donor's remaining program needs. Otherwise the
-	// donor would wait on the requester's lock while the requester
-	// waits on the donor's commit: a deadlock the waits-for graph
-	// cannot see. Such requesters wait for the donor instead.
-	var effective []int64
-	var donors []int64
-	for _, b := range blockers {
-		if p.donated[b][req.Op.Object] && !p.holdsDonorNeeds(req.Instance, b) {
-			donors = append(donors, b)
-		} else {
-			effective = append(effective, b)
-		}
-	}
-	if len(effective) == 0 {
-		p.base.clearWaits(req.Instance)
-		p.base.acquire(st, req)
-		for _, d := range donors {
-			if p.tr.Enabled() && !p.wakes[req.Instance][d] {
-				p.tr.Emit(trace.Event{
-					Kind: trace.KindWake, Protocol: p.Name(),
-					Instance: req.Instance, Txn: int(req.Op.Txn),
-					Object: req.Op.Object, Blockers: []int64{d},
-					Reason: fmt.Sprintf("acquired donated %s; entering wake of instance %d", req.Op.Object, d),
-				})
-			}
-			p.wakes[req.Instance][d] = true
-		}
-		p.afterExecute(req)
-		return Grant
-	}
-	cyc, deadlock := p.base.installWaits(req.Instance, effective)
-	if deadlock {
-		if p.tr.Enabled() {
-			p.tr.Emit(deadlockEvent(p.Name(), req, cyc))
-		}
-		return Abort
-	}
-	if p.tr.Enabled() {
-		p.tr.Emit(blockEvent(p.Name(), req, effective))
-	}
-	return Block
+	return d
 }
 
-// afterExecute updates progress, and donates locks when the operation
-// closes an atomic unit.
-func (p *Altruistic) afterExecute(req OpRequest) {
-	prog := p.progs[req.Instance]
-	p.remaining[req.Instance][req.Op.Object]--
-	p.executedOf[req.Instance] = req.Seq + 1
-	// Donation happens only at oracle-declared unit boundaries; with no
-	// boundaries the protocol degenerates to strict 2PL (locks release
-	// at commit).
-	boundary := false
-	for _, c := range p.donationCuts(prog) {
-		if c == req.Seq+1 {
-			boundary = true
-			break
+// traceDonations emits a donate event for each lock the granted
+// operation releases: a held object the program never touches again
+// whose release point is req.Seq.
+func (p *Altruistic) traceDonations(req OpRequest) {
+	r := p.recs[req.Instance]
+	cuts := p.cuts(r.prog, r.prog)
+	held := p.base.heldObjects(req.Instance)
+	for i, obj := range held {
+		u := r.use(obj)
+		if u.remaining > 0 || releaseEnd(cuts, r.prog.Len(), u.last) != req.Seq || slices.Contains(held[:i], obj) {
+			continue // needed, released earlier or later, or listed twice by a lock upgrade
 		}
+		p.tr.Emit(trace.Event{
+			Kind: trace.KindDonate, Protocol: p.name,
+			Instance: req.Instance, Txn: int(req.Op.Txn),
+			Seq: req.Seq, Object: obj,
+			Reason: fmt.Sprintf("unit boundary after seq %d; lock on %s donated", req.Seq, obj),
+		})
 	}
-	if !boundary {
-		return
-	}
-	// Donate every held object the remaining suffix never touches.
-	for _, obj := range p.base.heldObjects(req.Instance) {
-		if p.remaining[req.Instance][obj] == 0 {
-			if p.tr.Enabled() && !p.donated[req.Instance][obj] {
-				p.tr.Emit(trace.Event{
-					Kind: trace.KindDonate, Protocol: p.Name(),
-					Instance: req.Instance, Txn: int(req.Op.Txn),
-					Seq: req.Seq, Object: obj,
-					Reason: fmt.Sprintf("unit boundary after seq %d; lock on %s donated", req.Seq, obj),
-				})
-			}
-			p.donated[req.Instance][obj] = true
-		}
-	}
-}
-
-// holdsDonorNeeds reports whether the requester already holds a lock
-// on an object the donor's unexecuted suffix will access.
-func (p *Altruistic) holdsDonorNeeds(requester, donor int64) bool {
-	rem := p.remaining[donor]
-	for _, obj := range p.base.heldObjects(requester) {
-		if rem[obj] > 0 && !p.donated[donor][obj] {
-			return true
-		}
-	}
-	return false
-}
-
-// donationCuts asks the oracle for the transaction's boundaries using
-// itself as observer stand-in; workloads define uniform per-type cuts
-// so any observer yields the same answer.
-func (p *Altruistic) donationCuts(prog *core.Transaction) []int {
-	return p.oracle.Cuts(prog, prog)
-}
-
-// CanCommit implements Protocol: a transaction in a live donor's wake
-// must wait for the donor.
-func (p *Altruistic) CanCommit(instance int64) bool {
-	for donor := range p.wakes[instance] {
-		if !p.committed[donor] && p.progs[donor] != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// Commit implements Protocol.
-func (p *Altruistic) Commit(instance int64) {
-	p.committed[instance] = true
-	p.cleanup(instance)
-	p.base.Commit(instance)
-}
-
-// Abort implements Protocol. Transactions in the victim's wake read
-// donated (uncommitted) data; the driver's cascade aborts them.
-func (p *Altruistic) Abort(instance int64) {
-	p.cleanup(instance)
-	p.base.Abort(instance)
-}
-
-func (p *Altruistic) cleanup(instance int64) {
-	delete(p.progs, instance)
-	delete(p.remaining, instance)
-	delete(p.donated, instance)
-	delete(p.wakes, instance)
-	delete(p.executedOf, instance)
 }

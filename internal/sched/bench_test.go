@@ -14,10 +14,24 @@ import (
 // 64 shared objects, issued round-robin, then committed and retired. A
 // Request's cost here is the dependency-clock join plus one F/B pair
 // per clock entry the request advances.
-func BenchmarkRSGTRequestRel(b *testing.B) {
-	cuts := []int{4, 8, 12}
-	benchRounds(b, sched.NewRSGT(sched.OracleFunc(func(_, _ *core.Transaction) []int { return cuts })))
-}
+func BenchmarkRSGTRequestRel(b *testing.B) { benchRounds(b, sched.NewRSGT(unitsOf4)) }
+
+// unitsOf4 cuts every 16-operation program into atomic units of 4,
+// relative to every observer, without allocating per call.
+var (
+	cutsOf4  = []int{4, 8, 12}
+	unitsOf4 = sched.OracleFunc(func(_, _ *core.Transaction) []int { return cutsOf4 })
+)
+
+// BenchmarkRALRequest is the same round under RAL: the lock-donation
+// discipline with per-observer cuts in front of RSGT. A refused
+// request here is usually a lock wait, which the round turns into an
+// abort.
+func BenchmarkRALRequest(b *testing.B) { benchRounds(b, sched.NewRAL(unitsOf4)) }
+
+// BenchmarkAltruisticRequest is the same round under altruistic
+// locking: RAL's lock discipline with self cuts and no graph.
+func BenchmarkAltruisticRequest(b *testing.B) { benchRounds(b, sched.NewAltruistic(unitsOf4)) }
 
 // BenchmarkSGTRequest is the same round under SGT — RSGT's
 // AbsoluteOracle special case, one vertex per instance — whose traffic
@@ -28,12 +42,10 @@ func BenchmarkSGTRequest(b *testing.B) { benchRounds(b, sched.NewSGT()) }
 
 // benchRounds drives p through b.N rounds of live instances drawn from
 // a fixed pool of programs: every instance issues its ops round-robin,
-// aborts on refusal, and the survivors commit before the low-water mark
-// moves past the round and retirement is flushed.
-func benchRounds(b *testing.B, p interface {
-	sched.Protocol
-	sched.Retirer
-}) {
+// aborts on refusal, and the survivors commit; a Retirer then has its
+// low-water mark moved past the round and retirement flushed.
+func benchRounds(b *testing.B, p sched.Protocol) {
+	retirer, _ := p.(sched.Retirer)
 	const (
 		live, ops     = 8, 16
 		objects, pool = 64, 64
@@ -81,7 +93,9 @@ func benchRounds(b *testing.B, p interface {
 			}
 		}
 		next += live
-		p.SetLowWater(next)
-		p.FlushRetirement()
+		if retirer != nil {
+			retirer.SetLowWater(next)
+			retirer.FlushRetirement()
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"sync"
 
 	"relser/internal/core"
@@ -141,20 +142,26 @@ func (p *S2PL) Request(req OpRequest) Decision {
 	// driver's exclusive lock, which the whole request path excludes),
 	// and the deterministic runner is single-threaded — so blockers
 	// are still live here.
+	return p.wait(p.Name(), req, blockers)
+}
+
+// wait queues req behind its blockers and returns Block, or Abort when
+// the wait would close a waits-for cycle: the requester is the victim,
+// its waits edges are already withdrawn, and its locks are released by
+// the driver's Abort. protocol names the explanation events.
+func (p *S2PL) wait(protocol string, req OpRequest, blockers []int64) Decision {
 	cyc, deadlock := p.installWaits(req.Instance, blockers)
 	if deadlock {
-		// Deadlock: the requester is the victim. Its waits edges are
-		// already withdrawn; locks are released by the driver's Abort.
 		if p.tr.Enabled() {
-			p.tr.Emit(deadlockEvent(p.Name(), req, cyc))
+			p.tr.Emit(deadlockEvent(protocol, req, cyc))
 		}
 		return Abort
 	}
-	if e != nil {
+	if e := p.entries[req.Instance]; e != nil {
 		e.waiting = true
 	}
 	if p.tr.Enabled() {
-		p.tr.Emit(blockEvent(p.Name(), req, blockers))
+		p.tr.Emit(blockEvent(protocol, req, blockers))
 	}
 	return Block
 }
@@ -209,7 +216,7 @@ func (p *S2PL) conflictingHolders(st *lockState, req OpRequest) []int64 {
 			out = append(out, r)
 		}
 	}
-	sortInt64s(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -325,12 +332,4 @@ func (sp *s2plStripe) lockLocked(object string) *lockState {
 		sp.locks[object] = st
 	}
 	return st
-}
-
-func sortInt64s(s []int64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

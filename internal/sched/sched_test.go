@@ -6,6 +6,7 @@ import (
 	"relser/internal/core"
 	"relser/internal/paperfig"
 	"relser/internal/sched"
+	"relser/internal/workload"
 )
 
 // replay feeds a complete schedule through a non-blocking protocol
@@ -217,47 +218,65 @@ func TestS2PLUpgrade(t *testing.T) {
 	}
 }
 
+// donationProtocols are the two protocols on the lock-donation core.
+// The oracles of the tests below are observer-independent, so their
+// lock decisions must match.
+var donationProtocols = []struct {
+	name string
+	make func(sched.AtomicityOracle) sched.Protocol
+}{
+	{"altruistic", func(o sched.AtomicityOracle) sched.Protocol { return sched.NewAltruistic(o) }},
+	{"ral", func(o sched.AtomicityOracle) sched.Protocol { return sched.NewRAL(o) }},
+}
+
+// firstUnitOfT1 cuts T1 after its first two operations, relative to
+// every observer, and leaves every other transaction one unit.
+var firstUnitOfT1 = sched.OracleFunc(func(a, _ *core.Transaction) []int {
+	if a.ID == 1 {
+		return []int{2}
+	}
+	return nil
+})
+
 func TestAltruisticDonationAllowsEarlyAccess(t *testing.T) {
 	// Long transaction sweeps x then y with a unit boundary after each
 	// r/w pair; once it moves past x, a short transaction may lock x
 	// even though the long transaction still holds (donated) it.
 	long := core.T(1, core.R("x"), core.W("x"), core.R("y"), core.W("y"))
 	short := core.T(2, core.R("x"), core.W("x"))
-	oracle := sched.OracleFunc(func(a, _ *core.Transaction) []int {
-		if a.ID == 1 {
-			return []int{2}
-		}
-		return nil
-	})
-	p := sched.NewAltruistic(oracle)
-	p.Begin(1, long)
-	p.Begin(2, short)
-	for seq := 0; seq < 2; seq++ { // long finishes unit [r x, w x]
-		if d := p.Request(sched.OpRequest{Instance: 1, Program: long, Seq: seq, Op: long.Op(seq)}); d != sched.Grant {
-			t.Fatalf("long op %d: %v", seq, d)
-		}
+	for _, pc := range donationProtocols {
+		t.Run(pc.name, func(t *testing.T) {
+			p := pc.make(firstUnitOfT1)
+			p.Begin(1, long)
+			p.Begin(2, short)
+			for seq := 0; seq < 2; seq++ { // long finishes unit [r x, w x]
+				if d := p.Request(sched.OpRequest{Instance: 1, Program: long, Seq: seq, Op: long.Op(seq)}); d != sched.Grant {
+					t.Fatalf("long op %d: %v", seq, d)
+				}
+			}
+			// Short may now take x (donated) ...
+			if d := p.Request(sched.OpRequest{Instance: 2, Program: short, Seq: 0, Op: short.Op(0)}); d != sched.Grant {
+				t.Fatalf("short read of donated x: %v", d)
+			}
+			if d := p.Request(sched.OpRequest{Instance: 2, Program: short, Seq: 1, Op: short.Op(1)}); d != sched.Grant {
+				t.Fatalf("short write of donated x: %v", d)
+			}
+			// ... but cannot commit before its donor.
+			if p.CanCommit(2) {
+				t.Fatal("wake member must wait for donor's commit")
+			}
+			for seq := 2; seq < 4; seq++ {
+				if d := p.Request(sched.OpRequest{Instance: 1, Program: long, Seq: seq, Op: long.Op(seq)}); d != sched.Grant {
+					t.Fatalf("long op %d: %v", seq, d)
+				}
+			}
+			p.Commit(1)
+			if !p.CanCommit(2) {
+				t.Fatal("wake dissolves after donor commit")
+			}
+			p.Commit(2)
+		})
 	}
-	// Short may now take x (donated) ...
-	if d := p.Request(sched.OpRequest{Instance: 2, Program: short, Seq: 0, Op: short.Op(0)}); d != sched.Grant {
-		t.Fatalf("short read of donated x: %v", d)
-	}
-	if d := p.Request(sched.OpRequest{Instance: 2, Program: short, Seq: 1, Op: short.Op(1)}); d != sched.Grant {
-		t.Fatalf("short write of donated x: %v", d)
-	}
-	// ... but cannot commit before its donor.
-	if p.CanCommit(2) {
-		t.Fatal("wake member must wait for donor's commit")
-	}
-	for seq := 2; seq < 4; seq++ {
-		if d := p.Request(sched.OpRequest{Instance: 1, Program: long, Seq: seq, Op: long.Op(seq)}); d != sched.Grant {
-			t.Fatalf("long op %d: %v", seq, d)
-		}
-	}
-	p.Commit(1)
-	if !p.CanCommit(2) {
-		t.Fatal("wake dissolves after donor commit")
-	}
-	p.Commit(2)
 }
 
 func TestAltruisticWakeDiscipline(t *testing.T) {
@@ -265,57 +284,87 @@ func TestAltruisticWakeDiscipline(t *testing.T) {
 	// donor still needs.
 	long := core.T(1, core.R("x"), core.W("x"), core.R("y"), core.W("y"))
 	short := core.T(2, core.R("x"), core.R("y"))
-	oracle := sched.OracleFunc(func(a, _ *core.Transaction) []int {
-		if a.ID == 1 {
-			return []int{2}
-		}
-		return nil
-	})
-	p := sched.NewAltruistic(oracle)
-	p.Begin(1, long)
-	p.Begin(2, short)
-	for seq := 0; seq < 2; seq++ {
-		if p.Request(sched.OpRequest{Instance: 1, Program: long, Seq: seq, Op: long.Op(seq)}) != sched.Grant {
-			t.Fatal("long unit 1")
-		}
+	for _, pc := range donationProtocols {
+		t.Run(pc.name, func(t *testing.T) {
+			p := pc.make(firstUnitOfT1)
+			p.Begin(1, long)
+			p.Begin(2, short)
+			for seq := 0; seq < 2; seq++ {
+				if p.Request(sched.OpRequest{Instance: 1, Program: long, Seq: seq, Op: long.Op(seq)}) != sched.Grant {
+					t.Fatal("long unit 1")
+				}
+			}
+			if p.Request(sched.OpRequest{Instance: 2, Program: short, Seq: 0, Op: short.Op(0)}) != sched.Grant {
+				t.Fatal("short enters wake via donated x")
+			}
+			// y is still ahead of the donor: blocked by the wake rule.
+			if d := p.Request(sched.OpRequest{Instance: 2, Program: short, Seq: 1, Op: short.Op(1)}); d != sched.Block {
+				t.Fatalf("wake member touching donor's future object: %v, want Block", d)
+			}
+			for seq := 2; seq < 4; seq++ {
+				if p.Request(sched.OpRequest{Instance: 1, Program: long, Seq: seq, Op: long.Op(seq)}) != sched.Grant {
+					t.Fatal("long unit 2")
+				}
+			}
+			p.Commit(1)
+			if d := p.Request(sched.OpRequest{Instance: 2, Program: short, Seq: 1, Op: short.Op(1)}); d != sched.Grant {
+				t.Fatalf("after donor commit: %v", d)
+			}
+			p.Commit(2)
+		})
 	}
-	if p.Request(sched.OpRequest{Instance: 2, Program: short, Seq: 0, Op: short.Op(0)}) != sched.Grant {
-		t.Fatal("short enters wake via donated x")
-	}
-	// y is still ahead of the donor: blocked by the wake rule.
-	if d := p.Request(sched.OpRequest{Instance: 2, Program: short, Seq: 1, Op: short.Op(1)}); d != sched.Block {
-		t.Fatalf("wake member touching donor's future object: %v, want Block", d)
-	}
-	for seq := 2; seq < 4; seq++ {
-		if p.Request(sched.OpRequest{Instance: 1, Program: long, Seq: seq, Op: long.Op(seq)}) != sched.Grant {
-			t.Fatal("long unit 2")
-		}
-	}
-	p.Commit(1)
-	if d := p.Request(sched.OpRequest{Instance: 2, Program: short, Seq: 1, Op: short.Op(1)}); d != sched.Grant {
-		t.Fatalf("after donor commit: %v", d)
-	}
-	p.Commit(2)
 }
 
 func TestAltruisticPlainLockingStillWorks(t *testing.T) {
 	// Without donations it degenerates to strict 2PL.
 	t1 := core.T(1, core.W("x"))
 	t2 := core.T(2, core.W("x"))
-	p := sched.NewAltruistic(sched.AbsoluteOracle{})
-	p.Begin(1, t1)
-	p.Begin(2, t2)
-	if p.Request(sched.OpRequest{Instance: 1, Program: t1, Seq: 0, Op: t1.Op(0)}) != sched.Grant {
-		t.Fatal("first writer")
+	for _, pc := range donationProtocols {
+		t.Run(pc.name, func(t *testing.T) {
+			p := pc.make(sched.AbsoluteOracle{})
+			p.Begin(1, t1)
+			p.Begin(2, t2)
+			if p.Request(sched.OpRequest{Instance: 1, Program: t1, Seq: 0, Op: t1.Op(0)}) != sched.Grant {
+				t.Fatal("first writer")
+			}
+			if p.Request(sched.OpRequest{Instance: 2, Program: t2, Seq: 0, Op: t2.Op(0)}) != sched.Block {
+				t.Fatal("second writer should block (no donation)")
+			}
+			p.Commit(1)
+			if p.Request(sched.OpRequest{Instance: 2, Program: t2, Seq: 0, Op: t2.Op(0)}) != sched.Grant {
+				t.Fatal("after release")
+			}
+			p.Commit(2)
+		})
 	}
-	if p.Request(sched.OpRequest{Instance: 2, Program: t2, Seq: 0, Op: t2.Op(0)}) != sched.Block {
-		t.Fatal("second writer should block (no donation)")
+}
+
+// TestDonationStateDrainsWithInstances drives 500 transactions to
+// commit through the real driver (restarted instances abort on the
+// way) and checks that neither donation protocol keeps per-instance
+// state for any of them afterwards.
+func TestDonationStateDrainsWithInstances(t *testing.T) {
+	for _, pc := range donationProtocols {
+		t.Run(pc.name, func(t *testing.T) {
+			w, err := workload.Synthetic(workload.SyntheticConfig{
+				Objects: 64, Programs: 500, OpsPerTxn: 8, WriteRatio: 0.25, Granularity: 2,
+			}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := pc.make(w.Oracle)
+			res, _, err := w.RunWith(p, workload.RunOptions{Seed: 1, MPL: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Committed != 500 || res.Aborts == 0 {
+				t.Fatalf("%s: want 500 commits and some aborts", res)
+			}
+			if n := sched.DonationRecords(p); n != 0 {
+				t.Errorf("%d instance records left after every instance finished", n)
+			}
+		})
 	}
-	p.Commit(1)
-	if p.Request(sched.OpRequest{Instance: 2, Program: t2, Seq: 0, Op: t2.Op(0)}) != sched.Grant {
-		t.Fatal("after release")
-	}
-	p.Commit(2)
 }
 
 func TestDecisionString(t *testing.T) {
@@ -411,7 +460,7 @@ func TestProtocolNames(t *testing.T) {
 		}
 		// The trivial lifecycle methods must be safe on fresh state.
 		p.Begin(99, inst.Set.Txn(1))
-		if !p.CanCommit(99) && want != "ral" && want != "altruistic" {
+		if !p.CanCommit(99) {
 			t.Errorf("%s: fresh instance cannot commit", want)
 		}
 		p.Abort(99)

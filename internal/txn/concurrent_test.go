@@ -102,7 +102,7 @@ func TestConcurrentWorkloadsAllProtocols(t *testing.T) {
 		return []*workload.Workload{b, l}
 	}
 	for _, w := range makeWorkloads(3) {
-		for _, proto := range []string{"s2pl", "sgt", "rsgt", "altruistic"} {
+		for _, proto := range []string{"s2pl", "sgt", "rsgt", "altruistic", "ral"} {
 			t.Run(w.Name+"/"+proto, func(t *testing.T) {
 				var p sched.Protocol
 				switch proto {
@@ -114,6 +114,8 @@ func TestConcurrentWorkloadsAllProtocols(t *testing.T) {
 					p = sched.NewRSGT(w.Oracle)
 				case "altruistic":
 					p = sched.NewAltruistic(w.Oracle)
+				case "ral":
+					p = sched.NewRAL(w.Oracle)
 				}
 				store := storage.NewStore()
 				store.Load(w.Initial)

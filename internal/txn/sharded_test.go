@@ -37,7 +37,7 @@ func TestShardedWorkloadsAllProtocols(t *testing.T) {
 			return workload.LongLived(workload.DefaultLongLivedConfig(), seed)
 		}},
 	}
-	protos := []string{"s2pl", "to", "sgt", "rsgt", "altruistic"}
+	protos := []string{"s2pl", "to", "sgt", "rsgt", "altruistic", "ral"}
 	for _, m := range mks {
 		for _, proto := range protos {
 			t.Run(m.name+"/"+proto, func(t *testing.T) {
