@@ -64,8 +64,9 @@ const (
 // transaction outcomes; everything they reach must be pinned by the
 // run seed.
 var decisionStages = map[string]bool{
-	"Admit": true, "Decide": true, "Unrecoverable": true,
+	"Admit": true, "Check": true, "Decide": true, "Unrecoverable": true,
 	"Publish": true, "Acknowledge": true, "AbortCascade": true, "AbortAll": true,
+	"Restart": true,
 }
 
 // wallClock lists time-package functions whose results depend on when

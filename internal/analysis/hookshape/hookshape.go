@@ -52,13 +52,14 @@ var Analyzer = &analysis.Analyzer{
 const enginePath = "relser/internal/engine"
 
 // coreMutators are the engine.Core methods that take engine locks or
-// change run state; the observational getters (Clock, Committed,
-// Observe*) are fine from a hook.
+// change run state, every stage among them (each records what it did);
+// the read-only getters (Now, Committed, ActiveIDs, AdmitLimit) are
+// fine from a hook.
 var coreMutators = map[string]bool{
-	"Admit": true, "Decide": true, "Unrecoverable": true, "Apply": true,
+	"Admit": true, "Check": true, "Decide": true, "Unrecoverable": true, "Apply": true,
 	"Publish": true, "AwaitAck": true, "Acknowledge": true,
-	"AbortCascade": true, "AbortAll": true,
-	"Finalize": true, "LogWAL": true, "FlushWAL": true, "JitterSleep": true,
+	"AbortCascade": true, "AbortAll": true, "Restart": true, "Tick": true,
+	"Finalize": true, "FlushWAL": true, "JitterSleep": true,
 }
 
 // reenterPrefixes are driver and sink identities a hook must not reach.

@@ -25,8 +25,19 @@ func install(core *engine.Core) engine.Hooks {
 		},
 	}
 	h.Abort = func(st *engine.Instance) { // want `hook Abort calls back into engine/driver`
-		core.AbortAll("observer", 0)
+		core.AbortAll("observer")
 	}
+	return h
+}
+
+// stages reaches the engine's restart accounting from a hook, which
+// re-enters; reading the logical clock is fine.
+func stages(core *engine.Core) engine.Hooks {
+	h := engine.Hooks{}
+	h.Abort = func(st *engine.Instance) { // want `hook Abort calls back into engine/driver`
+		core.Restart(st)
+	}
+	h.Admit = func(st *engine.Instance) { _ = core.Now() }
 	return h
 }
 

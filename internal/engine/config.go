@@ -77,10 +77,10 @@ type Config struct {
 	// gauge and latency histograms under the "txn." prefix.
 	Metrics *metrics.Registry
 	// Faults arms deterministic fault injection: the injector is
-	// attached to the store and WAL and consulted at the driver's own
-	// fault points (sched.grant.delay, txn.abort; the concurrent driver
-	// additionally honors shard.stall and shard.wedge). Nil disables
-	// injection entirely.
+	// attached to the store and WAL and consulted by the Check stage
+	// (txn.abort, sched.grant.delay); the concurrent driver additionally
+	// honors shard.stall and shard.wedge. Nil disables injection
+	// entirely.
 	Faults *fault.Injector
 	// Deadline bounds each instance's age in logical time units (ticks
 	// for Runner, executed operations for ConcurrentRunner) measured

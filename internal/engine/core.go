@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"relser/internal/core"
 	"relser/internal/fault"
@@ -60,6 +61,9 @@ type Instance struct {
 	// a WAL) and the commit moment on the execution-order clock.
 	ack       <-chan error
 	commitSeq int64
+	// reason is the reason of the cascade that aborted the instance,
+	// for Restart's exhaustion error.
+	reason string
 }
 
 // Pending is a program queued for (re-)admission.
@@ -73,21 +77,24 @@ type Pending struct {
 
 // Core is the engine pipeline state shared by every driver: the
 // instance table, dirty-writer stacks, the dirty-read dependency
-// graph, WAL emission, degradation controllers and the reporter. A
-// Core implements the lifecycle stages; drivers supply the loop (one
-// goroutine with a tick clock, or a worker pool with the execution
-// sequence as the clock) and the synchronization discipline:
+// graph, the logical clock, WAL emission, degradation controllers and
+// the reporter. A Core implements the lifecycle stages, and each stage
+// records what it did (counters, trace events, Result fields) at the
+// clock it reads once; drivers supply only the loop (one goroutine on
+// a TickClock, or a worker pool on the SeqClock), the locks and the
+// waits:
 //
 //   - The deterministic driver calls everything single-threaded, the
 //     Commit stage's Publish, AwaitAck and Acknowledge back to back.
 //   - The concurrent driver calls Admit, Publish, Acknowledge,
-//     AbortCascade and AbortAll under its exclusive state lock, and
-//     AwaitAck between Publish and Acknowledge with no lock held;
-//     Decide, Unrecoverable and Apply on the operation path under the
-//     shared state lock plus the target object's shard lock (so the
-//     shard's dirty stacks are stable). The dependency graph has its own
-//     leaf mutex for operation-path mutations; lifecycle holders are
-//     excluded from those by the state lock and access it directly.
+//     AbortCascade, AbortAll and Restart under its exclusive state
+//     lock, and AwaitAck between Publish and Acknowledge with no lock
+//     held; Check under the shared state lock; Decide, Unrecoverable and
+//     Apply on the operation path under the shared state lock plus the
+//     target object's shard lock (so the shard's dirty stacks are
+//     stable). The dependency graph has its own leaf mutex for
+//     operation-path mutations; lifecycle holders are excluded from
+//     those by the state lock and access it directly.
 type Core struct {
 	Cfg    Config
 	Router shard.Router
@@ -115,10 +122,15 @@ type Core struct {
 	walMu  sync.Mutex
 	walErr error
 
-	// ExecSeq is the global execution sequence: every applied operation
-	// draws the next value as its order. The concurrent driver also
-	// uses it as the run's logical clock.
-	ExecSeq atomic.Int64
+	// execSeq is the global execution sequence: every applied operation
+	// draws the next value as its order. It is the SeqClock.
+	execSeq atomic.Int64
+
+	// clock selects the logical clock; ticks and inFlight are the
+	// TickClock and its per-tick in-flight samples (single-threaded).
+	clock    Clock
+	ticks    int64
+	inFlight int64
 
 	// Operation-path counters (atomic so the concurrent hot path needs
 	// no extra locks); folded into the Result by Finalize.
@@ -149,14 +161,28 @@ type Core struct {
 	res Result
 }
 
+// Clock selects the engine's logical clock: the time base of deadlines,
+// latencies, spans and trace ticks.
+type Clock int
+
+const (
+	// SeqClock is the global execution sequence: time advances with
+	// every applied operation. The concurrent driver runs on it.
+	SeqClock Clock = iota
+	// TickClock counts driver ticks, advanced by Tick. The
+	// deterministic driver runs on it.
+	TickClock
+)
+
 // NewCore validates the configuration (filling defaults) and prepares
-// the shared pipeline state.
-func NewCore(cfg Config) (*Core, error) {
+// the shared pipeline state on the given clock.
+func NewCore(cfg Config, clock Clock) (*Core, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
 	c := &Core{
 		Cfg:        cfg,
+		clock:      clock,
 		Router:     shard.NewRouter(cfg.Shards),
 		Active:     make(map[int64]*Instance),
 		dependents: make(map[int64]map[int64]bool),
@@ -192,9 +218,21 @@ func (c *Core) feedLowWater() {
 	c.ret.SetLowWater(low)
 }
 
-// Clock returns the execution-sequence clock (the concurrent driver's
-// logical time).
-func (c *Core) Clock() int64 { return c.ExecSeq.Load() }
+// Now reads the logical clock. Safe from any goroutine on the
+// SeqClock; the TickClock is single-threaded.
+func (c *Core) Now() int64 {
+	if c.clock == TickClock {
+		return c.ticks
+	}
+	return c.execSeq.Load()
+}
+
+// Tick advances the TickClock by one tick and samples the in-flight
+// count for Result.AvgConcurrency.
+func (c *Core) Tick() {
+	c.ticks++
+	c.inFlight += int64(len(c.Active))
+}
 
 // AdmitLimit returns the admission controller's current effective
 // multiprogramming level. Safe from any goroutine.
@@ -220,7 +258,8 @@ func (c *Core) deactivate(id int64) {
 // Admit runs the Admit stage: a fresh instance enters the protocol,
 // the WAL holds its begin record, and the admission is observed.
 // Lifecycle-locked.
-func (c *Core) Admit(pp *Pending, clock int64) *Instance {
+func (c *Core) Admit(pp *Pending) *Instance {
+	clock := c.Now()
 	c.nextInstance++
 	st := &Instance{
 		ID:           c.nextInstance,
@@ -236,7 +275,7 @@ func (c *Core) Admit(pp *Pending, clock int64) *Instance {
 	c.activeIDs = append(c.activeIDs, st.ID)
 	c.Cfg.Protocol.Begin(st.ID, st.Program)
 	c.feedLowWater()
-	c.LogWAL(storage.WALRecord{Kind: storage.WALBegin, Instance: st.ID})
+	c.logWAL(storage.WALRecord{Kind: storage.WALBegin, Instance: st.ID})
 	c.rep.begin(st, clock)
 	if h := c.Cfg.Hooks.Admit; h != nil {
 		h(st)
@@ -244,13 +283,51 @@ func (c *Core) Admit(pp *Pending, clock int64) *Instance {
 	return st
 }
 
+// Verdict is the Check stage's ruling on an instance's turn. The zero
+// Verdict lets the instance issue its next operation.
+type Verdict struct {
+	// Abort, when set, is the reason the driver aborts the instance
+	// with: "deadline" or "injected".
+	Abort string
+	// Delay, when positive, is an injected grant delay: the instance
+	// loses this turn (the tick driver skips it for the tick, the
+	// concurrent driver sleeps for Delay).
+	Delay time.Duration
+}
+
+// Check runs the pre-issue checks on an instance about to take its
+// turn, in order: the per-instance deadline (Config.Deadline), the
+// txn.abort fault point and the sched.grant.delay fault point. It
+// counts and traces what fired and returns the driver's Verdict.
+// Called under the driver's shared lifecycle discipline.
+func (c *Core) Check(st *Instance) Verdict {
+	now := c.Now()
+	if dl := c.Cfg.Deadline; dl > 0 && now-st.StartClock > dl {
+		c.deadlineAborts.Add(1)
+		c.rep.deadlines.Inc()
+		return Verdict{Abort: "deadline"}
+	}
+	in := c.Cfg.Faults
+	if in.Fire(fault.TxnForcedAbort) {
+		c.injectedAborts.Add(1)
+		c.rep.fault(fault.TxnForcedAbort, st.ID, now)
+		return Verdict{Abort: "injected"}
+	}
+	if in.Fire(fault.SchedGrantDelay) {
+		c.injectedDelays.Add(1)
+		c.rep.fault(fault.SchedGrantDelay, st.ID, now)
+		return Verdict{Delay: in.Latency(fault.SchedGrantDelay)}
+	}
+	return Verdict{}
+}
+
 // Decide runs the Issue and Decide stages: the instance's next
-// operation is submitted to the protocol and its verdict returned. A
-// request whose context is already canceled is refused with Abort
-// without consulting the protocol — a canceled instance must not enter
-// wait queues it will never leave. Called under whatever admission
-// mutual exclusion the protocol requires (the driver's shard lock or
-// protocol mutex).
+// operation is submitted to the protocol, a Block or Abort verdict is
+// recorded, and the verdict returned. A request whose context is
+// already canceled is refused with Abort without consulting the
+// protocol — a canceled instance must not enter wait queues it will
+// never leave. Called under whatever admission mutual exclusion the
+// protocol requires (the driver's shard lock or protocol mutex).
 func (c *Core) Decide(st *Instance, req sched.OpRequest) sched.Decision {
 	if h := c.Cfg.Hooks.Issue; h != nil {
 		h(st)
@@ -264,26 +341,39 @@ func (c *Core) Decide(st *Instance, req sched.OpRequest) sched.Decision {
 	if h := c.Cfg.Hooks.Decide; h != nil {
 		h(st)
 	}
+	switch dec {
+	case sched.Block:
+		c.blocksTotal.Add(1)
+		c.rep.block(st, req.Op, c.Now())
+	case sched.Abort:
+		c.rep.abortDecision(st, req.Op, c.Now())
+	}
 	return dec
 }
 
 // Unrecoverable reports whether letting st touch op's object would
 // close a dirty-data dependency cycle — neither party could ever
-// commit first, so the driver must abort instead of applying. Called
-// with the object's shard (shardIdx) stable per the driver's locking
-// contract.
+// commit first, so the driver must abort instead of applying — and
+// counts the recoverability abort it finds. Called with the object's
+// shard (shardIdx) stable per the driver's locking contract.
 func (c *Core) Unrecoverable(st *Instance, op core.Op, shardIdx int) bool {
 	w, dirty := topDirty(c.dirty[shardIdx], op.Object)
-	return dirty && w != st.ID && c.depPath(w, st.ID)
+	if !dirty || w == st.ID || !c.depPath(w, st.ID) {
+		return false
+	}
+	c.recovAborts.Add(1)
+	c.rep.recovAborts.Inc()
+	return true
 }
 
 // Apply runs the Apply stage for a granted operation: the store access
 // (context-aware, so injected stalls cut short on cancellation), dirty
-// tracking and dependency recording, the WAL write record, and the
-// instance's event log. It returns the operation's global execution
-// order. The caller must have ruled the access recoverable
-// (Unrecoverable) under the same shard lock.
-func (c *Core) Apply(ctx context.Context, st *Instance, op core.Op, shardIdx int) int64 {
+// tracking and dependency recording, the WAL write record, the
+// instance's event log and the grant's record. The caller must have
+// ruled the access recoverable (Unrecoverable) under the same shard
+// lock, and holds it until Apply returns, so the grant is recorded in
+// same-object execution order.
+func (c *Core) Apply(ctx context.Context, st *Instance, op core.Op, shardIdx int) {
 	c.opsExecuted.Add(1)
 	dirty := c.dirty[shardIdx]
 	if op.Kind == core.ReadOp {
@@ -300,9 +390,9 @@ func (c *Core) Apply(ctx context.Context, st *Instance, op core.Op, shardIdx int
 		st.Undo.WriteLoggedCtx(ctx, c.Cfg.Store, op.Object, v)
 		st.Writes[op.Object] = v
 		dirty[op.Object] = append(dirty[op.Object], st.ID)
-		c.LogWAL(storage.WALRecord{Kind: storage.WALWrite, Instance: st.ID, Object: op.Object, Value: v})
+		c.logWAL(storage.WALRecord{Kind: storage.WALWrite, Instance: st.ID, Object: op.Object, Value: v})
 	}
-	order := c.ExecSeq.Add(1)
+	order := c.execSeq.Add(1)
 	st.Events = append(st.Events, Event{Instance: st.ID, Program: st.Program, Op: op, Order: order})
 	st.Next++
 	if st.Next == st.Program.Len() {
@@ -311,7 +401,7 @@ func (c *Core) Apply(ctx context.Context, st *Instance, op core.Op, shardIdx int
 	if h := c.Cfg.Hooks.Apply; h != nil {
 		h(st)
 	}
-	return order
+	c.rep.grant(st, op, order, c.Now())
 }
 
 // Publish runs the first half of the Commit stage for a finished
@@ -329,8 +419,8 @@ func (c *Core) Publish(st *Instance) bool {
 		return false
 	}
 	c.Cfg.Protocol.Commit(st.ID)
-	st.commitSeq = c.ExecSeq.Load()
-	st.ack = c.LogWAL(storage.WALRecord{Kind: storage.WALCommit, Instance: st.ID})
+	st.commitSeq = c.execSeq.Load()
+	st.ack = c.logWAL(storage.WALRecord{Kind: storage.WALCommit, Instance: st.ID})
 	st.Undo.Discard()
 	//rsvet:allow detlint -- order-insensitive: each object's dirty entry is removed independently
 	for obj := range st.Writes {
@@ -375,7 +465,8 @@ func (c *Core) AwaitAck(st *Instance) {
 // instance, so the stage log of a crashed serial run, which recordings
 // pin, still ends with that instance's Commit hook.
 // Lifecycle-locked.
-func (c *Core) Acknowledge(st *Instance, clock int64) {
+func (c *Core) Acknowledge(st *Instance) {
+	clock := c.Now()
 	c.res.Committed++
 	c.lv.noteCommit()
 	prevLim := c.shed.limit()
@@ -402,7 +493,8 @@ func (c *Core) Acknowledge(st *Instance, clock int64) {
 // cleanup — the deterministic driver requeues the program with backoff
 // there, the concurrent driver dooms co-victims; a non-nil error stops
 // the cascade and fails the run. Lifecycle-locked.
-func (c *Core) AbortCascade(id int64, reason string, clock int64, onVictim func(*Instance) error) error {
+func (c *Core) AbortCascade(id int64, reason string, onVictim func(*Instance) error) error {
+	clock := c.Now()
 	victims := map[int64]bool{}
 	var collect func(v int64)
 	collect = func(v int64) {
@@ -434,8 +526,9 @@ func (c *Core) AbortCascade(id int64, reason string, clock int64, onVictim func(
 	storage.RollbackSet(c.Cfg.Store, logs)
 	for _, v := range ordered {
 		st := c.Active[v]
+		st.reason = reason
 		c.Cfg.Protocol.Abort(v)
-		c.LogWAL(storage.WALRecord{Kind: storage.WALAbort, Instance: v})
+		c.logWAL(storage.WALRecord{Kind: storage.WALAbort, Instance: v})
 		c.rep.txnAbort(st, reason, clock)
 		//rsvet:allow detlint -- order-insensitive: each object's dirty entry is removed independently
 		for obj := range st.Writes {
@@ -481,7 +574,7 @@ func (c *Core) AbortCascade(id int64, reason string, clock int64, onVictim func(
 // recoverable exactly as after any other abort. cause names what
 // canceled the run (for the trace). Returns the number of instances
 // unwound. Lifecycle-locked.
-func (c *Core) AbortAll(cause string, clock int64) int {
+func (c *Core) AbortAll(cause string) int {
 	// The run-scoped Recover hook fires even when nothing is left in
 	// flight (earlier cascades may have drained every instance): the
 	// unwind still marks the run's end.
@@ -495,14 +588,14 @@ func (c *Core) AbortAll(cause string, clock int64) int {
 		}
 		return 0
 	}
-	c.rep.cancel(cause, clock)
+	c.rep.cancel(cause, c.Now())
 	n := 0
 	for _, id := range ids {
 		if _, ok := c.Active[id]; !ok {
 			continue // already unwound by an earlier cascade
 		}
 		// onVictim never errors, so neither does the cascade.
-		_ = c.AbortCascade(id, "canceled", clock, func(*Instance) error {
+		_ = c.AbortCascade(id, "canceled", func(*Instance) error {
 			n++
 			c.cancelAborts.Add(1)
 			c.rep.cancelAborts.Inc()
@@ -518,14 +611,15 @@ func (c *Core) AbortAll(cause string, clock int64) int {
 	return n
 }
 
-// Finalize folds the operation-path counters, degradation state and
-// latency stats into the Result, restores global execution order on
-// the trace (commits append whole per-instance event blocks) and
-// returns it. The driver supplies its tick statistics (zero for the
-// concurrent driver, which has no tick clock).
-func (c *Core) Finalize(ticks int, avgConcurrency float64) *Result {
-	c.res.Ticks = ticks
-	c.res.AvgConcurrency = avgConcurrency
+// Finalize folds the operation-path counters, tick statistics (zero on
+// the SeqClock), degradation state and latency stats into the Result,
+// restores global execution order on the trace (commits append whole
+// per-instance event blocks) and returns it.
+func (c *Core) Finalize() *Result {
+	c.res.Ticks = int(c.ticks)
+	if c.ticks > 0 {
+		c.res.AvgConcurrency = float64(c.inFlight) / float64(c.ticks)
+	}
 	c.res.OpsExecuted = int(c.opsExecuted.Load())
 	c.res.Blocks = int(c.blocksTotal.Load())
 	c.res.InjectedAborts = int(c.injectedAborts.Load())
@@ -548,12 +642,12 @@ func (c *Core) Finalize(ticks int, avgConcurrency float64) *Result {
 }
 
 // sortByExecOrder sorts the events by Order in place. Orders are
-// distinct draws from ExecSeq, so one pass over the order space ranks
+// distinct draws from execSeq, so one pass over the order space ranks
 // the events (the holes are operations of aborted instances) and the
 // permutation is applied cycle by cycle: no comparisons and no second
 // trace.
 func (c *Core) sortByExecOrder(trace []Event) {
-	src := make([]int32, c.ExecSeq.Load()+1) // order -> 1 + index in trace
+	src := make([]int32, c.execSeq.Load()+1) // order -> 1 + index in trace
 	for i := range trace {
 		src[trace[i].Order] = int32(i) + 1
 	}
@@ -578,13 +672,13 @@ func (c *Core) sortByExecOrder(trace []Event) {
 	}
 }
 
-// LogWAL appends a record, parking errors in walErr (surfaced by
+// logWAL appends a record, parking errors in walErr (surfaced by
 // WALErr at the drivers' fold points) so the hot path never needs a
 // lifecycle lock. Commit records go through AppendAck and the lane's
 // ack channel is returned for AwaitAck; everything else is enqueued
 // async. The sink serializes internally; walMu only guards the error
 // latch.
-func (c *Core) LogWAL(rec storage.WALRecord) <-chan error {
+func (c *Core) logWAL(rec storage.WALRecord) <-chan error {
 	if c.Cfg.WAL == nil {
 		return nil
 	}
@@ -640,98 +734,27 @@ func (c *Core) FlushWAL() error {
 	return c.WALErr()
 }
 
-// CountRestart records one program restart (the driver decides where
-// in its loop restarts are charged). Lifecycle-locked.
-func (c *Core) CountRestart() {
+// Restart does the restart accounting for an aborted instance's
+// program: it charges one restart and returns the program's restart
+// count and the livelock escalation level to back off by, or an error
+// once the program has exceeded Config.MaxRestarts. Lifecycle-locked.
+func (c *Core) Restart(st *Instance) (restarts, level int, err error) {
+	st.Restarts++
+	if st.Restarts > c.Cfg.MaxRestarts {
+		return 0, 0, fmt.Errorf("txn: program T%d exceeded %d restarts (reason %s)", st.Program.ID, c.Cfg.MaxRestarts, st.reason)
+	}
 	c.res.Restarts++
 	c.rep.restarts.Inc()
-}
-
-// CountRecoverabilityAbort records one driver-issued recoverability
-// abort.
-func (c *Core) CountRecoverabilityAbort() {
-	c.recovAborts.Add(1)
-	c.rep.recovAborts.Inc()
-}
-
-// CountDeadlineAbort records one per-instance deadline overrun.
-func (c *Core) CountDeadlineAbort() {
-	c.deadlineAborts.Add(1)
-	c.rep.deadlines.Inc()
-}
-
-// CountFault records a driver-level fault-point firing (txn.abort or
-// sched.grant.delay) against the instance it hit.
-func (c *Core) CountFault(p fault.Point, inst int64, clock int64) {
-	switch p {
-	case fault.TxnForcedAbort:
-		c.injectedAborts.Add(1)
-	case fault.SchedGrantDelay:
-		c.injectedDelays.Add(1)
-	}
-	c.rep.fault(p, inst, clock)
-}
-
-// ObserveGrant records an executed operation with its execution order.
-func (c *Core) ObserveGrant(st *Instance, op core.Op, order, clock int64) {
-	c.rep.grant(st, op, order, clock)
-}
-
-// ObserveBlock records a protocol Block decision; shardIdx, when
-// non-negative, additionally charges the sharded driver's per-shard
-// block counter.
-func (c *Core) ObserveBlock(st *Instance, op core.Op, clock int64, shardIdx int) {
-	c.blocksTotal.Add(1)
-	if shardIdx >= 0 && c.rep.shardBlocks != nil {
-		c.rep.shardBlocks[shardIdx].Inc()
-	}
-	c.rep.block(st, op, clock)
-}
-
-// ObserveAbortDecision records a protocol Abort decision for a request.
-func (c *Core) ObserveAbortDecision(st *Instance, op core.Op, clock int64) {
-	c.rep.abortDecision(st, op, clock)
+	return st.Restarts, c.lv.level, nil
 }
 
 // ObserveWedge records the watchdog declaring the run wedged.
 func (c *Core) ObserveWedge(we *WedgeError) { c.rep.wedge(we) }
 
-// ObserveWakeup / ObserveBroadcast* record the concurrent driver's
-// cond-variable traffic.
-func (c *Core) ObserveWakeup() { c.rep.wakeups.Inc() }
-
-// ObserveBroadcastShard records a targeted per-shard broadcast.
-func (c *Core) ObserveBroadcastShard() { c.rep.bcastShard.Inc() }
-
-// ObserveBroadcastGlobal records a global-cond broadcast.
-func (c *Core) ObserveBroadcastGlobal() { c.rep.bcastGlobal.Inc() }
-
-// ObserveBroadcastFlood records a flood (everything) broadcast.
-func (c *Core) ObserveBroadcastFlood() { c.rep.bcastFlood.Inc() }
-
-// InitShardInstruments resolves the sharded driver's per-shard
-// contention instruments (no-op without a metrics registry).
-func (c *Core) InitShardInstruments() {
-	c.rep.initShardInstruments(c.Cfg.Metrics, c.Router.Shards())
-}
-
-// ShardInstruments returns shard i's block counter and wall-clock wait
-// histogram (nil without metrics).
-func (c *Core) ShardInstruments(i int) (*metrics.Counter, *metrics.Histogram) {
-	if c.rep.shardBlocks == nil {
-		return nil, nil
-	}
-	return c.rep.shardBlocks[i], c.rep.shardWait[i]
-}
-
 // JitterSleep blocks the caller for a seeded random backoff scaled by
 // its restart count and the livelock escalation level; level 0 returns
 // immediately.
 func (c *Core) JitterSleep(restarts, level int) { c.jit.sleep(restarts, level) }
-
-// LivelockLevel returns the current livelock escalation level.
-// Lifecycle-locked.
-func (c *Core) LivelockLevel() int { return c.lv.level }
 
 // addDep records a dirty-read dependency from the operation path.
 func (c *Core) addDep(st *Instance, on int64) {

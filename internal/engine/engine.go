@@ -1,17 +1,20 @@
 // Package engine is the unified transaction-execution pipeline: one
 // explicit per-transaction lifecycle state machine
 //
-//	Admit → Issue → Decide → Apply → Commit/Abort → Recover
+//	Admit → Check → Issue → Decide → Apply → Commit/Abort → Recover
 //
 // shared by every driver. The deterministic tick driver (txn.Runner)
 // and the sharded goroutine driver (txn.ConcurrentRunner) are thin
 // loops — single-goroutine vs. worker pool — over the same stage
-// implementations living here: admission and instance bookkeeping,
+// implementations living here: admission and instance bookkeeping, the
+// pre-issue checks (deadline, injected aborts and grant delays),
 // protocol consultation, operation application with dirty-data
 // tracking, commit gating, cascading abort with cross-transaction
-// rollback, graceful degradation (shedding, livelock escalation) and
-// the engine-owned reporter that turns a run into a Result plus trace
-// and metrics emission.
+// rollback, restart accounting and graceful degradation (shedding,
+// livelock escalation). Each stage records what it did through the
+// engine-owned reporter, which turns a run into a Result plus trace and
+// metrics emission, at the engine-owned logical clock (Clock): the
+// drivers keep only the loop, the locks and the waits.
 //
 // Cancellation is one mechanism throughout: every run threads a
 // context.Context through the stages, the scheduler's grant/wait

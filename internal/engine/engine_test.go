@@ -12,6 +12,7 @@ import (
 
 	"relser/internal/core"
 	"relser/internal/engine"
+	"relser/internal/fault"
 	"relser/internal/sched"
 )
 
@@ -58,7 +59,7 @@ func TestNewCoreValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := engine.NewCore(tc.cfg)
+			_, err := engine.NewCore(tc.cfg, engine.SeqClock)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("got %v, want error containing %q", err, tc.want)
 			}
@@ -83,12 +84,12 @@ func TestCorePipelineDirect(t *testing.T) {
 			Apply: note(engine.StageApply), Commit: note(engine.StageCommit), Abort: note(engine.StageAbort),
 		},
 	}
-	eng, err := engine.NewCore(cfg)
+	eng, err := engine.NewCore(cfg, engine.SeqClock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	st := eng.Admit(&engine.Pending{Program: p}, 0)
+	st := eng.Admit(&engine.Pending{Program: p})
 	for !st.Done {
 		op := st.Program.Op(st.Next)
 		req := sched.OpRequest{Instance: st.ID, Program: st.Program, Seq: st.Next, Op: op, Ctx: ctx}
@@ -99,15 +100,14 @@ func TestCorePipelineDirect(t *testing.T) {
 		if eng.Unrecoverable(st, op, shardIdx) {
 			t.Fatal("single instance cannot be unrecoverable")
 		}
-		order := eng.Apply(ctx, st, op, shardIdx)
-		eng.ObserveGrant(st, op, order, 0)
+		eng.Apply(ctx, st, op, shardIdx)
 	}
 	if !eng.Publish(st) {
 		t.Fatal("lone finished instance must commit")
 	}
 	eng.AwaitAck(st)
-	eng.Acknowledge(st, 1)
-	res := eng.Finalize(1, 1)
+	eng.Acknowledge(st)
+	res := eng.Finalize()
 	if res.Committed != 1 || res.OpsExecuted != 2 {
 		t.Fatalf("unexpected result: %v", res)
 	}
@@ -139,11 +139,11 @@ func TestAbortAllFiresRecoverWhenIdle(t *testing.T) {
 		Programs: []*core.Transaction{prog(1, "r[x]")},
 		Hooks:    engine.Hooks{Recover: func() { sawRecover = true }},
 	}
-	eng, err := engine.NewCore(cfg)
+	eng, err := engine.NewCore(cfg, engine.SeqClock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := eng.AbortAll("canceled", 0); n != 0 {
+	if n := eng.AbortAll("canceled"); n != 0 {
 		t.Fatalf("unwound %d instances from an idle core", n)
 	}
 	if !sawRecover {
@@ -157,14 +157,14 @@ func TestAbortAllFiresRecoverWhenIdle(t *testing.T) {
 // ascending execution order, and the live-ID list must track the table.
 func TestFinalizeRestoresExecutionOrder(t *testing.T) {
 	progs := []*core.Transaction{prog(1, "r[a] w[a] r[b]"), prog(2, "w[c] r[d] w[d]"), prog(3, "r[e] r[f] w[g]")}
-	eng, err := engine.NewCore(engine.Config{Protocol: sched.NewNoCC(), Programs: progs})
+	eng, err := engine.NewCore(engine.Config{Protocol: sched.NewNoCC(), Programs: progs}, engine.SeqClock)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 	var insts []*engine.Instance
 	for _, p := range progs {
-		insts = append(insts, eng.Admit(&engine.Pending{Program: p}, 0))
+		insts = append(insts, eng.Admit(&engine.Pending{Program: p}))
 	}
 	for step := 0; step < 3; step++ {
 		for _, st := range insts {
@@ -173,7 +173,7 @@ func TestFinalizeRestoresExecutionOrder(t *testing.T) {
 			eng.Apply(ctx, st, op, eng.Router.Shard(op.Object))
 		}
 	}
-	if err := eng.AbortCascade(insts[1].ID, "test", 1, nil); err != nil {
+	if err := eng.AbortCascade(insts[1].ID, "test", nil); err != nil {
 		t.Fatal(err)
 	}
 	if ids := eng.ActiveIDs(); len(ids) != 2 || ids[0] != insts[0].ID || ids[1] != insts[2].ID {
@@ -184,12 +184,12 @@ func TestFinalizeRestoresExecutionOrder(t *testing.T) {
 			t.Fatalf("instance %d must commit", st.ID)
 		}
 		eng.AwaitAck(st)
-		eng.Acknowledge(st, 2)
+		eng.Acknowledge(st)
 	}
 	if ids := eng.ActiveIDs(); len(ids) != 0 {
 		t.Fatalf("live IDs after the commits: %v", ids)
 	}
-	res := eng.Finalize(2, 3)
+	res := eng.Finalize()
 	want := []int64{1, 3, 4, 6, 7, 9} // instance 2 drew 2, 5 and 8
 	if len(res.Trace) != len(want) {
 		t.Fatalf("trace has %d events, want %d", len(res.Trace), len(want))
@@ -198,5 +198,87 @@ func TestFinalizeRestoresExecutionOrder(t *testing.T) {
 		if ev.Order != want[i] || ev.Instance == insts[1].ID {
 			t.Fatalf("trace[%d] = instance %d order %d, want order %d", i, ev.Instance, ev.Order, want[i])
 		}
+	}
+}
+
+// TestCheckStageOrder pins the pre-issue checks' order on the tick
+// clock — deadline first, then txn.abort, then sched.grant.delay — and
+// that the stage counts what fired.
+func TestCheckStageOrder(t *testing.T) {
+	p := prog(1, "r[x]")
+	for _, tc := range []struct {
+		spec  string
+		ticks int
+		want  string // abort reason, or "delay"
+	}{
+		{"txn.abort:1,sched.grant.delay:1", 0, "injected"},
+		{"txn.abort:1,sched.grant.delay:1", 2, "deadline"},
+		{"sched.grant.delay:1", 0, "delay"},
+		{"sched.grant.delay:0", 1, ""},
+	} {
+		eng, err := engine.NewCore(engine.Config{
+			Protocol: sched.NewNoCC(), Programs: []*core.Transaction{p},
+			Deadline: 1, Faults: fault.New(1, fault.MustParseSpec(tc.spec)),
+		}, engine.TickClock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := eng.Admit(&engine.Pending{Program: p})
+		for i := 0; i < tc.ticks; i++ {
+			eng.Tick()
+		}
+		v := eng.Check(st)
+		got := v.Abort
+		if v.Delay > 0 {
+			got += "delay"
+		}
+		if got != tc.want {
+			t.Errorf("%s after %d ticks: verdict %+v, want %q", tc.spec, tc.ticks, v, tc.want)
+		}
+		res := eng.Finalize()
+		counted := map[string]int{"deadline": res.DeadlineAborts, "injected": res.InjectedAborts, "delay": res.InjectedDelays}
+		for k, n := range counted {
+			want := 0
+			if k == tc.want {
+				want = 1
+			}
+			if n != want {
+				t.Errorf("%s after %d ticks: %s counted %d, want %d", tc.spec, tc.ticks, k, n, want)
+			}
+		}
+		wantAvg := 0.0
+		if tc.ticks > 0 {
+			wantAvg = 1 // one instance in flight every tick
+		}
+		if res.Ticks != tc.ticks || res.AvgConcurrency != wantAvg {
+			t.Errorf("ticks %d avg %v, want %d and %v", res.Ticks, res.AvgConcurrency, tc.ticks, wantAvg)
+		}
+	}
+}
+
+// TestRestartAccounting pins the one restart-accounting method: each
+// call charges a restart until the program exceeds MaxRestarts, and the
+// exhaustion error names the reason of the cascade that aborted it.
+func TestRestartAccounting(t *testing.T) {
+	p := prog(1, "r[x]")
+	eng, err := engine.NewCore(engine.Config{
+		Protocol: sched.NewNoCC(), Programs: []*core.Transaction{p}, MaxRestarts: 2,
+	}, engine.SeqClock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := eng.Admit(&engine.Pending{Program: p, Restarts: 1})
+	if err := eng.AbortCascade(st.ID, "protocol", nil); err != nil {
+		t.Fatal(err)
+	}
+	if n, level, err := eng.Restart(st); n != 2 || level != 0 || err != nil {
+		t.Fatalf("Restart = %d, %d, %v; want 2, 0, nil", n, level, err)
+	}
+	_, _, err = eng.Restart(st)
+	if want := "txn: program T1 exceeded 2 restarts (reason protocol)"; err == nil || err.Error() != want {
+		t.Fatalf("Restart past the budget = %v, want %q", err, want)
+	}
+	if res := eng.Finalize(); res.Restarts != 1 || res.Aborts != 1 {
+		t.Errorf("restarts %d aborts %d, want 1 and 1", res.Restarts, res.Aborts)
 	}
 }

@@ -45,17 +45,6 @@ type reporter struct {
 	degraded     *metrics.Gauge
 	effMPL       *metrics.Gauge
 
-	// Contention instruments for the sharded concurrent driver
-	// (initShardInstruments). Counters are atomic and histograms are
-	// internally locked, so the hot path updates them without driver
-	// locks.
-	wakeups     *metrics.Counter
-	bcastShard  *metrics.Counter
-	bcastGlobal *metrics.Counter
-	bcastFlood  *metrics.Counter
-	shardBlocks []*metrics.Counter
-	shardWait   []*metrics.Histogram
-
 	// Bounded-memory certification gauges, refreshed from the
 	// protocol's RetireStats at each commit (cheap struct copy).
 	rsgLive    *metrics.Gauge
@@ -209,28 +198,7 @@ func (o *reporter) cancel(cause string, clock int64) {
 	}
 }
 
-// initShardInstruments resolves the concurrent driver's contention
-// counters: per-shard block counts and wall-clock wait histograms
-// (seconds), plus broadcast counters that distinguish targeted
-// per-shard wakeups from global and flood broadcasts. No-op without a
-// metrics registry.
-func (o *reporter) initShardInstruments(reg *metrics.Registry, shards int) {
-	if reg == nil {
-		return
-	}
-	o.wakeups = reg.Counter("txn.wakeups")
-	o.bcastShard = reg.Counter("txn.cond.broadcast_shard")
-	o.bcastGlobal = reg.Counter("txn.cond.broadcast_global")
-	o.bcastFlood = reg.Counter("txn.cond.broadcast_flood")
-	o.shardBlocks = make([]*metrics.Counter, shards)
-	o.shardWait = make([]*metrics.Histogram, shards)
-	for i := 0; i < shards; i++ {
-		o.shardBlocks[i] = reg.Counter(fmt.Sprintf("txn.shard%02d.blocks", i))
-		o.shardWait[i] = reg.Histogram(fmt.Sprintf("txn.shard%02d.wait_seconds", i))
-	}
-}
-
-// fault records a driver-level fault-point firing (injected abort or
+// fault records a Check-stage fault-point firing (injected abort or
 // grant delay) against the instance it hit.
 func (o *reporter) fault(point fault.Point, inst int64, clock int64) {
 	switch point {

@@ -53,8 +53,8 @@ type Result struct {
 	// CancelAborts counts instances aborted by the Recover stage when
 	// the run context was canceled mid-flight.
 	CancelAborts int
-	// InjectedAborts counts txn.abort fault firings honored by the
-	// driver; InjectedDelays counts sched.grant.delay firings.
+	// InjectedAborts counts txn.abort fault firings at the Check stage;
+	// InjectedDelays counts sched.grant.delay firings.
 	InjectedAborts int
 	InjectedDelays int
 	// LivelockEscalations counts restart-backoff escalations by the

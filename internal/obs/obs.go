@@ -31,21 +31,20 @@ import (
 	"relser/internal/trace"
 )
 
-// DefaultSampleEvery is the default sampling divisor for hot event
-// kinds: one in every N begin/commit/grant/store/WAL events is
-// recorded.
-const DefaultSampleEvery = 64
+// SampleEvery is the sampling divisor for hot event kinds: one in
+// every SampleEvery begin/commit/grant/store/WAL events is recorded. A
+// power of two, so the gate divides with a mask.
+const SampleEvery = 64
 
-// DefaultDumpLivelockLevel is the livelock escalation level that
-// triggers an automatic flight dump.
-const DefaultDumpLivelockLevel = 2
+// dumpLivelockLevel is the livelock escalation level that triggers an
+// automatic flight dump.
+const dumpLivelockLevel = 2
 
 // maxAutoDumps bounds the number of automatic dump files per plane.
 const maxAutoDumps = 8
 
 // Options configures a Plane. The zero value is usable: a fresh
-// registry, default ring and span retention, default sampling, no file
-// dumps.
+// registry, the default ring, sampling, no file dumps.
 type Options struct {
 	// Registry receives the plane's instruments and is the registry
 	// /metrics exposes. Share it with the run (workload wiring does this
@@ -54,25 +53,16 @@ type Options struct {
 	Registry *metrics.Registry
 	// RingCap is the flight-recorder capacity (DefaultRingCap if <= 0).
 	RingCap int
-	// SpanCap is the completed-span retention (DefaultSpanCap if <= 0).
-	SpanCap int
-	// SampleEvery records one in every N hot-kind events
-	// (DefaultSampleEvery if 0; 1 or Full disables sampling; rounded up
-	// to a power of two so the gate divides with a mask). Rare kinds —
-	// degradation, cycle evidence, per-instance aborts — are never
-	// sampled.
-	SampleEvery int
 	// Full disables sampling entirely; implied when a downstream
-	// full-trace sink is attached via Tracer.
+	// full-trace sink is attached via Tracer. Sampled, hot kinds pass
+	// one in SampleEvery; rare kinds — degradation, cycle evidence,
+	// per-instance aborts — are never sampled.
 	Full bool
 	// DumpDir, when set, receives automatic flight dumps (JSONL) on
 	// watchdog wedge, run cancellation, livelock escalation and
 	// abort-storm shedding. Empty disables file dumps; the triggers are
 	// still counted and the ring stays inspectable over HTTP.
 	DumpDir string
-	// DumpLivelockLevel is the escalation level that triggers a dump
-	// (DefaultDumpLivelockLevel if 0; negative disables the trigger).
-	DumpLivelockLevel int
 }
 
 // Plane bundles the flight recorder, span table, health state and SSE
@@ -86,10 +76,6 @@ type Plane struct {
 	health *healthState
 	sse    *broadcaster
 	epoch  time.Time
-
-	// sampleMask is SampleEvery-1 (power of two), applied to the
-	// per-kind countdowns below so the gate's modulo is a mask.
-	sampleMask uint64
 
 	// Sampling countdowns, one per gated kind (plain atomics so the
 	// gate never locks).
@@ -128,27 +114,17 @@ func New(opts Options) *Plane {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	if opts.SampleEvery <= 0 {
-		opts.SampleEvery = DefaultSampleEvery
-	}
-	for opts.SampleEvery&(opts.SampleEvery-1) != 0 {
-		opts.SampleEvery++
-	}
-	if opts.DumpLivelockLevel == 0 {
-		opts.DumpLivelockLevel = DefaultDumpLivelockLevel
-	}
 	epoch := time.Now()
 	return &Plane{
-		opts:       opts,
-		sampleMask: uint64(opts.SampleEvery) - 1,
-		reg:        reg,
-		rec:        NewRecorder(opts.RingCap, reg),
-		spans:      newSpanTable(epoch, opts.SpanCap, reg),
-		health:     &healthState{},
-		sse:        newBroadcaster(reg),
-		epoch:      epoch,
-		dumpC:      reg.Counter("obs.dump_triggers"),
-		dumped:     make(map[string]bool),
+		opts:   opts,
+		reg:    reg,
+		rec:    NewRecorder(opts.RingCap, reg),
+		spans:  newSpanTable(epoch, reg),
+		health: &healthState{},
+		sse:    newBroadcaster(reg),
+		epoch:  epoch,
+		dumpC:  reg.Counter("obs.dump_triggers"),
+		dumped: make(map[string]bool),
 	}
 }
 
@@ -236,10 +212,10 @@ func (p *Plane) Health() Health {
 // plane's tracer is unserialized — and sampling is disabled so the
 // downstream consumer sees the complete stream (trace.VerifyCycles
 // replay requires every grant). With no downstream, hot kinds are
-// sampled per Options.SampleEvery before event construction.
+// sampled one in SampleEvery before event construction.
 func (p *Plane) Tracer(downstream *trace.Tracer) *trace.Tracer {
 	var tee trace.Sink
-	full := p.opts.Full || p.opts.SampleEvery <= 1
+	full := p.opts.Full
 	if downstream.Enabled() {
 		tee = &syncSink{s: downstream.Sink()}
 		full = true
@@ -309,7 +285,7 @@ func (p *Plane) Dumps() ([]string, []error) {
 // on the instrumented hot path, so it is a string switch plus one
 // atomic add and a mask — no locks, no allocation, no division.
 func (p *Plane) admit(k trace.Kind) bool {
-	m := p.sampleMask
+	const m = SampleEvery - 1
 	switch k {
 	case trace.KindBegin:
 		return p.scBegin.Add(1)&m == 1
@@ -402,7 +378,7 @@ func (p *Plane) maybeDump(ev trace.Event) {
 		if _, err := fmt.Sscanf(ev.Reason, "livelock-escalation level=%d", &level); err != nil {
 			return
 		}
-		if p.opts.DumpLivelockLevel < 0 || level < p.opts.DumpLivelockLevel {
+		if level < dumpLivelockLevel {
 			return
 		}
 		trigger = "livelock"

@@ -111,12 +111,15 @@ func TestPlaneFullTraceReplaysThroughVerifyCycles(t *testing.T) {
 	}
 }
 
-// TestPlaneSamplingGate pins the gate arithmetic: SampleEvery rounds up
-// to a power of two, the first event of a hot kind always passes, rare
-// kinds are never sampled, and an enabled downstream tracer forces full
-// mode (offline replay needs the complete stream).
+// TestPlaneSamplingGate pins the gate arithmetic: one hot event in
+// SampleEvery passes, the first of a hot kind always, rare kinds are
+// never sampled, and an enabled downstream tracer forces full mode
+// (offline replay needs the complete stream).
 func TestPlaneSamplingGate(t *testing.T) {
-	plane := obs.New(obs.Options{SampleEvery: 48}) // rounds up to 64
+	if obs.SampleEvery != 64 {
+		t.Fatalf("SampleEvery = %d, want 64", obs.SampleEvery)
+	}
+	plane := obs.New(obs.Options{})
 	tr := plane.Tracer(nil)
 	passed := 0
 	for i := 0; i < 130; i++ {
@@ -125,7 +128,7 @@ func TestPlaneSamplingGate(t *testing.T) {
 		}
 	}
 	if passed != 3 {
-		t.Errorf("130 grants passed %d times, want 3 (SampleEvery 48 rounds to 64)", passed)
+		t.Errorf("130 grants passed %d times, want 3 (one in SampleEvery=64)", passed)
 	}
 	for i := 0; i < 10; i++ {
 		if !tr.Wants(trace.KindCycleReject) || !tr.Wants(trace.KindWedge) {
@@ -284,7 +287,16 @@ func TestServerEndpoints(t *testing.T) {
 	// Scrape fidelity under degradation: after an abort-storm banking run
 	// (injected aborts, grant delays, a logical deadline) on a plane of
 	// its own, the live scrape must match the end-of-run Result counter
-	// for counter — real sheds and timeouts, not zeros.
+	// for counter — real sheds and timeouts, not zeros — on both
+	// drivers.
+	for _, concurrent := range []bool{false, true} {
+		t.Run(fmt.Sprintf("concurrent=%v", concurrent), func(t *testing.T) {
+			scrapeMatchesResultAfterStorm(t, concurrent)
+		})
+	}
+}
+
+func scrapeMatchesResultAfterStorm(t *testing.T, concurrent bool) {
 	storm := obs.New(obs.Options{})
 	stormSrv, err := storm.Serve("127.0.0.1:0")
 	if err != nil {
@@ -299,7 +311,7 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	sres, _, err := bank.RunWith(sched.NewRSGT(bank.Oracle), workload.RunOptions{
-		Seed: 1, MPL: 8, Obs: storm, Deadline: 16,
+		Seed: 1, MPL: 8, Obs: storm, Deadline: 16, Concurrent: concurrent,
 		Faults: fault.New(1, fault.MustParseSpec("txn.abort:0.5,sched.grant.delay:0.05")),
 	})
 	if err != nil {
@@ -319,6 +331,12 @@ func TestServerEndpoints(t *testing.T) {
 		{"txn.load_sheds", sres.LoadSheds},
 		{"txn.deadline_aborts", sres.DeadlineAborts},
 		{"txn.injected_aborts", sres.InjectedAborts},
+		{"txn.injected_delays", sres.InjectedDelays},
+		{"txn.recoverability_aborts", sres.RecoverabilityAborts},
+		{"txn.restarts", sres.Restarts},
+		{"txn.ops_executed", sres.OpsExecuted},
+		{"txn.blocks", sres.Blocks},
+		{"txn.commit_waits", sres.CommitWaits},
 		{"txn.livelock_escalations", sres.LivelockEscalations},
 		{"txn.cancel_aborts", sres.CancelAborts},
 	} {

@@ -66,8 +66,8 @@ type SpanLink struct {
 // one span without bound.
 const maxSpanLinks = 8
 
-// DefaultSpanCap is the default completed-span retention.
-const DefaultSpanCap = 1 << 12
+// spanCap is the completed-span retention.
+const spanCap = 1 << 12
 
 // spanTable assembles spans from stage hooks (lifecycle) and trace
 // events (enrichment). Hooks run under the drivers' lifecycle locks and
@@ -86,13 +86,10 @@ type spanTable struct {
 	closed uint64
 }
 
-func newSpanTable(epoch time.Time, capacity int, reg *metrics.Registry) *spanTable {
-	if capacity <= 0 {
-		capacity = DefaultSpanCap
-	}
+func newSpanTable(epoch time.Time, reg *metrics.Registry) *spanTable {
 	t := &spanTable{
 		live:  make(map[int64]*Span),
-		done:  make([]Span, 0, capacity),
+		done:  make([]Span, 0, spanCap),
 		epoch: epoch,
 	}
 	if reg != nil {

@@ -109,6 +109,11 @@ type ConcurrentRunner struct {
 	// restart; the watchdog declares a wedge when it stops moving.
 	progress atomic.Int64
 
+	// Contention instruments (nil, hence no-ops, without Cfg.Metrics):
+	// cond wakeups and broadcasts, split into targeted per-shard,
+	// global and flood broadcasts.
+	wakeups, bcastShard, bcastGlobal, bcastFlood *metrics.Counter
+
 	runErr error // state
 }
 
@@ -120,27 +125,37 @@ type driverShard struct {
 	cond    *sync.Cond
 	waiters int
 
+	blocks   *metrics.Counter   // Block decisions on this shard (nil without metrics)
 	waitHist *metrics.Histogram // per-shard wall-clock wait seconds (nil without metrics)
 }
 
 // NewConcurrent validates the configuration (same rules as New) and
 // prepares a concurrent runner with cfg.Shards driver shards.
 func NewConcurrent(cfg Config) (*ConcurrentRunner, error) {
-	eng, err := engine.NewCore(cfg)
+	eng, err := engine.NewCore(cfg, engine.SeqClock)
 	if err != nil {
 		return nil, err
 	}
-	eng.InitShardInstruments()
 	r := &ConcurrentRunner{
 		eng:       eng,
 		shardSafe: sched.IsShardSafe(eng.Cfg.Protocol),
+	}
+	reg := eng.Cfg.Metrics
+	if reg != nil {
+		r.wakeups = reg.Counter("txn.wakeups")
+		r.bcastShard = reg.Counter("txn.cond.broadcast_shard")
+		r.bcastGlobal = reg.Counter("txn.cond.broadcast_global")
+		r.bcastFlood = reg.Counter("txn.cond.broadcast_flood")
 	}
 	r.commitCond = sync.NewCond(&r.commitMu)
 	r.shards = make([]*driverShard, eng.Router.Shards())
 	for i := range r.shards {
 		sh := &driverShard{}
 		sh.cond = sync.NewCond(&sh.mu)
-		_, sh.waitHist = eng.ShardInstruments(i)
+		if reg != nil {
+			sh.blocks = reg.Counter(fmt.Sprintf("txn.shard%02d.blocks", i))
+			sh.waitHist = reg.Histogram(fmt.Sprintf("txn.shard%02d.wait_seconds", i))
+		}
 		r.shards[i] = sh
 	}
 	return r, nil
@@ -253,14 +268,14 @@ func (r *ConcurrentRunner) RunContext(parent context.Context) (*Result, error) {
 			// effects only. Non-cancellation failures (WAL append errors,
 			// restart exhaustion) keep the historical behavior — aborted
 			// instances' effects are already absent from recovery.
-			r.eng.AbortAll(context.Cause(ctx).Error(), r.eng.Clock())
+			r.eng.AbortAll(context.Cause(ctx).Error())
 		}
 		return nil, r.runErr
 	}
 	if r.eng.Committed() != len(r.eng.Cfg.Programs) {
 		return nil, fmt.Errorf("txn: concurrent run finished with %d of %d programs committed", r.eng.Committed(), len(r.eng.Cfg.Programs))
 	}
-	return r.eng.Finalize(0, 0), nil
+	return r.eng.Finalize(), nil
 }
 
 // runCanceled converts a canceled context into the run error: the
@@ -332,7 +347,7 @@ func (r *ConcurrentRunner) runProgram(ctx context.Context, pp *engine.Pending) (
 		time.Sleep(100 * time.Microsecond)
 		r.state.Lock()
 	}
-	st := r.eng.Admit(pp, r.eng.Clock())
+	st := r.eng.Admit(pp)
 	r.activeCount.Add(1)
 	r.state.Unlock()
 
@@ -363,24 +378,17 @@ func (r *ConcurrentRunner) runProgram(ctx context.Context, pp *engine.Pending) (
 			}
 			continue
 		}
-		if dl := r.eng.Cfg.Deadline; dl > 0 && r.eng.Clock()-st.StartClock > dl {
-			r.eng.CountDeadlineAbort()
+		v := r.eng.Check(st)
+		if v.Abort != "" {
 			r.state.RUnlock()
-			r.victimize(st, "deadline")
+			r.victimize(st, v.Abort)
 			return r.noteRestart(pp, st)
 		}
-		if r.eng.Cfg.Faults.Fire(fault.TxnForcedAbort) {
-			r.eng.CountFault(fault.TxnForcedAbort, st.ID, r.eng.Clock())
-			r.state.RUnlock()
-			r.victimize(st, "injected")
-			return r.noteRestart(pp, st)
-		}
-		if r.eng.Cfg.Faults.Fire(fault.SchedGrantDelay) {
+		if v.Delay > 0 {
 			// The scheduler "loses" this worker's turn for a beat; a
 			// canceled run stops paying for the injected latency.
-			r.eng.CountFault(fault.SchedGrantDelay, st.ID, r.eng.Clock())
 			r.state.RUnlock()
-			fault.SleepCtx(ctx, r.eng.Cfg.Faults.Latency(fault.SchedGrantDelay))
+			fault.SleepCtx(ctx, v.Delay)
 			continue
 		}
 		op := st.Program.Op(st.Next)
@@ -400,8 +408,10 @@ func (r *ConcurrentRunner) runProgram(ctx context.Context, pp *engine.Pending) (
 		}
 		switch dec {
 		case sched.Grant:
-			order, ok := r.applySharded(ctx, st, op, sh, shardIdx)
-			if !ok {
+			// Apply records the grant before the shard (and pmu) is
+			// released, so trace order matches same-object execution
+			// order.
+			if !r.applySharded(ctx, st, op, sh, shardIdx) {
 				sh.mu.Unlock()
 				if !r.shardSafe {
 					r.pmu.Unlock()
@@ -410,9 +420,6 @@ func (r *ConcurrentRunner) runProgram(ctx context.Context, pp *engine.Pending) (
 				r.victimize(st, "recoverability")
 				return r.noteRestart(pp, st)
 			}
-			// Emit the grant before releasing the shard (and pmu) so
-			// trace order matches same-object execution order.
-			r.eng.ObserveGrant(st, op, order, order)
 			sh.mu.Unlock()
 			if r.shardSafe {
 				r.state.RUnlock()
@@ -426,7 +433,7 @@ func (r *ConcurrentRunner) runProgram(ctx context.Context, pp *engine.Pending) (
 				r.broadcastGlobal()
 			}
 		case sched.Block:
-			r.eng.ObserveBlock(st, op, r.eng.Clock(), shardIdx)
+			sh.blocks.Inc()
 			var slept bool
 			if r.shardSafe {
 				slept = r.sleepShard(sh)
@@ -445,7 +452,6 @@ func (r *ConcurrentRunner) runProgram(ctx context.Context, pp *engine.Pending) (
 			// Woken (the helper released the shared state lock before
 			// sleeping); re-enter the loop and retry the same operation.
 		case sched.Abort:
-			r.eng.ObserveAbortDecision(st, op, r.eng.Clock())
 			if r.shardSafe {
 				sh.mu.Unlock()
 			} else {
@@ -462,13 +468,13 @@ func (r *ConcurrentRunner) runProgram(ctx context.Context, pp *engine.Pending) (
 // on the sharded hot path. Called with the shared state lock and sh.mu
 // held (sh is the target object's shard, so the engine's dirty stacks
 // for it are stable); non-shard-safe callers additionally hold pmu.
-// Returns the operation's execution order and false if executing would
-// create an unrecoverable read-from cycle.
+// Returns false if executing would create an unrecoverable read-from
+// cycle.
 //
 //rsvet:locks sh.mu
-func (r *ConcurrentRunner) applySharded(ctx context.Context, st *engine.Instance, op core.Op, sh *driverShard, shardIdx int) (int64, bool) {
+func (r *ConcurrentRunner) applySharded(ctx context.Context, st *engine.Instance, op core.Op, sh *driverShard, shardIdx int) bool {
 	if r.eng.Unrecoverable(st, op, shardIdx) {
-		return 0, false
+		return false
 	}
 	if in := r.eng.Cfg.Faults; in.Active(fault.ShardStall) || in.Active(fault.ShardWedge) {
 		// Both fire while holding the shard's mutex — a stalled or
@@ -485,9 +491,9 @@ func (r *ConcurrentRunner) applySharded(ctx context.Context, st *engine.Instance
 			in.WedgeCtx(ctx)
 		}
 	}
-	order := r.eng.Apply(ctx, st, op, shardIdx)
+	r.eng.Apply(ctx, st, op, shardIdx)
 	r.progress.Add(1)
-	return order, true
+	return true
 }
 
 // tryFinish attempts to commit a finished instance: it publishes under
@@ -515,7 +521,7 @@ func (r *ConcurrentRunner) tryFinish(ctx context.Context, st *engine.Instance) (
 		r.state.Unlock()
 		r.eng.AwaitAck(st)
 		r.state.Lock()
-		r.eng.Acknowledge(st, r.eng.Clock())
+		r.eng.Acknowledge(st)
 		r.state.Unlock()
 		return true, false, nil
 	}
@@ -534,7 +540,7 @@ func (r *ConcurrentRunner) tryFinish(ctx context.Context, st *engine.Instance) (
 	r.globalWaiters--
 	r.sleepers.Add(-1)
 	r.commitMu.Unlock()
-	r.eng.ObserveWakeup()
+	r.wakeups.Inc()
 	return false, false, nil
 }
 
@@ -560,7 +566,7 @@ func (r *ConcurrentRunner) sleepShard(sh *driverShard) bool {
 	r.sleepers.Add(-1)
 	sh.waitHist.Observe(time.Since(start).Seconds())
 	sh.mu.Unlock()
-	r.eng.ObserveWakeup()
+	r.wakeups.Inc()
 	return true
 }
 
@@ -584,7 +590,7 @@ func (r *ConcurrentRunner) sleepGlobal() bool {
 	r.globalWaiters--
 	r.sleepers.Add(-1)
 	r.commitMu.Unlock()
-	r.eng.ObserveWakeup()
+	r.wakeups.Inc()
 	return true
 }
 
@@ -592,7 +598,7 @@ func (r *ConcurrentRunner) sleepGlobal() bool {
 func (r *ConcurrentRunner) broadcastGlobal() {
 	r.commitMu.Lock()
 	if r.globalWaiters > 0 {
-		r.eng.ObserveBroadcastGlobal()
+		r.bcastGlobal.Inc()
 		r.commitCond.Broadcast()
 	}
 	r.commitMu.Unlock()
@@ -633,19 +639,19 @@ func (r *ConcurrentRunner) wakeAfterCommitLocked(st *engine.Instance) {
 		sh := r.shards[s]
 		sh.mu.Lock()
 		if sh.waiters > 0 {
-			r.eng.ObserveBroadcastShard()
+			r.bcastShard.Inc()
 			sh.cond.Broadcast()
 		}
 		sh.mu.Unlock()
 	}
 	r.commitMu.Lock()
 	if r.globalWaiters > 0 {
-		r.eng.ObserveBroadcastGlobal()
+		r.bcastGlobal.Inc()
 		r.commitCond.Broadcast()
 	}
 	r.commitMu.Unlock()
 	if ac := r.activeCount.Load(); ac > 0 && r.sleepers.Load() >= ac {
-		r.eng.ObserveBroadcastFlood()
+		r.bcastFlood.Inc()
 		r.wakeAll()
 	}
 }
@@ -656,9 +662,6 @@ func (r *ConcurrentRunner) wakeAfterCommitLocked(st *engine.Instance) {
 // acquiring the exclusive one.
 func (r *ConcurrentRunner) victimize(st *engine.Instance, reason string) {
 	r.state.Lock()
-	if reason == "recoverability" {
-		r.eng.CountRecoverabilityAbort()
-	}
 	if st.Doomed.Load() {
 		// Someone else already aborted us (and woke everyone).
 		st.Doomed.Store(false)
@@ -676,7 +679,7 @@ func (r *ConcurrentRunner) victimize(st *engine.Instance, reason string) {
 // caller broadcasts afterwards.
 func (r *ConcurrentRunner) abortCascadeLocked(st *engine.Instance, reason string) {
 	// onVictim never errors, so neither does the cascade.
-	_ = r.eng.AbortCascade(st.ID, reason, r.eng.Clock(), func(v *engine.Instance) error {
+	_ = r.eng.AbortCascade(st.ID, reason, func(v *engine.Instance) error {
 		r.activeCount.Add(-1)
 		r.progress.Add(1)
 		if v.ID != st.ID {
@@ -686,22 +689,20 @@ func (r *ConcurrentRunner) abortCascadeLocked(st *engine.Instance, reason string
 	})
 }
 
-// noteRestart records restart bookkeeping after an abort and tells the
-// worker loop to requeue the program.
+// noteRestart runs the engine's restart accounting after an abort and
+// tells the worker loop to requeue the program.
 func (r *ConcurrentRunner) noteRestart(pp *engine.Pending, st *engine.Instance) (bool, error) {
 	r.state.Lock()
-	pp.Restarts = st.Restarts + 1
-	if pp.Restarts > r.eng.Cfg.MaxRestarts {
-		err := fmt.Errorf("txn: program T%d exceeded %d restarts", st.Program.ID, r.eng.Cfg.MaxRestarts)
+	restarts, level, err := r.eng.Restart(st)
+	if err != nil {
 		if r.runErr == nil {
 			r.runErr = err
 		}
 		r.state.Unlock()
 		return false, err
 	}
-	r.eng.CountRestart()
+	pp.Restarts = restarts
 	r.progress.Add(1)
-	level := r.eng.LivelockLevel()
 	r.state.Unlock()
 	// Yield before the retry: a single-CPU scheduler can otherwise
 	// livelock an abort, with the victim's worker re-acquiring the locks

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 
 	"relser/internal/engine"
-	"relser/internal/fault"
 	"relser/internal/sched"
 )
 
@@ -25,12 +24,11 @@ type Runner struct {
 	// (tick shuffles, victim picks).
 	backoffRng *rand.Rand
 	pending    []*engine.Pending
-	ticks      int
 }
 
 // New validates the configuration and prepares a runner.
 func New(cfg Config) (*Runner, error) {
-	eng, err := engine.NewCore(cfg)
+	eng, err := engine.NewCore(cfg, engine.TickClock)
 	if err != nil {
 		return nil, err
 	}
@@ -57,11 +55,10 @@ func (r *Runner) Run() (*Result, error) {
 // WAL abort records appended — before the run fails with the
 // cancellation cause.
 func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
-	concurrencySum := 0
 	for {
 		if ctx.Err() != nil {
 			cause := context.Cause(ctx)
-			r.eng.AbortAll(cause.Error(), int64(r.ticks))
+			r.eng.AbortAll(cause.Error())
 			if err := r.eng.FlushWAL(); err != nil {
 				return nil, err
 			}
@@ -71,11 +68,10 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 		if len(r.eng.Active) == 0 && len(r.pending) == 0 {
 			break
 		}
-		r.ticks++
+		r.eng.Tick()
 		if len(r.eng.Active) == 0 {
 			continue // all pending programs are backing off; idle tick
 		}
-		concurrencySum += len(r.eng.Active)
 		progress, err := r.tick(ctx)
 		if err != nil {
 			return nil, err
@@ -103,11 +99,7 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 	if err := r.eng.FlushWAL(); err != nil {
 		return nil, err
 	}
-	avg := 0.0
-	if r.ticks > 0 {
-		avg = float64(concurrencySum) / float64(r.ticks)
-	}
-	return r.eng.Finalize(r.ticks, avg), nil
+	return r.eng.Finalize(), nil
 }
 
 // admit starts ready pending programs while multiprogramming slots are
@@ -115,13 +107,14 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 // expires.
 func (r *Runner) admit() {
 	limit := r.eng.AdmitLimit() // admission-controlled MPL (<= cfg.MPL)
+	now := int(r.eng.Now())
 	rest := r.pending[:0]
 	for i, pp := range r.pending {
-		if len(r.eng.Active) >= limit || pp.ReadyAt > r.ticks {
+		if len(r.eng.Active) >= limit || pp.ReadyAt > now {
 			rest = append(rest, r.pending[i])
 			continue
 		}
-		r.eng.Admit(pp, int64(r.ticks))
+		r.eng.Admit(pp)
 	}
 	r.pending = rest
 }
@@ -131,7 +124,6 @@ func (r *Runner) admit() {
 func (r *Runner) tick(ctx context.Context) (bool, error) {
 	ids := r.eng.ActiveIDs()
 	r.rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-	clock := int64(r.ticks)
 	progress := false
 	delayed := 0
 	for _, id := range ids {
@@ -142,25 +134,16 @@ func (r *Runner) tick(ctx context.Context) (bool, error) {
 		if st.Done {
 			continue // commits happen in the post-loop commit wave
 		}
-		if dl := r.eng.Cfg.Deadline; dl > 0 && clock-st.StartClock > dl {
-			r.eng.CountDeadlineAbort()
-			if err := r.abortCascade(st, "deadline"); err != nil {
+		v := r.eng.Check(st)
+		if v.Abort != "" {
+			if err := r.abortCascade(st, v.Abort); err != nil {
 				return false, err
 			}
 			progress = true
 			continue
 		}
-		if r.eng.Cfg.Faults.Fire(fault.TxnForcedAbort) {
-			r.eng.CountFault(fault.TxnForcedAbort, st.ID, clock)
-			if err := r.abortCascade(st, "injected"); err != nil {
-				return false, err
-			}
-			progress = true
-			continue
-		}
-		if r.eng.Cfg.Faults.Fire(fault.SchedGrantDelay) {
+		if v.Delay > 0 {
 			// The scheduler "loses" this instance's turn for a tick.
-			r.eng.CountFault(fault.SchedGrantDelay, st.ID, clock)
 			delayed++
 			continue
 		}
@@ -172,19 +155,14 @@ func (r *Runner) tick(ctx context.Context) (bool, error) {
 			if r.eng.Unrecoverable(st, op, shardIdx) {
 				// The access would close a dirty-data dependency cycle;
 				// commit ordering could never resolve it, so abort now.
-				r.eng.CountRecoverabilityAbort()
 				if err := r.abortCascade(st, "recoverability"); err != nil {
 					return false, err
 				}
 			} else {
-				order := r.eng.Apply(ctx, st, op, shardIdx)
-				r.eng.ObserveGrant(st, op, order, clock)
+				r.eng.Apply(ctx, st, op, shardIdx)
 			}
 			progress = true
-		case sched.Block:
-			r.eng.ObserveBlock(st, op, clock, -1)
 		case sched.Abort:
-			r.eng.ObserveAbortDecision(st, op, clock)
 			if err := r.abortCascade(st, "protocol"); err != nil {
 				return false, err
 			}
@@ -203,7 +181,7 @@ func (r *Runner) tick(ctx context.Context) (bool, error) {
 			}
 			if r.eng.Publish(st) {
 				r.eng.AwaitAck(st)
-				r.eng.Acknowledge(st, clock)
+				r.eng.Acknowledge(st)
 				committed = true
 				progress = true
 			}
@@ -224,29 +202,21 @@ func (r *Runner) tick(ctx context.Context) (bool, error) {
 // each victim's program with randomized exponential backoff, so
 // identical contenders do not re-collide in lockstep forever.
 func (r *Runner) abortCascade(st *engine.Instance, reason string) error {
-	return r.eng.AbortCascade(st.ID, reason, int64(r.ticks), func(v *engine.Instance) error {
-		v.Restarts++
-		if v.Restarts > r.eng.Cfg.MaxRestarts {
-			return fmt.Errorf("txn: program T%d exceeded %d restarts (reason %s)", v.Program.ID, r.eng.Cfg.MaxRestarts, reason)
-		}
-		r.eng.CountRestart()
-		backoff := v.Restarts
-		if backoff > 6 {
-			backoff = 6
+	return r.eng.AbortCascade(st.ID, reason, func(v *engine.Instance) error {
+		restarts, level, err := r.eng.Restart(v)
+		if err != nil {
+			return err
 		}
 		// Livelock escalation widens the backoff window beyond the
 		// per-instance exponential cap.
-		backoff += r.eng.LivelockLevel()
-		if backoff > 10 {
-			backoff = 10
-		}
+		backoff := min(min(restarts, 6)+level, 10)
 		// Draws come from the dedicated backoff stream, keeping the
 		// scheduling stream (r.rng) byte-identical across runs that
 		// differ only in backoff pressure.
 		r.pending = append(r.pending, &engine.Pending{
 			Program:  v.Program,
-			Restarts: v.Restarts,
-			ReadyAt:  r.ticks + 1 + r.backoffRng.Intn(1<<backoff),
+			Restarts: restarts,
+			ReadyAt:  int(r.eng.Now()) + 1 + r.backoffRng.Intn(1<<backoff),
 		})
 		return nil
 	})

@@ -5,11 +5,12 @@
 // commit ordering — and it emits the observed committed schedule so
 // the offline theory (internal/core) can certify every run.
 //
-// The lifecycle itself — admission, protocol consultation, operation
-// application with dirty-data tracking, commit gating, cascading
-// abort, degradation, result construction — lives once in
-// internal/engine. This package contributes the two drivers over those
-// stages:
+// The lifecycle itself — admission, pre-issue checks, protocol
+// consultation, operation application with dirty-data tracking, commit
+// gating, cascading abort, restart accounting, degradation, the logical
+// clock, trace and metrics emission, result construction — lives once
+// in internal/engine. This package contributes the two drivers over
+// those stages, which keep only the loop, the locks and the waits:
 //
 //   - Runner, a deterministic discrete-event loop: given the same
 //     seed, programs and protocol, a run reproduces exactly;
