@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 	"testing"
 
 	"relser"
@@ -290,15 +291,23 @@ func benchRSGTRequestPath(b *testing.B, tr *trace.Tracer) {
 }
 
 // jsonDiscard encodes every event and drops the bytes: the per-event
-// cost of writing a JSONL trace, without the file.
-type jsonDiscard struct{ enc *json.Encoder }
+// cost of writing a JSONL trace, without the file. The encoder is not
+// safe for concurrent use, so Emit takes its own lock.
+type jsonDiscard struct {
+	mu  sync.Mutex
+	enc *json.Encoder
+}
 
-func (s jsonDiscard) Emit(ev trace.Event) { _ = s.enc.Encode(ev) }
+func (s *jsonDiscard) Emit(ev trace.Event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_ = s.enc.Encode(ev)
+}
 
 func BenchmarkRSGTRequestTracerOff(b *testing.B) { benchRSGTRequestPath(b, nil) }
 
 func BenchmarkRSGTRequestTracerOn(b *testing.B) {
-	benchRSGTRequestPath(b, trace.New(jsonDiscard{json.NewEncoder(io.Discard)}))
+	benchRSGTRequestPath(b, trace.New(&jsonDiscard{enc: json.NewEncoder(io.Discard)}))
 }
 
 // BenchmarkRuntimeTracedBanking measures whole-run overhead of full
@@ -314,7 +323,7 @@ func BenchmarkRuntimeTracedBanking(b *testing.B) {
 		res, _, err := w.RunWith(sched.NewRSGT(w.Oracle), workload.RunOptions{
 			Seed:    1,
 			MPL:     8,
-			Tracer:  trace.New(jsonDiscard{json.NewEncoder(io.Discard)}),
+			Tracer:  trace.New(&jsonDiscard{enc: json.NewEncoder(io.Discard)}),
 			Metrics: metrics.NewRegistry(),
 		})
 		if err != nil {

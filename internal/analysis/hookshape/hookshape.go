@@ -59,7 +59,7 @@ var coreMutators = map[string]bool{
 	"Admit": true, "Check": true, "Decide": true, "Unrecoverable": true, "Apply": true,
 	"Publish": true, "AwaitAck": true, "Acknowledge": true,
 	"AbortCascade": true, "AbortAll": true, "Restart": true, "Tick": true,
-	"Finalize": true, "FlushWAL": true, "JitterSleep": true,
+	"Finalize": true, "FlushWAL": true, "JitterSleep": true, "BackoffTicks": true,
 }
 
 // reenterPrefixes are driver and sink identities a hook must not reach.

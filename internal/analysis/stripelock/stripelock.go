@@ -1,6 +1,7 @@
 // Package stripelock enforces the stripe-mutex discipline of the
-// sharded hot path (internal/txn's driver shards, internal/sched's
-// striped lock tables, internal/storage's store stripes):
+// sharded hot path (internal/txn's driver stripes and commit queue,
+// internal/sched's striped lock tables, internal/storage's store
+// stripes):
 //
 //  1. Stripe mutexes of one stripe array must be acquired in ascending
 //     index order, and never nested unless that order is provable
@@ -15,8 +16,9 @@
 //     injector while same-shard neighbors are blocked.
 //
 // A stripe mutex is a sync.Mutex/RWMutex owned (as a field or by
-// embedding) by a struct whose type name contains "stripe" or "shard"
-// (case-insensitive): driverShard, s2plStripe, toStripe, storeStripe.
+// embedding) by a struct whose type name contains "stripe", "shard" or
+// "queue" (case-insensitive): waitQueue (the driver's stripes and its
+// commit queue are one type), s2plStripe, toStripe, storeStripe.
 // Tracking is intraprocedural; functions documented with an
 // "//rsvet:locks <expr>" directive are analyzed as if <expr> were
 // locked on entry (the repo's "called with sh.mu held" contracts).
@@ -44,7 +46,7 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-var stripeTypeRe = regexp.MustCompile(`(?i)(stripe|shard)`)
+var stripeTypeRe = regexp.MustCompile(`(?i)(stripe|shard|queue)`)
 
 // faultInjectorPath is the fault injector's package; consulting it
 // while a stripe is held serializes the injector's deterministic

@@ -13,6 +13,13 @@ type fooStripe struct {
 	cond *sync.Cond
 }
 
+// waitQueue is a stripe type by its name, like the driver's wait
+// queues.
+type waitQueue struct {
+	mu   sync.Mutex
+	cond *sync.Cond
+}
+
 type plain struct {
 	mu sync.Mutex
 }
@@ -75,6 +82,15 @@ func (t *table) foreignCond(sh *fooStripe) {
 	sh.mu.Lock()
 	t.other.cond.Broadcast() // want `foreign condition variable`
 	sh.mu.Unlock()
+}
+
+func (t *table) foreignQueueCond(sh, commits *waitQueue) {
+	sh.mu.Lock()
+	commits.cond.Broadcast() // want `foreign condition variable`
+	sh.mu.Unlock()
+	commits.mu.Lock()
+	commits.cond.Broadcast()
+	commits.mu.Unlock()
 }
 
 func (t *table) faultUnderStripe(sh *fooStripe) {

@@ -95,12 +95,6 @@ type Config struct {
 	// instead of hanging. 0 selects the 10s default; negative disables.
 	// The deterministic Runner is single-threaded and ignores it.
 	Watchdog time.Duration
-	// BackoffSeed seeds the dedicated restart-backoff RNG stream. The
-	// backoff draws are decoupled from the admission-shuffle stream so
-	// that runs differing only in backoff pressure (e.g. under fault
-	// injection) still replay the same admission order. 0 derives a
-	// stream from Seed.
-	BackoffSeed int64
 	// Hooks observes lifecycle stage transitions (tests use it to
 	// cancel runs at precise stages). Nil is free.
 	Hooks Hooks

@@ -50,12 +50,6 @@ type Instance struct {
 	// this instance; its worker observes the flag on next wake and
 	// restarts the program (concurrent driver only).
 	Doomed atomic.Bool
-	// Obs is an opaque slot for observers layered over the stage hooks
-	// (internal/obs parks the instance's live span here so lifecycle
-	// hooks reach it without a table lookup). The engine never touches
-	// it; access follows the same driver synchronization as the rest of
-	// the instance.
-	Obs any
 
 	// Set by Publish: the lane's ack for the commit record (nil without
 	// a WAL) and the commit moment on the execution-order clock.
@@ -187,7 +181,7 @@ func NewCore(cfg Config, clock Clock) (*Core, error) {
 		Active:     make(map[int64]*Instance),
 		dependents: make(map[int64]map[int64]bool),
 		shed:       newShedder(cfg.MPL),
-		jit:        newJitter(cfg.RestartBackoffSeed()),
+		jit:        newJitter(cfg.Seed),
 	}
 	c.dirty = make([]map[string][]int64, c.Router.Shards())
 	for i := range c.dirty {
@@ -327,7 +321,7 @@ func (c *Core) Check(st *Instance) Verdict {
 // already canceled is refused with Abort without consulting the
 // protocol — a canceled instance must not enter wait queues it will
 // never leave. Called under whatever admission mutual exclusion the
-// protocol requires (the driver's shard lock or protocol mutex).
+// protocol requires (the driver's stripe lock).
 func (c *Core) Decide(st *Instance, req sched.OpRequest) sched.Decision {
 	if h := c.Cfg.Hooks.Issue; h != nil {
 		h(st)
@@ -755,6 +749,11 @@ func (c *Core) ObserveWedge(we *WedgeError) { c.rep.wedge(we) }
 // its restart count and the livelock escalation level; level 0 returns
 // immediately.
 func (c *Core) JitterSleep(restarts, level int) { c.jit.sleep(restarts, level) }
+
+// BackoffTicks draws the tick driver's restart backoff in ticks from
+// the same seeded stream, scaled by the restart count and the livelock
+// escalation level.
+func (c *Core) BackoffTicks(restarts, level int) int { return c.jit.ticks(restarts, level) }
 
 // addDep records a dirty-read dependency from the operation path.
 func (c *Core) addDep(st *Instance, on int64) {

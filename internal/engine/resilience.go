@@ -139,11 +139,14 @@ func (d *livelock) noteCommit() {
 	d.level = 0
 }
 
-// jitter is the concurrent driver's restart-backoff stream: a seeded
-// RNG behind a mutex (workers draw concurrently), producing capped
-// exponential wall-clock sleeps. It only engages once the livelock
-// detector has escalated — ordinary restarts keep the seed's
-// yield-only behavior.
+// jitter is the restart-backoff stream of both drivers: a seeded RNG
+// behind a mutex (concurrent workers draw at once). The tick driver
+// draws a backoff window in ticks for every restart; the concurrent
+// driver draws capped exponential wall-clock sleeps, and only once the
+// livelock detector has escalated — ordinary restarts keep the seed's
+// yield-only behavior. The stream is seeded apart from the tick
+// driver's scheduling stream, so backoff pressure never shifts the
+// admission shuffle or victim picks.
 type jitter struct {
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -156,8 +159,21 @@ const (
 	jitterMaxExp = 8
 )
 
+// newJitter seeds the stream from the run seed. Any fixed mix works; it
+// just has to differ from the scheduling stream's seed.
 func newJitter(seed int64) *jitter {
-	return &jitter{rng: rand.New(rand.NewSource(seed))}
+	return &jitter{rng: rand.New(rand.NewSource(seed ^ 0x5DEECE66D))}
+}
+
+// ticks draws a tick-driver restart backoff: 1 + a uniform draw below
+// 2^w ticks, where the window w grows with the restart count and the
+// livelock escalation level (which widens it beyond the per-instance
+// cap).
+func (j *jitter) ticks(restarts, level int) int {
+	w := min(min(restarts, 6)+level, 10)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return 1 + j.rng.Intn(1<<w)
 }
 
 // sleep blocks the caller for a random duration scaled by its restart
@@ -178,17 +194,6 @@ func (j *jitter) sleep(restarts, level int) {
 	d := time.Duration(j.rng.Int63n(int64(jitterBase) << exp))
 	j.mu.Unlock()
 	time.Sleep(d)
-}
-
-// RestartBackoffSeed derives the dedicated restart-backoff stream seed
-// when Config.BackoffSeed is unset. Any fixed mix works; it just has to
-// differ from the admission-shuffle stream so the two never share
-// draws.
-func (cfg *Config) RestartBackoffSeed() int64 {
-	if cfg.BackoffSeed != 0 {
-		return cfg.BackoffSeed
-	}
-	return cfg.Seed ^ 0x5DEECE66D
 }
 
 // DefaultWatchdog bounds progress-free wall time in the concurrent

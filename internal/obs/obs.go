@@ -208,19 +208,13 @@ func (p *Plane) Health() Health {
 
 // Tracer returns a tracer that feeds the plane. When downstream is an
 // enabled tracer (a CLI's -trace buffer, a JSONL writer), its sink is
-// teed in after the plane — behind a serializing wrapper, since the
-// plane's tracer is unserialized — and sampling is disabled so the
-// downstream consumer sees the complete stream (trace.VerifyCycles
-// replay requires every grant). With no downstream, hot kinds are
-// sampled one in SampleEvery before event construction.
+// teed in after the plane and sampling is disabled so the downstream
+// consumer sees the complete stream (trace.VerifyCycles replay requires
+// every grant). With no downstream, hot kinds are sampled one in
+// SampleEvery before event construction.
 func (p *Plane) Tracer(downstream *trace.Tracer) *trace.Tracer {
-	var tee trace.Sink
-	full := p.opts.Full
-	if downstream.Enabled() {
-		tee = &syncSink{s: downstream.Sink()}
-		full = true
-	}
-	t := trace.NewUnserialized(&planeSink{p: p, downstream: tee})
+	full := p.opts.Full || downstream.Enabled()
+	t := trace.New(&planeSink{p: p, downstream: downstream.Sink()})
 	if !full {
 		t.SetKindGate(p.admit)
 	}
@@ -336,21 +330,6 @@ func (s *planeSink) Emit(ev trace.Event) {
 	if s.downstream != nil {
 		s.downstream.Emit(ev)
 	}
-}
-
-// syncSink serializes Emit calls onto a sink that is not safe for
-// concurrent use (trace.Buffer locks internally, but the wrapper is
-// cheap and uniform).
-type syncSink struct {
-	mu sync.Mutex
-	s  trace.Sink
-}
-
-// Emit implements trace.Sink.
-func (s *syncSink) Emit(ev trace.Event) {
-	s.mu.Lock()
-	s.s.Emit(ev)
-	s.mu.Unlock()
 }
 
 // maybeDump fires the automatic flight dump when a degradation event

@@ -51,7 +51,7 @@ func NewRecorder(capacity int, reg *metrics.Registry) *Recorder {
 }
 
 // Emit implements trace.Sink. Safe for concurrent use without external
-// serialization (the plane's tracer is unserialized).
+// serialization.
 func (r *Recorder) Emit(ev trace.Event) {
 	seq := r.cursor.Add(1) - 1
 	e := &ringEntry{seq: seq, ev: ev}

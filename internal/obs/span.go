@@ -110,7 +110,6 @@ func (t *spanTable) admit(st *engine.Instance) {
 		Instance: st.ID, Txn: int(st.Program.ID),
 		Start: t.now(), Restarts: st.Restarts,
 	}
-	st.Obs = sp
 	t.mu.Lock()
 	t.live[st.ID] = sp
 	t.liveG.Add(1)
@@ -126,12 +125,9 @@ func (t *spanTable) finish(st *engine.Instance, status SpanStatus) {
 	defer t.mu.Unlock()
 	sp, ok := t.live[st.ID]
 	if !ok {
-		if sp, ok = st.Obs.(*Span); !ok || sp == nil {
-			return
-		}
+		return
 	}
 	delete(t.live, st.ID)
-	st.Obs = nil
 	sp.End = t.now()
 	sp.Status = status
 	sp.Ops = st.Next

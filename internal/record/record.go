@@ -83,10 +83,9 @@ type Manifest struct {
 	// values and invariant (workload.Build).
 	Workload workload.BuildParams `json:"workload"`
 	Protocol string               `json:"protocol"`
-	// Seed drives the driver's admission shuffle; BackoffSeed the
-	// restart-backoff stream (0 derives from Seed).
+	// Seed drives the driver's admission shuffle and, mixed, the
+	// restart-backoff stream.
 	Seed        int64 `json:"seed"`
-	BackoffSeed int64 `json:"backoff_seed,omitempty"`
 	MPL         int   `json:"mpl"`
 	Shards      int   `json:"shards,omitempty"`
 	MaxRestarts int   `json:"max_restarts,omitempty"`

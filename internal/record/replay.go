@@ -221,7 +221,6 @@ func execute(ctx context.Context, m Manifest, initial map[string]storage.Value, 
 		MPL:         m.MPL,
 		Shards:      shards,
 		Seed:        m.Seed,
-		BackoffSeed: m.BackoffSeed,
 		MaxRestarts: m.MaxRestarts,
 		WAL:         sink,
 		Faults:      inj,

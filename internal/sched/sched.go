@@ -17,8 +17,8 @@
 //
 // Protocols are sequential state machines: the driver (internal/txn)
 // serializes calls into them. The driver may run transactions on
-// goroutines; the protocol mutex in the driver provides the required
-// mutual exclusion.
+// goroutines; it runs a protocol that is not ShardSafe on one driver
+// stripe, whose mutex provides the required mutual exclusion.
 package sched
 
 import (
@@ -111,7 +111,7 @@ type Protocol interface {
 //
 // Protocols that keep a single global structure consulted on every
 // request (serialization graphs, wake disciplines) are not shard-safe;
-// the driver serializes them on one mutex exactly as before.
+// the driver runs them on one stripe, which serializes every request.
 type ShardSafe interface {
 	// ConcurrentShardSafe reports whether the instance honors the
 	// contract above (a method rather than a bare marker so wrappers

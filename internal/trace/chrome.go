@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // chromeEvent is one record of the Chrome trace_event format
@@ -84,8 +85,14 @@ func WriteChrome(w io.Writer, events []Event) error {
 			})
 		}
 	}
-	// Close still-open lanes so viewers render their spans.
+	// Close still-open lanes so viewers render their spans, in
+	// ascending instance order so the same events give the same bytes.
+	lanes := make([]int64, 0, len(open))
 	for inst := range open {
+		lanes = append(lanes, inst)
+	}
+	slices.Sort(lanes)
+	for _, inst := range lanes {
 		out = append(out, chromeEvent{
 			Name: fmt.Sprintf("inst %d", inst), Phase: "E",
 			PID: 1, TID: inst, TS: us(last),

@@ -19,6 +19,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -201,8 +202,9 @@ func (c *Cycle) Dot(name string) string {
 	return sb.String()
 }
 
-// Sink consumes events. Implementations need not be safe for
-// concurrent use; the Tracer serializes Emit calls.
+// Sink consumes events. Implementations must be safe for concurrent
+// Emit calls: the concurrent driver emits from every worker, and the
+// Tracer forwards without a lock of its own.
 type Sink interface {
 	Emit(Event)
 }
@@ -211,12 +213,8 @@ type Sink interface {
 // over a nil sink — is disabled: Enabled() is false and Emit is a
 // no-op, so instrumentation sites can share one unconditional guard.
 type Tracer struct {
-	mu    sync.Mutex
 	sink  Sink
 	epoch time.Time
-	// serialize holds Emit under mu for sinks that are not safe for
-	// concurrent use (the default; see NewUnserialized).
-	serialize bool
 	// gate is the optional per-kind admission filter consulted by
 	// Wants. Installed once before the tracer is shared (SetKindGate),
 	// read-only afterwards.
@@ -224,21 +222,12 @@ type Tracer struct {
 	// DotSink, when set before use, receives named Graphviz snapshots
 	// (rejected RSG cycles) as they occur.
 	DotSink func(name, dot string)
-	dotSeq  int
+	dotSeq  atomic.Int64
 }
 
 // New returns a tracer over the sink. A nil sink yields a disabled
 // tracer whose instrumentation costs a nil check and nothing else.
 func New(sink Sink) *Tracer {
-	return &Tracer{sink: sink, epoch: time.Now(), serialize: true}
-}
-
-// NewUnserialized returns a tracer that forwards events to the sink
-// without holding the tracer's mutex. The sink must be safe for
-// concurrent Emit calls (the flight recorder's ring is; a Buffer
-// behind the tracer's mutex is the serialized alternative). This removes the one point of global
-// serialization from the concurrent driver's instrumented hot path.
-func NewUnserialized(sink Sink) *Tracer {
 	//rsvet:allow detlint -- epoch for observational event timestamps; replay compares decisions, never TS
 	return &Tracer{sink: sink, epoch: time.Now()}
 }
@@ -280,12 +269,6 @@ func (t *Tracer) Emit(ev Event) {
 		//rsvet:allow detlint -- observational timestamp on trace events; replay compares decisions, never TS
 		ev.TS = time.Since(t.epoch).Nanoseconds()
 	}
-	if !t.serialize {
-		t.sink.Emit(ev)
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.sink.Emit(ev)
 }
 
@@ -305,13 +288,9 @@ func (t *Tracer) EmitDot(name, dot string) {
 	if !t.Enabled() {
 		return
 	}
-	t.mu.Lock()
-	sink := t.DotSink
-	t.dotSeq++
-	n := t.dotSeq
-	t.mu.Unlock()
-	if sink != nil {
-		sink(fmt.Sprintf("%s-%d", name, n), dot)
+	n := t.dotSeq.Add(1)
+	if t.DotSink != nil {
+		t.DotSink(fmt.Sprintf("%s-%d", name, n), dot)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -145,6 +146,48 @@ func TestWriteChrome(t *testing.T) {
 	}
 	if phases["i"] == 0 {
 		t.Errorf("no instant events: %v", phases)
+	}
+}
+
+// TestWriteChromeClosesOpenLanesInOrder renders a canceled run's trace
+// (lanes begun, never finished) repeatedly: the closing "E" events must
+// come in ascending instance order and the bytes must not change.
+func TestWriteChromeClosesOpenLanesInOrder(t *testing.T) {
+	var events []Event
+	for inst := int64(12); inst >= 1; inst-- {
+		events = append(events, Event{TS: 13 - inst, Kind: KindBegin, Instance: inst, Txn: int(inst)})
+	}
+	var first []byte
+	for run := 0; run < 20; run++ {
+		var buf bytes.Buffer
+		if err := WriteChrome(&buf, events); err != nil {
+			t.Fatalf("WriteChrome: %v", err)
+		}
+		if run == 0 {
+			first = buf.Bytes()
+			var doc struct {
+				TraceEvents []struct {
+					Phase string `json:"ph"`
+					TID   int64  `json:"tid"`
+				} `json:"traceEvents"`
+			}
+			if err := json.Unmarshal(first, &doc); err != nil {
+				t.Fatalf("output is not JSON: %v", err)
+			}
+			var closed []int64
+			for _, ev := range doc.TraceEvents {
+				if ev.Phase == "E" {
+					closed = append(closed, ev.TID)
+				}
+			}
+			if len(closed) != 12 || !slices.IsSorted(closed) {
+				t.Fatalf("open lanes closed as %v, want instances 1..12 ascending", closed)
+			}
+			continue
+		}
+		if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("run %d rendered different bytes for the same events", run)
+		}
 	}
 }
 

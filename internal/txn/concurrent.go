@@ -21,19 +21,19 @@ import (
 // level — driving the same engine pipeline stages as the deterministic
 // Runner.
 //
-// The hot path is sharded: the key space is partitioned over
-// Config.Shards driver shards (power of two, FNV-routed, shared with
-// the store's stripes and the protocol's lock tables). Each shard owns
-// a wait queue (condition variable); the engine's dirty-writer stacks
-// are partitioned the same way, so holding a shard's lock stabilizes
-// exactly the dirty state the engine's Apply stage touches.
-// Shard-safe protocols (sched.ShardSafe — NoCC, S2PL, TO) admit and
-// execute operations under only the target object's shard lock, so
-// requests on different shards proceed in parallel; holding the shard
-// lock across Decide+Apply keeps same-object admission and execution
-// in the same order, which the protocols' correctness arguments
-// require. All other protocols are sequential state machines; their
-// Decide+Apply pairs are serialized under pmu, which also keeps
+// The hot path is striped: the key space is partitioned over
+// Config.Shards driver stripes (power of two, FNV-routed, shared with
+// the store's stripes and the protocol's lock tables). Each stripe is a
+// wait queue; the engine's dirty-writer stacks are partitioned the same
+// way, so holding a stripe's mutex stabilizes exactly the dirty state
+// the engine's Apply stage touches. Every operation takes one path:
+// stripe lock, Decide, Unrecoverable/Apply, unlock. Holding the stripe
+// across Decide+Apply keeps same-object admission and execution in the
+// same order, which the protocols' correctness arguments require.
+// Shard-safe protocols (sched.ShardSafe — NoCC, S2PL, TO) run on
+// Config.Shards stripes, so requests on different stripes proceed in
+// parallel. All other protocols are sequential state machines and run
+// on one stripe, which serializes every Decide+Apply pair and keeps
 // tracing sound for replay certification (a total order on admissions
 // and their grant events).
 //
@@ -48,98 +48,113 @@ import (
 // the commit record's ack in between holds no lock, so the log's group
 // commit sees the records of every worker that published meanwhile.
 //
-// Waiting and waking are targeted to avoid a thundering herd: workers
-// blocked by a shard-safe protocol sleep on their object's shard cond
-// (commits broadcast only the shards their program touched — an S2PL
+// Waiting and waking are targeted to avoid a thundering herd: a worker
+// the protocol blocks parks on its object's stripe, a finished worker
+// whose commit is vetoed parks on the commit queue. Commits broadcast
+// the commit queue and only the stripes their program touched (an S2PL
 // waiter always waits on an object in its holder's program, so the
-// holder's commit reaches it; grants wake nobody); workers blocked
-// under pmu and commit-waiters sleep on the global cond; aborts and
-// cascades are rare and broadcast everything.
+// holder's commit reaches it). A grant wakes its own stripe for a
+// sequential protocol (altruistic donation can unblock a waiter) and
+// nobody for a shard-safe one (acquiring a lock or passing a timestamp
+// check cannot unblock a waiter). Aborts and cascades are rare and
+// broadcast everything.
 //
 // Stall detection is symmetric flag-and-check on two seq-cst atomics:
-// a worker about to sleep that would leave every active instance's
+// a worker about to park that would leave every active instance's
 // worker asleep (sleepers >= activeCount) instead victimizes itself,
 // and a committer that leaves the remaining workers all asleep floods
-// every cond so one of them detects the stall; the last transition
+// every queue so one of them detects the stall; the last transition
 // into an all-asleep state is always observed by its own check.
 //
 // Cancellation rides one mechanism: RunContext derives a cancel-cause
 // context; the stall watchdog escalates by canceling it (*WedgeError
 // cause), external deadlines cancel it from outside, and a watcher
-// goroutine floods every cond until shutdown so parked workers unwind.
+// goroutine floods every queue until shutdown so parked workers unwind.
 // Drained in-flight instances are aborted through the engine's Recover
 // stage, leaving the store invariant-clean and the WAL recoverable.
 //
-// Lock order: state.RLock -> pmu -> shard.mu -> {depMu, walMu};
-// pmu -> commitMu; state.Lock -> {shard.mu, commitMu, walMu}. The
-// leaf mutexes (depMu and walMu live in the engine; commitMu and
-// shard.mu here) are never nested with one another. The ack wait, between
-// Publish and Acknowledge, holds no lock.
+// Lock order: state.RLock -> stripe.mu -> {depMu, walMu};
+// state.Lock -> {stripe.mu, commits.mu, walMu}. The leaf mutexes (depMu
+// and walMu live in the engine; stripe.mu and commits.mu here) are
+// never nested with one another. The ack wait, between Publish and
+// Acknowledge, holds no lock.
 //
 // Concurrent runs are not reproducible (goroutine interleaving is the
 // scheduler's); tests assert outcomes — everything commits, committed
 // schedules verify, invariants hold — rather than traces.
 type ConcurrentRunner struct {
 	eng *engine.Core
-	// shardSafe records whether the protocol opted into per-shard
-	// admission via sched.ShardSafe.
-	shardSafe bool
+	// wakeOnGrant is set for protocols that are not shard-safe: a grant
+	// can change their wait state, so it wakes its stripe.
+	wakeOnGrant bool
 
 	// state is the world lock: the operation path holds it shared,
 	// lifecycle transitions hold it exclusively. Engine lifecycle calls
 	// (Admit, Publish, Acknowledge, AbortCascade, AbortAll) and runErr
 	// are guarded by the exclusive lock.
 	state sync.RWMutex
-	// pmu serializes Decide+Apply for protocols that are not
-	// shard-safe.
-	pmu sync.Mutex
 
-	shards []*driverShard
-
-	// commitMu guards registration on the global cond, where
-	// commit-waiters and pmu-path blockers sleep.
-	commitMu      sync.Mutex
-	commitCond    *sync.Cond
-	globalWaiters int
+	stripes []*waitQueue
+	// commits is where finished instances wait out a commit veto
+	// (dirty-data dependencies or the protocol's CanCommit).
+	commits *waitQueue
 
 	activeCount atomic.Int64 // live instances, readable without the state lock
-	sleepers    atomic.Int64 // workers asleep on any cond (or committed to sleeping)
+	sleepers    atomic.Int64 // workers parked on any queue (or committed to parking)
 
 	// progress is bumped by every executed operation, commit, abort and
 	// restart; the watchdog declares a wedge when it stops moving.
 	progress atomic.Int64
 
 	// Contention instruments (nil, hence no-ops, without Cfg.Metrics):
-	// cond wakeups and broadcasts, split into targeted per-shard,
-	// global and flood broadcasts.
+	// wakeups and broadcasts, split into targeted stripe, commit-queue
+	// and flood broadcasts.
 	wakeups, bcastShard, bcastGlobal, bcastFlood *metrics.Counter
 
 	runErr error // state
 }
 
-// driverShard is one partition of the driver's wait state. mu guards
-// waiters and, on the operation path, the engine's same-indexed dirty
-// stacks.
-type driverShard struct {
+// waitQueue is one place a worker parks: a driver stripe or the commit
+// queue. mu guards waiters and, for a stripe on the operation path, the
+// engine's same-indexed dirty stacks.
+type waitQueue struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	waiters int
 
-	blocks   *metrics.Counter   // Block decisions on this shard (nil without metrics)
-	waitHist *metrics.Histogram // per-shard wall-clock wait seconds (nil without metrics)
+	blocks   *metrics.Counter   // Block decisions on this stripe (nil without metrics)
+	waitHist *metrics.Histogram // wall-clock wait seconds (nil without metrics)
+}
+
+func newWaitQueue() *waitQueue {
+	q := &waitQueue{}
+	q.cond = sync.NewCond(&q.mu)
+	return q
+}
+
+// broadcast wakes q's sleepers, if any, counting the broadcast on c.
+func (q *waitQueue) broadcast(c *metrics.Counter) {
+	q.mu.Lock()
+	if q.waiters > 0 {
+		c.Inc()
+		q.cond.Broadcast()
+	}
+	q.mu.Unlock()
 }
 
 // NewConcurrent validates the configuration (same rules as New) and
-// prepares a concurrent runner with cfg.Shards driver shards.
+// prepares a concurrent runner with cfg.Shards driver stripes, or one
+// stripe for a protocol that is not shard-safe.
 func NewConcurrent(cfg Config) (*ConcurrentRunner, error) {
+	shardSafe := sched.IsShardSafe(cfg.Protocol)
+	if !shardSafe {
+		cfg.Shards = 1
+	}
 	eng, err := engine.NewCore(cfg, engine.SeqClock)
 	if err != nil {
 		return nil, err
 	}
-	r := &ConcurrentRunner{
-		eng:       eng,
-		shardSafe: sched.IsShardSafe(eng.Cfg.Protocol),
-	}
+	r := &ConcurrentRunner{eng: eng, wakeOnGrant: !shardSafe, commits: newWaitQueue()}
 	reg := eng.Cfg.Metrics
 	if reg != nil {
 		r.wakeups = reg.Counter("txn.wakeups")
@@ -147,16 +162,14 @@ func NewConcurrent(cfg Config) (*ConcurrentRunner, error) {
 		r.bcastGlobal = reg.Counter("txn.cond.broadcast_global")
 		r.bcastFlood = reg.Counter("txn.cond.broadcast_flood")
 	}
-	r.commitCond = sync.NewCond(&r.commitMu)
-	r.shards = make([]*driverShard, eng.Router.Shards())
-	for i := range r.shards {
-		sh := &driverShard{}
-		sh.cond = sync.NewCond(&sh.mu)
+	r.stripes = make([]*waitQueue, eng.Router.Shards())
+	for i := range r.stripes {
+		q := newWaitQueue()
 		if reg != nil {
-			sh.blocks = reg.Counter(fmt.Sprintf("txn.shard%02d.blocks", i))
-			sh.waitHist = reg.Histogram(fmt.Sprintf("txn.shard%02d.wait_seconds", i))
+			q.blocks = reg.Counter(fmt.Sprintf("txn.shard%02d.blocks", i))
+			q.waitHist = reg.Histogram(fmt.Sprintf("txn.shard%02d.wait_seconds", i))
 		}
-		r.shards[i] = sh
+		r.stripes[i] = q
 	}
 	return r, nil
 }
@@ -193,7 +206,7 @@ func (r *ConcurrentRunner) RunContext(parent context.Context) (*Result, error) {
 	var closeOnce sync.Once
 	shutdown := func() { closeOnce.Do(func() { close(done) }) }
 	// Cancellation watcher: parked workers cannot see ctx, so flood
-	// every cond repeatedly until shutdown — each woken worker re-checks
+	// every queue repeatedly until shutdown — each woken worker re-checks
 	// pendingErr and unwinds. Injected wedges are released too.
 	go func() {
 		select {
@@ -394,69 +407,35 @@ func (r *ConcurrentRunner) runProgram(ctx context.Context, pp *engine.Pending) (
 		op := st.Program.Op(st.Next)
 		req := sched.OpRequest{Instance: st.ID, Program: st.Program, Seq: st.Next, Op: op, Ctx: ctx}
 		shardIdx := r.eng.Router.Shard(op.Object)
-		sh := r.shards[shardIdx]
-		var dec sched.Decision
-		if r.shardSafe {
-			sh.mu.Lock()
-			dec = r.eng.Decide(st, req)
-		} else {
-			r.pmu.Lock()
-			dec = r.eng.Decide(st, req)
-			if dec == sched.Grant {
-				sh.mu.Lock() // for the shard's dirty stacks during Apply
-			}
-		}
-		switch dec {
+		sh := r.stripes[shardIdx]
+		sh.mu.Lock()
+		switch r.eng.Decide(st, req) {
 		case sched.Grant:
-			// Apply records the grant before the shard (and pmu) is
-			// released, so trace order matches same-object execution
-			// order.
-			if !r.applySharded(ctx, st, op, sh, shardIdx) {
-				sh.mu.Unlock()
-				if !r.shardSafe {
-					r.pmu.Unlock()
-				}
-				r.state.RUnlock()
+			// Apply records the grant before the stripe is released, so
+			// trace order matches same-object execution order.
+			applied := r.applySharded(ctx, st, op, sh, shardIdx)
+			if applied && r.wakeOnGrant && sh.waiters > 0 {
+				r.bcastShard.Inc()
+				sh.cond.Broadcast()
+			}
+			sh.mu.Unlock()
+			r.state.RUnlock()
+			if !applied {
 				r.victimize(st, "recoverability")
 				return r.noteRestart(pp, st)
 			}
-			sh.mu.Unlock()
-			if r.shardSafe {
-				r.state.RUnlock()
-				// Shard-safe grants wake nobody: acquiring a lock or
-				// passing a timestamp check cannot unblock a waiter.
-			} else {
-				r.pmu.Unlock()
-				r.state.RUnlock()
-				// Sequential protocols may change wait state on a grant
-				// (altruistic donation); their blockers sleep globally.
-				r.broadcastGlobal()
-			}
 		case sched.Block:
 			sh.blocks.Inc()
-			var slept bool
-			if r.shardSafe {
-				slept = r.sleepShard(sh)
-			} else {
-				slept = r.sleepGlobal()
-			}
-			if !slept {
+			if !r.park(sh, r.state.RUnlock) {
 				// Parking would leave every active worker asleep (a stall
-				// the protocol cannot see): become the victim. The sleep
-				// helper released its registration locks; we still hold
-				// the shared state lock.
+				// the protocol cannot see): become the victim.
 				r.state.RUnlock()
 				r.victimize(st, "stall")
 				return r.noteRestart(pp, st)
 			}
-			// Woken (the helper released the shared state lock before
-			// sleeping); re-enter the loop and retry the same operation.
+			// Woken; re-enter the loop and retry the same operation.
 		case sched.Abort:
-			if r.shardSafe {
-				sh.mu.Unlock()
-			} else {
-				r.pmu.Unlock()
-			}
+			sh.mu.Unlock()
 			r.state.RUnlock()
 			r.victimize(st, "protocol")
 			return r.noteRestart(pp, st)
@@ -465,20 +444,19 @@ func (r *ConcurrentRunner) runProgram(ctx context.Context, pp *engine.Pending) (
 }
 
 // applySharded runs the engine's recoverability check and Apply stage
-// on the sharded hot path. Called with the shared state lock and sh.mu
-// held (sh is the target object's shard, so the engine's dirty stacks
-// for it are stable); non-shard-safe callers additionally hold pmu.
-// Returns false if executing would create an unrecoverable read-from
-// cycle.
+// on the striped hot path. Called with the shared state lock and sh.mu
+// held (sh is the target object's stripe, so the engine's dirty stacks
+// for it are stable). Returns false if executing would create an
+// unrecoverable read-from cycle.
 //
 //rsvet:locks sh.mu
-func (r *ConcurrentRunner) applySharded(ctx context.Context, st *engine.Instance, op core.Op, sh *driverShard, shardIdx int) bool {
+func (r *ConcurrentRunner) applySharded(ctx context.Context, st *engine.Instance, op core.Op, sh *waitQueue, shardIdx int) bool {
 	if r.eng.Unrecoverable(st, op, shardIdx) {
 		return false
 	}
 	if in := r.eng.Cfg.Faults; in.Active(fault.ShardStall) || in.Active(fault.ShardWedge) {
-		// Both fire while holding the shard's mutex — a stalled or
-		// wedged worker realistically blocks its same-shard neighbors. A
+		// Both fire while holding the stripe's mutex — a stalled or
+		// wedged worker realistically blocks its same-stripe neighbors. A
 		// wedge parks until the injector is released or the run context
 		// is canceled; the watchdog does both.
 		//rsvet:allow stripelock -- stall must block same-shard neighbors to be realistic
@@ -499,8 +477,8 @@ func (r *ConcurrentRunner) applySharded(ctx context.Context, st *engine.Instance
 // tryFinish attempts to commit a finished instance: it publishes under
 // the exclusive state lock, wakes whoever the commit unblocks, waits for
 // the commit record's ack with no lock held and re-locks to acknowledge.
-// If dependencies or the protocol veto, the worker parks on the global
-// cond until a commit or abort changes that state.
+// If dependencies or the protocol veto, the worker parks on the commit
+// queue until a commit or abort changes that state.
 func (r *ConcurrentRunner) tryFinish(ctx context.Context, st *engine.Instance) (committed, aborted bool, err error) {
 	r.state.Lock()
 	r.foldErrLocked(ctx)
@@ -525,131 +503,68 @@ func (r *ConcurrentRunner) tryFinish(ctx context.Context, st *engine.Instance) (
 		r.state.Unlock()
 		return true, false, nil
 	}
-	r.commitMu.Lock()
-	if s := r.sleepers.Add(1); s >= r.activeCount.Load() { // everyone else already waits: break the stall here
-		r.sleepers.Add(-1)
-		r.commitMu.Unlock()
+	r.commits.mu.Lock()
+	if !r.park(r.commits, r.state.Unlock) { // everyone else already waits: break the stall here
 		r.abortCascadeLocked(st, "stall")
 		r.state.Unlock()
 		r.wakeAll()
 		return false, true, nil
 	}
-	r.globalWaiters++
-	r.state.Unlock()
-	r.commitCond.Wait()
-	r.globalWaiters--
-	r.sleepers.Add(-1)
-	r.commitMu.Unlock()
-	r.wakeups.Inc()
 	return false, false, nil
 }
 
-// sleepShard parks the worker on sh's cond. Called with the shared
-// state lock and sh.mu held. On true the worker slept and was woken;
-// both locks are released. On false parking would have stalled the run;
-// sh.mu is released but the shared state lock is still held and the
+// park sleeps on q until a broadcast wakes it. Called with q.mu and a
+// state lock held; release drops that state lock once the worker is
+// registered. On true the worker slept and was woken, and both locks
+// are released. On false parking would have left every active worker
+// asleep: q.mu is released, the state lock is still held and the
 // caller must victimize. No wakeup can be lost: waiters is registered
-// and sh.mu pins the cond until Wait is entered.
+// and q.mu pins the cond until Wait is entered.
 //
-//rsvet:locks sh.mu
-func (r *ConcurrentRunner) sleepShard(sh *driverShard) bool {
+//rsvet:locks q.mu
+func (r *ConcurrentRunner) park(q *waitQueue, release func()) bool {
 	if s := r.sleepers.Add(1); s >= r.activeCount.Load() {
 		r.sleepers.Add(-1)
-		sh.mu.Unlock()
+		q.mu.Unlock()
 		return false
 	}
-	sh.waiters++
+	q.waiters++
 	start := time.Now()
-	r.state.RUnlock()
-	sh.cond.Wait()
-	sh.waiters--
+	release()
+	q.cond.Wait()
+	q.waiters--
 	r.sleepers.Add(-1)
-	sh.waitHist.Observe(time.Since(start).Seconds())
-	sh.mu.Unlock()
+	q.waitHist.Observe(time.Since(start).Seconds())
+	q.mu.Unlock()
 	r.wakeups.Inc()
 	return true
 }
 
-// sleepGlobal parks the worker on the global cond. Called with the
-// shared state lock and pmu held; release semantics mirror sleepShard.
-// Registration (globalWaiters++) happens under commitMu before pmu is
-// released, so a grant that could unblock this worker — which needs pmu
-// for its own Decide — always broadcasts after the registration.
-func (r *ConcurrentRunner) sleepGlobal() bool {
-	r.commitMu.Lock()
-	if s := r.sleepers.Add(1); s >= r.activeCount.Load() {
-		r.sleepers.Add(-1)
-		r.commitMu.Unlock()
-		r.pmu.Unlock()
-		return false
-	}
-	r.globalWaiters++
-	r.pmu.Unlock()
-	r.state.RUnlock()
-	r.commitCond.Wait()
-	r.globalWaiters--
-	r.sleepers.Add(-1)
-	r.commitMu.Unlock()
-	r.wakeups.Inc()
-	return true
-}
-
-// broadcastGlobal wakes the global cond's sleepers if there are any.
-func (r *ConcurrentRunner) broadcastGlobal() {
-	r.commitMu.Lock()
-	if r.globalWaiters > 0 {
-		r.bcastGlobal.Inc()
-		r.commitCond.Broadcast()
-	}
-	r.commitMu.Unlock()
-}
-
-// wakeAll broadcasts every cond (all shards plus global). Used for
-// rare events — aborts, cascades, run failure, cancellation floods —
-// where targeting is not worth the complexity.
+// wakeAll broadcasts every queue (all stripes plus the commit queue).
+// Used for rare events — aborts, cascades, run failure, cancellation
+// floods — where targeting is not worth the complexity.
 func (r *ConcurrentRunner) wakeAll() {
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		if sh.waiters > 0 {
-			sh.cond.Broadcast()
-		}
-		sh.mu.Unlock()
+	for _, sh := range r.stripes {
+		sh.broadcast(nil)
 	}
-	r.commitMu.Lock()
-	if r.globalWaiters > 0 {
-		r.commitCond.Broadcast()
-	}
-	r.commitMu.Unlock()
+	r.commits.broadcast(nil)
 }
 
 // wakeAfterCommitLocked wakes exactly the sleepers a commit can
-// unblock: the shards of the committed program's objects and the
-// global cond (commit-waiters and pmu-path blockers). Safety net: if
-// the remaining active workers are all asleep after the targeted
-// wakeups were chosen, flood everything so one of them runs the stall
-// check. Requires the exclusive state lock.
+// unblock: the stripes of the committed program's objects and the
+// commit queue. Safety net: if the remaining active workers are all
+// asleep after the targeted wakeups were chosen, flood everything so
+// one of them runs the stall check. Requires the exclusive state lock.
 func (r *ConcurrentRunner) wakeAfterCommitLocked(st *engine.Instance) {
 	var woken [shard.MaxShards]bool
 	for i := 0; i < st.Program.Len(); i++ {
 		s := r.eng.Router.Shard(st.Program.Op(i).Object)
-		if woken[s] {
-			continue
+		if !woken[s] {
+			woken[s] = true
+			r.stripes[s].broadcast(r.bcastShard)
 		}
-		woken[s] = true
-		sh := r.shards[s]
-		sh.mu.Lock()
-		if sh.waiters > 0 {
-			r.bcastShard.Inc()
-			sh.cond.Broadcast()
-		}
-		sh.mu.Unlock()
 	}
-	r.commitMu.Lock()
-	if r.globalWaiters > 0 {
-		r.bcastGlobal.Inc()
-		r.commitCond.Broadcast()
-	}
-	r.commitMu.Unlock()
+	r.commits.broadcast(r.bcastGlobal)
 	if ac := r.activeCount.Load(); ac > 0 && r.sleepers.Load() >= ac {
 		r.bcastFlood.Inc()
 		r.wakeAll()
@@ -725,7 +640,7 @@ func (r *ConcurrentRunner) noteRestart(pp *engine.Pending, st *engine.Instance) 
 // cancellation watcher's floods, then releases injected shard wedges.
 // The watchdog never takes the state lock — a wedged worker may hold
 // it transitively — so its diagnosis uses only atomics and TryLock
-// probes on the shard mutexes.
+// probes on the stripe mutexes.
 func (r *ConcurrentRunner) startWatchdog(limit time.Duration, cancel context.CancelCauseFunc) func() {
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -771,12 +686,12 @@ func (r *ConcurrentRunner) startWatchdog(limit time.Duration, cancel context.Can
 	return func() { close(stop); <-done }
 }
 
-// suspectShards probes each driver shard mutex without blocking and
+// suspectShards probes each driver stripe mutex without blocking and
 // reports the ones that are held — their holders are the wedge
 // suspects.
 func (r *ConcurrentRunner) suspectShards() []int {
 	var out []int
-	for i, sh := range r.shards {
+	for i, sh := range r.stripes {
 		if sh.mu.TryLock() {
 			sh.mu.Unlock()
 		} else {

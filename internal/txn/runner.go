@@ -18,12 +18,10 @@ import (
 // seed, programs and protocol, a run reproduces exactly.
 type Runner struct {
 	eng *engine.Core
-	rng *rand.Rand
-	// backoffRng is the dedicated restart-backoff stream (see
-	// Config.BackoffSeed); rng stays reserved for scheduling decisions
-	// (tick shuffles, victim picks).
-	backoffRng *rand.Rand
-	pending    []*engine.Pending
+	// rng is the scheduling stream (tick shuffles, victim picks); restart
+	// backoff draws from the engine's own stream.
+	rng     *rand.Rand
+	pending []*engine.Pending
 }
 
 // New validates the configuration and prepares a runner.
@@ -32,11 +30,7 @@ func New(cfg Config) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Runner{
-		eng:        eng,
-		rng:        rand.New(rand.NewSource(eng.Cfg.Seed)),
-		backoffRng: rand.New(rand.NewSource(eng.Cfg.RestartBackoffSeed())),
-	}
+	r := &Runner{eng: eng, rng: rand.New(rand.NewSource(eng.Cfg.Seed))}
 	for _, p := range eng.Cfg.Programs {
 		r.pending = append(r.pending, &engine.Pending{Program: p})
 	}
@@ -207,16 +201,10 @@ func (r *Runner) abortCascade(st *engine.Instance, reason string) error {
 		if err != nil {
 			return err
 		}
-		// Livelock escalation widens the backoff window beyond the
-		// per-instance exponential cap.
-		backoff := min(min(restarts, 6)+level, 10)
-		// Draws come from the dedicated backoff stream, keeping the
-		// scheduling stream (r.rng) byte-identical across runs that
-		// differ only in backoff pressure.
 		r.pending = append(r.pending, &engine.Pending{
 			Program:  v.Program,
 			Restarts: restarts,
-			ReadyAt:  int(r.eng.Now()) + 1 + r.backoffRng.Intn(1<<backoff),
+			ReadyAt:  int(r.eng.Now()) + r.eng.BackoffTicks(restarts, level),
 		})
 		return nil
 	})

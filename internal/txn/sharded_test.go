@@ -125,7 +125,10 @@ func TestShardedDisjointObjectsStayQuiet(t *testing.T) {
 
 // TestShardedHotSpotBlocksOnOneShard pins the targeted wake policy's
 // premise: when every conflict is on one object, all lock waits land on
-// that object's shard and no other shard's contention counter moves.
+// that object's stripe and no other stripe's contention counter moves.
+// A protocol that is not shard-safe (altruistic locking) runs on one
+// stripe whatever Config.Shards asks for, so only stripe 0's
+// instruments exist.
 func TestShardedHotSpotBlocksOnOneShard(t *testing.T) {
 	// On a single-processor host workers tend to run whole programs
 	// between preemptions and never contend; extra Ps force real
@@ -133,7 +136,6 @@ func TestShardedHotSpotBlocksOnOneShard(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const shards = 8
 	hot := "h"
-	hotShard := shard.NewRouter(shards).Shard(hot)
 	var progs []*core.Transaction
 	for i := 1; i <= 12; i++ {
 		ops := []core.Op{core.W(hot)}
@@ -142,42 +144,61 @@ func TestShardedHotSpotBlocksOnOneShard(t *testing.T) {
 		}
 		progs = append(progs, core.T(core.TxnID(i), ops...))
 	}
-	totalBlocks := 0
-	for trial := 0; trial < 10; trial++ {
-		reg := metrics.NewRegistry()
-		r, err := txn.NewConcurrent(txn.Config{
-			Protocol: sched.NewS2PLSharded(shards),
-			Programs: progs,
-			MPL:      8,
-			Shards:   shards,
-			Metrics:  reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := r.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Committed != len(progs) {
-			t.Fatalf("trial %d: committed %d", trial, res.Committed)
-		}
-		snap := reg.Snapshot()
-		sum := int64(0)
-		for s := 0; s < shards; s++ {
-			v := snap.Counters[fmt.Sprintf("txn.shard%02d.blocks", s)]
-			sum += v
-			if s != hotShard && v != 0 {
-				t.Errorf("trial %d: shard %d counted %d blocks; only shard %d (object %q) can contend",
-					trial, s, v, hotShard, hot)
+	for _, tc := range []struct {
+		name    string
+		proto   func() sched.Protocol
+		stripes int
+	}{
+		{"s2pl", func() sched.Protocol { return sched.NewS2PLSharded(shards) }, shards},
+		{"altruistic", func() sched.Protocol { return sched.NewAltruistic(sched.AbsoluteOracle{}) }, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hotShard := shard.NewRouter(tc.stripes).Shard(hot)
+			totalBlocks := 0
+			for trial := 0; trial < 10; trial++ {
+				reg := metrics.NewRegistry()
+				r, err := txn.NewConcurrent(txn.Config{
+					Protocol: tc.proto(),
+					Programs: progs,
+					MPL:      8,
+					Shards:   shards,
+					Metrics:  reg,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := r.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Committed != len(progs) {
+					t.Fatalf("trial %d: committed %d", trial, res.Committed)
+				}
+				snap := reg.Snapshot()
+				sum := int64(0)
+				for s := 0; s < shards; s++ {
+					blocks := fmt.Sprintf("txn.shard%02d.blocks", s)
+					_, hasCounter := snap.Counters[blocks]
+					_, hasHist := snap.Histograms[fmt.Sprintf("txn.shard%02d.wait_seconds", s)]
+					if (hasCounter || hasHist) != (s < tc.stripes) {
+						t.Errorf("trial %d: stripe %d instruments exist = %v with %d stripe(s)",
+							trial, s, hasCounter || hasHist, tc.stripes)
+					}
+					v := snap.Counters[blocks]
+					sum += v
+					if s != hotShard && v != 0 {
+						t.Errorf("trial %d: stripe %d counted %d blocks; only stripe %d (object %q) can contend",
+							trial, s, v, hotShard, hot)
+					}
+				}
+				if int(sum) != res.Blocks {
+					t.Errorf("trial %d: per-stripe blocks sum %d != result blocks %d", trial, sum, res.Blocks)
+				}
+				totalBlocks += res.Blocks
 			}
-		}
-		if int(sum) != res.Blocks {
-			t.Errorf("trial %d: per-shard blocks sum %d != result blocks %d", trial, sum, res.Blocks)
-		}
-		totalBlocks += res.Blocks
+			t.Logf("hot-spot blocks across trials: %d (all on stripe %d)", totalBlocks, hotShard)
+		})
 	}
-	t.Logf("hot-spot blocks across trials: %d (all on shard %d)", totalBlocks, hotShard)
 }
 
 // TestShardedCrossShardUnitsCertify drives the concurrent sharded

@@ -8,6 +8,7 @@ package relser_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"relser/internal/obs"
@@ -17,10 +18,12 @@ import (
 )
 
 // epochSink is a trace buffer that notes how many retirement epochs
-// had run when the latest cycle rejection was explained.
+// had run when the latest cycle rejection was explained. Emit takes its
+// own lock, as the trace.Sink contract requires.
 type epochSink struct {
 	*trace.Buffer
 	retirer            sched.Retirer
+	mu                 sync.Mutex
 	epochsAtLastReject int64
 }
 
@@ -29,6 +32,8 @@ func isCycleRejection(k trace.Kind) bool {
 }
 
 func (s *epochSink) Emit(ev trace.Event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if isCycleRejection(ev.Kind) {
 		s.epochsAtLastReject = s.retirer.RetireStats().GraphEpochs
 	}
