@@ -131,6 +131,8 @@ bench:
 # compares with benchstat (see .github/workflows/ci.yml, job: bench;
 # install the pinned tool with
 # `go install golang.org/x/perf/cmd/benchstat@$(BENCHSTAT_VERSION)`).
+# ./internal/txn includes BenchmarkDeterministicRunnerChain/{2000,32000},
+# the chain-soak shape on the tick driver at two run lengths (ns/commit).
 bench-hot:
 	$(GO) test -run 'XXX' -bench . -benchmem -count=5 ./internal/txn ./internal/sched ./internal/graph ./internal/storage ./internal/core
 

@@ -53,7 +53,7 @@ const enginePath = "relser/internal/engine"
 
 // coreMutators are the engine.Core methods that take engine locks or
 // change run state, every stage among them (each records what it did);
-// the read-only getters (Now, Committed, ActiveIDs, AdmitLimit) are
+// the read-only getters (Now, Committed, AppendActiveIDs, AdmitLimit) are
 // fine from a hook.
 var coreMutators = map[string]bool{
 	"Admit": true, "Check": true, "Decide": true, "Unrecoverable": true, "Apply": true,

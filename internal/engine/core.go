@@ -60,13 +60,11 @@ type Instance struct {
 	reason string
 }
 
-// Pending is a program queued for (re-)admission.
+// Pending is a program queued for (re-)admission; Restarts counts the
+// aborts it has been through.
 type Pending struct {
 	Program  *core.Transaction
 	Restarts int
-	// ReadyAt delays re-admission after an abort (restart backoff), in
-	// ticks; only the deterministic driver's tick queue uses it.
-	ReadyAt int
 }
 
 // Core is the engine pipeline state shared by every driver: the
@@ -236,9 +234,10 @@ func (c *Core) AdmitLimit() int { return c.shed.limit() }
 // (lifecycle discipline).
 func (c *Core) Committed() int { return c.res.Committed }
 
-// ActiveIDs returns a snapshot of the live instance IDs, ascending.
-// Caller-synchronized.
-func (c *Core) ActiveIDs() []int64 { return slices.Clone(c.activeIDs) }
+// AppendActiveIDs appends the live instance IDs, ascending, to dst and
+// returns the extended slice: a snapshot that later admissions and
+// aborts leave as it is. Caller-synchronized.
+func (c *Core) AppendActiveIDs(dst []int64) []int64 { return append(dst, c.activeIDs...) }
 
 // deactivate drops a finished instance from the instance table.
 // Lifecycle-locked.
@@ -575,7 +574,7 @@ func (c *Core) AbortAll(cause string) int {
 	if h := c.Cfg.Hooks.Recover; h != nil {
 		h()
 	}
-	ids := c.ActiveIDs()
+	ids := c.AppendActiveIDs(nil)
 	if len(ids) == 0 {
 		if c.ret != nil {
 			c.ret.FlushRetirement()

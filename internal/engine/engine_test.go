@@ -176,7 +176,7 @@ func TestFinalizeRestoresExecutionOrder(t *testing.T) {
 	if err := eng.AbortCascade(insts[1].ID, "test", nil); err != nil {
 		t.Fatal(err)
 	}
-	if ids := eng.ActiveIDs(); len(ids) != 2 || ids[0] != insts[0].ID || ids[1] != insts[2].ID {
+	if ids := eng.AppendActiveIDs(nil); len(ids) != 2 || ids[0] != insts[0].ID || ids[1] != insts[2].ID {
 		t.Fatalf("live IDs after the abort: %v", ids)
 	}
 	for _, st := range []*engine.Instance{insts[2], insts[0]} {
@@ -186,7 +186,7 @@ func TestFinalizeRestoresExecutionOrder(t *testing.T) {
 		eng.AwaitAck(st)
 		eng.Acknowledge(st)
 	}
-	if ids := eng.ActiveIDs(); len(ids) != 0 {
+	if ids := eng.AppendActiveIDs(nil); len(ids) != 0 {
 		t.Fatalf("live IDs after the commits: %v", ids)
 	}
 	res := eng.Finalize()

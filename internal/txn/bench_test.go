@@ -208,6 +208,47 @@ func BenchmarkDeterministicRunner(b *testing.B) {
 	}
 }
 
+// BenchmarkDeterministicRunnerChain holds the tick driver's run-length
+// claim: the ladder's chain-soak shape (program i reads x(i-1) and
+// writes x(i) over 257 objects, RSGT over an absolute spec, MPL 8, seed
+// 1) at two run lengths. Retirement keeps the live set at a few
+// programs whatever the length, so ns/commit at 32000 programs should
+// stay close to its value at 2000; a per-tick cost that grows with the
+// queued programs shows as a ratio well above 1.
+func BenchmarkDeterministicRunnerChain(b *testing.B) {
+	for _, n := range []int{2000, 32000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			obj := func(i int) string { return fmt.Sprintf("x%d", i%257) }
+			progs := make([]*core.Transaction, n)
+			for i := range progs {
+				progs[i] = core.T(core.TxnID(i+1), core.R(obj(i)), core.W(obj(i+1)))
+			}
+			commits := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r, err := txn.New(txn.Config{
+					Protocol: sched.NewRSGT(sched.AbsoluteOracle{}),
+					Programs: progs,
+					Oracle:   sched.AbsoluteOracle{},
+					MPL:      8,
+					Seed:     1,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := r.Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				commits += res.Committed
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(commits), "ns/commit")
+		})
+	}
+}
+
 // BenchmarkConcurrentCommitWAL is the group-commit shape of the whole
 // stack: banking under RSGT on the goroutine driver at MPL 8 over one
 // log lane with a 1 ms simulated fsync. Commits/s is bound by how many

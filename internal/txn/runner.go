@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"relser/internal/core"
 	"relser/internal/engine"
 	"relser/internal/sched"
 )
@@ -16,12 +17,19 @@ import (
 // modelling concurrent clients with an open set of in-flight
 // transactions bounded by the multiprogramming level. Given the same
 // seed, programs and protocol, a run reproduces exactly.
+//
+// Programs wait for admission in an admissionQueue, which admits in
+// arrival order among the programs whose backoff has expired and costs
+// nothing on a tick with no free slot, so a tick's cost follows the
+// live set, not the run length.
 type Runner struct {
 	eng *engine.Core
 	// rng is the scheduling stream (tick shuffles, victim picks); restart
 	// backoff draws from the engine's own stream.
-	rng     *rand.Rand
-	pending []*engine.Pending
+	rng   *rand.Rand
+	queue admissionQueue
+	// ids is the tick's reusable snapshot of the live instance IDs.
+	ids []int64
 }
 
 // New validates the configuration and prepares a runner.
@@ -30,11 +38,11 @@ func New(cfg Config) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Runner{eng: eng, rng: rand.New(rand.NewSource(eng.Cfg.Seed))}
-	for _, p := range eng.Cfg.Programs {
-		r.pending = append(r.pending, &engine.Pending{Program: p})
-	}
-	return r, nil
+	return &Runner{
+		eng:   eng,
+		rng:   rand.New(rand.NewSource(eng.Cfg.Seed)),
+		queue: admissionQueue{programs: eng.Cfg.Programs},
+	}, nil
 }
 
 // Run executes all programs to commit and returns the result.
@@ -59,7 +67,7 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 			return nil, fmt.Errorf("txn: run canceled: %w", cause)
 		}
 		r.admit()
-		if len(r.eng.Active) == 0 && len(r.pending) == 0 {
+		if len(r.eng.Active) == 0 && r.queue.len() == 0 {
 			break
 		}
 		r.eng.Tick()
@@ -96,27 +104,26 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 	return r.eng.Finalize(), nil
 }
 
-// admit starts ready pending programs while multiprogramming slots are
-// free; programs aborted recently stay queued until their backoff
-// expires.
+// admit starts queued programs, earliest arrival first, while
+// multiprogramming slots are free; a restart stays queued until its
+// backoff tick.
 func (r *Runner) admit() {
-	limit := r.eng.AdmitLimit() // admission-controlled MPL (<= cfg.MPL)
 	now := int(r.eng.Now())
-	rest := r.pending[:0]
-	for i, pp := range r.pending {
-		if len(r.eng.Active) >= limit || pp.ReadyAt > now {
-			rest = append(rest, r.pending[i])
-			continue
+	free := r.eng.AdmitLimit() - len(r.eng.Active) // admission-controlled MPL (<= cfg.MPL)
+	for ; free > 0; free-- {
+		pp, ok := r.queue.pop(now)
+		if !ok {
+			return
 		}
-		r.eng.Admit(pp)
+		r.eng.Admit(&pp)
 	}
-	r.pending = rest
 }
 
 // tick offers one step to every active instance in seeded random
 // order; it reports whether anything progressed.
 func (r *Runner) tick(ctx context.Context) (bool, error) {
-	ids := r.eng.ActiveIDs()
+	r.ids = r.eng.AppendActiveIDs(r.ids[:0])
+	ids := r.ids
 	r.rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 	progress := false
 	delayed := 0
@@ -168,7 +175,8 @@ func (r *Runner) tick(ctx context.Context) (bool, error) {
 	// Each commit waits for its own ack before the next one publishes.
 	for {
 		committed := false
-		for _, id := range r.eng.ActiveIDs() {
+		r.ids = r.eng.AppendActiveIDs(r.ids[:0])
+		for _, id := range r.ids {
 			st, ok := r.eng.Active[id]
 			if !ok || !st.Done {
 				continue
@@ -201,11 +209,8 @@ func (r *Runner) abortCascade(st *engine.Instance, reason string) error {
 		if err != nil {
 			return err
 		}
-		r.pending = append(r.pending, &engine.Pending{
-			Program:  v.Program,
-			Restarts: restarts,
-			ReadyAt:  int(r.eng.Now()) + r.eng.BackoffTicks(restarts, level),
-		})
+		readyAt := int(r.eng.Now()) + r.eng.BackoffTicks(restarts, level)
+		r.queue.requeue(engine.Pending{Program: v.Program, Restarts: restarts}, readyAt)
 		return nil
 	})
 }
@@ -213,9 +218,101 @@ func (r *Runner) abortCascade(st *engine.Instance, reason string) error {
 // randomVictim picks a seeded-random active instance for stall
 // breaking.
 func (r *Runner) randomVictim() *engine.Instance {
-	ids := r.eng.ActiveIDs()
-	if len(ids) == 0 {
+	r.ids = r.eng.AppendActiveIDs(r.ids[:0])
+	if len(r.ids) == 0 {
 		return nil
 	}
-	return r.eng.Active[ids[r.rng.Intn(len(ids))]]
+	return r.eng.Active[r.ids[r.rng.Intn(len(r.ids))]]
+}
+
+// admissionQueue holds the programs waiting for admission and yields
+// them in arrival order — the configured programs in config order, then
+// restarts in the order their cascades requeued them — passing over
+// restarts whose backoff has not expired: the order a scan of one
+// arrival-ordered list admits in, at O(1) per never-started program and
+// O(log n) per restart. Never-started programs arrived before every
+// restart and are eligible from tick 0, so they go first. A restart
+// waits in backoff, by ready tick, and moves to ready, by arrival, once
+// its tick has come: it must not overtake an eligible restart that
+// arrived before it but came due later.
+type admissionQueue struct {
+	programs []*core.Transaction
+	next     int // programs[next:] have never started
+	backoff  restartHeap
+	ready    restartHeap
+	seq      int // arrival number of the next restart
+}
+
+// restart is a requeued program. key orders it in the heap it sits in:
+// its ready tick in backoff, its arrival number seq in ready.
+type restart struct {
+	engine.Pending
+	key, seq int
+}
+
+// len returns the number of programs waiting.
+func (q *admissionQueue) len() int {
+	return len(q.programs) - q.next + len(q.backoff) + len(q.ready)
+}
+
+// requeue queues a restarted program, eligible from tick readyAt on.
+func (q *admissionQueue) requeue(pp engine.Pending, readyAt int) {
+	q.backoff.push(restart{Pending: pp, key: readyAt, seq: q.seq})
+	q.seq++
+}
+
+// pop removes and returns the earliest-arrived program eligible at tick
+// now; ok is false when none is.
+func (q *admissionQueue) pop(now int) (pp engine.Pending, ok bool) {
+	if q.next < len(q.programs) {
+		q.next++
+		return engine.Pending{Program: q.programs[q.next-1]}, true
+	}
+	for len(q.backoff) > 0 && q.backoff[0].key <= now {
+		rs := q.backoff.pop()
+		rs.key = rs.seq
+		q.ready.push(rs)
+	}
+	if len(q.ready) == 0 {
+		return engine.Pending{}, false
+	}
+	return q.ready.pop().Pending, true
+}
+
+// restartHeap is a binary min-heap on restart.key.
+type restartHeap []restart
+
+func (h *restartHeap) push(x restart) {
+	s := append(*h, x)
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if s[p].key <= s[i].key {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+	*h = s
+}
+
+func (h *restartHeap) pop() restart {
+	s := *h
+	top, n := s[0], len(s)-1
+	s[0], s[n] = s[n], restart{}
+	s = s[:n]
+	for i := 0; ; {
+		m := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < n && s[c].key < s[m].key {
+				m = c
+			}
+		}
+		if m == i {
+			break
+		}
+		s[i], s[m] = s[m], s[i]
+		i = m
+	}
+	*h = s
+	return top
 }
