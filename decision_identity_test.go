@@ -52,6 +52,13 @@ var identityCells = []identityCell{
 	{"bank/ral", "ral", identityBank},
 	{"mix/altruistic-g4", "altruistic", identityMix(4)},
 	{"bank/altruistic", "altruistic", identityBank},
+	{"mix/sgt-g4", "sgt", identityMix(4)},
+	{"mix/s2pl-g4", "s2pl", identityMix(4)},
+	{"mix/to-g4", "to", identityMix(4)},
+	{"mix/nocc-g4", "nocc", identityMix(4)},
+	{"bank/sgt", "sgt", identityBank},
+	{"bank/s2pl", "s2pl", identityBank},
+	{"bank/to", "to", identityBank},
 }
 
 // identityGolden is one run's outcome: the result line, an FNV-1a
@@ -151,4 +158,45 @@ var identityGoldens = map[string]identityGolden{
 	"bank/altruistic/seed3":   {"altruistic: committed=109 aborts=40 restarts=40 blocks=164 ticks=177 ops=616 mpl=4.64", 0x572b700c8006a634, sched.RetireStats{}},
 	"bank/altruistic/seed4":   {"altruistic: committed=109 aborts=46 restarts=46 blocks=125 ticks=140 ops=625 mpl=5.69", 0xcfc8fb8d5906ba13, sched.RetireStats{}},
 	"bank/altruistic/seed5":   {"altruistic: committed=109 aborts=18 restarts=18 blocks=82 ticks=107 ops=544 mpl=6.03", 0x9ad88284a58d0350, sched.RetireStats{}},
+
+	// The SGT, S2PL, TO and NoCC cells were captured at commit 38090cb,
+	// before the Decide -> recoverability -> Apply arm moved into one
+	// engine step, so that move is checked on every protocol's arm.
+	// There is no bank/nocc cell: NoCC breaks the banking balance
+	// invariant, so its run has no golden. Only SGT is a Retirer.
+	"mix/sgt-g4/seed1":  {"sgt: committed=96 aborts=237 restarts=237 blocks=0 ticks=914 ops=4123 mpl=4.76", 0x42f95d2a3ae990e1, sched.RetireStats{GraphEpochs: 6, RetiredVertices: 333, Rebases: 6, ExecEntries: 442, FastPathHits: 4123, FastPathMisses: 92}},
+	"mix/sgt-g4/seed2":  {"sgt: committed=96 aborts=158 restarts=158 blocks=0 ticks=811 ops=3248 mpl=4.16", 0xa237c934615191ae, sched.RetireStats{GraphEpochs: 4, RetiredVertices: 254, Rebases: 5, ExecEntries: 500, FastPathHits: 3246, FastPathMisses: 62}},
+	"mix/sgt-g4/seed3":  {"sgt: committed=96 aborts=158 restarts=158 blocks=0 ticks=696 ops=3092 mpl=4.65", 0x8fc3b79da6563f18, sched.RetireStats{GraphEpochs: 4, RetiredVertices: 254, Rebases: 5, ExecEntries: 495, FastPathHits: 3087, FastPathMisses: 66}},
+	"mix/sgt-g4/seed4":  {"sgt: committed=96 aborts=171 restarts=171 blocks=0 ticks=773 ops=3335 mpl=4.50", 0x6d0ec73803ebaf1d, sched.RetireStats{GraphEpochs: 5, RetiredVertices: 267, Rebases: 5, ExecEntries: 474, FastPathHits: 3330, FastPathMisses: 76}},
+	"mix/sgt-g4/seed5":  {"sgt: committed=96 aborts=187 restarts=187 blocks=0 ticks=783 ops=3669 mpl=4.92", 0xbf5bca5341caacb6, sched.RetireStats{GraphEpochs: 5, RetiredVertices: 283, Rebases: 6, ExecEntries: 446, FastPathHits: 3661, FastPathMisses: 80}},
+	"mix/s2pl-g4/seed1": {"s2pl: committed=96 aborts=63 restarts=63 blocks=3828 ticks=800 ops=2204 mpl=7.62", 0x188d84dc64cbe24b, sched.RetireStats{}},
+	"mix/s2pl-g4/seed2": {"s2pl: committed=96 aborts=47 restarts=47 blocks=3464 ticks=719 ops=2030 mpl=7.71", 0xb622c3d7664dbfd6, sched.RetireStats{}},
+	"mix/s2pl-g4/seed3": {"s2pl: committed=96 aborts=71 restarts=71 blocks=3368 ticks=753 ops=2177 mpl=7.46", 0xc6ae1d5addfd2a20, sched.RetireStats{}},
+	"mix/s2pl-g4/seed4": {"s2pl: committed=96 aborts=75 restarts=75 blocks=3678 ticks=835 ops=2283 mpl=7.23", 0xf77fc61a2e1e1c2b, sched.RetireStats{}},
+	"mix/s2pl-g4/seed5": {"s2pl: committed=96 aborts=67 restarts=67 blocks=3595 ticks=760 ops=2260 mpl=7.79", 0xb4f1d008b3748e14, sched.RetireStats{}},
+	"mix/to-g4/seed1":   {"to: committed=96 aborts=244 restarts=244 blocks=0 ticks=891 ops=3834 mpl=4.53", 0x71b68466973208bb, sched.RetireStats{}},
+	"mix/to-g4/seed2":   {"to: committed=96 aborts=241 restarts=241 blocks=0 ticks=870 ops=3679 mpl=4.46", 0xeda2ea352e15650c, sched.RetireStats{}},
+	"mix/to-g4/seed3":   {"to: committed=96 aborts=138 restarts=138 blocks=0 ticks=723 ops=2722 mpl=3.93", 0xd6f51437ec288576, sched.RetireStats{}},
+	"mix/to-g4/seed4":   {"to: committed=96 aborts=178 restarts=178 blocks=0 ticks=807 ops=3132 mpl=4.05", 0xe800d1e97dfe20f3, sched.RetireStats{}},
+	"mix/to-g4/seed5":   {"to: committed=96 aborts=150 restarts=150 blocks=0 ticks=725 ops=3022 mpl=4.36", 0xa77900aaf91469ae, sched.RetireStats{}},
+	"mix/nocc-g4/seed1": {"nocc: committed=96 aborts=221 restarts=221 blocks=0 ticks=645 ops=4066 mpl=6.67", 0x62ffee0c9923a75d, sched.RetireStats{}},
+	"mix/nocc-g4/seed2": {"nocc: committed=96 aborts=138 restarts=138 blocks=0 ticks=532 ops=3035 mpl=6.06", 0x28d01b2280538e8a, sched.RetireStats{}},
+	"mix/nocc-g4/seed3": {"nocc: committed=96 aborts=162 restarts=162 blocks=0 ticks=595 ops=3413 mpl=5.98", 0xccdd197cf2b40dcc, sched.RetireStats{}},
+	"mix/nocc-g4/seed4": {"nocc: committed=96 aborts=139 restarts=139 blocks=0 ticks=462 ops=2913 mpl=6.69", 0xb64fb36bc245745b, sched.RetireStats{}},
+	"mix/nocc-g4/seed5": {"nocc: committed=96 aborts=127 restarts=127 blocks=0 ticks=598 ops=3074 mpl=5.35", 0x5f433960e081e808, sched.RetireStats{}},
+	"bank/sgt/seed1":    {"sgt: committed=109 aborts=30 restarts=30 blocks=0 ticks=114 ops=585 mpl=5.38", 0xdadc64a75c4d9121, sched.RetireStats{GraphEpochs: 3, RetiredVertices: 139, Rebases: 1, ExecEntries: 127, FastPathHits: 585, FastPathMisses: 26}},
+	"bank/sgt/seed2":    {"sgt: committed=109 aborts=35 restarts=35 blocks=0 ticks=116 ops=590 mpl=5.37", 0xac6a7f8a030d9314, sched.RetireStats{GraphEpochs: 3, RetiredVertices: 144, Rebases: 1, ExecEntries: 117, FastPathHits: 590, FastPathMisses: 32}},
+	"bank/sgt/seed3":    {"sgt: committed=109 aborts=33 restarts=33 blocks=0 ticks=117 ops=597 mpl=5.36", 0xd19cdc640bc3038e, sched.RetireStats{GraphEpochs: 3, RetiredVertices: 142, Rebases: 1, ExecEntries: 120, FastPathHits: 597, FastPathMisses: 30}},
+	"bank/sgt/seed4":    {"sgt: committed=109 aborts=26 restarts=26 blocks=0 ticks=101 ops=562 mpl=5.82", 0x3fe48efb359fed0d, sched.RetireStats{GraphEpochs: 3, RetiredVertices: 135, Rebases: 1, ExecEntries: 119, FastPathHits: 562, FastPathMisses: 24}},
+	"bank/sgt/seed5":    {"sgt: committed=109 aborts=23 restarts=23 blocks=0 ticks=121 ops=574 mpl=4.93", 0x308b170cb3bc3298, sched.RetireStats{GraphEpochs: 3, RetiredVertices: 132, Rebases: 1, ExecEntries: 134, FastPathHits: 574, FastPathMisses: 22}},
+	"bank/s2pl/seed1":   {"s2pl: committed=109 aborts=24 restarts=24 blocks=56 ticks=111 ops=558 mpl=5.75", 0x66a3ffdb18ee48cf, sched.RetireStats{}},
+	"bank/s2pl/seed2":   {"s2pl: committed=109 aborts=45 restarts=45 blocks=233 ticks=130 ops=603 mpl=6.78", 0xd6b9f1400120ecf4, sched.RetireStats{}},
+	"bank/s2pl/seed3":   {"s2pl: committed=109 aborts=40 restarts=40 blocks=134 ticks=171 ops=605 mpl=4.56", 0x266e7ee96311ce66, sched.RetireStats{}},
+	"bank/s2pl/seed4":   {"s2pl: committed=109 aborts=46 restarts=46 blocks=125 ticks=140 ops=625 mpl=5.69", 0xcfc8fb8d5906ba13, sched.RetireStats{}},
+	"bank/s2pl/seed5":   {"s2pl: committed=109 aborts=20 restarts=20 blocks=88 ticks=107 ops=549 mpl=6.14", 0xf6ed4fdcd85db57c, sched.RetireStats{}},
+	"bank/to/seed1":     {"to: committed=109 aborts=35 restarts=35 blocks=0 ticks=129 ops=598 mpl=4.89", 0x7bdb7bbacda42461, sched.RetireStats{}},
+	"bank/to/seed2":     {"to: committed=109 aborts=53 restarts=53 blocks=0 ticks=126 ops=649 mpl=5.54", 0xe68841d471d604de, sched.RetireStats{}},
+	"bank/to/seed3":     {"to: committed=109 aborts=37 restarts=37 blocks=0 ticks=161 ops=624 mpl=4.10", 0xd53851c29e7331c, sched.RetireStats{}},
+	"bank/to/seed4":     {"to: committed=109 aborts=52 restarts=52 blocks=0 ticks=189 ops=696 mpl=3.92", 0xd5b8d03d827fa1ad, sched.RetireStats{}},
+	"bank/to/seed5":     {"to: committed=109 aborts=28 restarts=28 blocks=0 ticks=155 ops=618 mpl=4.16", 0x5f7b2e99ad74fc8, sched.RetireStats{}},
 }
