@@ -87,13 +87,14 @@ race:
 # Focused engine-pipeline gate (CI: test job): the serial/concurrent
 # parity corpus, per-stage cancellation unwind, the split commit
 # stage's durability contract (acked => durable, no ack wait under the
-# lifecycle lock) and the concurrent driver's one admission path (every
+# lifecycle lock), the concurrent driver's one admission path (every
 # protocol on both drivers, the commit queue, hot-spot blocks on one
-# stripe), race-checked and repeated to shake out scheduling-dependent
-# flakes.
+# stripe, shard faults once per applied operation, the wedge watchdog)
+# and the engine's one step function (each verdict), race-checked and
+# repeated to shake out scheduling-dependent flakes.
 test-engine:
 	$(GO) test -race -count=2 ./internal/engine ./internal/txn \
-		-run 'TestSerialConcurrentParity|TestSerialReplayDeterminism|TestCancel|TestRunOptionsTimeout|TestCorePipeline|TestAbortAll|TestStageNames|TestNewCoreValidation|TestAckImpliesDurableConcurrent|TestAckWaitHoldsNoLock|TestConcurrentCommitWaitPath|TestConcurrentWorkloadsAllProtocols|TestShardedWorkloadsAllProtocols|TestShardedHotSpotBlocksOnOneShard'
+		-run 'TestSerialConcurrentParity|TestSerialReplayDeterminism|TestCancel|TestRunOptionsTimeout|TestCorePipeline|TestAbortAll|TestStageNames|TestNewCoreValidation|TestAckImpliesDurableConcurrent|TestAckWaitHoldsNoLock|TestConcurrentCommitWaitPath|TestConcurrentWorkloadsAllProtocols|TestShardedWorkloadsAllProtocols|TestShardedHotSpotBlocksOnOneShard|TestLatencyPointsFire|TestWatchdogSurfacesWedge|TestStepVerdicts'
 
 # Live ops-endpoint smoke (CI: test job): a run with -ops serving,
 # scraped for the canonical /metrics, /healthz and /debug keys while

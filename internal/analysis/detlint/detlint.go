@@ -8,11 +8,11 @@
 //
 // Deterministic roots are
 //
-//   - the engine's decision-stage methods (engine.Core's Admit,
-//     Decide, Unrecoverable, Publish, Acknowledge, AbortCascade and
-//     AbortAll — the Commit stage is Publish and Acknowledge, and the
-//     ack wait between them, AwaitAck, decides nothing: it only
-//     receives the log's verdict);
+//   - the engine's decision-stage methods (engine.Core's Admit, Check,
+//     Step, Publish, Acknowledge, AbortCascade, AbortAll and Restart —
+//     the Commit stage is Publish and Acknowledge, and the ack wait
+//     between them, AwaitAck, decides nothing: it only receives the
+//     log's verdict);
 //   - every function of internal/record and internal/replay (the
 //     capture and re-execution halves of the harness);
 //   - any function whose doc comment carries //rsvet:deterministic.
@@ -64,8 +64,8 @@ const (
 // transaction outcomes; everything they reach must be pinned by the
 // run seed.
 var decisionStages = map[string]bool{
-	"Admit": true, "Check": true, "Decide": true, "Unrecoverable": true,
-	"Publish": true, "Acknowledge": true, "AbortCascade": true, "AbortAll": true,
+	"Admit": true, "Check": true, "Step": true, "Publish": true,
+	"Acknowledge": true, "AbortCascade": true, "AbortAll": true,
 	"Restart": true,
 }
 

@@ -56,7 +56,7 @@ const enginePath = "relser/internal/engine"
 // the read-only getters (Now, Committed, AppendActiveIDs, AdmitLimit) are
 // fine from a hook.
 var coreMutators = map[string]bool{
-	"Admit": true, "Check": true, "Decide": true, "Unrecoverable": true, "Apply": true,
+	"Admit": true, "Check": true, "Step": true,
 	"Publish": true, "AwaitAck": true, "Acknowledge": true,
 	"AbortCascade": true, "AbortAll": true, "Restart": true, "Tick": true,
 	"Finalize": true, "FlushWAL": true, "JitterSleep": true, "BackoffTicks": true,

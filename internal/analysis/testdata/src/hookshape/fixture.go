@@ -2,6 +2,7 @@
 package fixture
 
 import (
+	"context"
 	"sync"
 	"time"
 
@@ -30,12 +31,15 @@ func install(core *engine.Core) engine.Hooks {
 	return h
 }
 
-// stages reaches the engine's restart accounting from a hook, which
-// re-enters; reading the logical clock is fine.
+// stages reaches the engine's restart accounting and its operation
+// step from hooks, which re-enters; reading the logical clock is fine.
 func stages(core *engine.Core) engine.Hooks {
 	h := engine.Hooks{}
 	h.Abort = func(st *engine.Instance) { // want `hook Abort calls back into engine/driver`
 		core.Restart(st)
+	}
+	h.Apply = func(st *engine.Instance) { // want `hook Apply calls back into engine/driver`
+		core.Step(context.Background(), st, 0)
 	}
 	h.Admit = func(st *engine.Instance) { _ = core.Now() }
 	return h

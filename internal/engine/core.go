@@ -71,22 +71,21 @@ type Pending struct {
 // instance table, dirty-writer stacks, the dirty-read dependency
 // graph, the logical clock, WAL emission, degradation controllers and
 // the reporter. A Core implements the lifecycle stages, and each stage
-// records what it did (counters, trace events, Result fields) at the
-// clock it reads once; drivers supply only the loop (one goroutine on
-// a TickClock, or a worker pool on the SeqClock), the locks and the
-// waits:
+// records what it did at the clock it reads once; an operation's turn
+// is Check, then Step (Issue, Decide, recoverability, Apply). Drivers
+// supply only the loop (one goroutine on a TickClock, or a worker pool
+// on the SeqClock), the locks and the waits:
 //
 //   - The deterministic driver calls everything single-threaded, the
 //     Commit stage's Publish, AwaitAck and Acknowledge back to back.
 //   - The concurrent driver calls Admit, Publish, Acknowledge,
 //     AbortCascade, AbortAll and Restart under its exclusive state
 //     lock, and AwaitAck between Publish and Acknowledge with no lock
-//     held; Check under the shared state lock; Decide, Unrecoverable and
-//     Apply on the operation path under the shared state lock plus the
-//     target object's shard lock (so the shard's dirty stacks are
-//     stable). The dependency graph has its own leaf mutex for
-//     operation-path mutations; lifecycle holders are excluded from
-//     those by the state lock and access it directly.
+//     held; Check under the shared state lock; Step under the shared
+//     state lock plus the target object's stripe lock (so the stripe's
+//     dirty stacks are stable). The dependency graph has its own leaf
+//     mutex for operation-path mutations; lifecycle holders are
+//     excluded from those by the state lock and access it directly.
 type Core struct {
 	Cfg    Config
 	Router shard.Router
@@ -276,16 +275,21 @@ func (c *Core) Admit(pp *Pending) *Instance {
 	return st
 }
 
-// Verdict is the Check stage's ruling on an instance's turn. The zero
-// Verdict lets the instance issue its next operation.
+// Verdict is the ruling on an instance's turn, from Check or Step. The
+// zero Verdict lets the turn go on: after Check, the instance issues
+// its next operation; after Step, that operation was applied.
 type Verdict struct {
 	// Abort, when set, is the reason the driver aborts the instance
-	// with: "deadline" or "injected".
+	// with: "deadline" or "injected" from Check; "protocol",
+	// "recoverability" or "canceled" from Step.
 	Abort string
 	// Delay, when positive, is an injected grant delay: the instance
 	// loses this turn (the tick driver skips it for the tick, the
 	// concurrent driver sleeps for Delay).
 	Delay time.Duration
+	// Blocked reports that the protocol blocked the operation: the
+	// instance waits and issues it again.
+	Blocked bool
 }
 
 // Check runs the pre-issue checks on an instance about to take its
@@ -314,72 +318,68 @@ func (c *Core) Check(st *Instance) Verdict {
 	return Verdict{}
 }
 
-// Decide runs the Issue and Decide stages: the instance's next
-// operation is submitted to the protocol, a Block or Abort verdict is
-// recorded, and the verdict returned. A request whose context is
-// already canceled is refused with Abort without consulting the
-// protocol — a canceled instance must not enter wait queues it will
-// never leave. Called under whatever admission mutual exclusion the
-// protocol requires (the driver's stripe lock).
-func (c *Core) Decide(st *Instance, req sched.OpRequest) sched.Decision {
+// Step runs the rest of an instance's turn after Check and records its
+// outcome: Issue submits the next operation to the protocol, Decide
+// returns a Block as Blocked and a refusal as Abort "protocol". A
+// canceled request is refused with Abort "canceled" without asking the
+// protocol, so it enters no wait queue it would never leave. A grant
+// that would close a dirty-data dependency cycle, which no commit
+// order resolves, aborts with "recoverability"; any other is applied
+// (Apply) and Step returns the zero Verdict.
+//
+// Stripe-lock contract: a concurrent caller holds the mutex of stripe
+// shardIdx (Router.Shard of the operation's object) around Step, so
+// admission to the protocol is mutually exclusive per stripe, the
+// stripe's dirty stacks are stable and grants are recorded in
+// same-object execution order. On Blocked it keeps the mutex until
+// parked, so no wakeup is lost.
+func (c *Core) Step(ctx context.Context, st *Instance, shardIdx int) Verdict {
+	op := st.Program.Op(st.Next)
 	if h := c.Cfg.Hooks.Issue; h != nil {
 		h(st)
 	}
-	var dec sched.Decision
-	if req.Canceled() {
-		dec = sched.Abort
-	} else {
+	req := sched.OpRequest{Instance: st.ID, Program: st.Program, Seq: st.Next, Op: op, Ctx: ctx}
+	canceled, dec := req.Canceled(), sched.Abort
+	if !canceled {
 		dec = c.Cfg.Protocol.Request(req)
 	}
 	if h := c.Cfg.Hooks.Decide; h != nil {
 		h(st)
 	}
-	switch dec {
-	case sched.Block:
+	switch {
+	case canceled:
+		return Verdict{Abort: "canceled"}
+	case dec == sched.Block:
 		c.blocksTotal.Add(1)
-		c.rep.block(st, req.Op, c.Now())
-	case sched.Abort:
-		c.rep.abortDecision(st, req.Op, c.Now())
+		c.rep.block(st, op, c.Now())
+		return Verdict{Blocked: true}
+	case dec == sched.Abort:
+		c.rep.abortDecision(st, op, c.Now())
+		return Verdict{Abort: "protocol"}
 	}
-	return dec
+	if w, dirty := topDirty(c.dirty[shardIdx], op.Object); dirty && w != st.ID && c.depPath(w, st.ID) {
+		c.recovAborts.Add(1)
+		c.rep.recovAborts.Inc()
+		return Verdict{Abort: "recoverability"}
+	}
+	c.apply(ctx, st, op, shardIdx)
+	return Verdict{}
 }
 
-// Unrecoverable reports whether letting st touch op's object would
-// close a dirty-data dependency cycle — neither party could ever
-// commit first, so the driver must abort instead of applying — and
-// counts the recoverability abort it finds. Called with the object's
-// shard (shardIdx) stable per the driver's locking contract.
-func (c *Core) Unrecoverable(st *Instance, op core.Op, shardIdx int) bool {
-	w, dirty := topDirty(c.dirty[shardIdx], op.Object)
-	if !dirty || w == st.ID || !c.depPath(w, st.ID) {
-		return false
-	}
-	c.recovAborts.Add(1)
-	c.rep.recovAborts.Inc()
-	return true
-}
-
-// Apply runs the Apply stage for a granted operation: the store access
-// (context-aware, so injected stalls cut short on cancellation), dirty
-// tracking and dependency recording, the WAL write record, the
-// instance's event log and the grant's record. The caller must have
-// ruled the access recoverable (Unrecoverable) under the same shard
-// lock, and holds it until Apply returns, so the grant is recorded in
-// same-object execution order.
-func (c *Core) Apply(ctx context.Context, st *Instance, op core.Op, shardIdx int) {
+// apply runs the Apply stage for a granted, recoverable operation:
+// dependency recording, the store access (context-aware, so injected
+// stalls cut short on cancellation), dirty tracking, the WAL write
+// record, the instance's event log and the grant's record.
+func (c *Core) apply(ctx context.Context, st *Instance, op core.Op, shardIdx int) {
 	c.opsExecuted.Add(1)
 	dirty := c.dirty[shardIdx]
+	if w, ok := topDirty(dirty, op.Object); ok && w != st.ID {
+		c.addDep(st, w) // reads or overwrites dirty data
+	}
 	if op.Kind == core.ReadOp {
-		v := c.Cfg.Store.ReadCtx(ctx, op.Object)
-		st.Reads[op.Seq] = v.Value
-		if w, ok := topDirty(dirty, op.Object); ok && w != st.ID {
-			c.addDep(st, w)
-		}
+		st.Reads[op.Seq] = c.Cfg.Store.ReadCtx(ctx, op.Object).Value
 	} else {
 		v := c.Cfg.Semantics.WriteValue(st.Program, op.Seq, st.Reads)
-		if w, ok := topDirty(dirty, op.Object); ok && w != st.ID {
-			c.addDep(st, w) // overwrote dirty data
-		}
 		st.Undo.WriteLoggedCtx(ctx, c.Cfg.Store, op.Object, v)
 		st.Writes[op.Object] = v
 		dirty[op.Object] = append(dirty[op.Object], st.ID)

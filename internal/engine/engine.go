@@ -37,7 +37,7 @@ const (
 	// StageAdmit is instance creation: an admission slot was free, the
 	// protocol saw Begin, the WAL holds the begin record.
 	StageAdmit Stage = iota
-	// StageIssue is the moment the driver submits the instance's next
+	// StageIssue is the moment Core.Step submits the instance's next
 	// operation to the protocol.
 	StageIssue
 	// StageDecide is the protocol's verdict on the issued operation

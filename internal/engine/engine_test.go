@@ -14,6 +14,7 @@ import (
 	"relser/internal/engine"
 	"relser/internal/fault"
 	"relser/internal/sched"
+	"relser/internal/trace"
 )
 
 func prog(id int, ops string) *core.Transaction {
@@ -91,16 +92,9 @@ func TestCorePipelineDirect(t *testing.T) {
 	ctx := context.Background()
 	st := eng.Admit(&engine.Pending{Program: p})
 	for !st.Done {
-		op := st.Program.Op(st.Next)
-		req := sched.OpRequest{Instance: st.ID, Program: st.Program, Seq: st.Next, Op: op, Ctx: ctx}
-		if d := eng.Decide(st, req); d != sched.Grant {
-			t.Fatalf("NoCC must grant; got %v", d)
+		if v := eng.Step(ctx, st, eng.Router.Shard(st.Program.Op(st.Next).Object)); v != (engine.Verdict{}) {
+			t.Fatalf("a lone NoCC instance must apply every operation; got %+v", v)
 		}
-		shardIdx := eng.Router.Shard(op.Object)
-		if eng.Unrecoverable(st, op, shardIdx) {
-			t.Fatal("single instance cannot be unrecoverable")
-		}
-		eng.Apply(ctx, st, op, shardIdx)
 	}
 	if !eng.Publish(st) {
 		t.Fatal("lone finished instance must commit")
@@ -127,6 +121,93 @@ func TestCorePipelineDirect(t *testing.T) {
 		if stages[i] != want[i] {
 			t.Fatalf("hook order %v, want %v", stages, want)
 		}
+	}
+}
+
+// TestStepVerdicts drives Step into each of its verdicts and checks
+// what the step under test recorded: the hooks it fired (Apply only
+// for an applied operation), the trace events it emitted and the
+// counters the run moved. Every earlier step is a plain grant.
+func TestStepVerdicts(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name  string
+		proto sched.Protocol
+		progs []string // one instance each, admitted in order
+		steps []int    // instances stepped before the step under test
+		last  int      // the instance whose step is under test
+		ctx   context.Context
+		want  engine.Verdict
+		hooks string // hooks the step under test fired
+		// kinds lists the trace events it emitted; the config wires the
+		// tracer into the protocol and the store as well.
+		kinds              string
+		blocks, recov, ops int // counters after the run
+	}{
+		{"grant", sched.NewNoCC(), []string{"r[x]"}, nil, 0, context.Background(),
+			engine.Verdict{}, "issue decide apply", "store-read grant", 0, 0, 1},
+		{"block", sched.NewS2PL(), []string{"w[x]", "r[x]"}, []int{0}, 1, context.Background(),
+			engine.Verdict{Blocked: true}, "issue decide", "lock-wait block", 1, 0, 1},
+		// TO refuses a read of an object a younger instance wrote.
+		{"protocol", sched.NewTO(), []string{"r[x]", "w[x]"}, []int{1}, 0, context.Background(),
+			engine.Verdict{Abort: "protocol"}, "issue decide", "ts-reject abort", 0, 0, 1},
+		// T2 read T1's dirty x and wrote y: T1 reading y would close a
+		// dirty-data dependency cycle.
+		{"recoverability", sched.NewNoCC(), []string{"w[x] r[y]", "r[x] w[y]"}, []int{0, 1, 1}, 0, context.Background(),
+			engine.Verdict{Abort: "recoverability"}, "issue decide", "", 0, 1, 3},
+		{"canceled", sched.NewNoCC(), []string{"r[x]"}, nil, 0, canceled,
+			engine.Verdict{Abort: "canceled"}, "issue decide", "", 0, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var hooks []string
+			note := func(name string) func(*engine.Instance) {
+				return func(*engine.Instance) { hooks = append(hooks, name) }
+			}
+			buf := trace.NewBuffer()
+			var progs []*core.Transaction
+			for i, ops := range tc.progs {
+				progs = append(progs, prog(i+1, ops))
+			}
+			eng, err := engine.NewCore(engine.Config{
+				Protocol: tc.proto, Programs: progs, Tracer: trace.New(buf),
+				Hooks: engine.Hooks{Issue: note("issue"), Decide: note("decide"), Apply: note("apply")},
+			}, engine.SeqClock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var insts []*engine.Instance
+			for _, p := range progs {
+				insts = append(insts, eng.Admit(&engine.Pending{Program: p}))
+			}
+			step := func(ctx context.Context, st *engine.Instance) engine.Verdict {
+				return eng.Step(ctx, st, eng.Router.Shard(st.Program.Op(st.Next).Object))
+			}
+			for _, i := range tc.steps {
+				if v := step(context.Background(), insts[i]); v != (engine.Verdict{}) {
+					t.Fatalf("setup step of T%d: %+v", i+1, v)
+				}
+			}
+			hooks, events := nil, buf.Len()
+			if v := step(tc.ctx, insts[tc.last]); v != tc.want {
+				t.Errorf("verdict %+v, want %+v", v, tc.want)
+			}
+			if got := strings.Join(hooks, " "); got != tc.hooks {
+				t.Errorf("hooks %q, want %q", got, tc.hooks)
+			}
+			var kinds []string
+			for _, ev := range buf.Events()[events:] {
+				kinds = append(kinds, string(ev.Kind))
+			}
+			if got := strings.Join(kinds, " "); got != tc.kinds {
+				t.Errorf("events %q, want %q", got, tc.kinds)
+			}
+			res := eng.Finalize()
+			if res.Blocks != tc.blocks || res.RecoverabilityAborts != tc.recov || res.OpsExecuted != tc.ops {
+				t.Errorf("blocks %d, recoverability aborts %d, ops %d; want %d, %d, %d",
+					res.Blocks, res.RecoverabilityAborts, res.OpsExecuted, tc.blocks, tc.recov, tc.ops)
+			}
+		})
 	}
 }
 
@@ -168,9 +249,9 @@ func TestFinalizeRestoresExecutionOrder(t *testing.T) {
 	}
 	for step := 0; step < 3; step++ {
 		for _, st := range insts {
-			op := st.Program.Op(st.Next)
-			eng.Decide(st, sched.OpRequest{Instance: st.ID, Program: st.Program, Seq: st.Next, Op: op, Ctx: ctx})
-			eng.Apply(ctx, st, op, eng.Router.Shard(op.Object))
+			if v := eng.Step(ctx, st, eng.Router.Shard(st.Program.Op(st.Next).Object)); v != (engine.Verdict{}) {
+				t.Fatalf("instance %d: disjoint NoCC operation not applied: %+v", st.ID, v)
+			}
 		}
 	}
 	if err := eng.AbortCascade(insts[1].ID, "test", nil); err != nil {

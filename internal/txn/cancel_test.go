@@ -20,6 +20,7 @@ import (
 	"relser/internal/fault"
 	"relser/internal/sched"
 	"relser/internal/storage"
+	"relser/internal/trace"
 	"relser/internal/txn"
 	"relser/internal/workload"
 )
@@ -149,6 +150,59 @@ func TestCancelAtEachStage(t *testing.T) {
 				runCanceledAtStage(t, stage, concurrent)
 			})
 		}
+	}
+}
+
+// TestCancelIsNotARefusal cancels a tick-driver run from the Issue
+// hook: the canceled request must not be traced as a protocol refusal,
+// and no instance may be aborted for "protocol" after the cancel. The
+// driver offers no more turns; the Recover stage unwinds the rest.
+func TestCancelIsNotARefusal(t *testing.T) {
+	w, err := workload.Banking(workload.DefaultBankingConfig(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := storage.NewStore()
+	store.Load(w.Initial)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	buf := trace.NewBuffer()
+	calls, canceledAt := 0, -1
+	r, err := txn.New(txn.Config{
+		Protocol:  sched.NewRSGT(w.Oracle),
+		Programs:  w.Programs,
+		Oracle:    w.Oracle,
+		Store:     store,
+		Semantics: w.Semantics,
+		MPL:       8,
+		Seed:      7,
+		Tracer:    trace.New(buf),
+		Hooks: txn.Hooks{Issue: func(*engine.Instance) {
+			if calls++; calls == 3 {
+				canceledAt = buf.Len()
+				cancel()
+			}
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.RunContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want canceled, got %v", err)
+	}
+	unwound := 0
+	for _, ev := range buf.Events()[canceledAt:] {
+		switch {
+		case ev.Kind == trace.KindAbortDecision:
+			t.Errorf("canceled request traced as a protocol refusal: %+v", ev)
+		case ev.Kind == trace.KindTxnAbort && ev.Reason == "protocol":
+			t.Errorf("instance %d aborted for \"protocol\" after the cancel", ev.Instance)
+		case ev.Kind == trace.KindTxnAbort && ev.Reason == "canceled":
+			unwound++
+		}
+	}
+	if unwound == 0 {
+		t.Error("no instance was unwound as canceled")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"relser/internal/core"
 	"relser/internal/engine"
 	"relser/internal/fault"
 	"relser/internal/metrics"
@@ -26,16 +25,16 @@ import (
 // the store's stripes and the protocol's lock tables). Each stripe is a
 // wait queue; the engine's dirty-writer stacks are partitioned the same
 // way, so holding a stripe's mutex stabilizes exactly the dirty state
-// the engine's Apply stage touches. Every operation takes one path:
-// stripe lock, Decide, Unrecoverable/Apply, unlock. Holding the stripe
-// across Decide+Apply keeps same-object admission and execution in the
-// same order, which the protocols' correctness arguments require.
-// Shard-safe protocols (sched.ShardSafe — NoCC, S2PL, TO) run on
-// Config.Shards stripes, so requests on different stripes proceed in
-// parallel. All other protocols are sequential state machines and run
-// on one stripe, which serializes every Decide+Apply pair and keeps
-// tracing sound for replay certification (a total order on admissions
-// and their grant events).
+// the engine's Step touches. Every operation takes one path: stripe
+// lock, the engine's Step, unlock (or park, on Blocked). Holding the
+// stripe across the whole Step keeps same-object admission and
+// execution in the same order, which the protocols' correctness
+// arguments require. Shard-safe protocols (sched.ShardSafe — NoCC,
+// S2PL, TO) run on Config.Shards stripes, so requests on different
+// stripes proceed in parallel. All other protocols are sequential
+// state machines and run on one stripe, which serializes every Step
+// and keeps tracing sound for replay certification (a total order on
+// admissions and their grant events).
 //
 // Lifecycle transitions — begin, commit, abort cascades, stall
 // victimization — take the state lock exclusively, stopping the world;
@@ -392,68 +391,46 @@ func (r *ConcurrentRunner) runProgram(ctx context.Context, pp *engine.Pending) (
 			continue
 		}
 		v := r.eng.Check(st)
-		if v.Abort != "" {
-			r.state.RUnlock()
-			r.victimize(st, v.Abort)
-			return r.noteRestart(pp, st)
-		}
-		if v.Delay > 0 {
-			// The scheduler "loses" this worker's turn for a beat; a
-			// canceled run stops paying for the injected latency.
-			r.state.RUnlock()
-			fault.SleepCtx(ctx, v.Delay)
-			continue
-		}
-		op := st.Program.Op(st.Next)
-		req := sched.OpRequest{Instance: st.ID, Program: st.Program, Seq: st.Next, Op: op, Ctx: ctx}
-		shardIdx := r.eng.Router.Shard(op.Object)
-		sh := r.stripes[shardIdx]
-		sh.mu.Lock()
-		switch r.eng.Decide(st, req) {
-		case sched.Grant:
-			// Apply records the grant before the stripe is released, so
-			// trace order matches same-object execution order.
-			applied := r.applySharded(ctx, st, op, sh, shardIdx)
-			if applied && r.wakeOnGrant && sh.waiters > 0 {
-				r.bcastShard.Inc()
-				sh.cond.Broadcast()
-			}
-			sh.mu.Unlock()
-			r.state.RUnlock()
-			if !applied {
-				r.victimize(st, "recoverability")
-				return r.noteRestart(pp, st)
-			}
-		case sched.Block:
-			sh.blocks.Inc()
-			if !r.park(sh, r.state.RUnlock) {
+		if v.Abort == "" && v.Delay == 0 {
+			shardIdx := r.eng.Router.Shard(st.Program.Op(st.Next).Object)
+			sh := r.stripes[shardIdx]
+			sh.mu.Lock()
+			if v = r.eng.Step(ctx, st, shardIdx); v.Blocked {
+				sh.blocks.Inc()
+				if r.park(sh, r.state.RUnlock) {
+					continue // woken: issue the same operation again
+				}
 				// Parking would leave every active worker asleep (a stall
 				// the protocol cannot see): become the victim.
-				r.state.RUnlock()
-				r.victimize(st, "stall")
-				return r.noteRestart(pp, st)
+				v.Abort = "stall"
+			} else {
+				if v.Abort == "" {
+					r.appliedLocked(ctx, sh)
+				}
+				sh.mu.Unlock()
 			}
-			// Woken; re-enter the loop and retry the same operation.
-		case sched.Abort:
-			sh.mu.Unlock()
-			r.state.RUnlock()
-			r.victimize(st, "protocol")
+		}
+		r.state.RUnlock()
+		switch {
+		case v.Abort != "":
+			r.victimize(st, v.Abort)
 			return r.noteRestart(pp, st)
+		case v.Delay > 0:
+			// The scheduler "loses" this worker's turn for a beat; a
+			// canceled run stops paying for the injected latency.
+			fault.SleepCtx(ctx, v.Delay)
 		}
 	}
 }
 
-// applySharded runs the engine's recoverability check and Apply stage
-// on the striped hot path. Called with the shared state lock and sh.mu
-// held (sh is the target object's stripe, so the engine's dirty stacks
-// for it are stable). Returns false if executing would create an
-// unrecoverable read-from cycle.
+// appliedLocked follows a Step that applied its operation, with the
+// shared state lock and sh.mu (the operation's stripe) still held: it
+// consults the shard.stall and shard.wedge fault points once, counts
+// the progress and, for a protocol that is not shard-safe, wakes the
+// stripe (altruistic donation can unblock a waiter).
 //
 //rsvet:locks sh.mu
-func (r *ConcurrentRunner) applySharded(ctx context.Context, st *engine.Instance, op core.Op, sh *waitQueue, shardIdx int) bool {
-	if r.eng.Unrecoverable(st, op, shardIdx) {
-		return false
-	}
+func (r *ConcurrentRunner) appliedLocked(ctx context.Context, sh *waitQueue) {
 	if in := r.eng.Cfg.Faults; in.Active(fault.ShardStall) || in.Active(fault.ShardWedge) {
 		// Both fire while holding the stripe's mutex — a stalled or
 		// wedged worker realistically blocks its same-stripe neighbors. A
@@ -469,9 +446,11 @@ func (r *ConcurrentRunner) applySharded(ctx context.Context, st *engine.Instance
 			in.WedgeCtx(ctx)
 		}
 	}
-	r.eng.Apply(ctx, st, op, shardIdx)
 	r.progress.Add(1)
-	return true
+	if r.wakeOnGrant && sh.waiters > 0 {
+		r.bcastShard.Inc()
+		sh.cond.Broadcast()
+	}
 }
 
 // tryFinish attempts to commit a finished instance: it publishes under

@@ -228,12 +228,19 @@ func TestLatencyPointsFire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(); err != nil {
+	res, err := r.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ps := range inj.Schedule() {
 		if ps.Fired == 0 {
 			t.Errorf("%s consulted %d times, never fired at rate 1", ps.Point, ps.Calls)
+		}
+		// The driver consults shard.stall once per applied operation,
+		// under the stripe lock: a blocked or refused request, which
+		// applies nothing, must not consult it.
+		if ps.Point == fault.ShardStall && ps.Calls != int64(res.OpsExecuted) {
+			t.Errorf("shard.stall consulted %d times for %d applied operations (%d blocks)", ps.Calls, res.OpsExecuted, res.Blocks)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"relser/internal/core"
 	"relser/internal/engine"
-	"relser/internal/sched"
 )
 
 // Runner executes a configuration as a deterministic discrete-event
@@ -128,6 +127,11 @@ func (r *Runner) tick(ctx context.Context) (bool, error) {
 	progress := false
 	delayed := 0
 	for _, id := range ids {
+		if ctx.Err() != nil {
+			// Canceled mid-tick: offer no more turns, so the Recover
+			// stage unwinds every instance still in flight, once.
+			return true, nil
+		}
 		st, ok := r.eng.Active[id]
 		if !ok {
 			continue // aborted by an earlier cascade this tick
@@ -136,37 +140,19 @@ func (r *Runner) tick(ctx context.Context) (bool, error) {
 			continue // commits happen in the post-loop commit wave
 		}
 		v := r.eng.Check(st)
-		if v.Abort != "" {
+		if v.Abort == "" && v.Delay == 0 {
+			v = r.eng.Step(ctx, st, r.eng.Router.Shard(st.Program.Op(st.Next).Object))
+		}
+		switch {
+		case v.Abort != "":
 			if err := r.abortCascade(st, v.Abort); err != nil {
 				return false, err
 			}
 			progress = true
-			continue
-		}
-		if v.Delay > 0 {
+		case v.Delay > 0:
 			// The scheduler "loses" this instance's turn for a tick.
 			delayed++
-			continue
-		}
-		op := st.Program.Op(st.Next)
-		req := sched.OpRequest{Instance: st.ID, Program: st.Program, Seq: st.Next, Op: op, Ctx: ctx}
-		switch r.eng.Decide(st, req) {
-		case sched.Grant:
-			shardIdx := r.eng.Router.Shard(op.Object)
-			if r.eng.Unrecoverable(st, op, shardIdx) {
-				// The access would close a dirty-data dependency cycle;
-				// commit ordering could never resolve it, so abort now.
-				if err := r.abortCascade(st, "recoverability"); err != nil {
-					return false, err
-				}
-			} else {
-				r.eng.Apply(ctx, st, op, shardIdx)
-			}
-			progress = true
-		case sched.Abort:
-			if err := r.abortCascade(st, "protocol"); err != nil {
-				return false, err
-			}
+		case !v.Blocked:
 			progress = true
 		}
 	}
