@@ -16,9 +16,12 @@ package relser_test
 import (
 	"fmt"
 	"hash/fnv"
+	"strconv"
 	"testing"
 
+	"relser/internal/core"
 	"relser/internal/sched"
+	"relser/internal/storage"
 	"relser/internal/workload"
 )
 
@@ -44,6 +47,21 @@ func identityBank(seed int64) (*workload.Workload, error) {
 	}, seed)
 }
 
+// identityChain is the ladder's chain-soak shape at 400 programs:
+// program i reads x(i-1) and writes x(i) over 257 objects, every
+// transaction absolute. The programs do not depend on the seed.
+func identityChain(int64) (*workload.Workload, error) {
+	obj := func(i int) string { return "x" + strconv.Itoa(i%257) }
+	w := &workload.Workload{Name: "chain", Oracle: sched.AbsoluteOracle{}, Initial: map[string]storage.Value{}}
+	for i := 1; i <= 400; i++ {
+		w.Programs = append(w.Programs, core.T(core.TxnID(i), core.R(obj(i-1)), core.W(obj(i))))
+	}
+	for i := 0; i < 257; i++ {
+		w.Initial[obj(i)] = 0
+	}
+	return w, nil
+}
+
 var identityCells = []identityCell{
 	{"mix/rsgt-g1", "rsgt", identityMix(1)},
 	{"mix/rsgt-g4", "rsgt", identityMix(4)},
@@ -59,6 +77,8 @@ var identityCells = []identityCell{
 	{"bank/sgt", "sgt", identityBank},
 	{"bank/s2pl", "s2pl", identityBank},
 	{"bank/to", "to", identityBank},
+	{"mix/rsgt-g0", "rsgt", identityMix(0)},
+	{"chain/rsgt", "rsgt", identityChain},
 }
 
 // identityGolden is one run's outcome: the result line, an FNV-1a
@@ -138,11 +158,11 @@ var identityGoldens = map[string]identityGolden{
 	"bank/rsgt/seed3":   {"rsgt: committed=109 aborts=33 restarts=33 blocks=0 ticks=117 ops=597 mpl=5.36", 0xd19cdc640bc3038e, sched.RetireStats{GraphEpochs: 10, RetiredVertices: 680, Rebases: 1, ExecEntries: 120, FastPathHits: 597, FastPathMisses: 30}},
 	"bank/rsgt/seed4":   {"rsgt: committed=109 aborts=26 restarts=26 blocks=0 ticks=101 ops=562 mpl=5.82", 0x3fe48efb359fed0d, sched.RetireStats{GraphEpochs: 9, RetiredVertices: 608, Rebases: 1, ExecEntries: 119, FastPathHits: 562, FastPathMisses: 24}},
 	"bank/rsgt/seed5":   {"rsgt: committed=109 aborts=23 restarts=23 blocks=0 ticks=121 ops=574 mpl=4.93", 0x308b170cb3bc3298, sched.RetireStats{GraphEpochs: 10, RetiredVertices: 640, Rebases: 1, ExecEntries: 134, FastPathHits: 574, FastPathMisses: 22}},
-	"bank/ral/seed1":    {"ral: committed=109 aborts=24 restarts=24 blocks=106 ticks=109 ops=559 mpl=6.33", 0x688b54e570885aab, sched.RetireStats{GraphEpochs: 10, RetiredVertices: 600, Rebases: 1, ExecEntries: 133, FastPathHits: 559, FastPathMisses: 0}},
-	"bank/ral/seed2":    {"ral: committed=109 aborts=35 restarts=35 blocks=261 ticks=168 ops=583 mpl=5.24", 0x476dab884b0887b8, sched.RetireStats{GraphEpochs: 10, RetiredVertices: 644, Rebases: 1, ExecEntries: 109, FastPathHits: 583, FastPathMisses: 0}},
-	"bank/ral/seed3":    {"ral: committed=109 aborts=40 restarts=40 blocks=164 ticks=177 ops=616 mpl=4.64", 0x572b700c8006a634, sched.RetireStats{GraphEpochs: 11, RetiredVertices: 710, Rebases: 1, ExecEntries: 129, FastPathHits: 616, FastPathMisses: 0}},
-	"bank/ral/seed4":    {"ral: committed=109 aborts=46 restarts=46 blocks=125 ticks=140 ops=625 mpl=5.69", 0xcfc8fb8d5906ba13, sched.RetireStats{GraphEpochs: 12, RetiredVertices: 734, Rebases: 1, ExecEntries: 121, FastPathHits: 625, FastPathMisses: 0}},
-	"bank/ral/seed5":    {"ral: committed=109 aborts=18 restarts=18 blocks=82 ticks=107 ops=544 mpl=6.03", 0x9ad88284a58d0350, sched.RetireStats{GraphEpochs: 9, RetiredVertices: 576, Rebases: 1, ExecEntries: 134, FastPathHits: 544, FastPathMisses: 0}},
+	"bank/ral/seed1":    {"ral: committed=109 aborts=24 restarts=24 blocks=106 ticks=109 ops=559 mpl=6.33", 0x688b54e570885aab, sched.RetireStats{GraphEpochs: 10, RetiredVertices: 600, Rebases: 1, ExecEntries: 133, FastPathHits: 559}},
+	"bank/ral/seed2":    {"ral: committed=109 aborts=35 restarts=35 blocks=261 ticks=168 ops=583 mpl=5.24", 0x476dab884b0887b8, sched.RetireStats{GraphEpochs: 10, RetiredVertices: 644, Rebases: 1, ExecEntries: 109, FastPathHits: 583}},
+	"bank/ral/seed3":    {"ral: committed=109 aborts=40 restarts=40 blocks=164 ticks=177 ops=616 mpl=4.64", 0x572b700c8006a634, sched.RetireStats{GraphEpochs: 11, RetiredVertices: 710, Rebases: 1, ExecEntries: 129, FastPathHits: 616}},
+	"bank/ral/seed4":    {"ral: committed=109 aborts=46 restarts=46 blocks=125 ticks=140 ops=625 mpl=5.69", 0xcfc8fb8d5906ba13, sched.RetireStats{GraphEpochs: 12, RetiredVertices: 734, Rebases: 1, ExecEntries: 121, FastPathHits: 625}},
+	"bank/ral/seed5":    {"ral: committed=109 aborts=18 restarts=18 blocks=82 ticks=107 ops=544 mpl=6.03", 0x9ad88284a58d0350, sched.RetireStats{GraphEpochs: 9, RetiredVertices: 576, Rebases: 1, ExecEntries: 134, FastPathHits: 544}},
 
 	// The altruistic cells were captured at commit 16373ac, where
 	// Altruistic and RAL still kept separate copies of the wake
@@ -199,4 +219,18 @@ var identityGoldens = map[string]identityGolden{
 	"bank/to/seed3":     {"to: committed=109 aborts=37 restarts=37 blocks=0 ticks=161 ops=624 mpl=4.10", 0xd53851c29e7331c, sched.RetireStats{}},
 	"bank/to/seed4":     {"to: committed=109 aborts=52 restarts=52 blocks=0 ticks=189 ops=696 mpl=3.92", 0xd5b8d03d827fa1ad, sched.RetireStats{}},
 	"bank/to/seed5":     {"to: committed=109 aborts=28 restarts=28 blocks=0 ticks=155 ops=618 mpl=4.16", 0x5f7b2e99ad74fc8, sched.RetireStats{}},
+
+	// The absolute-spec RSGT cells were captured at commit 6a425ec, where
+	// RSGT kept one vertex per operation and a dependency clock per
+	// executed operation under every oracle.
+	"mix/rsgt-g0/seed1": {"rsgt: committed=96 aborts=237 restarts=237 blocks=0 ticks=914 ops=4123 mpl=4.76", 0x42f95d2a3ae990e1, sched.RetireStats{GraphEpochs: 74, RetiredVertices: 5328, Rebases: 6, ExecEntries: 442, FastPathHits: 4123, FastPathMisses: 92}},
+	"mix/rsgt-g0/seed2": {"rsgt: committed=96 aborts=165 restarts=165 blocks=0 ticks=742 ops=3225 mpl=4.54", 0x42b44b2bcd195198, sched.RetireStats{GraphEpochs: 58, RetiredVertices: 4176, Rebases: 5, ExecEntries: 489, FastPathHits: 3224, FastPathMisses: 65}},
+	"mix/rsgt-g0/seed3": {"rsgt: committed=96 aborts=134 restarts=134 blocks=0 ticks=801 ops=2899 mpl=3.78", 0xa72fd0fd80bbed38, sched.RetireStats{GraphEpochs: 54, RetiredVertices: 3680, Rebases: 5, ExecEntries: 485, FastPathHits: 2896, FastPathMisses: 57}},
+	"mix/rsgt-g0/seed4": {"rsgt: committed=96 aborts=171 restarts=171 blocks=0 ticks=773 ops=3335 mpl=4.50", 0x6d0ec73803ebaf1d, sched.RetireStats{GraphEpochs: 57, RetiredVertices: 4272, Rebases: 5, ExecEntries: 474, FastPathHits: 3331, FastPathMisses: 75}},
+	"mix/rsgt-g0/seed5": {"rsgt: committed=96 aborts=220 restarts=220 blocks=0 ticks=826 ops=3948 mpl=5.02", 0xc2e9c18876e051d6, sched.RetireStats{GraphEpochs: 65, RetiredVertices: 5056, Rebases: 6, ExecEntries: 438, FastPathHits: 3943, FastPathMisses: 94}},
+	"chain/rsgt/seed1":  {"rsgt: committed=400 aborts=0 restarts=0 blocks=0 ticks=100 ops=800 mpl=8.00", 0x10e90ede024070ff, sched.RetireStats{GraphEpochs: 13, RetiredVertices: 800, Rebases: 1, ExecEntries: 289, FastPathHits: 800}},
+	"chain/rsgt/seed2":  {"rsgt: committed=400 aborts=0 restarts=0 blocks=0 ticks=100 ops=800 mpl=8.00", 0x83fc61e4e00ae6eb, sched.RetireStats{GraphEpochs: 13, RetiredVertices: 800, Rebases: 1, ExecEntries: 289, FastPathHits: 800}},
+	"chain/rsgt/seed3":  {"rsgt: committed=400 aborts=0 restarts=0 blocks=0 ticks=100 ops=800 mpl=8.00", 0x2364b8a4eef53f73, sched.RetireStats{GraphEpochs: 13, RetiredVertices: 800, Rebases: 1, ExecEntries: 289, FastPathHits: 800}},
+	"chain/rsgt/seed4":  {"rsgt: committed=400 aborts=0 restarts=0 blocks=0 ticks=100 ops=800 mpl=8.00", 0xb72fbed946268c03, sched.RetireStats{GraphEpochs: 13, RetiredVertices: 800, Rebases: 1, ExecEntries: 289, FastPathHits: 800}},
+	"chain/rsgt/seed5":  {"rsgt: committed=400 aborts=0 restarts=0 blocks=0 ticks=100 ops=800 mpl=8.00", 0xa0a16391b23b10f5, sched.RetireStats{GraphEpochs: 13, RetiredVertices: 800, Rebases: 1, ExecEntries: 289, FastPathHits: 800}},
 }
