@@ -134,8 +134,11 @@ bench:
 # `go install golang.org/x/perf/cmd/benchstat@$(BENCHSTAT_VERSION)`).
 # ./internal/txn includes BenchmarkDeterministicRunnerChain/{2000,32000},
 # the chain-soak shape on the tick driver at two run lengths (ns/commit).
+# ./internal/sched runs at a fixed 1000 rounds per benchmark, as in CI:
+# the protocol benchmarks' per-op cost still grows with b.N.
 bench-hot:
-	$(GO) test -run 'XXX' -bench . -benchmem -count=5 ./internal/txn ./internal/sched ./internal/graph ./internal/storage ./internal/core
+	$(GO) test -run 'XXX' -bench . -benchmem -count=5 ./internal/txn ./internal/graph ./internal/storage ./internal/core
+	$(GO) test -run 'XXX' -bench . -benchmem -count=5 -benchtime 1000x ./internal/sched
 
 # Durability certification matrix (CI: durability job): the segmented
 # group-commit log at shards {1,4,16}, recovery certified with

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strconv"
+	"strings"
 	"testing"
 
 	"relser/internal/core"
@@ -134,6 +135,22 @@ func TestDecisionsIdenticalToPerOperationArcs(t *testing.T) {
 	}
 }
 
+// TestAbsoluteRSGTGoldensAreSGTs: the dense mix's programs do not
+// depend on the granularity, and under an absolute spec RSGT is SGT
+// (Lemma 1), so each mix/rsgt-g0 golden must be the mix/sgt-g4 golden
+// of the same seed but for the protocol's name.
+func TestAbsoluteRSGTGoldensAreSGTs(t *testing.T) {
+	for seed := 1; seed <= 5; seed++ {
+		rsgt := identityGoldens[fmt.Sprintf("mix/rsgt-g0/seed%d", seed)]
+		sgt := identityGoldens[fmt.Sprintf("mix/sgt-g4/seed%d", seed)]
+		rsgt.result = strings.TrimPrefix(rsgt.result, "rsgt")
+		sgt.result = strings.TrimPrefix(sgt.result, "sgt")
+		if rsgt != sgt {
+			t.Errorf("seed %d: rsgt-g0 golden %+v, sgt-g4 golden %+v", seed, rsgt, sgt)
+		}
+	}
+}
+
 // identityGoldens: captured from commit 47c3841 (per-operation D/F/B
 // arcs and closure-bitset dependency index); fast-path split re-pinned
 // for staircase F/B arcs.
@@ -220,17 +237,21 @@ var identityGoldens = map[string]identityGolden{
 	"bank/to/seed4":     {"to: committed=109 aborts=52 restarts=52 blocks=0 ticks=189 ops=696 mpl=3.92", 0xd5b8d03d827fa1ad, sched.RetireStats{}},
 	"bank/to/seed5":     {"to: committed=109 aborts=28 restarts=28 blocks=0 ticks=155 ops=618 mpl=4.16", 0x5f7b2e99ad74fc8, sched.RetireStats{}},
 
-	// The absolute-spec RSGT cells were captured at commit 6a425ec, where
-	// RSGT kept one vertex per operation and a dependency clock per
-	// executed operation under every oracle.
-	"mix/rsgt-g0/seed1": {"rsgt: committed=96 aborts=237 restarts=237 blocks=0 ticks=914 ops=4123 mpl=4.76", 0x42f95d2a3ae990e1, sched.RetireStats{GraphEpochs: 74, RetiredVertices: 5328, Rebases: 6, ExecEntries: 442, FastPathHits: 4123, FastPathMisses: 92}},
-	"mix/rsgt-g0/seed2": {"rsgt: committed=96 aborts=165 restarts=165 blocks=0 ticks=742 ops=3225 mpl=4.54", 0x42b44b2bcd195198, sched.RetireStats{GraphEpochs: 58, RetiredVertices: 4176, Rebases: 5, ExecEntries: 489, FastPathHits: 3224, FastPathMisses: 65}},
-	"mix/rsgt-g0/seed3": {"rsgt: committed=96 aborts=134 restarts=134 blocks=0 ticks=801 ops=2899 mpl=3.78", 0xa72fd0fd80bbed38, sched.RetireStats{GraphEpochs: 54, RetiredVertices: 3680, Rebases: 5, ExecEntries: 485, FastPathHits: 2896, FastPathMisses: 57}},
-	"mix/rsgt-g0/seed4": {"rsgt: committed=96 aborts=171 restarts=171 blocks=0 ticks=773 ops=3335 mpl=4.50", 0x6d0ec73803ebaf1d, sched.RetireStats{GraphEpochs: 57, RetiredVertices: 4272, Rebases: 5, ExecEntries: 474, FastPathHits: 3331, FastPathMisses: 75}},
-	"mix/rsgt-g0/seed5": {"rsgt: committed=96 aborts=220 restarts=220 blocks=0 ticks=826 ops=3948 mpl=5.02", 0xc2e9c18876e051d6, sched.RetireStats{GraphEpochs: 65, RetiredVertices: 5056, Rebases: 6, ExecEntries: 438, FastPathHits: 3943, FastPathMisses: 94}},
-	"chain/rsgt/seed1":  {"rsgt: committed=400 aborts=0 restarts=0 blocks=0 ticks=100 ops=800 mpl=8.00", 0x10e90ede024070ff, sched.RetireStats{GraphEpochs: 13, RetiredVertices: 800, Rebases: 1, ExecEntries: 289, FastPathHits: 800}},
-	"chain/rsgt/seed2":  {"rsgt: committed=400 aborts=0 restarts=0 blocks=0 ticks=100 ops=800 mpl=8.00", 0x83fc61e4e00ae6eb, sched.RetireStats{GraphEpochs: 13, RetiredVertices: 800, Rebases: 1, ExecEntries: 289, FastPathHits: 800}},
-	"chain/rsgt/seed3":  {"rsgt: committed=400 aborts=0 restarts=0 blocks=0 ticks=100 ops=800 mpl=8.00", 0x2364b8a4eef53f73, sched.RetireStats{GraphEpochs: 13, RetiredVertices: 800, Rebases: 1, ExecEntries: 289, FastPathHits: 800}},
-	"chain/rsgt/seed4":  {"rsgt: committed=400 aborts=0 restarts=0 blocks=0 ticks=100 ops=800 mpl=8.00", 0xb72fbed946268c03, sched.RetireStats{GraphEpochs: 13, RetiredVertices: 800, Rebases: 1, ExecEntries: 289, FastPathHits: 800}},
-	"chain/rsgt/seed5":  {"rsgt: committed=400 aborts=0 restarts=0 blocks=0 ticks=100 ops=800 mpl=8.00", 0xa0a16391b23b10f5, sched.RetireStats{GraphEpochs: 13, RetiredVertices: 800, Rebases: 1, ExecEntries: 289, FastPathHits: 800}},
+	// The absolute-spec RSGT cells were first captured at commit 6a425ec,
+	// where RSGT kept one vertex per operation and a dependency clock per
+	// executed operation under every oracle. They were re-pinned when
+	// RSGT under AbsoluteOracle became SGT (Lemma 1): every mix/rsgt-g0
+	// cell is now the mix/sgt-g4 cell of the same seed, which
+	// TestAbsoluteRSGTGoldensAreSGTs checks, and chain/rsgt keeps its
+	// decisions with one vertex per instance instead of two.
+	"mix/rsgt-g0/seed1": {"rsgt: committed=96 aborts=237 restarts=237 blocks=0 ticks=914 ops=4123 mpl=4.76", 0x42f95d2a3ae990e1, sched.RetireStats{GraphEpochs: 6, RetiredVertices: 333, Rebases: 6, ExecEntries: 442, FastPathHits: 4123, FastPathMisses: 92}},
+	"mix/rsgt-g0/seed2": {"rsgt: committed=96 aborts=158 restarts=158 blocks=0 ticks=811 ops=3248 mpl=4.16", 0xa237c934615191ae, sched.RetireStats{GraphEpochs: 4, RetiredVertices: 254, Rebases: 5, ExecEntries: 500, FastPathHits: 3246, FastPathMisses: 62}},
+	"mix/rsgt-g0/seed3": {"rsgt: committed=96 aborts=158 restarts=158 blocks=0 ticks=696 ops=3092 mpl=4.65", 0x8fc3b79da6563f18, sched.RetireStats{GraphEpochs: 4, RetiredVertices: 254, Rebases: 5, ExecEntries: 495, FastPathHits: 3087, FastPathMisses: 66}},
+	"mix/rsgt-g0/seed4": {"rsgt: committed=96 aborts=171 restarts=171 blocks=0 ticks=773 ops=3335 mpl=4.50", 0x6d0ec73803ebaf1d, sched.RetireStats{GraphEpochs: 5, RetiredVertices: 267, Rebases: 5, ExecEntries: 474, FastPathHits: 3330, FastPathMisses: 76}},
+	"mix/rsgt-g0/seed5": {"rsgt: committed=96 aborts=187 restarts=187 blocks=0 ticks=783 ops=3669 mpl=4.92", 0xbf5bca5341caacb6, sched.RetireStats{GraphEpochs: 5, RetiredVertices: 283, Rebases: 6, ExecEntries: 446, FastPathHits: 3661, FastPathMisses: 80}},
+	"chain/rsgt/seed1":  {"rsgt: committed=400 aborts=0 restarts=0 blocks=0 ticks=100 ops=800 mpl=8.00", 0x10e90ede024070ff, sched.RetireStats{GraphEpochs: 7, RetiredVertices: 400, Rebases: 1, ExecEntries: 289, FastPathHits: 800}},
+	"chain/rsgt/seed2":  {"rsgt: committed=400 aborts=0 restarts=0 blocks=0 ticks=100 ops=800 mpl=8.00", 0x83fc61e4e00ae6eb, sched.RetireStats{GraphEpochs: 7, RetiredVertices: 400, Rebases: 1, ExecEntries: 289, FastPathHits: 800}},
+	"chain/rsgt/seed3":  {"rsgt: committed=400 aborts=0 restarts=0 blocks=0 ticks=100 ops=800 mpl=8.00", 0x2364b8a4eef53f73, sched.RetireStats{GraphEpochs: 7, RetiredVertices: 400, Rebases: 1, ExecEntries: 289, FastPathHits: 800}},
+	"chain/rsgt/seed4":  {"rsgt: committed=400 aborts=0 restarts=0 blocks=0 ticks=100 ops=800 mpl=8.00", 0xb72fbed946268c03, sched.RetireStats{GraphEpochs: 7, RetiredVertices: 400, Rebases: 1, ExecEntries: 289, FastPathHits: 800}},
+	"chain/rsgt/seed5":  {"rsgt: committed=400 aborts=0 restarts=0 blocks=0 ticks=100 ops=800 mpl=8.00", 0xa0a16391b23b10f5, sched.RetireStats{GraphEpochs: 7, RetiredVertices: 400, Rebases: 1, ExecEntries: 289, FastPathHits: 800}},
 }

@@ -34,11 +34,18 @@ func BenchmarkRALRequest(b *testing.B) { benchRounds(b, sched.NewRAL(unitsOf4)) 
 func BenchmarkAltruisticRequest(b *testing.B) { benchRounds(b, sched.NewAltruistic(unitsOf4)) }
 
 // BenchmarkSGTRequest is the same round under SGT — RSGT's
-// AbsoluteOracle special case, one vertex per instance — whose traffic
-// (E8, E13, examples/longlived, rssim -protocol sgt) no ladder workload
-// runs. A Request's cost here is the covering scan plus one arc per
-// distinct resident source.
+// AbsoluteOracle special case, one vertex per instance — which the
+// ladder's mix-par-rsgt (a mix with no cuts) and chain-soak
+// (AbsoluteOracle) run under the name rsgt. A Request's cost here is
+// the covering scan plus one arc per distinct resident source.
 func BenchmarkSGTRequest(b *testing.B) { benchRounds(b, sched.NewSGT()) }
+
+// BenchmarkRSGTRequestAbs is the same round under RSGT constructed
+// with AbsoluteOracle: it must cost what BenchmarkSGTRequest costs,
+// because under an absolute spec RSGT certifies one vertex per
+// instance (Lemma 1) instead of a vertex and a dependency clock per
+// operation.
+func BenchmarkRSGTRequestAbs(b *testing.B) { benchRounds(b, sched.NewRSGT(sched.AbsoluteOracle{})) }
 
 // benchRounds drives p through b.N rounds of live instances drawn from
 // a fixed pool of programs: every instance issues its ops round-robin,

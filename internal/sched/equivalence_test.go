@@ -16,6 +16,7 @@ package sched_test
 // whether retirement only prunes or flushes after every commit.
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"regexp"
 	"strconv"
@@ -25,6 +26,7 @@ import (
 	"relser/internal/core"
 	"relser/internal/graph"
 	"relser/internal/sched"
+	"relser/internal/workload"
 )
 
 // genSchedInstance builds a random set, spec and complete schedule.
@@ -278,6 +280,87 @@ func TestPropertyRSGTAbsoluteEqualsSGT(t *testing.T) {
 		if rsgt != sgt {
 			t.Fatalf("trial %d: rsgt=%v sgt=%v on %s", trial, rsgt, sgt, s)
 		}
+	}
+	// And whole runs, aborts and restarts included: on the dense
+	// absolute mix every decision, hence the result, the committed
+	// schedule and the certification counters, must be SGT's. A
+	// certifier that kept an arc implied only through an instance that
+	// later aborted would refuse where SGT grants.
+	for seed := int64(1); seed <= 20; seed++ {
+		w, err := workload.Synthetic(workload.SyntheticConfig{
+			Objects: 128, Programs: 96, OpsPerTxn: 16, WriteRatio: 0.25,
+		}, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rsgt := runDigest(t, w, sched.NewRSGT(sched.AbsoluteOracle{}), seed)
+		sgt := runDigest(t, w, sched.NewSGT(), seed)
+		if rsgt != sgt {
+			t.Errorf("seed %d: runs differ\nrsgt %+v\n sgt %+v", seed, rsgt, sgt)
+		}
+	}
+}
+
+// runSummary is what a serial run decided: the result line after the
+// protocol name, a digest of the committed schedule, and the
+// certification counters.
+type runSummary struct {
+	result   string
+	schedule uint64
+	retire   sched.RetireStats
+}
+
+func runDigest(t *testing.T, w *workload.Workload, p sched.Protocol, seed int64) runSummary {
+	t.Helper()
+	res, _, err := w.RunWith(p, workload.RunOptions{Seed: seed, MPL: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := res.CommittedSchedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write([]byte(s.String()))
+	return runSummary{strings.TrimPrefix(res.String(), p.Name()), h.Sum64(), res.Retire}
+}
+
+// TestRSGTAdmitsMixedSpecCounterexample is THEORY.md §4's witness that
+// collapsing one absolute transaction to a single vertex is exact only
+// when every transaction is absolute. T1 is absolute relative to both
+// others, T2 is a unit per operation relative to T3, and T3 is
+// [w3[o4]] [w3[o3] r3[o1]] relative to T1 and a unit per operation
+// relative to T2. The schedule is relatively serializable but not
+// conflict serializable; a T1 collapsed to one vertex would close the
+// cycle T1 -> w3[o3] -> r2[o3] -> T1, so RSGT must keep T1's vertices
+// and admit every operation.
+func TestRSGTAdmitsMixedSpecCounterexample(t *testing.T) {
+	t1 := core.T(1, core.W("o1"), core.R("o2"))
+	t2 := core.T(2, core.W("o2"), core.R("o3"))
+	t3 := core.T(3, core.W("o4"), core.W("o3"), core.R("o1"))
+	ts := core.MustTxnSet(t1, t2, t3)
+	sp := core.NewSpec(ts)
+	for _, c := range []struct {
+		of, rel core.TxnID
+		after   int
+	}{{2, 3, 0}, {3, 1, 0}, {3, 2, 0}, {3, 2, 1}} {
+		if err := sp.CutAfter(c.of, c.rel, c.after); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := core.ParseSchedule(ts, "w1[o1] w2[o2] w3[o4] w3[o3] r2[o3] r1[o2] r3[o1]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !core.IsRelativelySerializable(s, sp) || core.IsConflictSerializable(s) {
+		t.Fatalf("fixture must be relatively but not conflict serializable: rs=%v csr=%v",
+			core.IsRelativelySerializable(s, sp), core.IsConflictSerializable(s))
+	}
+	if at := firstRefusal(sched.NewRSGT(sched.SpecOracle{Spec: sp}), s, false); at != s.Len() {
+		t.Fatalf("RSGT refused %s under the mixed spec", s.At(at))
+	}
+	if admits(sched.NewRSGT(sched.AbsoluteOracle{}), s) {
+		t.Fatal("RSGT under AbsoluteOracle admitted a schedule that is not conflict serializable")
 	}
 }
 

@@ -10,12 +10,12 @@ import (
 	"relser/internal/graph"
 )
 
-// Bounded-memory certification: the graph-based protocols (RSGT, SGT,
-// and RAL via its embedded RSGT) share one certifier. It retires the
-// vertices of finished transactions in count-based epoch batches and
-// certifies the common no-suspected-cycle case with a conservative
-// vector-clock test, so scheduler memory tracks the live transaction
-// set instead of history.
+// Bounded-memory certification: the graph-based protocols (RSGT, SGT —
+// RSGT under an absolute spec — and RAL via its embedded RSGT) share
+// one certifier. It retires the vertices of finished transactions in
+// count-based epoch batches and certifies the common no-suspected-cycle
+// case with a conservative vector-clock test, so scheduler memory
+// tracks the live transaction set instead of history.
 //
 // Epoch pacing is strictly count-based (pending work vs. live size);
 // wall-clock epochs would make replays nondeterministic, which detlint
@@ -117,7 +117,8 @@ type txnInst struct {
 	id      int64
 	program *core.Transaction
 	// The instance's n vertices are first, first+1, ...: one per
-	// operation under RSGT, one for the whole transaction under SGT.
+	// operation, or one for the whole transaction under an absolute
+	// spec.
 	// n is an int32 so that it packs with the two flags below.
 	first int
 	n     int32
@@ -130,12 +131,13 @@ type txnInst struct {
 	// slot is the instance's reachTable clock slot.
 	slot int
 
-	// RSGT only. cuts memoizes the oracle's unit boundaries of this
-	// program relative to an observer instance. minEntry is the minimum
-	// sequence of any arc head ever added into the instance (math.MaxInt
-	// until the first one): a path entering this instance from outside
-	// can only reach sequences >= minEntry, because within an instance
-	// only I-arcs (sequence-forward) connect vertices.
+	// Per-operation path only. cuts memoizes the oracle's unit
+	// boundaries of this program relative to an observer instance.
+	// minEntry is the minimum sequence of any arc head ever added into
+	// the instance (math.MaxInt until the first one): a path entering
+	// this instance from outside can only reach sequences >= minEntry,
+	// because within an instance only I-arcs (sequence-forward) connect
+	// vertices.
 	cuts     map[int64][]int
 	minEntry int
 
@@ -154,12 +156,13 @@ func (in *txnInst) end() int { return in.first + int(in.n) }
 // as conflict sources (it has not aborted).
 func (in *txnInst) alive() bool { return in.resident || in.committed }
 
-// execOp is one executed operation. Under RSGT it carries its
-// dependency clock: for every other instance that was resident when it
-// executed, the latest operation it depends on (THEORY.md §4: earlier
-// ones induce only arcs the latest one's arcs imply). Clocks are
-// transitively closed when built, so a later request that depends on
-// this operation joins the clock in and never follows it further.
+// execOp is one executed operation. On RSGT's per-operation path it
+// carries its dependency clock: for every other instance that was
+// resident when it executed, the latest operation it depends on
+// (THEORY.md §4: earlier ones induce only arcs the latest one's arcs
+// imply). Clocks are transitively closed when built, so a later request
+// that depends on this operation joins the clock in and never follows
+// it further.
 type execOp struct {
 	inst  *txnInst
 	seq   int
@@ -170,9 +173,10 @@ type execOp struct {
 // certifier is the one place an arc batch is admitted into a
 // certification graph (§3 of the paper: insert the request's arcs,
 // refuse on a cycle), and the one place the graph protocols keep
-// their instances, object histories and retirement state. RSGT and SGT
-// embed it and differ only in what a vertex is and which arcs a
-// request induces: everything else — Commit, Abort, pruning, the
+// their instances, object histories and retirement state. RSGT embeds
+// it, and its two paths (a vertex per operation, or one per instance
+// under an absolute spec) differ only in what a vertex is and which
+// arcs a request induces: everything else — Commit, Abort, pruning, the
 // stranded sweep, the history rebase, the clock table, the retirement
 // queue and the epoch rule — lives here.
 //
@@ -540,10 +544,10 @@ func (c *certifier) maybeSweep() {
 // is live right now — and none reaches it. Skipping future arcs out of
 // swept sources (only resident sources induce arcs) is sound for the
 // same reason: a cycle through such an arc u -> v needs a path v -> u,
-// and v is always a live requester's vertex. Under SGT, where one
-// vertex is one transaction, the sweep finds nothing: every committed
-// instance prune leaves has an in-arc, and following in-arcs back
-// through the acyclic graph ends at a live instance.
+// and v is always a live requester's vertex. Under an absolute spec,
+// where one vertex is one transaction, the sweep finds nothing: every
+// committed instance prune leaves has an in-arc, and following in-arcs
+// back through the acyclic graph ends at a live instance.
 func (c *certifier) sweepStranded() {
 	if len(c.committed) == 0 {
 		return

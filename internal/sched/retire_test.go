@@ -63,9 +63,14 @@ func obj(i int64) string {
 	return "x" + string(rune('0'+i%10)) + string(rune('0'+(i/10)%10))
 }
 
+// splitOracle cuts every program of the stream into one unit per
+// operation, so RSGT keeps a vertex and a dependency clock per
+// operation (under AbsoluteOracle it keeps one vertex per instance).
+var splitOracle = sched.OracleFunc(func(a, _ *core.Transaction) []int { return []int{1} })
+
 func TestRetiredRSGTStreamStaysBounded(t *testing.T) {
 	const n = 3000
-	st := streamWindow(t, sched.NewRSGT(sched.AbsoluteOracle{}), n, 8)
+	st := streamWindow(t, sched.NewRSGT(splitOracle), n, 8)
 	if st.LiveVertices != 0 || st.PendingRetire != 0 {
 		t.Fatalf("after flush: live=%d pending=%d, want 0/0", st.LiveVertices, st.PendingRetire)
 	}
@@ -231,7 +236,7 @@ func TestRetiredRALDelegates(t *testing.T) {
 // the DOT export renders them as one collapsed node instead of
 // touching remapped IDs.
 func TestDotSnapshotCollapsesStablePrefix(t *testing.T) {
-	p := sched.NewRSGT(sched.AbsoluteOracle{})
+	p := sched.NewRSGT(splitOracle)
 	streamOK := func(i int64) {
 		tx := core.T(core.TxnID(i), core.R(obj(i-1)), core.W(obj(i)))
 		p.Begin(i, tx)

@@ -40,10 +40,20 @@ import (
 //
 // Relative atomicity specifications come from an AtomicityOracle,
 // queried lazily per ordered pair of live instances and memoized.
+//
+// Under AbsoluteOracle relative serializability is conflict
+// serializability (Lemma 1), and RSGT runs serialization graph testing
+// [Bad79, Cas81] (SGT): one vertex per instance, no dependency clock
+// (see requestConflict). THEORY.md §4 shows why the collapse is exact
+// only when every transaction is absolute, so every other oracle keeps
+// a vertex per operation.
 type RSGT struct {
 	traced
 	certifier
 	oracle AtomicityOracle
+	name   string
+	// absolute is set under AbsoluteOracle: one vertex per instance.
+	absolute bool
 
 	// frontier is the dependency clock of the request being decided,
 	// reused across requests; the certifier's stamp numbers the request
@@ -66,23 +76,38 @@ type dep struct {
 // NewRSGT returns the paper's protocol under the given specification
 // oracle.
 func NewRSGT(oracle AtomicityOracle) *RSGT {
+	_, absolute := oracle.(AbsoluteOracle)
 	return &RSGT{
 		certifier: newCertifier(),
 		oracle:    oracle,
+		name:      "rsgt",
+		absolute:  absolute,
 	}
 }
 
+// NewSGT returns serialization graph testing: RSGT under
+// AbsoluteOracle, named "sgt".
+func NewSGT() *RSGT {
+	p := NewRSGT(AbsoluteOracle{})
+	p.name = "sgt"
+	return p
+}
+
 // Name implements Protocol.
-func (p *RSGT) Name() string { return "rsgt" }
+func (p *RSGT) Name() string { return p.name }
 
 // Begin implements Protocol: materialize the program's vertices and
-// I-arcs.
+// I-arcs, or the instance's one vertex under an absolute spec.
 func (p *RSGT) Begin(instance int64, program *core.Transaction) {
-	inst := p.begin(instance, program, program.Len())
+	n := program.Len()
+	if p.absolute {
+		n = 1
+	}
+	inst := p.begin(instance, program, n)
 	if inst == nil {
 		return
 	}
-	for seq := 0; seq+1 < program.Len(); seq++ {
+	for seq := 0; seq+1 < n; seq++ {
 		if err := p.g.AddArc(inst.vertex(seq), inst.vertex(seq+1)); err != nil {
 			panic(fmt.Sprintf("sched: I-arc on fresh vertices cycled: %v", err)) // unreachable
 		}
@@ -92,12 +117,16 @@ func (p *RSGT) Begin(instance int64, program *core.Transaction) {
 // Request implements Protocol.
 func (p *RSGT) Request(req OpRequest) Decision {
 	inst := p.requester(req)
+	write := req.Op.Kind == core.WriteOp
+	hist := p.objHist[req.Op.Object]
+	if p.absolute {
+		return p.requestConflict(req, inst, write, hist)
+	}
 	// Dependency clock of the new operation: the join of its covering
 	// predecessors — the instance's previous op, the last relevant write,
 	// and (for writes) the reads since it.
 	p.stamp++
 	p.frontier = p.frontier[:0]
-	write := req.Op.Kind == core.WriteOp
 	if req.Seq > 0 {
 		p.absorb(inst, inst.ops[req.Seq-1])
 	}
@@ -105,7 +134,6 @@ func (p *RSGT) Request(req OpRequest) Decision {
 	for _, d := range p.frontier {
 		p.prior = append(p.prior, d.seq)
 	}
-	hist := p.objHist[req.Op.Object]
 	for _, e := range p.covering(hist, write) {
 		p.absorb(inst, e)
 	}
@@ -140,6 +168,58 @@ func (p *RSGT) Request(req OpRequest) Decision {
 	// Admission: record execution.
 	p.record(&execOp{inst: inst, seq: req.Seq, write: write, clock: slices.Clone(p.frontier)}, req.Op.Object, hist)
 	return Grant
+}
+
+// requestConflict is Request under an absolute spec: add one arc from
+// every resident instance among the operation's covering conflict
+// sources; on a cycle, abort the requester (its conflict order is fixed
+// by execution, so blocking can never help). A source that is no
+// longer resident was committed and pruned, so it cannot be on a cycle.
+// The reach table is exact at transaction granularity, so the reach
+// bit alone decides suspicion.
+func (p *RSGT) requestConflict(req OpRequest, inst *txnInst, write bool, hist []*execOp) Decision {
+	p.stamp++
+	inst.stamp = p.stamp
+	for _, e := range p.covering(hist, write) {
+		if src := e.inst; src.resident && src.stamp != p.stamp {
+			src.stamp = p.stamp
+			p.arc(src.first, inst.first, src.slot, inst.slot, true)
+		}
+	}
+	if refused := p.admit(inst.slot); refused != nil {
+		if p.tr.Wants(trace.KindConflictCycle) {
+			p.explainRefusal(refused, func(_ int, path []int) { p.explainConflictCycle(req, path) })
+		}
+		return Abort
+	}
+	p.record(&execOp{inst: inst, seq: req.Seq, write: write}, req.Op.Object, hist)
+	return Grant
+}
+
+// explainConflictCycle emits a conflict-cycle event: path is the
+// serialization graph's existing path me -> ... -> src, which the
+// refused conflict arc src -> me closes into a transaction-granularity
+// cycle. Tracing-only cold path.
+func (p *RSGT) explainConflictCycle(req OpRequest, path []int) {
+	ev := trace.Event{
+		Kind:     trace.KindConflictCycle,
+		Protocol: p.Name(),
+		Instance: req.Instance,
+		Txn:      int(req.Op.Txn),
+		Seq:      req.Seq,
+		Op:       req.Op.String(),
+		Object:   req.Op.Object,
+		Reason:   fmt.Sprintf("conflict on %s would close a serialization-graph cycle", req.Op.Object),
+	}
+	owners := p.owners()
+	cyc := &trace.Cycle{}
+	for i, v := range path {
+		in := owners[v].inst
+		cyc.Nodes = append(cyc.Nodes, trace.CycleNode{Instance: in.id, Txn: int(in.program.ID), Seq: -1})
+		cyc.Arcs = append(cyc.Arcs, trace.CycleArc{From: i, To: (i + 1) % len(path), Kind: "C"})
+	}
+	ev.Cycle = cyc
+	p.tr.Emit(ev)
 }
 
 // absorb joins executed operation e, and everything it depends on, into
@@ -203,7 +283,7 @@ type rsgtVertex struct {
 func (p *RSGT) owners() map[int]rsgtVertex {
 	owners := make(map[int]rsgtVertex)
 	for _, in := range p.insts {
-		for seq := range in.program.Len() {
+		for seq := range int(in.n) {
 			owners[in.vertex(seq)] = rsgtVertex{inst: in, seq: seq}
 		}
 	}

@@ -5,7 +5,7 @@
 //   - S2PL     — strict two-phase locking with waits-for deadlock
 //     detection [EGLT76];
 //   - SGT      — serialization graph testing at transaction granularity
-//     [Bad79, Cas81];
+//     [Bad79, Cas81], which is RSGT under AbsoluteOracle (Lemma 1);
 //   - RSGT     — relative serialization graph testing: the protocol §3
 //     of the paper proposes, maintaining a graph with the paper's RSG's
 //     reachability (I-arcs and staircase F/B arcs) incrementally over

@@ -81,10 +81,19 @@ func (r *tracedReplay) request(instance int64, prog *core.Transaction, seq int) 
 // TestRSGTCycleRejectExplanation drives the deterministic two-writer
 // scenario into a rejection and checks the emitted explanation names a
 // concrete RSG cycle that replay-verifies against the offline theory.
+// T1 ends with a unit of its own relative to T2 (w1[x] w1[y] are one
+// unit, r1[z] another), so the spec has a cut and RSGT keeps one
+// vertex per operation; the cycle runs through the first unit.
 func TestRSGTCycleRejectExplanation(t *testing.T) {
-	t1 := core.T(1, core.W("x"), core.W("y"))
+	t1 := core.T(1, core.W("x"), core.W("y"), core.R("z"))
 	t2 := core.T(2, core.W("y"), core.W("x"))
-	r := newTracedReplay(t, sched.NewRSGT(sched.AbsoluteOracle{}))
+	cuts := func(a, _ *core.Transaction) []int {
+		if a.ID == 1 {
+			return []int{2}
+		}
+		return nil
+	}
+	r := newTracedReplay(t, sched.NewRSGT(sched.OracleFunc(cuts)))
 	var dots []string
 	r.tr.DotSink = func(name, dot string) { dots = append(dots, dot) }
 
@@ -132,12 +141,59 @@ func TestRSGTCycleRejectExplanation(t *testing.T) {
 		t.Errorf("expected one DOT snapshot at the rejection point, got %d", len(dots))
 	}
 
-	checked, err := trace.VerifyCycles(events, func(a, b *core.Transaction) []int { return nil })
+	checked, err := trace.VerifyCycles(events, cuts)
 	if err != nil {
 		t.Fatalf("replay verification failed: %v", err)
 	}
 	if checked != 1 {
 		t.Errorf("verified %d cycle-rejects, want 1", checked)
+	}
+}
+
+// TestRSGTAbsoluteExplainsLikeSGT: under AbsoluteOracle RSGT certifies
+// one vertex per instance (Lemma 1), so the two-writer rejection is
+// explained as SGT explains it: a conflict-cycle event whose cycle
+// names instances, not operations, and no cycle-reject.
+func TestRSGTAbsoluteExplainsLikeSGT(t *testing.T) {
+	t1 := core.T(1, core.W("x"), core.W("y"))
+	t2 := core.T(2, core.W("y"), core.W("x"))
+	for _, p := range []sched.Protocol{sched.NewRSGT(sched.AbsoluteOracle{}), sched.NewSGT()} {
+		r := newTracedReplay(t, p)
+		r.begin(1, t1)
+		r.begin(2, t2)
+		for _, step := range []struct {
+			inst int64
+			prog *core.Transaction
+			seq  int
+		}{{1, t1, 0}, {2, t2, 0}, {2, t2, 1}} {
+			if d := r.request(step.inst, step.prog, step.seq); d != sched.Grant {
+				t.Fatalf("%s: %s: %v", p.Name(), step.prog.Op(step.seq), d)
+			}
+		}
+		if d := r.request(1, t1, 1); d != sched.Abort {
+			t.Fatalf("%s: w1[y]: got %v, want Abort", p.Name(), d)
+		}
+		var got []trace.Event
+		for _, ev := range r.buf.Events() {
+			if ev.Kind == trace.KindCycleReject || ev.Kind == trace.KindConflictCycle {
+				got = append(got, ev)
+			}
+		}
+		if len(got) != 1 || got[0].Kind != trace.KindConflictCycle {
+			t.Fatalf("%s: explanations %+v, want one conflict-cycle", p.Name(), got)
+		}
+		ev := got[0]
+		if ev.Protocol != p.Name() || ev.Instance != 1 || ev.Op != "w1[y]" {
+			t.Errorf("%s: event names %s, instance %d, %s; want itself, 1, w1[y]", p.Name(), ev.Protocol, ev.Instance, ev.Op)
+		}
+		if ev.Cycle == nil || len(ev.Cycle.Nodes) != 2 {
+			t.Fatalf("%s: cycle %+v, want the two instances", p.Name(), ev.Cycle)
+		}
+		for _, n := range ev.Cycle.Nodes {
+			if n.Seq != -1 {
+				t.Errorf("%s: cycle node %+v names an operation, want a transaction", p.Name(), n)
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"relser/internal/core"
+	"relser/internal/sched"
 	"relser/internal/storage"
 )
 
@@ -18,7 +19,7 @@ type SyntheticConfig struct {
 	WriteRatio float64
 	// Granularity is the atomic-unit length every transaction exposes
 	// to every other: 0 or >= OpsPerTxn means absolute atomicity, 1
-	// means fully breakable.
+	// means fully breakable. 0 gives sched.AbsoluteOracle.
 	Granularity int
 	// HotFraction concentrates this fraction of accesses on the first
 	// HotObjects objects, modelling contention; zero disables skew.
@@ -87,15 +88,16 @@ func Synthetic(cfg SyntheticConfig, seed int64) (*Workload, error) {
 		programs = append(programs, core.T(core.TxnID(p+1), ops...))
 	}
 
-	g := cfg.Granularity
-	oracle := &kindOracle{
-		kinds: map[core.TxnID]string{},
-		rule: func(a, _ *core.Transaction, _, _ string) []int {
-			if g <= 0 || g >= a.Len() {
+	// Granularity 0 is the classical model, which the graph protocols
+	// certify at transaction granularity (Lemma 1).
+	var oracle sched.AtomicityOracle = sched.AbsoluteOracle{}
+	if g := cfg.Granularity; g > 0 {
+		oracle = sched.OracleFunc(func(a, _ *core.Transaction) []int {
+			if g >= a.Len() {
 				return nil
 			}
 			return everyK(a, g)
-		},
+		})
 	}
 
 	return &Workload{

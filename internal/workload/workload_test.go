@@ -107,6 +107,9 @@ func TestSyntheticGranularityKnob(t *testing.T) {
 	if cuts := w.Oracle.Cuts(w.Programs[0], w.Programs[1]); len(cuts) != 0 {
 		t.Errorf("granularity 0 should be absolute, got cuts %v", cuts)
 	}
+	if _, ok := w.Oracle.(sched.AbsoluteOracle); !ok {
+		t.Errorf("granularity 0 oracle is %T, want sched.AbsoluteOracle (RSGT's one-vertex path)", w.Oracle)
+	}
 	cfg.Granularity = 1
 	w, err = workload.Synthetic(cfg, 1)
 	if err != nil {
