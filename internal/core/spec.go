@@ -175,6 +175,12 @@ func (sp *Spec) IsAbsolute() bool {
 	return true
 }
 
+// Cuts returns the unit boundaries of Atomicity(Ti, Tj), ascending,
+// each in (0, len(Ti)); empty for a single atomic unit. The slice is the
+// spec's own: callers must not modify it, and an edit of the pair
+// (SetUnits, CutAfter, AllowAll) may rewrite it.
+func (sp *Spec) Cuts(i, j TxnID) []int { return sp.cutsFor(i, j) }
+
 // NumUnits returns the number of atomic units in Atomicity(Ti, Tj).
 func (sp *Spec) NumUnits(i, j TxnID) int { return len(sp.cutsFor(i, j)) + 1 }
 

@@ -35,8 +35,12 @@ type Instance struct {
 	// here.
 	DepsOn   map[int64]bool
 	Restarts int
-	Events   []Event
-	Writes   map[string]storage.Value
+	// events are the instance's applied operations, in a buffer sized
+	// from its program and recycled once the instance commits or
+	// aborts: a hook that kept the slice would later see another
+	// instance's events.
+	events []Event
+	Writes map[string]storage.Value
 	// Done is set when all operations executed; the instance is waiting
 	// to commit.
 	Done bool
@@ -149,6 +153,12 @@ type Core struct {
 	// calls never race Request.
 	ret sched.Retirer
 
+	// freeEvents holds the event buffers of finished instances for
+	// Admit to reuse; lifecycle-locked. A buffer is allocated only when
+	// every one large enough is in use, so there are at most as many as
+	// instances in flight at once, per distinct program length.
+	freeEvents [][]Event
+
 	res Result
 }
 
@@ -188,6 +198,15 @@ func NewCore(cfg Config, clock Clock) (*Core, error) {
 	c.ret, _ = cfg.Protocol.(sched.Retirer)
 	c.res.Protocol = cfg.Protocol.Name()
 	c.res.oracle = cfg.Oracle
+	// Every program commits exactly once: the committed record's final
+	// sizes are known before the run.
+	ops := 0
+	for _, p := range cfg.Programs {
+		ops += p.Len()
+	}
+	c.res.Trace = make([]Event, 0, ops)
+	c.res.Spans = make([]Span, 0, len(cfg.Programs))
+	c.res.Programs = make([]*core.Transaction, 0, len(cfg.Programs))
 	return c, nil
 }
 
@@ -260,6 +279,7 @@ func (c *Core) Admit(pp *Pending) *Instance {
 		DepsOn:       make(map[int64]bool),
 		Writes:       make(map[string]storage.Value),
 		Restarts:     pp.Restarts,
+		events:       c.eventBuf(pp.Program.Len()),
 		StartClock:   clock,
 		BlockedSince: -1,
 	}
@@ -386,7 +406,7 @@ func (c *Core) apply(ctx context.Context, st *Instance, op core.Op, shardIdx int
 		c.logWAL(storage.WALRecord{Kind: storage.WALWrite, Instance: st.ID, Object: op.Object, Value: v})
 	}
 	order := c.execSeq.Add(1)
-	st.Events = append(st.Events, Event{Instance: st.ID, Program: st.Program, Op: op, Order: order})
+	st.events = append(st.events, Event{Instance: st.ID, Program: st.Program, Op: op, Order: order})
 	st.Next++
 	if st.Next == st.Program.Len() {
 		st.Done = true
@@ -472,11 +492,34 @@ func (c *Core) Acknowledge(st *Instance) {
 		Instance: st.ID, Program: int(st.Program.ID),
 		Start: st.StartClock, End: clock, CommitSeq: st.commitSeq,
 	})
-	c.res.Trace = append(c.res.Trace, st.Events...)
+	c.res.Trace = append(c.res.Trace, st.events...)
 	c.res.Programs = append(c.res.Programs, st.Program)
 	if h := c.Cfg.Hooks.Commit; h != nil {
 		h(st)
 	}
+	c.freeEventBuf(st)
+}
+
+// eventBuf returns an empty event buffer for n events: a freed one
+// large enough, or a new one of exactly n. Lifecycle-locked.
+func (c *Core) eventBuf(n int) []Event {
+	free := c.freeEvents
+	for i := len(free) - 1; i >= 0; i-- {
+		if buf := free[i]; cap(buf) >= n {
+			last := len(free) - 1
+			free[i], free[last] = free[last], nil
+			c.freeEvents = free[:last]
+			return buf
+		}
+	}
+	return make([]Event, 0, n)
+}
+
+// freeEventBuf returns a finished instance's event buffer to the free
+// list. Lifecycle-locked.
+func (c *Core) freeEventBuf(st *Instance) {
+	c.freeEvents = append(c.freeEvents, st.events[:0])
+	st.events = nil
 }
 
 // AbortCascade runs the Abort stage: the instance and, transitively,
@@ -552,10 +595,13 @@ func (c *Core) AbortCascade(id int64, reason string, onVictim func(*Instance) er
 		if h := c.Cfg.Hooks.Abort; h != nil {
 			h(st)
 		}
+		var err error
 		if onVictim != nil {
-			if err := onVictim(st); err != nil {
-				return err
-			}
+			err = onVictim(st)
+		}
+		c.freeEventBuf(st)
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -131,14 +131,11 @@ type txnInst struct {
 	// slot is the instance's reachTable clock slot.
 	slot int
 
-	// Per-operation path only. cuts memoizes the oracle's unit
-	// boundaries of this program relative to an observer instance.
-	// minEntry is the minimum sequence of any arc head ever added into
-	// the instance (math.MaxInt until the first one): a path entering
-	// this instance from outside can only reach sequences >= minEntry,
-	// because within an instance only I-arcs (sequence-forward) connect
-	// vertices.
-	cuts     map[int64][]int
+	// Per-operation path only. minEntry is the minimum sequence of any
+	// arc head ever added into the instance (math.MaxInt until the
+	// first one): a path entering this instance from outside can only
+	// reach sequences >= minEntry, because within an instance only
+	// I-arcs (sequence-forward) connect vertices.
 	minEntry int
 
 	// Scratch of the request whose stamp matches: the instance has been
@@ -410,7 +407,7 @@ func (c *certifier) evict(inst *txnInst) {
 	c.rt.release(inst.slot)
 	delete(c.insts, inst.id)
 	inst.resident = false
-	inst.ops, inst.cuts = nil, nil
+	inst.ops = nil
 }
 
 // evictCommitted evicts the committed resident instances, visited in

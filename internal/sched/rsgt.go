@@ -39,7 +39,7 @@ import (
 // every prefix.
 //
 // Relative atomicity specifications come from an AtomicityOracle,
-// queried lazily per ordered pair of live instances and memoized.
+// asked for each ordered pair of instances a staircase pair joins.
 //
 // Under AbsoluteOracle relative serializability is conflict
 // serializability (Lemma 1), and RSGT runs serialization graph testing
@@ -269,8 +269,8 @@ var fb = [2]core.ArcKind{core.FArc, core.BArc}
 // txn(u)) to the first operation of v's atomic unit relative to src.
 // The pair's D-arc u -> v is the path u ->I* PushForward(u, txn(v)) -> v.
 func (p *RSGT) induced(src *txnInst, srcSeq int, inst *txnInst, seq int) [len(fb)]rsgArc {
-	_, fu := unitBounds(p.cuts(src, inst), src.program.Len(), srcSeq)
-	bv, _ := unitBounds(p.cuts(inst, src), inst.program.Len(), seq)
+	_, fu := unitBounds(p.oracle.Cuts(src.program, inst.program), src.program.Len(), srcSeq)
+	bv, _ := unitBounds(p.oracle.Cuts(inst.program, src.program), inst.program.Len(), seq)
 	return [len(fb)]rsgArc{{fu, seq}, {srcSeq, bv}}
 }
 
@@ -400,18 +400,4 @@ func (p *RSGT) dotSnapshot(pending map[[2]int]core.ArcKind) string {
 		}
 	}
 	return d.String()
-}
-
-// cuts memoizes the oracle's unit boundaries of a's program relative
-// to observer b; the memo lives and dies with a.
-func (p *RSGT) cuts(a, b *txnInst) []int {
-	c, ok := a.cuts[b.id]
-	if !ok {
-		if a.cuts == nil {
-			a.cuts = make(map[int64][]int)
-		}
-		c = p.oracle.Cuts(a.program, b.program)
-		a.cuts[b.id] = c
-	}
-	return c
 }

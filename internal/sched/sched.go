@@ -132,6 +132,13 @@ func IsShardSafe(p Protocol) bool {
 // result means a is a single atomic unit for b). Implementations
 // typically derive cuts from transaction types (bank audit vs customer
 // transaction) rather than instances, as [Gar83] and [FÖ89] do.
+//
+// Contract: Cuts is a pure function of the two programs, is safe for
+// concurrent use, and answers without allocating, with a slice the
+// oracle keeps (computed once, when the specification is built). The
+// slice is shared by every caller, which must not modify it. The
+// protocols ask on every operation that needs an answer and keep no
+// memo of their own.
 type AtomicityOracle interface {
 	Cuts(a, b *core.Transaction) []int
 }
@@ -143,7 +150,8 @@ type AbsoluteOracle struct{}
 // Cuts returns no boundaries.
 func (AbsoluteOracle) Cuts(_, _ *core.Transaction) []int { return nil }
 
-// OracleFunc adapts a function to the AtomicityOracle interface.
+// OracleFunc adapts a function to the AtomicityOracle interface; the
+// function keeps the contract.
 type OracleFunc func(a, b *core.Transaction) []int
 
 // Cuts invokes the function.
@@ -154,16 +162,8 @@ func (f OracleFunc) Cuts(a, b *core.Transaction) []int { return f(a, b) }
 // protocols.
 type SpecOracle struct{ Spec *core.Spec }
 
-// Cuts converts the spec's units into boundary positions.
-func (o SpecOracle) Cuts(a, b *core.Transaction) []int {
-	n := o.Spec.NumUnits(a.ID, b.ID)
-	cuts := make([]int, 0, n-1)
-	for k := 0; k < n-1; k++ {
-		_, end := o.Spec.Unit(a.ID, b.ID, k)
-		cuts = append(cuts, end+1)
-	}
-	return cuts
-}
+// Cuts returns the spec's stored boundaries of the pair.
+func (o SpecOracle) Cuts(a, b *core.Transaction) []int { return o.Spec.Cuts(a.ID, b.ID) }
 
 // unitBounds returns the inclusive [start, end] bounds of the atomic
 // unit containing seq, for a transaction of the given length whose

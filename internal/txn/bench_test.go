@@ -249,6 +249,34 @@ func BenchmarkDeterministicRunnerChain(b *testing.B) {
 	}
 }
 
+// BenchmarkDeterministicRunnerMixRel is the ladder's mix-rel shape on
+// the tick driver: 512 objects, 256 programs of 16 operations, 25 %
+// writes, units of 4 operations from the workload's own oracle, RSGT at
+// MPL 8, seed 1. It reports allocations, so per-commit garbage from the
+// engine's buffers or the oracle shows in the perf gate.
+func BenchmarkDeterministicRunnerMixRel(b *testing.B) {
+	w := benchPrograms(b, workload.SyntheticConfig{
+		Objects: 512, Programs: 256, OpsPerTxn: 16, WriteRatio: 0.25, Granularity: 4,
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := txn.New(txn.Config{
+			Protocol: sched.NewRSGT(w.Oracle),
+			Programs: w.Programs,
+			Oracle:   w.Oracle,
+			MPL:      8,
+			Seed:     1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := r.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkConcurrentCommitWAL is the group-commit shape of the whole
 // stack: banking under RSGT on the goroutine driver at MPL 8 over one
 // log lane with a 1 ms simulated fsync. Commits/s is bound by how many

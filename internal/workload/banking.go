@@ -117,9 +117,7 @@ func Banking(cfg BankingConfig, seed int64) (*Workload, error) {
 		}
 	}
 
-	kinds := make(map[core.TxnID]string)
-	familyOf := make(map[core.TxnID]int)     // customer -> family
-	auditSpan := make(map[core.TxnID][2]int) // credit audit -> [first, last] family
+	progs := make(map[core.TxnID]progKind)
 	amounts := make(map[core.TxnID]int64)
 	var programs []*core.Transaction
 	nextID := core.TxnID(1)
@@ -134,8 +132,8 @@ func Banking(cfg BankingConfig, seed int64) (*Workload, error) {
 		p := core.T(nextID,
 			core.R(acct(f, src)), core.R(acct(f, dst)),
 			core.W(acct(f, src)), core.W(acct(f, dst)))
-		kinds[nextID] = kindCustomer
-		familyOf[nextID] = f
+		// A transfer is fully breakable to customers of other families.
+		progs[nextID] = progKind{kind: kindCustomer, group: f, split: everyK(p, 1)}
 		amounts[nextID] = int64(1 + rng.Intn(10))
 		programs = append(programs, p)
 		nextID++
@@ -162,8 +160,8 @@ func Banking(cfg BankingConfig, seed int64) (*Workload, error) {
 			}
 		}
 		p := core.T(nextID, ops...)
-		kinds[nextID] = kindCreditAudit
-		auditSpan[nextID] = [2]int{first, last}
+		// Unit boundaries at family borders.
+		progs[nextID] = progKind{kind: kindCreditAudit, split: everyK(p, cfg.AccountsPerFamily)}
 		programs = append(programs, p)
 		nextID++
 	}
@@ -175,7 +173,7 @@ func Banking(cfg BankingConfig, seed int64) (*Workload, error) {
 			}
 		}
 		p := core.T(nextID, ops...)
-		kinds[nextID] = kindBankAudit
+		progs[nextID] = progKind{kind: kindBankAudit}
 		programs = append(programs, p)
 		nextID++
 	}
@@ -184,30 +182,20 @@ func Banking(cfg BankingConfig, seed int64) (*Workload, error) {
 	}
 
 	oracle := &kindOracle{
-		kinds: kinds,
-		rule: func(a, b *core.Transaction, ka, kb string) []int {
+		progs: progs,
+		splits: func(a, b progKind) bool {
 			switch {
-			case ka == kindBankAudit || kb == kindBankAudit:
-				return nil // absolute both ways, per the paper
-			case ka == kindCreditAudit:
-				// Unit boundaries at family borders: observers may
-				// interleave between per-family segments.
-				span := auditSpan[a.ID]
-				families := span[1] - span[0] + 1
-				var cuts []int
-				for f := 1; f < families; f++ {
-					cuts = append(cuts, f*cfg.AccountsPerFamily)
-				}
-				return cuts
-			case ka == kindCustomer && kb == kindCustomer:
-				if familyOf[a.ID] != familyOf[b.ID] {
-					return everyOp(a) // disjoint accounts; free interleaving
-				}
-				return nil // same family kept atomic (see doc comment)
-			case ka == kindCustomer && kb == kindCreditAudit:
-				return nil // transfers stay atomic to auditors
+			case a.kind == kindBankAudit || b.kind == kindBankAudit:
+				return false // absolute both ways, per the paper
+			case a.kind == kindCreditAudit:
+				// Observers may interleave between per-family segments.
+				return true
+			case a.kind == kindCustomer && b.kind == kindCustomer:
+				// Disjoint accounts interleave freely; the same family
+				// is kept atomic (see doc comment).
+				return a.group != b.group
 			default:
-				return nil
+				return false // transfers stay atomic to auditors
 			}
 		},
 	}

@@ -65,8 +65,7 @@ func CADCAM(cfg CADCAMConfig, seed int64) (*Workload, error) {
 		}
 	}
 
-	kinds := make(map[core.TxnID]string)
-	teamOf := make(map[core.TxnID]int)
+	progs := make(map[core.TxnID]progKind)
 	var programs []*core.Transaction
 	nextID := core.TxnID(1)
 
@@ -77,9 +76,10 @@ func CADCAM(cfg CADCAMConfig, seed int64) (*Workload, error) {
 		for _, p := range perm {
 			ops = append(ops, core.R(part(team, p)), core.W(part(team, p)))
 		}
-		programs = append(programs, core.T(nextID, ops...))
-		kinds[nextID] = kindDesigner
-		teamOf[nextID] = team
+		p := core.T(nextID, ops...)
+		programs = append(programs, p)
+		// One unit per part update (r+w), exposed to the same team.
+		progs[nextID] = progKind{kind: kindDesigner, group: team, split: everyK(p, 2)}
 		nextID++
 	}
 	for i := 0; i < cfg.Integrators; i++ {
@@ -88,9 +88,10 @@ func CADCAM(cfg CADCAMConfig, seed int64) (*Workload, error) {
 		for p := 0; p < cfg.PartsPerTeam; p++ {
 			ops = append(ops, core.R(part(team, p)))
 		}
-		programs = append(programs, core.T(nextID, ops...))
-		kinds[nextID] = kindIntegrator
-		teamOf[nextID] = team
+		p := core.T(nextID, ops...)
+		programs = append(programs, p)
+		// Exposed to other teams, which don't conflict with it anyway.
+		progs[nextID] = progKind{kind: kindIntegrator, group: team, split: everyK(p, cfg.PartsPerTeam)}
 		nextID++
 	}
 	if len(programs) == 0 {
@@ -98,18 +99,16 @@ func CADCAM(cfg CADCAMConfig, seed int64) (*Workload, error) {
 	}
 
 	oracle := &kindOracle{
-		kinds: kinds,
-		rule: func(a, b *core.Transaction, ka, kb string) []int {
-			sameTeam := teamOf[a.ID] == teamOf[b.ID]
-			switch {
-			case ka == kindDesigner && sameTeam:
-				return everyK(a, 2) // unit per part update (r+w)
-			case ka == kindDesigner && !sameTeam:
-				return nil // atomic across teams
-			case ka == kindIntegrator && !sameTeam:
-				return everyK(a, cfg.PartsPerTeam) // other teams don't conflict anyway
+		progs: progs,
+		splits: func(a, b progKind) bool {
+			sameTeam := a.group == b.group
+			switch a.kind {
+			case kindDesigner:
+				return sameTeam // atomic across teams
+			case kindIntegrator:
+				return !sameTeam // atomic to its own team
 			default:
-				return nil // integrator atomic to own team
+				return false
 			}
 		},
 	}

@@ -49,7 +49,7 @@ func LongLived(cfg LongLivedConfig, seed int64) (*Workload, error) {
 		initial[obj(i)] = 0
 	}
 
-	kinds := make(map[core.TxnID]string)
+	progs := make(map[core.TxnID]progKind)
 	var programs []*core.Transaction
 	nextID := core.TxnID(1)
 
@@ -58,25 +58,22 @@ func LongLived(cfg LongLivedConfig, seed int64) (*Workload, error) {
 		for i := 0; i < cfg.Objects; i++ {
 			ops = append(ops, core.R(obj(i)), core.W(obj(i)))
 		}
-		programs = append(programs, core.T(nextID, ops...))
-		kinds[nextID] = kindLong
+		p := core.T(nextID, ops...)
+		programs = append(programs, p)
+		// One unit per swept object.
+		progs[nextID] = progKind{kind: kindLong, split: everyK(p, 2)}
 		nextID++
 	}
 	for s := 0; s < cfg.ShortTxns; s++ {
 		i := rng.Intn(cfg.Objects)
 		programs = append(programs, core.T(nextID, core.R(obj(i)), core.W(obj(i))))
-		kinds[nextID] = kindShort
+		progs[nextID] = progKind{kind: kindShort}
 		nextID++
 	}
 
 	oracle := &kindOracle{
-		kinds: kinds,
-		rule: func(a, _ *core.Transaction, ka, _ string) []int {
-			if ka == kindLong {
-				return everyK(a, 2) // one unit per swept object
-			}
-			return nil
-		},
+		progs:  progs,
+		splits: func(a, _ progKind) bool { return a.kind == kindLong },
 	}
 
 	// Every write stores read+1, and every r/w pair is an atomic unit,

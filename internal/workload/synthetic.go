@@ -89,14 +89,18 @@ func Synthetic(cfg SyntheticConfig, seed int64) (*Workload, error) {
 	}
 
 	// Granularity 0 is the classical model, which the graph protocols
-	// certify at transaction granularity (Lemma 1).
+	// certify at transaction granularity (Lemma 1). Otherwise cuts
+	// depend only on a program's length, which is OpsPerTxn for every
+	// program generated here, so one slice answers them all; a program
+	// of another length is answered by computing its cuts.
 	var oracle sched.AtomicityOracle = sched.AbsoluteOracle{}
 	if g := cfg.Granularity; g > 0 {
+		cuts := everyK(programs[0], g)
 		oracle = sched.OracleFunc(func(a, _ *core.Transaction) []int {
-			if g >= a.Len() {
-				return nil
+			if a.Len() != cfg.OpsPerTxn {
+				return everyK(a, g)
 			}
-			return everyK(a, g)
+			return cuts
 		})
 	}
 

@@ -172,29 +172,39 @@ func (w *Workload) RunWithContext(ctx context.Context, protocol sched.Protocol, 
 	return res, store, nil
 }
 
-// kindOracle dispatches atomicity cuts on transaction kinds. Workloads
-// register each program's kind and a rule table.
+// kindOracle dispatches atomicity cuts on transaction kinds. A
+// program's kind admits at most one nonempty answer, its split, which
+// the workload computes once at generation; the rule only decides
+// which observers see it. So Cuts answers without allocating, as
+// sched.AtomicityOracle requires.
 type kindOracle struct {
-	kinds map[core.TxnID]string
-	// cuts returns boundaries of a relative to b given their kinds.
-	rule func(a, b *core.Transaction, ka, kb string) []int
+	progs map[core.TxnID]progKind
+	// splits reports whether a program exposes its split to an
+	// observer, given both programs' entries (the zero progKind for a
+	// program the workload did not generate).
+	splits func(a, b progKind) bool
+}
+
+// progKind is what kindOracle knows of one program: its kind, its
+// group (the family or team it works in, where the rules need one)
+// and its split.
+type progKind struct {
+	kind  string
+	group int
+	split []int
 }
 
 // Cuts implements sched.AtomicityOracle.
 func (o *kindOracle) Cuts(a, b *core.Transaction) []int {
-	return o.rule(a, b, o.kinds[a.ID], o.kinds[b.ID])
-}
-
-// everyOp returns boundaries after every operation: fully breakable.
-func everyOp(t *core.Transaction) []int {
-	cuts := make([]int, 0, t.Len()-1)
-	for p := 1; p < t.Len(); p++ {
-		cuts = append(cuts, p)
+	pa := o.progs[a.ID]
+	if o.splits(pa, o.progs[b.ID]) {
+		return pa.split
 	}
-	return cuts
+	return nil
 }
 
-// everyK returns boundaries after every k-th operation.
+// everyK returns boundaries after every k-th operation (k = 1: fully
+// breakable).
 func everyK(t *core.Transaction, k int) []int {
 	if k <= 0 {
 		return nil
