@@ -180,6 +180,38 @@ func BenchmarkIncrementalRetireStream(b *testing.B) {
 			}
 		})
 	}
+	// The per-operation certifier's shape: one op is a 16-vertex AddChain
+	// instance with arcs into it from the instance before, retired once
+	// eight newer ones are live, under the same epoch rule. B/op is the
+	// per-instance garbage the gate watches.
+	b.Run("instances", func(b *testing.B) {
+		const size, window = 16, 8
+		inc := NewIncremental(0)
+		var firsts, retireQ []int
+		arcs := make([][2]int, 0, size/2)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			x := inc.AddChain(size)
+			arcs = arcs[:0]
+			if n := len(firsts); n > 0 {
+				for k := 0; k < size; k += 2 {
+					arcs = append(arcs, [2]int{firsts[n-1] + k + 1, x + k})
+				}
+			}
+			inc.AppendArcs(arcs)
+			if firsts = append(firsts, x); len(firsts) > window {
+				for k := 0; k < size; k++ {
+					retireQ = append(retireQ, firsts[0]+k)
+				}
+				firsts = append(firsts[:0], firsts[1:]...)
+			}
+			if len(retireQ) >= 64 && 2*len(retireQ) >= inc.Len() {
+				inc.Retire(retireQ)
+				retireQ = retireQ[:0]
+			}
+		}
+	})
 }
 
 func BenchmarkDenseTransitiveClosure(b *testing.B) {

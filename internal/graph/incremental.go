@@ -33,11 +33,18 @@ var ErrCycle = errors.New("graph: arc would create a cycle")
 //     (e.g. via a conservative vector-clock test) without any cycle
 //     sweep, deferring order maintenance to the next Settle — the
 //     O(1)-amortized fast path.
+//
+// AddChain adds vertices joined by implicit arcs x -> x+1 (a
+// transaction's program order): one flag per vertex instead of an
+// adjacency entry at each end, followed by every traversal and
+// reported by every query like an explicit arc.
 type Incremental struct {
-	g    *Sparse
-	ord  []int // ord[v] = position of v in the topological order
-	pos  []int // pos[i] = vertex at position i (inverse of ord)
-	mark Bitset
+	g     *Sparse
+	ord   []int // ord[v] = position of v in the topological order
+	pos   []int // pos[i] = vertex at position i (inverse of ord)
+	mark  Bitset
+	link  []bool // link[v] marks the implicit chain arc v -> v+1
+	links int    // set flags in link
 
 	// External-ID indirection. ext[v] is the stable ID of internal
 	// vertex v; intIdx[x-base] is the internal vertex of external ID x
@@ -52,8 +59,8 @@ type Incremental struct {
 	// order-violating arcs appended by AppendArcs; -1 when settled.
 	dirtyLb, dirtyUb int
 
-	// resortRegion's scratch, reused across calls.
-	indeg, ready, order []int
+	// resortRegion's and Retire's scratch, reused across calls.
+	indeg, ready, order, remap []int
 }
 
 // NewIncremental returns an incremental DAG with n vertices and no
@@ -64,6 +71,7 @@ func NewIncremental(n int) *Incremental {
 	inc.pos = make([]int, n)
 	inc.ext = make([]int, n)
 	inc.intIdx = make([]int, n)
+	inc.link = make([]bool, n)
 	for i := 0; i < n; i++ {
 		inc.ord[i] = i
 		inc.pos[i] = i
@@ -136,6 +144,21 @@ func (inc *Incremental) AddVertex() int {
 	x := inc.base + len(inc.intIdx)
 	inc.intIdx = append(inc.intIdx, v)
 	inc.ext = append(inc.ext, x)
+	inc.link = append(inc.link, false)
+	return x
+}
+
+// AddChain appends n vertices joined by implicit arcs x -> x+1, last in
+// the current order, and returns the first one's external ID (the next
+// ID when n is 0). Only IsolateVertex and Retire remove a chain arc, and
+// the caller adds no explicit arc parallel to one.
+func (inc *Incremental) AddChain(n int) int {
+	x := inc.base + len(inc.intIdx)
+	for k := 0; k < n; k++ {
+		inc.AddVertex()
+		inc.link[len(inc.link)-1] = k+1 < n
+	}
+	inc.links += max(n-1, 0)
 	return x
 }
 
@@ -147,11 +170,11 @@ func (inc *Incremental) HasArc(u, v int) bool {
 	if !okU || !okV {
 		return false
 	}
-	return inc.g.HasArc(iu, iv)
+	return iv == iu+1 && inc.link[iu] || inc.g.HasArc(iu, iv)
 }
 
 // ArcCount returns the number of distinct arcs.
-func (inc *Incremental) ArcCount() int { return inc.g.ArcCount() }
+func (inc *Incremental) ArcCount() int { return inc.g.ArcCount() + inc.links }
 
 // Order returns the current topological position of v among the live
 // vertices; if u precedes v in every linear extension seen so far then
@@ -215,18 +238,40 @@ func (inc *Incremental) RemoveArc(u, v int) {
 // isolated, so the call is a no-op for them.
 func (inc *Incremental) IsolateVertex(v int) {
 	if iv, ok := inc.intOf(v); ok {
-		inc.g.IsolateVertex(iv)
+		inc.isolate(iv)
+	}
+}
+
+// isolate drops every arc of internal vertex v, chain arcs included,
+// keeping its rows for the vertices that follow its retirement.
+func (inc *Incremental) isolate(v int) {
+	inc.g.isolate(v)
+	for _, w := range [2]int{v - 1, v} {
+		if w >= 0 && inc.link[w] {
+			inc.link[w] = false
+			inc.links--
+		}
 	}
 }
 
 // Successors returns the successors of u in ascending external-ID
 // order; nil for retired vertices.
-func (inc *Incremental) Successors(u int) []int {
+func (inc *Incremental) Successors(u int) []int { return inc.adjacent(u, true) }
+
+// Predecessors returns the predecessors of u in ascending external-ID
+// order; nil for retired vertices.
+func (inc *Incremental) Predecessors(u int) []int { return inc.adjacent(u, false) }
+
+func (inc *Incremental) adjacent(u int, fwd bool) []int {
 	iu, ok := inc.intOf(u)
 	if !ok {
 		return nil
 	}
-	return inc.toExt(inc.g.Successors(iu))
+	out := []int{}
+	for it := inc.adj(iu, fwd); it.more(); {
+		out = append(out, inc.ext[it.next()])
+	}
+	return out
 }
 
 // InDegree returns the number of distinct predecessors of u (zero once
@@ -236,7 +281,7 @@ func (inc *Incremental) InDegree(u int) int {
 	if !ok {
 		return 0
 	}
-	return inc.g.InDegree(iu)
+	return inc.g.InDegree(iu) + inc.chained(iu-1)
 }
 
 // OutDegree returns the number of distinct successors of u (zero once
@@ -246,26 +291,70 @@ func (inc *Incremental) OutDegree(u int) int {
 	if !ok {
 		return 0
 	}
-	return inc.g.OutDegree(iu)
+	return inc.g.OutDegree(iu) + inc.chained(iu)
 }
 
-// Predecessors returns the predecessors of u in ascending external-ID
-// order; nil for retired vertices.
-func (inc *Incremental) Predecessors(u int) []int {
-	iu, ok := inc.intOf(u)
-	if !ok {
-		return nil
+// chained is 1 if the chain arc v -> v+1 is present, else 0.
+func (inc *Incremental) chained(v int) int {
+	if v >= 0 && inc.link[v] {
+		return 1
 	}
-	return inc.toExt(inc.g.Predecessors(iu))
+	return 0
 }
 
-// HasPredecessorOutside reports whether u has a predecessor whose ID
-// lies outside [lo, hi], without allocating; u, lo and hi must be live.
-// A scheduler that gives each transaction a consecutive block of
+// VisitSuccessors calls fn on each successor of the live vertex u in
+// ascending external-ID order, reading the adjacency in place.
+func (inc *Incremental) VisitSuccessors(u int, fn func(v int)) {
+	for it := inc.adj(inc.mustInt(u), true); it.more(); {
+		fn(inc.ext[it.next()])
+	}
+}
+
+// adjIter walks the successors or the predecessors of an internal
+// vertex in ascending order, the chain neighbour merged in at its
+// place, so a DFS visits what explicit I-arcs made it visit. It is the
+// one adjacency walk every traversal shares.
+type adjIter struct {
+	row []arcEnd
+	c   int // the chain neighbour not yet visited, or -1
+}
+
+func (inc *Incremental) adj(u int, fwd bool) adjIter {
+	it := adjIter{inc.g.pred[u], u - 1}
+	if fwd {
+		it = adjIter{inc.g.succ[u], u + 1}
+	}
+	if it.c < 0 || !inc.link[min(u, it.c)] {
+		it.c = -1
+	}
+	return it
+}
+
+func (it *adjIter) more() bool { return it.c >= 0 || len(it.row) > 0 }
+
+func (it *adjIter) next() int {
+	if it.c >= 0 && (len(it.row) == 0 || it.c < it.row[0].v) {
+		v := it.c
+		it.c = -1
+		return v
+	}
+	v := it.row[0].v
+	it.row = it.row[1:]
+	return v
+}
+
+// HasPredecessorOutside reports whether a vertex with an ID in the
+// live range [lo, hi] has a predecessor outside it, without
+// allocating. A scheduler that gives each transaction a chain of
 // vertices asks it "does another transaction point into this one".
-func (inc *Incremental) HasPredecessorOutside(u, lo, hi int) bool {
+func (inc *Incremental) HasPredecessorOutside(lo, hi int) bool {
 	// ext is monotone in the internal index, so the range carries over.
-	return inc.g.hasPredecessorOutside(inc.mustInt(u), inc.mustInt(lo), inc.mustInt(hi))
+	ilo, ihi := inc.mustInt(lo), inc.mustInt(hi)
+	out := ilo > 0 && inc.link[ilo-1]
+	for v := ilo; v <= ihi && !out; v++ {
+		out = inc.g.hasPredecessorOutside(v, ilo, ihi)
+	}
+	return out
 }
 
 // toExt maps internal vertices to external IDs in place. ext is
@@ -290,8 +379,8 @@ func (inc *Incremental) forwardSearch(start, ub, target int) (bool, []int) {
 	for len(stack) > 0 {
 		w := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, e := range inc.g.succ[w] {
-			s := e.v
+		for it := inc.adj(w, true); it.more(); {
+			s := it.next()
 			if s == target {
 				return true, visited
 			}
@@ -315,8 +404,8 @@ func (inc *Incremental) backwardSearch(start, lb int) []int {
 	for len(stack) > 0 {
 		w := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, e := range inc.g.pred[w] {
-			if p := e.v; inc.ord[p] >= lb && !inc.mark.Has(p) {
+		for it := inc.adj(w, false); it.more(); {
+			if p := it.next(); inc.ord[p] >= lb && !inc.mark.Has(p) {
 				inc.mark.Set(p)
 				visited = append(visited, p)
 				stack = append(stack, p)
@@ -481,16 +570,14 @@ type RetireResult struct {
 func (inc *Incremental) Retire(vs []int) RetireResult {
 	inc.mustSettle()
 	n := inc.g.Len()
+	inc.remap = slices.Grow(inc.remap[:0], n)[:n] // -1 marks a dropped vertex
+	remap := inc.remap
+	clear(remap)
 	cnt := 0
-	drop := make([]bool, n)
 	for _, x := range vs {
-		v, live := inc.intOf(x)
-		if !live {
-			continue
-		}
-		inc.g.IsolateVertex(v)
-		if !drop[v] {
-			drop[v] = true
+		if v, live := inc.intOf(x); live && remap[v] == 0 {
+			inc.isolate(v)
+			remap[v] = -1
 			cnt++
 		}
 	}
@@ -498,43 +585,35 @@ func (inc *Incremental) Retire(vs []int) RetireResult {
 		return RetireResult{Live: n}
 	}
 	m := n - cnt
-	remap := make([]int, n)
+	// Every array is compacted in place: the remap is monotone, so each
+	// survivor moves down, never over one not yet read.
 	next := 0
-	for v := 0; v < n; v++ {
-		if drop[v] {
-			remap[v] = -1
-		} else {
+	for v, r := range remap {
+		x := inc.ext[v]
+		if r == 0 {
 			remap[v] = next
+			inc.ext[next], inc.link[next] = x, inc.link[v]
 			next++
 		}
+		inc.intIdx[x-inc.base] = remap[v]
 	}
-	// Compact the order: survivors keep their relative positions.
-	newPos := make([]int, 0, m)
-	for i := 0; i < n; i++ {
-		if v := inc.pos[i]; !drop[v] {
-			newPos = append(newPos, remap[v])
-		}
-	}
-	newOrd := make([]int, m)
-	for i, v := range newPos {
-		newOrd[v] = i
-	}
-	newExt := make([]int, 0, m)
-	for v := 0; v < n; v++ {
-		if !drop[v] {
-			newExt = append(newExt, inc.ext[v])
+	k := 0
+	for _, v := range inc.pos {
+		if nv := remap[v]; nv >= 0 {
+			inc.pos[k] = nv
+			k++
 		}
 	}
 	inc.g.Compact(remap, m)
-	inc.ord, inc.pos, inc.ext = newOrd, newPos, newExt
-	inc.mark = NewBitset(m)
-	inc.indeg, inc.ready, inc.order = nil, nil, nil // sized for the graph before compaction
-	for i := range inc.intIdx {
-		inc.intIdx[i] = -1
+	inc.pos, inc.ord = shrink(inc.pos[:m], m, n), shrink(inc.ord[:m], m, n)
+	for i, v := range inc.pos {
+		inc.ord[v] = i
 	}
-	for v, x := range newExt {
-		inc.intIdx[x-inc.base] = v
-	}
+	inc.ext, inc.link = shrink(inc.ext[:m], m, n), shrink(inc.link[:m], m, n)
+	words := (m + wordBits - 1) / wordBits
+	inc.mark = shrink(inc.mark[:words], words, max(n/wordBits, 1)) // all clear between searches
+	inc.indeg, inc.ready = shrink(inc.indeg[:0], m, n), shrink(inc.ready[:0], m, n)
+	inc.order, inc.remap = shrink(inc.order[:0], m, n), shrink(remap[:0], m, n)
 	// Advance the base over the retired prefix so the indirection
 	// table, too, shrinks with the live set.
 	trim := 0
@@ -545,6 +624,7 @@ func (inc *Incremental) Retire(vs []int) RetireResult {
 		inc.base += trim
 		inc.intIdx = append(inc.intIdx[:0], inc.intIdx[trim:]...)
 	}
+	inc.intIdx = shrink(inc.intIdx, len(inc.intIdx), n)
 	inc.retired += cnt
 	return RetireResult{Retired: cnt, Live: m}
 }
@@ -566,8 +646,8 @@ func (inc *Incremental) resortRegion(lb, ub int) error {
 	clear(indeg)
 	heap, order := inc.ready[:0], inc.order[:0]
 	for _, u := range verts {
-		for _, e := range inc.g.succ[u] {
-			if j := inc.ord[e.v] - lb; j >= 0 && j < n {
+		for it := inc.adj(u, true); it.more(); {
+			if j := inc.ord[it.next()] - lb; j >= 0 && j < n {
 				indeg[j]++
 			}
 		}
@@ -613,8 +693,8 @@ func (inc *Incremental) resortRegion(lb, ub int) error {
 	for len(heap) > 0 {
 		u := verts[pop()]
 		order = append(order, u)
-		for _, e := range inc.g.succ[u] {
-			if k := inc.ord[e.v] - lb; k >= 0 && k < n {
+		for it := inc.adj(u, true); it.more(); {
+			if k := inc.ord[it.next()] - lb; k >= 0 && k < n {
 				indeg[k]--
 				if indeg[k] == 0 {
 					push(k)
@@ -663,8 +743,8 @@ func (inc *Incremental) FindPath(from, to int) []int {
 	for len(stack) > 0 {
 		w := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, e := range inc.g.succ[w] {
-			s := e.v
+		for it := inc.adj(w, true); it.more(); {
+			s := it.next()
 			if inc.ord[s] > inc.ord[iTo] {
 				continue
 			}
@@ -680,9 +760,7 @@ func (inc *Incremental) FindPath(from, to int) []int {
 						break
 					}
 				}
-				for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-					rev[i], rev[j] = rev[j], rev[i]
-				}
+				slices.Reverse(rev)
 				return inc.toExt(rev)
 			}
 			stack = append(stack, s)
@@ -712,14 +790,14 @@ func (inc *Incremental) Verify() error {
 	}
 	n := inc.g.Len()
 	for u := 0; u < n; u++ {
-		for _, e := range inc.g.succ[u] {
-			if inc.ord[u] >= inc.ord[e.v] {
+		for it := inc.adj(u, true); it.more(); {
+			if inc.ord[u] >= inc.ord[it.next()] {
 				return errors.New("graph: arc violates maintained topological order")
 			}
 		}
 	}
-	if len(inc.ext) != n {
-		return errors.New("graph: ext length diverged from vertex count")
+	if len(inc.ext) != n || len(inc.link) != n || n > 0 && inc.link[n-1] {
+		return errors.New("graph: ext or chain flags diverged from the vertices")
 	}
 	live := 0
 	for i, v := range inc.intIdx {

@@ -42,9 +42,19 @@ func (g *Sparse) Grow(n int) {
 
 // AddVertex appends a fresh vertex and returns its index.
 func (g *Sparse) AddVertex() int {
-	g.succ = append(g.succ, nil)
-	g.pred = append(g.pred, nil)
+	g.succ, g.pred = addRow(g.succ), addRow(g.pred)
 	return len(g.succ) - 1
+}
+
+// addRow appends an empty row, reusing the buffer Compact left in the
+// slot past the end, if any.
+func addRow(adj [][]arcEnd) [][]arcEnd {
+	if n := len(adj); n < cap(adj) {
+		adj = adj[:n+1]
+		adj[n] = adj[n][:0]
+		return adj
+	}
+	return append(adj, nil)
 }
 
 // find returns the index of v in row, or where it would be inserted,
@@ -113,16 +123,23 @@ func (g *Sparse) ArcCount() int { return g.nArcs }
 // usually finished, and its rows would otherwise stay allocated for as
 // long as the vertex exists.
 func (g *Sparse) IsolateVertex(u int) {
+	g.isolate(u)
+	g.succ[u], g.pred[u] = nil, nil
+}
+
+// isolate is IsolateVertex keeping u's emptied rows, for a caller that
+// drops u soon: Compact then leaves them to the vertices added next.
+func (g *Sparse) isolate(u int) {
 	for _, e := range g.succ[u] {
 		g.pred[e.v] = dropFrom(g.pred[e.v], u)
 	}
 	g.nArcs -= len(g.succ[u])
-	g.succ[u] = nil
+	g.succ[u] = g.succ[u][:0]
 	for _, e := range g.pred[u] {
 		g.succ[e.v] = dropFrom(g.succ[e.v], u)
 	}
 	g.nArcs -= len(g.pred[u])
-	g.pred[u] = nil
+	g.pred[u] = g.pred[u][:0]
 }
 
 // dropFrom removes the entry for v, which must be present, from row.
@@ -133,27 +150,38 @@ func dropFrom(row []arcEnd, v int) []arcEnd {
 
 // Compact renumbers the vertex set according to remap (remap[old] =
 // new index, or -1 for a dropped vertex), shrinking it to m vertices.
-// remap must keep the kept vertices in their relative order (old < old'
-// implies new < new'), which is what lets every row be renumbered in
-// place and stay sorted. Dropped vertices must already be isolated: a
-// dangling arc touching one always indicates a bookkeeping bug in the
-// caller, so Compact panics rather than silently dropping it, as it
-// does on a remap that reorders. Retirement epochs use this to reclaim
-// the adjacency slots of pruned transactions.
+// remap must number the kept vertices 0..m-1 in their relative order
+// (old < old' implies new < new'), which is what lets every row be
+// renumbered and moved down in place and stay sorted. Dropped vertices
+// must already be isolated: a dangling arc touching one always
+// indicates a bookkeeping bug in the caller, so Compact panics rather
+// than silently dropping it, as it does on a remap that reorders.
+// Retirement epochs use this to reclaim the adjacency slots of pruned
+// transactions.
 func (g *Sparse) Compact(remap []int, m int) {
 	if len(remap) != len(g.succ) {
 		panic(fmt.Sprintf("graph: Compact remap has %d entries for %d vertices", len(remap), len(g.succ)))
+	}
+	last, kept := -1, 0
+	for u, nu := range remap {
+		if nu >= 0 {
+			if nu <= last {
+				panic(fmt.Sprintf("graph: Compact remap moves vertex %d to %d, not after %d", u, nu, last))
+			}
+			last, kept = nu, kept+1
+		}
+	}
+	if last != m-1 || kept != m {
+		panic(fmt.Sprintf("graph: Compact remap is not onto 0..%d", m-1))
 	}
 	g.succ = compactAdj(g.succ, remap, m)
 	g.pred = compactAdj(g.pred, remap, m)
 }
 
-// compactAdj moves each kept row, renumbered in place, into a fresh
-// outer slice of m rows, so the slots of dropped vertices are released
-// with the old one.
+// compactAdj swaps each kept row, renumbered in place, down to its new
+// slot: remap is dense and monotone, so the kept rows end up in order
+// in front and the dropped ones, empty, past the end for AddVertex.
 func compactAdj(adj [][]arcEnd, remap []int, m int) [][]arcEnd {
-	out := make([][]arcEnd, m)
-	last := -1
 	for u, row := range adj {
 		nu := remap[u]
 		if nu < 0 {
@@ -162,34 +190,26 @@ func compactAdj(adj [][]arcEnd, remap []int, m int) [][]arcEnd {
 			}
 			continue
 		}
-		if nu <= last {
-			panic(fmt.Sprintf("graph: Compact remap moves vertex %d to %d, not after %d", u, nu, last))
-		}
-		last = nu
 		for i, e := range row {
 			if row[i].v = remap[e.v]; row[i].v < 0 {
 				panic(fmt.Sprintf("graph: Compact dropped vertex %d still has an arc with %d", e.v, u))
 			}
 		}
-		out[nu] = row
+		adj[nu], adj[u] = row, adj[nu]
 	}
-	return out
+	return shrink(adj[:m], m, len(adj))
 }
 
-// Successors returns the successors of u in ascending order, in a
-// fresh slice the caller may modify.
-func (g *Sparse) Successors(u int) []int { return vertices(g.succ[u]) }
-
-// Predecessors returns the predecessors of u in ascending order, in a
-// fresh slice the caller may modify.
-func (g *Sparse) Predecessors(u int) []int { return vertices(g.pred[u]) }
-
-func vertices(row []arcEnd) []int {
-	out := make([]int, len(row))
-	for i, e := range row {
-		out[i] = e.v
+// shrink is the one rule that bounds what a compaction from n to live
+// vertices retains: once s's capacity exceeds four times n it is
+// reallocated with room for twice live. Measured against n rather than
+// live, a graph that drains in every epoch keeps its capacity, and one
+// that shrank keeps only what its last epoch needed.
+func shrink[S ~[]E, E any](s S, live, n int) S {
+	if cap(s) > 4*n {
+		return append(make(S, 0, 2*live), s...)
 	}
-	return out
+	return s
 }
 
 // hasPredecessorOutside reports whether u has a predecessor outside

@@ -195,8 +195,9 @@ type certifier struct {
 	// order: the prune and stranded-sweep candidates.
 	committed []*txnInst
 	// objHist is, per object, the executed operations on it in execution
-	// order (the conflict sources of the next access).
-	objHist map[string][]*execOp
+	// order (the conflict sources of the next access), held by pointer
+	// so that recording one needs no second map access.
+	objHist map[string]*[]*execOp
 	// stamp numbers the request being decided (see txnInst.stamp);
 	// sources is covering's scratch.
 	stamp   uint64
@@ -221,6 +222,9 @@ type certifier struct {
 	lastRebaseLive    int
 	rebases           int64
 	lastSweepResident int
+	// The stranded sweep's reached set and stack, reused across sweeps.
+	reached    graph.Bitset
+	sweepStack []int
 
 	// The current request's batch, reused across requests.
 	arcs     [][2]int
@@ -232,28 +236,21 @@ func newCertifier() certifier {
 	return certifier{
 		g:       graph.NewIncremental(0),
 		insts:   make(map[int64]*txnInst),
-		objHist: make(map[string][]*execOp),
+		objHist: make(map[string]*[]*execOp),
 		rt:      newReachTable(),
 	}
 }
 
-// begin makes instance resident with n fresh vertices and a clock
-// slot, or returns nil when it already is.
-func (c *certifier) begin(instance int64, program *core.Transaction, n int) *txnInst {
+// begin makes instance resident with a chain of n fresh vertices
+// joined by I-arcs and a clock slot, or does nothing when it already is.
+func (c *certifier) begin(instance int64, program *core.Transaction, n int) {
 	if _, ok := c.insts[instance]; ok {
-		return nil
+		return
 	}
-	inst := &txnInst{
-		id: instance, program: program, n: int32(n), resident: true,
+	c.insts[instance] = &txnInst{
+		id: instance, program: program, first: c.g.AddChain(n), n: int32(n), resident: true,
 		ops: make([]*execOp, 0, program.Len()), slot: c.rt.alloc(), minEntry: math.MaxInt,
 	}
-	for k := 0; k < n; k++ {
-		if v := c.g.AddVertex(); k == 0 {
-			inst.first = v // the rest follow consecutively
-		}
-	}
-	c.insts[instance] = inst
-	return inst
 }
 
 // requester returns the instance of req, which must be resident and
@@ -292,11 +289,11 @@ func (c *certifier) covering(hist []*execOp, write bool) []*execOp {
 	return c.sources
 }
 
-// record enters a granted operation on object, whose history was hist
-// when the request began, into the index.
-func (c *certifier) record(e *execOp, object string, hist []*execOp) {
+// record enters a granted operation into the index, hist being its
+// object's history.
+func (c *certifier) record(e *execOp, hist *[]*execOp) {
 	e.inst.ops = append(e.inst.ops, e)
-	c.objHist[object] = append(hist, e)
+	*hist = append(*hist, e)
 	c.execEntries++
 	c.maybeRebase()
 }
@@ -439,12 +436,7 @@ func (c *certifier) prune() {
 }
 
 func (c *certifier) noForeignInArc(inst *txnInst) bool {
-	for v := inst.first; v < inst.end(); v++ {
-		if c.g.HasPredecessorOutside(v, inst.first, inst.end()-1) {
-			return false
-		}
-	}
-	return true
+	return inst.n == 0 || !c.g.HasPredecessorOutside(inst.first, inst.end()-1)
 }
 
 // SetLowWater implements Retirer: the engine's low-water mark is the
@@ -549,11 +541,21 @@ func (c *certifier) sweepStranded() {
 	if len(c.committed) == 0 {
 		return
 	}
-	reached := make(map[int]bool)
-	var stack []int
+	// Arcs join resident vertices only, so the resident instances' span
+	// holds everything reachable; the reached set is indexed from its low
+	// end.
+	lo, hi := math.MaxInt, 0
+	//rsvet:allow detlint -- order-insensitive: a minimum and a maximum
+	for _, inst := range c.insts {
+		lo, hi = min(lo, inst.first), max(hi, inst.end())
+	}
+	words := (max(hi-lo, 0) + 63) / 64
+	c.reached = slices.Grow(c.reached[:0], words)[:words]
+	c.reached.Reset()
+	stack := c.sweepStack[:0]
 	visit := func(v int) {
-		if !reached[v] {
-			reached[v] = true
+		if !c.reached.Has(v - lo) {
+			c.reached.Set(v - lo)
 			stack = append(stack, v)
 		}
 	}
@@ -569,13 +571,12 @@ func (c *certifier) sweepStranded() {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, w := range c.g.Successors(v) {
-			visit(w)
-		}
+		c.g.VisitSuccessors(v, visit)
 	}
+	c.sweepStack = stack
 	c.evictCommitted(func(inst *txnInst) bool {
 		for v := inst.first; v < inst.end(); v++ {
-			if reached[v] {
+			if c.reached.Has(v - lo) {
 				return false
 			}
 		}
@@ -609,10 +610,14 @@ func (c *certifier) rebase() {
 	if c.execEntries == 0 {
 		return
 	}
-	gone := func(d dep) bool { return !d.src.resident }
+	// Operations of one instance can share a clock (see RSGT.Request),
+	// and filtering it for one of them leaves a zeroed tail in the
+	// other's view until that one is filtered too.
+	gone := func(d dep) bool { return d.src == nil || !d.src.resident }
 	live := 0
 	//rsvet:allow detlint -- order-insensitive: each object's suffix is computed independently
-	for obj, hist := range c.objHist {
+	for obj, h := range c.objHist {
+		hist := *h
 		anchor := 0
 		for i := len(hist) - 1; i >= 0; i-- {
 			if e := hist[i]; e.write && e.inst.alive() {
@@ -636,7 +641,7 @@ func (c *certifier) rebase() {
 			continue
 		}
 		clear(hist[len(kept):])
-		c.objHist[obj] = kept
+		*h = kept
 	}
 	//rsvet:allow detlint -- order-insensitive: filters each resident instance's clocks independently
 	for _, inst := range c.insts {

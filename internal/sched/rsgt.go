@@ -15,9 +15,9 @@ import (
 // It maintains the relative serialization graph (Definition 3)
 // incrementally as operations execute:
 //
-//   - at Begin, the instance's operations become vertices connected by
-//     I-arcs (the program, and hence every atomic-unit boundary, is
-//     declared up front);
+//   - at Begin, the instance's operations become one chain of vertices
+//     whose I-arcs are implicit in the graph (the program, and hence
+//     every atomic-unit boundary, is declared up front);
 //   - at Request, the operation's dependency clock is computed — for
 //     every other resident instance, the latest operation the request
 //     transitively depends on (the join of the clocks of the same
@@ -96,22 +96,14 @@ func NewSGT() *RSGT {
 // Name implements Protocol.
 func (p *RSGT) Name() string { return p.name }
 
-// Begin implements Protocol: materialize the program's vertices and
-// I-arcs, or the instance's one vertex under an absolute spec.
+// Begin implements Protocol: materialize the program's chain of
+// vertices, or the instance's one vertex under an absolute spec.
 func (p *RSGT) Begin(instance int64, program *core.Transaction) {
 	n := program.Len()
 	if p.absolute {
 		n = 1
 	}
-	inst := p.begin(instance, program, n)
-	if inst == nil {
-		return
-	}
-	for seq := 0; seq+1 < n; seq++ {
-		if err := p.g.AddArc(inst.vertex(seq), inst.vertex(seq+1)); err != nil {
-			panic(fmt.Sprintf("sched: I-arc on fresh vertices cycled: %v", err)) // unreachable
-		}
-	}
+	p.begin(instance, program, n)
 }
 
 // Request implements Protocol.
@@ -119,6 +111,10 @@ func (p *RSGT) Request(req OpRequest) Decision {
 	inst := p.requester(req)
 	write := req.Op.Kind == core.WriteOp
 	hist := p.objHist[req.Op.Object]
+	if hist == nil {
+		hist = new([]*execOp)
+		p.objHist[req.Op.Object] = hist
+	}
 	if p.absolute {
 		return p.requestConflict(req, inst, write, hist)
 	}
@@ -127,14 +123,16 @@ func (p *RSGT) Request(req OpRequest) Decision {
 	// and (for writes) the reads since it.
 	p.stamp++
 	p.frontier = p.frontier[:0]
+	var prev []dep
 	if req.Seq > 0 {
+		prev = inst.ops[req.Seq-1].clock
 		p.absorb(inst, inst.ops[req.Seq-1])
 	}
 	p.prior = p.prior[:0]
 	for _, d := range p.frontier {
 		p.prior = append(p.prior, d.seq)
 	}
-	for _, e := range p.covering(hist, write) {
+	for _, e := range p.covering(*hist, write) {
 		p.absorb(inst, e)
 	}
 
@@ -145,11 +143,12 @@ func (p *RSGT) Request(req OpRequest) Decision {
 	// that: the path exists only if reach[requester] contains A
 	// (instance-level closure) and the tail is >= minEntry[A] (the
 	// lowest sequence any outside path can reach in A).
-	minHead := math.MaxInt
+	minHead, advanced := math.MaxInt, false
 	for i, d := range p.frontier { // join kept only resident sources other than inst
 		if i < len(p.prior) && d.seq == p.prior[i] {
 			continue // implied through the requester's previous operation
 		}
+		advanced = true
 		for _, a := range p.induced(d.src, d.seq, inst, req.Seq) {
 			p.arc(d.src.vertex(a.tail), inst.vertex(a.head), d.src.slot, inst.slot, a.tail >= d.src.minEntry)
 			minHead = min(minHead, a.head)
@@ -165,8 +164,14 @@ func (p *RSGT) Request(req OpRequest) Decision {
 	}
 	inst.minEntry = min(inst.minEntry, minHead)
 
-	// Admission: record execution.
-	p.record(&execOp{inst: inst, seq: req.Seq, write: write, clock: slices.Clone(p.frontier)}, req.Op.Object, hist)
+	// Admission: record execution. A clock that advanced no entry over
+	// the previous operation's is that clock, less entries of sources no
+	// request joins any more: the operation shares it instead of a copy.
+	clock := prev
+	if advanced {
+		clock = slices.Clone(p.frontier)
+	}
+	p.record(&execOp{inst: inst, seq: req.Seq, write: write, clock: clock}, hist)
 	return Grant
 }
 
@@ -177,10 +182,10 @@ func (p *RSGT) Request(req OpRequest) Decision {
 // longer resident was committed and pruned, so it cannot be on a cycle.
 // The reach table is exact at transaction granularity, so the reach
 // bit alone decides suspicion.
-func (p *RSGT) requestConflict(req OpRequest, inst *txnInst, write bool, hist []*execOp) Decision {
+func (p *RSGT) requestConflict(req OpRequest, inst *txnInst, write bool, hist *[]*execOp) Decision {
 	p.stamp++
 	inst.stamp = p.stamp
-	for _, e := range p.covering(hist, write) {
+	for _, e := range p.covering(*hist, write) {
 		if src := e.inst; src.resident && src.stamp != p.stamp {
 			src.stamp = p.stamp
 			p.arc(src.first, inst.first, src.slot, inst.slot, true)
@@ -192,7 +197,7 @@ func (p *RSGT) requestConflict(req OpRequest, inst *txnInst, write bool, hist []
 		}
 		return Abort
 	}
-	p.record(&execOp{inst: inst, seq: req.Seq, write: write}, req.Op.Object, hist)
+	p.record(&execOp{inst: inst, seq: req.Seq, write: write}, hist)
 	return Grant
 }
 
