@@ -2,30 +2,32 @@ package relser_test
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
+	"go/types"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"testing"
+
+	"relser/internal/analysis/load"
 )
 
 // callerExemptDirs hold exported API kept without a non-test caller.
 var callerExemptDirs = map[string]string{
-	".":                 "the relser facade is public API",
-	"internal/core":     "the paper's model: tests use it as the reference",
-	"internal/chopping": "the paper's model: tests use it as the reference",
+	".":                              "the relser facade is public API",
+	"internal/core":                  "the paper's model: tests use it as the reference",
+	"internal/chopping":              "the paper's model: tests use it as the reference",
+	"internal/analysis/analysistest": "test support: the analyzers' fixture tests are its callers",
 }
 
-// callerExemptFuncs are test oracles, keyed by directory and name.
+// callerExemptFuncs are kept without a caller for a stated reason,
+// keyed by directory and name, a method's name qualified by its
+// receiver type.
 var callerExemptFuncs = map[string]string{
-	"internal/graph.TransitiveClosure": "the reachability reference RSGT's derived labels are checked against",
+	"internal/graph.Dense.TransitiveClosure": "test oracle: the reachability reference RSGT's derived labels are checked against",
+	"benchmark.timedSink.AppendSync":         "the ladder's frozen WAL decorator; the engine acks through AppendAck and AwaitAck (ROADMAP item 1(h))",
 }
 
 // callerExemptMethods satisfy an interface whose caller is outside the
-// tree (the standard library), so no selector names them.
+// tree (the standard library), so no file of the tree names them.
 var callerExemptMethods = map[string]string{
 	"String": "fmt.Stringer",
 	"Error":  "error",
@@ -34,100 +36,127 @@ var callerExemptMethods = map[string]string{
 
 // TestExportedFuncsHaveCallers fails on any exported function or method,
 // in either module (the root and benchmark/), that no non-test file
-// references. The scan is by name: a package-level function counts as
-// called when its package mentions it or an importer selects it; a
-// method counts as called when any non-test file selects that method
-// name on anything. Test-only API is dead weight the tree must still
-// keep compiling; delete it, or call it.
+// refers to. References are resolved with go/types, so a method counts
+// as called only when its own receiver type's method is selected,
+// directly or through an embedding type, or when a file calls a
+// same-named method of an interface the receiver type implements. A
+// function's references from its own body do not count. Test-only API is
+// dead weight the tree must still keep compiling; delete it, or call it.
 func TestExportedFuncsHaveCallers(t *testing.T) {
-	type decl struct {
-		dir, name string
-		method    bool
-		pos       token.Position
-	}
-	var decls []decl
-	funcRefs := map[string]bool{}   // dir + "." + name
-	methodRefs := map[string]bool{} // selected names
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		imports := map[string]string{} // local name -> directory
-		for _, spec := range f.Imports {
-			p, _ := strconv.Unquote(spec.Path.Value)
-			if p != "relser" && !strings.HasPrefix(p, "relser/") {
-				continue
-			}
-			local := p[strings.LastIndex(p, "/")+1:]
-			if spec.Name != nil {
-				local = spec.Name.Name
-			}
-			imports[local] = strings.TrimPrefix(strings.TrimPrefix(p, "relser"), "/")
-			if imports[local] == "" {
-				imports[local] = "."
-			}
-		}
-		declared := map[*ast.Ident]bool{}
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declared[fn.Name] = true
-			if fn.Name.IsExported() {
-				decls = append(decls, decl{dir: dir, name: fn.Name.Name, method: fn.Recv != nil, pos: fset.Position(fn.Pos())})
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				methodRefs[n.Sel.Name] = true
-				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					funcRefs[imports[x.Name]+"."+n.Sel.Name] = true
-				}
-			case *ast.Ident:
-				if !declared[n] {
-					funcRefs[dir+"."+n.Name] = true
-				}
-			}
-			return true
-		})
-		return nil
-	})
+	root, err := filepath.Abs(".")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var pkgs []*load.Package
+	for _, module := range []string{root, filepath.Join(root, "benchmark")} {
+		ps, err := load.Packages(module, "./...")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, ps...)
+	}
+
+	// The two modules are type-checked separately, so one function is a
+	// different object in each; its full name is the same in both.
+	used := map[string]bool{}
+	var ifaceCalls []*types.Func
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				var self types.Object
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					self = pkg.TypesInfo.Defs[fd.Name]
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					fn, ok := pkg.TypesInfo.Uses[id].(*types.Func)
+					if !ok || fn == self {
+						return true
+					}
+					fn = fn.Origin()
+					used[fn.FullName()] = true
+					if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+						ifaceCalls = append(ifaceCalls, fn)
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	// implements reports, by method names alone (the two modules' types
+	// are not identical to each other), whether recv's method set covers
+	// the interface that declares m.
+	implements := func(recv types.Type, m *types.Func) bool {
+		iface := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+		if _, ok := recv.(*types.Pointer); !ok {
+			recv = types.NewPointer(recv)
+		}
+		mset := types.NewMethodSet(recv)
+		names := map[string]bool{}
+		for i := range mset.Len() {
+			names[mset.At(i).Obj().Name()] = true
+		}
+		for i := range iface.NumMethods() {
+			if !names[iface.Method(i).Name()] {
+				return false
+			}
+		}
+		return true
+	}
+
+	deref := func(t types.Type) types.Type {
+		if p, ok := t.(*types.Pointer); ok {
+			return p.Elem()
+		}
+		return t
+	}
 	var dead []string
-	for _, d := range decls {
-		if _, ok := callerExemptDirs[d.dir]; ok {
+	for _, pkg := range pkgs {
+		dir, err := filepath.Rel(root, pkg.Dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir = filepath.ToSlash(dir)
+		if _, ok := callerExemptDirs[dir]; ok {
 			continue
 		}
-		if _, ok := callerExemptFuncs[d.dir+"."+d.name]; ok {
-			continue
-		}
-		if d.method {
-			if _, ok := callerExemptMethods[d.name]; ok || methodRefs[d.name] {
+		for id, obj := range pkg.TypesInfo.Defs {
+			fn, ok := obj.(*types.Func)
+			if !ok || !fn.Exported() || used[fn.FullName()] {
 				continue
 			}
-		} else if funcRefs[d.dir+"."+d.name] {
-			continue
+			recv := fn.Type().(*types.Signature).Recv()
+			key := dir + "." + fn.Name()
+			if recv != nil {
+				if named, ok := types.Unalias(deref(recv.Type())).(*types.Named); ok {
+					key = dir + "." + named.Obj().Name() + "." + fn.Name()
+				}
+			}
+			if _, ok := callerExemptFuncs[key]; ok {
+				continue
+			}
+			switch {
+			case recv == nil:
+			case types.IsInterface(recv.Type()):
+				continue // an interface's method is its implementations' contract
+			default:
+				if _, ok := callerExemptMethods[fn.Name()]; ok {
+					continue
+				}
+				named := false
+				for _, m := range ifaceCalls {
+					named = named || m.Name() == fn.Name() && implements(recv.Type(), m)
+				}
+				if named {
+					continue
+				}
+			}
+			dead = append(dead, pkg.Fset.Position(id.Pos()).String()+": "+fn.FullName())
 		}
-		dead = append(dead, d.pos.String()+": "+d.name)
 	}
 	sort.Strings(dead)
 	for _, d := range dead {

@@ -66,14 +66,6 @@ func (n *Node) Name() string {
 	return string(n.ID[strings.LastIndexByte(string(n.ID), '.')+1:])
 }
 
-// Pos returns the function's position.
-func (n *Node) Pos() token.Pos {
-	if n.Decl != nil {
-		return n.Decl.Pos()
-	}
-	return n.Lit.Pos()
-}
-
 // Doc returns the declaration's doc comment (nil for literals).
 func (n *Node) Doc() *ast.CommentGroup {
 	if n.Decl != nil {

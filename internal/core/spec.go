@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -51,28 +52,27 @@ func (sp *Spec) Clone() *Spec {
 // a no-op). Pairs with no boundaries stay absolute.
 func SpecFromCuts(ts *TxnSet, cuts func(a, b *Transaction) []int) (*Spec, error) {
 	sp := NewSpec(ts)
-	var lens []int
 	for _, a := range ts.Txns() {
 		for _, b := range ts.Txns() {
 			if a == b {
 				continue
 			}
 			cs := cuts(a, b)
+			if n := len(cs); n > 0 && cs[n-1] == a.Len() {
+				cs = cs[:n-1]
+			}
 			if len(cs) == 0 {
 				continue
 			}
-			lens = lens[:0]
-			prev := 0
-			for _, p := range cs {
-				lens = append(lens, p-prev)
-				prev = p
+			for k, p := range cs {
+				if p <= 0 || p >= a.Len() || k > 0 && p <= cs[k-1] {
+					return nil, fmt.Errorf("core: Atomicity(T%d, T%d): boundaries %v are not ascending within (0, %d)", a.ID, b.ID, cs, a.Len())
+				}
 			}
-			if rest := a.Len() - prev; rest > 0 {
-				lens = append(lens, rest)
-			}
-			if err := sp.SetUnits(a.ID, b.ID, lens...); err != nil {
-				return nil, err
-			}
+			// Kept, not copied: an oracle answers from per-program
+			// tables, so the pairs of one program share one slice, and
+			// CutAfter copies a pair's boundaries before it edits them.
+			sp.storeCuts(a.ID, b.ID, cs)
 		}
 	}
 	return sp, nil
@@ -125,10 +125,9 @@ func (sp *Spec) CutAfter(i, j TxnID, seq int) error {
 	if k < len(cuts) && cuts[k] == p {
 		return nil
 	}
-	cuts = append(cuts, 0)
-	copy(cuts[k+1:], cuts[k:])
-	cuts[k] = p
-	sp.storeCuts(i, j, cuts)
+	// A copy: the pair may share its boundaries with others (see
+	// SpecFromCuts).
+	sp.storeCuts(i, j, slices.Insert(slices.Clip(cuts), k, p))
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -127,6 +128,38 @@ func TestSpecCutAfter(t *testing.T) {
 	}
 	if err := sp.CutAfter(1, 2, 7); err == nil {
 		t.Error("out-of-range cut accepted")
+	}
+}
+
+// TestSpecFromCutsSharesOracleSlices: SpecFromCuts keeps the oracle's
+// slice for every pair it answers, and a later CutAfter on one pair
+// edits a copy, never the slice the oracle and the other pairs share.
+func TestSpecFromCutsSharesOracleSlices(t *testing.T) {
+	ts := core.MustTxnSet(
+		core.T(1, core.R("a"), core.R("b"), core.R("c"), core.R("d")),
+		core.T(2, core.W("a")), core.T(3, core.W("b")))
+	split := make([]int, 1, 4) // spare capacity an in-place insert would write into
+	split[0] = 2
+	sp, err := core.SpecFromCuts(ts, func(a, _ *core.Transaction) []int {
+		if a.ID == 1 {
+			return split
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.CutAfter(1, 2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := sp.Cuts(1, 2); !slices.Equal(got, []int{1, 2}) {
+		t.Fatalf("Cuts(1, 2) = %v after CutAfter, want [1 2]", got)
+	}
+	if got := sp.Cuts(1, 3); !slices.Equal(got, []int{2}) || !slices.Equal(split[:cap(split)], []int{2, 0, 0, 0}) {
+		t.Fatalf("CutAfter on (1, 2) reached the shared slice: Cuts(1, 3) = %v, oracle's array %v", got, split[:cap(split)])
+	}
+	if _, err := core.SpecFromCuts(ts, func(a, _ *core.Transaction) []int { return []int{2, 2} }); err == nil {
+		t.Fatal("repeated boundary accepted")
 	}
 }
 

@@ -188,7 +188,7 @@ func TestStepVerdicts(t *testing.T) {
 					t.Fatalf("setup step of T%d: %+v", i+1, v)
 				}
 			}
-			hooks, events := nil, buf.Len()
+			hooks, events := nil, len(buf.Events())
 			if v := step(tc.ctx, insts[tc.last]); v != tc.want {
 				t.Errorf("verdict %+v, want %+v", v, tc.want)
 			}

@@ -263,14 +263,6 @@ func New(seed int64, spec Spec) *Injector {
 	return in
 }
 
-// Seed returns the injector's seed.
-func (in *Injector) Seed() int64 {
-	if in == nil {
-		return 0
-	}
-	return in.seed
-}
-
 // Spec returns the armed spec.
 func (in *Injector) Spec() Spec {
 	if in == nil {

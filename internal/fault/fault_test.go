@@ -123,7 +123,7 @@ func TestNilInjectorSafe(t *testing.T) {
 	if fired, _ := in.FireCut(WALTorn, 10); fired {
 		t.Fatal("nil injector FireCut fired")
 	}
-	if in.Latency(StoreReadDelay) != 0 || in.Seed() != 0 {
+	if in.Latency(StoreReadDelay) != 0 {
 		t.Fatal("nil injector leaked values")
 	}
 	if in.Schedule() != nil || in.Fingerprint() != "none" {

@@ -45,15 +45,34 @@ func (b Bitset) Has(i int) bool {
 	return b[w]&(1<<uint(i%wordBits)) != 0
 }
 
-// UnionWith adds every element of other to b. The sets must have the
-// same capacity.
-func (b Bitset) UnionWith(other Bitset) {
+// UnionWith adds every element of other to b and reports whether b
+// gained one. The sets must have the same capacity.
+func (b Bitset) UnionWith(other Bitset) bool {
 	if len(b) != len(other) {
 		panic(fmt.Sprintf("graph: UnionWith capacity mismatch %d != %d", len(b)*wordBits, len(other)*wordBits))
 	}
+	changed := false
 	for i, w := range other {
-		b[i] |= w
+		if b[i]|w != b[i] {
+			b[i] |= w
+			changed = true
+		}
 	}
+	return changed
+}
+
+// Intersects reports whether b and other share an element. The sets
+// must have the same capacity.
+func (b Bitset) Intersects(other Bitset) bool {
+	if len(b) != len(other) {
+		panic(fmt.Sprintf("graph: Intersects capacity mismatch %d != %d", len(b)*wordBits, len(other)*wordBits))
+	}
+	for i, w := range other {
+		if b[i]&w != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Count returns the number of elements in the set.
@@ -70,13 +89,6 @@ func (b Bitset) Reset() {
 	for i := range b {
 		b[i] = 0
 	}
-}
-
-// Clone returns an independent copy of b.
-func (b Bitset) Clone() Bitset {
-	c := make(Bitset, len(b))
-	copy(c, b)
-	return c
 }
 
 // ForEach calls fn for every element in ascending order. If fn returns

@@ -54,7 +54,18 @@ func TestBitsetUnion(t *testing.T) {
 	b.Set(70)
 	b.Set(90)
 	u := a.Clone()
-	u.UnionWith(b)
+	if !u.UnionWith(b) {
+		t.Fatal("UnionWith gaining 90 reported no change")
+	}
+	if u.UnionWith(b) || u.UnionWith(a) {
+		t.Fatal("UnionWith of a subset reported a change")
+	}
+	if !a.Intersects(b) || !b.Intersects(u) {
+		t.Fatal("sets sharing 70 reported disjoint")
+	}
+	if c := NewBitset(128); c.Intersects(u) {
+		t.Fatal("empty set intersects")
+	}
 	want := []int{3, 70, 90}
 	got := u.Elements()
 	if len(got) != len(want) {

@@ -75,11 +75,6 @@ func (c *chainPair) check(step int, rng *rand.Rand) {
 		if a, b := c.impl.FindPath(u, v), c.expl.FindPath(u, v); !slices.Equal(a, b) {
 			c.t.Fatalf("step %d: FindPath(%d, %d) = %v, explicit %v", step, u, v, a, b)
 		}
-		if hi := u + rng.Intn(3); hi < len(c.owner) && c.owner[hi] == c.owner[u] && !c.impl.Retired(hi) {
-			if c.impl.HasPredecessorOutside(u, hi) != c.expl.HasPredecessorOutside(u, hi) {
-				c.t.Fatalf("step %d: HasPredecessorOutside(%d, %d) differs", step, u, hi)
-			}
-		}
 	}
 }
 

@@ -89,13 +89,6 @@ func (inc *Incremental) Len() int { return inc.g.Len() }
 // the structure's lifetime.
 func (inc *Incremental) RetiredCount() int { return inc.retired }
 
-// Retired reports whether the external vertex ID has been retired.
-// IDs never handed out by AddVertex panic.
-func (inc *Incremental) Retired(x int) bool {
-	_, live := inc.intOf(x)
-	return !live
-}
-
 // intOf translates an external ID to its internal vertex; the second
 // result is false when the vertex has been retired.
 func (inc *Incremental) intOf(x int) (int, bool) {
@@ -160,34 +153,6 @@ func (inc *Incremental) AddChain(n int) int {
 	}
 	inc.links += max(n-1, 0)
 	return x
-}
-
-// HasArc reports whether the arc u -> v is present. Retired endpoints
-// have no arcs.
-func (inc *Incremental) HasArc(u, v int) bool {
-	iu, okU := inc.intOf(u)
-	iv, okV := inc.intOf(v)
-	if !okU || !okV {
-		return false
-	}
-	return iv == iu+1 && inc.link[iu] || inc.g.HasArc(iu, iv)
-}
-
-// ArcCount returns the number of distinct arcs.
-func (inc *Incremental) ArcCount() int { return inc.g.ArcCount() + inc.links }
-
-// Order returns the current topological position of v among the live
-// vertices; if u precedes v in every linear extension seen so far then
-// Order(u) < Order(v). Retired vertices return -1. Positions are
-// recomputed by retirement compaction, so they are only comparable
-// between calls with no intervening Retire.
-func (inc *Incremental) Order(v int) int {
-	iv, ok := inc.intOf(v)
-	if !ok {
-		return -1
-	}
-	inc.mustSettle()
-	return inc.ord[iv]
 }
 
 // AddArc inserts u -> v, restoring a valid topological order. If the
@@ -258,10 +223,6 @@ func (inc *Incremental) isolate(v int) {
 // order; nil for retired vertices.
 func (inc *Incremental) Successors(u int) []int { return inc.adjacent(u, true) }
 
-// Predecessors returns the predecessors of u in ascending external-ID
-// order; nil for retired vertices.
-func (inc *Incremental) Predecessors(u int) []int { return inc.adjacent(u, false) }
-
 func (inc *Incremental) adjacent(u int, fwd bool) []int {
 	iu, ok := inc.intOf(u)
 	if !ok {
@@ -274,38 +235,10 @@ func (inc *Incremental) adjacent(u int, fwd bool) []int {
 	return out
 }
 
-// InDegree returns the number of distinct predecessors of u (zero once
-// retired).
-func (inc *Incremental) InDegree(u int) int {
-	iu, ok := inc.intOf(u)
-	if !ok {
-		return 0
-	}
-	return inc.g.InDegree(iu) + inc.chained(iu-1)
-}
-
-// OutDegree returns the number of distinct successors of u (zero once
-// retired).
-func (inc *Incremental) OutDegree(u int) int {
-	iu, ok := inc.intOf(u)
-	if !ok {
-		return 0
-	}
-	return inc.g.OutDegree(iu) + inc.chained(iu)
-}
-
-// chained is 1 if the chain arc v -> v+1 is present, else 0.
-func (inc *Incremental) chained(v int) int {
-	if v >= 0 && inc.link[v] {
-		return 1
-	}
-	return 0
-}
-
-// VisitSuccessors calls fn on each successor of the live vertex u in
-// ascending external-ID order, reading the adjacency in place.
-func (inc *Incremental) VisitSuccessors(u int, fn func(v int)) {
-	for it := inc.adj(inc.mustInt(u), true); it.more(); {
+// VisitPredecessors calls fn on each predecessor of the live vertex u
+// in ascending external-ID order, reading the adjacency in place.
+func (inc *Incremental) VisitPredecessors(u int, fn func(v int)) {
+	for it := inc.adj(inc.mustInt(u), false); it.more(); {
 		fn(inc.ext[it.next()])
 	}
 }
@@ -341,20 +274,6 @@ func (it *adjIter) next() int {
 	v := it.row[0].v
 	it.row = it.row[1:]
 	return v
-}
-
-// HasPredecessorOutside reports whether a vertex with an ID in the
-// live range [lo, hi] has a predecessor outside it, without
-// allocating. A scheduler that gives each transaction a chain of
-// vertices asks it "does another transaction point into this one".
-func (inc *Incremental) HasPredecessorOutside(lo, hi int) bool {
-	// ext is monotone in the internal index, so the range carries over.
-	ilo, ihi := inc.mustInt(lo), inc.mustInt(hi)
-	out := ilo > 0 && inc.link[ilo-1]
-	for v := ilo; v <= ihi && !out; v++ {
-		out = inc.g.hasPredecessorOutside(v, ilo, ihi)
-	}
-	return out
 }
 
 // toExt maps internal vertices to external IDs in place. ext is
@@ -765,55 +684,6 @@ func (inc *Incremental) FindPath(from, to int) []int {
 			}
 			stack = append(stack, s)
 		}
-	}
-	return nil
-}
-
-// TopoOrder returns the maintained topological order of the live
-// vertices as a slice of external IDs.
-func (inc *Incremental) TopoOrder() []int {
-	inc.mustSettle()
-	out := make([]int, len(inc.pos))
-	copy(out, inc.pos)
-	return inc.toExt(out)
-}
-
-// Verify checks the internal invariants (ord/pos inverse bijection,
-// every arc forward in the order, external-ID indirection consistent).
-// It is used by tests and is cheap enough to call in debug builds.
-func (inc *Incremental) Verify() error {
-	inc.mustSettle()
-	for v, o := range inc.ord {
-		if inc.pos[o] != v {
-			return errors.New("graph: ord/pos bijection broken")
-		}
-	}
-	n := inc.g.Len()
-	for u := 0; u < n; u++ {
-		for it := inc.adj(u, true); it.more(); {
-			if inc.ord[u] >= inc.ord[it.next()] {
-				return errors.New("graph: arc violates maintained topological order")
-			}
-		}
-	}
-	if len(inc.ext) != n || len(inc.link) != n || n > 0 && inc.link[n-1] {
-		return errors.New("graph: ext or chain flags diverged from the vertices")
-	}
-	live := 0
-	for i, v := range inc.intIdx {
-		if v < 0 {
-			continue
-		}
-		live++
-		if v >= n || inc.ext[v] != inc.base+i {
-			return errors.New("graph: external-ID indirection broken")
-		}
-	}
-	if live != n {
-		return errors.New("graph: intIdx live count diverged from vertex count")
-	}
-	if n > len(inc.mark)*wordBits {
-		return errors.New("graph: mark bitset under-allocated")
 	}
 	return nil
 }

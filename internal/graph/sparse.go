@@ -114,9 +114,6 @@ func (g *Sparse) HasArc(u, v int) bool {
 	return ok
 }
 
-// ArcCount returns the number of distinct arcs.
-func (g *Sparse) ArcCount() int { return g.nArcs }
-
 // IsolateVertex removes every arc incident to u, leaving the vertex in
 // place (vertex indices are stable handles for callers). u's own rows
 // are released, not kept for reuse: a vertex that is isolated is
@@ -156,7 +153,7 @@ func dropFrom(row []arcEnd, v int) []arcEnd {
 // must already be isolated: a dangling arc touching one always
 // indicates a bookkeeping bug in the caller, so Compact panics rather
 // than silently dropping it, as it does on a remap that reorders.
-// Retirement epochs use this to reclaim the adjacency slots of pruned
+// Retirement epochs use this to reclaim the adjacency slots of evicted
 // transactions.
 func (g *Sparse) Compact(remap []int, m int) {
 	if len(remap) != len(g.succ) {
@@ -210,24 +207,6 @@ func shrink[S ~[]E, E any](s S, live, n int) S {
 		return append(make(S, 0, 2*live), s...)
 	}
 	return s
-}
-
-// hasPredecessorOutside reports whether u has a predecessor outside
-// [lo, hi]: the row is sorted, so only its ends need looking at.
-func (g *Sparse) hasPredecessorOutside(u, lo, hi int) bool {
-	row := g.pred[u]
-	return len(row) > 0 && (row[0].v < lo || row[len(row)-1].v > hi)
-}
-
-// OutDegree returns the number of distinct successors of u.
-func (g *Sparse) OutDegree(u int) int { return len(g.succ[u]) }
-
-// InDegree returns the number of distinct predecessors of u.
-func (g *Sparse) InDegree(u int) int { return len(g.pred[u]) }
-
-// HasCycle reports whether the graph contains a directed cycle.
-func (g *Sparse) HasCycle() bool {
-	return g.FindCycleFrom(-1) != nil
 }
 
 // FindCycleFrom returns a directed cycle as a vertex sequence, or nil
@@ -287,26 +266,4 @@ func (g *Sparse) FindCycleFrom(start int) []int {
 		}
 	}
 	return nil
-}
-
-// ReachableFrom reports whether target is reachable from source via one
-// or more arcs.
-func (g *Sparse) ReachableFrom(source, target int) bool {
-	n := len(g.succ)
-	seen := NewBitset(n)
-	stack := []int{source}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.succ[u] {
-			if e.v == target {
-				return true
-			}
-			if !seen.Has(e.v) {
-				seen.Set(e.v)
-				stack = append(stack, e.v)
-			}
-		}
-	}
-	return false
 }

@@ -91,11 +91,11 @@ func TestSparseCycleDetection(t *testing.T) {
 	g.AddArc(0, 1)
 	g.AddArc(1, 2)
 	g.AddArc(2, 3)
-	if g.HasCycle() {
+	if g.FindCycleFrom(-1) != nil {
 		t.Fatal("path reported cyclic")
 	}
 	g.AddArc(3, 1)
-	if !g.HasCycle() {
+	if g.FindCycleFrom(-1) == nil {
 		t.Fatal("cycle 1->2->3->1 not detected")
 	}
 	cyc := g.FindCycleFrom(-1)
@@ -120,26 +120,6 @@ func TestSparseFindCycleFromScoped(t *testing.T) {
 	}
 	if cyc := g.FindCycleFrom(0); cyc == nil {
 		t.Fatal("FindCycleFrom(0) missed the reachable cycle")
-	}
-}
-
-func TestSparseReachableFrom(t *testing.T) {
-	g := NewSparse(5)
-	g.AddArc(0, 1)
-	g.AddArc(1, 2)
-	g.AddArc(3, 4)
-	if !g.ReachableFrom(0, 2) {
-		t.Error("2 should be reachable from 0")
-	}
-	if g.ReachableFrom(0, 4) {
-		t.Error("4 should not be reachable from 0")
-	}
-	if g.ReachableFrom(0, 0) {
-		t.Error("0 is not on a cycle; should not be self-reachable")
-	}
-	g.AddArc(2, 0)
-	if !g.ReachableFrom(0, 0) {
-		t.Error("0 lies on a cycle; should be self-reachable")
 	}
 }
 
@@ -174,8 +154,8 @@ func TestSparseCycleAgreesWithDense(t *testing.T) {
 				}
 			}
 		}
-		if s.HasCycle() != d.HasCycle() {
-			t.Fatalf("trial %d: sparse=%v dense=%v disagree", trial, s.HasCycle(), d.HasCycle())
+		if cyclic := s.FindCycleFrom(-1) != nil; cyclic != d.HasCycle() {
+			t.Fatalf("trial %d: sparse=%v dense=%v disagree", trial, cyclic, d.HasCycle())
 		}
 	}
 }
@@ -218,9 +198,9 @@ func (m *sparseModel) isolate(u int) {
 }
 
 // checkAgainstModel compares every observable of g with the model:
-// rows (sorted) and multiplicities in both directions, degrees, HasArc,
-// ArcCount and hasPredecessorOutside.
-func checkAgainstModel(t *testing.T, step int, g *Sparse, m *sparseModel, rng *rand.Rand) {
+// rows (sorted) and multiplicities in both directions, degrees, HasArc
+// and ArcCount.
+func checkAgainstModel(t *testing.T, step int, g *Sparse, m *sparseModel) {
 	t.Helper()
 	if g.Len() != m.n || g.ArcCount() != len(m.mult) {
 		t.Fatalf("step %d: Len=%d ArcCount=%d, model has %d vertices and %d arcs", step, g.Len(), g.ArcCount(), m.n, len(m.mult))
@@ -250,15 +230,6 @@ func checkAgainstModel(t *testing.T, step int, g *Sparse, m *sparseModel, rng *r
 			if g.HasArc(u, v) != (m.mult[[2]int{u, v}] > 0) {
 				t.Fatalf("step %d: HasArc(%d, %d) = %v", step, u, v, g.HasArc(u, v))
 			}
-		}
-		lo := rng.Intn(m.n)
-		hi := lo + rng.Intn(m.n-lo)
-		want := false
-		for _, p := range m.neighbours(u, false) {
-			want = want || p < lo || p > hi
-		}
-		if got := g.hasPredecessorOutside(u, lo, hi); got != want {
-			t.Fatalf("step %d: hasPredecessorOutside(%d, %d, %d) = %v, model %v", step, u, lo, hi, got, want)
 		}
 	}
 }
@@ -319,7 +290,7 @@ func TestSparseMatchesModel(t *testing.T) {
 				g.Grow(k)
 				m.n = k
 			}
-			checkAgainstModel(t, step, g, m, rng)
+			checkAgainstModel(t, step, g, m)
 		}
 	}
 }

@@ -229,13 +229,6 @@ func (r *Recorder) SetMetrics(reg *metrics.Registry) {
 	r.mu.Unlock()
 }
 
-// Manifest returns the recording's manifest.
-func (r *Recorder) Manifest() Manifest {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.m
-}
-
 // SetInitial anchors the recording to the run's initial store snapshot
 // (taken after Workload.Initial is loaded). Replay restores from this
 // anchor, so a recording replays without re-deriving state from any

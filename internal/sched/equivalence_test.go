@@ -10,10 +10,11 @@ package sched_test
 //
 // Both directions hold because the graphs the protocols build online
 // are exactly the offline graphs restricted to executed prefixes, and
-// committed-source pruning can never remove a cycle participant. So
-// the property is checked operation by operation: the first refusal
-// must land on the first executed prefix the offline test rejects,
-// whether retirement only prunes or flushes after every commit.
+// evicting a committed instance no live instance reaches can never
+// remove a cycle participant. So the property is checked operation by
+// operation: the first refusal must land on the first executed prefix
+// the offline test rejects, whether retirement runs only inside Commit
+// and Abort or also flushes after every commit.
 
 import (
 	"hash/fnv"
@@ -157,7 +158,8 @@ func firstRejected(s *core.Schedule, sp *core.Spec, oracle func(*core.Schedule, 
 }
 
 // matchesOracle replays s through p — with a retirement flush after
-// every commit when flush is set, otherwise pruning only — and fails
+// every commit when flush is set, otherwise only what Commit and Abort
+// retire — and fails
 // unless p refuses first exactly where the offline oracle first
 // rejects the executed prefix (or, on an acceptable schedule, grants
 // everything). It returns the oracle's position.
@@ -219,7 +221,7 @@ func TestPropertyRetiredSGTMatchesConflictSerializability(t *testing.T) {
 // the first operation where their decisions differ. Commit follows
 // each transaction's final granted operation on both sides; only the
 // retired side flushes retirement after it, while the baseline keeps
-// every committed vertex that pruning leaves (small corpora never
+// every committed vertex that the commit-time sweep leaves (small corpora never
 // reach the epoch thresholds). The replay stops at the first
 // non-Grant, like firstRefusal.
 func lockstep(t *testing.T, trial int, s *core.Schedule, base, retired sched.Protocol) {
@@ -467,7 +469,7 @@ func derivedLabelsMatchOffline(t *testing.T, trial int, s *core.Schedule, sp *co
 }
 
 // TestRSGTPruningBoundsGraph: sequential (non-overlapping)
-// transactions are pruned as they commit, so while hundreds of them
+// transactions leave the graph as they commit, so while hundreds of them
 // stream through — with no low-water mark and no flush — the graph
 // holds at most what the epoch rule lets the retirement queue reach.
 // SGT, RSGT's absolute special case, shares the certifier and the
@@ -489,12 +491,12 @@ func TestRSGTPruningBoundsGraph(t *testing.T) {
 				// The epoch fires once 64 vertices are queued and they are
 				// half the graph; queued vertices count in both fields.
 				if st := r.RetireStats(); st.LiveVertices+st.PendingRetire > 256 {
-					t.Fatalf("txn %d: live=%d pending=%d — pruning or the epoch rule not bounding the graph",
+					t.Fatalf("txn %d: live=%d pending=%d — the sweep or the epoch rule not bounding the graph",
 						i, st.LiveVertices, st.PendingRetire)
 				}
 			}
 			if st := r.RetireStats(); st.GraphEpochs == 0 {
-				t.Fatal("500 pruned transactions never triggered a graph epoch")
+				t.Fatal("500 committed transactions never triggered a graph epoch")
 			}
 		})
 	}

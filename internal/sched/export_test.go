@@ -14,3 +14,38 @@ func DonationRecords(p Protocol) int {
 	}
 	panic("sched: " + p.Name() + " has no donation core")
 }
+
+// Stranded returns the ids of the committed instances p's graph still
+// holds that no vertex of a live instance reaches, found by a plain
+// forward walk from every live vertex.
+func Stranded(p *RSGT) []int64 {
+	reached := map[int]bool{}
+	var stack []int
+	for _, inst := range p.live {
+		for v := inst.first; v < inst.end(); v++ {
+			reached[v] = true
+			stack = append(stack, v)
+		}
+	}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, w := range p.g.Successors(v) {
+			if !reached[w] {
+				reached[w] = true
+				stack = append(stack, w)
+			}
+		}
+	}
+	var out []int64
+	for _, inst := range p.committed {
+		hit := false
+		for v := inst.first; v < inst.end(); v++ {
+			hit = hit || reached[v]
+		}
+		if !hit {
+			out = append(out, inst.id)
+		}
+	}
+	return out
+}

@@ -12,9 +12,11 @@ import (
 
 // Bounded-memory certification: the graph-based protocols (RSGT, SGT —
 // RSGT under an absolute spec — and RAL via its embedded RSGT) share
-// one certifier. It retires the vertices of finished transactions in
-// count-based epoch batches and certifies the common no-suspected-cycle
-// case with a conservative vector-clock test, so scheduler memory
+// one certifier. One rule takes finished transactions out of the
+// graph: after every commit and abort, each committed instance that no
+// live instance reaches is evicted. Evicted vertices retire in
+// count-based epoch batches, and the common no-suspected-cycle case is
+// certified with a conservative vector-clock test, so scheduler memory
 // tracks the live transaction set instead of history.
 //
 // Epoch pacing is strictly count-based (pending work vs. live size);
@@ -32,12 +34,6 @@ const (
 	// total >= 2*retained rule the rebase cost is O(1) amortized per
 	// executed operation.
 	rebaseMinEntries = 1024
-	// strandedSweepMinInsts is the minimum number of committed
-	// instances still resident in the graph before a stranded-cluster
-	// reachability sweep runs; combined with the
-	// resident >= 2*last-sweep-survivors rule the sweep cost is O(1)
-	// amortized per committed transaction.
-	strandedSweepMinInsts = 64
 )
 
 // RetireStats reports a protocol's bounded-memory state: graph size,
@@ -74,19 +70,6 @@ func (s RetireStats) HitRate() float64 {
 	return float64(s.FastPathHits) / float64(total)
 }
 
-// Add accumulates other into s (for aggregating sharded or embedded
-// protocols).
-func (s *RetireStats) Add(other RetireStats) {
-	s.GraphEpochs += other.GraphEpochs
-	s.RetiredVertices += other.RetiredVertices
-	s.LiveVertices += other.LiveVertices
-	s.PendingRetire += other.PendingRetire
-	s.Rebases += other.Rebases
-	s.ExecEntries += other.ExecEntries
-	s.FastPathHits += other.FastPathHits
-	s.FastPathMisses += other.FastPathMisses
-}
-
 // Retirer is implemented by protocols that bound their memory by
 // retiring finished transactions' certification state. The engine
 // drives it: SetLowWater from the Admit/Commit stages (the pacemaker
@@ -102,7 +85,7 @@ type Retirer interface {
 	// another lifecycle call. Monotone; lower values are ignored.
 	SetLowWater(instance int64)
 	// FlushRetirement drains pending retirement work (queued vertices,
-	// stranded committed instances, overdue rebase) immediately.
+	// overdue rebase) immediately.
 	FlushRetirement()
 	// RetireStats reports the current bounded-memory state.
 	RetireStats() RetireStats
@@ -111,8 +94,9 @@ type Retirer interface {
 // txnInst is one transaction instance of a graph protocol. The object
 // histories refer to it by pointer, so whether a recorded source still
 // has vertices in the graph is read off the instance itself: resident
-// is cleared when the instance leaves the graph (abort, prune, sweep)
-// and never set again, because instance numbers are never reused.
+// is cleared when the instance leaves the graph (at its abort, or once
+// it has committed and no live instance reaches it) and never set
+// again, because instance numbers are never reused.
 type txnInst struct {
 	id      int64
 	program *core.Transaction
@@ -138,8 +122,13 @@ type txnInst struct {
 	// I-arcs (sequence-forward) connect vertices.
 	minEntry int
 
-	// Scratch of the request whose stamp matches: the instance has been
-	// visited as a source, and (RSGT) its position in RSGT.frontier.
+	// witness, once the instance has committed, is a live instance the
+	// retirement sweep found reaching it, if that one is still live.
+	witness *txnInst
+
+	// Scratch of the request or sweep whose stamp matches: the instance
+	// has been visited as a source, or its witness settled, and (RSGT)
+	// its position in RSGT.frontier.
 	stamp      uint64
 	frontierAt int
 }
@@ -152,6 +141,9 @@ func (in *txnInst) end() int { return in.first + int(in.n) }
 // alive reports whether the instance's executed operations still count
 // as conflict sources (it has not aborted).
 func (in *txnInst) alive() bool { return in.resident || in.committed }
+
+// live reports whether the instance is resident and has not committed.
+func (in *txnInst) live() bool { return in.resident && !in.committed }
 
 // execOp is one executed operation. On RSGT's per-operation path it
 // carries its dependency clock: for every other instance that was
@@ -173,8 +165,8 @@ type execOp struct {
 // their instances, object histories and retirement state. RSGT embeds
 // it, and its two paths (a vertex per operation, or one per instance
 // under an absolute spec) differ only in what a vertex is and which
-// arcs a request induces: everything else — Commit, Abort, pruning, the
-// stranded sweep, the history rebase, the clock table, the retirement
+// arcs a request induces: everything else — Commit, Abort, the
+// retirement sweep, the history rebase, the clock table, the retirement
 // queue and the epoch rule — lives here.
 //
 // A request is a batch: the protocol calls arc for every arc the
@@ -191,14 +183,17 @@ type certifier struct {
 	g *graph.Incremental
 
 	insts map[int64]*txnInst // resident instances: vertices in the graph
-	// committed lists the committed resident instances in ascending id
-	// order: the prune and stranded-sweep candidates.
+	// live lists the resident instances that have not committed, in no
+	// particular order; committed lists the committed resident instances
+	// in ascending id order, the sweep's candidates.
+	live      []*txnInst
 	committed []*txnInst
 	// objHist is, per object, the executed operations on it in execution
 	// order (the conflict sources of the next access), held by pointer
 	// so that recording one needs no second map access.
 	objHist map[string]*[]*execOp
-	// stamp numbers the request being decided (see txnInst.stamp);
+	// stamp numbers the request or sweep being decided (see
+	// txnInst.stamp);
 	// sources is covering's scratch.
 	stamp   uint64
 	sources []*execOp
@@ -214,17 +209,17 @@ type certifier struct {
 	fastHits    int64
 	fastMisses  int64
 
-	// execEntries counts the executed operations the index holds,
-	// lastRebaseLive is what the last rebase kept of them, and
-	// lastSweepResident is len(committed) after the last stranded-cluster
-	// sweep (the doubling bases for the next rebase and sweep).
-	execEntries       int
-	lastRebaseLive    int
-	rebases           int64
-	lastSweepResident int
-	// The stranded sweep's reached set and stack, reused across sweeps.
-	reached    graph.Bitset
-	sweepStack []int
+	// execEntries counts the executed operations the index holds, and
+	// lastRebaseLive is what the last rebase kept of them (the doubling
+	// base for the next rebase).
+	execEntries    int
+	lastRebaseLive int
+	rebases        int64
+	// The sweep's vertex sets over the resident span (liveVerts: a live
+	// instance's; seen: met by a walk that found no live vertex, or by
+	// the walk in progress) and its walk's queue, reused across sweeps.
+	liveVerts, seen graph.Bitset
+	walk            []int
 
 	// The current request's batch, reused across requests.
 	arcs     [][2]int
@@ -247,10 +242,12 @@ func (c *certifier) begin(instance int64, program *core.Transaction, n int) {
 	if _, ok := c.insts[instance]; ok {
 		return
 	}
-	c.insts[instance] = &txnInst{
+	inst := &txnInst{
 		id: instance, program: program, first: c.g.AddChain(n), n: int32(n), resident: true,
 		ops: make([]*execOp, 0, program.Len()), slot: c.rt.alloc(), minEntry: math.MaxInt,
 	}
+	c.insts[instance] = inst
+	c.live = append(c.live, inst)
 }
 
 // requester returns the instance of req, which must be resident and
@@ -308,8 +305,8 @@ func (c *certifier) arc(u, w, srcSlot, reqSlot int, mayReach bool) {
 	if mayReach && c.rt.reaches(reqSlot, srcSlot) {
 		c.suspect = true
 	}
-	if !c.rt.seen.has(srcSlot) {
-		c.rt.seen.set(srcSlot)
+	if !c.rt.seen.Has(srcSlot) {
+		c.rt.seen.Set(srcSlot)
 		c.srcSlots = append(c.srcSlots, srcSlot)
 	}
 }
@@ -322,7 +319,7 @@ func (c *certifier) admit(reqSlot int) (refused [][2]int) {
 	arcs, srcs, suspect := c.arcs, c.srcSlots, c.suspect
 	c.arcs, c.srcSlots, c.suspect = arcs[:0], srcs[:0], false
 	for _, s := range srcs {
-		c.rt.seen.clear(s)
+		c.rt.seen.Clear(s)
 	}
 	if !suspect {
 		c.fastHits++
@@ -370,11 +367,11 @@ func (c *certifier) Commit(instance int64) {
 		return
 	}
 	inst.committed = true
+	c.unlive(inst)
 	at := sort.Search(len(c.committed), func(i int) bool { return c.committed[i].id > instance })
 	c.committed = slices.Insert(c.committed, at, inst)
-	c.prune()
+	c.sweep()
 	c.maybeRetire()
-	c.maybeSweep()
 }
 
 // Abort implements Protocol: drop the instance's vertices from the
@@ -386,9 +383,17 @@ func (c *certifier) Abort(instance int64) {
 	if inst == nil {
 		return
 	}
+	c.unlive(inst)
 	c.evict(inst)
-	c.prune()
+	c.sweep()
 	c.maybeRetire()
+}
+
+// unlive removes inst from the live list.
+func (c *certifier) unlive(inst *txnInst) {
+	i, last := slices.Index(c.live, inst), len(c.live)-1
+	c.live[i], c.live[last] = c.live[last], nil
+	c.live = c.live[:last]
 }
 
 // evict removes a finished instance from the resident set: its
@@ -404,39 +409,145 @@ func (c *certifier) evict(inst *txnInst) {
 	c.rt.release(inst.slot)
 	delete(c.insts, inst.id)
 	inst.resident = false
-	inst.ops = nil
+	inst.ops, inst.witness = nil, nil
 }
 
-// evictCommitted evicts the committed resident instances, visited in
-// ascending id order, for which gone reports true, and reports whether
-// there was one.
-func (c *certifier) evictCommitted(gone func(*txnInst) bool) bool {
+// sweep evicts, in ascending id order, every committed resident
+// instance that no vertex of a live instance reaches. Such an instance
+// can never rejoin a cycle: arcs into a finished instance all predate
+// its finish, and every new arc ends at a live requester's vertex, so a
+// path from any later transaction into it would have to run through a
+// vertex that is live right now — and none reaches it. Skipping future
+// arcs out of evicted sources (only resident sources induce arcs) is
+// sound for the same reason: a cycle through such an arc u -> v needs a
+// path v -> u, and v is a live requester's vertex. The rule is exact
+// for relative atomicity too, which admits instance-level interleavings
+// (A depends on B and B on A through different atomic units) that keep
+// a committed cluster's members pointing into each other long after
+// every live instance has stopped reaching it. Run after every commit
+// and abort, it keeps every resident committed instance reachable from
+// a live one; under an absolute spec, where one vertex is one
+// transaction, that is exactly the committed instances whose in-arcs
+// lead back to a live one.
+//
+// A committed instance keeps, as its witness, the live instance that
+// was found reaching it, and while that one stays live the path does
+// too: its other vertices are committed ones, which leave the graph
+// only unreached, and arcs are only ever added. Once the witness has
+// committed, a one-vertex witness still reached passes on its own
+// witness, which reaches the whole of it. Otherwise the sweep walks
+// back from the instance's last vertex, which its chain reaches from
+// every other one, to the first live vertex it meets; a walk that
+// meets none has proved every vertex it passed unreachable, and later
+// walks stop there.
+//
+//rsvet:deterministic
+func (c *certifier) sweep() {
+	c.stamp++
+	ready := -1 // the walks' sets are made ready for the first walk
 	kept := c.committed[:0]
 	for _, inst := range c.committed {
-		if gone(inst) {
-			c.evict(inst)
-		} else {
+		if c.reached(inst, &ready) {
 			kept = append(kept, inst)
+		} else {
+			c.evict(inst)
 		}
 	}
-	evicted := len(kept) < len(c.committed)
 	clear(c.committed[len(kept):])
 	c.committed = kept
-	return evicted
 }
 
-// prune removes committed instances none of whose vertices has an
-// incoming arc from another instance: new arcs always terminate at
-// live requesters (or their unit boundaries), so a committed source
-// can never rejoin a cycle. Evicting one can clean the next, hence the
-// fixed point.
-func (c *certifier) prune() {
-	for c.evictCommitted(c.noForeignInArc) {
+// reached reports whether a live vertex reaches the committed instance
+// inst, settling its witness for the current sweep.
+func (c *certifier) reached(inst *txnInst, ready *int) bool {
+	if inst.stamp == c.stamp {
+		return inst.witness != nil
 	}
+	inst.stamp = c.stamp
+	w := inst.witness
+	if w != nil && !w.live() {
+		if w.resident && w.n == 1 && c.reached(w, ready) {
+			w = w.witness
+		} else {
+			w = nil
+		}
+	}
+	if w == nil && len(c.live) > 0 { // else nothing is reached
+		w = c.liveAncestor(inst, ready)
+	}
+	inst.witness = w
+	return w != nil
 }
 
-func (c *certifier) noForeignInArc(inst *txnInst) bool {
-	return inst.n == 0 || !c.g.HasPredecessorOutside(inst.first, inst.end()-1)
+// readyWalks sizes the walks' vertex sets to the resident instances'
+// span, which holds every vertex a walk can meet because arcs join
+// resident vertices only, marks the live vertices, and returns the
+// span's low end, from which the sets are indexed.
+func (c *certifier) readyWalks() (lo int) {
+	lo, hi := math.MaxInt, 0
+	for _, inst := range c.live {
+		lo, hi = min(lo, inst.first), max(hi, inst.end())
+	}
+	for _, inst := range c.committed {
+		lo, hi = min(lo, inst.first), max(hi, inst.end())
+	}
+	words := (max(hi-lo, 0) + 63) / 64
+	for _, b := range []*graph.Bitset{&c.liveVerts, &c.seen} {
+		*b = slices.Grow((*b)[:0], words)[:words]
+		b.Reset()
+	}
+	for _, inst := range c.live {
+		for v := inst.first; v < inst.end(); v++ {
+			c.liveVerts.Set(v - lo)
+		}
+	}
+	return lo
+}
+
+// liveAncestor returns a live instance that reaches the committed
+// instance inst, or nil when none does, walking back from inst's last
+// vertex. *ready is the walks' sets' low end, or -1 until a walk first
+// needs them.
+func (c *certifier) liveAncestor(inst *txnInst, ready *int) *txnInst {
+	if inst.n == 0 {
+		return nil
+	}
+	walk, found := c.walk[:0], -1
+	visit := func(u int) {
+		if *ready < 0 {
+			*ready = c.readyWalks()
+		}
+		switch i := u - *ready; {
+		case found >= 0 || c.seen.Has(i):
+		case c.liveVerts.Has(i):
+			found = u
+		default:
+			c.seen.Set(i)
+			walk = append(walk, u)
+		}
+	}
+	last := inst.end() - 1
+	c.g.VisitPredecessors(last, visit)
+	for k := 0; k < len(walk) && found < 0; k++ {
+		c.g.VisitPredecessors(walk[k], visit)
+	}
+	c.walk = walk
+	if found < 0 {
+		if *ready >= 0 {
+			c.seen.Set(last - *ready)
+		}
+		return nil
+	}
+	// The vertices passed are not proved unreachable after all.
+	for _, u := range walk {
+		c.seen.Clear(u - *ready)
+	}
+	for _, l := range c.live {
+		if l.first <= found && found < l.end() {
+			return l
+		}
+	}
+	panic("sched: live vertex with no live instance")
 }
 
 // SetLowWater implements Retirer: the engine's low-water mark is the
@@ -454,11 +565,10 @@ func (c *certifier) SetLowWater(instance int64) {
 	c.maybeRebase()
 }
 
-// FlushRetirement implements Retirer: sweeps stranded instances,
-// drains the vertex queue and rebases unconditionally, so Recover and
-// Finalize leave no retirement-pending state behind.
+// FlushRetirement implements Retirer: drains the vertex queue and
+// rebases unconditionally, so Recover and Finalize leave no
+// retirement-pending state behind.
 func (c *certifier) FlushRetirement() {
-	c.sweepStranded()
 	c.flushRetire()
 	c.rebase()
 }
@@ -499,99 +609,13 @@ func (c *certifier) flushRetire() {
 	c.retireQ = c.retireQ[:0]
 }
 
-// compactionDue is the pacing rule the history compactions share (the
-// rebase and the stranded sweep): at least floor items, and at least
-// twice what the last compaction kept, which amortizes each pass to
-// O(1) per item.
-func compactionDue(n, floor, lastKept int) bool {
-	return n >= floor && n >= 2*lastKept
-}
-
-// maybeSweep runs a stranded-cluster sweep when enough committed
-// instances sit in the graph and their count has at least doubled
-// since the last sweep, amortizing the O(live graph) reachability walk
-// to O(1) per committed transaction.
-//
-//rsvet:deterministic
-func (c *certifier) maybeSweep() {
-	if compactionDue(len(c.committed), strandedSweepMinInsts, c.lastSweepResident) {
-		c.sweepStranded()
-		c.maybeRetire()
-	}
-}
-
-// sweepStranded releases committed instances none of whose vertices is
-// reachable from a live instance's vertex. prune handles the common
-// case — a committed instance with no foreign in-arc — but relative
-// atomicity admits instance-level interleavings (A depends on B and B
-// on A through different atomic units) that keep whole clusters of
-// committed transactions mutually dirty forever, even though the
-// vertex graph stays acyclic. Such a cluster is still permanently
-// cycle-free once no live vertex reaches it: arcs into a finished
-// instance all predate its finish, so a path from any later
-// transaction into the cluster would have to run through a vertex that
-// is live right now — and none reaches it. Skipping future arcs out of
-// swept sources (only resident sources induce arcs) is sound for the
-// same reason: a cycle through such an arc u -> v needs a path v -> u,
-// and v is always a live requester's vertex. Under an absolute spec,
-// where one vertex is one transaction, the sweep finds nothing: every
-// committed instance prune leaves has an in-arc, and following in-arcs
-// back through the acyclic graph ends at a live instance.
-func (c *certifier) sweepStranded() {
-	if len(c.committed) == 0 {
-		return
-	}
-	// Arcs join resident vertices only, so the resident instances' span
-	// holds everything reachable; the reached set is indexed from its low
-	// end.
-	lo, hi := math.MaxInt, 0
-	//rsvet:allow detlint -- order-insensitive: a minimum and a maximum
-	for _, inst := range c.insts {
-		lo, hi = min(lo, inst.first), max(hi, inst.end())
-	}
-	words := (max(hi-lo, 0) + 63) / 64
-	c.reached = slices.Grow(c.reached[:0], words)[:words]
-	c.reached.Reset()
-	stack := c.sweepStack[:0]
-	visit := func(v int) {
-		if !c.reached.Has(v - lo) {
-			c.reached.Set(v - lo)
-			stack = append(stack, v)
-		}
-	}
-	//rsvet:allow detlint -- order-insensitive: the reachable set does not depend on the order of its roots
-	for _, inst := range c.insts {
-		if inst.committed {
-			continue
-		}
-		for v := inst.first; v < inst.end(); v++ {
-			visit(v)
-		}
-	}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		c.g.VisitSuccessors(v, visit)
-	}
-	c.sweepStack = stack
-	c.evictCommitted(func(inst *txnInst) bool {
-		for v := inst.first; v < inst.end(); v++ {
-			if c.reached.Has(v - lo) {
-				return false
-			}
-		}
-		return true
-	})
-	c.lastSweepResident = len(c.committed)
-}
-
 // maybeRebase rebases the executed-operation index when it has at
 // least doubled since the last rebase, amortizing to O(1) per executed
 // operation.
 //
 //rsvet:deterministic
 func (c *certifier) maybeRebase() {
-	if compactionDue(c.execEntries, rebaseMinEntries, c.lastRebaseLive) {
+	if c.execEntries >= rebaseMinEntries && c.execEntries >= 2*c.lastRebaseLive {
 		c.rebase()
 	}
 }
@@ -654,41 +678,6 @@ func (c *certifier) rebase() {
 	c.rebases++
 }
 
-// slotMask is a fixed-width bitmask over live transaction slots. All
-// masks in one reachTable share the same word length, growing together.
-type slotMask []uint64
-
-func (m slotMask) has(i int) bool { return m[i>>6]&(1<<(uint(i)&63)) != 0 }
-func (m slotMask) set(i int)      { m[i>>6] |= 1 << (uint(i) & 63) }
-func (m slotMask) clear(i int)    { m[i>>6] &^= 1 << (uint(i) & 63) }
-
-func (m slotMask) reset() {
-	for i := range m {
-		m[i] = 0
-	}
-}
-
-// orWith unions other into m, reporting whether m changed.
-func (m slotMask) orWith(other slotMask) bool {
-	changed := false
-	for i, w := range other {
-		if m[i]|w != m[i] {
-			m[i] |= w
-			changed = true
-		}
-	}
-	return changed
-}
-
-func (m slotMask) intersects(other slotMask) bool {
-	for i, w := range other {
-		if m[i]&w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // reachTable maintains, per live transaction slot, the set of slots
 // reachable from it in the certification graph at transaction
 // granularity — the "one clock per lane" half of the vector-clock fast
@@ -705,16 +694,16 @@ func (m slotMask) intersects(other slotMask) bool {
 type reachTable struct {
 	inUse []bool
 	free  []int
-	reach []slotMask
+	reach []graph.Bitset
 	words int
-	// scratch masks reused across calls (same width as reach rows).
-	delta slotMask
-	cmask slotMask
-	seen  slotMask
+	// scratch sets reused across calls (same width as reach rows).
+	delta graph.Bitset
+	cmask graph.Bitset
+	seen  graph.Bitset
 }
 
 func newReachTable() *reachTable {
-	return &reachTable{words: 1, delta: make(slotMask, 1), cmask: make(slotMask, 1), seen: make(slotMask, 1)}
+	return &reachTable{words: 1, delta: make(graph.Bitset, 1), cmask: make(graph.Bitset, 1), seen: make(graph.Bitset, 1)}
 }
 
 // alloc returns a slot for a beginning instance, reusing freed slots.
@@ -723,7 +712,7 @@ func (rt *reachTable) alloc() int {
 		s := rt.free[n-1]
 		rt.free = rt.free[:n-1]
 		rt.inUse[s] = true
-		rt.reach[s].reset()
+		rt.reach[s].Reset()
 		return s
 	}
 	s := len(rt.inUse)
@@ -737,7 +726,7 @@ func (rt *reachTable) alloc() int {
 		rt.cmask = append(rt.cmask, 0)
 		rt.seen = append(rt.seen, 0)
 	}
-	rt.reach = append(rt.reach, make(slotMask, rt.words))
+	rt.reach = append(rt.reach, make(graph.Bitset, rt.words))
 	return s
 }
 
@@ -750,7 +739,7 @@ func (rt *reachTable) release(s int) {
 }
 
 // reaches reports whether the clock of slot from contains slot to.
-func (rt *reachTable) reaches(from, to int) bool { return rt.reach[from].has(to) }
+func (rt *reachTable) reaches(from, to int) bool { return rt.reach[from].Has(to) }
 
 // recordArcs folds a request's admitted arcs (every source slot ->
 // req) into the clocks, restoring the transaction-level transitive
@@ -760,12 +749,12 @@ func (rt *reachTable) recordArcs(srcs []int, req int) {
 		return
 	}
 	copy(rt.delta, rt.reach[req])
-	rt.delta.set(req)
-	rt.cmask.reset()
+	rt.delta.Set(req)
+	rt.cmask.Reset()
 	any := false
 	for _, s := range srcs {
-		if rt.reach[s].orWith(rt.delta) {
-			rt.cmask.set(s)
+		if rt.reach[s].UnionWith(rt.delta) {
+			rt.cmask.Set(s)
 			any = true
 		}
 	}
@@ -773,9 +762,9 @@ func (rt *reachTable) recordArcs(srcs []int, req int) {
 		return
 	}
 	for s, m := range rt.reach {
-		if !rt.inUse[s] || !m.intersects(rt.cmask) {
+		if !rt.inUse[s] || !m.Intersects(rt.cmask) {
 			continue
 		}
-		m.orWith(rt.delta)
+		m.UnionWith(rt.delta)
 	}
 }

@@ -1,9 +1,9 @@
 package sched_test
 
-// Bounded-memory certification: retirement, the stranded sweep and the
-// history rebase keep the graph and the executed-operation index
-// proportional to the live window over long streams, and leave nothing
-// behind after a flush. That they never change a decision is
+// Bounded-memory certification: the retirement sweep, the epoch
+// compaction and the history rebase keep the graph and the
+// executed-operation index proportional to the live window over long
+// streams, and leave nothing behind after a flush. That they never change a decision is
 // equivalence_test.go's first-refusal property.
 
 import (
@@ -12,6 +12,7 @@ import (
 
 	"relser/internal/core"
 	"relser/internal/sched"
+	"relser/internal/workload"
 )
 
 // streamWindow drives n chained transactions (each reads its
@@ -121,9 +122,9 @@ func TestRetiredSGTStreamStaysBounded(t *testing.T) {
 // atomic units interleave both ways — wA(xi) wB(xi) wB(yi) wA(yi)
 // under a spec that cuts each relative to the other — leaving
 // instance-level mutual dependency (A -> B on xi, B -> A on yi) over
-// an acyclic vertex graph. prune's no-foreign-in-arc test can never
-// reclaim this shape; only the stranded-cluster reachability sweep
-// can.
+// an acyclic vertex graph. Each member keeps an in-arc from the other
+// after both commit, so a committed instance can be reclaimed only by
+// asking whether a live instance still reaches it.
 func interleavedPair(t *testing.T, p sched.Protocol, a, b *core.Transaction) {
 	t.Helper()
 	p.Begin(int64(a.ID), a)
@@ -168,11 +169,15 @@ func cutBothWays(t *testing.T, n int) (*core.Spec, []*core.Transaction) {
 }
 
 // TestRetiredRSGTReclaimsInterleavedCommits: a mutually interleaved
-// committed pair must still leave nothing behind after a flush.
+// pair leaves the graph at its second commit, without a flush, and
+// leaves nothing behind after one.
 func TestRetiredRSGTReclaimsInterleavedCommits(t *testing.T) {
 	sp, txns := cutBothWays(t, 1)
 	p := sched.NewRSGT(sched.SpecOracle{Spec: sp})
 	interleavedPair(t, p, txns[0], txns[1])
+	if st := p.RetireStats(); st.LiveVertices-st.PendingRetire != 0 {
+		t.Fatalf("after both commits: %d resident vertices, want 0 (interlocked committed pair stranded)", st.LiveVertices-st.PendingRetire)
+	}
 	p.FlushRetirement()
 	st := p.RetireStats()
 	if st.LiveVertices != 0 || st.PendingRetire != 0 {
@@ -183,9 +188,10 @@ func TestRetiredRSGTReclaimsInterleavedCommits(t *testing.T) {
 	}
 }
 
-// TestRetiredRSGTStreamWithCutsStaysBounded: a long stream of disjoint
-// interleaved pairs — every one of which strands under prune alone —
-// must stay bounded via the count-triggered sweep, without any flush.
+// TestRetiredRSGTStreamWithCutsStaysBounded: in a long stream of
+// disjoint interleaved pairs, every member of which keeps an in-arc
+// from its partner after committing, each pair leaves the graph at its
+// second commit, without any flush.
 func TestRetiredRSGTStreamWithCutsStaysBounded(t *testing.T) {
 	const pairs = 400
 	sp, txns := cutBothWays(t, pairs)
@@ -193,16 +199,16 @@ func TestRetiredRSGTStreamWithCutsStaysBounded(t *testing.T) {
 	maxLive := 0
 	for i := 0; i < pairs; i++ {
 		interleavedPair(t, p, txns[2*i], txns[2*i+1])
-		p.SetLowWater(int64(2*i - 1))
-		if st := p.RetireStats(); st.LiveVertices > maxLive {
-			maxLive = st.LiveVertices
+		st := p.RetireStats()
+		if resident := st.LiveVertices - st.PendingRetire; resident != 0 {
+			t.Fatalf("pair %d: %d resident vertices after both commits, want 0 (pair stranded)", i, resident)
 		}
+		maxLive = max(maxLive, st.LiveVertices)
 	}
-	// Sweeps fire on the doubling schedule from a 64-instance floor, so
-	// the graph holds a small multiple of the threshold, not 2*pairs
-	// transactions.
-	if maxLive > 1024 {
-		t.Fatalf("graph peaked at %d vertices over %d interlocked pairs — stranded sweep not firing", maxLive, pairs)
+	// What remains is the pending queue, which a compaction epoch drains
+	// once it holds 64 vertices and at least half the graph.
+	if maxLive > 64 {
+		t.Fatalf("graph peaked at %d vertices over %d interlocked pairs, want at most the 64-vertex epoch trigger", maxLive, pairs)
 	}
 	p.FlushRetirement()
 	st := p.RetireStats()
@@ -211,6 +217,49 @@ func TestRetiredRSGTStreamWithCutsStaysBounded(t *testing.T) {
 	}
 	if st.RetiredVertices != int64(4*pairs) {
 		t.Fatalf("retired %d vertices, want %d", st.RetiredVertices, 4*pairs)
+	}
+}
+
+// strandCheck fails the test when a commit or an abort leaves a
+// committed instance in the graph that no live vertex reaches.
+type strandCheck struct {
+	*sched.RSGT
+	t *testing.T
+}
+
+func (s strandCheck) Commit(id int64) { s.RSGT.Commit(id); s.check("commit", id) }
+func (s strandCheck) Abort(id int64)  { s.RSGT.Abort(id); s.check("abort", id) }
+
+func (s strandCheck) check(what string, id int64) {
+	s.t.Helper()
+	if left := sched.Stranded(s.RSGT); len(left) > 0 {
+		s.t.Fatalf("after the %s of %d, committed instances %v are in the graph but no live vertex reaches them", what, id, left)
+	}
+}
+
+// TestRetiredSweepLeavesNothingStranded: over whole engine runs, on
+// the per-operation path (g=1, g=4) and the one-vertex path (g=0), no
+// commit or abort leaves a committed instance that a plain forward walk
+// from the live vertices misses — the sweep's backward walks and their
+// remembered witnesses must agree with it at every step.
+func TestRetiredSweepLeavesNothingStranded(t *testing.T) {
+	for _, g := range []int{0, 1, 4} {
+		for seed := int64(1); seed <= 3; seed++ {
+			w, err := workload.Synthetic(workload.SyntheticConfig{
+				Objects: 64, Programs: 64, OpsPerTxn: 8, WriteRatio: 0.3, Granularity: g,
+			}, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := strandCheck{sched.NewRSGT(w.Oracle), t}
+			res, _, err := w.RunWith(p, workload.RunOptions{Seed: seed, MPL: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Aborts == 0 {
+				t.Fatalf("g=%d seed %d: no abort, so the sweep after an abort went unchecked", g, seed)
+			}
+		}
 	}
 }
 
@@ -259,15 +308,13 @@ func TestDotSnapshotCollapsesStablePrefix(t *testing.T) {
 	}
 }
 
-// TestRetireStatsAccumulate covers the sharded-aggregation helper.
-func TestRetireStatsAccumulate(t *testing.T) {
-	var agg sched.RetireStats
-	agg.Add(sched.RetireStats{FastPathHits: 3, FastPathMisses: 1, LiveVertices: 2})
-	agg.Add(sched.RetireStats{FastPathHits: 5, RetiredVertices: 7})
-	if agg.FastPathHits != 8 || agg.FastPathMisses != 1 || agg.LiveVertices != 2 || agg.RetiredVertices != 7 {
-		t.Fatalf("aggregate wrong: %+v", agg)
+// TestRetireStatsHitRate: the fast-path hit fraction, and 0 before any
+// request took either path.
+func TestRetireStatsHitRate(t *testing.T) {
+	if hr := (sched.RetireStats{}).HitRate(); hr != 0 {
+		t.Fatalf("hit rate %.3f with no requests, want 0", hr)
 	}
-	if hr := agg.HitRate(); hr < 0.88 || hr > 0.9 {
+	if hr := (sched.RetireStats{FastPathHits: 8, FastPathMisses: 1}).HitRate(); hr < 0.88 || hr > 0.9 {
 		t.Fatalf("hit rate %.3f, want 8/9", hr)
 	}
 }

@@ -32,8 +32,8 @@ import (
 //   - if any insertion would close a cycle, the request is rejected
 //     with Abort: execution has already fixed the offending dependency
 //     order, so no amount of waiting can remove the cycle (arcs are
-//     only ever removed by pruning committed source transactions, which
-//     by definition are not on cycles).
+//     only ever removed by evicting committed transactions no live one
+//     reaches, which cannot be on a cycle any more).
 //
 // By Theorem 1, the admitted execution is relatively serializable at
 // every prefix.
@@ -179,7 +179,7 @@ func (p *RSGT) Request(req OpRequest) Decision {
 // every resident instance among the operation's covering conflict
 // sources; on a cycle, abort the requester (its conflict order is fixed
 // by execution, so blocking can never help). A source that is no
-// longer resident was committed and pruned, so it cannot be on a cycle.
+// longer resident was committed and evicted, so it cannot be on a cycle.
 // The reach table is exact at transaction granularity, so the reach
 // bit alone decides suspicion.
 func (p *RSGT) requestConflict(req OpRequest, inst *txnInst, write bool, hist *[]*execOp) Decision {
@@ -240,9 +240,9 @@ func (p *RSGT) absorb(inst *txnInst, e *execOp) {
 }
 
 // join raises the frontier's entry for src to seq. Sources that are no
-// longer resident are left out, for they induce no arc: a
-// committed-and-pruned source's vertices are graph sources, so arcs
-// from them can never close a cycle. Aborted sources can appear
+// longer resident are left out, for they induce no arc: no live vertex
+// reaches an evicted committed source, so arcs from it can never close
+// a cycle. Aborted sources can appear
 // transitively (a live op that depended on a later-aborted op keeps
 // what that op depended on — conservative: may cost an extra abort,
 // never admits an incorrect schedule).

@@ -287,9 +287,6 @@ func (w *ShardedWAL) SetMetrics(reg *metrics.Registry) {
 // Shards returns the number of durability lanes.
 func (w *ShardedWAL) Shards() int { return w.opt.Shards }
 
-// GSN returns the last allocated global sequence number.
-func (w *ShardedWAL) GSN() uint64 { return w.gsn.Load() }
-
 // Append enqueues one record on its instance's lane and returns
 // without waiting for durability; a latched lane error fails fast.
 func (w *ShardedWAL) Append(rec WALRecord) error {

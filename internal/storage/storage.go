@@ -194,21 +194,6 @@ func (st *Store) Snapshot() map[string]Value {
 	return out
 }
 
-// Objects returns the object names, sorted.
-func (st *Store) Objects() []string {
-	var out []string
-	for i := range st.stripes {
-		sp := &st.stripes[i]
-		sp.mu.Lock()
-		for name := range sp.objects {
-			out = append(out, name)
-		}
-		sp.mu.Unlock()
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Stats reports cumulative read and write counts.
 func (st *Store) Stats() (reads, writes uint64) {
 	return st.reads.Load(), st.writes.Load()
@@ -239,9 +224,6 @@ func (log *UndoLog) WriteLoggedCtx(ctx context.Context, st *Store, name string, 
 	prev, seq := st.writeSeq(ctx, name, v)
 	log.entries = append(log.entries, undoEntry{object: name, prev: prev, seq: seq})
 }
-
-// Len returns the number of logged writes.
-func (log *UndoLog) Len() int { return len(log.entries) }
 
 // Discard forgets the log without undoing (commit path).
 func (log *UndoLog) Discard() { log.entries = nil }

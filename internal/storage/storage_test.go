@@ -26,9 +26,8 @@ func TestStoreImplicitObjects(t *testing.T) {
 	if got := st.Read("ghost"); got.Value != 0 {
 		t.Errorf("missing object read %+v, want zero value", got)
 	}
-	names := st.Objects()
-	if len(names) != 1 || names[0] != "ghost" {
-		t.Errorf("Objects = %v", names)
+	if snap := st.Snapshot(); len(snap) != 1 || snap["ghost"] != 0 {
+		t.Errorf("Snapshot = %v, want the one implicit object", snap)
 	}
 }
 
@@ -53,14 +52,14 @@ func TestUndoLogRollback(t *testing.T) {
 	log.WriteLogged(st, "x", 10)
 	log.WriteLogged(st, "y", 20)
 	log.WriteLogged(st, "x", 30) // second write to x
-	if log.Len() != 3 {
-		t.Fatalf("Len = %d", log.Len())
+	if len(log.entries) != 3 {
+		t.Fatalf("%d logged writes, want 3", len(log.entries))
 	}
 	RollbackSet(st, []*UndoLog{&log})
 	if st.Read("x").Value != 1 || st.Read("y").Value != 2 {
 		t.Errorf("rollback failed: %s", st)
 	}
-	if log.Len() != 0 {
+	if len(log.entries) != 0 {
 		t.Error("rollback should clear the log")
 	}
 	// Versions move forward even on undo.

@@ -182,26 +182,6 @@ func (c *Cycle) String() string {
 	return sb.String()
 }
 
-// Dot renders the cycle as a Graphviz digraph, the on-demand RSG
-// snapshot shape emitted at rejection points.
-func (c *Cycle) Dot(name string) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "digraph %q {\n", name)
-	sb.WriteString("  rankdir=LR;\n")
-	for i, n := range c.Nodes {
-		label := fmt.Sprintf("T%d.%d\\n%s", n.Txn, n.Seq, n.Op)
-		if n.Seq < 0 {
-			label = fmt.Sprintf("T%d (inst %d)", n.Txn, n.Instance)
-		}
-		fmt.Fprintf(&sb, "  n%d [label=\"%s\"];\n", i, label)
-	}
-	for _, a := range c.Arcs {
-		fmt.Fprintf(&sb, "  n%d -> n%d [label=\"%s\"];\n", a.From, a.To, a.Kind)
-	}
-	sb.WriteString("}\n")
-	return sb.String()
-}
-
 // Sink consumes events. Implementations must be safe for concurrent
 // Emit calls: the concurrent driver emits from every worker, and the
 // Tracer forwards without a lock of its own.
@@ -318,13 +298,6 @@ func (b *Buffer) Events() []Event {
 	out := make([]Event, len(b.events))
 	copy(out, b.events)
 	return out
-}
-
-// Len returns the number of recorded events.
-func (b *Buffer) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.events)
 }
 
 // WriteJSONL encodes events as JSONL, one event per line.

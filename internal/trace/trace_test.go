@@ -75,7 +75,7 @@ func TestTracerStampsAndBuffers(t *testing.T) {
 	tr.Emit(Event{Kind: KindGrant, Op: "r1[x]"})
 	tr.Emit(Event{TS: 12345, Kind: KindCommit})
 	events := buf.Events()
-	if len(events) != 2 || buf.Len() != 2 {
+	if len(events) != 2 {
 		t.Fatalf("buffered %d events, want 2", len(events))
 	}
 	if events[0].TS <= 0 {
@@ -101,7 +101,7 @@ func TestEmitDotNamesSequentially(t *testing.T) {
 	}
 }
 
-func TestCycleStringAndDot(t *testing.T) {
+func TestCycleString(t *testing.T) {
 	c := &Cycle{
 		Nodes: []CycleNode{{Instance: 1, Txn: 1, Seq: 0, Op: "w1[x]"}, {Instance: 2, Txn: 2, Seq: 1, Op: "r2[x]"}},
 		Arcs:  []CycleArc{{From: 0, To: 1, Kind: "D,F"}, {From: 1, To: 0, Kind: "B"}},
@@ -110,12 +110,6 @@ func TestCycleStringAndDot(t *testing.T) {
 	for _, want := range []string{"T1.0 w1[x]", "-D,F->", "T2.1 r2[x]", "-B->"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("Cycle.String() = %q missing %q", s, want)
-		}
-	}
-	dot := c.Dot("reject")
-	for _, want := range []string{"digraph", "n0 -> n1", "n1 -> n0", "D,F"} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("Cycle.Dot() missing %q:\n%s", want, dot)
 		}
 	}
 	var empty *Cycle

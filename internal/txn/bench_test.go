@@ -114,7 +114,7 @@ func BenchmarkS2PLAdmission(b *testing.B) {
 func BenchmarkRSGTAdmission(b *testing.B) {
 	// Batched RSG arc insertion through the scheduler: a stream of
 	// pairwise-conflicting transactions, each granted and committed, so
-	// every request exercises AddArcBatch and commit-time pruning.
+	// every request exercises AddArcBatch and commit-time retirement.
 	const nTxn = 64
 	progs := make([]*core.Transaction, nTxn)
 	for i := range progs {

@@ -179,7 +179,7 @@ func TestCancelIsNotARefusal(t *testing.T) {
 		Tracer:    trace.New(buf),
 		Hooks: txn.Hooks{Issue: func(*engine.Instance) {
 			if calls++; calls == 3 {
-				canceledAt = buf.Len()
+				canceledAt = len(buf.Events())
 				cancel()
 			}
 		}},
