@@ -132,6 +132,7 @@ bench:
 # compares with benchstat (see .github/workflows/ci.yml, job: bench;
 # install the pinned tool with
 # `go install golang.org/x/perf/cmd/benchstat@$(BENCHSTAT_VERSION)`).
+# CI fails a > 15 % regression of sec/op, B/op or allocs/op.
 # ./internal/txn includes BenchmarkDeterministicRunnerChain/{2000,32000},
 # the chain-soak shape on the tick driver at two run lengths (ns/commit).
 # ./internal/sched runs at a fixed 1000 rounds per benchmark, as in CI:

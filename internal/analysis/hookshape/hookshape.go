@@ -12,7 +12,7 @@
 // hook with a combinator — function-valued arguments of any call
 // assigned into a Hooks field.
 //
-// Two transitive facts over the call graph:
+// Three facts, each followed through calls:
 //
 //   - mayBlock: the function (or anything it calls) sleeps, sends or
 //     receives on a channel, selects without a default, or waits on a
@@ -23,6 +23,13 @@
 //   - reenters: the function reaches an engine.Core mutating method, a
 //     txn driver entry point, or a WAL sink append/sync — the APIs
 //     that acquire engine or driver locks.
+//   - keeps: the hook keeps its *engine.Instance, or one of that
+//     instance's map or slice fields, past its return: it assigns it to
+//     anything that is not local, appends it to a slice, sends it on a
+//     channel or captures it in a go statement, itself or in a function
+//     it passes the value to. The engine recycles a committed instance
+//     for a later admission, so a kept one later shows another
+//     instance's state; hooks copy the fields they need.
 //
 // Violations are reported at the site that installs the hook, naming
 // the offending path, so the fix (move the work off the hook, or
@@ -45,7 +52,7 @@ import (
 // Analyzer is the hook-contract check.
 var Analyzer = &analysis.Analyzer{
 	Name: "hookshape",
-	Doc:  "check that engine.Hooks observers neither block nor call back into engine/driver mutating APIs",
+	Doc:  "check that engine.Hooks observers neither block, call back into engine/driver mutating APIs, nor keep their instance",
 	Run:  run,
 }
 
@@ -120,10 +127,20 @@ func compute(g *callgraph.Graph) []finding {
 		return false
 	})
 
+	ret := &retainer{g: g, memo: map[paramKey]string{}}
 	var out []finding
 	for _, s := range sites {
-		if n := g.Nodes[s.fn]; n == nil {
+		n := g.Nodes[s.fn]
+		if n == nil {
 			continue
+		}
+		if p := paramObj(n, 0); p != nil && isInstanceType(p.Type()) {
+			if why := ret.keeps(n, 0); why != "" {
+				out = append(out, finding{
+					pkgPath: s.pkg, pos: s.pos,
+					message: fmt.Sprintf("hook %s keeps its instance (%s): the engine reuses a committed instance with its maps and slices, so copy what the hook needs", s.field, why),
+				})
+			}
 		}
 		if mayBlock[s.fn] {
 			out = append(out, finding{
@@ -226,10 +243,13 @@ func valueSites(g *callgraph.Graph, n *callgraph.Node, expr ast.Expr, field stri
 }
 
 // isHooksType matches engine.Hooks (txn.Hooks is the same named type).
-func isHooksType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
+func isHooksType(t types.Type) bool { return isEngineType(t, "Hooks") }
+
+// isInstanceType matches engine.Instance.
+func isInstanceType(t types.Type) bool { return isEngineType(t, "Instance") }
+
+// isEngineType matches the named engine type, or a pointer to it.
+func isEngineType(t types.Type, name string) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
@@ -238,7 +258,7 @@ func isHooksType(t types.Type) bool {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == enginePath && obj.Name() == "Hooks"
+	return obj.Pkg() != nil && obj.Pkg().Path() == enginePath && obj.Name() == name
 }
 
 // blocksDirectly reports whether one body parks: channel operations,

@@ -18,11 +18,12 @@ import (
 )
 
 // Instance is one in-flight incarnation of a transaction program.
-// Drivers own the synchronization: the deterministic driver touches
-// instances single-threaded; the concurrent driver confines each
-// instance to its worker on the operation path and to exclusive
-// state-lock holders on lifecycle paths (Doomed is the one
-// cross-worker flag, hence atomic).
+// Once committed it is reset and reused, maps and buffers included, for
+// a later admission (see Hooks). Drivers own the synchronization: the
+// deterministic driver touches instances single-threaded; the
+// concurrent driver confines each instance to its worker on the
+// operation path and to exclusive state-lock holders on lifecycle paths
+// (Doomed is the one cross-worker flag, hence atomic).
 type Instance struct {
 	ID      int64
 	Program *core.Transaction
@@ -32,13 +33,12 @@ type Instance struct {
 	Reads map[int]storage.Value
 	// DepsOn holds live instances whose uncommitted data this instance
 	// read or overwrote; commit waits for them and their abort cascades
-	// here.
-	DepsOn   map[int64]bool
-	Restarts int
-	// events are the instance's applied operations, in a buffer sized
-	// from its program and recycled once the instance commits or
-	// aborts: a hook that kept the slice would later see another
-	// instance's events.
+	// here. dependents is the reverse: live instances that depend on
+	// this one.
+	DepsOn     map[int64]bool
+	dependents map[int64]bool
+	Restarts   int
+	// events are the instance's applied operations.
 	events []Event
 	Writes map[string]storage.Value
 	// Done is set when all operations executed; the instance is waiting
@@ -106,16 +106,14 @@ type Core struct {
 	// object's shard lock in the concurrent driver.
 	dirty []map[string][]int64
 
-	// depMu guards dependents and every Instance.DepsOn among
+	// depMu guards every Instance.DepsOn and dependents among
 	// concurrent operation-path holders; exclusive state holders access
 	// them directly. Leaf mutex: never held across other locks.
-	depMu      sync.Mutex
-	dependents map[int64]map[int64]bool
+	depMu sync.Mutex
 
-	// walMu guards walErr, where append and ack errors park until a
-	// driver folds them into its run error. Leaf mutex.
-	walMu  sync.Mutex
-	walErr error
+	// walErr parks the first append or ack error until a driver folds
+	// it into its run error.
+	walErr atomic.Pointer[error]
 
 	// execSeq is the global execution sequence: every applied operation
 	// draws the next value as its order. It is the SeqClock.
@@ -153,11 +151,9 @@ type Core struct {
 	// calls never race Request.
 	ret sched.Retirer
 
-	// freeEvents holds the event buffers of finished instances for
-	// Admit to reuse; lifecycle-locked. A buffer is allocated only when
-	// every one large enough is in use, so there are at most as many as
-	// instances in flight at once, per distinct program length.
-	freeEvents [][]Event
+	// free holds reset committed instances for Admit, lifecycle-locked;
+	// aborted ones stay with their driver and go to the collector.
+	free []*Instance
 
 	res Result
 }
@@ -182,13 +178,12 @@ func NewCore(cfg Config, clock Clock) (*Core, error) {
 		return nil, err
 	}
 	c := &Core{
-		Cfg:        cfg,
-		clock:      clock,
-		Router:     shard.NewRouter(cfg.Shards),
-		Active:     make(map[int64]*Instance),
-		dependents: make(map[int64]map[int64]bool),
-		shed:       newShedder(cfg.MPL),
-		jit:        newJitter(cfg.Seed),
+		Cfg:    cfg,
+		clock:  clock,
+		Router: shard.NewRouter(cfg.Shards),
+		Active: make(map[int64]*Instance),
+		shed:   newShedder(cfg.MPL),
+		jit:    newJitter(cfg.Seed),
 	}
 	c.dirty = make([]map[string][]int64, c.Router.Shards())
 	for i := range c.dirty {
@@ -272,17 +267,12 @@ func (c *Core) deactivate(id int64) {
 func (c *Core) Admit(pp *Pending) *Instance {
 	clock := c.Now()
 	c.nextInstance++
-	st := &Instance{
-		ID:           c.nextInstance,
-		Program:      pp.Program,
-		Reads:        make(map[int]storage.Value),
-		DepsOn:       make(map[int64]bool),
-		Writes:       make(map[string]storage.Value),
-		Restarts:     pp.Restarts,
-		events:       c.eventBuf(pp.Program.Len()),
-		StartClock:   clock,
-		BlockedSince: -1,
-	}
+	st := c.instance(pp.Program.Len())
+	st.ID = c.nextInstance
+	st.Program = pp.Program
+	st.Restarts = pp.Restarts
+	st.StartClock = clock
+	st.BlockedSince = -1
 	c.Active[st.ID] = st
 	c.activeIDs = append(c.activeIDs, st.ID)
 	c.Cfg.Protocol.Begin(st.ID, st.Program)
@@ -434,18 +424,16 @@ func (c *Core) Publish(st *Instance) bool {
 	c.Cfg.Protocol.Commit(st.ID)
 	st.commitSeq = c.execSeq.Load()
 	st.ack = c.logWAL(storage.WALRecord{Kind: storage.WALCommit, Instance: st.ID})
-	st.Undo.Discard()
 	//rsvet:allow detlint -- order-insensitive: each object's dirty entry is removed independently
 	for obj := range st.Writes {
 		c.removeDirty(obj, st.ID)
 	}
 	//rsvet:allow detlint -- order-insensitive: commutative per-dependent map deletions
-	for dep := range c.dependents[st.ID] {
+	for dep := range st.dependents {
 		if d, ok := c.Active[dep]; ok {
 			delete(d.DepsOn, st.ID)
 		}
 	}
-	delete(c.dependents, st.ID)
 	c.deactivate(st.ID)
 	c.feedLowWater()
 	if c.ret != nil {
@@ -497,29 +485,44 @@ func (c *Core) Acknowledge(st *Instance) {
 	if h := c.Cfg.Hooks.Commit; h != nil {
 		h(st)
 	}
-	c.freeEventBuf(st)
+	c.recycle(st)
 }
 
-// eventBuf returns an empty event buffer for n events: a freed one
-// large enough, or a new one of exactly n. Lifecycle-locked.
-func (c *Core) eventBuf(n int) []Event {
-	free := c.freeEvents
-	for i := len(free) - 1; i >= 0; i-- {
-		if buf := free[i]; cap(buf) >= n {
-			last := len(free) - 1
-			free[i], free[last] = free[last], nil
-			c.freeEvents = free[:last]
-			return buf
+// instance returns a reset instance whose event buffer holds n events:
+// the most recently recycled one whose buffer is large enough, else the
+// oldest one with a new buffer, else a new instance. Lifecycle-locked.
+func (c *Core) instance(n int) *Instance {
+	i := len(c.free) - 1
+	for i > 0 && cap(c.free[i].events) < n {
+		i--
+	}
+	if i < 0 {
+		return &Instance{
+			Reads:      make(map[int]storage.Value),
+			DepsOn:     make(map[int64]bool),
+			dependents: make(map[int64]bool),
+			Writes:     make(map[string]storage.Value),
+			events:     make([]Event, 0, n),
 		}
 	}
-	return make([]Event, 0, n)
+	st := c.free[i]
+	c.free = slices.Delete(c.free, i, i+1)
+	if cap(st.events) < n {
+		st.events = make([]Event, 0, n)
+	}
+	return st
 }
 
-// freeEventBuf returns a finished instance's event buffer to the free
-// list. Lifecycle-locked.
-func (c *Core) freeEventBuf(st *Instance) {
-	c.freeEvents = append(c.freeEvents, st.events[:0])
-	st.events = nil
+// recycle resets a committed instance to the zero Instance, keeping
+// its maps' and buffers' storage, and puts it on the free list.
+func (c *Core) recycle(st *Instance) {
+	clear(st.Reads)
+	clear(st.DepsOn)
+	clear(st.dependents)
+	clear(st.Writes)
+	st.Undo.Discard()
+	*st = Instance{Undo: st.Undo, Reads: st.Reads, DepsOn: st.DepsOn, dependents: st.dependents, Writes: st.Writes, events: st.events[:0]}
+	c.free = append(c.free, st)
 }
 
 // AbortCascade runs the Abort stage: the instance and, transitively,
@@ -534,14 +537,12 @@ func (c *Core) AbortCascade(id int64, reason string, onVictim func(*Instance) er
 	victims := map[int64]bool{}
 	var collect func(v int64)
 	collect = func(v int64) {
-		if victims[v] {
-			return
-		}
-		if _, ok := c.Active[v]; !ok {
+		st, ok := c.Active[v]
+		if !ok || victims[v] {
 			return
 		}
 		victims[v] = true
-		for dep := range c.dependents[v] {
+		for dep := range st.dependents {
 			collect(dep)
 		}
 	}
@@ -571,16 +572,15 @@ func (c *Core) AbortCascade(id int64, reason string, onVictim func(*Instance) er
 			c.removeDirty(obj, v)
 		}
 		//rsvet:allow detlint -- order-insensitive: commutative per-dependent map deletions
-		for dep := range c.dependents[v] {
+		for dep := range st.dependents {
 			if d, ok := c.Active[dep]; ok {
 				delete(d.DepsOn, v)
 			}
 		}
-		delete(c.dependents, v)
 		//rsvet:allow detlint -- order-insensitive: commutative reverse-edge deletions
 		for on := range st.DepsOn {
-			if deps := c.dependents[on]; deps != nil {
-				delete(deps, v)
+			if d, ok := c.Active[on]; ok {
+				delete(d.dependents, v)
 			}
 		}
 		c.deactivate(v)
@@ -595,13 +595,10 @@ func (c *Core) AbortCascade(id int64, reason string, onVictim func(*Instance) er
 		if h := c.Cfg.Hooks.Abort; h != nil {
 			h(st)
 		}
-		var err error
 		if onVictim != nil {
-			err = onVictim(st)
-		}
-		c.freeEventBuf(st)
-		if err != nil {
-			return err
+			if err := onVictim(st); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -715,8 +712,7 @@ func (c *Core) sortByExecOrder(trace []Event) {
 // WALErr at the drivers' fold points) so the hot path never needs a
 // lifecycle lock. Commit records go through AppendAck and the lane's
 // ack channel is returned for AwaitAck; everything else is enqueued
-// async. The sink serializes internally; walMu only guards the error
-// latch.
+// async. The sink serializes internally.
 func (c *Core) logWAL(rec storage.WALRecord) <-chan error {
 	if c.Cfg.WAL == nil {
 		return nil
@@ -735,23 +731,16 @@ func (c *Core) logWAL(rec storage.WALRecord) <-chan error {
 }
 
 // parkWALErr keeps the first WAL error for the drivers' fold points.
-func (c *Core) parkWALErr(err error) {
-	c.walMu.Lock()
-	if c.walErr == nil {
-		c.walErr = err
-	}
-	c.walMu.Unlock()
-}
+func (c *Core) parkWALErr(err error) { c.walErr.CompareAndSwap(nil, &err) }
 
 // WALErr returns the parked WAL append error, if any, folding in the
 // sink's own latched error (async appends can fail after the call
-// that enqueued them returned). Safe from any goroutine.
+// that enqueued them returned). Safe from any goroutine, and lock-free
+// while nothing has failed: the concurrent driver asks before every
+// operation.
 func (c *Core) WALErr() error {
-	c.walMu.Lock()
-	err := c.walErr
-	c.walMu.Unlock()
-	if err != nil {
-		return err
+	if err := c.walErr.Load(); err != nil {
+		return *err
 	}
 	if c.Cfg.WAL != nil {
 		if werr := c.Cfg.WAL.Err(); werr != nil {
@@ -800,20 +789,14 @@ func (c *Core) JitterSleep(restarts, level int) { c.jit.sleep(restarts, level) }
 // escalation level.
 func (c *Core) BackoffTicks(restarts, level int) int { return c.jit.ticks(restarts, level) }
 
-// addDep records a dirty-read dependency from the operation path.
+// addDep records a dirty-read dependency from the operation path; on
+// is live (a dirty writer), and the Active map is stable under the
+// caller's driver discipline.
 func (c *Core) addDep(st *Instance, on int64) {
 	c.depMu.Lock()
 	defer c.depMu.Unlock()
-	if st.DepsOn[on] {
-		return
-	}
 	st.DepsOn[on] = true
-	deps := c.dependents[on]
-	if deps == nil {
-		deps = make(map[int64]bool)
-		c.dependents[on] = deps
-	}
-	deps[st.ID] = true
+	c.Active[on].dependents[st.ID] = true
 }
 
 // depPath reports whether the dependency graph has a path from -> to.

@@ -90,7 +90,9 @@ func (s Stage) String() string {
 // the hot path. Hooks run synchronously on the driver's execution path
 // under whatever locks that path holds, so they must be fast and must
 // not call back into the engine; canceling the run context is the
-// intended use.
+// intended use. A hook copies what it needs and never keeps the
+// *Instance, its maps or its slices: once committed, the instance is
+// reset and reused for a later admission (hookshape checks all three).
 type Hooks struct {
 	Admit  func(*Instance)
 	Issue  func(*Instance)

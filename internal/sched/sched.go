@@ -73,9 +73,19 @@ type OpRequest struct {
 }
 
 // Canceled reports whether the request's run context has been
-// canceled. Nil-context requests are never canceled.
+// canceled. Nil-context requests are never canceled. It polls the
+// context's Done channel, which takes no lock once the channel exists
+// (ctx.Err takes the context's mutex, shared by every worker).
 func (req OpRequest) Canceled() bool {
-	return req.Ctx != nil && req.Ctx.Err() != nil
+	if req.Ctx == nil {
+		return false
+	}
+	select {
+	case <-req.Ctx.Done():
+		return true
+	default:
+		return false
+	}
 }
 
 // Protocol is an online concurrency-control policy. The driver calls

@@ -646,8 +646,14 @@ func (w *ShardedWAL) Sync() error {
 	return w.Err()
 }
 
-// Err returns the first latched lane error without waiting.
+// Err returns the first latched lane error without waiting, and with
+// no lock until latchLocked has closed failed.
 func (w *ShardedWAL) Err() error {
+	select {
+	case <-w.failed:
+	default:
+		return nil
+	}
 	for _, sh := range w.lanes {
 		sh.mu.Lock()
 		err := sh.err

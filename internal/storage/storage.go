@@ -225,8 +225,8 @@ func (log *UndoLog) WriteLoggedCtx(ctx context.Context, st *Store, name string, 
 	log.entries = append(log.entries, undoEntry{object: name, prev: prev, seq: seq})
 }
 
-// Discard forgets the log without undoing (commit path).
-func (log *UndoLog) Discard() { log.entries = nil }
+// Discard forgets the log without undoing, keeping its capacity.
+func (log *UndoLog) Discard() { log.entries = log.entries[:0] }
 
 // RollbackSet undoes the writes of several transactions together,
 // replaying before-images in descending global write order. This is

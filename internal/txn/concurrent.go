@@ -72,11 +72,11 @@ import (
 // Drained in-flight instances are aborted through the engine's Recover
 // stage, leaving the store invariant-clean and the WAL recoverable.
 //
-// Lock order: state.RLock -> stripe.mu -> {depMu, walMu};
-// state.Lock -> {stripe.mu, commits.mu, walMu}. The leaf mutexes (depMu
-// and walMu live in the engine; stripe.mu and commits.mu here) are
-// never nested with one another. The ack wait, between Publish and
-// Acknowledge, holds no lock.
+// Lock order: state.RLock -> stripe.mu -> depMu;
+// state.Lock -> {stripe.mu, commits.mu}. The leaf mutexes (depMu lives
+// in the engine; stripe.mu and commits.mu here) are never nested with
+// one another. The ack wait, between Publish and Acknowledge, holds no
+// lock.
 //
 // Concurrent runs are not reproducible (goroutine interleaving is the
 // scheduler's); tests assert outcomes — everything commits, committed
@@ -319,13 +319,17 @@ func (r *ConcurrentRunner) foldErrLocked(ctx context.Context) {
 
 // pendingErr reports a failure visible from the shared state lock:
 // runErr, a cancellation (external or watchdog), or a parked WAL error
-// not yet folded.
+// not yet folded. Every operation asks, so it takes no lock: it polls
+// ctx.Done (ctx.Err locks the context) and WALErr is atomic until a
+// failure.
 func (r *ConcurrentRunner) pendingErr(ctx context.Context) error {
 	if r.runErr != nil {
 		return r.runErr
 	}
-	if ctx.Err() != nil {
+	select {
+	case <-ctx.Done():
 		return runCanceled(ctx)
+	default:
 	}
 	return r.eng.WALErr()
 }
