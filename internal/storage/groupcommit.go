@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -142,6 +143,7 @@ type walShard struct {
 	synced   sync.Cond // Sync waiters: doneSeq caught up
 	queue    []walFrame
 	enqSeq   uint64 // frames ever enqueued
+	acks     int    // ack-awaiting frames queued since the last drain
 	doneSeq  uint64 // frames fully processed by the committer
 	err      error  // sticky: injected crash or real I/O failure
 	closed   bool
@@ -375,6 +377,7 @@ func (w *ShardedWAL) enqueue(rec WALRecord, wait bool) (chan error, error) {
 	}
 	if wait {
 		fr.done = make(chan error, 1)
+		sh.acks++
 	}
 	sh.queue = append(sh.queue, fr)
 	sh.enqSeq++
@@ -452,6 +455,11 @@ func decideFaults(in *fault.Injector, sh *walShard, fr *walFrame) bool {
 // committer drains one lane: swap the queue out under the mutex, do
 // all I/O outside it, then advance doneSeq and wake Sync waiters. Once
 // a batch fails, every frame queued behind it fails with the same error.
+//
+// Before the swap it yields while ack-awaiting frames keep arriving:
+// the first publisher an ack woke readies the committer ahead of the
+// rest of its cohort, and draining at once would split the cohort
+// across two fsyncs. Producers block at QueueDepth, so the wait ends.
 func (w *ShardedWAL) committer(sh *walShard) {
 	defer w.wg.Done()
 	var dead error
@@ -464,8 +472,14 @@ func (w *ShardedWAL) committer(sh *walShard) {
 			sh.mu.Unlock()
 			return
 		}
+		for n := -1; sh.acks > n && !sh.closed; {
+			n = sh.acks
+			sh.mu.Unlock()
+			runtime.Gosched()
+			sh.mu.Lock()
+		}
 		batch := sh.queue
-		sh.queue = nil
+		sh.queue, sh.acks = nil, 0
 		sh.notFull.Broadcast()
 		sh.mu.Unlock()
 

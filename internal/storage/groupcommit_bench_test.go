@@ -8,8 +8,11 @@ import (
 )
 
 // BenchmarkGroupCommit measures synchronous commit appends against a
-// simulated 20µs-fsync device: parallel producers on the same lanes
-// share fsyncs, which is the whole point of group commit.
+// simulated fsync device: parallel producers on the same lanes share
+// fsyncs, which is the whole point of group commit. The device asks
+// for 20µs, but a sleep that short takes ~1 ms where the timer is
+// coarse (MemBackend.SyncDelay), so ms/op is ~1 ms over the commits
+// one fsync covers.
 func BenchmarkGroupCommit(b *testing.B) {
 	for _, lanes := range []int{1, 4} {
 		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {

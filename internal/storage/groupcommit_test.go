@@ -5,11 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"relser/internal/fault"
+	"relser/internal/metrics"
 )
 
 // laneInstance returns the first instance id >= from that routes to
@@ -126,6 +129,112 @@ func TestShardedWALGroupCommitBatching(t *testing.T) {
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGroupCommitWaitsForAcksOnly runs eight closed-loop AppendSync
+// producers on one lane at GOMAXPROCS(1) beside a goroutine streaming
+// non-ack Appends. The committer waits for the producers' cohort but
+// not for the stream: one fsync covers most of the cohort, no ack waits
+// more than a few fsyncs, and Sync and Close return while the stream
+// keeps the committer's queue growing.
+func TestGroupCommitWaitsForAcksOnly(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mem := NewMemBackend()
+	mem.SyncDelay = time.Millisecond
+	// Deep and long enough that the stream neither blocks at QueueDepth
+	// nor rotates a segment: both hold an ack back for their own reason.
+	w, err := NewShardedWAL(mem, SegmentedOptions{Shards: 1, QueueDepth: 1 << 14, SegmentBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	w.SetMetrics(reg)
+
+	const producers, rounds = 8, 25
+	type ackWait struct {
+		d      time.Duration
+		fsyncs int64 // lane fsyncs completed during the wait
+	}
+	waits := make([][]ackWait, producers)
+	var wg, committed sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := w.Append(WALRecord{Kind: WALWrite, Instance: 0, Object: "s", Value: Value(i)}); err != nil {
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	for p := 0; p < producers; p++ {
+		committed.Add(1)
+		go func(p int) {
+			defer committed.Done()
+			for i := 0; i < rounds; i++ {
+				start, before := time.Now(), w.Stats().Fsyncs
+				if err := w.AppendSync(WALRecord{Kind: WALCommit, Instance: int64(p + 1)}); err != nil {
+					t.Errorf("producer %d: %v", p, err)
+					return
+				}
+				waits[p] = append(waits[p], ackWait{time.Since(start), w.Stats().Fsyncs - before})
+			}
+		}(p)
+	}
+	returns := func(what string, f func() error) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- f() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s did not return while the stream ran", what)
+		}
+	}
+	returns("Sync", w.Sync)
+	committed.Wait()
+	fsyncs := w.Stats().Fsyncs
+	returns("Close", w.Close)
+	close(stop)
+	wg.Wait()
+
+	var all []ackWait
+	for _, ws := range waits {
+		all = append(all, ws...)
+	}
+	if len(all) != producers*rounds {
+		t.Fatalf("%d of %d commits acked", len(all), producers*rounds)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].d < all[j].d })
+	most := int64(0)
+	for _, a := range all {
+		most = max(most, a.fsyncs)
+	}
+	per := float64(len(all)) / float64(fsyncs)
+	median := all[len(all)/2].d
+	fsync := time.Duration(reg.Histogram("wal.shard00.fsync_seconds").Summary().Mean * float64(time.Second))
+	t.Logf("%.1f commits per fsync; ack wait median %v, longest %v spanning %d fsyncs; fsync %v",
+		per, median, all[len(all)-1].d, most, fsync)
+	if per < 6 {
+		t.Errorf("%d commits over %d fsyncs = %.1f per fsync, want >= 6", len(all), fsyncs, per)
+	}
+	if most > 2 {
+		t.Errorf("an ack waited out %d fsyncs, want <= 2", most)
+	}
+	// The stream must not set the cohort's pace: a committer that waited
+	// for every frame would yield until the stream filled the queue.
+	if median > 2*fsync {
+		t.Errorf("median ack wait %v, more than 2 fsyncs of %v", median, fsync)
 	}
 }
 

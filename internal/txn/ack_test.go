@@ -7,6 +7,7 @@ package txn_test
 // holds the lifecycle lock.
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -260,5 +261,27 @@ func TestAckWaitHoldsNoLock(t *testing.T) {
 	}
 	if p.ackedAtP2 != 0 {
 		t.Errorf("%d Commit hooks fired before program 2 published; want 0 (the gate was shut)", p.ackedAtP2)
+	}
+}
+
+// TestGroupCommitCoversCohort runs BenchmarkConcurrentCommitWAL's shape
+// once on one processor. An ack wakes all eight clients, and the first
+// to publish readies the lane committer ahead of the other seven; a
+// committer that drains at once fsyncs a one-commit batch and splits
+// the clients into two cohorts that alternate fsyncs (0.26 fsyncs per
+// commit). Waiting for the cohort covers each round with one fsync.
+func TestGroupCommitCoversCohort(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	wal := newCommitWAL(t)
+	commits := runCommitWAL(t, commitWALBanking(t), wal)
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if commits == 0 {
+		t.Fatal("no commits")
+	}
+	fsyncs := wal.Stats().Fsyncs
+	if per := float64(fsyncs) / float64(commits); per > 0.2 {
+		t.Errorf("%d fsyncs for %d commits = %.3f per commit, want <= 0.2", fsyncs, commits, per)
 	}
 }

@@ -310,42 +310,65 @@ func BenchmarkDeterministicRunnerMixRel(b *testing.B) {
 	}
 }
 
-// BenchmarkConcurrentCommitWAL is the group-commit shape of the whole
-// stack: banking under RSGT on the goroutine driver at MPL 8 over one
-// log lane with a 1 ms simulated fsync. Commits/s is bound by how many
-// commit records one fsync covers, which fsyncs/commit reports.
-func BenchmarkConcurrentCommitWAL(b *testing.B) {
+// commitWALBanking is the banking workload of
+// BenchmarkConcurrentCommitWAL and TestGroupCommitCoversCohort.
+func commitWALBanking(tb testing.TB) *workload.Workload {
+	tb.Helper()
 	w, err := workload.Banking(workload.BankingConfig{
 		Families: 16, AccountsPerFamily: 3, Customers: 64,
 		CreditAudits: 8, FamiliesPerAudit: 2, BankAudits: 1,
 		CrossingAudits: true, InitialBalance: 100,
 	}, 1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return w
+}
+
+// newCommitWAL opens BenchmarkConcurrentCommitWAL's log: one lane over
+// memory with a 1 ms simulated fsync.
+func newCommitWAL(tb testing.TB) *storage.ShardedWAL {
+	tb.Helper()
+	mem := storage.NewMemBackend()
+	mem.SyncDelay = time.Millisecond
+	wal, err := storage.NewShardedWAL(mem, storage.SegmentedOptions{Shards: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return wal
+}
+
+// runCommitWAL runs w under RSGT on the goroutine driver at MPL 8 over
+// wal and returns the run's commits.
+func runCommitWAL(tb testing.TB, w *workload.Workload, wal *storage.ShardedWAL) int {
+	tb.Helper()
+	res, _, err := w.RunWith(sched.NewRSGT(w.Oracle), workload.RunOptions{
+		Seed: 1, MPL: 8, Concurrent: true, WAL: wal,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res.Committed
+}
+
+// BenchmarkConcurrentCommitWAL is the group-commit shape of the whole
+// stack: banking under RSGT on the goroutine driver at MPL 8 over one
+// log lane with a 1 ms simulated fsync. Commits/s is bound by how many
+// commit records one fsync covers, which fsyncs/commit reports.
+func BenchmarkConcurrentCommitWAL(b *testing.B) {
+	w := commitWALBanking(b)
 	commits, fsyncs := 0, int64(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		mem := storage.NewMemBackend()
-		mem.SyncDelay = time.Millisecond
-		wal, err := storage.NewShardedWAL(mem, storage.SegmentedOptions{Shards: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
+		wal := newCommitWAL(b)
 		b.StartTimer()
-		res, _, err := w.RunWith(sched.NewRSGT(w.Oracle), workload.RunOptions{
-			Seed: 1, MPL: 8, Concurrent: true, WAL: wal,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		commits += runCommitWAL(b, w, wal)
 		b.StopTimer()
 		if err := wal.Close(); err != nil {
 			b.Fatal(err)
 		}
-		commits += res.Committed
 		fsyncs += wal.Stats().Fsyncs
 		b.StartTimer()
 	}
