@@ -1,6 +1,6 @@
 // Package infer synthesizes a relative-atomicity specification from
-// workload code: the static on-ramp to ROADMAP item 4. It extracts
-// each transaction program's read/write key sets from `core.T(id,
+// workload source code, without running it. It extracts each
+// transaction program's read/write key sets from `core.T(id,
 // ...)` construction sites, follows helper calls interprocedurally to
 // recover the access sets they contribute, and feeds the result to
 // speclint's potential-RSG machinery to emit the finest chop the

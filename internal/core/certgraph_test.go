@@ -277,16 +277,39 @@ func certifyInstance(programs int, seed int64) (*core.Schedule, *core.Spec) {
 		}
 		txns[i] = core.T(core.TxnID(i+1), ops...)
 	}
+	return interleaveEight(rng, txns, []int{4, 8, 12})
+}
+
+// chainInstance generates the chain-soak shape: program i reads
+// x(i-1) and writes x(i) over 257 objects, each program one unit
+// relative to the others, interleaved eight at a time. Its
+// transactions are as short as a program gets with a conflict on
+// either side, so nearly every operation depends on everything before
+// it.
+func chainInstance(programs int, seed int64) (*core.Schedule, *core.Spec) {
+	obj := func(i int) string { return fmt.Sprintf("x%d", i%257) }
+	txns := make([]*core.Transaction, programs)
+	for i := range txns {
+		txns[i] = core.T(core.TxnID(i+1), core.R(obj(i)), core.W(obj(i+1)))
+	}
+	return interleaveEight(rand.New(rand.NewSource(seed)), txns, nil)
+}
+
+// interleaveEight schedules the programs as a closed loop of eight:
+// programs are admitted in order, and each step runs the next
+// operation of a random admitted one. Every pair is cut at the given
+// positions.
+func interleaveEight(rng *rand.Rand, txns []*core.Transaction, units []int) (*core.Schedule, *core.Spec) {
 	ts := core.MustTxnSet(txns...)
-	sp, err := core.SpecFromCuts(ts, func(_, _ *core.Transaction) []int { return []int{4, 8, 12} })
+	sp, err := core.SpecFromCuts(ts, func(_, _ *core.Transaction) []int { return units })
 	if err != nil {
 		panic(err)
 	}
-	next := make([]int, programs)
+	next := make([]int, len(txns))
 	active, admitted := []int{}, 0
 	order := make([]core.Op, 0, ts.NumOps())
 	for len(order) < ts.NumOps() {
-		for len(active) < 8 && admitted < programs {
+		for len(active) < 8 && admitted < len(txns) {
 			active = append(active, admitted)
 			admitted++
 		}
@@ -311,6 +334,51 @@ func BenchmarkCertify(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				certifySink = core.BuildRSGUnder(s, sp, core.ComputeDepends(s)).Acyclic()
+			}
+		})
+	}
+}
+
+// BenchmarkCertifyFromTrace is the ladder's whole certify-offline timed
+// region: index the committed programs, rebuild the schedule from the
+// trace's operations, build the specification from the oracle's cuts,
+// then depends-on, graph and acyclicity. The cuts function answers from
+// one shared slice, as the workload oracles answer from tables. The
+// chain shape has two operations per program, where the clock scan's
+// per-transaction entries are the most numerous per operation.
+func BenchmarkCertifyFromTrace(b *testing.B) {
+	shapes := []struct {
+		name     string
+		programs int
+		instance func(programs int, seed int64) (*core.Schedule, *core.Spec)
+		units    []int
+	}{
+		{"programs", 48, certifyInstance, []int{4, 8, 12}},
+		{"programs", 192, certifyInstance, []int{4, 8, 12}},
+		{"programs", 768, certifyInstance, []int{4, 8, 12}},
+		{"chain", 2000, chainInstance, nil},
+	}
+	for _, shape := range shapes {
+		cuts := func(_, _ *core.Transaction) []int { return shape.units }
+		b.Run(fmt.Sprintf("%s=%d", shape.name, shape.programs), func(b *testing.B) {
+			s, _ := shape.instance(shape.programs, 1)
+			txns, ops := s.Set().Txns(), s.Ops()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ts, err := core.NewTxnSet(txns...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s, err := core.NewSchedule(ts, ops)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sp, err := core.SpecFromCuts(ts, cuts)
+				if err != nil {
+					b.Fatal(err)
+				}
 				certifySink = core.BuildRSGUnder(s, sp, core.ComputeDepends(s)).Acyclic()
 			}
 		})

@@ -149,7 +149,7 @@ func TestDependsMatchesNaiveClosureOnPaperSchedules(t *testing.T) {
 }
 
 func TestDependsMatchesNaiveClosureRandom(t *testing.T) {
-	// Property: the covering-predecessor dynamic program equals the
+	// Property: the rows built from the clock scan equal the
 	// naive transitive closure on random schedules.
 	rng := rand.New(rand.NewSource(99))
 	objects := []string{"x", "y", "z", "u"}

@@ -73,7 +73,8 @@ type RSG struct {
 
 // BuildRSG constructs RSG(S) for the schedule under the specification.
 // The depends-on relation is computed from the schedule (transitive, as
-// the paper requires).
+// the paper requires). The specification must cover the schedule's
+// transactions and no others; it panics otherwise.
 func BuildRSG(s *Schedule, sp *Spec) *RSG {
 	return buildRSG(s, sp, ComputeDepends(s))
 }
@@ -91,52 +92,28 @@ func BuildRSGUnder(s *Schedule, sp *Spec, d *Depends) *RSG {
 // buildRSG fills the tested graph in one forward scan: all I-arcs, and
 // the F- and B-arc of a dependent pair u ∈ Ti, v ∈ Tk only where u is
 // later in Ti than anything an operation of Tk up to v depended on
-// before. By the dominance lemma (THEORY §4) every arc Definition 3
-// adds for any other pair is a path through those, whatever the
-// depends-on relation, so no D-arc is stored.
+// before (dep's staircase). By the dominance lemma (THEORY §4) every
+// arc Definition 3 adds for any other pair is a path through those,
+// whatever the depends-on relation, so no D-arc is stored.
 func buildRSG(s *Schedule, sp *Spec, dep *Depends) *RSG {
 	ts := s.Set()
-	n, nt := ts.NumOps(), ts.NumTxns()
-	r := &RSG{s: s, sp: sp, dep: dep, g: graph.NewDense(n)}
+	if !ts.sameTxns(sp.Set()) {
+		panic("core: specification covers a different transaction set than the schedule")
+	}
+	r := &RSG{s: s, sp: sp, dep: dep, g: graph.NewDense(ts.NumOps())}
 	addProgramOrder(r.g, ts)
-	owner := make([]int, 0, n) // global op index -> index of its transaction
-	for i, t := range ts.Txns() {
-		for range t.Ops {
-			owner = append(owner, i)
-		}
-	}
-	// latest[k*nt+i] is 1 + the global index (which grows with program
-	// order) of the latest operation of Ti that an operation of Tk
-	// scheduled so far depends on; 0 for none.
-	latest := make([]int, nt*nt)
-	stamp := make([]int, nt) // stamp[i] == pos+1: entry i advanced at pos
-	var advanced []int
-	for pos := 0; pos < s.Len(); pos++ {
-		gv := s.GlobalAt(pos)
-		k := owner[gv]
-		row := latest[k*nt : (k+1)*nt]
-		advanced = advanced[:0]
-		dep.Predecessors(pos).ForEach(func(q int) bool {
-			gu := s.GlobalAt(q)
-			if i := owner[gu]; i != k && gu >= row[i] {
-				row[i] = gu + 1
-				if stamp[i] != pos+1 {
-					stamp[i] = pos + 1
-					advanced = append(advanced, i)
-				}
-			}
-			return true
-		})
-		v := ts.OpAt(gv)
+	dep.staircase(func(p, k int, latest []int32, advanced []int) {
+		gv := s.seq[p]
+		vSeq := gv - ts.offset[k]
 		for _, i := range advanced {
-			gu := row[i] - 1
-			u := ts.OpAt(gu)
-			_, end := sp.UnitOf(u.Txn, u.Seq, v.Txn)
-			r.g.AddArc(gu+end-u.Seq, gv) // F: PushForward(u, Tk) -> v
-			start, _ := sp.UnitOf(v.Txn, v.Seq, u.Txn)
-			r.g.AddArc(gu, gv+start-v.Seq) // B: u -> PullBackward(v, Ti)
+			gu := int(latest[i]) - 1
+			uSeq := gu - ts.offset[i]
+			_, end := sp.unitAt(i, uSeq, k)
+			r.g.AddArc(gu+end-uSeq, gv) // F: PushForward(u, Tk) -> v
+			start, _ := sp.unitAt(k, vSeq, i)
+			r.g.AddArc(gu, gv+start-vSeq) // B: u -> PullBackward(v, Ti)
 		}
-	}
+	})
 	return r
 }
 

@@ -22,35 +22,35 @@ func NewSchedule(ts *TxnSet, ops []Op) (*Schedule, error) {
 	if len(ops) != n {
 		return nil, fmt.Errorf("core: schedule has %d operations, transaction set has %d", len(ops), n)
 	}
-	s := &Schedule{set: ts, seq: make([]int, n), posOf: make([]int, n)}
-	for i := range s.posOf {
-		s.posOf[i] = -1
-	}
-	nextSeq := make(map[TxnID]int, ts.NumTxns())
+	idx := make([]int, 2*n)
+	s := &Schedule{set: ts, seq: idx[:n:n], posOf: idx[n:]}
+	nextSeq := make([]int, ts.NumTxns()) // by transaction position
 	for pos, o := range ops {
-		if !ts.Has(o.Txn) {
+		k, ok := ts.pos[o.Txn]
+		if !ok {
 			return nil, fmt.Errorf("core: schedule position %d: unknown transaction T%d", pos, o.Txn)
 		}
-		if nextSeq[o.Txn] >= ts.Txn(o.Txn).Len() {
-			return nil, fmt.Errorf("core: schedule position %d: T%d has only %d operations", pos, o.Txn, nextSeq[o.Txn])
+		t, seq := ts.txns[k], nextSeq[k]
+		if seq >= t.Len() {
+			return nil, fmt.Errorf("core: schedule position %d: T%d has only %d operations", pos, o.Txn, seq)
 		}
-		want := ts.Txn(o.Txn).Op(nextSeq[o.Txn])
+		want := t.Ops[seq]
 		// Operations may be identified fully (Txn, Seq) or by shape only
 		// (Seq zero, as produced by the schedule parser); either way the
 		// next program-order operation of the transaction must match.
-		if o.Seq != nextSeq[o.Txn] && o.Seq != 0 {
-			return nil, fmt.Errorf("core: schedule position %d: %v out of program order (expected seq %d of T%d)", pos, o, nextSeq[o.Txn], o.Txn)
+		if o.Seq != seq && o.Seq != 0 {
+			return nil, fmt.Errorf("core: schedule position %d: %v out of program order (expected seq %d of T%d)", pos, o, seq, o.Txn)
 		}
 		if o.Kind != want.Kind || o.Object != want.Object {
 			return nil, fmt.Errorf("core: schedule position %d: got %s%d[%s], program order expects %v", pos, o.Kind, int(o.Txn), o.Object, want)
 		}
-		g := ts.GlobalIndex(o.Txn, nextSeq[o.Txn])
-		nextSeq[o.Txn]++
+		g := ts.offset[k] + seq
+		nextSeq[k]++
 		s.seq[pos] = g
 		s.posOf[g] = pos
 	}
-	for _, t := range ts.Txns() {
-		if nextSeq[t.ID] != t.Len() {
+	for k, t := range ts.Txns() {
+		if nextSeq[k] != t.Len() {
 			return nil, fmt.Errorf("core: schedule is missing operations of T%d", t.ID)
 		}
 	}

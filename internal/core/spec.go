@@ -17,16 +17,19 @@ import (
 // Internally a pair's partition is stored as a sorted slice of cut
 // positions: a cut at p (0 < p < len(Ti)) separates operation p-1 from
 // operation p. No cuts means Ti is a single atomic unit relative to Tj
-// (absolute atomicity), which is the default for every pair.
+// (absolute atomicity), which is the default for every pair. The slices
+// sit in one row per transaction, indexed by the TxnSet positions of Ti
+// and Tj; a transaction that is one unit relative to everyone has no
+// row, so the absolute specification costs O(#transactions).
 type Spec struct {
 	set  *TxnSet
-	cuts map[TxnID]map[TxnID][]int
+	cuts [][][]int // cuts[i][j] = boundaries of Atomicity(T_i, T_j); cuts[i] nil if T_i has none
 }
 
 // NewSpec returns the absolute-atomicity specification for the set:
 // every transaction is a single atomic unit relative to every other.
 func NewSpec(ts *TxnSet) *Spec {
-	return &Spec{set: ts, cuts: make(map[TxnID]map[TxnID][]int)}
+	return &Spec{set: ts, cuts: make([][][]int, ts.NumTxns())}
 }
 
 // Set returns the transaction set the specification covers.
@@ -35,12 +38,13 @@ func (sp *Spec) Set() *TxnSet { return sp.set }
 // Clone returns an independent copy of the specification.
 func (sp *Spec) Clone() *Spec {
 	c := NewSpec(sp.set)
-	for i, m := range sp.cuts {
-		cm := make(map[TxnID][]int, len(m))
-		for j, cs := range m {
-			cm[j] = append([]int(nil), cs...)
+	for i, row := range sp.cuts {
+		if row != nil {
+			c.cuts[i] = make([][]int, len(row))
+			for j, cs := range row {
+				c.cuts[i][j] = slices.Clone(cs)
+			}
 		}
-		c.cuts[i] = cm
 	}
 	return c
 }
@@ -52,9 +56,9 @@ func (sp *Spec) Clone() *Spec {
 // a no-op). Pairs with no boundaries stay absolute.
 func SpecFromCuts(ts *TxnSet, cuts func(a, b *Transaction) []int) (*Spec, error) {
 	sp := NewSpec(ts)
-	for _, a := range ts.Txns() {
-		for _, b := range ts.Txns() {
-			if a == b {
+	for i, a := range ts.Txns() {
+		for j, b := range ts.Txns() {
+			if i == j {
 				continue
 			}
 			cs := cuts(a, b)
@@ -72,7 +76,7 @@ func SpecFromCuts(ts *TxnSet, cuts func(a, b *Transaction) []int) (*Spec, error)
 			// Kept, not copied: an oracle answers from per-program
 			// tables, so the pairs of one program share one slice, and
 			// CutAfter copies a pair's boundaries before it edits them.
-			sp.storeCuts(a.ID, b.ID, cs)
+			sp.store(i, j, cs)
 		}
 	}
 	return sp, nil
@@ -164,8 +168,8 @@ func (sp *Spec) AllowAllPairs() {
 // absolute-atomicity model: every transaction is one atomic unit
 // relative to every other transaction.
 func (sp *Spec) IsAbsolute() bool {
-	for _, m := range sp.cuts {
-		for _, cs := range m {
+	for _, row := range sp.cuts {
+		for _, cs := range row {
 			if len(cs) > 0 {
 				return false
 			}
@@ -186,28 +190,19 @@ func (sp *Spec) NumUnits(i, j TxnID) int { return len(sp.cutsFor(i, j)) + 1 }
 // Unit returns the half-open sequence bounds [start, end] (inclusive)
 // of the k-th (0-based) atomic unit of Atomicity(Ti, Tj).
 func (sp *Spec) Unit(i, j TxnID, k int) (start, end int) {
-	cuts := sp.cutsFor(i, j)
+	a, b := sp.positions(i, j)
+	cuts := sp.cutsAt(a, b)
 	if k < 0 || k > len(cuts) {
 		panic(fmt.Sprintf("core: Atomicity(T%d, T%d) has no unit %d", i, j, k))
 	}
-	start = 0
-	if k > 0 {
-		start = cuts[k-1]
-	}
-	end = sp.set.Txn(i).Len() - 1
-	if k < len(cuts) {
-		end = cuts[k] - 1
-	}
-	return start, end
+	return sp.bounds(a, cuts, k)
 }
 
 // UnitOf returns the inclusive sequence bounds of the atomic unit of
 // Atomicity(Ti, Tj) containing Ti's operation seq.
 func (sp *Spec) UnitOf(i TxnID, seq int, j TxnID) (start, end int) {
-	cuts := sp.cutsFor(i, j)
-	// Number of cuts at or before seq = index of the unit containing seq.
-	k := sort.SearchInts(cuts, seq+1)
-	return sp.Unit(i, j, k)
+	a, b := sp.positions(i, j)
+	return sp.unitAt(a, seq, b)
 }
 
 // UnitIndexOf returns the 0-based index of the atomic unit of
@@ -297,15 +292,80 @@ func (sp *Spec) pair(i, j TxnID) (*Transaction, error) {
 	return t, nil
 }
 
-func (sp *Spec) cutsFor(i, j TxnID) []int { return sp.cuts[i][j] }
-
-func (sp *Spec) storeCuts(i, j TxnID, cuts []int) {
-	m := sp.cuts[i]
-	if m == nil {
-		m = make(map[TxnID][]int)
-		sp.cuts[i] = m
+// cutsFor returns the boundaries of Atomicity(Ti, Tj); nil for a pair
+// outside the set.
+func (sp *Spec) cutsFor(i, j TxnID) []int {
+	if a, ok := sp.set.pos[i]; ok && sp.cuts[a] != nil {
+		if b, ok := sp.set.pos[j]; ok {
+			return sp.cuts[a][b]
+		}
 	}
-	m[j] = cuts
+	return nil
+}
+
+// storeCuts sets the boundaries of Atomicity(Ti, Tj); both IDs must be
+// in the set.
+func (sp *Spec) storeCuts(i, j TxnID, cuts []int) {
+	sp.store(sp.set.pos[i], sp.set.pos[j], cuts)
+}
+
+// store sets the boundaries of the pair at positions (a, b).
+func (sp *Spec) store(a, b int, cuts []int) {
+	if sp.cuts[a] == nil {
+		sp.cuts[a] = make([][]int, len(sp.cuts))
+	}
+	sp.cuts[a][b] = cuts
+}
+
+// positions maps a pair of IDs to their TxnSet positions.
+func (sp *Spec) positions(i, j TxnID) (a, b int) {
+	a, okI := sp.set.pos[i]
+	b, okJ := sp.set.pos[j]
+	if !okI || !okJ {
+		panic(fmt.Sprintf("core: Atomicity(T%d, T%d): transaction not in the set", i, j))
+	}
+	return a, b
+}
+
+// cutsAt returns the boundaries of the pair at positions (a, b).
+func (sp *Spec) cutsAt(a, b int) []int {
+	if row := sp.cuts[a]; row != nil {
+		return row[b]
+	}
+	return nil
+}
+
+// unitAt is UnitOf addressed by TxnSet positions: the inclusive bounds
+// of the unit of Atomicity(T_a, T_b) containing T_a's operation seq,
+// whose index is the number of cuts at or before seq.
+func (sp *Spec) unitAt(a, seq, b int) (start, end int) {
+	cuts := sp.cutsAt(a, b)
+	k, _ := slices.BinarySearch(cuts, seq+1)
+	return sp.bounds(a, cuts, k)
+}
+
+// bounds returns the inclusive bounds of unit k of T_a under the cuts.
+func (sp *Spec) bounds(a int, cuts []int, k int) (start, end int) {
+	end = sp.set.txns[a].Len() - 1
+	if k > 0 {
+		start = cuts[k-1]
+	}
+	if k < len(cuts) {
+		end = cuts[k] - 1
+	}
+	return start, end
+}
+
+// pairCuts calls fn for every ordered pair with at least one unit
+// boundary, in (Ti, Tj) ID order.
+func (sp *Spec) pairCuts(fn func(i, j TxnID, cuts []int)) {
+	for a, row := range sp.cuts {
+		for b, cs := range row {
+			if len(cs) > 0 {
+				fn(sp.set.txns[a].ID, sp.set.txns[b].ID, cs)
+			}
+		}
+	}
 }
 
 // Refine returns the specification whose cut sets are the unions of
@@ -315,15 +375,13 @@ func (sp *Spec) storeCuts(i, j TxnID, cuts []int) {
 // least the schedules a coarser one does).
 func (sp *Spec) Refine(other *Spec) *Spec {
 	out := sp.Clone()
-	for i, m := range other.cuts {
-		for j, cs := range m {
-			for _, p := range cs {
-				if err := out.CutAfter(i, j, p-1); err != nil {
-					panic(fmt.Sprintf("core: Refine over mismatched sets: %v", err))
-				}
+	other.pairCuts(func(i, j TxnID, cs []int) {
+		for _, p := range cs {
+			if err := out.CutAfter(i, j, p-1); err != nil {
+				panic(fmt.Sprintf("core: Refine over mismatched sets: %v", err))
 			}
 		}
-	}
+	})
 	return out
 }
 
@@ -332,39 +390,30 @@ func (sp *Spec) Refine(other *Spec) *Spec {
 // both declare it. Coarsen is the meet of the specification lattice.
 func (sp *Spec) Coarsen(other *Spec) *Spec {
 	out := NewSpec(sp.set)
-	for i, m := range sp.cuts {
-		for j, cs := range m {
-			otherCuts := make(map[int]bool)
-			for _, p := range other.cutsFor(i, j) {
-				otherCuts[p] = true
-			}
-			for _, p := range cs {
-				if otherCuts[p] {
-					if err := out.CutAfter(i, j, p-1); err != nil {
-						panic(fmt.Sprintf("core: Coarsen over mismatched sets: %v", err))
-					}
+	sp.pairCuts(func(i, j TxnID, cs []int) {
+		theirs := other.cutsFor(i, j)
+		for _, p := range cs {
+			if _, found := slices.BinarySearch(theirs, p); found {
+				if err := out.CutAfter(i, j, p-1); err != nil {
+					panic(fmt.Sprintf("core: Coarsen over mismatched sets: %v", err))
 				}
 			}
 		}
-	}
+	})
 	return out
 }
 
 // RefinesOrEquals reports whether sp declares every unit boundary
 // other declares (sp is at least as fine as other).
 func (sp *Spec) RefinesOrEquals(other *Spec) bool {
-	for i, m := range other.cuts {
-		for j, cs := range m {
-			mine := make(map[int]bool)
-			for _, p := range sp.cutsFor(i, j) {
-				mine[p] = true
-			}
-			for _, p := range cs {
-				if !mine[p] {
-					return false
-				}
+	refines := true
+	other.pairCuts(func(i, j TxnID, cs []int) {
+		mine := sp.cutsFor(i, j)
+		for _, p := range cs {
+			if _, found := slices.BinarySearch(mine, p); !found {
+				refines = false
 			}
 		}
-	}
-	return true
+	})
+	return refines
 }

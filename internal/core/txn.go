@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -71,12 +72,15 @@ func (t *Transaction) objectSet(kind OpKind) []string {
 // TxnSet is an immutable collection of transactions with dense global
 // operation indexing. Every graph structure in this module addresses
 // operations through the global index a TxnSet assigns:
-// global(Ti, seq) = offset(Ti) + seq.
+// global(Ti, seq) = offset(Ti) + seq. Transactions also have a dense
+// position, their rank in ID order, which indexes per-transaction
+// tables (specification rows, clocks).
 type TxnSet struct {
-	txns    []*Transaction // sorted by ID
-	byID    map[TxnID]*Transaction
-	offsets map[TxnID]int
-	ops     []Op // global index -> operation
+	txns   []*Transaction // sorted by ID
+	pos    map[TxnID]int  // ID -> position in txns
+	offset []int          // position -> global index of its first operation
+	owner  []int32        // global index -> position of its transaction
+	ops    []Op           // global index -> operation
 }
 
 // NewTxnSet validates and indexes a collection of transactions.
@@ -84,20 +88,22 @@ type TxnSet struct {
 // contain at least one operation.
 func NewTxnSet(txns ...*Transaction) (*TxnSet, error) {
 	ts := &TxnSet{
-		byID:    make(map[TxnID]*Transaction, len(txns)),
-		offsets: make(map[TxnID]int, len(txns)),
+		txns:   slices.Clone(txns),
+		pos:    make(map[TxnID]int, len(txns)),
+		offset: make([]int, len(txns)),
 	}
-	ts.txns = make([]*Transaction, len(txns))
-	copy(ts.txns, txns)
-	sort.Slice(ts.txns, func(i, j int) bool { return ts.txns[i].ID < ts.txns[j].ID })
 	for _, t := range ts.txns {
 		if t == nil {
 			return nil, fmt.Errorf("core: nil transaction in set")
 		}
+	}
+	sort.Slice(ts.txns, func(i, j int) bool { return ts.txns[i].ID < ts.txns[j].ID })
+	n := 0
+	for k, t := range ts.txns {
 		if t.ID <= 0 {
 			return nil, fmt.Errorf("core: transaction ID %d is not positive", t.ID)
 		}
-		if _, dup := ts.byID[t.ID]; dup {
+		if k > 0 && ts.txns[k-1].ID == t.ID {
 			return nil, fmt.Errorf("core: duplicate transaction ID %d", t.ID)
 		}
 		if len(t.Ops) == 0 {
@@ -111,12 +117,20 @@ func NewTxnSet(txns ...*Transaction) (*TxnSet, error) {
 				return nil, fmt.Errorf("core: operation %d of T%d has empty object", i, t.ID)
 			}
 		}
-		ts.byID[t.ID] = t
-		ts.offsets[t.ID] = len(ts.ops)
-		ts.ops = append(ts.ops, t.Ops...)
+		ts.pos[t.ID] = k
+		ts.offset[k] = n
+		n += len(t.Ops)
 	}
 	if len(ts.txns) == 0 {
 		return nil, fmt.Errorf("core: empty transaction set")
+	}
+	ts.ops = make([]Op, 0, n)
+	ts.owner = make([]int32, 0, n)
+	for k, t := range ts.txns {
+		ts.ops = append(ts.ops, t.Ops...)
+		for range t.Ops {
+			ts.owner = append(ts.owner, int32(k))
+		}
 	}
 	return ts, nil
 }
@@ -135,11 +149,34 @@ func MustTxnSet(txns ...*Transaction) *TxnSet {
 // the returned slice.
 func (ts *TxnSet) Txns() []*Transaction { return ts.txns }
 
+// sameTxns reports whether o holds transactions of the same IDs and
+// lengths at the same positions, so tables indexed by position in one
+// set address the same transactions in the other.
+func (ts *TxnSet) sameTxns(o *TxnSet) bool {
+	if ts == o {
+		return true
+	}
+	if len(ts.txns) != len(o.txns) {
+		return false
+	}
+	for k, t := range ts.txns {
+		if u := o.txns[k]; u.ID != t.ID || u.Len() != t.Len() {
+			return false
+		}
+	}
+	return true
+}
+
 // Txn returns the transaction with the given ID, or nil if absent.
-func (ts *TxnSet) Txn(id TxnID) *Transaction { return ts.byID[id] }
+func (ts *TxnSet) Txn(id TxnID) *Transaction {
+	if k, ok := ts.pos[id]; ok {
+		return ts.txns[k]
+	}
+	return nil
+}
 
 // Has reports whether the set contains a transaction with the given ID.
-func (ts *TxnSet) Has(id TxnID) bool { _, ok := ts.byID[id]; return ok }
+func (ts *TxnSet) Has(id TxnID) bool { _, ok := ts.pos[id]; return ok }
 
 // NumTxns returns the number of transactions.
 func (ts *TxnSet) NumTxns() int { return len(ts.txns) }
@@ -149,14 +186,14 @@ func (ts *TxnSet) NumOps() int { return len(ts.ops) }
 
 // GlobalIndex maps (transaction, sequence) to the dense global index.
 func (ts *TxnSet) GlobalIndex(id TxnID, seq int) int {
-	off, ok := ts.offsets[id]
+	k, ok := ts.pos[id]
 	if !ok {
 		panic(fmt.Sprintf("core: unknown transaction T%d", id))
 	}
-	if seq < 0 || seq >= ts.byID[id].Len() {
+	if seq < 0 || seq >= ts.txns[k].Len() {
 		panic(fmt.Sprintf("core: T%d has no operation %d", id, seq))
 	}
-	return off + seq
+	return ts.offset[k] + seq
 }
 
 // GlobalIndexOf maps an operation to its dense global index.

@@ -17,8 +17,10 @@ func NewDense(n int) *Dense {
 		panic(fmt.Sprintf("graph: NewDense with negative size %d", n))
 	}
 	g := &Dense{n: n, adj: make([]Bitset, n)}
+	words := (n + wordBits - 1) / wordBits
+	slab := make([]uint64, n*words) // one allocation for all rows
 	for i := range g.adj {
-		g.adj[i] = NewBitset(n)
+		g.adj[i] = slab[i*words : (i+1)*words : (i+1)*words]
 	}
 	return g
 }

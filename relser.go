@@ -60,7 +60,7 @@ type (
 	Schedule = core.Schedule
 	// Spec holds relative atomicity specifications (§2).
 	Spec = core.Spec
-	// Depends is the materialized depends-on relation (§2).
+	// Depends is the depends-on relation (§2), kept as per-transaction clocks.
 	Depends = core.Depends
 	// Violation explains a failed class membership test.
 	Violation = core.Violation
@@ -112,7 +112,7 @@ var (
 	// NewSpec returns the absolute-atomicity specification.
 	NewSpec = core.NewSpec
 
-	// ComputeDepends materializes the depends-on relation (§2).
+	// ComputeDepends returns the depends-on relation (§2).
 	ComputeDepends = core.ComputeDepends
 	// ComputeDirectDepends is the non-transitive ablation (Figure 2).
 	ComputeDirectDepends = core.ComputeDirectDepends
