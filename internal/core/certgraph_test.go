@@ -50,14 +50,14 @@ func definition3Witness(rsg *core.RSG, def3 *graph.Dense) string {
 	return core.MustSchedule(ts, ops).String()
 }
 
-// closure returns g's reachability matrix by Warshall over bitset rows:
-// an oracle independent of Dense.TransitiveClosure, and cheap on the
-// cyclic third of the instances, where that falls back to one search
-// per vertex.
-func closure(g *graph.Dense) []graph.Bitset {
-	rows := make([]graph.Bitset, g.Len())
+// closure returns the reachability matrix of g, a graph over n
+// vertices, by Warshall over bitset rows: an oracle independent of
+// Dense.TransitiveClosure, and cheap on the cyclic third of the
+// instances, where that falls back to one search per vertex.
+func closure(g *graph.Dense, n int) []graph.Bitset {
+	rows := make([]graph.Bitset, n)
 	for u := range rows {
-		rows[u] = graph.NewBitset(g.Len())
+		rows[u] = graph.NewBitset(n)
 	}
 	g.Arcs(func(u, v int) bool {
 		rows[u].Set(v)
@@ -89,7 +89,8 @@ func checkCertGraph(t testing.TB, label string, rsg *core.RSG) (cyclic bool) {
 	if tested.ArcCount() != rsg.TestedArcs() || tested.ArcCount() > rsg.NumArcs() {
 		t.Fatalf("%s: tested graph has %d arcs, TestedArcs %d, Definition 3 %d", label, tested.ArcCount(), rsg.TestedArcs(), rsg.NumArcs())
 	}
-	reach, want := closure(tested), closure(def3)
+	n := rsg.NumVertices()
+	reach, want := closure(tested, n), closure(def3, n)
 	for u := range reach {
 		if !slices.Equal(reach[u], want[u]) {
 			t.Fatalf("%s: reachability from %v differs: tested %v, Definition 3 %v\nschedule %s\nspec %s",

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"hash/maphash"
+	"math/bits"
 	"sync"
 
 	"relser/internal/graph"
@@ -95,30 +97,20 @@ func ComputeDirectDepends(s *Schedule) *Depends {
 // operations, the shorter the transactions, the longer the rows
 // (DESIGN §5).
 func clockScan(s *Schedule, visit func(p, k int, clock []int32, advanced []int)) {
-	ts, n := s.set, s.Len()
+	ts := s.set
 	nt := ts.NumTxns()
-	// Dense object numbers, in order of first appearance, and what
-	// touches each object.
-	objOf := make([]int32, n)
-	objects := make(map[string]int32)
+	// What touches each object.
+	objOf, objects := numberObjects(s)
 	type use struct {
-		last            int // position of the last access
+		last            int // 1 + position of the last access
 		shared, written bool
 	}
-	var uses []use
+	uses := make([]use, objects)
 	for p, g := range s.seq {
-		o := ts.ops[g]
-		x, ok := objects[o.Object]
-		if !ok {
-			x = int32(len(uses))
-			objects[o.Object] = x
-			uses = append(uses, use{})
-		}
-		objOf[p] = x
-		u := &uses[x]
-		u.shared = ok
-		u.last = p
-		u.written = u.written || o.Kind == WriteOp
+		u := &uses[objOf[p]]
+		u.shared = u.last != 0
+		u.last = p + 1
+		u.written = u.written || ts.ops[g].Kind == WriteOp
 	}
 	// Size the slab by the most rows live at once; row 0 stays zero and
 	// unused, so a zero row index means none.
@@ -138,7 +130,7 @@ func clockScan(s *Schedule, visit func(p, k int, clock []int32, advanced []int))
 		if g+1 == ts.offset[k]+ts.txns[k].Len() {
 			live--
 		}
-		if carries(x) && uses[x].last == p {
+		if carries(x) && uses[x].last == p+1 {
 			live -= 2
 		}
 	}
@@ -214,10 +206,41 @@ func clockScan(s *Schedule, visit func(p, k int, clock []int32, advanced []int))
 		if g+1 == ts.offset[k]+ts.txns[k].Len() {
 			free = append(free, txnRow[k])
 		}
-		if r := objRows[x]; r[0] != 0 && uses[x].last == p {
+		if r := objRows[x]; r[0] != 0 && uses[x].last == p+1 {
 			free = append(free, r[0], r[1])
 		}
 	}
+}
+
+// numberObjects numbers the objects the schedule accesses 0, 1, … in
+// order of first access, and returns each position's object number and
+// the number of objects. It stands in for a map from object to number:
+// an open-addressing table of 4-byte slots, each 1 + the position of an
+// object's first access (0 for empty), sized once to more slots than
+// there are operations, so it never grows and a probe always ends.
+func numberObjects(s *Schedule) (objOf []int32, objects int) {
+	ops, n := s.set.ops, s.Len()
+	objOf = make([]int32, n)
+	slots := make([]int32, 1<<bits.Len(uint(n)))
+	mask := uint64(len(slots) - 1)
+	seed := maphash.MakeSeed()
+	for p, g := range s.seq {
+		name := ops[g].Object
+		for h := maphash.String(seed, name) & mask; ; h = (h + 1) & mask {
+			q := slots[h] - 1
+			if q < 0 {
+				slots[h] = int32(p + 1)
+				objOf[p] = int32(objects)
+				objects++
+				break
+			}
+			if ops[s.seq[q]].Object == name {
+				objOf[p] = objOf[q]
+				break
+			}
+		}
+	}
+	return objOf, objects
 }
 
 // staircase calls visit at every position p with the position k of its

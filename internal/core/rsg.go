@@ -57,18 +57,26 @@ func (k ArcKind) String() string {
 // index. Theorem 1: the schedule is relatively serializable iff the
 // graph is acyclic.
 //
-// Acyclic, Cycle and Witness run on the dominance-reduced graph g
+// Acyclic, Cycle and Witness run on the dominance-reduced graph
 // (THEORY §4): a subgraph of Definition 3's with the same reachability.
-// Arc kinds are derived from dep and sp on demand; Definition 3's full
-// arc set is enumerated only for Arcs, NumArcs and Dot.
+// It is stored as an arc list: its I-arcs are implicit (consecutive
+// global indices of one transaction), and its F- and B-arcs are
+// grouped by source. Acyclic runs on that list alone; Cycle, Witness
+// and TestedArcs run on a graph.Dense built from it on first use. Arc
+// kinds are derived from dep and sp on demand; Definition 3's full arc
+// set is enumerated only for Arcs, NumArcs and Dot.
 type RSG struct {
 	s   *Schedule
 	sp  *Spec
 	dep *Depends
-	g   *graph.Dense
+	// The F- and B-arcs out of global index u go to succ[first[u]:first[u+1]],
+	// in no particular order and possibly repeated.
+	first, succ []int32
 
-	def3Once sync.Once
-	def3     *graph.Dense
+	testedOnce sync.Once
+	tested     *graph.Dense
+	def3Once   sync.Once
+	def3       *graph.Dense
 }
 
 // BuildRSG constructs RSG(S) for the schedule under the specification.
@@ -89,19 +97,18 @@ func BuildRSGUnder(s *Schedule, sp *Spec, d *Depends) *RSG {
 	return buildRSG(s, sp, d)
 }
 
-// buildRSG fills the tested graph in one forward scan: all I-arcs, and
-// the F- and B-arc of a dependent pair u ∈ Ti, v ∈ Tk only where u is
-// later in Ti than anything an operation of Tk up to v depended on
-// before (dep's staircase). By the dominance lemma (THEORY §4) every
-// arc Definition 3 adds for any other pair is a path through those,
+// buildRSG lists the tested graph's arcs in one forward scan: the F-
+// and B-arc of a dependent pair u ∈ Ti, v ∈ Tk only where u is later in
+// Ti than anything an operation of Tk up to v depended on before (dep's
+// staircase). By the dominance lemma (THEORY §4) every arc Definition 3
+// adds for any other pair is a path through those and the I-arcs,
 // whatever the depends-on relation, so no D-arc is stored.
 func buildRSG(s *Schedule, sp *Spec, dep *Depends) *RSG {
 	ts := s.Set()
 	if !ts.sameTxns(sp.Set()) {
 		panic("core: specification covers a different transaction set than the schedule")
 	}
-	r := &RSG{s: s, sp: sp, dep: dep, g: graph.NewDense(ts.NumOps())}
-	addProgramOrder(r.g, ts)
+	arcs := &arcBuf{cur: make([]int32, 0, 4*ts.NumOps())} // two arcs per operation
 	dep.staircase(func(p, k int, latest []int32, advanced []int) {
 		gv := s.seq[p]
 		vSeq := gv - ts.offset[k]
@@ -109,12 +116,61 @@ func buildRSG(s *Schedule, sp *Spec, dep *Depends) *RSG {
 			gu := int(latest[i]) - 1
 			uSeq := gu - ts.offset[i]
 			_, end := sp.unitAt(i, uSeq, k)
-			r.g.AddArc(gu+end-uSeq, gv) // F: PushForward(u, Tk) -> v
+			arcs.add(gu+end-uSeq, gv) // F: PushForward(u, Tk) -> v
 			start, _ := sp.unitAt(k, vSeq, i)
-			r.g.AddArc(gu, gv+start-vSeq) // B: u -> PullBackward(v, Ti)
+			arcs.add(gu, gv+start-vSeq) // B: u -> PullBackward(v, Ti)
 		}
 	})
+	r := &RSG{s: s, sp: sp, dep: dep}
+	r.first, r.succ = arcs.bySource(ts.NumOps())
 	return r
+}
+
+// arcBuf collects arcs as (source, target) pairs in chunks, each twice
+// the size of the one before, so growing it copies nothing: a slice
+// grown by append leaves every smaller backing array behind, and once
+// it is large it grows 1.25x at a time, so that garbage comes to
+// several times the final size.
+type arcBuf struct {
+	full [][]int32
+	cur  []int32
+}
+
+func (b *arcBuf) add(u, v int) {
+	if len(b.cur) == cap(b.cur) {
+		b.full = append(b.full, b.cur)
+		b.cur = make([]int32, 0, 2*cap(b.cur))
+	}
+	b.cur = append(b.cur, int32(u), int32(v))
+}
+
+// bySource groups the arcs of an n-vertex graph by source (compressed
+// sparse rows): the targets of u are succ[first[u]:first[u+1]].
+func (b *arcBuf) bySource(n int) (first, succ []int32) {
+	chunks := append(b.full, b.cur)
+	first = make([]int32, n+1)
+	total := 0
+	for _, c := range chunks {
+		for i := 0; i < len(c); i += 2 {
+			first[c[i]]++
+		}
+		total += len(c) / 2
+	}
+	// first[u] becomes the end of u's range, then moves back to its
+	// start as u's arcs are placed.
+	for u := 1; u < n; u++ {
+		first[u] += first[u-1]
+	}
+	first[n] = int32(total)
+	succ = make([]int32, total)
+	for _, c := range chunks {
+		for i := 0; i < len(c); i += 2 {
+			u := c[i]
+			first[u]--
+			succ[first[u]] = c[i+1]
+		}
+	}
+	return first, succ
 }
 
 // addProgramOrder adds the I-arcs; consecutive operations of one
@@ -125,6 +181,22 @@ func addProgramOrder(g *graph.Dense, ts *TxnSet) {
 			g.AddArc(i-1, i)
 		}
 	}
+}
+
+// testedGraph returns the tested graph as a graph.Dense, built on first
+// use: its I-arcs and the listed F- and B-arcs.
+func (r *RSG) testedGraph() *graph.Dense {
+	r.testedOnce.Do(func() {
+		n := len(r.first) - 1
+		r.tested = graph.NewDense(n)
+		addProgramOrder(r.tested, r.s.Set())
+		for u := 0; u < n; u++ {
+			for _, v := range r.succ[r.first[u]:r.first[u+1]] {
+				r.tested.AddArc(u, int(v))
+			}
+		}
+	})
+	return r.tested
 }
 
 // definition3 returns Definition 3's graph, built on first use: the
@@ -160,14 +232,15 @@ func (r *RSG) Schedule() *Schedule { return r.s }
 func (r *RSG) Spec() *Spec { return r.sp }
 
 // NumVertices returns the number of vertices (operations).
-func (r *RSG) NumVertices() int { return r.g.Len() }
+func (r *RSG) NumVertices() int { return r.s.Len() }
 
 // NumArcs returns the number of distinct arcs of Definition 3's graph.
 func (r *RSG) NumArcs() int { return r.definition3().ArcCount() }
 
-// TestedArcs returns the number of arcs of the dominance-reduced graph
-// that Acyclic, Cycle and Witness actually test.
-func (r *RSG) TestedArcs() int { return r.g.ArcCount() }
+// TestedArcs returns the number of distinct arcs of the
+// dominance-reduced graph that Acyclic, Cycle and Witness actually
+// test.
+func (r *RSG) TestedArcs() int { return r.testedGraph().ArcCount() }
 
 // ArcKinds returns the kind mask Definition 3 gives the arc u -> v, or
 // 0 if it has no such arc. Across transactions, u -> v is a D-arc if v
@@ -212,13 +285,48 @@ func (r *RSG) Arcs(fn func(u, v Op, kind ArcKind) bool) {
 }
 
 // Acyclic reports whether the graph is acyclic; by Theorem 1 this holds
-// iff the schedule is relatively serializable.
-func (r *RSG) Acyclic() bool { return !r.g.HasCycle() }
+// iff the schedule is relatively serializable. It is Kahn's algorithm
+// over the arc list with a plain stack, O(operations + arcs): only the
+// verdict is wanted, so the ready vertices may leave in any order.
+func (r *RSG) Acyclic() bool {
+	ops := r.s.Set().ops
+	n := len(ops)
+	work := make([]int32, 2*n)
+	indeg, ready := work[:n:n], work[n:n]
+	for _, v := range r.succ {
+		indeg[v]++
+	}
+	for v := range indeg {
+		if ops[v].Seq > 0 { // the I-arc from v-1
+			indeg[v]++
+		}
+		if indeg[v] == 0 {
+			ready = append(ready, int32(v))
+		}
+	}
+	done := 0
+	for len(ready) > 0 {
+		u := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		done++
+		if v := u + 1; int(v) < n && ops[v].Seq > 0 {
+			if indeg[v]--; indeg[v] == 0 {
+				ready = append(ready, v)
+			}
+		}
+		for _, v := range r.succ[r.first[u]:r.first[u+1]] {
+			if indeg[v]--; indeg[v] == 0 {
+				ready = append(ready, v)
+			}
+		}
+	}
+	return done == n
+}
 
 // Cycle returns the operations of one directed cycle, or nil if the
 // graph is acyclic.
 func (r *RSG) Cycle() []Op {
-	cyc := r.g.FindCycle()
+	cyc := r.testedGraph().FindCycle()
 	if cyc == nil {
 		return nil
 	}
@@ -242,7 +350,7 @@ func (r *RSG) Witness() (*Schedule, error) {
 	for g := range rank {
 		rank[g] = r.s.PosOfGlobal(g)
 	}
-	order, ok := r.g.TopoOrderPreferring(rank)
+	order, ok := r.testedGraph().TopoOrderPreferring(rank)
 	if !ok {
 		return nil, fmt.Errorf("core: RSG is cyclic; schedule is not relatively serializable")
 	}

@@ -18,14 +18,22 @@ type Schedule struct {
 // transaction set: every operation appears exactly once and program
 // order is preserved.
 func NewSchedule(ts *TxnSet, ops []Op) (*Schedule, error) {
+	return NewScheduleFunc(ts, len(ops), func(pos int) Op { return ops[pos] })
+}
+
+// NewScheduleFunc is NewSchedule over the operations at(0), …,
+// at(length-1), for a caller that holds them in another form (the
+// events of a trace) and need not copy them out.
+func NewScheduleFunc(ts *TxnSet, length int, at func(pos int) Op) (*Schedule, error) {
 	n := ts.NumOps()
-	if len(ops) != n {
-		return nil, fmt.Errorf("core: schedule has %d operations, transaction set has %d", len(ops), n)
+	if length != n {
+		return nil, fmt.Errorf("core: schedule has %d operations, transaction set has %d", length, n)
 	}
 	idx := make([]int, 2*n)
 	s := &Schedule{set: ts, seq: idx[:n:n], posOf: idx[n:]}
 	nextSeq := make([]int, ts.NumTxns()) // by transaction position
-	for pos, o := range ops {
+	for pos := range n {
+		o := at(pos)
 		k, ok := ts.pos[o.Txn]
 		if !ok {
 			return nil, fmt.Errorf("core: schedule position %d: unknown transaction T%d", pos, o.Txn)

@@ -17,34 +17,39 @@ import (
 // Internally a pair's partition is stored as a sorted slice of cut
 // positions: a cut at p (0 < p < len(Ti)) separates operation p-1 from
 // operation p. No cuts means Ti is a single atomic unit relative to Tj
-// (absolute atomicity), which is the default for every pair. The slices
-// sit in one row per transaction, indexed by the TxnSet positions of Ti
-// and Tj; a transaction that is one unit relative to everyone has no
-// row, so the absolute specification costs O(#transactions).
+// (absolute atomicity), which is the default for every pair. The
+// distinct slices sit in one table, and a pair holds the index of its
+// slice in one row per transaction, indexed by the TxnSet positions of
+// Ti and Tj; a transaction that is one unit relative to everyone has no
+// row, so the absolute specification costs O(#transactions), and a
+// pair costs 4 bytes however many pairs share one slice.
 type Spec struct {
-	set  *TxnSet
-	cuts [][][]int // cuts[i][j] = boundaries of Atomicity(T_i, T_j); cuts[i] nil if T_i has none
+	set *TxnSet
+	// cuts[idx[i][j]] = boundaries of Atomicity(T_i, T_j); idx[i] nil if
+	// T_i has none. cuts[0] is nil, the single unit. A slice is never
+	// edited in place: an edit of a pair stores a new one.
+	idx  [][]int32
+	cuts [][]int
+	// Slices from cuts[shared] on belong to one pair each, so an edit of
+	// that pair may replace its slice in the table.
+	shared int32
 }
 
 // NewSpec returns the absolute-atomicity specification for the set:
 // every transaction is a single atomic unit relative to every other.
 func NewSpec(ts *TxnSet) *Spec {
-	return &Spec{set: ts, cuts: make([][][]int, ts.NumTxns())}
+	return &Spec{set: ts, idx: make([][]int32, ts.NumTxns()), cuts: [][]int{nil}, shared: 1}
 }
 
 // Set returns the transaction set the specification covers.
 func (sp *Spec) Set() *TxnSet { return sp.set }
 
-// Clone returns an independent copy of the specification.
+// Clone returns an independent copy of the specification. The copy
+// shares the cut slices, which neither specification edits in place.
 func (sp *Spec) Clone() *Spec {
-	c := NewSpec(sp.set)
-	for i, row := range sp.cuts {
-		if row != nil {
-			c.cuts[i] = make([][]int, len(row))
-			for j, cs := range row {
-				c.cuts[i][j] = slices.Clone(cs)
-			}
-		}
+	c := &Spec{set: sp.set, idx: make([][]int32, len(sp.idx)), cuts: slices.Clone(sp.cuts), shared: sp.shared}
+	for i, row := range sp.idx {
+		c.idx[i] = slices.Clone(row)
 	}
 	return c
 }
@@ -54,8 +59,14 @@ func (sp *Spec) Clone() *Spec {
 // relative to b, a boundary p separating operations p-1 and p (the
 // convention of the online protocols' oracles; a boundary at len(a) is
 // a no-op). Pairs with no boundaries stay absolute.
+//
+// The slices are kept, not copied: an oracle answers from per-program
+// tables, so the pairs of one program share one slice, which enters the
+// table and is checked for ascending order once per run of pairs that
+// share it.
 func SpecFromCuts(ts *TxnSet, cuts func(a, b *Transaction) []int) (*Spec, error) {
 	sp := NewSpec(ts)
+	var last []int // the slice at cuts[len(cuts)-1]
 	for i, a := range ts.Txns() {
 		for j, b := range ts.Txns() {
 			if i == j {
@@ -68,18 +79,30 @@ func SpecFromCuts(ts *TxnSet, cuts func(a, b *Transaction) []int) (*Spec, error)
 			if len(cs) == 0 {
 				continue
 			}
-			for k, p := range cs {
-				if p <= 0 || p >= a.Len() || k > 0 && p <= cs[k-1] {
-					return nil, fmt.Errorf("core: Atomicity(T%d, T%d): boundaries %v are not ascending within (0, %d)", a.ID, b.ID, cs, a.Len())
-				}
+			fresh := len(cs) != len(last) || &cs[0] != &last[0]
+			if cs[len(cs)-1] >= a.Len() || fresh && !ascendingFromOne(cs) {
+				return nil, fmt.Errorf("core: Atomicity(T%d, T%d): boundaries %v are not ascending within (0, %d)", a.ID, b.ID, cs, a.Len())
 			}
-			// Kept, not copied: an oracle answers from per-program
-			// tables, so the pairs of one program share one slice, and
-			// CutAfter copies a pair's boundaries before it edits them.
-			sp.store(i, j, cs)
+			if fresh {
+				last = cs
+				sp.cuts = append(sp.cuts, cs)
+			}
+			sp.row(i)[j] = int32(len(sp.cuts) - 1)
 		}
 	}
+	sp.shared = int32(len(sp.cuts))
 	return sp, nil
+}
+
+// ascendingFromOne reports whether cs is strictly ascending from a
+// first element of at least 1.
+func ascendingFromOne(cs []int) bool {
+	for k, p := range cs {
+		if p <= 0 || k > 0 && p <= cs[k-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // SetUnits declares Atomicity(Ti, Tj) as consecutive units of the given
@@ -168,9 +191,9 @@ func (sp *Spec) AllowAllPairs() {
 // absolute-atomicity model: every transaction is one atomic unit
 // relative to every other transaction.
 func (sp *Spec) IsAbsolute() bool {
-	for _, row := range sp.cuts {
-		for _, cs := range row {
-			if len(cs) > 0 {
+	for _, row := range sp.idx {
+		for _, k := range row {
+			if len(sp.cuts[k]) > 0 {
 				return false
 			}
 		}
@@ -295,9 +318,9 @@ func (sp *Spec) pair(i, j TxnID) (*Transaction, error) {
 // cutsFor returns the boundaries of Atomicity(Ti, Tj); nil for a pair
 // outside the set.
 func (sp *Spec) cutsFor(i, j TxnID) []int {
-	if a, ok := sp.set.pos[i]; ok && sp.cuts[a] != nil {
+	if a, ok := sp.set.pos[i]; ok && sp.idx[a] != nil {
 		if b, ok := sp.set.pos[j]; ok {
-			return sp.cuts[a][b]
+			return sp.cuts[sp.idx[a][b]]
 		}
 	}
 	return nil
@@ -309,12 +332,24 @@ func (sp *Spec) storeCuts(i, j TxnID, cuts []int) {
 	sp.store(sp.set.pos[i], sp.set.pos[j], cuts)
 }
 
-// store sets the boundaries of the pair at positions (a, b).
+// store sets the boundaries of the pair at positions (a, b), in place
+// of its old slice if no other pair holds that one.
 func (sp *Spec) store(a, b int, cuts []int) {
-	if sp.cuts[a] == nil {
-		sp.cuts[a] = make([][]int, len(sp.cuts))
+	row := sp.row(a)
+	if k := row[b]; k >= sp.shared {
+		sp.cuts[k] = cuts
+		return
 	}
-	sp.cuts[a][b] = cuts
+	row[b] = int32(len(sp.cuts))
+	sp.cuts = append(sp.cuts, cuts)
+}
+
+// row returns T_a's row of table indices, creating it if T_a had none.
+func (sp *Spec) row(a int) []int32 {
+	if sp.idx[a] == nil {
+		sp.idx[a] = make([]int32, len(sp.idx))
+	}
+	return sp.idx[a]
 }
 
 // positions maps a pair of IDs to their TxnSet positions.
@@ -329,8 +364,8 @@ func (sp *Spec) positions(i, j TxnID) (a, b int) {
 
 // cutsAt returns the boundaries of the pair at positions (a, b).
 func (sp *Spec) cutsAt(a, b int) []int {
-	if row := sp.cuts[a]; row != nil {
-		return row[b]
+	if row := sp.idx[a]; row != nil {
+		return sp.cuts[row[b]]
 	}
 	return nil
 }
@@ -359,9 +394,9 @@ func (sp *Spec) bounds(a int, cuts []int, k int) (start, end int) {
 // pairCuts calls fn for every ordered pair with at least one unit
 // boundary, in (Ti, Tj) ID order.
 func (sp *Spec) pairCuts(fn func(i, j TxnID, cuts []int)) {
-	for a, row := range sp.cuts {
-		for b, cs := range row {
-			if len(cs) > 0 {
+	for a, row := range sp.idx {
+		for b, k := range row {
+			if cs := sp.cuts[k]; len(cs) > 0 {
 				fn(sp.set.txns[a].ID, sp.set.txns[b].ID, cs)
 			}
 		}

@@ -163,6 +163,71 @@ func TestSpecFromCutsSharesOracleSlices(t *testing.T) {
 	}
 }
 
+// TestSpecFromCutsChecksEveryPair: a slice shared by several pairs is
+// checked for order once, but against each pair's own transaction
+// length, so a shared slice past the end of a shorter program is
+// refused at that program.
+func TestSpecFromCutsChecksEveryPair(t *testing.T) {
+	ts := core.MustTxnSet(
+		core.T(1, core.R("a"), core.R("b"), core.R("c"), core.R("d")),
+		core.T(2, core.W("a"), core.W("b")), core.T(3, core.W("b")))
+	shared := []int{3}
+	_, err := core.SpecFromCuts(ts, func(_, _ *core.Transaction) []int { return shared })
+	if err == nil || !strings.Contains(err.Error(), "Atomicity(T2, T1)") {
+		t.Fatalf("boundary 3 of a 2-operation program: err = %v, want it refused at (T2, T1)", err)
+	}
+	zero := []int{0, 2}
+	if _, err := core.SpecFromCuts(ts, func(_, _ *core.Transaction) []int { return zero }); err == nil {
+		t.Fatal("boundary 0 accepted")
+	}
+}
+
+// TestSpecEditsKeepOtherPairs: pairs that share one slice of the table
+// keep it when one of them is edited, however often, and a clone's
+// edits leave the original alone.
+func TestSpecEditsKeepOtherPairs(t *testing.T) {
+	ts := core.MustTxnSet(
+		core.T(1, core.R("a"), core.R("b"), core.R("c"), core.R("d")),
+		core.T(2, core.W("a")), core.T(3, core.W("b")))
+	split := []int{2}
+	sp, err := core.SpecFromCuts(ts, func(a, _ *core.Transaction) []int {
+		if a.ID == 1 {
+			return split
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seq := range []int{0, 2} {
+		if err := sp.CutAfter(1, 2, seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := sp.Clone()
+	if err := c.CutAfter(1, 3, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetUnits(1, 2, 4); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		sp   *core.Spec
+		i, j core.TxnID
+		want []int
+	}{
+		{sp, 1, 2, []int{1, 2, 3}}, {sp, 1, 3, []int{2}}, {sp, 2, 1, nil},
+		{c, 1, 2, nil}, {c, 1, 3, []int{1, 2}},
+	} {
+		if got := tc.sp.Cuts(tc.i, tc.j); !slices.Equal(got, tc.want) {
+			t.Errorf("Cuts(%d, %d) = %v, want %v (clone: %v)", tc.i, tc.j, got, tc.want, tc.sp == c)
+		}
+	}
+	if !slices.Equal(split, []int{2}) {
+		t.Errorf("the oracle's slice became %v", split)
+	}
+}
+
 func TestSpecAllowAll(t *testing.T) {
 	ts := core.MustTxnSet(core.T(1, core.R("a"), core.R("b"), core.R("c")), core.T(2, core.W("a")))
 	sp := core.NewSpec(ts)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -97,7 +98,7 @@ func NewTxnSet(txns ...*Transaction) (*TxnSet, error) {
 			return nil, fmt.Errorf("core: nil transaction in set")
 		}
 	}
-	sort.Slice(ts.txns, func(i, j int) bool { return ts.txns[i].ID < ts.txns[j].ID })
+	slices.SortFunc(ts.txns, func(a, b *Transaction) int { return cmp.Compare(a.ID, b.ID) })
 	n := 0
 	for k, t := range ts.txns {
 		if t.ID <= 0 {

@@ -110,7 +110,7 @@ func (cfg *Config) normalize() error {
 	if len(cfg.Programs) == 0 {
 		return errors.New("txn: no programs to run")
 	}
-	seen := make(map[core.TxnID]bool)
+	seen := make(map[core.TxnID]bool, len(cfg.Programs))
 	for _, p := range cfg.Programs {
 		if p == nil || p.Len() == 0 {
 			return errors.New("txn: nil or empty program")

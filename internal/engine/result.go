@@ -99,11 +99,7 @@ func (res *Result) CommittedSchedule() (*core.Schedule, *core.Spec, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("txn: committed programs do not form a set: %v", err)
 	}
-	ops := make([]core.Op, 0, len(res.Trace))
-	for _, ev := range res.Trace {
-		ops = append(ops, ev.Op)
-	}
-	s, err := core.NewSchedule(ts, ops)
+	s, err := core.NewScheduleFunc(ts, len(res.Trace), func(pos int) core.Op { return res.Trace[pos].Op })
 	if err != nil {
 		return nil, nil, fmt.Errorf("txn: committed trace is not a schedule: %v", err)
 	}

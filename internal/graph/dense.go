@@ -25,9 +25,6 @@ func NewDense(n int) *Dense {
 	return g
 }
 
-// Len returns the number of vertices.
-func (g *Dense) Len() int { return g.n }
-
 // AddArc inserts the arc u -> v. Self-loops are permitted and are
 // reported as cycles by HasCycle.
 func (g *Dense) AddArc(u, v int) { g.adj[u].Set(v) }

@@ -310,6 +310,34 @@ func BenchmarkDeterministicRunnerMixRel(b *testing.B) {
 	}
 }
 
+// BenchmarkCommittedCertify is the ladder's certify-offline timed
+// region exactly: Result.CommittedSchedule (the set, the schedule from
+// the trace's events, the specification from the workload's own
+// oracle), then depends-on, the graph and Theorem 1's acyclicity test.
+// The committed run is mix g=4 at 48 programs (512 objects, 16
+// operations, 25 % writes) under RSGT on the tick driver at MPL 8, seed
+// 1, made once outside the timer.
+func BenchmarkCommittedCertify(b *testing.B) {
+	w := benchPrograms(b, workload.SyntheticConfig{
+		Objects: 512, Programs: 48, OpsPerTxn: 16, WriteRatio: 0.25, Granularity: 4,
+	})
+	res, _, err := w.RunWith(sched.NewRSGT(w.Oracle), workload.RunOptions{Seed: 1, MPL: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, sp, err := res.CommittedSchedule()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !core.BuildRSGUnder(s, sp, core.ComputeDepends(s)).Acyclic() {
+			b.Fatal("RSGT committed a schedule the Theorem 1 test rejects")
+		}
+	}
+}
+
 // commitWALBanking is the banking workload of
 // BenchmarkConcurrentCommitWAL and TestGroupCommitCoversCohort.
 func commitWALBanking(tb testing.TB) *workload.Workload {
