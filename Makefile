@@ -153,14 +153,17 @@ durability-matrix:
 experiments:
 	$(GO) run ./cmd/rsbench
 
-# Short fuzzing pass over the parsers, the certification graph and the
-# decoders that read files from outside the program (WAL segments and
-# records, .rsrec artifacts and their snapshot anchor frame).
+# Short fuzzing pass over the parsers, the certification graph, the
+# incremental graph's retirement, and the decoders that read files from
+# outside the program (WAL segments and records, .rsrec artifacts and
+# their snapshot anchor frame). fuzzlist_test.go checks that this list
+# names every Fuzz target in the tree.
 fuzz:
 	$(GO) test -fuzz=FuzzParseOp -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzParseSchedule -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzParseInstance -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzCertGraphMatchesDefinition3 -fuzztime=10s ./internal/core/
+	$(GO) test -fuzz=FuzzRetireInterleaving -fuzztime=10s ./internal/graph/
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=10s ./internal/fault/
 	$(GO) test -fuzz=FuzzSegmentDecode -fuzztime=10s ./internal/storage/
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s ./internal/storage/

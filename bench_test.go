@@ -204,7 +204,7 @@ func benchProtocol(b *testing.B, name string) {
 		case "ral":
 			p = sched.NewRAL(w.Oracle)
 		case "to":
-			p = sched.NewTO()
+			p = sched.NewTOSharded(1)
 		}
 		res, err := w.Run(p, 1, 8)
 		if err != nil {

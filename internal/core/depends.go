@@ -110,7 +110,7 @@ func clockScan(s *Schedule, visit func(p, k int, clock []int32, advanced []int))
 		u := &uses[objOf[p]]
 		u.shared = u.last != 0
 		u.last = p + 1
-		u.written = u.written || ts.ops[g].Kind == WriteOp
+		u.written = u.written || ts.OpAt(g).Kind == WriteOp
 	}
 	// Size the slab by the most rows live at once; row 0 stays zero and
 	// unused, so a zero row index means none.
@@ -174,7 +174,7 @@ func clockScan(s *Schedule, visit func(p, k int, clock []int32, advanced []int))
 		if o := objRows[x]; o[0] != 0 {
 			rw, rr := o[0], o[1]
 			lastWrite, reads := row(rw), row(rr)
-			if ts.ops[g].Kind == WriteOp {
+			if ts.OpAt(g).Kind == WriteOp {
 				top := max(hi[rw], hi[rr])
 				w, r := lastWrite[:top], reads[:top]
 				for i, c := range clock[:top] {
@@ -219,13 +219,13 @@ func clockScan(s *Schedule, visit func(p, k int, clock []int32, advanced []int))
 // object's first access (0 for empty), sized once to more slots than
 // there are operations, so it never grows and a probe always ends.
 func numberObjects(s *Schedule) (objOf []int32, objects int) {
-	ops, n := s.set.ops, s.Len()
+	ts, n := s.set, s.Len()
 	objOf = make([]int32, n)
 	slots := make([]int32, 1<<bits.Len(uint(n)))
 	mask := uint64(len(slots) - 1)
 	seed := maphash.MakeSeed()
 	for p, g := range s.seq {
-		name := ops[g].Object
+		name := ts.OpAt(g).Object
 		for h := maphash.String(seed, name) & mask; ; h = (h + 1) & mask {
 			q := slots[h] - 1
 			if q < 0 {
@@ -234,7 +234,7 @@ func numberObjects(s *Schedule) (objOf []int32, objects int) {
 				objects++
 				break
 			}
-			if ops[s.seq[q]].Object == name {
+			if ts.OpAt(s.seq[q]).Object == name {
 				objOf[p] = objOf[q]
 				break
 			}

@@ -34,9 +34,9 @@ func DenseTestedGraph(s *Schedule, sp *Spec, dep *Depends) *graph.Dense {
 		for _, i := range advanced {
 			gu := int(latest[i]) - 1
 			uSeq := gu - ts.offset[i]
-			_, end := sp.unitAt(i, uSeq, k)
+			_, end := UnitBounds(sp.cutsAt(i, k), ts.txns[i].Len(), uSeq)
 			g.AddArc(gu+end-uSeq, gv) // F: PushForward(u, Tk) -> v
-			start, _ := sp.unitAt(k, vSeq, i)
+			start, _ := UnitBounds(sp.cutsAt(k, i), ts.txns[k].Len(), vSeq)
 			g.AddArc(gu, gv+start-vSeq) // B: u -> PullBackward(v, Ti)
 		}
 	})

@@ -115,9 +115,9 @@ func buildRSG(s *Schedule, sp *Spec, dep *Depends) *RSG {
 		for _, i := range advanced {
 			gu := int(latest[i]) - 1
 			uSeq := gu - ts.offset[i]
-			_, end := sp.unitAt(i, uSeq, k)
+			_, end := UnitBounds(sp.cutsAt(i, k), ts.txns[i].Len(), uSeq)
 			arcs.add(gu+end-uSeq, gv) // F: PushForward(u, Tk) -> v
-			start, _ := sp.unitAt(k, vSeq, i)
+			start, _ := UnitBounds(sp.cutsAt(k, i), ts.txns[k].Len(), vSeq)
 			arcs.add(gu, gv+start-vSeq) // B: u -> PullBackward(v, Ti)
 		}
 	})
@@ -289,15 +289,15 @@ func (r *RSG) Arcs(fn func(u, v Op, kind ArcKind) bool) {
 // over the arc list with a plain stack, O(operations + arcs): only the
 // verdict is wanted, so the ready vertices may leave in any order.
 func (r *RSG) Acyclic() bool {
-	ops := r.s.Set().ops
-	n := len(ops)
+	owner := r.s.Set().owner
+	n := len(owner)
 	work := make([]int32, 2*n)
 	indeg, ready := work[:n:n], work[n:n]
 	for _, v := range r.succ {
 		indeg[v]++
 	}
 	for v := range indeg {
-		if ops[v].Seq > 0 { // the I-arc from v-1
+		if v > 0 && owner[v] == owner[v-1] { // the I-arc from v-1
 			indeg[v]++
 		}
 		if indeg[v] == 0 {
@@ -309,7 +309,7 @@ func (r *RSG) Acyclic() bool {
 		u := ready[len(ready)-1]
 		ready = ready[:len(ready)-1]
 		done++
-		if v := u + 1; int(v) < n && ops[v].Seq > 0 {
+		if v := u + 1; int(v) < n && owner[v] == owner[u] {
 			if indeg[v]--; indeg[v] == 0 {
 				ready = append(ready, v)
 			}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -14,10 +13,9 @@ import (
 // to Tj (Definition 1), except under the paper's depends-on relaxation
 // (Definition 2).
 //
-// Internally a pair's partition is stored as a sorted slice of cut
-// positions: a cut at p (0 < p < len(Ti)) separates operation p-1 from
-// operation p. No cuts means Ti is a single atomic unit relative to Tj
-// (absolute atomicity), which is the default for every pair. The
+// Internally a pair's partition is stored as its cuts (UnitBounds's
+// convention), each in (0, len(Ti)). No cuts means Ti is a single
+// atomic unit relative to Tj, the default for every pair. The
 // distinct slices sit in one table, and a pair holds the index of its
 // slice in one row per transaction, indexed by the TxnSet positions of
 // Ti and Tj; a transaction that is one unit relative to everyone has no
@@ -55,10 +53,8 @@ func (sp *Spec) Clone() *Spec {
 }
 
 // SpecFromCuts builds the specification an atomicity oracle describes:
-// cuts(a, b) lists, in ascending order, the unit boundaries of a
-// relative to b, a boundary p separating operations p-1 and p (the
-// convention of the online protocols' oracles; a boundary at len(a) is
-// a no-op). Pairs with no boundaries stay absolute.
+// cuts(a, b) lists the unit boundaries of a relative to b under
+// UnitBounds's convention. Pairs with no boundaries stay absolute.
 //
 // The slices are kept, not copied: an oracle answers from per-program
 // tables, so the pairs of one program share one slice, which enters the
@@ -143,18 +139,13 @@ func (sp *Spec) CutAfter(i, j TxnID, seq int) error {
 	if seq < 0 || seq >= t.Len() {
 		return fmt.Errorf("core: Atomicity(T%d, T%d): cut after seq %d out of range [0, %d)", i, j, seq, t.Len())
 	}
-	p := seq + 1
-	if p >= t.Len() {
-		return nil
-	}
 	cuts := sp.cutsFor(i, j)
-	k := sort.SearchInts(cuts, p)
-	if k < len(cuts) && cuts[k] == p {
-		return nil
+	if _, end := UnitBounds(cuts, t.Len(), seq); end == seq {
+		return nil // the cut exists, or seq is the last operation
 	}
 	// A copy: the pair may share its boundaries with others (see
 	// SpecFromCuts).
-	sp.storeCuts(i, j, slices.Insert(slices.Clip(cuts), k, p))
+	sp.storeCuts(i, j, slices.Insert(slices.Clip(cuts), unitIndex(cuts, seq), seq+1))
 	return nil
 }
 
@@ -210,28 +201,56 @@ func (sp *Spec) Cuts(i, j TxnID) []int { return sp.cutsFor(i, j) }
 // NumUnits returns the number of atomic units in Atomicity(Ti, Tj).
 func (sp *Spec) NumUnits(i, j TxnID) int { return len(sp.cutsFor(i, j)) + 1 }
 
-// Unit returns the half-open sequence bounds [start, end] (inclusive)
-// of the k-th (0-based) atomic unit of Atomicity(Ti, Tj).
+// UnitBounds is the atomic-unit rule, written once: the inclusive bounds
+// of the unit containing operation seq of a transaction of length
+// operations whose boundaries relative to some observer are cuts; start
+// is PullBackward and end PushForward (§3). It is the cut convention of
+// Spec and every sched.AtomicityOracle: cuts are ascending, a cut p
+// splits operations p-1 and p, a cut at length is a no-op, and no cuts
+// is a single unit (absolute atomicity).
+func UnitBounds(cuts []int, length, seq int) (start, end int) {
+	k := unitIndex(cuts, seq)
+	start, end = 0, length-1
+	if k > 0 {
+		start = cuts[k-1]
+	}
+	if k < len(cuts) {
+		end = cuts[k] - 1
+	}
+	return start, end
+}
+
+// unitIndex is the number of cuts at or before seq, the index of its unit.
+func unitIndex(cuts []int, seq int) int {
+	k, _ := slices.BinarySearch(cuts, seq+1)
+	return k
+}
+
+// Unit returns the inclusive sequence bounds [start, end] of the k-th
+// (0-based) atomic unit of Atomicity(Ti, Tj).
 func (sp *Spec) Unit(i, j TxnID, k int) (start, end int) {
 	a, b := sp.positions(i, j)
 	cuts := sp.cutsAt(a, b)
 	if k < 0 || k > len(cuts) {
 		panic(fmt.Sprintf("core: Atomicity(T%d, T%d) has no unit %d", i, j, k))
 	}
-	return sp.bounds(a, cuts, k)
+	if k > 0 {
+		start = cuts[k-1]
+	}
+	return UnitBounds(cuts, sp.set.txns[a].Len(), start)
 }
 
 // UnitOf returns the inclusive sequence bounds of the atomic unit of
 // Atomicity(Ti, Tj) containing Ti's operation seq.
 func (sp *Spec) UnitOf(i TxnID, seq int, j TxnID) (start, end int) {
 	a, b := sp.positions(i, j)
-	return sp.unitAt(a, seq, b)
+	return UnitBounds(sp.cutsAt(a, b), sp.set.txns[a].Len(), seq)
 }
 
 // UnitIndexOf returns the 0-based index of the atomic unit of
 // Atomicity(Ti, Tj) containing Ti's operation seq.
 func (sp *Spec) UnitIndexOf(i TxnID, seq int, j TxnID) int {
-	return sort.SearchInts(sp.cutsFor(i, j), seq+1)
+	return unitIndex(sp.cutsFor(i, j), seq)
 }
 
 // PushForward returns the last operation of the atomic unit of o's
@@ -368,27 +387,6 @@ func (sp *Spec) cutsAt(a, b int) []int {
 		return sp.cuts[row[b]]
 	}
 	return nil
-}
-
-// unitAt is UnitOf addressed by TxnSet positions: the inclusive bounds
-// of the unit of Atomicity(T_a, T_b) containing T_a's operation seq,
-// whose index is the number of cuts at or before seq.
-func (sp *Spec) unitAt(a, seq, b int) (start, end int) {
-	cuts := sp.cutsAt(a, b)
-	k, _ := slices.BinarySearch(cuts, seq+1)
-	return sp.bounds(a, cuts, k)
-}
-
-// bounds returns the inclusive bounds of unit k of T_a under the cuts.
-func (sp *Spec) bounds(a int, cuts []int, k int) (start, end int) {
-	end = sp.set.txns[a].Len() - 1
-	if k > 0 {
-		start = cuts[k-1]
-	}
-	if k < len(cuts) {
-		end = cuts[k] - 1
-	}
-	return start, end
 }
 
 // pairCuts calls fn for every ordered pair with at least one unit

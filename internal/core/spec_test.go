@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -72,6 +73,96 @@ func TestSpecPushForwardPullBackwardPaper(t *testing.T) {
 	}
 	if got := sp.PullBackward(r1y, 3); got != r1y {
 		t.Errorf("PullBackward(r1[y], T3) = %v, want itself", got)
+	}
+}
+
+// TestUnitBoundsOneRule checks the atomic-unit rule against a brute-force
+// unit index, the number of cuts at or before seq, whose unit is every
+// operation with the same index. It runs over random ascending cut sets
+// for lengths 1–8, with and without the no-op trailing cut at the
+// length, and checks the Spec queries built on the rule against the
+// same reference, the specification built both by SpecFromCuts and by
+// CutAfter in random order.
+func TestUnitBoundsOneRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for length := 1; length <= 8; length++ {
+		ops := make([]core.Op, length)
+		for i := range ops {
+			ops[i] = core.W("x")
+		}
+		ts := core.MustTxnSet(core.T(1, ops...), core.T(2, core.R("x")))
+		for trial := 0; trial < 200; trial++ {
+			var cuts []int
+			for p := 1; p < length; p++ {
+				if rng.Intn(2) == 0 {
+					cuts = append(cuts, p)
+				}
+			}
+			inner := slices.Clone(cuts)
+			if rng.Intn(2) == 0 {
+				cuts = append(cuts, length)
+			}
+			index := func(seq int) int {
+				k := 0
+				for _, c := range cuts {
+					if c <= seq {
+						k++
+					}
+				}
+				return k
+			}
+
+			fromCuts, err := core.SpecFromCuts(ts, func(a, _ *core.Transaction) []int {
+				if a.ID == 1 {
+					return cuts
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("cuts %v: %v", cuts, err)
+			}
+			cutAfter := core.NewSpec(ts)
+			for _, k := range rng.Perm(len(cuts)) {
+				if err := cutAfter.CutAfter(1, 2, cuts[k]-1); err != nil {
+					t.Fatalf("cuts %v: CutAfter(%d): %v", cuts, cuts[k]-1, err)
+				}
+			}
+
+			for seq := 0; seq < length; seq++ {
+				k := index(seq)
+				start, end := seq, seq
+				for start > 0 && index(start-1) == k {
+					start--
+				}
+				for end < length-1 && index(end+1) == k {
+					end++
+				}
+				if s, e := core.UnitBounds(cuts, length, seq); s != start || e != end {
+					t.Fatalf("UnitBounds(%v, %d, %d) = [%d, %d], want [%d, %d]", cuts, length, seq, s, e, start, end)
+				}
+				for name, sp := range map[string]*core.Spec{"SpecFromCuts": fromCuts, "CutAfter": cutAfter} {
+					if got := sp.Cuts(1, 2); !slices.Equal(got, inner) {
+						t.Fatalf("cuts %v: %s stores %v, want %v", cuts, name, got, inner)
+					}
+					if s, e := sp.UnitOf(1, seq, 2); s != start || e != end {
+						t.Fatalf("cuts %v: %s UnitOf(seq %d) = [%d, %d], want [%d, %d]", cuts, name, seq, s, e, start, end)
+					}
+					if got := sp.UnitIndexOf(1, seq, 2); got != k {
+						t.Fatalf("cuts %v: %s UnitIndexOf(seq %d) = %d, want %d", cuts, name, seq, got, k)
+					}
+					if s, e := sp.Unit(1, 2, k); s != start || e != end {
+						t.Fatalf("cuts %v: %s Unit(%d) = [%d, %d], want [%d, %d]", cuts, name, k, s, e, start, end)
+					}
+					o := ts.Txn(1).Op(seq)
+					if got := sp.PushForward(o, 2); got.Seq != end {
+						t.Fatalf("cuts %v: %s PushForward(%v) = %v, want seq %d", cuts, name, o, got, end)
+					}
+					if got := sp.PullBackward(o, 2); got.Seq != start {
+						t.Fatalf("cuts %v: %s PullBackward(%v) = %v, want seq %d", cuts, name, o, got, start)
+					}
+				}
+			}
+		}
 	}
 }
 

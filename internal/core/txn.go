@@ -81,7 +81,6 @@ type TxnSet struct {
 	pos    map[TxnID]int  // ID -> position in txns
 	offset []int          // position -> global index of its first operation
 	owner  []int32        // global index -> position of its transaction
-	ops    []Op           // global index -> operation
 }
 
 // NewTxnSet validates and indexes a collection of transactions.
@@ -125,10 +124,8 @@ func NewTxnSet(txns ...*Transaction) (*TxnSet, error) {
 	if len(ts.txns) == 0 {
 		return nil, fmt.Errorf("core: empty transaction set")
 	}
-	ts.ops = make([]Op, 0, n)
 	ts.owner = make([]int32, 0, n)
 	for k, t := range ts.txns {
-		ts.ops = append(ts.ops, t.Ops...)
 		for range t.Ops {
 			ts.owner = append(ts.owner, int32(k))
 		}
@@ -183,7 +180,7 @@ func (ts *TxnSet) Has(id TxnID) bool { _, ok := ts.pos[id]; return ok }
 func (ts *TxnSet) NumTxns() int { return len(ts.txns) }
 
 // NumOps returns the total operation count across all transactions.
-func (ts *TxnSet) NumOps() int { return len(ts.ops) }
+func (ts *TxnSet) NumOps() int { return len(ts.owner) }
 
 // GlobalIndex maps (transaction, sequence) to the dense global index.
 func (ts *TxnSet) GlobalIndex(id TxnID, seq int) int {
@@ -201,14 +198,17 @@ func (ts *TxnSet) GlobalIndex(id TxnID, seq int) int {
 func (ts *TxnSet) GlobalIndexOf(o Op) int { return ts.GlobalIndex(o.Txn, o.Seq) }
 
 // OpAt returns the operation with the given global index.
-func (ts *TxnSet) OpAt(global int) Op { return ts.ops[global] }
+func (ts *TxnSet) OpAt(global int) Op {
+	k := ts.owner[global]
+	return ts.txns[k].Ops[global-ts.offset[k]]
+}
 
 // Objects returns all distinct objects referenced by any transaction,
 // sorted.
 func (ts *TxnSet) Objects() []string {
 	seen := make(map[string]bool)
-	for _, o := range ts.ops {
-		seen[o.Object] = true
+	for g := range ts.owner {
+		seen[ts.OpAt(g).Object] = true
 	}
 	out := make([]string, 0, len(seen))
 	for obj := range seen {

@@ -150,7 +150,7 @@ func TestStepVerdicts(t *testing.T) {
 		{"block", sched.NewS2PL(), []string{"w[x]", "r[x]"}, []int{0}, 1, context.Background(),
 			engine.Verdict{Blocked: true}, "issue decide", "lock-wait block", 1, 0, 1},
 		// TO refuses a read of an object a younger instance wrote.
-		{"protocol", sched.NewTO(), []string{"r[x]", "w[x]"}, []int{1}, 0, context.Background(),
+		{"protocol", sched.NewTOSharded(1), []string{"r[x]", "w[x]"}, []int{1}, 0, context.Background(),
 			engine.Verdict{Abort: "protocol"}, "issue decide", "ts-reject abort", 0, 0, 1},
 		// T2 read T1's dirty x and wrote y: T1 reading y would close a
 		// dirty-data dependency cycle.

@@ -10,24 +10,6 @@ import (
 	"relser/internal/workload"
 )
 
-// protocolFactories builds fresh protocol instances for a workload.
-func protocolFactories(w *workload.Workload) []struct {
-	name string
-	make func() sched.Protocol
-} {
-	return []struct {
-		name string
-		make func() sched.Protocol
-	}{
-		{"s2pl", func() sched.Protocol { return sched.NewS2PL() }},
-		{"altruistic", func() sched.Protocol { return sched.NewAltruistic(w.Oracle) }},
-		{"to", func() sched.Protocol { return sched.NewTO() }},
-		{"ral", func() sched.Protocol { return sched.NewRAL(w.Oracle) }},
-		{"sgt", func() sched.Protocol { return sched.NewSGT() }},
-		{"rsgt", func() sched.Protocol { return sched.NewRSGT(w.Oracle) }},
-	}
-}
-
 type protoAgg struct {
 	ticks, commits, aborts, blocks int
 	runs                           int
@@ -65,15 +47,19 @@ func runE8(opts Options) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, pf := range protocolFactories(w) {
-				res, _, err := w.RunWith(pf.make(), workload.RunOptions{
+			for _, name := range []string{"s2pl", "altruistic", "to", "ral", "sgt", "rsgt"} {
+				p, err := sched.NewProtocol(name, w.Oracle)
+				if err != nil {
+					return nil, err
+				}
+				res, _, err := w.RunWith(p, workload.RunOptions{
 					Seed: seed, MPL: mpl, Tracer: opts.Tracer, Metrics: opts.Metrics,
 					Obs: opts.Obs, Timeout: opts.Timeout,
 				})
 				if err != nil {
-					return nil, fmt.Errorf("%s mpl=%d seed=%d: %v", pf.name, mpl, seed, err)
+					return nil, fmt.Errorf("%s mpl=%d seed=%d: %v", name, mpl, seed, err)
 				}
-				k := key{mpl, pf.name}
+				k := key{mpl, name}
 				a := aggs[k]
 				if a == nil {
 					a = &protoAgg{verified: true}
@@ -87,7 +73,7 @@ func runE8(opts Options) (*Report, error) {
 				a.blocks += res.Blocks
 				if err := res.Verify(); err != nil {
 					a.verified = false
-					rep.AddClaim(false, "%s mpl=%d seed=%d emitted a non-relatively-serializable schedule: %v", pf.name, mpl, seed, err)
+					rep.AddClaim(false, "%s mpl=%d seed=%d emitted a non-relatively-serializable schedule: %v", name, mpl, seed, err)
 				}
 			}
 		}

@@ -65,8 +65,7 @@ const (
 )
 
 // HasCycle reports whether the graph contains a directed cycle
-// (including self-loops). It runs an iterative DFS so deep graphs do
-// not overflow the goroutine stack.
+// (including self-loops): TopoOrder finds no ordering.
 func (g *Dense) HasCycle() bool {
 	_, ok := g.TopoOrder()
 	return !ok
@@ -132,56 +131,17 @@ func (g *Dense) FindCycle() []int {
 }
 
 // TopoOrder returns a topological ordering of the vertices and true,
-// or (nil, false) if the graph has a cycle. Kahn's algorithm with a
-// deterministic smallest-vertex-first tie break.
-func (g *Dense) TopoOrder() ([]int, bool) {
-	indeg := make([]int, g.n)
-	for u := 0; u < g.n; u++ {
-		g.adj[u].ForEach(func(v int) bool {
-			indeg[v]++
-			return true
-		})
-	}
-	ready := NewBitset(g.n)
-	nReady := 0
-	for v := 0; v < g.n; v++ {
-		if indeg[v] == 0 {
-			ready.Set(v)
-			nReady++
-		}
-	}
-	order := make([]int, 0, g.n)
-	for nReady > 0 {
-		// Pop the smallest ready vertex for determinism.
-		u := -1
-		ready.ForEach(func(i int) bool {
-			u = i
-			return false
-		})
-		ready.Clear(u)
-		nReady--
-		order = append(order, u)
-		g.adj[u].ForEach(func(v int) bool {
-			indeg[v]--
-			if indeg[v] == 0 {
-				ready.Set(v)
-				nReady++
-			}
-			return true
-		})
-	}
-	if len(order) != g.n {
-		return nil, false
-	}
-	return order, true
-}
+// or (nil, false) if the graph has a cycle: TopoOrderPreferring with
+// vertices ranked by number.
+func (g *Dense) TopoOrder() ([]int, bool) { return g.TopoOrderPreferring(nil) }
 
 // TopoOrderPreferring returns a topological ordering that, among ready
 // vertices, picks the one with the smallest rank[v] (ties broken by
-// vertex number). This lets callers bias the linearization, e.g. toward
-// an original schedule order. Returns (nil, false) on a cycle.
+// vertex number); a nil rank picks the smallest ready vertex. This lets
+// callers bias the linearization, e.g. toward an original schedule
+// order. It is Kahn's algorithm; it returns (nil, false) on a cycle.
 func (g *Dense) TopoOrderPreferring(rank []int) ([]int, bool) {
-	if len(rank) != g.n {
+	if rank != nil && len(rank) != g.n {
 		panic(fmt.Sprintf("graph: TopoOrderPreferring rank length %d != %d vertices", len(rank), g.n))
 	}
 	indeg := make([]int, g.n)
@@ -201,12 +161,12 @@ func (g *Dense) TopoOrderPreferring(rank []int) ([]int, bool) {
 	}
 	order := make([]int, 0, g.n)
 	for nReady > 0 {
-		best, bestRank := -1, 0
+		best := -1
 		ready.ForEach(func(i int) bool {
-			if best == -1 || rank[i] < bestRank {
-				best, bestRank = i, rank[i]
+			if best == -1 || rank[i] < rank[best] {
+				best = i
 			}
-			return true
+			return rank != nil // by number, the first ready vertex wins
 		})
 		ready.Clear(best)
 		nReady--

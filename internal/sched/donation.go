@@ -137,7 +137,7 @@ func (c *donation) released(holder int64, object string, observer *core.Transact
 // boundary after it, release would only front-run commit (and under
 // absolute atomicity would break the strict-2PL degeneration).
 func releaseEnd(cuts []int, length, seq int) int {
-	if _, end := unitBounds(cuts, length, seq); end < length-1 {
+	if _, end := core.UnitBounds(cuts, length, seq); end < length-1 {
 		return end
 	}
 	return -1

@@ -510,7 +510,7 @@ func TestPropertyTOAdmissionsAreSerializable(t *testing.T) {
 	admitted := 0
 	for trial := 0; trial < 400; trial++ {
 		_, _, s := genSchedInstance(rng)
-		if admits(sched.NewTO(), s) {
+		if admits(sched.NewTOSharded(1), s) {
 			admitted++
 			if !core.IsConflictSerializable(s) {
 				t.Fatalf("trial %d: T/O admitted a non-serializable schedule %s", trial, s)

@@ -20,7 +20,11 @@ import "relser/internal/core"
 // relatively serializable by Theorem 1 *by construction*. The locks
 // act as a pessimistic filter that converts most would-be RSG cycles
 // into waits instead of aborts; the graph is the safety net, never the
-// victim of the discipline's optimism.
+// victim of the discipline's optimism. The net does fire: in
+// TestRALCycleRejectVerifies's three-transaction wake chain the locks
+// grant w1[z] and only the graph refuses it. Without the graph that
+// cycle would surface at commit as a wake wait that only the driver's
+// stall breaking resolves.
 //
 // The lock discipline is altruistic locking's, from the shared
 // donation core, with the cuts taken relative to the observer: a

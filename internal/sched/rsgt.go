@@ -274,8 +274,8 @@ var fb = [2]core.ArcKind{core.FArc, core.BArc}
 // txn(u)) to the first operation of v's atomic unit relative to src.
 // The pair's D-arc u -> v is the path u ->I* PushForward(u, txn(v)) -> v.
 func (p *RSGT) induced(src *txnInst, srcSeq int, inst *txnInst, seq int) [len(fb)]rsgArc {
-	_, fu := unitBounds(p.oracle.Cuts(src.program, inst.program), src.program.Len(), srcSeq)
-	bv, _ := unitBounds(p.oracle.Cuts(inst.program, src.program), inst.program.Len(), seq)
+	_, fu := core.UnitBounds(p.oracle.Cuts(src.program, inst.program), src.program.Len(), srcSeq)
+	bv, _ := core.UnitBounds(p.oracle.Cuts(inst.program, src.program), inst.program.Len(), seq)
 	return [len(fb)]rsgArc{{fu, seq}, {srcSeq, bv}}
 }
 

@@ -138,7 +138,7 @@ func IsShardSafe(p Protocol) bool {
 
 // AtomicityOracle supplies relative atomicity specifications to the
 // online protocols: Cuts returns the unit boundaries of transaction a
-// relative to observer b (a boundary p splits ops p-1 and p; an empty
+// relative to observer b, under core.UnitBounds's convention (an empty
 // result means a is a single atomic unit for b). Implementations
 // typically derive cuts from transaction types (bank audit vs customer
 // transaction) rather than instances, as [Gar83] and [FÖ89] do.
@@ -174,22 +174,6 @@ type SpecOracle struct{ Spec *core.Spec }
 
 // Cuts returns the spec's stored boundaries of the pair.
 func (o SpecOracle) Cuts(a, b *core.Transaction) []int { return o.Spec.Cuts(a.ID, b.ID) }
-
-// unitBounds returns the inclusive [start, end] bounds of the atomic
-// unit containing seq, for a transaction of the given length whose
-// boundaries are cuts (sorted ascending).
-func unitBounds(cuts []int, length, seq int) (start, end int) {
-	start, end = 0, length-1
-	for _, c := range cuts {
-		if c <= seq {
-			start = c
-		} else {
-			end = c - 1
-			break
-		}
-	}
-	return start, end
-}
 
 // sortedInstances returns map keys ascending, for deterministic
 // iteration in decision paths.

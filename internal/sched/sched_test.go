@@ -394,7 +394,7 @@ func TestSpecOracleRoundTrip(t *testing.T) {
 func TestTOOrdersConflictsByTimestamp(t *testing.T) {
 	t1 := core.T(1, core.W("x"))
 	t2 := core.T(2, core.R("x"))
-	p := sched.NewTO()
+	p := sched.NewTOSharded(1)
 	p.Begin(1, t1)
 	p.Begin(2, t2)
 	// Younger T2 reads first; elder T1's late write must abort.
@@ -424,7 +424,7 @@ func TestTOAdmitsTimestampOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !allGrant(replay(t, sched.NewTO(), s)) {
+	if !allGrant(replay(t, sched.NewTOSharded(1), s)) {
 		t.Error("ascending serial schedule must be fully admitted by T/O")
 	}
 }
@@ -432,7 +432,7 @@ func TestTOAdmitsTimestampOrder(t *testing.T) {
 func TestTOLateRead(t *testing.T) {
 	t1 := core.T(1, core.R("x"))
 	t2 := core.T(2, core.W("x"))
-	p := sched.NewTO()
+	p := sched.NewTOSharded(1)
 	p.Begin(1, t1)
 	p.Begin(2, t2)
 	if d := p.Request(sched.OpRequest{Instance: 2, Program: t2, Seq: 0, Op: t2.Op(0)}); d != sched.Grant {
@@ -452,7 +452,7 @@ func TestProtocolNames(t *testing.T) {
 		"sgt":        sched.NewSGT(),
 		"rsgt":       sched.NewRSGT(oracle),
 		"altruistic": sched.NewAltruistic(oracle),
-		"to":         sched.NewTO(),
+		"to":         sched.NewTOSharded(1),
 		"ral":        sched.NewRAL(oracle),
 	} {
 		if p.Name() != want {

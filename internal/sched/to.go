@@ -42,11 +42,7 @@ type toState struct {
 	maxWrite int64
 }
 
-// NewTO returns a basic timestamp-ordering protocol with a single
-// object-table stripe.
-func NewTO() *TO { return NewTOSharded(1) }
-
-// NewTOSharded returns timestamp ordering with the object table
+// NewTOSharded returns basic timestamp ordering with the object table
 // striped over Normalize(shards) stripes.
 func NewTOSharded(shards int) *TO {
 	router := shard.NewRouter(shards)

@@ -363,7 +363,7 @@ func TestS2PLDeadlockExplanation(t *testing.T) {
 func TestTORejectExplanation(t *testing.T) {
 	t1 := core.T(1, core.R("x"))
 	t2 := core.T(2, core.W("x"))
-	r := newTracedReplay(t, sched.NewTO())
+	r := newTracedReplay(t, sched.NewTOSharded(1))
 	r.begin(1, t1)
 	r.begin(2, t2)
 	if d := r.request(2, t2, 0); d != sched.Grant {

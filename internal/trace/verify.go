@@ -8,19 +8,14 @@ import (
 	"relser/internal/core"
 )
 
-// CutsFunc supplies relative atomicity boundaries for replay: the unit
-// cut positions of program a relative to observer b, in the same
-// convention as sched.AtomicityOracle (a cut at p separates operations
-// p-1 and p). Declared structurally here so the trace package does not
-// import the scheduler it observes.
-type CutsFunc func(a, b *core.Transaction) []int
-
 // VerifyCycles replays a trace against the paper's offline theory: for
 // every cycle-reject event it reconstructs the observed schedule prefix
 // (granted operations of live instances, in grant order, plus the
 // rejected operation), completes it with the unexecuted program
 // suffixes, builds the offline core.RSG of that schedule under the
-// oracle's specification, and checks that
+// specification cuts describes (the unit boundaries of program a
+// relative to observer b, under core.UnitBounds's convention), and
+// checks that
 //
 //  1. the event's arcs form a closed cycle,
 //  2. every online arc exists offline with at least the kinds the
@@ -40,7 +35,7 @@ type CutsFunc func(a, b *core.Transaction) []int
 // lack an offline counterpart once the aborted instance is excluded
 // from the replay; such events fail verification rather than being
 // skipped.
-func VerifyCycles(events []Event, cuts CutsFunc) (int, error) {
+func VerifyCycles(events []Event, cuts func(a, b *core.Transaction) []int) (int, error) {
 	progs := make(map[int64]*core.Transaction)
 	aborted := make(map[int64]bool)
 	var grants []Event
@@ -67,7 +62,7 @@ func VerifyCycles(events []Event, cuts CutsFunc) (int, error) {
 	return checked, nil
 }
 
-func verifyOne(ev Event, progs map[int64]*core.Transaction, aborted map[int64]bool, grants []Event, cuts CutsFunc) error {
+func verifyOne(ev Event, progs map[int64]*core.Transaction, aborted map[int64]bool, grants []Event, cuts func(a, b *core.Transaction) []int) error {
 	cyc := ev.Cycle
 	if cyc == nil || len(cyc.Arcs) == 0 {
 		return fmt.Errorf("cycle-reject for %s carries no cycle", ev.Op)

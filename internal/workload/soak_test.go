@@ -64,7 +64,7 @@ func TestSoakAllWorkloadsAllProtocols(t *testing.T) {
 						case "altruistic":
 							p = sched.NewAltruistic(w.Oracle)
 						case "to":
-							p = sched.NewTO()
+							p = sched.NewTOSharded(1)
 						case "ral":
 							p = sched.NewRAL(w.Oracle)
 						}

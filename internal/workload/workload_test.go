@@ -17,7 +17,7 @@ func protocols(w *workload.Workload) map[string]sched.Protocol {
 		"sgt":        sched.NewSGT(),
 		"rsgt":       sched.NewRSGT(w.Oracle),
 		"altruistic": sched.NewAltruistic(w.Oracle),
-		"to":         sched.NewTO(),
+		"to":         sched.NewTOSharded(1),
 		"ral":        sched.NewRAL(w.Oracle),
 	}
 }
