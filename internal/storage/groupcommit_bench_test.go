@@ -8,8 +8,8 @@ import (
 )
 
 // BenchmarkGroupCommit measures synchronous commit appends against a
-// simulated fsync device: parallel producers on the same lanes share
-// fsyncs, which is the whole point of group commit. The device asks
+// simulated fsync device: parallel producers, registered with Hold, on
+// the same lanes share fsyncs, which is the whole point of group commit. The device asks
 // for 20µs, but a sleep that short takes ~1 ms where the timer is
 // coarse (MemBackend.SyncDelay), so ms/op is ~1 ms over the commits
 // one fsync covers.
@@ -25,6 +25,8 @@ func BenchmarkGroupCommit(b *testing.B) {
 			var next atomic.Int64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
+				w.Hold()
+				defer w.Release()
 				id := next.Add(1)
 				for pb.Next() {
 					if err := w.AppendSync(WALRecord{Kind: WALCommit, Instance: id}); err != nil {
