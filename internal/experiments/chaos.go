@@ -58,15 +58,7 @@ func runE16(opts Options) (*Report, error) {
 	//rsvet:allow ctxflow -- experiment entry point: runE16 is the lifecycle root for this run
 	ctx := context.Background()
 
-	const walChaos = "wal.torn:0.004,wal.corrupt:0.003,wal.crash:0.002"
-	legs := []chaosLeg{
-		{name: "wal-chaos", spec: walChaos},
-		{name: "abort-storm", spec: "txn.abort:0.5,sched.grant.delay:0.05"},
-		{name: "latency", spec: "store.read.delay:0.05:200us,store.write.delay:0.05:200us"},
-		{name: "seg-wal-chaos", spec: walChaos, lanes: 4, segBytes: 512},
-		{name: "seg-rotate-crash", spec: "wal.rotate.crash:0.08", lanes: 4, segBytes: 512},
-		{name: "seg-group-partial", spec: "wal.group.partial:0.01", lanes: 4, segBytes: 512},
-	}
+	legs := chaosLegs
 	if opts.FaultSpec != "" {
 		if _, err := fault.ParseSpec(opts.FaultSpec); err != nil {
 			return nil, err
@@ -93,7 +85,7 @@ func runE16(opts Options) (*Report, error) {
 				if opts.RecordDir != "" {
 					saveAs = filepath.Join(opts.RecordDir, fmt.Sprintf("e16-%s-%s-seed%d.rsrec", lg.name, proto, seed))
 				}
-				first, err := chaosCell(ctx, m, saveAs, opts)
+				first, replayOK, err := chaosReplayed(ctx, m, saveAs, opts)
 				if err != nil {
 					return nil, fmt.Errorf("%s/%s seed %d: %v", lg.name, proto, seed, err)
 				}
@@ -101,19 +93,8 @@ func runE16(opts Options) (*Report, error) {
 				allPrefixes = allPrefixes && first.prefixesClean
 				sawShed = sawShed || first.sheds > 0
 				sawInjected = sawInjected || first.injected > 0
-				// Replay: the same seed must reproduce the identical fault
-				// schedule, WAL bytes and outcome.
-				second, err := chaosCell(ctx, m, "", opts)
-				if err != nil {
-					return nil, fmt.Errorf("%s/%s seed %d replay: %v", lg.name, proto, seed, err)
-				}
-				replayOK := first.fingerprint == second.fingerprint &&
-					bytes.Equal(first.wal, second.wal) &&
-					first.committed == second.committed &&
-					first.outcome == second.outcome
 				allReplay = allReplay && replayOK
-				tb.AddRow(lg.name, proto, seed, first.outcome, first.committed, first.aborts,
-					first.injected, first.sheds, first.deadlineAborts, first.prefixes, boolMark(replayOK))
+				tb.AddRow(first.row(lg.name, proto, seed, replayOK)...)
 			}
 		}
 		rep.AddClaim(allCertified,
@@ -153,6 +134,20 @@ func runE16(opts Options) (*Report, error) {
 	rep.AddNote("fault specs use the internal/fault grammar point:rate[:duration]; reproduce any row with rssim -faults '<spec>' -seed <seed> (the injector fingerprint is a pure function of seed and per-point call indices)")
 	return rep, nil
 }
+
+// chaosLegs are the deterministic table's legs: the first three on a
+// single lane, the seg-* legs on four lanes with 512-byte segments.
+var chaosLegs = func() []chaosLeg {
+	const walChaos = "wal.torn:0.004,wal.corrupt:0.003,wal.crash:0.002"
+	return []chaosLeg{
+		{name: "wal-chaos", spec: walChaos},
+		{name: "abort-storm", spec: "txn.abort:0.5,sched.grant.delay:0.05"},
+		{name: "latency", spec: "store.read.delay:0.05:200us,store.write.delay:0.05:200us"},
+		{name: "seg-wal-chaos", spec: walChaos, lanes: 4, segBytes: 512},
+		{name: "seg-rotate-crash", spec: "wal.rotate.crash:0.08", lanes: 4, segBytes: 512},
+		{name: "seg-group-partial", spec: "wal.group.partial:0.01", lanes: 4, segBytes: 512},
+	}
+}()
 
 // chaosLeg is one row family of the deterministic chaos table: a fault
 // spec run over a log of the given shape (zero values: one lane, the
@@ -203,6 +198,30 @@ type chaosOutcome struct {
 	prefixesClean  bool
 	fingerprint    string
 	wal            []byte
+}
+
+// row is the outcome's line in the deterministic chaos table.
+func (o *chaosOutcome) row(leg, proto string, seed int64, replayOK bool) []any {
+	return []any{leg, proto, seed, o.outcome, o.committed, o.aborts,
+		o.injected, o.sheds, o.deadlineAborts, o.prefixes, boolMark(replayOK)}
+}
+
+// chaosReplayed runs one cell twice and reports whether the second run
+// reproduced the first's fault schedule, WAL bytes and outcome.
+func chaosReplayed(ctx context.Context, m record.Manifest, saveAs string, opts Options) (*chaosOutcome, bool, error) {
+	first, err := chaosCell(ctx, m, saveAs, opts)
+	if err != nil {
+		return nil, false, err
+	}
+	second, err := chaosCell(ctx, m, "", opts)
+	if err != nil {
+		return nil, false, fmt.Errorf("replay: %v", err)
+	}
+	replayOK := first.fingerprint == second.fingerprint &&
+		bytes.Equal(first.wal, second.wal) &&
+		first.committed == second.committed &&
+		first.outcome == second.outcome
+	return first, replayOK, nil
 }
 
 // chaosCell executes one manifest on the deterministic driver through
