@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"relser/internal/shard"
 	"relser/internal/storage"
 )
 
@@ -26,22 +25,15 @@ func TestMissingFlagExitsOne(t *testing.T) {
 	}
 }
 
-// writeSegmentedLog runs transactions through a 4-lane segmented WAL
-// in dir and returns instance ids grouped by the lane they routed to.
-func writeSegmentedLog(t *testing.T, dir string) map[int][]int64 {
+// writeSegmentedLog runs twelve transactions through a log rotating
+// at 256 bytes in dir and returns how many segments it published.
+func writeSegmentedLog(t *testing.T, dir string) int {
 	t.Helper()
-	w, err := storage.OpenShardedWAL(dir, storage.SegmentedOptions{Shards: 4})
+	w, err := storage.OpenShardedWAL(dir, storage.SegmentedOptions{SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := shard.NewRouter(4)
-	byLane := map[int][]int64{}
-	for id := int64(1); len(byLane[0]) < 3 || len(byLane[1]) < 3 || len(byLane[2]) < 3 || len(byLane[3]) < 3; id++ {
-		lane := r.ShardID(id)
-		if len(byLane[lane]) >= 3 {
-			continue
-		}
-		byLane[lane] = append(byLane[lane], id)
+	for id := int64(1); id <= 12; id++ {
 		recs := []storage.WALRecord{
 			{Kind: storage.WALBegin, Instance: id},
 			{Kind: storage.WALWrite, Instance: id, Object: fmt.Sprintf("o%d", id), Value: storage.Value(id)},
@@ -59,14 +51,22 @@ func writeSegmentedLog(t *testing.T, dir string) map[int][]int64 {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return byLane
+	segs, err := filepath.Glob(filepath.Join(dir, "shard-00", "seg-*.wal"))
+	if err != nil || len(segs) < 2 {
+		t.Fatalf("want a rotated log, got segments %v (err %v)", segs, err)
+	}
+	return len(segs)
 }
 
-// damageShard truncates (torn) or bit-flips (corrupt) the first
-// segment of one lane in a segmented log directory.
-func damageShard(t *testing.T, dir string, lane int, corrupt bool) {
+// damageLog truncates (torn) or bit-flips (corrupt) the last segment of
+// the log in dir.
+func damageLog(t *testing.T, dir string, corrupt bool) {
 	t.Helper()
-	path := filepath.Join(dir, fmt.Sprintf("shard-%02d", lane), "seg-000000.wal")
+	segs, err := filepath.Glob(filepath.Join(dir, "shard-00", "seg-*.wal"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments in %s (err %v)", dir, err)
+	}
+	path := segs[len(segs)-1]
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func damageShard(t *testing.T, dir string, lane int, corrupt bool) {
 // x=41 and y=59, then instance 2 writes x=7 and never finishes.
 func writeOneLaneLog(t *testing.T, dir string) {
 	t.Helper()
-	w, err := storage.OpenShardedWAL(dir, storage.SegmentedOptions{Shards: 1})
+	w, err := storage.OpenShardedWAL(dir, storage.SegmentedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestCleanLogExitsZero(t *testing.T) {
 func TestTornTailExitsThreeWithStructuredError(t *testing.T) {
 	dir := t.TempDir()
 	writeOneLaneLog(t, dir)
-	damageShard(t, dir, 0, false)
+	damageLog(t, dir, false)
 	code, stdout, stderr := runRecover(t, "-wal", dir)
 	if code != 3 {
 		t.Fatalf("torn tail: exit %d, want 3 (stderr %q)", code, stderr)
@@ -133,7 +133,7 @@ func TestTornTailExitsThreeWithStructuredError(t *testing.T) {
 	if err := json.Unmarshal([]byte(strings.TrimSpace(stderr)), &te); err != nil {
 		t.Fatalf("stderr is not one JSON line: %v\n%q", err, stderr)
 	}
-	if te.Error != "torn-tail" || te.Shard != 0 || te.Detail == "" || te.Offset <= 0 || te.Records != 5 {
+	if te.Error != "torn-tail" || te.Segment != 0 || te.Detail == "" || te.Offset <= 0 || te.Records != 5 {
 		t.Fatalf("unexpected structured error: %+v", te)
 	}
 	// The committed prefix must still recover.
@@ -145,7 +145,7 @@ func TestTornTailExitsThreeWithStructuredError(t *testing.T) {
 func TestCorruptTailWarnsByDefaultAndFailsStrict(t *testing.T) {
 	dir := t.TempDir()
 	writeOneLaneLog(t, dir)
-	damageShard(t, dir, 0, true)
+	damageLog(t, dir, true)
 
 	code, _, stderr := runRecover(t, "-wal", dir)
 	if code != 0 {
@@ -167,109 +167,71 @@ func TestCorruptTailWarnsByDefaultAndFailsStrict(t *testing.T) {
 
 func TestSegmentedCleanExitsZero(t *testing.T) {
 	dir := t.TempDir()
-	byLane := writeSegmentedLog(t, dir)
+	writeSegmentedLog(t, dir)
 	code, stdout, stderr := runRecover(t, "-wal", dir)
 	if code != 0 {
 		t.Fatalf("clean segmented log: exit %d, stderr %q", code, stderr)
 	}
-	for _, ids := range byLane {
-		for _, id := range ids {
-			if !strings.Contains(stdout, fmt.Sprintf("o%d = %d", id, id)) {
-				t.Fatalf("committed o%d missing from output:\n%s", id, stdout)
-			}
-		}
-	}
-}
-
-// TestSegmentedTornReportsFirstShard: with lanes 3 and 1 both torn,
-// the structured error must name shard 1 on every run — the policy is
-// lowest index, not goroutine finish order.
-func TestSegmentedTornReportsFirstShard(t *testing.T) {
-	dir := t.TempDir()
-	writeSegmentedLog(t, dir)
-	damageShard(t, dir, 3, false)
-	damageShard(t, dir, 1, false)
-	for i := 0; i < 5; i++ {
-		code, _, stderr := runRecover(t, "-wal", dir)
-		if code != 3 {
-			t.Fatalf("run %d: exit %d, want 3 (stderr %q)", i, code, stderr)
-		}
-		var te struct {
-			Error string `json:"error"`
-			Shard int    `json:"shard"`
-		}
-		if err := json.Unmarshal([]byte(strings.TrimSpace(stderr)), &te); err != nil {
-			t.Fatalf("run %d: stderr is not one JSON line: %v\n%q", i, err, stderr)
-		}
-		if te.Error != "torn-tail" || te.Shard != 1 {
-			t.Fatalf("run %d: got %+v, want torn-tail on shard 1", i, te)
+	for id := 1; id <= 12; id++ {
+		if !strings.Contains(stdout, fmt.Sprintf("o%d = %d", id, id)) {
+			t.Fatalf("committed o%d missing from output:\n%s", id, stdout)
 		}
 	}
 }
 
 func TestSegmentedCorruptWarnsThenFailsStrict(t *testing.T) {
 	dir := t.TempDir()
-	writeSegmentedLog(t, dir)
-	damageShard(t, dir, 2, true)
+	last := writeSegmentedLog(t, dir) - 1
+	damageLog(t, dir, true)
 
 	code, _, stderr := runRecover(t, "-wal", dir)
 	if code != 0 {
-		t.Fatalf("corrupt lane without -strict: exit %d (stderr %q)", code, stderr)
+		t.Fatalf("corrupt log without -strict: exit %d (stderr %q)", code, stderr)
 	}
-	if !strings.Contains(stderr, "shard 2") {
-		t.Fatalf("warning does not name shard 2: %q", stderr)
+	if !strings.Contains(stderr, fmt.Sprintf("segment %d", last)) {
+		t.Fatalf("warning does not name segment %d: %q", last, stderr)
 	}
 
 	code, _, stderr = runRecover(t, "-wal", dir, "-strict")
 	if code != 4 {
-		t.Fatalf("corrupt lane with -strict: exit %d, want 4 (stderr %q)", code, stderr)
+		t.Fatalf("corrupt log with -strict: exit %d, want 4 (stderr %q)", code, stderr)
 	}
-	var te struct {
-		Error string `json:"error"`
-		Shard int    `json:"shard"`
-	}
-	if err := json.Unmarshal([]byte(strings.TrimSpace(stderr)), &te); err != nil || te.Error != "corrupt-tail" || te.Shard != 2 {
-		t.Fatalf("want structured corrupt-tail on shard 2, got %q (err %v)", stderr, err)
+	var te tailError
+	if err := json.Unmarshal([]byte(strings.TrimSpace(stderr)), &te); err != nil || te.Error != "corrupt-tail" || te.Segment != last {
+		t.Fatalf("want structured corrupt-tail in segment %d, got %q (err %v)", last, stderr, err)
 	}
 }
 
-// TestSegmentedShardFilter: -shard restricts recovery to one lane, so
-// damage elsewhere is invisible and damage there still fails.
-func TestSegmentedShardFilter(t *testing.T) {
+// TestOtherLaneRefused: the log has one lane, so a directory holding a
+// shard-01 lane (a log written with more) is refused with exit 1 and a
+// message naming the lane, not recovered from lane 0 alone.
+func TestOtherLaneRefused(t *testing.T) {
 	dir := t.TempDir()
-	byLane := writeSegmentedLog(t, dir)
-	damageShard(t, dir, 1, false)
-
-	code, stdout, stderr := runRecover(t, "-wal", dir, "-shard", "0")
-	if code != 0 {
-		t.Fatalf("-shard 0 with damage on shard 1: exit %d (stderr %q)", code, stderr)
+	writeSegmentedLog(t, dir)
+	if err := os.Mkdir(filepath.Join(dir, "shard-01"), 0o755); err != nil {
+		t.Fatal(err)
 	}
-	id := byLane[0][0]
-	if !strings.Contains(stdout, fmt.Sprintf("o%d = %d", id, id)) {
-		t.Fatalf("lane 0 values missing:\n%s", stdout)
-	}
-
-	code, _, stderr = runRecover(t, "-wal", dir, "-shard", "1")
-	if code != 3 {
-		t.Fatalf("-shard 1 on torn lane: exit %d, want 3 (stderr %q)", code, stderr)
-	}
-	if code, _, _ := runRecover(t, "-wal", dir, "-shard", "9"); code != 1 {
-		t.Fatalf("-shard 9 (absent): exit %d, want 1", code)
+	code, stdout, stderr := runRecover(t, "-wal", dir)
+	if code != 1 || stdout != "" || !strings.Contains(stderr, "lane 1") {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 1 naming lane 1", code, stdout, stderr)
 	}
 }
 
-// TestShardFlagRejectedForFiles: -wal names a segmented log directory;
-// a regular file is a usage error (exit 1) with or without -shard.
+// TestShardFlagRejectedForFiles: -wal names a segmented log directory,
+// so a regular file is a usage error (exit 1); and the log has one
+// lane, so -shard is no flag at all (exit 1).
 func TestShardFlagRejectedForFiles(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.wal")
 	if err := os.WriteFile(path, []byte("not a log"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, args := range [][]string{{"-wal", path}, {"-wal", path, "-shard", "0"}} {
-		code, _, stderr := runRecover(t, args...)
-		if code != 1 || !strings.Contains(stderr, "not a segmented log directory") {
-			t.Fatalf("%v: exit %d, stderr %q; want exit 1 naming the input", args, code, stderr)
-		}
+	code, _, stderr := runRecover(t, "-wal", path)
+	if code != 1 || !strings.Contains(stderr, "not a segmented log directory") {
+		t.Fatalf("exit %d, stderr %q; want exit 1 naming the input", code, stderr)
+	}
+	code, _, stderr = runRecover(t, "-wal", path, "-shard", "0")
+	if code != 1 || !strings.Contains(stderr, "-shard") {
+		t.Fatalf("-shard: exit %d, stderr %q; want exit 1 refusing the flag", code, stderr)
 	}
 }
 

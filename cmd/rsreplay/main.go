@@ -62,12 +62,11 @@ func main() {
 type replayError struct {
 	Error  string `json:"error"` // "unreadable-artifact" | "replay-failed"
 	Path   string `json:"path,omitempty"`
-	Shard  int    `json:"shard"` // always -1: a recording belongs to no lane
 	Detail string `json:"detail"`
 }
 
 func emitError(stderr io.Writer, kind, path, detail string) {
-	line, _ := json.Marshal(replayError{Error: kind, Path: path, Shard: -1, Detail: detail})
+	line, _ := json.Marshal(replayError{Error: kind, Path: path, Detail: detail})
 	fmt.Fprintln(stderr, string(line))
 }
 

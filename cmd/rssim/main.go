@@ -48,7 +48,6 @@ func main() {
 		schedule   = flag.Bool("schedule", false, "print the committed schedule")
 		dump       = flag.Bool("dump", false, "emit the committed run as an instance file (consumable by rscheck)")
 		walPath    = flag.String("wal", "", "write the segmented group-commit write-ahead log into this directory (recover with rsrecover -wal <dir>)")
-		walShards  = flag.Int("wal-shards", 0, "durability lanes for -wal (0 = follow -shards; rounded to a power of two)")
 		walSegs    = flag.Int64("wal-segments", 1<<20, "segment rotation threshold in bytes for -wal")
 		concurrent = flag.Bool("concurrent", false, "use the goroutine runtime instead of the deterministic tick driver")
 		shards     = flag.Int("shards", 1, "shard count for the concurrent driver's hot path (rounded up to a power of two; requires -concurrent)")
@@ -98,19 +97,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	lanes := *walShards
-	if lanes == 0 {
-		lanes = *shards
-	}
 	var (
 		wal  storage.WALSink
 		swal *storage.ShardedWAL
 	)
 	if *walPath != "" {
-		swal, err = storage.OpenShardedWAL(*walPath, storage.SegmentedOptions{
-			Shards:       lanes,
-			SegmentBytes: *walSegs,
-		})
+		swal, err = storage.OpenShardedWAL(*walPath, storage.SegmentedOptions{SegmentBytes: *walSegs})
 		if err != nil {
 			fatal(err)
 		}
@@ -194,7 +186,6 @@ func main() {
 		}
 		if swal != nil {
 			m.WALMode = "segmented"
-			m.WALShards = lanes
 			m.WALSegmentBytes = *walSegs
 		}
 		recorder = record.NewRecorder(m)
@@ -241,8 +232,8 @@ func main() {
 		// still land on disk for rsrecover.
 		swal.Close() //nolint:errcheck // a latched crash error is already folded into the run error
 		ws := swal.Stats()
-		fmt.Fprintf(status, "wal: lanes=%d appends=%d group-commits=%d fsyncs=%d rotations=%d\n",
-			swal.Shards(), ws.Appends, ws.GroupCommits, ws.Fsyncs, ws.Rotations)
+		fmt.Fprintf(status, "wal: appends=%d group-commits=%d fsyncs=%d rotations=%d\n",
+			ws.Appends, ws.GroupCommits, ws.Fsyncs, ws.Rotations)
 	}
 	if recorder != nil {
 		if swal != nil {

@@ -33,7 +33,7 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	mem := storage.NewMemBackend()
-	wal, err := storage.NewShardedWAL(mem, storage.SegmentedOptions{Shards: 1})
+	wal, err := storage.NewShardedWAL(mem, storage.SegmentedOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func moduleDir(t *testing.T) string {
 
 // TestInferPartitionedGolden asserts the spec synthesized from
 // examples/partitioned equals the certified spec its instance file
-// declares: the static half of ROADMAP item 4, end to end.
+// declares: static spec synthesis (rsvet -infer), end to end.
 func TestInferPartitionedGolden(t *testing.T) {
 	root := moduleDir(t)
 	pkg, err := load.Dir(root, filepath.Join(root, "examples/partitioned"))

@@ -750,8 +750,8 @@ func (c *Core) WALErr() error {
 	return nil
 }
 
-// FlushWAL drains the sink's group-commit queues (one final fsync per
-// lane) and surfaces any append error; drivers call it once at the end
+// FlushWAL drains the sink's group-commit queue (one final fsync) and
+// surfaces any append error; drivers call it once at the end
 // of a run so async appends are durable before the result is final.
 func (c *Core) FlushWAL() error {
 	if c.Cfg.WAL != nil {

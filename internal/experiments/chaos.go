@@ -29,20 +29,19 @@ import (
 //     committed schedule passing the offline RSG test and the balance
 //     invariant holding — or crashes cleanly (fault.ErrCrash from an
 //     injected WAL torn write or crash).
-//   - Durability: recovery from EVERY prefix of each lane's emitted
-//     log (all frame boundaries plus mid-frame tears, and lost trailing
-//     segments) yields a store whose balance invariant is intact — torn
-//     tails truncate, they never corrupt.
+//   - Durability: recovery from EVERY prefix of the emitted log (each
+//     segment cut at every frame boundary and mid-frame tear, the later
+//     segments lost) yields a store whose balance invariant is intact —
+//     torn tails truncate, they never corrupt.
 //   - Reproducibility: rerunning with the same seed produces the
 //     identical fault schedule (injector fingerprint), byte-identical
-//     segments on every lane, and the same committed count — a chaos
-//     failure is replayable from its seed alone.
+//     segments, and the same committed count — a chaos failure is
+//     replayable from its seed alone.
 //
-// Every leg runs on the one log there is; the first three use a single
-// lane, the seg-* legs four lanes with 512-byte segments, adding the
-// two fault points rotation and batching bring: wal.rotate.crash (die
-// between sealing segment k and publishing k+1) and wal.group.partial
-// (a group-commit batch torn mid-frame).
+// Every leg runs on the one log there is; the seg-* legs use 512-byte
+// segments, adding the two fault points rotation and batching bring:
+// wal.rotate.crash (die between sealing segment k and publishing k+1)
+// and wal.group.partial (a group-commit batch torn mid-frame).
 //
 // Every deterministic cell is a record.Manifest executed by
 // record.Record — the executor rsreplay and E19 use — so the artifact
@@ -100,9 +99,9 @@ func runE16(opts Options) (*Report, error) {
 		rep.AddClaim(allCertified,
 			"%s: every run completes RSG-certified with the invariant intact, or crashes cleanly via fault.ErrCrash", lg.name)
 		rep.AddClaim(allPrefixes,
-			"%s: recovery from every per-lane WAL prefix (frame boundaries, mid-frame tears, lost trailing segments) preserves balance conservation", lg.name)
+			"%s: recovery from every WAL prefix (each segment cut at every frame boundary and mid-frame tear, later segments lost) preserves balance conservation", lg.name)
 		rep.AddClaim(allReplay,
-			"%s: same seed reproduces the identical fault schedule (fingerprint), segment bytes on every lane and outcome", lg.name)
+			"%s: same seed reproduces the identical fault schedule (fingerprint), segment bytes and outcome", lg.name)
 		if lg.name == "abort-storm" {
 			rep.AddClaim(sawInjected, "abort-storm: injected txn.abort faults actually fired")
 			rep.AddClaim(sawShed, "abort-storm: the admission controller shed load (effective MPL degraded below configured MPL)")
@@ -135,28 +134,26 @@ func runE16(opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// chaosLegs are the deterministic table's legs: the first three on a
-// single lane, the seg-* legs on four lanes with 512-byte segments.
-var chaosLegs = func() []chaosLeg {
-	const walChaos = "wal.torn:0.004,wal.corrupt:0.003,wal.crash:0.002"
-	return []chaosLeg{
-		{name: "wal-chaos", spec: walChaos},
-		{name: "abort-storm", spec: "txn.abort:0.5,sched.grant.delay:0.05"},
-		{name: "latency", spec: "store.read.delay:0.05:200us,store.write.delay:0.05:200us"},
-		{name: "seg-wal-chaos", spec: walChaos, lanes: 4, segBytes: 512},
-		{name: "seg-rotate-crash", spec: "wal.rotate.crash:0.08", lanes: 4, segBytes: 512},
-		{name: "seg-group-partial", spec: "wal.group.partial:0.01", lanes: 4, segBytes: 512},
-	}
-}()
+const walChaos = "wal.torn:0.004,wal.corrupt:0.003,wal.crash:0.002"
+
+// chaosLegs are the deterministic table's legs: the first three rotate
+// at the default 1 MiB, the seg-* legs at 512 bytes.
+var chaosLegs = []chaosLeg{
+	{name: "wal-chaos", spec: walChaos},
+	{name: "abort-storm", spec: "txn.abort:0.5,sched.grant.delay:0.05"},
+	{name: "latency", spec: "store.read.delay:0.05:200us,store.write.delay:0.05:200us"},
+	{name: "seg-wal-chaos", spec: walChaos, segBytes: 512},
+	{name: "seg-rotate-crash", spec: "wal.rotate.crash:0.08", segBytes: 512},
+	{name: "seg-group-partial", spec: "wal.group.partial:0.01", segBytes: 512},
+}
 
 // chaosLeg is one row family of the deterministic chaos table: a fault
-// spec run over a log of the given shape (zero values: one lane, the
-// default rotation threshold). The seg-* legs' 512-byte segments make
-// the banking workload's modest log volume exercise rotation.
+// spec run over a log rotating at segBytes (zero: the default). The
+// seg-* legs' 512-byte segments make the banking workload's modest log
+// volume exercise rotation.
 type chaosLeg struct {
 	name     string
 	spec     string
-	lanes    int
 	segBytes int64
 }
 
@@ -173,7 +170,6 @@ func (lg chaosLeg) manifest(proto string, seed int64) record.Manifest {
 		FaultSeed:   seed,
 
 		WALMode:         "segmented",
-		WALShards:       lg.lanes,
 		WALSegmentBytes: lg.segBytes,
 	}
 	if lg.name == "abort-storm" {
@@ -382,56 +378,25 @@ func chaosWedge(rep *Report, opts Options) error {
 	return nil
 }
 
-// sweepSegmentPrefixes truncates each lane's final segment at every
-// frame boundary and mid-frame tear, recovers
-// the resulting crash image through the cross-shard cut, and checks
-// the workload invariant each time. Whole trailing segments are also
-// dropped one by one, modeling a crash before rotation's publish.
+// sweepSegmentPrefixes recovers every crash image of the log — each
+// segment cut at every frame boundary and mid-frame tear, the segments
+// after it lost — and checks the workload invariant each time. Frames
+// reach the device in append order, so every image is a prefix of the
+// commit order and owes the invariant.
 func sweepSegmentPrefixes(set *storage.SegmentSet, w *workload.Workload) (int, bool) {
 	checked, clean := 0, true
-	try := func(mod *storage.SegmentSet, lane int) {
-		checked++
-		st, rep, err := storage.RecoverSegmented(mod, w.Initial)
-		if err != nil {
-			clean = false
-			return
-		}
-		// A truncation at a clean frame boundary (or a cleanly dropped
-		// sealed segment) silently loses fsynced, acked commits — no
-		// physical crash produces that image (ack follows fsync), and
-		// recovery cannot detect it. Across lanes the invariant is only
-		// owed when the damage is visible, engaging the cross-shard cut;
-		// a lone lane's every prefix is a prefix of the commit order, and
-		// owes it always.
-		damaged := len(set.Shards) == 1
-		for _, sh := range rep.Shards {
-			if sh.Shard == lane && sh.Damaged {
-				damaged = true
+	segs := set.Shards[0]
+	for k, seg := range segs {
+		for _, cut := range segmentCuts(seg) {
+			image := &storage.SegmentSet{
+				Shards:      map[int][][]byte{0: append(append([][]byte(nil), segs[:k]...), seg[:cut])},
+				Unpublished: set.Unpublished,
 			}
-		}
-		if !damaged {
-			return
-		}
-		if w.Invariant(st.Snapshot()) != nil {
-			clean = false
-		}
-	}
-	for lane, segs := range set.Shards {
-		if len(segs) == 0 {
-			continue
-		}
-		// Crash prefixes of the lane's last segment.
-		last := segs[len(segs)-1]
-		for _, cut := range segmentCuts(last) {
-			mod := cloneSet(set)
-			mod.Shards[lane] = append(append([][]byte(nil), segs[:len(segs)-1]...), last[:cut])
-			try(mod, lane)
-		}
-		// Lost trailing segments (crash before a later publish).
-		for drop := 1; drop < len(segs) && drop <= 2; drop++ {
-			mod := cloneSet(set)
-			mod.Shards[lane] = append([][]byte(nil), segs[:len(segs)-drop]...)
-			try(mod, lane)
+			checked++
+			st, _, err := storage.RecoverSegmented(image, w.Initial)
+			if err != nil || w.Invariant(st.Snapshot()) != nil {
+				clean = false
+			}
 		}
 	}
 	return checked, clean
@@ -458,17 +423,4 @@ func segmentCuts(seg []byte) []int {
 		cuts = append(cuts, off)
 	}
 	return cuts
-}
-
-// cloneSet shallow-copies a SegmentSet with a fresh Shards map (the
-// segment byte slices themselves are shared and never mutated).
-func cloneSet(set *storage.SegmentSet) *storage.SegmentSet {
-	mod := &storage.SegmentSet{
-		Shards:      make(map[int][][]byte, len(set.Shards)),
-		Unpublished: set.Unpublished,
-	}
-	for s, segs := range set.Shards {
-		mod.Shards[s] = segs
-	}
-	return mod
 }

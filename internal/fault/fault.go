@@ -72,11 +72,11 @@ const (
 	// WALCrash stops the log cleanly at a record boundary and reports
 	// an injected crash.
 	WALCrash Point = "wal.crash"
-	// WALRotateCrash crashes a lane during segment rotation: after the
+	// WALRotateCrash crashes the log during segment rotation: after the
 	// next segment is created and header-synced but before it is
 	// published, leaving an unpublished file recovery must ignore.
 	WALRotateCrash Point = "wal.rotate.crash"
-	// WALGroupPartial crashes a lane mid group commit: the batch's
+	// WALGroupPartial crashes the log mid group commit: the batch's
 	// earlier frames reach the device, the firing frame is cut short at
 	// an arbitrary byte — the multi-record analogue of wal.torn.
 	WALGroupPartial Point = "wal.group.partial"

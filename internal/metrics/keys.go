@@ -34,13 +34,14 @@ var canonicalKeys = []string{
 	"txn.cond.broadcast_global",
 	"txn.cond.broadcast_flood",
 
-	// Segmented WAL (internal/storage): group-commit durability lanes.
-	// Per-lane histograms (wal.shardNN.fsync_seconds,
-	// wal.shardNN.batch_records) ride the "wal.shard" dynamic prefix.
+	// Segmented WAL (internal/storage): group commit on the log's one
+	// lane, whose histograms keep their lane-00 names.
 	"wal.appends",
 	"wal.fsyncs",
 	"wal.rotations",
 	"wal.group_commits",
+	"wal.shard00.batch_records",
+	"wal.shard00.fsync_seconds",
 
 	// Observability plane (internal/obs): flight-recorder ring, span
 	// table, SSE tail and automatic dump triggers.
@@ -70,7 +71,7 @@ var canonicalKeys = []string{
 // and the ops endpoint's per-route request counters. The obs prefix is
 // deliberately "obs.http." rather than "obs." so the static obs.* keys
 // above stay under the registrydrift literal check.
-var DynamicKeyPrefixes = []string{"txn.shard", "obs.http.", "wal.shard"}
+var DynamicKeyPrefixes = []string{"txn.shard", "obs.http."}
 
 // IsKnownKey reports whether name is a canonical key or carries a
 // registered dynamic prefix.

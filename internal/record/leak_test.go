@@ -12,13 +12,13 @@ import (
 // TestFailedRunLeavesNoCommitter: a manifest whose run ends in a plain
 // error — here every transaction is force-aborted past its restart
 // budget — is not a recordable outcome, so Record returns the error
-// early. The log it opened must be closed on that path too: each lane
-// parks a committer goroutine until Close.
+// early. The log it opened must be closed on that path too: it parks a
+// committer goroutine until Close.
 func TestFailedRunLeavesNoCommitter(t *testing.T) {
 	m := det("banking", 1)
 	m.MaxRestarts = 1
 	m.FaultSpec, m.FaultSeed = "txn.abort:1", 1
-	m.WALMode, m.WALShards = "segmented", 4
+	m.WALMode = "segmented"
 	before := runtime.NumGoroutine()
 	if _, err := record.Record(context.Background(), m, record.Observers{}); err == nil {
 		t.Fatal("a run that exhausts its restart budget recorded as an outcome")
@@ -30,6 +30,6 @@ func TestFailedRunLeavesNoCommitter(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("%d goroutines before the failed Record, %d after: lane committers leaked", before, after)
+		t.Fatalf("%d goroutines before the failed Record, %d after: the log committer leaked", before, after)
 	}
 }

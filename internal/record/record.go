@@ -102,7 +102,8 @@ type Manifest struct {
 	FaultSeed int64  `json:"fault_seed,omitempty"`
 	// WALMode records the durability shape so replay reproduces the
 	// same byte stream: "" (no WAL) or "segmented" (the group-commit log
-	// with WALShards lanes rotating at WALSegmentBytes).
+	// rotating at WALSegmentBytes). The log has one lane: WALShards is
+	// 0 or 1 in every replayable recording, and replay refuses more.
 	WALMode         string `json:"wal_mode,omitempty"`
 	WALShards       int    `json:"wal_shards,omitempty"`
 	WALSegmentBytes int64  `json:"wal_segment_bytes,omitempty"`
@@ -441,31 +442,19 @@ func hashStages(stages []StageEvent) string {
 	return fmt.Sprintf("%016x", h)
 }
 
-// FlattenSegmentSet serializes a segmented log into one deterministic
-// byte string (lanes in index order, segments in chain order) for WAL
-// fingerprinting, the same flattening the chaos experiments use for
-// byte-identical replay comparison.
+// FlattenSegmentSet serializes the log's segments, in chain order, into
+// one byte string for WAL fingerprinting, the same flattening the chaos
+// experiments use for byte-identical replay comparison. Each segment
+// is prefixed by its lane (always 0) and its length.
 func FlattenSegmentSet(set *storage.SegmentSet) []byte {
 	if set == nil {
 		return nil
 	}
-	lanes := make([]int, 0, len(set.Shards))
-	//rsvet:allow detlint -- order-insensitive: lane ids are collected then sorted below
-	for s := range set.Shards {
-		lanes = append(lanes, s)
-	}
-	for i := 1; i < len(lanes); i++ {
-		for j := i; j > 0 && lanes[j] < lanes[j-1]; j-- {
-			lanes[j], lanes[j-1] = lanes[j-1], lanes[j]
-		}
-	}
 	var out []byte
-	for _, s := range lanes {
-		for _, seg := range set.Shards[s] {
-			out = binary.LittleEndian.AppendUint32(out, uint32(s))
-			out = binary.LittleEndian.AppendUint32(out, uint32(len(seg)))
-			out = append(out, seg...)
-		}
+	for _, seg := range set.Shards[0] {
+		out = binary.LittleEndian.AppendUint32(out, 0)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(seg)))
+		out = append(out, seg...)
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"relser/internal/record"
@@ -47,7 +48,7 @@ func mustRecord(t *testing.T, m record.Manifest) *record.Recording {
 // TestReplayByteIdentical: a recording with no overrides replays with
 // zero divergences — same verdict, counters, fault fingerprint, WAL
 // bytes, stage log and final store — including under fault injection
-// and on both a one-lane and a rotating four-lane log.
+// and on a log rotating at 512 bytes.
 func TestReplayByteIdentical(t *testing.T) {
 	cases := []record.Manifest{
 		det("banking", 1),
@@ -57,7 +58,6 @@ func TestReplayByteIdentical(t *testing.T) {
 	cases[0].FaultSpec = "wal.torn:0.004,wal.corrupt:0.003,wal.crash:0.002"
 	cases[0].FaultSeed = 7
 	cases[1].WALMode = "segmented"
-	cases[1].WALShards = 4
 	cases[1].WALSegmentBytes = 512
 	cases[1].Protocol = "to"
 	for _, m := range cases {
@@ -72,6 +72,17 @@ func TestReplayByteIdentical(t *testing.T) {
 		if !rep.Identical {
 			t.Fatalf("%s: replay diverged: %+v", m.Workload.Name, rep.Divergences)
 		}
+	}
+}
+
+// TestMultiLaneManifestRefused: the log has one lane, so a manifest
+// asking for more WAL lanes fails to replay with an error that says so.
+func TestMultiLaneManifestRefused(t *testing.T) {
+	rec := mustRecord(t, det("banking", 1))
+	rec.Manifest.WALMode, rec.Manifest.WALShards = "segmented", 4
+	_, err := record.Replay(context.Background(), rec, record.ReplayOptions{})
+	if err == nil || !strings.Contains(err.Error(), "4 WAL lanes") {
+		t.Fatalf("replay of a 4-lane manifest: err %v, want one naming the 4 lanes", err)
 	}
 }
 

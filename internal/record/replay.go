@@ -188,15 +188,15 @@ func execute(ctx context.Context, m Manifest, initial map[string]storage.Value, 
 	switch m.WALMode {
 	case "", "none":
 	case "segmented":
+		if m.WALShards > 1 {
+			return nil, Outcome{}, fmt.Errorf("record: manifest logs to %d WAL lanes, but the log has one lane; this recording cannot replay", m.WALShards)
+		}
 		mem = storage.NewMemBackend()
-		swal, err = storage.NewShardedWAL(mem, storage.SegmentedOptions{
-			Shards:       m.WALShards,
-			SegmentBytes: m.WALSegmentBytes,
-		})
+		swal, err = storage.NewShardedWAL(mem, storage.SegmentedOptions{SegmentBytes: m.WALSegmentBytes})
 		if err != nil {
 			return nil, Outcome{}, err
 		}
-		// Every lane parks a committer goroutine; Close is idempotent, so
+		// The log parks a committer goroutine; Close is idempotent, so
 		// this covers the early returns below too.
 		defer swal.Close() //nolint:errcheck // the path that reads the log closes it explicitly first
 		sink = swal

@@ -36,20 +36,6 @@ func (r Router) Shard(object string) int {
 	return int(Hash(object) & r.mask)
 }
 
-// ShardID maps an integer identifier (a transaction instance) to a
-// shard. IDs are sequential in practice, so they pass through a
-// SplitMix64-style finalizer first: consecutive IDs spread across
-// shards instead of striping predictably.
-func (r Router) ShardID(id int64) int {
-	x := uint64(id)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return int(uint32(x) & r.mask)
-}
-
 // Normalize clamps n to [1, MaxShards] and rounds it up to the next
 // power of two, so the router can mask instead of mod.
 func Normalize(n int) int {

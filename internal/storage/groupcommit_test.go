@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,16 +15,6 @@ import (
 	"relser/internal/fault"
 	"relser/internal/metrics"
 )
-
-// laneInstance returns the first instance id >= from that routes to
-// lane — tests use it to place transactions on chosen shards.
-func laneInstance(w *ShardedWAL, lane int, from int64) int64 {
-	for id := from; ; id++ {
-		if w.router.ShardID(id) == lane {
-			return id
-		}
-	}
-}
 
 // logTxn appends begin, one write per (object, value) pair, and a
 // commit for instance id, waiting for the commit's durability.
@@ -41,11 +32,11 @@ func logTxn(t testing.TB, w *ShardedWAL, id int64, object string, v Value) {
 }
 
 // TestShardedWALConcurrentRecoveryEquality drives concurrent producers
-// through a rotating 4-lane log and checks that recovery reproduces
-// exactly the acknowledged commits.
+// through a rotating log and checks that recovery reproduces exactly
+// the acknowledged commits.
 func TestShardedWALConcurrentRecoveryEquality(t *testing.T) {
 	mem := NewMemBackend()
-	w, err := NewShardedWAL(mem, SegmentedOptions{Shards: 4, SegmentBytes: 512, QueueDepth: 32})
+	w, err := NewShardedWAL(mem, SegmentedOptions{SegmentBytes: 512, QueueDepth: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +69,9 @@ func TestShardedWALConcurrentRecoveryEquality(t *testing.T) {
 	}
 	// Each rotation seals one segment and publishes its successor; the
 	// sealed ones stay published, and recovery reads them all.
-	published := 0
-	for _, segs := range set.Shards {
-		published += len(segs)
-	}
-	if want := 4 + int(stats.Rotations); published != want || set.Unpublished != 0 {
-		t.Fatalf("%d published segments (%d unpublished), want %d: 4 lanes + %d rotations", published, set.Unpublished, want, stats.Rotations)
+	published := len(set.Shards[0])
+	if want := 1 + int(stats.Rotations); published != want || set.Unpublished != 0 {
+		t.Fatalf("%d published segments (%d unpublished), want %d: segment 0 + %d rotations", published, set.Unpublished, want, stats.Rotations)
 	}
 	st, rep, err := RecoverSegmented(set, nil)
 	if err != nil {
@@ -112,7 +100,7 @@ func TestShardedWALConcurrentRecoveryEquality(t *testing.T) {
 func TestShardedWALGroupCommitBatching(t *testing.T) {
 	mem := NewMemBackend()
 	mem.SyncDelay = 2 * time.Millisecond
-	w, err := NewShardedWAL(mem, SegmentedOptions{Shards: 1, QueueDepth: 512})
+	w, err := NewShardedWAL(mem, SegmentedOptions{QueueDepth: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +121,7 @@ func TestShardedWALGroupCommitBatching(t *testing.T) {
 }
 
 // TestGroupCommitWaitsForAcksOnly runs eight registered (Hold)
-// closed-loop AppendSync producers on one lane at GOMAXPROCS(1) beside
+// closed-loop AppendSync producers at GOMAXPROCS(1) beside
 // an unregistered goroutine streaming non-ack Appends. The committer
 // waits for the producers' cohort but not for the stream: one fsync
 // covers nearly all of the cohort, no ack waits more than a few fsyncs,
@@ -145,7 +133,7 @@ func TestGroupCommitWaitsForAcksOnly(t *testing.T) {
 	mem.SyncDelay = time.Millisecond
 	// Deep and long enough that the stream neither blocks at QueueDepth
 	// nor rotates a segment: both hold an ack back for their own reason.
-	w, err := NewShardedWAL(mem, SegmentedOptions{Shards: 1, QueueDepth: 1 << 14, SegmentBytes: 64 << 20})
+	w, err := NewShardedWAL(mem, SegmentedOptions{QueueDepth: 1 << 14, SegmentBytes: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +143,7 @@ func TestGroupCommitWaitsForAcksOnly(t *testing.T) {
 	const producers, rounds = 8, 25
 	type ackWait struct {
 		d      time.Duration
-		fsyncs int64 // lane fsyncs completed during the wait
+		fsyncs int64 // fsyncs completed during the wait
 	}
 	waits := make([][]ackWait, producers)
 	var wg, committed sync.WaitGroup
@@ -247,7 +235,7 @@ func TestGroupCommitWaitsForAcksOnly(t *testing.T) {
 type syncedBackend struct {
 	*MemBackend
 	mu   sync.Mutex
-	segs map[[2]int]*syncedSegment // (lane, index) -> segment
+	segs map[int]*syncedSegment // segment index -> segment
 }
 
 type syncedSegment struct {
@@ -264,7 +252,7 @@ func (b *syncedBackend) Create(lane, index int) (SegmentFile, error) {
 	}
 	s := &syncedSegment{SegmentFile: f, b: b}
 	b.mu.Lock()
-	b.segs[[2]int{lane, index}] = s
+	b.segs[index] = s
 	b.mu.Unlock()
 	return s, nil
 }
@@ -289,15 +277,13 @@ func (s *syncedSegment) Sync() error {
 	return nil
 }
 
-// durable reports whether the lane's synced prefixes hold instance's
-// commit record.
-func (b *syncedBackend) durable(lane int, instance int64) bool {
+// durable reports whether the synced prefixes hold instance's commit
+// record.
+func (b *syncedBackend) durable(instance int64) bool {
 	b.mu.Lock()
 	var prefixes [][]byte
-	for k, s := range b.segs {
-		if k[0] == lane {
-			prefixes = append(prefixes, append([]byte(nil), s.buf[:s.synced]...))
-		}
+	for _, s := range b.segs {
+		prefixes = append(prefixes, append([]byte(nil), s.buf[:s.synced]...))
 	}
 	b.mu.Unlock()
 	for _, p := range prefixes {
@@ -315,14 +301,14 @@ func (b *syncedBackend) durable(lane int, instance int64) bool {
 }
 
 // TestShardedWALAckImpliesDurable checks the AppendSync contract at the
-// moment it returns: acked ⇒ durable. Concurrent writers on four
-// rotating lanes with a simulated fsync cost; every nil AppendSync must
-// find its commit frame inside its lane's synced prefix.
+// moment it returns: acked ⇒ durable. Concurrent writers on a rotating
+// log with a simulated fsync cost; every nil AppendSync must find its
+// commit frame inside the synced prefix.
 func TestShardedWALAckImpliesDurable(t *testing.T) {
 	mem := NewMemBackend()
 	mem.SyncDelay = 200 * time.Microsecond
-	b := &syncedBackend{MemBackend: mem, segs: map[[2]int]*syncedSegment{}}
-	w, err := NewShardedWAL(b, SegmentedOptions{Shards: 4, SegmentBytes: 1024, QueueDepth: 16})
+	b := &syncedBackend{MemBackend: mem, segs: map[int]*syncedSegment{}}
+	w, err := NewShardedWAL(b, SegmentedOptions{SegmentBytes: 1024, QueueDepth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,8 +332,8 @@ func TestShardedWALAckImpliesDurable(t *testing.T) {
 					t.Errorf("commit %d: %v", id, err)
 					return
 				}
-				if lane := w.router.ShardID(id); !b.durable(lane, id) {
-					t.Errorf("commit %d acked before lane %d synced its frame", id, lane)
+				if !b.durable(id) {
+					t.Errorf("commit %d acked before its frame was synced", id)
 					return
 				}
 			}
@@ -362,12 +348,14 @@ func TestShardedWALAckImpliesDurable(t *testing.T) {
 	}
 }
 
-// gatedBackend is a syncedBackend whose lane-0 segments park in Sync
-// while the gate is shut: a device that has stopped acknowledging.
+// gatedBackend is a syncedBackend whose segments park in Sync while
+// the gate is shut — a device that has stopped acknowledging — and
+// then fail with failErr, if set.
 type gatedBackend struct {
 	*syncedBackend
-	mu   sync.Mutex
-	gate chan struct{} // non-nil while shut
+	mu      sync.Mutex
+	gate    chan struct{} // non-nil while shut
+	failErr error
 }
 
 type gatedSegment struct {
@@ -377,8 +365,8 @@ type gatedSegment struct {
 
 func (b *gatedBackend) Create(lane, index int) (SegmentFile, error) {
 	f, err := b.syncedBackend.Create(lane, index)
-	if err != nil || lane != 0 {
-		return f, err
+	if err != nil {
+		return nil, err
 	}
 	return gatedSegment{SegmentFile: f, b: b}, nil
 }
@@ -390,6 +378,12 @@ func (s gatedSegment) Sync() error {
 	if gate != nil {
 		<-gate
 	}
+	s.b.mu.Lock()
+	err := s.b.failErr
+	s.b.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	return s.SegmentFile.Sync()
 }
 
@@ -399,8 +393,10 @@ func (b *gatedBackend) shut() {
 	b.mu.Unlock()
 }
 
-func (b *gatedBackend) open() {
+// open lets parked and later Syncs through; they fail with err if set.
+func (b *gatedBackend) open(err error) {
 	b.mu.Lock()
+	b.failErr = err
 	if b.gate != nil {
 		close(b.gate)
 		b.gate = nil
@@ -408,15 +404,15 @@ func (b *gatedBackend) open() {
 	b.mu.Unlock()
 }
 
-// written reports whether the lane's written bytes — what SegmentSet
-// would hand recovery — hold instance's commit record.
-func written(t *testing.T, mem *MemBackend, lane int, instance int64) bool {
+// written reports whether the written bytes — what SegmentSet would
+// hand recovery — hold instance's commit record.
+func written(t *testing.T, mem *MemBackend, instance int64) bool {
 	t.Helper()
 	set, err := mem.SegmentSet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, seg := range set.Shards[lane] {
+	for _, seg := range set.Shards[0] {
 		_, recs, _, err := ScanSegment(bytes.NewReader(seg))
 		if err != nil {
 			t.Fatal(err)
@@ -430,55 +426,56 @@ func written(t *testing.T, mem *MemBackend, lane int, instance int64) bool {
 	return false
 }
 
-// TestCommitFramesDurableInGSNOrder pins the cross-lane ordering rule:
-// a commit frame reaches the device only after the previous commit
-// frame, on whichever lane, is durable. c1 goes to lane 0, whose fsync
-// is gated shut; c2 goes to lane 1 afterwards. Without the rule lane 1
-// writes and acks c2 at once, and a crash then recovers c2 without c1.
-// A failed commit frame fails every later one, queued on its own lane
-// or enqueued after it failed.
+// TestCommitFramesDurableInGSNOrder pins the ack order the engine's
+// lock-free acknowledge stage relies on: an ack means every earlier
+// commit frame is durable too, the ones the transaction read from
+// included. c1's fsync is gated shut once c1 is written; c2 queues
+// behind it and must not be acked before c1 is durable. A failure fails
+// every later commit frame, queued behind it or enqueued after it
+// failed, and none of them is written.
 func TestCommitFramesDurableInGSNOrder(t *testing.T) {
-	setup := func(t *testing.T) (*ShardedWAL, *gatedBackend, int64, int64, <-chan error, <-chan error) {
+	setup := func(t *testing.T) (*ShardedWAL, *gatedBackend, <-chan error, <-chan error) {
 		mem := NewMemBackend()
-		b := &gatedBackend{syncedBackend: &syncedBackend{MemBackend: mem, segs: map[[2]int]*syncedSegment{}}}
-		w, err := NewShardedWAL(b, SegmentedOptions{Shards: 2})
+		b := &gatedBackend{syncedBackend: &syncedBackend{MemBackend: mem, segs: map[int]*syncedSegment{}}}
+		w, err := NewShardedWAL(b, SegmentedOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		id1, id2 := laneInstance(w, 0, 1), laneInstance(w, 1, 1)
 		b.shut()
-		ack1, err := w.AppendAck(WALRecord{Kind: WALCommit, Instance: id1})
+		ack1, err := w.AppendAck(WALRecord{Kind: WALCommit, Instance: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ack2, err := w.AppendAck(WALRecord{Kind: WALCommit, Instance: id2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Give lane 1's committer ample time to (wrongly) write c2.
-		for deadline := time.Now().Add(50 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-			if written(t, mem, 1, id2) {
-				t.Fatal("c2's commit frame was written while c1's lane had not synced")
+		// Once c1 is written its batch is parked in the gated fsync, so c2
+		// lands in a later batch.
+		for deadline := time.Now().Add(10 * time.Second); !written(t, mem, 1); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("c1 never written")
 			}
 		}
+		ack2, err := w.AppendAck(WALRecord{Kind: WALCommit, Instance: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(20 * time.Millisecond)
 		select {
 		case err := <-ack2:
 			t.Fatalf("c2 acked (%v) while c1 was not durable", err)
 		default:
 		}
-		return w, b, id1, id2, ack1, ack2
+		return w, b, ack1, ack2
 	}
 
 	t.Run("release", func(t *testing.T) {
-		w, b, id1, id2, ack1, ack2 := setup(t)
-		b.open()
+		w, b, ack1, ack2 := setup(t)
+		b.open(nil)
 		select {
 		case err := <-ack2:
 			if err != nil {
 				t.Fatalf("c2 ack: %v", err)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatal("c2 never acked after lane 0 synced")
+			t.Fatal("c2 never acked after the device synced")
 		}
 		select {
 		case err := <-ack1:
@@ -488,66 +485,45 @@ func TestCommitFramesDurableInGSNOrder(t *testing.T) {
 		default:
 			t.Fatal("c2 acked before c1")
 		}
-		if !b.durable(0, id1) || !b.durable(1, id2) {
-			t.Fatal("acked commits missing from their lanes' synced prefixes")
+		if !b.durable(1) || !b.durable(2) {
+			t.Fatal("acked commits missing from the synced prefix")
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
 	})
 
+	// The device fails c1's fsync: c2, queued behind it, fails with it
+	// and is never written, and c3, enqueued after, is refused.
 	t.Run("crash", func(t *testing.T) {
-		w, b, id1, id2, ack1, ack2 := setup(t)
-		defer w.Close() //nolint:errcheck // crash latched, error expected
-		defer b.open()  // a failing check must not leave Close parked on lane 0
-		// c3 queues on lane 1 behind held c2, with a same-lane
-		// predecessor: c2's failure must reach it too.
-		id3 := laneInstance(w, 1, id2+1)
-		ack3, err := w.AppendAck(WALRecord{Kind: WALCommit, Instance: id3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.SetInjector(fault.New(1, fault.MustParseSpec("wal.crash:1")))
-		if err := w.Append(WALRecord{Kind: WALBegin, Instance: laneInstance(w, 0, id1+1)}); !errors.Is(err, fault.ErrCrash) {
-			t.Fatalf("crash append returned %v, want ErrCrash", err)
-		}
-		select {
-		case err := <-ack2:
-			if !errors.Is(err, fault.ErrCrash) {
-				t.Fatalf("held c2 acked %v, want ErrCrash", err)
+		w, b, ack1, ack2 := setup(t)
+		defer w.Close() //nolint:errcheck // the device failure is latched, error expected
+		errDevice := errors.New("device failed")
+		b.open(errDevice)
+		for i, ack := range []<-chan error{ack1, ack2} {
+			if err := <-ack; !errors.Is(err, errDevice) {
+				t.Fatalf("c%d acked %v, want the device failure", i+1, err)
 			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("held c2 still waits on lane 0 after it latched a crash")
 		}
-		select {
-		case err := <-ack3:
-			if err == nil {
-				t.Fatal("c3 acked nil behind failed c2")
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("c3 never acked after c2 failed")
+		if written(t, b.MemBackend, 2) {
+			t.Fatal("c2's commit frame was written behind failed c1")
 		}
-		if written(t, b.MemBackend, 1, id3) {
-			t.Fatal("c3's commit frame was written behind failed c2")
-		}
-		b.open()
-		if err := <-ack1; err != nil {
-			t.Fatalf("c1, enqueued before the crash, acked %v", err)
+		if _, err := w.AppendAck(WALRecord{Kind: WALCommit, Instance: 3}); !errors.Is(err, errDevice) {
+			t.Fatalf("c3 after the failure: %v, want the device failure", err)
 		}
 	})
 
 	// A predecessor that failed before the next commit frame is enqueued
-	// fails that frame too, whichever lane it is on.
+	// fails that frame too.
 	t.Run("failed-predecessor", func(t *testing.T) {
 		mem := NewMemBackend()
-		w, err := NewShardedWAL(mem, SegmentedOptions{Shards: 2})
+		w, err := NewShardedWAL(mem, SegmentedOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer w.Close() //nolint:errcheck // crash latched, error expected
-		id1, id2 := laneInstance(w, 0, 1), laneInstance(w, 1, 1)
 		w.SetInjector(fault.New(1, fault.MustParseSpec("wal.crash:1")))
-		ack1, err := w.AppendAck(WALRecord{Kind: WALCommit, Instance: id1})
+		ack1, err := w.AppendAck(WALRecord{Kind: WALCommit, Instance: 1})
 		if !errors.Is(err, fault.ErrCrash) {
 			t.Fatalf("c1 append returned %v, want ErrCrash", err)
 		}
@@ -555,14 +531,10 @@ func TestCommitFramesDurableInGSNOrder(t *testing.T) {
 			t.Fatalf("c1 acked %v, want ErrCrash", err)
 		}
 		w.SetInjector(nil)
-		ack2, err := w.AppendAck(WALRecord{Kind: WALCommit, Instance: id2})
-		if err != nil {
-			t.Fatalf("c2 append on a clean lane: %v", err)
+		if _, err := w.AppendAck(WALRecord{Kind: WALCommit, Instance: 2}); !errors.Is(err, fault.ErrCrash) {
+			t.Fatalf("c2 append behind failed c1 returned %v, want ErrCrash", err)
 		}
-		if err := <-ack2; !errors.Is(err, fault.ErrCrash) {
-			t.Fatalf("c2 acked %v behind failed c1, want ErrCrash", err)
-		}
-		if written(t, mem, 1, id2) {
+		if written(t, mem, 2) {
 			t.Fatal("c2's commit frame was written behind failed c1")
 		}
 	})
@@ -582,7 +554,7 @@ func logAsync(t testing.TB, w *ShardedWAL, id int64) {
 }
 
 func TestShardedWALAppendAfterClose(t *testing.T) {
-	w, err := NewShardedWAL(NewMemBackend(), SegmentedOptions{Shards: 2})
+	w, err := NewShardedWAL(NewMemBackend(), SegmentedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -601,11 +573,11 @@ func TestShardedWALAppendAfterClose(t *testing.T) {
 }
 
 // TestShardedWALInjectedTorn arms wal.torn on the first append: the
-// caller sees the crash, the lane latches it, and recovery finds a
+// caller sees the crash, the log latches it, and recovery finds a
 // torn tail with zero phantom commits.
 func TestShardedWALInjectedTorn(t *testing.T) {
 	mem := NewMemBackend()
-	w, err := NewShardedWAL(mem, SegmentedOptions{Shards: 1})
+	w, err := NewShardedWAL(mem, SegmentedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -628,9 +600,8 @@ func TestShardedWALInjectedTorn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, ok := rep.FirstDamagedKind(TailTorn)
-	if !ok || sh.Shard != 0 {
-		t.Fatalf("want torn shard 0, got %+v (ok=%v)", sh, ok)
+	if rep.Tail.Tail != TailTorn {
+		t.Fatalf("want a torn tail, got %+v", rep.Tail)
 	}
 	if rep.Committed != 0 || rep.Records != 0 {
 		t.Fatalf("phantom records after torn first append: %s", rep)
@@ -641,13 +612,13 @@ func TestShardedWALInjectedTorn(t *testing.T) {
 // per-append points. wal.corrupt lies: the append succeeds, and the
 // segment scan stops at the flipped frame with a corrupt tail.
 // wal.crash dies at the frame boundary: the caller sees the crash, the
-// lane latches it, nothing of the frame is written and the log
+// log latches it, nothing of the frame is written and the log
 // recovers clean and empty.
 func TestShardedWALInjectedCorruptAndCrash(t *testing.T) {
 	recoverAfter := func(spec string) (*SegmentedReport, error) {
 		t.Helper()
 		mem := NewMemBackend()
-		w, err := NewShardedWAL(mem, SegmentedOptions{Shards: 1})
+		w, err := NewShardedWAL(mem, SegmentedOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -669,8 +640,8 @@ func TestShardedWALInjectedCorruptAndCrash(t *testing.T) {
 	if err != nil {
 		t.Fatalf("corrupted append returned %v: the disk lies, the log keeps running", err)
 	}
-	if sh, ok := rep.FirstDamagedKind(TailCorrupt); !ok || sh.Shard != 0 || rep.Records != 0 {
-		t.Fatalf("want a corrupt tail on shard 0 and no records, got %s", rep)
+	if rep.Tail.Tail != TailCorrupt || rep.Records != 0 {
+		t.Fatalf("want a corrupt tail and no records, got %s (%+v)", rep, rep.Tail)
 	}
 
 	rep, err = recoverAfter("wal.crash:1")
@@ -687,7 +658,7 @@ func TestShardedWALInjectedCorruptAndCrash(t *testing.T) {
 // run crashes, and recovery keeps exactly the first transaction.
 func TestShardedWALGroupPartial(t *testing.T) {
 	mem := NewMemBackend()
-	w, err := NewShardedWAL(mem, SegmentedOptions{Shards: 1})
+	w, err := NewShardedWAL(mem, SegmentedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -722,7 +693,7 @@ func TestShardedWALGroupPartial(t *testing.T) {
 // every acknowledged commit is recovered, nothing else.
 func TestShardedWALRotateCrash(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenShardedWAL(dir, SegmentedOptions{Shards: 1, SegmentBytes: 160, QueueDepth: 8})
+	w, err := OpenShardedWAL(dir, SegmentedOptions{SegmentBytes: 160, QueueDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -779,7 +750,7 @@ func TestShardedWALRotateCrash(t *testing.T) {
 // must recover cleanly with zero records.
 func TestShardedWALEmptyLogRecovers(t *testing.T) {
 	mem := NewMemBackend()
-	w, err := NewShardedWAL(mem, SegmentedOptions{Shards: 4})
+	w, err := NewShardedWAL(mem, SegmentedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -790,8 +761,8 @@ func TestShardedWALEmptyLogRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(set.Shards) != 4 {
-		t.Fatalf("want 4 published lanes, got %d", len(set.Shards))
+	if len(set.Shards) != 1 || len(set.Shards[0]) != 1 {
+		t.Fatalf("want one published segment in lane 0, got %v", set.Shards)
 	}
 	st, rep, err := RecoverSegmented(set, nil)
 	if err != nil {
@@ -802,5 +773,22 @@ func TestShardedWALEmptyLogRecovers(t *testing.T) {
 	}
 	if got := len(st.Snapshot()); got != 0 {
 		t.Fatalf("empty log recovered %d objects", got)
+	}
+}
+
+// TestOneLaneOnly: the log has one lane. NewShardedWAL refuses any other
+// count, and recovery refuses a crash image holding segments of another
+// lane instead of recovering lane 0 alone.
+func TestOneLaneOnly(t *testing.T) {
+	for _, n := range []int{-1, 2, 16} {
+		if w, err := NewShardedWAL(NewMemBackend(), SegmentedOptions{Shards: n}); err == nil {
+			w.Close() //nolint:errcheck
+			t.Fatalf("Shards: %d accepted", n)
+		}
+	}
+	seg := encodeSegmentHeader(SegmentHeader{})
+	set := &SegmentSet{Shards: map[int][][]byte{0: {seg}, 3: {seg}, 1: {seg}}}
+	if _, _, err := RecoverSegmented(set, nil); err == nil || !strings.Contains(err.Error(), "lane 1") {
+		t.Fatalf("recovery of a three-lane image: err %v, want one naming lane 1", err)
 	}
 }

@@ -12,7 +12,7 @@ import (
 	"time"
 )
 
-// SegmentFile is one writable segment of a shard's log.
+// SegmentFile is one writable segment of the log.
 type SegmentFile interface {
 	Write(p []byte) (int, error)
 	// Sync makes everything written so far durable; the group-commit
@@ -25,7 +25,8 @@ type SegmentFile interface {
 // Implementations must keep a created segment invisible to recovery
 // until Publish: the rotation protocol writes and syncs the header of
 // segment k+1 before publishing it, so a crash in between leaves an
-// unpublished file recovery soundly ignores.
+// unpublished file recovery soundly ignores. The log writes lane
+// (shard) 0 only.
 type SegmentBackend interface {
 	// Create opens shard's segment index for writing, hidden.
 	Create(shard, index int) (SegmentFile, error)
@@ -33,8 +34,9 @@ type SegmentBackend interface {
 	Publish(shard, index int) error
 }
 
-// SegmentSet is a segmented log spread out for recovery: per-shard
-// published segment bytes in index order. Crash sweeps build these
+// SegmentSet is a segmented log spread out for recovery: published
+// segment bytes per lane, in index order. The log has one lane, 0;
+// recovery refuses a set naming any other. Crash sweeps build these
 // directly from truncated byte slices; ReadWALDir builds one from a
 // DirBackend directory.
 type SegmentSet struct {
@@ -201,13 +203,15 @@ func ReadWALDir(dir string) (*SegmentSet, error) {
 				}
 			}
 			sort.Strings(files) // seg-%06d sorts numerically
+			var data [][]byte
 			for _, fn := range files {
 				b, err := os.ReadFile(filepath.Join(dir, name, fn))
 				if err != nil {
 					return nil, err
 				}
-				set.Shards[shard] = append(set.Shards[shard], b)
+				data = append(data, b)
 			}
+			set.Shards[shard] = data
 		case !e.IsDir() && strings.HasPrefix(name, "snapshot-") && strings.HasSuffix(name, ".snap"):
 			return nil, fmt.Errorf("storage: %s: checkpoint snapshots are not supported; the log may be missing the segments it covered", filepath.Join(dir, name))
 		}

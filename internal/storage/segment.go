@@ -9,7 +9,8 @@ import (
 	"io"
 )
 
-// Segment format (per-shard segmented WAL, DESIGN.md §5.4):
+// Segment format (the segmented WAL, DESIGN.md §5.4; the shard field
+// is always 0, the log's one lane):
 //
 //	header  [magic "RSEG"][version u8][pad u8][shard u16][index u32][baseGSN u64][crc u32]
 //	frame*  [size u32][crc u32][gsn u64][record encoding, wal.go]
@@ -17,7 +18,7 @@ import (
 // All integers little-endian; both CRCs are CRC32-Castagnoli. The
 // frame checksum covers the whole payload — GSN included — so a
 // flipped sequence-number bit is damage, not a different record. GSNs
-// are strictly increasing within a shard's log and every record's GSN
+// are strictly increasing within the log and every record's GSN
 // exceeds its segment's BaseGSN; a scan treats a violation as
 // corruption (duplicated or replayed frames).
 
@@ -40,10 +41,12 @@ const (
 	maxSegPayload = 1 << 20
 )
 
-// SegmentHeader identifies one segment of one shard's log.
+// SegmentHeader identifies one segment of the log.
 type SegmentHeader struct {
+	// Shard is the lane the segment belongs to: always 0, the log's one
+	// lane. Recovery treats any other value as corruption.
 	Shard int
-	// Index orders a shard's segments; rotation publishes index k+1
+	// Index orders the log's segments; rotation publishes index k+1
 	// after sealing index k.
 	Index int
 	// BaseGSN is the global sequence number the log had reached when
@@ -81,8 +84,7 @@ func DecodeSegmentHeader(b []byte) (SegmentHeader, error) {
 	return h, nil
 }
 
-// SegmentRecord pairs a decoded record with its global sequence
-// number; recovery merges shards by GSN.
+// SegmentRecord pairs a decoded record with its sequence number.
 type SegmentRecord struct {
 	GSN uint64
 	Rec WALRecord

@@ -203,7 +203,7 @@ func TestSegFileNames(t *testing.T) {
 func TestSnapshotErrorsNameTheFile(t *testing.T) {
 	for _, data := range [][]byte{EncodeSnapshot(7, map[string]Value{"x": 1}), []byte("RSNPgarbage")} {
 		dir := t.TempDir()
-		w, err := OpenShardedWAL(dir, SegmentedOptions{Shards: 2})
+		w, err := OpenShardedWAL(dir, SegmentedOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

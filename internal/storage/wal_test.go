@@ -91,7 +91,7 @@ func TestWALTornTail(t *testing.T) {
 		if got := st.Read("x").Value; got != 5 {
 			t.Errorf("cut %d: x = %d, want instance 1's committed 5", cut, got)
 		}
-		if sh, ok := rep.FirstDamagedKind(TailTorn); !ok || sh.Tail.Offset != int64(bounds[len(bounds)-2]) {
+		if rep.Tail.Tail != TailTorn || rep.Tail.Offset != int64(bounds[len(bounds)-2]) {
 			t.Errorf("cut %d: want a torn tail at the last frame, got %s", cut, rep)
 		}
 		if rep.Committed != 1 || rep.Unfinished != 1 {

@@ -82,13 +82,13 @@ const (
 	KindCancel Kind = "cancel"
 	// KindWALAppend records one write-ahead-log append.
 	KindWALAppend Kind = "wal-append"
-	// KindWALRotate records a segmented lane sealing its current
+	// KindWALRotate records the segmented log sealing its current
 	// segment and opening the next; Value carries the first GSN of the
 	// new segment.
 	KindWALRotate Kind = "wal-rotate"
-	// KindWALGroupCommit records one group-commit flush: a lane's
-	// committer draining its queue into a single fsync. Instance
-	// carries the lane index, Value the records in the batch.
+	// KindWALGroupCommit records one group-commit flush: the log's
+	// committer draining its queue into a single fsync. Value carries
+	// the records in the batch.
 	KindWALGroupCommit Kind = "wal-group-commit"
 	// KindStoreRead records one read under the store latch.
 	KindStoreRead Kind = "store-read"

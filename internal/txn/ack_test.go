@@ -21,7 +21,7 @@ import (
 )
 
 // TestAckImpliesDurableConcurrent runs banking on the goroutine driver
-// over four lanes with a simulated fsync cost while a background
+// (four stripes) over the log with a simulated fsync cost while a background
 // goroutine snapshots the written log every ~200µs. Every snapshot is a
 // crash image: it must recover to a store that conserves balances, with
 // at least as many commits as Commit hooks had fired before it was
@@ -37,7 +37,7 @@ func TestAckImpliesDurableConcurrent(t *testing.T) {
 	}
 	mem := storage.NewMemBackend()
 	mem.SyncDelay = 200 * time.Microsecond
-	wal, err := storage.NewShardedWAL(mem, storage.SegmentedOptions{Shards: 4})
+	wal, err := storage.NewShardedWAL(mem, storage.SegmentedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func (p *handoffProto) Abort(int64) {}
 // under the lifecycle lock would stop the world until the gate opens.
 func TestAckWaitHoldsNoLock(t *testing.T) {
 	b := &gatedBackend{MemBackend: storage.NewMemBackend()}
-	wal, err := storage.NewShardedWAL(b, storage.SegmentedOptions{Shards: 1})
+	wal, err := storage.NewShardedWAL(b, storage.SegmentedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

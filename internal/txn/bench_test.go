@@ -359,7 +359,7 @@ func newCommitWAL(tb testing.TB) *storage.ShardedWAL {
 	tb.Helper()
 	mem := storage.NewMemBackend()
 	mem.SyncDelay = time.Millisecond
-	wal, err := storage.NewShardedWAL(mem, storage.SegmentedOptions{Shards: 1})
+	wal, err := storage.NewShardedWAL(mem, storage.SegmentedOptions{})
 	if err != nil {
 		tb.Fatal(err)
 	}

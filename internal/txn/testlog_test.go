@@ -16,7 +16,7 @@ type testLog struct {
 func newTestLog(t testing.TB) *testLog {
 	t.Helper()
 	mem := storage.NewMemBackend()
-	wal, err := storage.NewShardedWAL(mem, storage.SegmentedOptions{Shards: 1})
+	wal, err := storage.NewShardedWAL(mem, storage.SegmentedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
