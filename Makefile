@@ -95,10 +95,14 @@ race:
 # wait gives its hold on the log up), race-checked and repeated to shake
 # out scheduling-dependent flakes. The gate runs in a few seconds; the
 # 60 s timeout turns a worker that keeps its hold while it waits, which
-# hangs a run, into a failure.
+# hangs a run, into a failure. The cohort check runs ten more times
+# under the race detector, where a worker started before the others
+# were counted, or a requeued program handed to an idle worker, made
+# commits miss their cohort.
 test-engine:
 	$(GO) test -race -count=2 -timeout 60s ./internal/engine ./internal/txn \
-		-run 'TestSerialConcurrentParity|TestSerialReplayDeterminism|TestCancel|TestRunOptionsTimeout|TestCorePipeline|TestAbortAll|TestStageNames|TestNewCoreValidation|TestAckImpliesDurableConcurrent|TestAckWaitHoldsNoLock|TestConcurrentCommitWaitPath|TestConcurrentWorkloadsAllProtocols|TestShardedWorkloadsAllProtocols|TestShardedHotSpotBlocksOnOneShard|TestLatencyPointsFire|TestWatchdogSurfacesWedge|TestStepVerdicts|TestConcurrentCommitCohort|TestConcurrentCommitJoinsCohort|TestConcurrentCommitLiveness'
+		-run 'TestSerialConcurrentParity|TestSerialReplayDeterminism|TestCancel|TestRunOptionsTimeout|TestCorePipeline|TestAbortAll|TestStageNames|TestNewCoreValidation|TestAckImpliesDurableConcurrent|TestAckWaitHoldsNoLock|TestConcurrentCommitWaitPath|TestConcurrentWorkloadsAllProtocols|TestShardedWorkloadsAllProtocols|TestShardedHotSpotBlocksOnOneShard|TestLatencyPointsFire|TestWatchdogSurfacesWedge|TestStepVerdicts|TestConcurrentCommitCohort|TestConcurrentCommitJoinsCohort|TestConcurrentCommitLiveness|TestWorkersBlockOnlyInWait'
+	$(GO) test -race -count=10 -run TestConcurrentCommitJoinsCohort ./internal/txn
 
 # Live ops-endpoint smoke (CI: test job): a run with -ops serving,
 # scraped for the canonical /metrics, /healthz and /debug keys while

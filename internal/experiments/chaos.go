@@ -136,8 +136,9 @@ func runE16(opts Options) (*Report, error) {
 
 const walChaos = "wal.torn:0.004,wal.corrupt:0.003,wal.crash:0.002"
 
-// chaosLegs are the deterministic table's legs: the first three rotate
-// at the default 1 MiB, the seg-* legs at 512 bytes.
+// chaosLegs are the deterministic table's legs: the seg-* legs rotate
+// at 512 bytes, the others at the default 1 MiB. wal-damage's seeds 1
+// and 2 fire wal.torn and wal.corrupt, which wal-chaos's seeds do not.
 var chaosLegs = []chaosLeg{
 	{name: "wal-chaos", spec: walChaos},
 	{name: "abort-storm", spec: "txn.abort:0.5,sched.grant.delay:0.05"},
@@ -145,6 +146,7 @@ var chaosLegs = []chaosLeg{
 	{name: "seg-wal-chaos", spec: walChaos, segBytes: 512},
 	{name: "seg-rotate-crash", spec: "wal.rotate.crash:0.08", segBytes: 512},
 	{name: "seg-group-partial", spec: "wal.group.partial:0.01", segBytes: 512},
+	{name: "wal-damage", spec: "wal.torn:0.01,wal.corrupt:0.02"},
 }
 
 // chaosLeg is one row family of the deterministic chaos table: a fault

@@ -260,18 +260,12 @@ func (w *ShardedWAL) AppendAck(rec WALRecord) (<-chan error, error) {
 }
 
 // Hold registers one producer running towards its next commit record.
-// The concurrent driver holds for each worker it starts, for each
-// parked worker it wakes (before the worker runs), and once more while
-// it publishes a commit that may wake some.
 func (w *ShardedWAL) Hold() { w.running.Add(1) }
 
 // Release moves one registered producer to waiting, on another
 // producer or for good. A producer that waits without releasing keeps
-// awaited frames from draining; the concurrent driver releases while a
-// worker is parked on a stripe or the commit queue, sleeps out
-// admission shedding or a restart back-off, idles on an empty work
-// queue, and when it exits. The release that leaves none running wakes
-// the committer.
+// awaited frames from draining. The release that leaves none running
+// wakes the committer.
 func (w *ShardedWAL) Release() {
 	if w.running.Add(-1) == 0 {
 		w.mu.Lock()
@@ -636,6 +630,7 @@ type ShardedWALStats struct {
 	Fsyncs       int64
 	Rotations    int64
 	GroupCommits int64
+	Running      int64 // registered producers holding the log (Hold)
 }
 
 // Stats snapshots the log's counters.
@@ -645,5 +640,6 @@ func (w *ShardedWAL) Stats() ShardedWALStats {
 		Fsyncs:       w.fsyncs.Load(),
 		Rotations:    w.rotations.Load(),
 		GroupCommits: w.groupCommits.Load(),
+		Running:      w.running.Load(),
 	}
 }

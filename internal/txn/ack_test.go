@@ -94,6 +94,7 @@ func TestAckImpliesDurableConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkReleased(t, wal)
 	if err := wal.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -251,6 +252,7 @@ func TestAckWaitHoldsNoLock(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+	checkReleased(t, wal)
 	if err := wal.Close(); err != nil {
 		t.Fatal(err)
 	}

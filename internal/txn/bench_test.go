@@ -376,6 +376,7 @@ func runCommitWAL(tb testing.TB, w *workload.Workload, wal *storage.ShardedWAL) 
 	if err != nil {
 		tb.Fatal(err)
 	}
+	checkReleased(tb, wal)
 	return res.Committed
 }
 

@@ -72,6 +72,7 @@ func TestConcurrentCommitCohort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkReleased(t, wal)
 	if err := wal.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -135,6 +136,7 @@ func TestConcurrentCommitJoinsCohort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkReleased(t, wal)
 		if err := wal.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -259,6 +261,7 @@ func runLiveness(t *testing.T, w *workload.Workload, p sched.Protocol, shards in
 	case <-time.After(30 * time.Second):
 		t.Fatal("run did not end in 30 s: a worker kept its hold on the log while waiting")
 	}
+	checkReleased(t, wal)
 	if err := wal.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -272,4 +275,13 @@ func runLiveness(t *testing.T, w *workload.Workload, p sched.Protocol, shards in
 		t.Fatalf("%d of %d programs committed", res.Committed, len(w.Programs))
 	}
 	return res, nil
+}
+
+// checkReleased fails the test unless every worker of the run that has
+// just returned gave its hold on the log back.
+func checkReleased(tb testing.TB, wal *storage.ShardedWAL) {
+	tb.Helper()
+	if n := wal.Stats().Running; n != 0 {
+		tb.Errorf("%d holds on the log outlive the run, want 0", n)
+	}
 }

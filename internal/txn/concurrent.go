@@ -68,9 +68,10 @@ import (
 // Cancellation rides one mechanism: RunContext derives a cancel-cause
 // context; the stall watchdog escalates by canceling it (*WedgeError
 // cause), external deadlines cancel it from outside, and a watcher
-// goroutine floods every queue until shutdown so parked workers unwind.
-// Drained in-flight instances are aborted through the engine's Recover
-// stage, leaving the store invariant-clean and the WAL recoverable.
+// goroutine floods every queue until the workers exit so parked ones
+// unwind. Drained in-flight instances are aborted through the engine's
+// Recover stage, leaving the store invariant-clean and the WAL
+// recoverable.
 //
 // Lock order: state.RLock -> stripe.mu -> depMu;
 // state.Lock -> {stripe.mu, commits.mu}. The leaf mutexes (depMu lives
@@ -80,21 +81,10 @@ import (
 //
 // Group commit counts its cohort: every worker holds the log
 // (storage.WALSink.Hold) while it runs towards its next commit record,
-// and a log lane fsyncs once no worker is running, so one fsync covers
+// and the log fsyncs once no worker is running, so one fsync covers
 // every commit published meanwhile. Publishing a commit record gives
-// the hold up and its ack returns it. A worker also gives its hold up
-// wherever it waits on another worker — parked on a stripe or the
-// commit queue (park), in the admission-shedding sleep (runProgram),
-// in the restart back-off's sleep (noteRestart), idle on an empty work
-// queue (next) — and for good when it exits. A lane that counted such a
-// worker would hold back the acks the other workers wait for, until
-// the waiting worker ran again, or forever once it has exited. A
-// sleeper gets its hold back from the broadcast that wakes it
-// (waitQueue.wakeLocked), not once it runs, and a worker publishing a
-// commit holds once more until the sleepers its commit wakes have
-// theirs: otherwise the lane drains between the publish and their
-// wake-up, and every commit that waited on another commit waits a
-// second fsync.
+// the hold up and its ack returns it; every other wait on another
+// worker goes through wait, which lists the sites.
 //
 // Concurrent runs are not reproducible (goroutine interleaving is the
 // scheduler's); tests assert outcomes — everything commits, committed
@@ -159,7 +149,7 @@ func (q *waitQueue) broadcast(c *metrics.Counter) {
 }
 
 // wakeLocked is broadcast with q.mu held. Every sleeper it wakes gets
-// its hold on the log back here, before it runs (see park).
+// its hold on the log back here, before it runs (see wait).
 func (q *waitQueue) wakeLocked(c *metrics.Counter) {
 	if q.waiters == 0 {
 		return
@@ -225,19 +215,17 @@ func (r *ConcurrentRunner) RunContext(parent context.Context) (*Result, error) {
 		stop := r.startWatchdog(wd, cancel)
 		defer stop()
 	}
-	// work is never closed (closing would race with a concurrent
-	// requeue); shutdown is signaled on done instead. Each program has
-	// at most one Pending in flight, so requeues never block.
+	// Each program has at most one Pending in flight, so a requeue never
+	// blocks.
 	work := make(chan *engine.Pending, len(r.eng.Cfg.Programs))
 	for _, p := range r.eng.Cfg.Programs {
 		work <- &engine.Pending{Program: p}
 	}
-	done := make(chan struct{})
-	var closeOnce sync.Once
-	shutdown := func() { closeOnce.Do(func() { close(done) }) }
+	done := make(chan struct{}) // closed once every worker has exited
 	// Cancellation watcher: parked workers cannot see ctx, so flood
-	// every queue repeatedly until shutdown — each woken worker re-checks
-	// pendingErr and unwinds. Injected wedges are released too.
+	// every queue repeatedly until the workers are gone — each woken
+	// worker re-checks pendingErr and unwinds. Injected wedges are
+	// released too.
 	go func() {
 		select {
 		case <-done:
@@ -255,47 +243,40 @@ func (r *ConcurrentRunner) RunContext(parent context.Context) (*Result, error) {
 		}
 	}()
 	var wg sync.WaitGroup
-	workers := r.eng.Cfg.MPL
-	if workers > len(r.eng.Cfg.Programs) {
-		workers = len(r.eng.Cfg.Programs)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	workers := min(r.eng.Cfg.MPL, len(r.eng.Cfg.Programs))
+	// Hold for every worker before starting any: a worker that published
+	// before the others were counted would close a cohort of one.
+	for range workers {
 		r.hold()
+	}
+	for range workers {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer r.release()
+			// A worker that finds the queue empty exits: every unfinished
+			// program is then in flight on a live worker, which requeues it
+			// and takes from the queue itself.
 			for {
-				pp := r.next(work, done)
-				if pp == nil {
+				var pp *engine.Pending
+				select {
+				case pp = <-work:
+				default:
 					return
 				}
 				requeue, err := r.runProgram(ctx, pp)
 				if err != nil {
 					r.fail(err)
-					shutdown()
 					return
 				}
 				if requeue {
-					select {
-					case work <- pp:
-					case <-done:
-						return
-					}
-					continue
-				}
-				r.state.RLock()
-				finished := r.eng.Committed() == len(r.eng.Cfg.Programs) || r.runErr != nil
-				r.state.RUnlock()
-				if finished {
-					shutdown()
-					return
+					work <- pp
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	shutdown() // release the cancellation watcher
+	close(done)
 	// Final durability barrier before the verdict: drain the sink's
 	// group-commit queues so async append errors are latched where
 	// foldErrLocked can see them. Deliberately outside the state lock —
@@ -321,29 +302,8 @@ func (r *ConcurrentRunner) RunContext(parent context.Context) (*Result, error) {
 	return r.eng.Finalize(), nil
 }
 
-// next takes the worker's next program, or nil once the run is done. A
-// worker that finds the queue empty waits for another worker to requeue
-// an aborted program, so it gives up its hold meanwhile.
-func (r *ConcurrentRunner) next(work <-chan *engine.Pending, done <-chan struct{}) *engine.Pending {
-	select {
-	case <-done:
-		return nil
-	case pp := <-work:
-		return pp
-	default:
-	}
-	r.release()
-	defer r.hold()
-	select {
-	case <-done:
-		return nil
-	case pp := <-work:
-		return pp
-	}
-}
-
 // hold and release move the calling worker in and out of the log's
-// count of running producers; see ConcurrentRunner.
+// count of running producers; see wait.
 func (r *ConcurrentRunner) hold() {
 	if wal := r.eng.Cfg.WAL; wal != nil {
 		wal.Hold()
@@ -426,9 +386,7 @@ func (r *ConcurrentRunner) runProgram(ctx context.Context, pp *engine.Pending) (
 			break
 		}
 		r.state.Unlock()
-		r.release()
-		time.Sleep(100 * time.Microsecond)
-		r.hold()
+		r.wait(func() bool { time.Sleep(100 * time.Microsecond); return false })
 		r.state.Lock()
 	}
 	st := r.eng.Admit(pp)
@@ -570,14 +528,14 @@ func (r *ConcurrentRunner) tryFinish(ctx context.Context, st *engine.Instance) (
 	return false, false, nil
 }
 
-// park sleeps on q until a broadcast wakes it, with its hold on the log
-// given up; the broadcast hands it back. Called with q.mu and a state
-// lock held; unlock drops that state lock once the worker is
-// registered. On true the worker slept and was woken, and both locks
-// are released. On false parking would have left every active worker
-// asleep: q.mu is released, the state lock is still held and the
-// caller must victimize. No wakeup can be lost: waiters is registered
-// and q.mu pins the cond until Wait is entered.
+// park sleeps on q, through wait, until a broadcast wakes it and hands
+// its hold on the log back. Called with q.mu and a state lock held;
+// unlock drops that state lock once the worker is registered. On true
+// the worker slept and was woken, and both locks are released. On
+// false parking would have left every active worker asleep: q.mu is
+// released, the state lock is still held and the caller must
+// victimize. No wakeup can be lost: waiters is registered and q.mu
+// pins the cond until Wait is entered.
 //
 //rsvet:locks q.mu
 func (r *ConcurrentRunner) park(q *waitQueue, unlock func()) bool {
@@ -589,8 +547,7 @@ func (r *ConcurrentRunner) park(q *waitQueue, unlock func()) bool {
 	q.waiters++
 	start := time.Now()
 	unlock()
-	r.release()
-	q.cond.Wait()
+	r.wait(func() bool { q.cond.Wait(); return true })
 	q.waiters--
 	q.woken--
 	r.sleepers.Add(-1)
@@ -598,6 +555,25 @@ func (r *ConcurrentRunner) park(q *waitQueue, unlock func()) bool {
 	q.mu.Unlock()
 	r.wakeups.Inc()
 	return true
+}
+
+// wait is the one way a worker blocks on other workers: it gives the
+// worker's hold on the log up, runs block, and takes the hold back
+// unless block reports that its waker handed it over. A log that
+// counted a waiting worker would hold back the acks the others wait
+// for until that worker ran again. The sites are park (a stripe or the
+// commit queue, whose broadcast hands the hold over before the sleeper
+// runs), the admission-shedding sleep (runProgram) and the restart
+// back-off's sleep (noteRestart). Besides wait, a worker holds once
+// before any worker starts and releases when it exits, tryFinish holds
+// once more across Publish, and the ack wait needs nothing: the log
+// takes the hold in AppendAck and returns it with the ack.
+// TestWorkersBlockOnlyInWait checks that nothing else blocks.
+func (r *ConcurrentRunner) wait(block func() (handed bool)) {
+	r.release()
+	if !block() {
+		r.hold()
+	}
 }
 
 // wakeAll broadcasts every queue (all stripes plus the commit queue).
@@ -684,14 +660,12 @@ func (r *ConcurrentRunner) noteRestart(pp *engine.Pending, st *engine.Instance) 
 	// its abort just freed before the woken waiters ever run. Once the
 	// livelock detector has escalated, yielding alone does not spread
 	// contenders enough: add capped, jittered wall-clock backoff from
-	// the dedicated seeded stream. Only that sleep gives the hold on the
-	// log up: a worker that merely yields waits on no one, and its next
+	// the dedicated seeded stream. Only that sleep waits on the other
+	// workers: a worker that merely yields keeps its hold, and its next
 	// program joins the current cohort.
 	if level > 0 {
-		r.release()
-		defer r.hold()
+		r.wait(func() bool { r.eng.JitterSleep(pp.Restarts, level); return false })
 	}
-	r.eng.JitterSleep(pp.Restarts, level)
 	runtime.Gosched()
 	return true, nil
 }
